@@ -15,16 +15,24 @@ With ``--json``, results are also written machine-readably (default
 ``BENCH_host.json``, override with ``--json-out``): experiments that
 expose a ``json_payload()`` contribute structured data (the host-speed
 experiment's timings live here), the rest contribute their report text.
+Sections are merged into an existing file by experiment name, so runs
+of different subsets accumulate, and each section carries a ``stamp``:
+git SHA (in a git checkout), Python version, CPU count and UTC date.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
 #: Experiment name -> module name, imported lazily so one broken bench
 #: fails fast with a clear message instead of taking the whole runner
@@ -77,6 +85,24 @@ def _load(name: str):
         raise SystemExit(2) from fault
 
 
+def stamp() -> dict:
+    """Where and when a section was measured."""
+    doc = {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+    if (ROOT / ".git").exists():
+        try:
+            doc["git_sha"] = subprocess.run(
+                ["git", "rev-parse", "HEAD"],
+                cwd=ROOT, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            pass
+    return doc
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -113,11 +139,14 @@ def main(argv: list[str]) -> int:
         print()
         if args.json:
             payload_fn = getattr(module, "json_payload", None)
-            collected[name] = payload_fn() if payload_fn else {"report": text}
+            payload = payload_fn() if payload_fn else {"report": text}
+            collected[name] = {**payload, "stamp": stamp()}
 
     if args.json:
         out = Path(args.json_out)
-        out.write_text(json.dumps({"experiments": collected}, indent=2) + "\n")
+        doc = json.loads(out.read_text()) if out.exists() else {}
+        doc.setdefault("experiments", {}).update(collected)
+        out.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {out}", file=sys.stderr)
     return 0
 

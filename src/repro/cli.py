@@ -723,47 +723,35 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_processes(
-    args: argparse.Namespace, workload, source: str, pins=None
-) -> int:
-    """``serve --processes``: each shard a real OS worker process."""
-    from repro.net.procserve import ProcessCluster, ProcessServer
-    from repro.net.serve import SERVICE_SOURCES
-
-    cluster = ProcessCluster(
-        list(SERVICE_SOURCES),
-        shards=args.shards,
-        config=args.impl,
-        pins=pins,
-        self_homed=(args.route == "direct"),
-    )
-    try:
-        server = ProcessServer(
-            cluster,
-            route=args.route,
-            queue_capacity=args.queue_capacity,
-            batch_size=args.batch_size,
-        )
-        report = server.serve(workload)
-        meters = cluster.meters()
-    finally:
-        cluster.close()
+def _print_serve(report, metrics, source: str, args: argparse.Namespace, extra: dict) -> int:
+    """Print one serving report, in-process or process mode, and write
+    its JSON document when asked."""
     summary = report.to_dict()
+    if report.unit == "ms":
+        where = (
+            f"{report.shards} worker process(es), route={report.route}, "
+            f"in {summary['elapsed_s']}s ({summary['requests_per_s']} req/s)"
+        )
+        label = "ms"
+    else:
+        where = f"{report.shards} shard(s) in {report.ticks} pump ticks"
+        label = "pump ticks"
     print(
         f"served {report.completed}/{report.requests} request(s) ({source}) "
-        f"on {report.shards} worker process(es), route={args.route}, "
-        f"in {summary['elapsed_s']}s ({summary['requests_per_s']} req/s)"
+        f"on {where}"
     )
     print(
         f"lost={report.lost} wrong={report.wrong} retried={report.retried} "
         f"backpressure_stalls={report.backpressure_stalls}"
+        + (f" migrations={report.migrations}" if args.autoscale else "")
     )
     print(
-        f"latency: p50={summary['p50_ms']}ms p99={summary['p99_ms']}ms; "
-        f"wire: {summary['wire']['wire_words']} words"
+        f"latency: p50={summary[f'p50_{report.unit}']} "
+        f"p99={summary[f'p99_{report.unit}']} {label}; "
+        f"wire: {report.wire_words} words"
     )
     if args.json or args.out:
-        doc = {"report": summary, "meters": {str(k): v for k, v in meters.items()}}
+        doc = {"report": summary, "metrics": metrics.snapshot(), **extra}
         text = json.dumps(doc, indent=2) + "\n"
         if args.out:
             Path(args.out).write_text(text)
@@ -779,7 +767,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.cluster import Cluster
     from repro.net.serve import SERVICE_SOURCES, Request, Server, generate_workload
     from repro.net.transport import SocketTransport
-    from repro.obs import MetricsRegistry
 
     if args.workload:
         doc = json.loads(Path(args.workload).read_text())
@@ -827,7 +814,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print("serve: --autoscale drives the in-process pump; drop "
                   "--processes", file=sys.stderr)
             return 2
-        return _serve_processes(args, workload, source, pins=pins)
+        from repro.net.procserve import ProcessCluster, ProcessServer
+
+        cluster = ProcessCluster(
+            list(SERVICE_SOURCES),
+            shards=args.shards,
+            config=args.impl,
+            pins=pins,
+            self_homed=(args.route == "direct"),
+        )
+        try:
+            server = ProcessServer(
+                cluster,
+                route=args.route,
+                queue_capacity=args.queue_capacity,
+                batch_size=args.batch_size,
+            )
+            report = server.serve(workload)
+            extra = {"meters": cluster.meters()}
+        finally:
+            cluster.close()
+        return _print_serve(report, server.metrics, source, args, extra)
     transport = SocketTransport() if args.socket else None
     try:
         cluster = Cluster(
@@ -853,12 +860,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             budget=args.migration_budget,
         )
         pump_ticks = args.pump_ticks
-    metrics = MetricsRegistry()
     server = Server(
         cluster,
         queue_capacity=args.queue_capacity,
         batch_size=args.batch_size,
-        metrics=metrics,
         balancer=balancer,
         pump_ticks_per_round=pump_ticks,
     )
@@ -866,34 +871,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         report = server.serve(workload)
     finally:
         cluster.close()
-    summary = report.to_dict()
-    print(
-        f"served {report.completed}/{report.requests} request(s) ({source}) "
-        f"on {report.shards} shard(s) in {report.ticks} pump ticks"
-    )
-    print(
-        f"lost={report.lost} wrong={report.wrong} retried={report.retried} "
-        f"backpressure_stalls={report.backpressure_stalls}"
-        + (f" migrations={report.migrations}" if args.autoscale else "")
-    )
-    print(
-        f"latency: p50={summary['p50_ticks']} p99={summary['p99_ticks']} "
-        f"pump ticks; wire: {report.wire_words} words"
-    )
-    if args.json or args.out:
-        doc = {
-            "report": summary,
-            "metrics": metrics.snapshot(),
-            "placement": cluster.placement.table(cluster.shards[0].modules()),
-            "wire": cluster.transport.stats.as_dict(),
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-            print(f"report written to {args.out}")
-        else:
-            print(text, end="")
-    return 0 if report.lost == 0 and report.wrong == 0 else 1
+    extra = {
+        "placement": cluster.placement.table(cluster.shards[0].modules()),
+        "wire": cluster.transport.stats.as_dict(),
+    }
+    return _print_serve(report, server.metrics, source, args, extra)
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:

@@ -12,9 +12,11 @@ interface), and executes on the home shard as an ordinary root
 activation — the callee sees a plain XFER with its exact modelled
 semantics and charges.
 
-Layered on top: the serving path (:mod:`repro.net.serve` — batching,
-bounded run queues with backpressure, retry with backoff, latency
-percentiles), transport fault injection (:class:`~repro.net.transport.
+Layered on top: the serving path (:mod:`repro.net.admission` — one
+admission engine for batching, bounded run queues with backpressure,
+retry with backoff and latency percentiles, driven in-process by
+:mod:`repro.net.serve` and over OS workers by :mod:`repro.net.procserve`),
+transport fault injection (:class:`~repro.net.transport.
 NetFaultPolicy` interpreting ``net_*`` FaultPlan actions), the net
 chaos sweep (:mod:`repro.net.chaos`), cross-shard trace stitching
 (:mod:`repro.net.stitch`), and **process mode** (:mod:`repro.net.
@@ -31,6 +33,7 @@ callee-side per-activation meter deltas are bit-identical to a local
 machine replaying the same activations.
 """
 
+from repro.net.admission import ServeReport
 from repro.net.balance import Balancer, BalancerStats
 from repro.net.cluster import Cluster, Ticket, build_shard_machine
 from repro.net.colocate import PINS_SCHEMA, PlacementPlan, load_pins, plan_pins
@@ -48,7 +51,6 @@ from repro.net.placement import HashRing, Placement
 from repro.net.procserve import (
     FRONT_DOOR,
     ProcessCluster,
-    ProcessServeReport,
     ProcessServer,
     check_census,
     run_process_serve,
@@ -57,7 +59,6 @@ from repro.net.serve import (
     SERVICE_SOURCES,
     Request,
     Server,
-    ServeReport,
     generate_skewed_workload,
     generate_workload,
     run_serve,
@@ -90,7 +91,6 @@ __all__ = [
     "Placement",
     "PlacementPlan",
     "ProcessCluster",
-    "ProcessServeReport",
     "ProcessServer",
     "Request",
     "SERVICE_SOURCES",

@@ -50,8 +50,6 @@ class Ticket:
     span: str
     shard_id: int
     process: Process
-    submitted_tick: int = 0
-    completed_tick: int | None = None
 
     @property
     def status(self) -> ProcessStatus:
@@ -150,7 +148,8 @@ class Cluster:
             )
             for shard_id in range(shards)
         ]
-        self.tickets: list[Ticket] = []
+        #: Submitted tickets not yet marked complete, in submission order.
+        self.open_tickets: list[Ticket] = []
         self.ticks = 0
         self.stats = ClusterStats()
         #: Pending tombstone retirements: one record per migration with
@@ -193,9 +192,8 @@ class Cluster:
             span=span,
             shard_id=shard.id,
             process=process,
-            submitted_tick=self.ticks,
         )
-        self.tickets.append(ticket)
+        self.open_tickets.append(ticket)
         self.stats.submitted += 1
         return ticket
 
@@ -363,40 +361,35 @@ class Cluster:
         self._migrations = still_pending
 
     def _mark_completions(self) -> None:
-        for ticket in self.tickets:
-            if ticket.completed_tick is None and ticket.done:
-                ticket.completed_tick = self.ticks
-                if ticket.status is ProcessStatus.DONE:
-                    self.stats.completed += 1
-                else:
-                    self.stats.faulted += 1
-                # Close the root span so the stitcher sees an end stamp
-                # (remote-served spans get theirs from the reply flush).
-                shard = self.shards[ticket.shard_id]
-                tracer = shard.machine.tracer
-                if tracer is not None:
-                    tracer.emit(
-                        "net.reply",
-                        f"{ticket.module}.{ticket.proc}",
-                        span=ticket.span,
-                        shard=shard.id,
-                        msg="root",
-                        pid=ticket.process.pid,
-                    )
+        still_open = []
+        for ticket in self.open_tickets:
+            if not ticket.done:
+                still_open.append(ticket)
+                continue
+            if ticket.status is ProcessStatus.DONE:
+                self.stats.completed += 1
+            else:
+                self.stats.faulted += 1
+            # Close the root span so the stitcher sees an end stamp
+            # (remote-served spans get theirs from the reply flush).
+            shard = self.shards[ticket.shard_id]
+            tracer = shard.machine.tracer
+            if tracer is not None:
+                tracer.emit(
+                    "net.reply",
+                    f"{ticket.module}.{ticket.proc}",
+                    span=ticket.span,
+                    shard=shard.id,
+                    msg="root",
+                    pid=ticket.process.pid,
+                )
+        self.open_tickets = still_open
 
     # -- observability -----------------------------------------------------
 
     def meters(self) -> dict[int, dict]:
         """Per-shard modelled meters (the determinism fixture)."""
-        return {
-            shard.id: {
-                "counter": shard.machine.counter.snapshot(),
-                "steps": shard.machine.steps,
-                "switches": shard.scheduler.stats.switches,
-                "blocks": shard.scheduler.stats.blocks,
-            }
-            for shard in self.shards
-        }
+        return {shard.id: shard.meters() for shard in self.shards}
 
     def trace_events(self) -> dict[int, list]:
         """Per-shard recorded events (requires ``record=True``)."""

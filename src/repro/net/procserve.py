@@ -33,11 +33,9 @@ seeded ``net_*`` plans that drive the in-process transport drive real
 processes — drops and duplicates act immediately, delays and partition
 heals become real timers (``tick_seconds`` per modelled tick).
 
-:class:`ProcessServer` is the serving layer over it, with the same
-admission disciplines as :class:`~repro.net.serve.Server` — bounded
-per-worker in-flight requests with counted backpressure stalls,
-batched admission, exponential-backoff resubmission — measured in
-seconds instead of pump ticks.  Two routes:
+:class:`ProcessServer` is the serving layer over it: the admission
+engine of :mod:`repro.net.admission`, clocked in milliseconds.  Two
+routes:
 
 * ``"dispatch"`` — every request enters ``Main.dispatch`` on its home
   worker and fans out to the leaf modules as worker-to-worker Remote
@@ -58,25 +56,24 @@ import socket
 import tempfile
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 
 from repro.errors import LostRequest, NetError, TrapError, TruncatedFrameError, WireError
 from repro.faults.plan import FaultPlan
 from repro.interp.machineconfig import MachineConfig
 from repro.net import ctl, wire
+from repro.net.admission import Admission, Policy, ServeReport
 from repro.net.cluster import DEFAULT_MAX_RETRIES
 from repro.net.frame import RECV_BYTES, FrameBuffer, encode_frame
 from repro.net.placement import DEFAULT_VNODES, Placement
-from repro.net.serve import Request
-from repro.net.transport import NetFaultPolicy, TransportStats, _parse_partition
+from repro.net.serve import SERVICE_SOURCES, Request, generate_workload
+from repro.net.transport import NetFaultPolicy, TransportStats
 from repro.net.wire import wire_words
 from repro.net.worker import FRONT_DOOR, run_worker
+from repro.obs import MetricsRegistry
 
 __all__ = [
     "FRONT_DOOR",
     "ProcessCluster",
-    "ProcessServeReport",
     "ProcessServer",
     "check_census",
     "run_process_serve",
@@ -440,23 +437,12 @@ class ProcessCluster:
         """One ``net.send``: count it, let the chaos policy act, route."""
         self.stats.sent += 1
         self.stats.wire_words += wire_words(raw)
-        copies = 1
-        delay = 0.0
+        copies, ticks, partitions = 1, 0, []
         if self.policy is not None:
-            for injection in self.policy.actions_for(message):
-                if injection.action == "net_drop":
-                    self.stats.dropped += 1
-                    return
-                if injection.action == "net_dup":
-                    copies += 1
-                    self.stats.duplicated += 1
-                elif injection.action == "net_delay":
-                    ticks = int(injection.detail or "1")
-                    delay = max(delay, ticks * self.tick_seconds)
-                    self.stats.delayed += 1
-                elif injection.action == "net_partition":
-                    key, ticks = _parse_partition(injection.detail)
-                    self._partition(key, ticks * self.tick_seconds)
+            copies, ticks, partitions = self.policy.fate(message, self.stats)
+        for key, heal_ticks in partitions:
+            self._partition(key, heal_ticks * self.tick_seconds)
+        delay = ticks * self.tick_seconds
         for _ in range(copies):
             if delay > 0:
                 self._loop.call_later(delay, self._route_frame, message, raw)
@@ -581,16 +567,19 @@ class ProcessCluster:
         finally:
             self._ctl_pending.pop((shard, seq), None)
 
+    def _broadcast(self, kind: str, body: dict | None = None) -> dict[int, dict]:
+        """One control verb on every worker; the reply bodies by shard."""
+
+        async def gather() -> list[ctl.Control]:
+            return await asyncio.gather(
+                *[self._control(shard, kind, body) for shard in sorted(self._handles)]
+            )
+
+        return {reply.shard: reply.body for reply in self._run(gather())}
+
     def meters(self) -> dict[int, dict]:
         """Per-shard modelled meters — the same shape as ``Cluster.meters()``."""
-
-        async def gather() -> dict[int, dict]:
-            replies = await asyncio.gather(
-                *[self._control(shard, "meters") for shard in sorted(self._handles)]
-            )
-            return {reply.shard: reply.body["meters"] for reply in replies}
-
-        return self._run(gather())
+        return {shard: body["meters"] for shard, body in self._broadcast("meters").items()}
 
     def trace_events(self) -> dict[int, list]:
         """Per-shard recorded events (requires ``record=True``), as
@@ -598,25 +587,9 @@ class ProcessCluster:
         unchanged over process-backed shards."""
         from repro.obs.events import TraceEvent
 
-        async def gather() -> dict[int, list]:
-            replies = await asyncio.gather(
-                *[self._control(shard, "events") for shard in sorted(self._handles)]
-            )
-            return {reply.shard: reply.body["events"] for reply in replies}
-
         return {
-            shard: [
-                TraceEvent(
-                    seq=doc["seq"],
-                    kind=doc["kind"],
-                    name=doc["name"],
-                    steps=doc["steps"],
-                    cycles=doc["cycles"],
-                    data=doc["data"],
-                )
-                for doc in events
-            ]
-            for shard, events in self._run(gather()).items()
+            shard: [TraceEvent(**doc) for doc in body["events"]]
+            for shard, body in self._broadcast("events").items()
         }
 
     def snapshot(self, shard: int) -> dict:
@@ -705,21 +678,12 @@ class ProcessCluster:
         follows the new table on every participant.
         """
         epoch = self.placement.repin(pins)
-        body = {"pins": dict(pins), "epoch": epoch}
-
-        async def push() -> list[ctl.Control]:
-            return await asyncio.gather(
-                *[
-                    self._control(shard, "repin", dict(body))
-                    for shard in sorted(self._handles)
-                ]
-            )
-
-        for reply in self._run(push()):
-            if reply.body["epoch"] != epoch:
+        acks = self._broadcast("repin", {"pins": dict(pins), "epoch": epoch})
+        for shard, body in acks.items():
+            if body["epoch"] != epoch:
                 raise NetError(
-                    f"worker {reply.shard} acknowledged epoch "
-                    f"{reply.body['epoch']}, expected {epoch}"
+                    f"worker {shard} acknowledged epoch {body['epoch']}, "
+                    f"expected {epoch}"
                 )
         return epoch
 
@@ -729,84 +693,21 @@ class ProcessCluster:
 # ---------------------------------------------------------------------------
 
 
-def _direct_target(request: Request) -> tuple[str, str, tuple[int, ...]]:
-    """The leaf procedure a request resolves to, bypassing the dispatcher."""
-    if request.op == 0:
-        return "Fib", "fib", (request.a,)
-    if request.op == 1:
-        return "Gauss", "sum", (request.a,)
-    if request.op == 2:
-        return "Gcd", "gcd", (request.a, request.b)
-    return "Pow", "power", (request.a, request.b)
-
-
-class _Tracked:
-    """Per-request admission bookkeeping (slotted: there can be 1M+)."""
-
-    __slots__ = ("request", "attempts", "not_before", "settled")
-
-    def __init__(self, request: Request) -> None:
-        self.request = request
-        self.attempts = 0
-        self.not_before = 0.0
-        self.settled = False
-
-
-@dataclass
-class ProcessServeReport:
-    """What a process-mode serving run did — the acceptance evidence."""
-
-    shards: int
-    requests: int
-    route: str
-    completed: int = 0
-    lost: int = 0
-    wrong: int = 0
-    retried: int = 0
-    backpressure_stalls: int = 0
-    elapsed_s: float = 0.0
-    wire: dict = field(default_factory=dict)
-    latencies_ms: list = field(default_factory=list)
-
-    def percentile(self, q: float) -> float:
-        """Exact end-to-end latency percentile in ms (nearest-rank)."""
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def to_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "requests": self.requests,
-            "route": self.route,
-            "completed": self.completed,
-            "lost": self.lost,
-            "wrong": self.wrong,
-            "retried": self.retried,
-            "backpressure_stalls": self.backpressure_stalls,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "requests_per_s": (
-                round(self.completed / self.elapsed_s, 1) if self.elapsed_s else 0.0
-            ),
-            "p50_ms": round(self.percentile(0.50), 3),
-            "p99_ms": round(self.percentile(0.99), 3),
-            "wire": dict(self.wire),
-        }
+#: The leaf procedure ``Main.dispatch`` calls for each op; ops 0 and 1
+#: take one argument, ops 2 and 3 two.
+LEAVES = (("Fib", "fib"), ("Gauss", "sum"), ("Gcd", "gcd"), ("Pow", "power"))
 
 
 class ProcessServer:
-    """Admission control over a :class:`ProcessCluster`.
+    """The admission engine over a :class:`ProcessCluster`, clocked in ms.
 
-    The same disciplines as :class:`~repro.net.serve.Server`, in real
-    time: at most ``batch_size`` admissions per scheduling round, at
-    most ``queue_capacity`` in-flight root requests per worker (a
-    request routed to a full worker waits and the stall is counted),
-    and a failed request re-enters the tail of the admission queue
-    after ``backoff_base * 2^(k-1)`` seconds for its k-th resubmission
-    — first retry waits exactly ``backoff_base`` — until
-    ``max_retries`` resubmissions are spent and it counts as lost.
+    Each admitted request is an asyncio task awaiting
+    :meth:`ProcessCluster.call_async`.  A round runs at the start, after
+    a completion, when a backoff comes due, or right after a round whose
+    batch ran out with requests still admissible — so rounds, and the
+    stalls counted per round, match the in-process server's for the same
+    schedule.  ``backoff_base`` is in seconds; the ``net.*`` metrics
+    land in :attr:`metrics`.
     """
 
     def __init__(
@@ -820,109 +721,82 @@ class ProcessServer:
     ) -> None:
         if route not in ("direct", "dispatch"):
             raise NetError(f"unknown route {route!r} (direct or dispatch)")
-        if queue_capacity < 1:
-            raise NetError(f"queue_capacity must be >= 1, got {queue_capacity}")
-        if batch_size < 1:
-            raise NetError(f"batch_size must be >= 1, got {batch_size}")
+        self.policy = Policy(queue_capacity, batch_size, max_retries, backoff_base * 1000)
         self.cluster = cluster
         self.route = route
-        self.queue_capacity = queue_capacity
-        self.batch_size = batch_size
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
+        self.metrics = MetricsRegistry()
 
-    def _target(self, entry: _Tracked) -> tuple[int, str, str, tuple[int, ...]]:
-        request = entry.request
+    def _shard(self, request: Request) -> int:
         if self.route == "dispatch":
-            shard = self.cluster.placement.home("Main")
-            return shard, "Main", "dispatch", (request.op, request.a, request.b)
-        module, proc, args = _direct_target(request)
-        return request.index % self.cluster.shards, module, proc, args
+            return self.cluster.placement.home("Main")
+        return request.index % self.cluster.shards
 
-    def serve(self, workload: list[Request]) -> ProcessServeReport:
+    def _call(self, request: Request) -> tuple[str, str, tuple[int, ...]]:
+        """What the front door sends: the dispatcher, or its leaf."""
+        if self.route == "dispatch":
+            return "Main", "dispatch", (request.op, request.a, request.b)
+        module, proc = LEAVES[request.op]
+        return module, proc, (request.a,) if request.op < 2 else (request.a, request.b)
+
+    def serve(self, workload: list[Request]) -> ServeReport:
         """Run the whole workload to completion and report."""
         return self.cluster._run(self._serve(workload))
 
-    async def _serve(self, workload: list[Request]) -> ProcessServeReport:
+    async def _serve(self, workload: list[Request]) -> ServeReport:
         cluster = self.cluster
-        report = ProcessServeReport(
-            shards=cluster.shards, requests=len(workload), route=self.route
+        engine = Admission(
+            workload,
+            range(cluster.shards),
+            self._shard,
+            self.policy,
+            self.metrics,
+            unit="ms",
         )
-        entries = [_Tracked(request) for request in workload]
-        waiting: deque[int] = deque(range(len(entries)))
-        inflight = {shard: 0 for shard in range(cluster.shards)}
         wake = asyncio.Event()
-        tasks: set[asyncio.Task] = set()
-        started = time.monotonic()
+        errors: list[Exception] = []
 
-        async def run_one(index: int, shard: int, module: str, proc: str, args) -> None:
-            entry = entries[index]
-            admitted_at = time.monotonic()
-            failed = False
+        def now_ms() -> float:
+            return time.monotonic() * 1000
+
+        async def run_one(index: int, request: Request, shard: int) -> None:
+            module, proc, args = self._call(request)
             try:
                 results = await cluster.call_async(shard, module, proc, args)
             except (LostRequest, TrapError):
-                failed = True
-            inflight[shard] -= 1
-            if not failed:
-                entry.settled = True
-                report.completed += 1
-                report.latencies_ms.append((time.monotonic() - admitted_at) * 1000)
-                if not results or results[-1] != entry.request.expected:
-                    report.wrong += 1
-            elif entry.attempts <= self.max_retries:
-                report.retried += 1
-                entry.not_before = time.monotonic() + self.backoff_base * (
-                    2 ** (entry.attempts - 1)
-                )
-                waiting.append(index)
-            else:
-                entry.settled = True
-                report.lost += 1
+                results = None
+            except Exception as fault:  # not a request failure: stop serving
+                errors.append(fault)
+                wake.set()
+                return
+            engine.finish(index, results, now_ms())
             wake.set()
 
-        # Admission loop: examine at most a few batches' worth of the
-        # queue head per round — a skipped entry rotates to the tail —
-        # so a long backpressured queue costs O(batch) per round, not
-        # O(queue), and a million-request queue stays serveable.
-        examine_cap = max(4 * self.batch_size, 64)
+        def submit(index: int, request: Request, shard: int) -> asyncio.Task:
+            return asyncio.ensure_future(run_one(index, request, shard))
+
+        started = time.monotonic()
         while True:
-            admitted = 0
-            examined = 0
-            now = time.monotonic()
-            while waiting and admitted < self.batch_size and examined < examine_cap:
-                examined += 1
-                index = waiting.popleft()
-                entry = entries[index]
-                if now < entry.not_before:
-                    waiting.append(index)
-                    continue
-                shard, module, proc, args = self._target(entry)
-                if inflight[shard] >= self.queue_capacity:
-                    report.backpressure_stalls += 1
-                    waiting.append(index)
-                    continue
-                inflight[shard] += 1
-                entry.attempts += 1
-                task = asyncio.ensure_future(run_one(index, shard, module, proc, args))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-                admitted += 1
-            if not waiting and not tasks:
+            more = engine.admit(now_ms(), submit)
+            if engine.idle:
                 break
             wake.clear()
-            if admitted == 0:
-                # Nothing admissible: sleep until a completion frees a
-                # slot (or briefly, for a backoff deadline to pass).
-                try:
-                    await asyncio.wait_for(wake.wait(), 0.01)
-                except asyncio.TimeoutError:
-                    pass
-            else:
+            if more:
                 await asyncio.sleep(0)
+                continue
+            due = engine.next_due
+            timeout = None if due is None else max(0.0, (due - now_ms()) / 1000)
+            try:
+                await asyncio.wait_for(wake.wait(), timeout)
+            except asyncio.TimeoutError:
+                pass
+            if errors:
+                raise errors[0]
 
+        report = engine.report
+        report.route = self.route
         report.elapsed_s = time.monotonic() - started
         report.wire = cluster.stats.as_dict()
+        report.wire_words = cluster.stats.wire_words
         return report
 
 
@@ -936,12 +810,10 @@ def run_process_serve(
     batch_size: int = 4,
     record: bool = False,
     fault_plan: FaultPlan | None = None,
-) -> tuple[ProcessServeReport, dict[int, dict]]:
+) -> tuple[ServeReport, dict[int, dict]]:
     """Build a process-mode service cluster, run a seeded workload, and
     return (report, per-shard meters).  The cluster is torn down before
     returning."""
-    from repro.net.serve import SERVICE_SOURCES, generate_workload
-
     cluster = ProcessCluster(
         list(SERVICE_SOURCES),
         shards=shards,
@@ -957,8 +829,6 @@ def run_process_serve(
             queue_capacity=queue_capacity,
             batch_size=batch_size,
         )
-        report = server.serve(generate_workload(seed, requests))
-        meters = cluster.meters()
+        return server.serve(generate_workload(seed, requests)), cluster.meters()
     finally:
         cluster.close()
-    return report, meters

@@ -1,22 +1,10 @@
-"""The serving layer: a shard pool driven by a seeded load generator.
+"""The serving layer in-process: a shard pool driven by a seeded load generator.
 
 ``repro serve`` builds a :class:`~repro.net.cluster.Cluster` whose
 image is a small multi-module *service* program, and a :class:`Server`
-admits requests against it with the disciplines a real RPC tier needs:
-
-* **batching** — at most ``batch_size`` admissions per pump round;
-* **bounded run queues with backpressure** — a shard accepts at most
-  ``queue_capacity`` in-flight root requests; requests routed to a full
-  shard wait in the server's admission queue and the stall is counted;
-* **retry with backoff** — a faulted root request is resubmitted up to
-  ``max_retries`` times; the k-th resubmission (k = 1..max_retries)
-  waits ``backoff_base * 2^(k-1)`` pump ticks, so the **first retry
-  waits exactly ``backoff_base`` ticks** and each further retry
-  doubles the wait;
-* **end-to-end latency** — measured in pump ticks from admission to
-  completion, reported as exact p50/p99 (the raw samples are kept) and
-  as a log2 :class:`~repro.obs.metrics.Histogram` in the ``net.*``
-  metric namespace.
+drives it through the admission engine of :mod:`repro.net.admission`
+(batching, backpressure, retry with backoff, latency percentiles and
+the ``net.*`` metrics), in pump ticks.
 
 ``repro loadgen`` produces the workload: a seeded, reproducible request
 sequence whose expected results are computed host-side, so the report
@@ -26,10 +14,13 @@ acceptance bar for the serving path.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from repro.errors import NetError
+from repro.interp.processes import ProcessStatus
+from repro.net.admission import Admission, Policy, ServeReport
 from repro.net.cluster import Cluster, Ticket
 from repro.obs import MetricsRegistry
 
@@ -111,12 +102,6 @@ def _fib(n: int) -> int:
     return a
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclass(frozen=True, slots=True)
 class Request:
     """One loadgen request and its host-computed expected result.
@@ -130,52 +115,41 @@ class Request:
     expected: int
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "op": self.op,
-            "a": self.a,
-            "b": self.b,
-            "expected": self.expected,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> Request:
-        return cls(
-            index=data["index"],
-            op=data["op"],
-            a=data["a"],
-            b=data["b"],
-            expected=data["expected"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
+
+
+def _request(rng: random.Random, index: int, op: int, fib_low: int = 1) -> Request:
+    """Draw one request's arguments for *op* and compute its answer."""
+    if op == 0:  # Fib.fib
+        a, b = rng.randrange(fib_low, 13), 0
+        expected = _fib(a)
+    elif op == 1:  # Gauss.sum
+        a, b = rng.randrange(1, 40), 0
+        expected = a * (a + 1) // 2
+    elif op == 2:  # Gcd.gcd
+        a, b = rng.randrange(1, 500), rng.randrange(1, 500)
+        expected = math.gcd(a, b)
+    else:  # Pow.power
+        a, b = rng.randrange(2, 6), rng.randrange(0, 7)
+        expected = a**b
+    return Request(index=index, op=op, a=a, b=b, expected=expected)
 
 
 def generate_workload(seed: int, requests: int) -> list[Request]:
     """A seeded request sequence with known answers (``repro loadgen``)."""
     rng = random.Random(seed)
-    workload: list[Request] = []
-    for index in range(requests):
-        op = rng.randrange(4)
-        if op == 0:  # Fib.fib
-            a, b = rng.randrange(1, 13), 0
-            expected = _fib(a)
-        elif op == 1:  # Gauss.sum
-            a, b = rng.randrange(1, 40), 0
-            expected = a * (a + 1) // 2
-        elif op == 2:  # Gcd.gcd
-            a, b = rng.randrange(1, 500), rng.randrange(1, 500)
-            expected = _gcd(a, b)
-        else:  # Pow.power
-            a, b = rng.randrange(2, 6), rng.randrange(0, 7)
-            expected = a**b
-        workload.append(Request(index=index, op=op, a=a, b=b, expected=expected))
-    return workload
+    return [_request(rng, index, rng.randrange(4)) for index in range(requests)]
 
 
 def generate_skewed_workload(
     seed: int, requests: int, hot_fraction: float = 0.9
 ) -> list[Request]:
     """A hot-key workload: ``hot_fraction`` of the requests are ``Fib``
-    calls (op 0), the rest spread over the other operations.
+    calls (op 0, on 6..12), the rest spread over the other operations.
 
     This is the autoscaling benchmark's load shape — with ``Main``
     pinned to one shard, the dispatcher's home runs persistently hot
@@ -185,85 +159,21 @@ def generate_skewed_workload(
     if not 0.0 <= hot_fraction <= 1.0:
         raise NetError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
     rng = random.Random(seed)
-    workload: list[Request] = []
-    for index in range(requests):
-        if rng.random() < hot_fraction:
-            op = 0
-        else:
-            op = rng.randrange(1, 4)
-        if op == 0:
-            a, b = rng.randrange(6, 13), 0
-            expected = _fib(a)
-        elif op == 1:
-            a, b = rng.randrange(1, 40), 0
-            expected = a * (a + 1) // 2
-        elif op == 2:
-            a, b = rng.randrange(1, 500), rng.randrange(1, 500)
-            expected = _gcd(a, b)
-        else:
-            a, b = rng.randrange(2, 6), rng.randrange(0, 7)
-            expected = a**b
-        workload.append(Request(index=index, op=op, a=a, b=b, expected=expected))
-    return workload
-
-
-@dataclass
-class ServeReport:
-    """What a serving run did — the acceptance evidence."""
-
-    shards: int
-    requests: int
-    completed: int = 0
-    lost: int = 0
-    wrong: int = 0
-    retried: int = 0
-    backpressure_stalls: int = 0
-    migrations: int = 0
-    ticks: int = 0
-    wire_words: int = 0
-    latencies: list[int] = field(default_factory=list)
-
-    def percentile(self, q: float) -> int:
-        """Exact latency percentile in pump ticks (nearest-rank)."""
-        if not self.latencies:
-            return 0
-        ordered = sorted(self.latencies)
-        rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def to_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "requests": self.requests,
-            "completed": self.completed,
-            "lost": self.lost,
-            "wrong": self.wrong,
-            "retried": self.retried,
-            "backpressure_stalls": self.backpressure_stalls,
-            "migrations": self.migrations,
-            "ticks": self.ticks,
-            "wire_words": self.wire_words,
-            "p50_ticks": self.percentile(0.50),
-            "p99_ticks": self.percentile(0.99),
-            "requests_per_tick": (
-                round(self.completed / self.ticks, 4) if self.ticks else 0.0
-            ),
-        }
+    return [
+        _request(rng, index, 0 if rng.random() < hot_fraction else rng.randrange(1, 4), 6)
+        for index in range(requests)
+    ]
 
 
 class Server:
-    """Admission control over a cluster: batching, backpressure, retry.
+    """The admission engine over a :class:`Cluster`, clocked in pump ticks.
 
-    Two pumping disciplines.  With ``pump_ticks_per_round=None`` (the
-    default, and the historical behavior) every round runs the cluster
-    to quiescence, so each admitted batch completes before the next is
-    considered.  With an integer, each round advances the cluster by at
-    most that many pump **ticks**, so requests stay in flight across
-    rounds — the mode autoscaling needs, because a
-    :class:`~repro.net.balance.Balancer` can only drain a shard whose
-    queue is actually deep between ticks.  When a balancer is attached
-    it observes the cluster after every round's pumping (a block
-    boundary, where migration is legal).
+    A round admits through :meth:`Cluster.submit`, then pumps: to
+    quiescence by default, or at most ``pump_ticks_per_round`` ticks, so
+    requests stay in flight across rounds and an attached
+    :class:`~repro.net.balance.Balancer` sees deep queues.  The balancer
+    observes after every round's pumping (a block boundary, where
+    migration is legal).
     """
 
     def __init__(
@@ -277,19 +187,12 @@ class Server:
         balancer=None,
         pump_ticks_per_round: int | None = None,
     ) -> None:
-        if queue_capacity < 1:
-            raise NetError(f"queue_capacity must be >= 1, got {queue_capacity}")
-        if batch_size < 1:
-            raise NetError(f"batch_size must be >= 1, got {batch_size}")
+        self.policy = Policy(queue_capacity, batch_size, max_retries, backoff_base)
         if pump_ticks_per_round is not None and pump_ticks_per_round < 1:
             raise NetError(
                 f"pump_ticks_per_round must be >= 1, got {pump_ticks_per_round}"
             )
         self.cluster = cluster
-        self.queue_capacity = queue_capacity
-        self.batch_size = batch_size
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
         self.metrics = metrics or MetricsRegistry()
         self.balancer = balancer
         self.pump_ticks_per_round = pump_ticks_per_round
@@ -298,18 +201,7 @@ class Server:
             # histogram and publishes its gauges where the report looks.
             balancer.metrics = self.metrics
 
-    # -- internals ---------------------------------------------------------
-
-    def _inflight(self, tracked: list[dict]) -> dict[int, int]:
-        """Root requests currently executing, per shard."""
-        counts = {shard.id: 0 for shard in self.cluster.shards}
-        for entry in tracked:
-            ticket = entry["ticket"]
-            if ticket is not None and not ticket.done:
-                counts[ticket.shard_id] += 1
-        return counts
-
-    def _submit(self, request: Request) -> Ticket:
+    def _submit(self, _index: int, request: Request, _shard: int) -> Ticket:
         return self.cluster.submit(
             "Main", "dispatch", request.op, request.a, request.b
         )
@@ -317,30 +209,22 @@ class Server:
     def serve(self, workload: list[Request], max_rounds: int = 1_000_000) -> ServeReport:
         """Run the whole workload to completion and report.
 
-        Each round admits up to ``batch_size`` waiting requests (skipping
-        any whose home shard is at capacity — a backpressure stall), then
-        pumps the cluster one quiescence cycle.  A faulted request
-        re-enters the **tail** of the admission queue with
-        ``not_before = ticks + backoff_base * 2^(attempts-1)`` (so its
-        first retry waits exactly ``backoff_base`` ticks) and becomes
-        admissible again on the first round where
-        ``cluster.ticks >= not_before`` — the equality case admits, so
-        re-entry is deterministic: same seed, same knobs, same admission
-        schedule, every run.
+        Latency runs from the admitting round's tick to the end of the
+        round that harvests the completion.  Requests that fault in the
+        same round re-enter the queue in request-index order, so the
+        same seed and knobs give the same schedule on every run.
         """
         cluster = self.cluster
-        report = ServeReport(shards=len(cluster.shards), requests=len(workload))
-        latency = self.metrics.histogram("net.latency_ticks")
-        admitted_metric = self.metrics.counter("net.admitted")
-        stalled_metric = self.metrics.counter("net.backpressure_stalls")
-        retried_metric = self.metrics.counter("net.retries")
-        depth_gauge = self.metrics.gauge("net.admission_queue_depth")
-
-        tracked = [
-            {"request": request, "ticket": None, "attempts": 0, "not_before": 0}
-            for request in workload
-        ]
-        waiting = list(range(len(tracked)))  # indices, FIFO admission order
+        home = cluster.placement.home
+        engine = Admission(
+            workload,
+            [shard.id for shard in cluster.shards],
+            lambda _request: home("Main"),
+            self.policy,
+            self.metrics,
+            unit="ticks",
+        )
+        report = engine.report
         start_tick = cluster.ticks
         rounds = 0
         while True:
@@ -348,31 +232,9 @@ class Server:
             if rounds > max_rounds:
                 raise NetError(
                     f"serve did not finish within {max_rounds} rounds "
-                    f"({len(waiting)} request(s) still waiting)"
+                    f"({engine.queued} request(s) still waiting)"
                 )
-            inflight = self._inflight(tracked)
-            admitted = 0
-            still_waiting: list[int] = []
-            for index in waiting:
-                entry = tracked[index]
-                if admitted >= self.batch_size or cluster.ticks < entry["not_before"]:
-                    still_waiting.append(index)
-                    continue
-                home = cluster.placement.home("Main")
-                if inflight[home] >= self.queue_capacity:
-                    report.backpressure_stalls += 1
-                    stalled_metric.inc()
-                    still_waiting.append(index)
-                    continue
-                ticket = self._submit(entry["request"])
-                entry["ticket"] = ticket
-                entry["attempts"] += 1
-                entry["admitted_tick"] = cluster.ticks
-                inflight[home] += 1
-                admitted += 1
-                admitted_metric.inc()
-            waiting = still_waiting
-            depth_gauge.set(len(waiting))
+            engine.admit(cluster.ticks, self._submit)
 
             if self.pump_ticks_per_round is None:
                 cluster.pump()
@@ -383,43 +245,17 @@ class Server:
                 cluster.stats.ticks = cluster.ticks
 
             if self.balancer is not None:
-                live = [
-                    entry["ticket"]
-                    for entry in tracked
-                    if entry["ticket"] is not None and not entry.get("settled")
-                ]
-                report.migrations += self.balancer.observe(cluster, live)
+                live = [engine.live[index][0] for index in sorted(engine.live)]
+                moved = self.balancer.observe(cluster, live)
+                if moved:
+                    report.migrations += moved
+                    engine.rehome(lambda ticket: ticket.shard_id)
 
-            # Harvest completions; faulted requests go back to the queue
-            # with exponential backoff until their retries run out.
-            for index, entry in enumerate(tracked):
-                ticket = entry["ticket"]
-                if ticket is None or entry.get("settled"):
-                    continue
-                if not ticket.done:
-                    continue
-                request = entry["request"]
-                if ticket.status.value == "done":
-                    entry["settled"] = True
-                    report.completed += 1
-                    ticks = cluster.ticks - entry["admitted_tick"]
-                    report.latencies.append(ticks)
-                    latency.observe(ticks)
-                    results = ticket.results
-                    if not results or results[-1] != request.expected:
-                        report.wrong += 1
-                elif entry["attempts"] <= self.max_retries:
-                    report.retried += 1
-                    retried_metric.inc()
-                    entry["ticket"] = None
-                    entry["not_before"] = cluster.ticks + self.backoff_base * (
-                        2 ** (entry["attempts"] - 1)
-                    )
-                    waiting.append(index)
-                else:
-                    entry["settled"] = True
-                    report.lost += 1
-            if not waiting and all(entry.get("settled") for entry in tracked):
+            for index in sorted(i for i, entry in engine.live.items() if entry[0].done):
+                ticket = engine.live[index][0]
+                ok = ticket.status is ProcessStatus.DONE
+                engine.finish(index, ticket.results if ok else None, cluster.ticks)
+            if engine.idle:
                 break
 
         report.ticks = cluster.ticks - start_tick
@@ -445,12 +281,5 @@ def run_serve(
         transport=transport,
         record=record,
     )
-    metrics = MetricsRegistry()
-    server = Server(
-        cluster,
-        queue_capacity=queue_capacity,
-        batch_size=batch_size,
-        metrics=metrics,
-    )
-    report = server.serve(generate_workload(seed, requests))
-    return report, cluster, metrics
+    server = Server(cluster, queue_capacity=queue_capacity, batch_size=batch_size)
+    return server.serve(generate_workload(seed, requests)), cluster, server.metrics

@@ -90,6 +90,15 @@ class Shard:
         self._next_span += 1
         return span
 
+    def meters(self) -> dict:
+        """This shard's modelled meters (the determinism fixture)."""
+        return {
+            "counter": self.machine.counter.snapshot(),
+            "steps": self.machine.steps,
+            "switches": self.scheduler.stats.switches,
+            "blocks": self.scheduler.stats.blocks,
+        }
+
     # -- the stub (caller side) -------------------------------------------
 
     def _stub(self, meta, kind, return_pc) -> bool:

@@ -24,7 +24,7 @@ registry) — never on a machine's cycle counter.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.errors import WireError
 from repro.faults.plan import NET_ACTIONS, FaultPlan, Injection
@@ -45,15 +45,7 @@ class TransportStats:
     held: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "wire_words": self.wire_words,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "delayed": self.delayed,
-            "held": self.held,
-        }
+        return asdict(self)
 
 
 class NetFaultPolicy:
@@ -96,6 +88,39 @@ class NetFaultPolicy:
             self.fired.append((index, self._sends))
             firing.append(injection)
         return firing
+
+    def fate(
+        self, message: Message, stats: TransportStats, emit=lambda *_event, **_data: None
+    ) -> tuple[int, int, list[tuple[str, int]]]:
+        """Apply the injections that fire on one offered message.
+
+        Returns (copies, delay in ticks, partitions to open as (link key,
+        ticks)); zero copies means the message was dropped.  Every
+        transport interprets the ``net_*`` actions here, counting them in
+        *stats* and reporting each through ``emit(kind, name, **data)``.
+        """
+        copies, delay, partitions = 1, 0, []
+        for injection in self.actions_for(message):
+            if injection.action == "net_drop":
+                stats.dropped += 1
+                emit("net.drop", message.describe(), src=message.src, dst=message.dst)
+                return 0, 0, partitions
+            if injection.action == "net_dup":
+                copies += 1
+                stats.duplicated += 1
+                emit("net.dup", message.describe(), src=message.src, dst=message.dst)
+            elif injection.action == "net_delay":
+                delay = max(delay, int(injection.detail or "1"))
+                stats.delayed += 1
+                emit(
+                    "net.delay", message.describe(),
+                    src=message.src, dst=message.dst, ticks=delay,
+                )
+            elif injection.action == "net_partition":
+                key, ticks = _parse_partition(injection.detail)
+                partitions.append((key, ticks))
+                emit("net.partition", key, ticks=ticks)
+        return copies, delay, partitions
 
 
 def _parse_partition(detail: str) -> tuple[str, int]:
@@ -153,35 +178,11 @@ class InProcessTransport:
             msg=message.kind,
             words=message.wire_words,
         )
-        copies = 1
-        delay = 0
+        copies, delay, partitions = 1, 0, []
         if self.policy is not None:
-            for injection in self.policy.actions_for(message):
-                if injection.action == "net_drop":
-                    self.stats.dropped += 1
-                    self._emit(
-                        "net.drop", message.describe(),
-                        src=message.src, dst=message.dst,
-                    )
-                    return
-                if injection.action == "net_dup":
-                    copies += 1
-                    self.stats.duplicated += 1
-                    self._emit(
-                        "net.dup", message.describe(),
-                        src=message.src, dst=message.dst,
-                    )
-                elif injection.action == "net_delay":
-                    delay = max(delay, int(injection.detail or "1"))
-                    self.stats.delayed += 1
-                    self._emit(
-                        "net.delay", message.describe(),
-                        src=message.src, dst=message.dst, ticks=delay,
-                    )
-                elif injection.action == "net_partition":
-                    key, ticks = _parse_partition(injection.detail)
-                    self._partitions[key] = max(self._partitions.get(key, 0), ticks)
-                    self._emit("net.partition", key, ticks=ticks)
+            copies, delay, partitions = self.policy.fate(message, self.stats, self._emit)
+        for key, ticks in partitions:
+            self._partitions[key] = max(self._partitions.get(key, 0), ticks)
         for _ in range(copies):
             if delay > 0:
                 self._delayed.append([delay, message])

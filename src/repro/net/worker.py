@@ -140,7 +140,7 @@ class Worker:
 
     def _control(self, record: ctl.Control) -> None:
         if record.kind == "meters":
-            reply = record.reply("meters_reply", {"meters": self.meters()})
+            reply = record.reply("meters_reply", {"meters": self.shard.meters()})
         elif record.kind == "events":
             events = []
             if self.shard.recorder is not None:
@@ -214,15 +214,6 @@ class Worker:
         except MigrateError as refusal:
             return {"pid": None, "error": str(refusal)}
         return {"pid": process.pid}
-
-    def meters(self) -> dict:
-        """The shard's modelled meters (same shape as Cluster.meters())."""
-        return {
-            "counter": self.shard.machine.counter.snapshot(),
-            "steps": self.shard.machine.steps,
-            "switches": self.shard.scheduler.stats.switches,
-            "blocks": self.shard.scheduler.stats.blocks,
-        }
 
     def status(self) -> list[dict]:
         """The process table, JSON-ready (the ``status`` control reply)."""

@@ -1,0 +1,34 @@
+"""``benchmarks/run_all.py --json`` merges into its output, never clobbers."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_all(*argv: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "run_all.py"), *argv],
+        cwd=ROOT, env=env, check=True, capture_output=True,
+    )
+
+
+def test_json_sections_merge_by_experiment_and_carry_stamps(tmp_path):
+    out = tmp_path / "bench.json"
+    _run_all("--json", "--json-out", str(out), "c5")
+    _run_all("--json", "--json-out", str(out), "c13")
+    experiments = json.loads(out.read_text())["experiments"]
+    assert set(experiments) == {"c5", "c13"}
+    for section in experiments.values():
+        stamp = section["stamp"]
+        assert stamp["python"].count(".") == 2
+        assert stamp["cpus"] >= 1
+        assert stamp["date"].endswith("+00:00")
+        if (ROOT / ".git").exists():
+            assert len(stamp["git_sha"]) == 40

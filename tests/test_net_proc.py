@@ -50,7 +50,8 @@ def test_process_serve_direct_route_zero_lost_zero_wrong():
     assert report.lost == 0
     assert report.wrong == 0
     assert report.route == "direct"
-    assert len(report.latencies_ms) == 40
+    assert report.unit == "ms"
+    assert len(report.latencies) == 40
     assert sorted(meters) == [0, 1]
     doc = json.loads(json.dumps(report.to_dict()))  # CI artifact shape
     assert doc["p99_ms"] >= doc["p50_ms"] >= 0
@@ -96,6 +97,48 @@ def test_sequential_admission_meters_match_in_process_bit_for_bit():
         cluster.close()
 
     assert process_meters == reference.meters()
+
+
+def test_process_mode_counts_stalls_like_in_process_mode():
+    """A stall is one (round, shard) pair whose shard is full with due
+    requests waiting; with one request in flight at a time both modes
+    run the same rounds, so they count the same stalls."""
+    workload = generate_workload(7, 12)
+    reference = Server(
+        Cluster(list(SERVICE_SOURCES), shards=2, config="i2"),
+        queue_capacity=1,
+        batch_size=1,
+    ).serve(list(workload))
+
+    cluster = ProcessCluster(list(SERVICE_SOURCES), shards=2, config="i2")
+    try:
+        report = ProcessServer(
+            cluster, route="dispatch", queue_capacity=1, batch_size=1
+        ).serve(list(workload))
+    finally:
+        cluster.close()
+    assert report.lost == 0 and report.wrong == 0
+    assert report.backpressure_stalls == reference.backpressure_stalls == 11
+
+
+def test_process_server_publishes_the_net_metrics():
+    cluster = ProcessCluster(
+        list(SERVICE_SOURCES), shards=2, config="i2", self_homed=True
+    )
+    try:
+        server = ProcessServer(cluster, queue_capacity=2, batch_size=4)
+        report = server.serve(generate_workload(7, 20))
+    finally:
+        cluster.close()
+    assert report.completed == 20 and report.lost == 0
+    snapshot = server.metrics.snapshot()
+    counters = snapshot["counters"]
+    assert counters["net.admitted"] == 20 + report.retried
+    assert counters["net.retries"] == report.retried
+    # The first round fills both workers (2 + 2) with 16 requests due.
+    assert counters["net.backpressure_stalls"] == report.backpressure_stalls >= 2
+    assert snapshot["gauges"]["net.admission_queue_depth"] == 0
+    assert snapshot["histograms"]["net.latency_ms"]["count"] == report.completed
 
 
 @pytest.mark.parametrize("preset", ALL_PRESETS)
@@ -283,10 +326,17 @@ def test_process_chaos_blackhole_traps_with_diagnostics():
 def test_cli_serve_processes_smoke(capsys):
     from repro.cli import main
 
-    assert main(["serve", "--processes", "--shards", "2", "--requests", "10"]) == 0
+    assert main(
+        ["serve", "--processes", "--shards", "2", "--requests", "10", "--json"]
+    ) == 0
     out = capsys.readouterr().out
     assert "worker process(es)" in out
     assert "lost=0 wrong=0" in out
+    doc = json.loads(out[out.index("{"):])
+    assert doc["report"]["completed"] == 10
+    assert doc["metrics"]["counters"]["net.admitted"] == 10
+    assert doc["metrics"]["histograms"]["net.latency_ms"]["count"] == 10
+    assert sorted(doc["meters"]) == ["0", "1"]
 
 
 def test_cli_chaos_processes_requires_net(capsys):

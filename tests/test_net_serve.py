@@ -167,3 +167,91 @@ def test_cli_profile_stitches_across_shards(tmp_path, capsys):
     assert "31 span(s), 30 remote" in out
     assert "Math.gcd [shard 1]" in out
     assert "metered on the transport" in out
+
+
+# ---------------------------------------------------------------------------
+# Admission cost, bounded cluster state, pinned workloads
+# ---------------------------------------------------------------------------
+
+
+class _InstantCluster:
+    """A zero-cost stand-in for :class:`Cluster`: every ticket submitted
+    finishes, with the right answer, on the next pump."""
+
+    class _Ticket:
+        __slots__ = ("done", "shard_id", "results", "status")
+
+        def __init__(self) -> None:
+            self.done = False
+            self.shard_id = 0
+            self.results = [6]
+
+    def __init__(self, shards: int = 4) -> None:
+        from types import SimpleNamespace
+
+        self.shards = [SimpleNamespace(id=shard) for shard in range(shards)]
+        self.placement = SimpleNamespace(home=lambda module: 0)
+        self.transport = SimpleNamespace(stats=SimpleNamespace(wire_words=0))
+        self.ticks = 0
+        self._open: list = []
+
+    def submit(self, module, proc, *args):
+        ticket = self._Ticket()
+        self._open.append(ticket)
+        return ticket
+
+    def pump(self) -> int:
+        from repro.interp.processes import ProcessStatus
+
+        for ticket in self._open:
+            ticket.done = True
+            ticket.status = ProcessStatus.DONE
+        self._open = []
+        self.ticks += 1
+        return 1
+
+
+def _admission_seconds_per_request(requests: int) -> float:
+    import time
+
+    workload = [Request(index, 1, 3, 0, 6) for index in range(requests)]
+    server = Server(_InstantCluster(), queue_capacity=8, batch_size=4)
+    started = time.perf_counter()
+    report = server.serve(workload)
+    elapsed = time.perf_counter() - started
+    assert report.completed == requests and report.wrong == 0
+    return elapsed / requests
+
+
+def test_admission_cost_per_request_does_not_grow_with_the_queue():
+    """A queue 10x longer may not make each request's admission 2x
+    dearer: one round touches the batch and the shards, not the queue."""
+    small = min(_admission_seconds_per_request(10_000) for _ in range(3))
+    large = _admission_seconds_per_request(100_000)
+    assert large < 2 * small, (small, large)
+
+
+def test_cluster_keeps_only_open_tickets():
+    report, cluster, _ = run_serve(shards=2, requests=30, seed=7)
+    assert report.completed == 30
+    assert cluster.open_tickets == []
+    assert cluster.stats.completed == 30
+
+
+def test_generators_draw_the_recorded_sequences():
+    """Digests of the seed-7, 200-request workloads as first recorded:
+    any change to either generator's RNG draw order shows here."""
+    import hashlib
+
+    from repro.net.serve import generate_skewed_workload
+
+    def digest(workload) -> str:
+        doc = json.dumps([request.to_dict() for request in workload], sort_keys=True)
+        return hashlib.sha256(doc.encode()).hexdigest()
+
+    assert digest(generate_workload(7, 200)) == (
+        "e89aa6c7b3d95c8b4ee5207cbd75dc2af598663c757883d545ebfb28b9a678c6"
+    )
+    assert digest(generate_skewed_workload(7, 200)) == (
+        "95647a35dcffe02a65f340489f29c7b2a2bfac9cc43ffd5d7da2d1e1a71302f5"
+    )

@@ -1,0 +1,127 @@
+"""The in-process admission schedule, pinned against a recorded fixture.
+
+``tests/fixtures/serve_golden.json`` holds, per configuration, what a
+seeded ``Server.serve`` run produced: the report, its sorted latencies,
+the cluster's ticks and wire words, the ``net.*`` metrics, and every
+shard's modelled meters.  Those depend on exactly which requests are
+admitted in which round, so any drift in batching, backpressure, retry
+order or backoff shows up here.  ``backpressure_stalls`` is the one
+field left out: it counts (round, shard) pairs, see docs/net.md.
+
+Regenerate (only when a schedule change is intended)::
+
+    PYTHONPATH=src python -m tests.test_serve_golden
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.faults.plan import FaultPlan, Injection, on_event
+from repro.net.balance import Balancer
+from repro.net.cluster import Cluster
+from repro.net.serve import (
+    SERVICE_SOURCES,
+    Server,
+    generate_skewed_workload,
+    generate_workload,
+)
+from repro.net.transport import InProcessTransport, NetFaultPolicy
+
+FIXTURE = Path(__file__).parent / "fixtures" / "serve_golden.json"
+
+#: Fields allowed to differ from the fixture.
+REDEFINED = {"backpressure_stalls"}
+REDEFINED_METRICS = {"net.backpressure_stalls"}
+
+
+def _plain(queue_capacity: int, batch_size: int):
+    cluster = Cluster(list(SERVICE_SOURCES), shards=4, config="i2")
+    server = Server(cluster, queue_capacity=queue_capacity, batch_size=batch_size)
+    return cluster, server, generate_workload(7, 200)
+
+
+def _swallow():
+    plan = FaultPlan(
+        name="swallow",
+        seed=1,
+        injections=tuple(
+            Injection(on_event("net.send", 10 + k), "net_drop") for k in range(8)
+        ),
+    )
+    cluster = Cluster(
+        list(SERVICE_SOURCES),
+        shards=2,
+        config="i2",
+        transport=InProcessTransport(policy=NetFaultPolicy(plan)),
+    )
+    server = Server(cluster, queue_capacity=4, batch_size=2, max_retries=3)
+    return cluster, server, generate_workload(5, 30)
+
+
+def _autoscale():
+    cluster = Cluster(
+        list(SERVICE_SOURCES), shards=3, config="i2", pins={"Main": 0, "Fib": 1}
+    )
+    server = Server(
+        cluster,
+        queue_capacity=16,
+        batch_size=8,
+        balancer=Balancer(high_water=4, low_water=2, patience=2, budget=2),
+        pump_ticks_per_round=1,
+    )
+    return cluster, server, generate_skewed_workload(7, 80)
+
+
+CONFIGS = {
+    "server-8-4": lambda: _plain(8, 4),
+    "server-1-1": lambda: _plain(1, 1),
+    "server-1-8": lambda: _plain(1, 8),
+    "swallow-retries": _swallow,
+    "skewed-autoscale": _autoscale,
+}
+
+
+def capture(name: str) -> dict:
+    """Run one configuration and return its JSON-safe evidence."""
+    cluster, server, workload = CONFIGS[name]()
+    report = server.serve(workload)
+    return json.loads(
+        json.dumps(
+            {
+                "report": report.to_dict(),
+                "latencies": sorted(report.latencies),
+                "ticks": cluster.ticks,
+                "wire_words": cluster.transport.stats.wire_words,
+                "metrics": server.metrics.snapshot(),
+                "meters": {str(k): v for k, v in cluster.meters().items()},
+            }
+        )
+    )
+
+
+def _without(doc: dict) -> dict:
+    doc = json.loads(json.dumps(doc))
+    for key in REDEFINED:
+        doc["report"].pop(key, None)
+    for key in REDEFINED_METRICS:
+        doc["metrics"]["counters"].pop(key, None)
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_admission_schedule_matches_the_recorded_fixture(name):
+    golden = json.loads(FIXTURE.read_text())[name]
+    assert _without(capture(name)) == _without(golden)
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(
+        json.dumps({name: capture(name) for name in CONFIGS}, indent=1, sort_keys=True)
+        + "\n"
+    )
+    print(f"wrote {FIXTURE}")
