@@ -140,8 +140,6 @@ class _LegacyDriver:
             self._decode_cache[machine.pc] = instruction
         machine.counter.record(Event.DECODE)
         machine.steps += 1
-        if machine.profile is not None:
-            machine.profile[instruction.op] = machine.profile.get(instruction.op, 0) + 1
         next_pc = machine.pc + instruction.length
         machine.pc = next_pc
         from repro.errors import EvalStackOverflow

@@ -1590,7 +1590,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "behind the asyncio front door")
     serve.add_argument("--engine", choices=["interp", "jit"],
                        default="interp",
-                       help="shard execution engine (in-process shards only)")
+                       help="shard engine (in-process shards only); jit "
+                            "installs the JIT, but the scheduler single-steps "
+                            "the interpreter, so no compiled block runs and "
+                            "results and meters equal interp's")
     serve.add_argument("--route", choices=["direct", "dispatch"],
                        default="direct",
                        help="process-mode routing: direct (leaf procedure on "

@@ -603,6 +603,8 @@ def _restore_scheduler(scheduler, data: dict, deref) -> None:
         )
         for p in data["processes"]
     ]
+    # The schema records no pid counter: continue past the newest pid.
+    scheduler._next_pid = max((p.pid for p in scheduler.processes), default=-1) + 1
 
 
 def _event(value: str):

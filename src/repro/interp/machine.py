@@ -125,12 +125,6 @@ class Machine:
         #: Traps dispatched over the machine's life (handled or not);
         #: the scheduler's trap-storm quota reads the per-slice delta.
         self.trap_count = 0
-        #: Dynamic opcode histogram (enable with profile=True) — the kind
-        #: of bytecode-frequency data the Mesa encoding was designed from.
-        self.profile: dict[Op, int] | None = None
-        #: Optional transfer log: (kind, from, to) per transfer, for
-        #: debugging and Figure-3-style traces.  Enable with log_transfers().
-        self.transfer_log: list[tuple[str, str, str]] | None = None
         #: Scheduler hooks (see repro.interp.processes).
         self.yield_requested = False
         self.on_halt: Callable[["Machine"], bool] | None = None
@@ -232,14 +226,14 @@ class Machine:
         This is the fused host loop: it inlines :meth:`step` with the
         dispatch table, decode cache, and counter hoisted into locals.
         Semantics are identical to calling ``step()`` in a loop; the
-        only observable difference is host wall-clock time.  (A hook
-        installed mid-run by a trap handler — e.g. ``enable_profile`` —
-        takes effect on the next ``run()``/``step()``.)
+        only observable difference is host wall-clock time.  (A tracer
+        attached mid-run by a trap handler takes effect on the next
+        ``run()``/``step()``.)
 
         With a JIT engine installed (``repro.jit.install_jit``) and
-        eligible to run — no tracer, profile, or transfer log attached —
-        execution is delegated to compiled blocks instead; meters and
-        state are bit-identical either way.
+        eligible to run — no tracer attached — execution is delegated
+        to compiled blocks instead; meters and state are bit-identical
+        either way.
         """
         engine = self.engine
         if engine is not None and engine.active():
@@ -261,7 +255,6 @@ class Machine:
         counts = counter.counts
         decode_event = Event.DECODE
         decode_charge = counter.model.charge(decode_event)
-        profile = self.profile
         tracer = self.tracer
         trace_steps = tracer is not None and getattr(tracer, "trace_steps", False)
 
@@ -282,8 +275,6 @@ class Machine:
             counts[decode_event] += 1
             counter.cycles += decode_charge
             self.steps += 1
-            if profile is not None:
-                profile[instruction.op] = profile.get(instruction.op, 0) + 1
             if trace_steps:
                 tracer.emit("machine.step", instruction.op.name, pc=pc)
             self.pc = next_pc
@@ -328,8 +319,6 @@ class Machine:
         instruction, handler, next_pc = pair
         self.counter.record(Event.DECODE)
         self.steps += 1
-        if self.profile is not None:
-            self.profile[instruction.op] = self.profile.get(instruction.op, 0) + 1
         tracer = self.tracer
         if tracer is not None and getattr(tracer, "trace_steps", False):
             tracer.emit("machine.step", instruction.op.name, pc=self.pc)
@@ -402,25 +391,18 @@ class Machine:
         if callback not in self._epoch_subscribers:
             self._epoch_subscribers.append(callback)
 
-    def enable_profile(self) -> None:
-        """Start counting executed instructions per opcode (``profile``)."""
-        if self.profile is None:
-            self.profile = {}
-
-    def log_transfers(self) -> None:
-        """Record every transfer as (kind, from, to) in ``transfer_log``."""
-        if self.transfer_log is None:
-            self.transfer_log = []
-
     def attach_tracer(self, tracer) -> None:
         """Route observability events from every mechanism to *tracer*.
 
         Propagates the sink to the return stack, the bank file, and the
         frame allocators, and binds tracers that want the machine's
         meters as timestamps (see :mod:`repro.obs.tracer`).  Attaching
-        mid-``run()`` takes effect on the next ``run()``/``step()``,
-        same as ``enable_profile``.  Tracing never changes the modelled
-        meters — emission only *reads* the cycle counter.
+        mid-``run()`` takes effect on the next ``run()``/``step()``.
+        Tracing never changes the modelled meters — emission only
+        *reads* the cycle counter.  A ``trace_steps`` tracer sees every
+        instruction as a ``machine.step`` event (the dynamic opcode
+        histogram); every tracer sees each transfer as an ``xfer.*``
+        event.
         """
         bind = getattr(tracer, "bind", None)
         if bind is not None:
@@ -446,20 +428,6 @@ class Machine:
             self.image.av_heap.tracer = None
         if self.image.first_fit is not None:
             self.image.first_fit.tracer = None
-
-    def _log_transfer(self, kind: str, destination: FrameState | None) -> None:
-        if self.transfer_log is None:
-            return
-        source = self.frame.proc.qualified_name if self.frame is not None else "<start>"
-        target = destination.proc.qualified_name if destination is not None else "<halt>"
-        self.transfer_log.append((kind, source, target))
-
-    def hot_opcodes(self, count: int = 10) -> list[tuple[str, int]]:
-        """The *count* most executed opcodes (requires enable_profile)."""
-        if not self.profile:
-            return []
-        ranked = sorted(self.profile.items(), key=lambda item: -item[1])
-        return [(op.name, executed) for op, executed in ranked[:count]]
 
     def report(self) -> dict:
         """Aggregate statistics for benchmark tables."""
@@ -764,7 +732,6 @@ class Machine:
             link = 0 if caller is None else self._context_word(caller)
             self.memory.write(callee.address + FRAME_RETURN_LINK, link)
 
-        self._log_transfer(kind.value, callee)
         self.return_context = caller
         self.frame = callee
         self.gf = resolved.gf_address
@@ -861,7 +828,6 @@ class Machine:
             if dest.freed:
                 raise DanglingFrame(f"return to freed frame {dest!r}")
             self.fetch.record(TransferKind.RETURN, True, self.counter)
-            self._log_transfer("return", dest)
             self._free_frame(current)
             if self.banks is not None:
                 bank = entry.bank if isinstance(entry.bank, Bank) else None
@@ -890,7 +856,6 @@ class Machine:
         self.return_context = None
         tracer = self.tracer
         if link == 0:
-            self._log_transfer("return", None)
             if tracer is not None:
                 tracer.emit(
                     "xfer.return",
@@ -905,7 +870,6 @@ class Machine:
             raise InvalidContext(f"return link {link:#x} is not a live frame")
         if dest.freed:
             raise DanglingFrame(f"return to freed frame {dest!r}")
-        self._log_transfer("return", dest)
         self._resume_from_memory(dest)
         if self.banks is not None:
             self.banks.on_return(dest, None)
@@ -984,7 +948,6 @@ class Machine:
             if rename and args:
                 self._install_renamed_arguments(args, callee)
             self.memory.write(callee.address + FRAME_RETURN_LINK, current.address)
-            self._log_transfer("xfer", callee)
             self.frame = callee
             self.gf = resolved.gf_address
             self.cb = resolved.code_base
@@ -1004,7 +967,6 @@ class Machine:
         if dest.freed:
             raise DanglingFrame(f"XFER to freed frame {dest!r}")
         self.fetch.record(TransferKind.XFER, False, self.counter)
-        self._log_transfer("xfer", dest)
         self._resume_from_memory(dest)
         if self.banks is not None:
             self.banks.on_resume(dest)

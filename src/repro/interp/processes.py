@@ -23,7 +23,9 @@ stack architectures.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import InterpreterError, StepLimitExceeded, TrapError
 from repro.interp.frames import FrameState, FRAME_PC
@@ -75,6 +77,9 @@ class Process:
     remote: dict | None = None
 
 
+_pid = attrgetter("pid")
+
+
 @dataclass
 class SwitchStats:
     """Process-switch accounting (they are XFERs, and slow ones)."""
@@ -109,34 +114,33 @@ class Scheduler:
         self.machine = machine
         self.quantum = quantum
         self.trap_quota = trap_quota
+        #: The process table in pid order.  A pid names one process for
+        #: the scheduler's life: :meth:`discard` never renumbers the rest.
         self.processes: list[Process] = []
         self.current: Process | None = None
         self.stats = SwitchStats()
-        self._rotor = 0  # round-robin position
-        #: pids excluded from dispatch (a migration is quiescing them).
-        #: A held RUNNING process is forced out at its next step boundary
-        #: — the same boundary the JIT deoptimizes at, so the hold works
-        #: identically under ``--engine jit``.
-        self.held: set[int] = set()
+        self._next_pid = 0
+        #: Round-robin position: the pid the next scan starts at.
+        self._rotor = 0
 
     def spawn(self, module: str, proc: str, *args: int) -> Process:
         """Create a READY process running ``module.proc(*args)``."""
         process = Process(
-            pid=len(self.processes), module=module, proc=proc, args=tuple(args)
+            pid=self._next_pid, module=module, proc=proc, args=tuple(args)
         )
+        self._next_pid += 1
         self.processes.append(process)
         return process
 
-    def hold(self, pid: int) -> None:
-        """Quiesce *pid*: skip it in dispatch, force it out at the next
-        step boundary if it is currently running.  Used by live migration
-        (:mod:`repro.net.migrate`) to pin a process's state vector into
-        its process record without waiting for it to block on its own."""
-        self.held.add(pid)
-
-    def release(self, pid: int) -> None:
-        """Lift a :meth:`hold`; the process re-enters the rotation."""
-        self.held.discard(pid)
+    def discard(self, process: Process) -> bool:
+        """Drop *process* from the table if it is there (a shard reaps
+        a handed-off process this way); True if it was."""
+        processes = self.processes
+        index = bisect_left(processes, process.pid, key=_pid)
+        if index < len(processes) and processes[index] is process:
+            del processes[index]
+            return True
+        return False
 
     def run(self, max_steps: int | None = None) -> list[Process]:
         """Run until no process is READY; returns them with results.
@@ -202,9 +206,6 @@ class Scheduler:
                             self.stats.yields += 1
                             self._switch_out(process, reason="yield")
                         break
-                    if self.held and process.pid in self.held:
-                        self._switch_out(process, reason="hold")
-                        break
                     if self.quantum and process.steps % self.quantum == 0:
                         if self._another_ready(process):
                             self.stats.preemptions += 1
@@ -222,12 +223,16 @@ class Scheduler:
     # -- internals ------------------------------------------------------------
 
     def _next_ready(self) -> Process | None:
-        """Round-robin: scan from just past the last scheduled process."""
-        count = len(self.processes)
+        """Round-robin: scan from just past the last scheduled process,
+        wrapping to pid 0 after the newest one."""
+        processes = self.processes
+        count = len(processes)
+        start = bisect_left(processes, self._rotor, key=_pid)
         for offset in range(count):
-            process = self.processes[(self._rotor + offset) % count]
-            if process.status is ProcessStatus.READY and process.pid not in self.held:
-                self._rotor = (process.pid + 1) % count
+            process = processes[(start + offset) % count]
+            if process.status is ProcessStatus.READY:
+                following = process.pid + 1
+                self._rotor = following if following < self._next_pid else 0
                 return process
         return None
 

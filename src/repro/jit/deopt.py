@@ -19,9 +19,9 @@ that:
   to exactly the fully-executed instructions — the interpreter resumes
   from a state it could have produced itself.
 
-Attaching any observer (tracer, profiler, transfer log — i.e. the
-fault injector, snapshot capture triggers, or tracing) deactivates
-the engine wholesale: ``Machine.run`` consults ``engine.active()``
+Attaching a tracer (the fault injector, snapshot capture triggers and
+plain tracing all observe through one) deactivates the engine
+wholesale: ``Machine.run`` consults ``engine.active()``
 first and falls through to the interpreter loop, so chaos and
 observability runs are interpreter runs by construction.
 """

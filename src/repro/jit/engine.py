@@ -4,9 +4,9 @@
 ``repro-facts/1`` artifact against it), compiles every verified
 procedure's basic blocks, and installs itself on the machine.
 ``Machine.run`` then delegates to :meth:`JitEngine.run` whenever the
-engine is *active* — no tracer, profiler, or transfer log attached —
-and the engine direct-threads compiled blocks, falling back to
-interpreter single-steps at every deoptimization point.  Meters,
+engine is *active* — no tracer attached — and the engine
+direct-threads compiled blocks, falling back to interpreter
+single-steps at every deoptimization point.  Meters,
 memory, traffic, and statistics are bit-identical to the interpreter
 at every observable boundary.
 """
@@ -197,9 +197,8 @@ class JitEngine:
     # -- execution ------------------------------------------------------
 
     def active(self) -> bool:
-        """Compiled execution is only legal with no observers attached."""
-        m = self.machine
-        return m.tracer is None and m.profile is None and m.transfer_log is None
+        """Compiled execution is only legal with no observer attached."""
+        return self.machine.tracer is None
 
     def run(self, max_steps: int | None = None):
         """Mirror ``Machine.run`` semantics over compiled blocks."""

@@ -85,9 +85,11 @@ def build_shard_machine(
 
     Identical inputs produce an identical image on every shard — the
     property the handshake checks and Remote XFER relies on.
-    ``engine="jit"`` compiles the shard's procedures up front; remote
-    stubs stay on the interpreter's slow path by the deopt contract, so
-    the wire protocol and meters are unchanged.
+    ``engine="jit"`` compiles the shard's procedures up front, but a
+    shard runs its processes through :meth:`Scheduler.run`, which
+    single-steps the interpreter's ``Machine.step``: no compiled block
+    executes while serving, so results, meters and wire traffic are
+    exactly the interpreter's and the JIT's engine stats stay at zero.
     """
     from repro.lang.compiler import CompileOptions, compile_program
     from repro.lang.linker import link
@@ -103,7 +105,12 @@ def build_shard_machine(
 
 
 class Cluster:
-    """N shards in one host process, pumped to quiescence."""
+    """N shards in one host process, pumped to quiescence.
+
+    ``engine="jit"`` installs the JIT on every shard machine, but the
+    shards still execute on the interpreter (see
+    :func:`build_shard_machine`).
+    """
 
     def __init__(
         self,
@@ -284,10 +291,8 @@ class Cluster:
 
         Quiesces nothing itself: call between ticks (``pump_tick``
         returns, or before the first ``pump``), when every live process
-        sits at a block boundary.  To migrate a process that would
-        otherwise run to completion inside one tick, ``hold`` its pid on
-        the source scheduler before pumping, migrate, then the adoption
-        resumes it on the target.  Updates the ticket in place so
+        sits at a block boundary.  Once the target has adopted the
+        process, the source reaps it.  Updates the ticket in place so
         completion tracking follows the process to its new home.
         """
         from repro.net.migrate import (
@@ -317,8 +322,7 @@ class Cluster:
             # bookkeeping and tombstones so the refusal is invisible.
             reattach(source, process, slice_, now=self.ticks)
             raise
-        source.scheduler.release(process.pid)
-        source.remove_process(process)
+        source.reap(process)
         ticket.process = adopted
         ticket.shard_id = dst
         awaiting = slice_["net"].get("awaiting")
@@ -383,6 +387,7 @@ class Cluster:
                     msg="root",
                     pid=ticket.process.pid,
                 )
+            shard.reap(ticket.process)
         self.open_tickets = still_open
 
     # -- observability -----------------------------------------------------

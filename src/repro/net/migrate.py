@@ -57,10 +57,8 @@ from repro.net.shard import Shard
 #: The slice schema this module writes and the only one it adopts.
 MIGRATE_SCHEMA = "repro-migrate/1"
 
-#: Process states a migration can quiesce: READY (held out of the
-#: rotation) or BLOCKED on a remote reply.  RUNNING is reached by
-#: holding first (:meth:`repro.interp.processes.Scheduler.hold`) and
-#: letting the scheduler force the process out at its step boundary.
+#: Process states a migration can quiesce: READY, or BLOCKED on a
+#: remote reply.  Between pump ticks no process is RUNNING.
 _MIGRATABLE = (ProcessStatus.READY, ProcessStatus.BLOCKED)
 
 
@@ -81,14 +79,14 @@ def extract(shard: Shard, process: Process, dst: int, mode: str = "exclusive") -
     side tombstones (reply forward for the outstanding request, call
     forwards for requests this process is serving) and detaches the
     net bookkeeping, but leaves the process in the table: call
-    :meth:`Shard.remove_process` once adoption has succeeded, so a
-    failed adoption can roll back by re-attaching.
+    :meth:`Shard.reap` once adoption has succeeded, so a failed
+    adoption can roll back by re-attaching.
     """
     scheduler = shard.scheduler
     if scheduler.current is not None:
         raise MigrateError(
             "cannot extract mid-slice: quiesce the process at a block "
-            "boundary first (hold it and pump to quiescence)"
+            "boundary first (between pump ticks)"
         )
     if process.status not in _MIGRATABLE:
         raise MigrateError(
@@ -373,6 +371,7 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
     saved_steps = machine.steps
     saved_output = list(machine.output)
     saved_traffic = dict(machine.memory.traffic)
+    saved_next_pid = scheduler._next_pid
     stats = scheduler.stats
     saved_stats = (
         stats.switches,
@@ -391,6 +390,8 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
     machine.output = saved_output
     machine.memory.traffic.clear()
     machine.memory.traffic.update(saved_traffic)
+    # Never hand out a pid this shard has already used.
+    scheduler._next_pid = max(scheduler._next_pid, saved_next_pid)
     stats = scheduler.stats
     (
         stats.switches,
@@ -415,10 +416,7 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
             f"slice pid {adopted.pid} is {adopted.status.value} in the "
             "snapshot; only READY or BLOCKED processes migrate"
         )
-    adopted.pid = 0
     scheduler.processes = [adopted]
-    scheduler._rotor = 0
-    scheduler.held.clear()
     shard._spans.clear()
     return adopted
 
@@ -477,26 +475,15 @@ def _adopt_shared(shard: Shard, slice_: dict) -> Process:
         machine.frames.register(frame)
         states.append(frame)
 
+    # A new record on this shard, so a fresh pid; then the saved state.
     record = slice_["process"]
-    process = Process(
-        pid=len(shard.scheduler.processes),
-        module=record["module"],
-        proc=record["proc"],
-        args=tuple(record["args"]),
-        status=ProcessStatus(record["status"]),
-        started=record["started"],
-        frame=states[0],
-        pc=record["pc"],
-        gf=record["gf"],
-        cb=record["cb"],
-        stack=tuple(record["stack"]),
-        results=list(record["results"]),
-        steps=record["steps"],
-        traps=record["traps"],
-        fault=record["fault"],
-        remote=record["remote"],
-    )
-    shard.scheduler.processes.append(process)
+    process = shard.scheduler.spawn(record["module"], record["proc"], *record["args"])
+    for name in ("started", "pc", "gf", "cb", "steps", "traps", "fault", "remote"):
+        setattr(process, name, record[name])
+    process.status = ProcessStatus(record["status"])
+    process.frame = states[0]
+    process.stack = tuple(record["stack"])
+    process.results = list(record["results"])
     return process
 
 

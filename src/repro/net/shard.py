@@ -172,6 +172,7 @@ class Shard:
                 shard=self.id,
                 pid=process.pid,
                 origin="root",
+                args=list(args),
             )
         return process
 
@@ -239,6 +240,7 @@ class Shard:
                 shard=self.id,
                 pid=process.pid,
                 origin=message.src,
+                args=list(body["args"]),
             )
 
     @staticmethod
@@ -358,6 +360,8 @@ class Shard:
                     msg=message.kind,
                     pid=process.pid,
                 )
+            # The reply cache answers duplicates from here on.
+            self.reap(process)
             sent = True
         return sent
 
@@ -457,27 +461,20 @@ class Shard:
         """Drop a tombstone once its reply has landed at the new home."""
         self._forwards.pop(key, None)
 
-    def remove_process(self, process: Process) -> None:
-        """Drop a migrated-away process and renumber the table.
+    def reap(self, process: Process) -> None:
+        """Drop a handed-off process and its span from this shard.
 
-        Mirrors the worker's prune idiom: surviving processes take
-        dense pids, the span map is rebuilt, and the rotor restarts.
-        Host bookkeeping only — no machine meters move.  The process's
+        The one exit of a shard's process, in both modes: a served call
+        once its reply is cached and sent, a root request once its
+        ticket completes, a migrated process once it has been extracted
+        (and, in-process, adopted).  Other pids stay as they are.  Host
+        bookkeeping only — no machine meters move.  A migrated process's
         frames stay allocated in this shard's heap (their live copies
         now belong to the adopter); the arena wears the scar, which is
         bounded by one frame chain per migration.
         """
-        self.scheduler.held.discard(process.pid)
-        keep = [p for p in self.scheduler.processes if p is not process]
-        spans: dict[int, str] = {}
-        for index, survivor in enumerate(keep):
-            span = self._spans.get(survivor.pid)
-            survivor.pid = index
-            if span is not None:
-                spans[index] = span
-        self.scheduler.processes = keep
-        self._spans = spans
-        self.scheduler._rotor = 0
+        if self.scheduler.discard(process):
+            self._spans.pop(process.pid, None)
 
     @property
     def awaiting(self) -> int:

@@ -38,7 +38,6 @@ import socket
 import time
 
 from repro.errors import ReproError
-from repro.interp.processes import ProcessStatus
 from repro.net import ctl, wire
 from repro.net.cluster import build_shard_machine
 from repro.net.frame import RECV_BYTES, FrameBuffer, encode_frame
@@ -202,7 +201,7 @@ class Worker:
             slice_ = extract(self.shard, target, body["dst"], mode=body["mode"])
         except MigrateError as refusal:
             return {"slice": None, "error": str(refusal)}
-        self.shard.remove_process(target)
+        self.shard.reap(target)
         return {"slice": slice_}
 
     def _adopt(self, body: dict) -> dict:
@@ -232,38 +231,14 @@ class Worker:
 
     # -- the pump ----------------------------------------------------------
 
-    #: Process-table size beyond which completed processes are reaped.
-    PRUNE_THRESHOLD = 512
-
-    def _prune_done(self) -> None:
-        """Reap completed processes so scheduler scans stay O(live).
-
-        The cooperative scheduler keeps every spawned process in one
-        list and scans it; a serving worker spawns one process per
-        request, so a long run would slow down as it ages.  Completed
-        processes carry nothing the worker still needs (replies are
-        cached on the shard), so reap them and renumber the survivors —
-        ``spawn`` relies on ``pid == index``.  Skipped while recording:
-        renumbered pids would scramble a trace.
-        """
-        if self.shard.recorder is not None:
-            return
-        scheduler = self.shard.scheduler
-        if len(scheduler.processes) < self.PRUNE_THRESHOLD:
-            return
-        finished = (ProcessStatus.DONE, ProcessStatus.FAULTED)
-        live = [p for p in scheduler.processes if p.status not in finished]
-        if len(live) == len(scheduler.processes):
-            return
-        spans = self.shard._spans
-        renumbered: dict[int, str] = {}
-        for index, process in enumerate(live):
-            if process.pid in spans:
-                renumbered[index] = spans[process.pid]
-            process.pid = index
-        scheduler.processes[:] = live
-        scheduler._rotor = 0
-        self.shard._spans = renumbered
+    def pump_once(self) -> None:
+        """Run until locally idle, age retries, flush the outbox."""
+        now = time.monotonic()
+        while self.shard.step(now):
+            pass
+        if self.shard.awaiting:
+            self.shard.retry(time.monotonic(), self.timeout_s, self.max_retries)
+        self._flush_outbox()
         # The dedup reply cache only has to span the window in which a
         # duplicate can still arrive — the sender's full retry cycle,
         # a few seconds — not the whole run.  Keep the newest few
@@ -273,16 +248,6 @@ class Worker:
         if len(cache) > 8192:
             for key in list(cache)[:-4096]:
                 del cache[key]
-
-    def pump_once(self) -> None:
-        """Run until locally idle, age retries, flush the outbox."""
-        now = time.monotonic()
-        while self.shard.step(now):
-            pass
-        if self.shard.awaiting:
-            self.shard.retry(time.monotonic(), self.timeout_s, self.max_retries)
-        self._flush_outbox()
-        self._prune_done()
 
     def run(self) -> None:
         """The worker loop: greet, then read/dispatch/pump until EOF."""

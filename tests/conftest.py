@@ -66,3 +66,23 @@ def run_source(sources, preset="i2", args=(), entry=("Main", "main"), **override
     machine.start(entry[0], entry[1], *args)
     results = machine.run()
     return results, machine
+
+
+def served_activations(events) -> dict[str, tuple[str, str, list, list]]:
+    """span -> (module, proc, args, results) of what one shard served.
+
+    Read off the shard's trace, since a shard reaps each process once it
+    hands it off: the ``net.serve`` event names the call, and the
+    ``sched.done`` event of the same pid carries its results."""
+    serving = {}
+    served = {}
+    for event in events:
+        if event.kind == "net.serve":
+            serving[event.data["pid"]] = event
+        elif event.kind == "sched.done" and event.data["pid"] in serving:
+            start = serving.pop(event.data["pid"])
+            module, proc = start.name.split(".")
+            served[start.data["span"]] = (
+                module, proc, start.data["args"], event.data["results"]
+            )
+    return served

@@ -22,7 +22,7 @@ from repro.net.transport import SocketTransport
 from repro.net.placement import Placement
 from repro.net import wire
 from repro.workloads.programs import program
-from tests.conftest import ALL_PRESETS
+from tests.conftest import ALL_PRESETS, served_activations
 
 MATHLIB = program("mathlib")
 PINS = {"Main": 0, "Math": 1}
@@ -50,22 +50,24 @@ def test_per_call_callee_meters_match_local_replay(preset):
     split = _split(preset, record=True)
     assert split.call("Main", "main") == list(MATHLIB.expect_results)
 
-    roots = stitch(split.trace_events())
+    events = split.trace_events()
+    roots = stitch(events)
     assert len(roots) == 1
     remote_spans = [node for node, _ in roots[0].walk() if node.shard == 1]
-    served = split.shards[1].scheduler.processes
+    served = served_activations(events[1])
     assert len(remote_spans) == len(served) == 30  # 10 iterations x 3 calls
 
     reference = build_shard_machine(
         list(MATHLIB.sources), MachineConfig.preset(preset)
     )
     scheduler = Scheduler(reference)
-    for span, request in zip(remote_spans, served):
+    for span in remote_spans:
+        module, proc, args, results = served[span.span]
         steps_before = reference.steps
         cycles_before = reference.counter.cycles
-        replayed = scheduler.spawn(request.module, request.proc, *request.args)
+        replayed = scheduler.spawn(module, proc, *args)
         scheduler.run()
-        assert list(replayed.results) == list(request.results)
+        assert list(replayed.results) == results
         assert span.steps == reference.steps - steps_before
         assert span.cycles == reference.counter.cycles - cycles_before
 

@@ -33,7 +33,7 @@ from repro.net.serve import SERVICE_SOURCES, Server, generate_workload
 from repro.net.stitch import stitch
 from repro.net.worker import Worker
 from repro.workloads.programs import program
-from tests.conftest import ALL_PRESETS
+from tests.conftest import ALL_PRESETS, served_activations
 
 MATHLIB = program("mathlib")
 PINS = {"Main": 0, "Math": 1}
@@ -152,27 +152,27 @@ def test_per_activation_meters_match_local_replay_through_processes(preset):
     )
     try:
         assert cluster.call("Main", "main") == list(MATHLIB.expect_results)
-        roots = stitch(cluster.trace_events())
-        served = cluster.status(1)
+        events = cluster.trace_events()
     finally:
         cluster.close()
 
+    roots = stitch(events)
     assert len(roots) == 1
     remote_spans = [node for node, _ in roots[0].walk() if node.shard == 1]
+    served = served_activations(events[1])
     assert len(remote_spans) == len(served) == 30
 
     reference = build_shard_machine(
         list(MATHLIB.sources), MachineConfig.preset(preset)
     )
     scheduler = Scheduler(reference)
-    for span, request in zip(remote_spans, served):
+    for span in remote_spans:
+        module, proc, args, results = served[span.span]
         steps_before = reference.steps
         cycles_before = reference.counter.cycles
-        replayed = scheduler.spawn(
-            request["module"], request["proc"], *request["args"]
-        )
+        replayed = scheduler.spawn(module, proc, *args)
         scheduler.run()
-        assert list(replayed.results) == list(request["results"])
+        assert list(replayed.results) == results
         assert span.steps == reference.steps - steps_before
         assert span.cycles == reference.counter.cycles - cycles_before
 
@@ -254,28 +254,110 @@ def test_worker_dedup_resends_byte_identical_replies():
     assert worker.shard.machine.steps == executed
 
 
-def test_worker_prunes_finished_processes_and_keeps_pid_invariant():
-    """A serving worker reaps DONE processes (bounded scheduler scans)
-    while preserving the scheduler's ``pid == index`` invariant."""
-    front, worker = _worker()
-    worker.PRUNE_THRESHOLD = 4
-    for rid in range(9):
-        worker._dispatch(
-            wire.call(0, 1, rid, f"0:{rid}", None, "Math", "gcd", [12 + rid, 18])
-            .encode()
-        )
+def _gcd_call(worker, rid: int) -> str:
+    return wire.call(
+        FRONT_DOOR, worker.id, rid, f"{FRONT_DOOR}:{rid}", None,
+        "Math", "gcd", [12 + rid % 50, 18],
+    ).encode()
+
+
+def _serve_gcds(front, worker, first: int, count: int) -> bytes:
+    """Answer *count* front-door ``Math.gcd`` calls, ids from *first*;
+    return the last reply frame."""
+    for rid in range(first, first + count):
+        worker._dispatch(_gcd_call(worker, rid))
         worker.pump_once()
-        front.recv(65536)  # drain the reply
-    scheduler = worker.shard.scheduler
-    assert len(scheduler.processes) < 9
-    assert all(p.pid == i for i, p in enumerate(scheduler.processes))
-    # Dedup survives pruning: the cache, not the process table, answers.
-    executed = worker.shard.machine.steps
+        reply = front.recv(65536)
+    return reply
+
+
+def _block_main(front, worker, rid: int) -> int:
+    """Dispatch ``Main.main`` until it blocks on Math; return its pid."""
     worker._dispatch(
-        wire.call(0, 1, 8, "0:8", None, "Math", "gcd", [20, 18]).encode()
+        wire.call(
+            FRONT_DOOR, worker.id, rid, f"{FRONT_DOOR}:{rid}", None, "Main", "main", []
+        ).encode()
     )
     worker.pump_once()
+    front.recv(65536)  # the outgoing Math call
+    (entry,) = [p for p in worker.status() if p["status"] == "blocked"]
+    assert (entry["module"], entry["proc"]) == ("Main", "main")
+    return entry["pid"]
+
+
+def test_worker_pid_names_the_same_process_for_its_life():
+    """A pid read from ``status()`` still names its process after many
+    more requests come and go, so a migration can act on it."""
+    front, worker = _worker(0)
+    _serve_gcds(front, worker, 0, 5)
+    pid = _block_main(front, worker, 5)
+    _serve_gcds(front, worker, 6, 600)
+    (entry,) = [p for p in worker.status() if p["pid"] == pid]
+    assert (entry["module"], entry["proc"], entry["status"]) == ("Main", "main", "blocked")
+    slice_ = worker._extract({"pid": pid, "dst": 1, "mode": "exclusive"})["slice"]
+    assert slice_ is not None and slice_["pid"] == pid
+
+
+def test_one_process_lifecycle_in_both_modes():
+    """Both modes drop a process at its hand-off — a served call once its
+    reply is sent, a root once its ticket completes — so no table keeps
+    finished processes and every row keeps its span.  Dedup answers
+    from the reply cache, and an exclusive slice carries only the
+    unfinished processes."""
+    from repro.interp.processes import ProcessStatus
+    from repro.net.migrate import extract
+
+    def tables_hold_only(shard, statuses):
+        rows = shard.scheduler.processes
+        assert [p.status.value for p in rows] == statuses
+        assert sorted(shard._spans) == [p.pid for p in rows]
+
+    def snapshot_statuses(slice_):
+        return [p["status"] for p in slice_["snapshot"]["scheduler"]["processes"]]
+
+    # In-process: 2,000 requests through the admission engine.
+    cluster = Cluster(list(SERVICE_SOURCES), shards=4, config="i2")
+    report = Server(cluster, 8, 4).serve(generate_workload(7, 2000))
+    assert (report.completed, report.lost, report.wrong) == (2000, 0, 0)
+    for shard in cluster.shards:
+        tables_hold_only(shard, [])
+    shard = cluster.shards[cluster.placement.home("Gcd")]
+    call = wire.call(FRONT_DOOR, shard.id, 0, f"{FRONT_DOOR}:0", None, "Gcd", "gcd", [12, 18])
+    shard.deliver([call])
+    while shard.step(cluster.ticks):
+        pass
+    (reply,) = shard.drain_outbox()
+    assert reply.body["results"] == [6]
+    tables_hold_only(shard, [])
+    executed = shard.machine.steps
+    shard.deliver([call])
+    assert [m.encode() for m in shard.drain_outbox()] == [reply.encode()]
+    assert shard.machine.steps == executed
+
+    home = cluster.placement.home
+    leaves = ("Fib", "Gauss", "Gcd", "Pow")
+    op = next(op for op, leaf in enumerate(leaves) if home(leaf) != home("Main"))
+    ticket = cluster.submit("Main", "dispatch", op, 5, 3)
+    while ticket.status is not ProcessStatus.BLOCKED:
+        cluster.pump_tick()
+    source = cluster.shards[ticket.shard_id]
+    tables_hold_only(source, ["blocked"])
+    slice_ = extract(source, ticket.process, home(leaves[op]))
+    assert snapshot_statuses(slice_) == ["blocked"]
+
+    # An OS worker, fork-free: 600 calls, then the same checks.
+    front, worker = _worker(0)
+    last = _serve_gcds(front, worker, 0, 600)
+    tables_hold_only(worker.shard, [])
+    executed = worker.shard.machine.steps
+    worker._dispatch(_gcd_call(worker, 599))
+    worker.pump_once()
+    assert front.recv(65536) == last
     assert worker.shard.machine.steps == executed
+    pid = _block_main(front, worker, 600)
+    tables_hold_only(worker.shard, ["blocked"])
+    slice_ = worker._extract({"pid": pid, "dst": 1, "mode": "exclusive"})["slice"]
+    assert snapshot_statuses(slice_) == ["blocked"]
 
 
 def test_worker_control_plane_status_and_meters():
@@ -284,7 +366,8 @@ def test_worker_control_plane_status_and_meters():
         wire.call(0, 1, 1, "0:1", None, "Math", "gcd", [12, 18]).encode()
     )
     worker.pump_once()
-    front.recv(65536)
+    reply = json.loads(front.recv(65536))
+    assert (reply["kind"], reply["body"]["results"]) == ("reply", [6])
     worker._dispatch(
         '{"schema": "repro-ctl/1", "kind": "status", "shard": 1, "seq": 9, "body": {}}'
     )
@@ -292,8 +375,8 @@ def test_worker_control_plane_status_and_meters():
     doc = json.loads(frame)
     assert doc["kind"] == "status_reply"
     assert doc["seq"] == 9  # correlation id echoed
-    assert doc["body"]["processes"][0]["status"] == "done"
-    assert doc["body"]["processes"][0]["results"] == [6]
+    # The call was handed off with its reply: the table holds nothing.
+    assert doc["body"]["processes"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +485,20 @@ def test_migrate_blocked_process_onto_a_third_worker():
             cluster.call_async(0, "Main", "main", ()), cluster._loop
         )
         deadline = time.monotonic() + 30.0
-        blocked = False
+        blocked = None
         while time.monotonic() < deadline:
             table = cluster.status(0)
             if table and table[0]["status"] == "blocked":
-                blocked = True
+                blocked = table[0]["pid"]
                 break
             time.sleep(0.02)
-        assert blocked, "root never observed BLOCKED on worker 0"
-        pid = cluster.migrate(0, 0, 2)
+        assert blocked is not None, "root never observed BLOCKED on worker 0"
+        cluster.migrate(0, blocked, 2)
         assert future.result(timeout=60.0) == [FIB18 + 1]
+        # Both workers handed the process off: worker 0 at the extract,
+        # worker 2 with its reply.
         assert cluster.status(0) == []
-        target = cluster.status(2)
-        assert target[pid]["status"] == "done"
-        assert target[pid]["results"] == [FIB18 + 1]
+        assert cluster.status(2) == []
     finally:
         cluster.close()
 

@@ -48,6 +48,21 @@ def test_serve_is_deterministic_across_runs():
     assert c1.meters() == c2.meters()
 
 
+def test_jit_shards_serve_exactly_like_interpreter_shards():
+    """``engine="jit"`` installs the JIT on every shard, but the
+    scheduler single-steps ``Machine.step``, so no compiled block runs:
+    the report and every shard's meters are the interpreter's."""
+    runs = {}
+    for engine in ("interp", "jit"):
+        cluster = Cluster(list(SERVICE_SOURCES), shards=2, engine=engine)
+        report = Server(cluster).serve(generate_workload(7, 100))
+        assert report.completed == 100 and report.lost == report.wrong == 0
+        runs[engine] = (report.to_dict(), cluster.meters())
+    assert runs["jit"] == runs["interp"]
+    for shard in cluster.shards:
+        assert not any(shard.machine.engine.stats.as_dict().values())
+
+
 def test_backpressure_stalls_when_the_queue_is_bounded():
     report, _, metrics = run_serve(
         shards=2, requests=40, seed=3, queue_capacity=1, batch_size=8
