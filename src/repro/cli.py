@@ -804,12 +804,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             return 2
     if args.processes:
-        if args.engine == "jit":
-            # Worker processes build their own machines from a spec that
-            # has no engine slot; keep the axes orthogonal for now.
-            print("serve: --engine jit does not combine with --processes",
-                  file=sys.stderr)
-            return 2
         if args.autoscale:
             print("serve: --autoscale drives the in-process pump; drop "
                   "--processes", file=sys.stderr)
@@ -822,6 +816,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             config=args.impl,
             pins=pins,
             self_homed=(args.route == "direct"),
+            engine=args.engine,
         )
         try:
             server = ProcessServer(
@@ -1590,10 +1585,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "behind the asyncio front door")
     serve.add_argument("--engine", choices=["interp", "jit"],
                        default="interp",
-                       help="shard engine (in-process shards only); jit "
-                            "installs the JIT, but the scheduler single-steps "
-                            "the interpreter, so no compiled block runs and "
-                            "results and meters equal interp's")
+                       help="shard engine: jit runs every scheduler slice "
+                            "on compiled blocks; results and meters equal "
+                            "interp's")
     serve.add_argument("--route", choices=["direct", "dispatch"],
                        default="direct",
                        help="process-mode routing: direct (leaf procedure on "

@@ -125,8 +125,12 @@ class Machine:
         #: Traps dispatched over the machine's life (handled or not);
         #: the scheduler's trap-storm quota reads the per-slice delta.
         self.trap_count = 0
-        #: Scheduler hooks (see repro.interp.processes).
+        #: Scheduler hooks (see repro.interp.processes).  A set
+        #: ``yield_requested`` returns the run loop to its caller after
+        #: the current instruction; a trap taking ``trap_count`` past
+        #: ``trap_ceiling`` sets it (the trap-storm quota's stop).
         self.yield_requested = False
+        self.trap_ceiling: int | None = None
         self.on_halt: Callable[["Machine"], bool] | None = None
         #: Remote XFER hook (see repro.net.shard): a callable
         #: ``stub(meta, kind, return_pc) -> bool`` consulted at the top
@@ -173,8 +177,9 @@ class Machine:
         if self.linkage_cache is not None:
             self._epoch_subscribers.append(self.linkage_cache.invalidate)
         #: Optional execution engine (repro.jit.JitEngine).  When set and
-        #: active, ``run()`` delegates to it; ``step()`` is always the
-        #: interpreter (the engine's own deoptimization primitive).
+        #: active, ``run()`` and the scheduler's slices delegate to it;
+        #: ``step()`` is always the interpreter (the engine's own
+        #: deoptimization primitive).
         self.engine = None
 
     # ------------------------------------------------------------------
@@ -221,31 +226,46 @@ class Machine:
         (scheduler yield, REPL-style re-run) gets the full allowance
         again rather than a budget shrunken by steps already executed.
         ``config.step_limit`` remains the cumulative backstop over the
-        machine's whole life.
-
-        This is the fused host loop: it inlines :meth:`step` with the
-        dispatch table, decode cache, and counter hoisted into locals.
-        Semantics are identical to calling ``step()`` in a loop; the
-        only observable difference is host wall-clock time.  (A tracer
-        attached mid-run by a trap handler takes effect on the next
-        ``run()``/``step()``.)
+        machine's whole life.  Either one running out raises
+        :class:`~repro.errors.StepLimitExceeded`.
 
         With a JIT engine installed (``repro.jit.install_jit``) and
         eligible to run — no tracer attached — execution is delegated
         to compiled blocks instead; meters and state are bit-identical
         either way.
         """
-        engine = self.engine
-        if engine is not None and engine.active():
-            return engine.run(max_steps)
         limit = self.config.step_limit
         ceiling = limit if max_steps is None else min(limit, self.steps + max_steps)
+        if self._run_until(ceiling):
+            raise StepLimitExceeded(max_steps if ceiling < limit else limit)
+        return self.results()
 
-        # Hoisted hot-path state.  The code buffer is a live bytearray
-        # (growing it preserves identity), so holding it is safe; epoch
-        # changes are still checked every iteration.  The per-step DECODE
-        # charge is applied directly to the counter's counts/cycles —
-        # exactly what CycleCounter.record does, minus two calls per step.
+    def _run_until(self, ceiling: int) -> bool:
+        """Execute until HALT, a yield, or ``steps`` reaches *ceiling*.
+
+        The one execution primitive under :meth:`run` and the
+        scheduler's time slices: compiled blocks when an engine is
+        installed and active, else :meth:`_interpret`.  Returns True
+        when it stopped at the budget — neither halted nor yielding —
+        and raises nothing of its own: budgets are the caller's policy.
+        """
+        engine = self.engine
+        if engine is not None and engine.active():
+            return engine.run_until(ceiling)
+        return self._interpret(ceiling)
+
+    def _interpret(self, ceiling: int) -> bool:
+        """The interpreter's fetch-decode-dispatch loop; see :meth:`_run_until`.
+
+        The dispatch table, decode cache, and counter are hoisted into
+        locals.  (A tracer attached mid-loop by a trap handler takes
+        effect at the next call.)
+        """
+        # The code buffer is a live bytearray (growing it preserves
+        # identity), so holding it is safe; epoch changes are still
+        # checked every iteration.  The per-step DECODE charge is
+        # applied directly to the counter's counts/cycles — exactly what
+        # CycleCounter.record does, minus two calls per step.
         dispatch = self._dispatch
         cache = self._decode_cache
         cache_get = cache.get
@@ -260,9 +280,7 @@ class Machine:
 
         while not self.halted:
             if self.steps >= ceiling:
-                raise StepLimitExceeded(
-                    max_steps if ceiling < limit else limit
-                )
+                return True
             if self._code_epoch != code.epoch:
                 self.invalidate_linkage()  # clears in place; locals stay valid
             pc = self.pc
@@ -290,7 +308,7 @@ class Machine:
                 self._surface_trap(TrapKind.STORAGE_FAULT, str(fault))
             if self.yield_requested:
                 break
-        return self.results()
+        return False
 
     def call(self, module: str, proc: str, *args: int) -> list[int]:
         """Convenience: start + run; returns the (signed) result values."""
@@ -302,37 +320,11 @@ class Machine:
         return [to_signed(word) for word in self.stack.contents()]
 
     def step(self) -> None:
-        """Fetch, decode, and execute one instruction."""
+        """Fetch, decode, and execute one instruction on the interpreter
+        (the JIT engine's deoptimization primitive)."""
         if self.halted:
             raise MachineHalted("step() on a halted machine")
-        if self._code_epoch != self.code.epoch:
-            self.invalidate_linkage()
-        pair = self._decode_cache.get(self.pc)
-        if pair is None:
-            instruction = decode(self.code.buffer, self.pc)
-            pair = (
-                instruction,
-                self._dispatch[instruction.op],
-                self.pc + instruction.length,
-            )
-            self._decode_cache[self.pc] = pair
-        instruction, handler, next_pc = pair
-        self.counter.record(Event.DECODE)
-        self.steps += 1
-        tracer = self.tracer
-        if tracer is not None and getattr(tracer, "trace_steps", False):
-            tracer.emit("machine.step", instruction.op.name, pc=self.pc)
-        self.pc = next_pc
-        try:
-            handler(instruction, next_pc)
-        except TrapTransfer:
-            pass  # control is already in the trap context
-        except EvalStackOverflow as fault:
-            self._surface_trap(TrapKind.STACK_OVERFLOW, str(fault))
-        except HeapExhausted as fault:
-            self._surface_trap(TrapKind.RESOURCE_EXHAUSTED, str(fault))
-        except (AllocationError, MemoryFault) as fault:
-            self._surface_trap(TrapKind.STORAGE_FAULT, str(fault))
+        self._interpret(self.steps + 1)
 
     def _surface_trap(self, kind: TrapKind, detail: str) -> None:
         """Convert a host-level fault into a modelled trap.
@@ -1003,6 +995,8 @@ class Machine:
         of the quotient.
         """
         self.trap_count += 1
+        if self.trap_ceiling is not None and self.trap_count > self.trap_ceiling:
+            self.yield_requested = True
         if self.tracer is not None:
             self.tracer.emit(
                 "xfer.trap",

@@ -122,6 +122,8 @@ class Scheduler:
         self._next_pid = 0
         #: Round-robin position: the pid the next scan starts at.
         self._rotor = 0
+        #: machine.steps minus the running process's steps (per slice).
+        self._steps_base = 0
 
     def spawn(self, module: str, proc: str, *args: int) -> Process:
         """Create a READY process running ``module.proc(*args)``."""
@@ -146,15 +148,25 @@ class Scheduler:
         """Run until no process is READY; returns them with results.
 
         *max_steps* defaults to ``config.scheduler_max_steps`` — one
-        knob shared by serving loops and tests.  The loop also returns
-        (rather than spinning) when every remaining process is BLOCKED
-        on a remote reply; the caller (a :class:`repro.net` shard pump)
-        delivers replies and calls :meth:`run` again.
+        knob shared by serving loops and tests — and counts steps over
+        this call: the step after the last allowed one raises
+        :class:`StepLimitExceeded`.  The machine's lifetime
+        ``config.step_limit`` does not apply here.  The loop also
+        returns (rather than spinning) when every remaining process is
+        BLOCKED on a remote reply; the caller (a :class:`repro.net`
+        shard pump) delivers replies and calls :meth:`run` again.
+
+        A process runs in slices of the machine's own execution loop
+        (compiled blocks when a JIT engine is active), each ending at a
+        halt, a yield, the process's next quantum boundary or the step
+        budget, so the scheduler acts at exactly the instruction a
+        per-step loop would.
         """
         if max_steps is None:
             max_steps = self.machine.config.scheduler_max_steps
         machine = self.machine
         machine.on_halt = self._on_halt
+        quantum = self.quantum
         total = 0
         try:
             while True:
@@ -162,12 +174,27 @@ class Scheduler:
                 if process is None:
                     break
                 self._switch_in(process)
-                slice_traps = 0
-                while not machine.halted and self.current is process:
-                    traps_before = machine.trap_count
+                slice_start_traps = machine.trap_count
+                if self.trap_quota:
+                    machine.trap_ceiling = slice_start_traps + self.trap_quota
+                while True:
+                    start_steps = machine.steps
+                    start_traps = machine.trap_count
+                    self._steps_base = start_steps - process.steps
+                    ceiling = start_steps + max_steps + 1 - total
+                    if quantum:
+                        ceiling = min(
+                            ceiling, start_steps + quantum - process.steps % quantum
+                        )
                     try:
-                        machine.step()
+                        machine._run_until(ceiling)
                     except TrapError as fault:
+                        # The faulting instruction and its trap do not
+                        # count towards the process.
+                        executed = machine.steps - start_steps - 1
+                        process.steps += executed
+                        total += executed
+                        process.traps += machine.trap_count - start_traps - 1
                         self._quarantine(
                             process,
                             trap=fault.trap,
@@ -176,12 +203,13 @@ class Scheduler:
                             detail=fault.detail,
                         )
                         break
-                    process.steps += 1
-                    total += 1
+                    executed = machine.steps - start_steps
+                    process.steps += executed
+                    total += executed
                     if total > max_steps:
                         raise StepLimitExceeded(max_steps)
-                    slice_traps += machine.trap_count - traps_before
-                    process.traps += machine.trap_count - traps_before
+                    process.traps += machine.trap_count - start_traps
+                    slice_traps = machine.trap_count - slice_start_traps
                     if self.trap_quota and slice_traps > self.trap_quota:
                         self._quarantine(
                             process,
@@ -194,8 +222,8 @@ class Scheduler:
                             ),
                         )
                         break
-                    if machine.halted or self.current is not process:
-                        break  # the step completed the process
+                    if machine.halted:
+                        break  # the slice completed the process
                     if machine.yield_requested:
                         machine.yield_requested = False
                         pending = machine.remote_pending
@@ -206,17 +234,20 @@ class Scheduler:
                             self.stats.yields += 1
                             self._switch_out(process, reason="yield")
                         break
-                    if self.quantum and process.steps % self.quantum == 0:
-                        if self._another_ready(process):
-                            self.stats.preemptions += 1
-                            self._switch_out(process, reason="preempt")
-                            break
+                    # Otherwise the slice stopped at a quantum boundary
+                    # (the budget raised above): preempt if another
+                    # process is ready, else run the next quantum.
+                    if self._another_ready(process):
+                        self.stats.preemptions += 1
+                        self._switch_out(process, reason="preempt")
+                        break
                 if machine.halted and self.current is process:
                     # _on_halt marked it DONE and captured results.
                     machine.halted = False
                     self.current = None
         finally:
             machine.on_halt = None
+            machine.trap_ceiling = None
             machine.halted = True
         return self.processes
 
@@ -458,7 +489,8 @@ class Scheduler:
                 f"p{process.pid}",
                 pid=process.pid,
                 proc=f"{process.module}.{process.proc}",
-                steps=process.steps,
+                # Mid-slice: the steps before this halting instruction.
+                steps=machine.steps - self._steps_base - 1,
                 results=list(process.results),
             )
         if machine.banks is not None:

@@ -3,10 +3,10 @@
 ``install_jit(machine)`` verifies the image (or validates a supplied
 ``repro-facts/1`` artifact against it), compiles every verified
 procedure's basic blocks, and installs itself on the machine.
-``Machine.run`` then delegates to :meth:`JitEngine.run` whenever the
-engine is *active* — no tracer attached — and the engine
-direct-threads compiled blocks, falling back to interpreter
-single-steps at every deoptimization point.  Meters,
+``Machine.run`` and the scheduler's time slices then delegate to
+:meth:`JitEngine.run_until` whenever the engine is *active* — no tracer
+attached — and the engine direct-threads compiled blocks, falling back
+to interpreter single-steps at every deoptimization point.  Meters,
 memory, traffic, and statistics are bit-identical to the interpreter
 at every observable boundary.
 """
@@ -21,7 +21,6 @@ from repro.errors import (
     EvalStackOverflow,
     HeapExhausted,
     MemoryFault,
-    StepLimitExceeded,
 )
 from repro.interp.traps import TrapKind, TrapTransfer
 from repro.machine.costs import Event
@@ -200,11 +199,16 @@ class JitEngine:
         """Compiled execution is only legal with no observer attached."""
         return self.machine.tracer is None
 
-    def run(self, max_steps: int | None = None):
-        """Mirror ``Machine.run`` semantics over compiled blocks."""
+    def run_until(self, ceiling: int) -> bool:
+        """Run compiled blocks until HALT, a yield, or ``steps`` reaches
+        *ceiling*; True when it stopped at the budget.
+
+        The contract of ``Machine._run_until``, which delegates here
+        while the engine is active: a block runs only if all of its
+        steps fit under the ceiling, and the interpreter single-steps
+        the rest of the way.
+        """
         m = self.machine
-        limit = m.config.step_limit
-        ceiling = limit if max_steps is None else min(limit, m.steps + max_steps)
         cache = self.cache
         blocks = cache.blocks
         code = m.code
@@ -212,7 +216,7 @@ class JitEngine:
 
         while not m.halted:
             if m.steps >= ceiling:
-                raise StepLimitExceeded(max_steps if ceiling < limit else limit)
+                return True
             if m._code_epoch != code.epoch:
                 m.invalidate_linkage()  # notifies the code cache too
             if not cache.ready:
@@ -221,12 +225,10 @@ class JitEngine:
                 # An observer was attached mid-run (a trap handler
                 # enabling tracing): hand the rest to the interpreter.
                 stats.observer_bailouts += 1
-                if max_steps is None or ceiling >= limit:
-                    return m.run(None)
-                return m.run(ceiling - m.steps)
+                return m._interpret(ceiling)
             pair = blocks.get(m.pc)
             if pair is None or m.steps + pair[1] > ceiling:
-                self._interp_until_block(ceiling, max_steps, limit)
+                self._interp_until_block(ceiling)
             else:
                 fn = pair[0]
                 result = fn(m)
@@ -237,25 +239,23 @@ class JitEngine:
                     result = pair[0](m)
                 if result == -2:
                     stats.deopts += 1
-                    self._interp_until_block(ceiling, max_steps, limit)
+                    self._interp_until_block(ceiling)
             if m.yield_requested:
                 break
-        return m.results()
+        return False
 
-    def _interp_until_block(self, ceiling: int, max_steps, limit: int) -> None:
-        """Single-step the interpreter until a compiled block boundary.
+    def _interp_until_block(self, ceiling: int) -> None:
+        """Single-step the interpreter until a compiled block boundary,
+        a halt, a yield, or the step ceiling.
 
-        Always steps at least once (a deopt pc may itself be a block
-        start — the entry guard that failed would just fail again).
+        Steps at least once unless stopped first (a deopt pc may itself
+        be a block start — the entry guard that failed would just fail
+        again).
         """
         m = self.machine
         blocks = self.cache.blocks
         stats = self.stats
-        while True:
-            if m.halted or m.yield_requested:
-                return
-            if m.steps >= ceiling:
-                raise StepLimitExceeded(max_steps if ceiling < limit else limit)
+        while not (m.halted or m.yield_requested or m.steps >= ceiling):
             m.step()
             stats.deopt_steps += 1
             if m.pc in blocks:

@@ -45,6 +45,11 @@ class Event(enum.Enum):
     #: Entry into the software allocator (free list empty, section 5.3).
     ALLOCATOR_TRAP = "allocator_trap"
 
+    # Members are singletons, so identity is a sound hash; Enum's default
+    # hashes the name in Python, and every counted event is a dict
+    # lookup keyed by a member.
+    __hash__ = object.__hash__
+
 
 #: Default cycle charge per event, following the ratios of section 7.3.
 DEFAULT_CHARGES: dict[Event, int] = {

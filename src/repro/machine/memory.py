@@ -19,6 +19,7 @@ matter for the reproduction:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import MemoryFault, UnwritableMemory, WordRangeError
@@ -93,6 +94,10 @@ class Memory:
         self.counter = counter or CycleCounter()
         self._words = [0] * size
         self._regions: list[Region] = []
+        # Region lookup without a call per region: bases in ascending
+        # order and the matching (limit, region) pairs, for a bisect.
+        self._bases: list[int] = []
+        self._spans: list[tuple[int, Region]] = []
         #: Counted references per region name ("" for unmapped addresses) —
         #: the attribution behind section 7.3's bandwidth argument.
         self.traffic: dict[str, int] = {}
@@ -110,6 +115,9 @@ class Memory:
             if candidate.base < existing.limit and existing.base < candidate.limit:
                 raise ValueError(f"region {name!r} overlaps region {existing.name!r}")
         self._regions.append(candidate)
+        ordered = sorted(self._regions, key=lambda region: region.base)
+        self._bases = [region.base for region in ordered]
+        self._spans = [(region.limit, region) for region in ordered]
         return candidate
 
     def region_named(self, name: str) -> Region:
@@ -121,8 +129,10 @@ class Memory:
 
     def region_of(self, address: int) -> Region | None:
         """Return the region containing *address*, or None."""
-        for region in self._regions:
-            if region.contains(address):
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0:
+            limit, region = self._spans[index]
+            if address < limit:
                 return region
         return None
 

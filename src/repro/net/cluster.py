@@ -85,11 +85,9 @@ def build_shard_machine(
 
     Identical inputs produce an identical image on every shard — the
     property the handshake checks and Remote XFER relies on.
-    ``engine="jit"`` compiles the shard's procedures up front, but a
-    shard runs its processes through :meth:`Scheduler.run`, which
-    single-steps the interpreter's ``Machine.step``: no compiled block
-    executes while serving, so results, meters and wire traffic are
-    exactly the interpreter's and the JIT's engine stats stay at zero.
+    ``engine="jit"`` compiles the shard's procedures up front, and
+    every :meth:`Scheduler.run` slice then executes compiled blocks;
+    results, meters and wire traffic are exactly the interpreter's.
     """
     from repro.lang.compiler import CompileOptions, compile_program
     from repro.lang.linker import link
@@ -107,8 +105,7 @@ def build_shard_machine(
 class Cluster:
     """N shards in one host process, pumped to quiescence.
 
-    ``engine="jit"`` installs the JIT on every shard machine, but the
-    shards still execute on the interpreter (see
+    ``engine="jit"`` installs the JIT on every shard machine (see
     :func:`build_shard_machine`).
     """
 

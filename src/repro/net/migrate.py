@@ -4,9 +4,9 @@ The paper's thesis makes this almost inevitable: a process switch is
 just another XFER, a Remote XFER already stretches one across shards,
 and ``repro-snapshot/2`` already serializes a process blocked on a
 remote reply.  Migration composes the two.  A process is **quiesced**
-at a block boundary — between ``step()`` calls, exactly where the JIT
-deoptimizes, so the same boundary exists under ``--engine jit`` — its
-state is **extracted** into a ``repro-migrate/1`` slice on the source
+at a block boundary — between scheduler slices, where a compiled block
+has finished too, so the same boundary exists under ``--engine jit`` —
+its state is **extracted** into a ``repro-migrate/1`` slice on the source
 shard, **adopted** on the target, and the source keeps *tombstones*:
 a forwarding entry per outstanding request, so the reply (or a late
 duplicate) still finds the process at its new home.

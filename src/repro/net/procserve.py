@@ -148,7 +148,8 @@ class ProcessCluster:
     :class:`~repro.net.cluster.Cluster` (``call`` raises
     :class:`~repro.errors.TrapError` on a remote fault and
     :class:`~repro.errors.LostRequest` on retry exhaustion; ``meters``
-    returns the same per-shard shape).
+    returns the same per-shard shape).  ``engine="jit"`` installs the
+    JIT on every worker's shard machine, as ``Cluster(engine=)`` does.
     """
 
     def __init__(
@@ -167,6 +168,7 @@ class ProcessCluster:
         fault_plan: FaultPlan | None = None,
         tick_seconds: float = DEFAULT_TICK_SECONDS,
         self_homed: bool = False,
+        engine: str = "interp",
     ) -> None:
         if shards < 1:
             raise NetError(f"a cluster needs at least one shard, got {shards}")
@@ -232,6 +234,7 @@ class ProcessCluster:
             "max_retries": max_retries,
             "self_homed": self_homed,
             "placement_epoch": self.placement.epoch,
+            "engine": engine,
         }
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(

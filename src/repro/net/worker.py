@@ -102,7 +102,10 @@ class Worker:
         self.shard = Shard(
             self.id,
             build_shard_machine(
-                list(spec["sources"]), spec["config"], tuple(spec["entry"])
+                list(spec["sources"]),
+                spec["config"],
+                tuple(spec["entry"]),
+                engine=spec.get("engine", "interp"),
             ),
             placement,
             record=spec.get("record", False),

@@ -229,22 +229,53 @@ def test_faulting_process_is_quarantined_not_fatal():
     assert scheduler.stats.quarantines == 1
 
 
+#: The trap-storm run below, as a scheduler stepping one instruction at
+#: a time measured it: the quota fires on the sixth trap, 99 steps in.
+STORM_COUNTER = {
+    "allocator_trap": 1,
+    "bank_flush": 0,
+    "bank_load": 0,
+    "cycles": 563,
+    "decode": 137,
+    "fast_transfer": 0,
+    "jump": 8,
+    "memory_read": 54,
+    "memory_write": 35,
+    "register_read": 94,
+    "register_write": 96,
+    "slow_transfer": 1,
+}
+
+
 def test_trap_storm_hits_the_quota():
     """A process that traps over and over — each one *recovered* by a
     handler, so it never dies outright — still gets quarantined once it
-    exceeds the per-slice trap quota, and the other process runs on."""
-    machine = build(MIXED, preset="i2")
-    machine.trap_handlers[TrapKind.DIVIDE_BY_ZERO] = lambda m, kind, detail: None
-    scheduler = Scheduler(machine, quantum=200, trap_quota=5)
-    stormer = scheduler.spawn("Main", "storm", 50)
-    good = scheduler.spawn("Main", "worker", 7, 2)
-    scheduler.run()
-    assert stormer.status is ProcessStatus.FAULTED
-    assert stormer.fault["trap"] == "trap_storm"
-    assert stormer.traps > 5
-    assert good.status is ProcessStatus.DONE
-    assert good.results == [7]
-    assert scheduler.stats.quarantines == 1
+    exceeds the per-slice trap quota, and the other process runs on.
+    The quota fires at the same instruction on either engine."""
+    from repro.jit import install_jit
+
+    for engine in ("interp", "jit"):
+        machine = build(MIXED, preset="i2")
+        if engine == "jit":
+            install_jit(machine)
+        machine.trap_handlers[TrapKind.DIVIDE_BY_ZERO] = lambda m, kind, detail: None
+        scheduler = Scheduler(machine, quantum=200, trap_quota=5)
+        stormer = scheduler.spawn("Main", "storm", 50)
+        good = scheduler.spawn("Main", "worker", 7, 2)
+        scheduler.run()
+        assert stormer.status is ProcessStatus.FAULTED, engine
+        assert stormer.fault == {
+            "trap": "trap_storm",
+            "pc": 56,
+            "proc": "storm",
+            "detail": "6 traps in one slice (quota 5)",
+        }, engine
+        assert (stormer.steps, stormer.traps) == (99, 6), engine
+        assert good.status is ProcessStatus.DONE, engine
+        assert good.results == [7], engine
+        assert scheduler.stats.quarantines == 1, engine
+        assert machine.steps == 137, engine
+        assert machine.counter.snapshot() == STORM_COUNTER, engine
 
 
 def test_quarantine_emits_sched_fault_event():

@@ -76,17 +76,21 @@ def test_process_serve_dispatch_route_zero_lost_zero_wrong():
 # ---------------------------------------------------------------------------
 
 
-def test_sequential_admission_meters_match_in_process_bit_for_bit():
+@pytest.mark.parametrize("engine", ["interp", "jit"])
+def test_sequential_admission_meters_match_in_process_bit_for_bit(engine):
     """Aggregate per-shard meters depend on the admission schedule (heap
     pressure from simultaneously-live roots moves allocator traps), so
     the bit-identity claim is checked where the schedules coincide:
-    strictly sequential admission, one request in flight at a time."""
+    strictly sequential admission, one request in flight at a time.
+    Workers on either engine match the in-process interpreter."""
     workload = generate_workload(7, 12)
 
     reference = Cluster(list(SERVICE_SOURCES), shards=2, config="i2")
     Server(reference, queue_capacity=1, batch_size=1).serve(list(workload))
 
-    cluster = ProcessCluster(list(SERVICE_SOURCES), shards=2, config="i2")
+    cluster = ProcessCluster(
+        list(SERVICE_SOURCES), shards=2, config="i2", engine=engine
+    )
     try:
         report = ProcessServer(
             cluster, route="dispatch", queue_capacity=1, batch_size=1

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.errors import NetError
+from repro.interp.machine import Machine
+from repro.interp.machineconfig import MachineConfig
 from repro.net.cluster import Cluster
 from repro.net.serve import (
     SERVICE_SOURCES,
@@ -48,19 +50,59 @@ def test_serve_is_deterministic_across_runs():
     assert c1.meters() == c2.meters()
 
 
-def test_jit_shards_serve_exactly_like_interpreter_shards():
-    """``engine="jit"`` installs the JIT on every shard, but the
-    scheduler single-steps ``Machine.step``, so no compiled block runs:
-    the report and every shard's meters are the interpreter's."""
+def test_jit_shards_serve_exactly_like_interpreter_shards(monkeypatch):
+    """Shards run each process in slices of the machine's execution
+    loop, never one ``Machine.step()`` call per instruction: interpreter
+    shards make no ``step`` calls at all, and ``engine="jit"`` shards
+    execute compiled blocks, so their interpreter runs far fewer
+    instructions than the shards do.  The report and every shard's
+    meters are the same on both engines."""
+    step_calls: dict = {}
+    interpreted: dict = {}
+    step, interpret = Machine.step, Machine._interpret
+
+    def counting_step(machine):
+        step_calls[machine] = step_calls.get(machine, 0) + 1
+        step(machine)
+
+    def counting_interpret(machine, ceiling):
+        before = machine.steps
+        try:
+            return interpret(machine, ceiling)
+        finally:
+            interpreted[machine] = interpreted.get(machine, 0) + machine.steps - before
+
+    monkeypatch.setattr(Machine, "step", counting_step)
+    monkeypatch.setattr(Machine, "_interpret", counting_interpret)
     runs = {}
     for engine in ("interp", "jit"):
+        step_calls.clear()
+        interpreted.clear()
         cluster = Cluster(list(SERVICE_SOURCES), shards=2, engine=engine)
         report = Server(cluster).serve(generate_workload(7, 100))
         assert report.completed == 100 and report.lost == report.wrong == 0
         runs[engine] = (report.to_dict(), cluster.meters())
+        for shard in cluster.shards:
+            machine = shard.machine
+            assert machine.steps > 1_000
+            if engine == "interp":
+                assert machine not in step_calls
+                assert interpreted[machine] == machine.steps
+            else:
+                assert step_calls.get(machine, 0) * 10 < machine.steps
+                assert interpreted.get(machine, 0) * 10 < machine.steps
     assert runs["jit"] == runs["interp"]
-    for shard in cluster.shards:
-        assert not any(shard.machine.engine.stats.as_dict().values())
+
+
+def test_shards_are_not_subject_to_the_machine_step_limit():
+    """``config.step_limit`` is ``Machine.run``'s lifetime backstop; a
+    shard's scheduler serves past it, bounded per ``Scheduler.run`` call
+    by ``scheduler_max_steps`` alone."""
+    config = MachineConfig.i2(step_limit=1_000)
+    cluster = Cluster(list(SERVICE_SOURCES), shards=1, config=config)
+    report = Server(cluster).serve(generate_workload(7, 40))
+    assert report.completed == 40 and report.lost == report.wrong == 0
+    assert cluster.shards[0].machine.steps > 1_000
 
 
 def test_backpressure_stalls_when_the_queue_is_bounded():

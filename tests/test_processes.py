@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import StepLimitExceeded
 from repro.interp.processes import ProcessStatus, Scheduler, run_processes
 from tests.conftest import build
 
@@ -116,3 +117,26 @@ def test_process_steps_accounted():
     b = scheduler.spawn("Main", "spin", 10)
     scheduler.run()
     assert a.steps > b.steps
+
+
+@pytest.mark.parametrize("engine", ["interp", "jit"])
+def test_scheduler_budget_raises_after_exactly_max_steps_plus_one(engine):
+    """``Scheduler.run``'s budget counts the steps of every process in
+    the call: the step after the last allowed one raises, wherever the
+    quantum boundaries fall, and the machine's own lifetime
+    ``step_limit`` plays no part."""
+    machine = fresh_machine(step_limit=50)
+    if engine == "jit":
+        from repro.jit import install_jit
+
+        install_jit(machine)
+    scheduler = Scheduler(machine, quantum=7)
+    first = scheduler.spawn("Main", "spin", 1000)
+    second = scheduler.spawn("Main", "spin", 1000)
+    with pytest.raises(StepLimitExceeded) as excinfo:
+        scheduler.run(max_steps=300)
+    assert excinfo.value.limit == 300
+    assert machine.steps == first.steps + second.steps == 301
+    # A slice ends every 7 steps; the raise at step 301 comes before
+    # the 43rd preemption, due at the same step.
+    assert scheduler.stats.preemptions == 42
