@@ -982,78 +982,45 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _net_chaos(args: argparse.Namespace) -> int:
-    """``chaos --net``: the transport-fault sweep over a split cluster."""
-    from repro.net.chaos import (
-        MIGRATION_PLANS,
-        NET_PLANS,
-        run_net_chaos,
-        run_net_chaos_process,
-        run_net_migration_chaos,
-    )
-
-    if args.migrate:
-        if args.processes:
-            print("chaos: --migrate races the in-process pump; drop "
-                  "--processes", file=sys.stderr)
-            return 2
-        plans = tuple(args.plans) if args.plans else MIGRATION_PLANS
-        unknown = [name for name in plans if name not in MIGRATION_PLANS]
-        if unknown:
-            print(f"chaos: plans {unknown} do not combine with --migrate "
-                  f"(canned: {', '.join(MIGRATION_PLANS)})", file=sys.stderr)
-            return 2
-        report = run_net_migration_chaos(plans=plans, seeds=args.seeds)
-        print(report.summary())
-        if args.report:
-            Path(args.report).write_text(
-                json.dumps(report.to_dict(), indent=2) + "\n"
-            )
-            print(f"report written to {args.report}")
-        return 0 if report.ok else 1
-    plans = tuple(args.plans) if args.plans else tuple(NET_PLANS)
-    unknown = [name for name in plans if name not in NET_PLANS]
-    if unknown:
-        print(f"chaos: unknown net plans {unknown} "
-              f"(canned: {', '.join(NET_PLANS)})", file=sys.stderr)
-        return 2
-    if args.processes:
-        report = run_net_chaos_process(plans=plans, seeds=args.seeds)
-    else:
-        report = run_net_chaos(plans=plans, seeds=args.seeds)
-    print(report.summary())
-    if args.report:
-        Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"report written to {args.report}")
-    return 0 if report.ok else 1
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Replay seeded fault plans across I1-I4; fail on any divergence."""
     from repro.faults.chaos import CANNED_PLANS, DEFAULT_PROGRAMS, run_chaos
     from repro.workloads.programs import CORPUS
 
+    if args.seeds < 1:
+        print("chaos: --seeds must be at least 1", file=sys.stderr)
+        return 2
+    for flag, given in (("--processes", args.processes), ("--migrate", args.migrate)):
+        if given and not args.net:
+            print(f"chaos: {flag} requires --net", file=sys.stderr)
+            return 2
+    if args.migrate and args.processes:
+        print("chaos: --migrate races the in-process pump; drop "
+              "--processes", file=sys.stderr)
+        return 2
     if args.net:
-        return _net_chaos(args)
-    if args.processes:
-        print("chaos: --processes requires --net", file=sys.stderr)
-        return 2
-    if args.migrate:
-        print("chaos: --migrate requires --net", file=sys.stderr)
-        return 2
-    programs = tuple(args.programs) if args.programs else DEFAULT_PROGRAMS
-    unknown = [name for name in programs if name not in CORPUS]
+        from repro.net.chaos import MIGRATION_PLANS, NET_PLANS, run_net_chaos
+
+        canned = MIGRATION_PLANS if args.migrate else tuple(NET_PLANS)
+    else:
+        canned = tuple(CANNED_PLANS)
+        programs = tuple(args.programs) if args.programs else DEFAULT_PROGRAMS
+        unknown = [name for name in programs if name not in CORPUS]
+        if unknown:
+            print(f"chaos: unknown corpus programs {unknown}", file=sys.stderr)
+            return 2
+    plans = tuple(args.plans) if args.plans else canned
+    unknown = [name for name in plans if name not in canned]
     if unknown:
-        print(f"chaos: unknown corpus programs {unknown}", file=sys.stderr)
+        print(f"chaos: unknown plans {unknown} for this sweep "
+              f"(canned: {', '.join(canned)})", file=sys.stderr)
         return 2
-    plans = tuple(args.plans) if args.plans else tuple(CANNED_PLANS)
-    unknown = [name for name in plans if name not in CANNED_PLANS]
-    if unknown:
-        print(f"chaos: unknown plans {unknown} "
-              f"(canned: {', '.join(CANNED_PLANS)})", file=sys.stderr)
-        return 2
-    report = run_chaos(programs=programs, seeds=args.seeds, plans=plans,
-                       engine=args.engine)
+    if args.net:
+        report = run_net_chaos(plans=plans, seeds=args.seeds,
+                               processes=args.processes, migrate=args.migrate)
+    else:
+        report = run_chaos(programs=programs, seeds=args.seeds, plans=plans,
+                           engine=args.engine)
     print(report.summary())
     if args.report:
         Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")

@@ -20,11 +20,13 @@ checks that the implementations never diverge:
   return stack, process table, counters, pending traps).  ``capture``
   then ``restore`` onto a freshly linked image resumes a run that is
   bit-identical to an uninterrupted one on all modelled meters.
-* :mod:`repro.faults.chaos` — the conformance harness: replay seeded
-  fault plans across I1-I4 over the corpus and assert every run
-  **recovers**, **traps** cleanly with exact (kind, pc, proc)
-  diagnostics, or **resumes** from its last snapshot — and that the
-  implementations never disagree on the outcome class.
+* :mod:`repro.faults.chaos` — the one conformance harness: replay
+  seeded fault plans across I1-I4 and assert every run **recovers**,
+  **traps** cleanly with exact diagnostics, or **resumes** from its last
+  snapshot — and that the implementations never disagree on the outcome
+  class.  Its outcome, case and report types, case loop and check also
+  serve the transport-fault sweeps of :mod:`repro.net.chaos`, which
+  this package does not import (the net transport imports the plan DSL).
 
 See ``docs/faults.md`` for the fault taxonomy and the snapshot schema
 versioning policy.

@@ -3,26 +3,32 @@
 The paper's central promise is that I1-I4 are four implementations of
 *one* machine: same programs, same answers, different costs.  That
 promise must also hold under duress — an exhausted arena, a drained
-free list, a flush storm, an injected trap, a kill-and-restore — or
-the ladder's differential measurements mean nothing.  This harness
-replays seeded :class:`~repro.faults.plan.FaultPlan` schedules over the
-corpus on every implementation and classifies each run:
+free list, a flush storm, an injected trap, a kill-and-restore, or a
+wire that drops, duplicates and delays Remote XFER frames — or the
+ladder's differential measurements mean nothing.  This harness replays
+seeded :class:`~repro.faults.plan.FaultPlan` schedules on every
+implementation and classifies each run:
 
 ``RECOVERED``
-    The machine absorbed the fault and finished with the program's
+    The run absorbed the fault and finished with the program's
     expected results (the section 5.3 software allocator refilled a
-    drained list; the section 7.1 fallback flushed and refilled).
+    drained list; the section 7.1 fallback flushed and refilled; the
+    retry discipline re-sent a dropped call).
 ``TRAPPED``
     The run surfaced a modelled trap cleanly — a
     :class:`~repro.errors.TrapError` with exact (kind, pc, proc)
-    diagnostics — never a host exception from inside the interpreter.
+    diagnostics, or off the wire a named trap with a detail that says
+    what was lost — never a host exception from inside the interpreter.
 ``RESUMED``
     The machine was killed after a snapshot, restored onto a freshly
     linked image, and finished with expected results and modelled
     meters **bit-identical** to an uninterrupted reference run.
 
-Conformance: for every seed x plan x program, all implementations must
-land in the same outcome class (and on the same trap kind when
+One case loop (:func:`sweep`) and one check (:func:`_check_case`)
+serve every sweep: the machine sweep here (:func:`run_chaos`) and the
+transport-fault sweeps of :mod:`repro.net.chaos` (in-process, over OS
+workers, and racing a migration).  For every case all implementations
+must land in the same outcome class (and on the same trap kind when
 TRAPPED).  PCs and procedure names are asserted *valid* per
 implementation, not equal across them — the four encodings place
 instructions differently by design.
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.errors import TrapError
@@ -45,8 +52,10 @@ from repro.lang.compiler import CompileOptions, compile_program
 from repro.lang.linker import link
 from repro.workloads.programs import CORPUS, Program
 
-#: The report format version (see docs/faults.md for the policy).
+#: The report format versions (see docs/faults.md for the policy): one
+#: for machine-fault sweeps, one for transport-fault sweeps.
 CHAOS_SCHEMA = "repro-chaos/1"
+NET_CHAOS_SCHEMA = "repro-net-chaos/1"
 
 #: Implementations under conformance test.
 ALL_PRESETS = ("i1", "i2", "i3", "i4")
@@ -71,7 +80,8 @@ class OutcomeClass(enum.Enum):
 
 @dataclass
 class Outcome:
-    """How one (program, implementation, plan) run ended."""
+    """How one (program, implementation, plan) run ended; a cluster run
+    also records its pump ticks and wire stats, and meters per shard."""
 
     klass: OutcomeClass
     trap: str = ""
@@ -84,6 +94,8 @@ class Outcome:
     meters: dict = field(default_factory=dict)
     restores: int = 0
     injections_fired: int = 0
+    ticks: int = 0
+    wire: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -96,6 +108,8 @@ class Outcome:
             "steps": self.steps,
             "restores": self.restores,
             "injections_fired": self.injections_fired,
+            "ticks": self.ticks,
+            "wire": dict(self.wire),
         }
 
 
@@ -419,18 +433,24 @@ class CaseResult:
 
 @dataclass
 class ChaosReport:
-    """The full sweep: cases, skips, and the conformance verdict."""
+    """One sweep: cases, skips, and the conformance verdict.
 
+    ``net`` marks a transport-fault sweep: its report carries the
+    ``repro-net-chaos/1`` schema, and its traps come off the wire.
+    """
+
+    net: bool = False
     cases: list[CaseResult] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(case.ok for case in self.cases)
+        # A sweep that ran no case has shown nothing.
+        return bool(self.cases) and all(case.ok for case in self.cases)
 
     def to_dict(self) -> dict:
         return {
-            "schema": CHAOS_SCHEMA,
+            "schema": NET_CHAOS_SCHEMA if self.net else CHAOS_SCHEMA,
             "ok": self.ok,
             "cases": [case.to_dict() for case in self.cases],
             "skipped": list(self.skipped),
@@ -439,20 +459,24 @@ class ChaosReport:
     def summary(self) -> str:
         lines = []
         failed = [case for case in self.cases if not case.ok]
+        presets = {preset for case in self.cases for preset in case.outcomes}
         by_class: dict[str, int] = {}
         for case in self.cases:
             for outcome in case.outcomes.values():
                 key = outcome.klass.value
                 by_class[key] = by_class.get(key, 0) + 1
         lines.append(
-            f"chaos: {len(self.cases)} cases x {len(ALL_PRESETS)} impls, "
+            f"{'net chaos' if self.net else 'chaos'}: {len(self.cases)} cases "
+            f"x {len(presets)} impls, "
             f"{len(self.skipped)} skipped (plan not applicable)"
         )
         lines.append(
             "outcomes: "
             + ", ".join(f"{k}={v}" for k, v in sorted(by_class.items()))
         )
-        if failed:
+        if not self.cases:
+            lines.append("FAILED: no case ran")
+        elif failed:
             lines.append(f"FAILED: {len(failed)} non-conformant cases")
             for case in failed[:10]:
                 lines.append(
@@ -465,10 +489,14 @@ class ChaosReport:
 
 
 def _check_case(
-    program: Program, plan: FaultPlan, outcomes: dict[str, Outcome],
-    refs: dict[str, Reference],
+    program: Program, outcomes: dict[str, Outcome],
+    refs: dict[str, Reference], net: bool,
 ) -> list[str]:
-    """Conformance and per-outcome validity checks for one case."""
+    """Conformance and per-outcome validity checks for one case.
+
+    A machine trap must name its kind, pc and procedure; a trap off the
+    wire (*net*) its kind and a detail, since a lost request has no pc.
+    """
     failures: list[str] = []
     classes = {o.klass for o in outcomes.values()}
     if len(classes) > 1:
@@ -484,6 +512,12 @@ def _check_case(
         if len(kinds) > 1:
             failures.append(f"trap kinds diverge: {sorted(kinds)}")
         for preset, outcome in outcomes.items():
+            if net:
+                if not outcome.trap:
+                    failures.append(f"{preset}: trapped without a trap kind")
+                if not outcome.detail:
+                    failures.append(f"{preset}: trapped without diagnostics")
+                continue
             if not outcome.trap:
                 failures.append(f"{preset}: trapped without a kind")
             if outcome.pc < 0:
@@ -496,7 +530,10 @@ def _check_case(
     for preset, outcome in outcomes.items():
         if outcome.results != expected:
             failures.append(
-                f"{preset}: results {outcome.results} != expected {expected}"
+                f"{preset}: recovered with results {outcome.results} "
+                f"!= reference {expected}"
+                if net
+                else f"{preset}: results {outcome.results} != expected {expected}"
             )
         if program.expect_output and outcome.output != list(program.expect_output):
             failures.append(f"{preset}: output diverged from the program's")
@@ -521,6 +558,50 @@ def _check_case(
     return failures
 
 
+def sweep(
+    report: ChaosReport,
+    cases: Iterable[tuple[Program, int, FaultPlan, dict[str, Reference]]],
+    presets: tuple[str, ...],
+    run: Callable[[Program, str, FaultPlan], Outcome],
+    rerun: bool = False,
+    migrating: bool = False,
+) -> ChaosReport:
+    """Run each (program, seed, plan, refs) case on every preset and
+    check it; the one case loop behind every chaos sweep.
+
+    *rerun* runs each preset twice: a cluster's fault policy is a pure
+    function of its send stream, so the per-shard meters must match.
+    *migrating* marks cases that migrate their root mid-flight, which
+    must recover.
+    """
+    for program, seed, plan, refs in cases:
+        outcomes: dict[str, Outcome] = {}
+        failures: list[str] = []
+        for preset in presets:
+            outcome = outcomes[preset] = run(program, preset, plan)
+            if rerun and run(program, preset, plan).meters != outcome.meters:
+                failures.append(
+                    f"{preset}: per-shard meters differ between two seeded "
+                    f"runs of the same {'migrated ' if migrating else ''}plan"
+                )
+            if migrating and outcome.klass is not OutcomeClass.RECOVERED:
+                failures.append(
+                    f"{preset}: migration case must recover, got "
+                    f"{outcome.klass.value} ({outcome.trap}: {outcome.detail})"
+                )
+        failures += _check_case(program, outcomes, refs, report.net)
+        report.cases.append(
+            CaseResult(
+                program=program.name,
+                seed=seed,
+                plan=plan.to_dict(),
+                outcomes=outcomes,
+                failures=failures,
+            )
+        )
+    return report
+
+
 def run_chaos(
     programs: tuple[str, ...] = DEFAULT_PROGRAMS,
     seeds: int | tuple[int, ...] = 5,
@@ -528,36 +609,29 @@ def run_chaos(
     presets: tuple[str, ...] = ALL_PRESETS,
     engine: str = "interp",
 ) -> ChaosReport:
-    """The sweep: programs x seeds x plans, each across *presets*."""
+    """The machine sweep: programs x seeds x plans, each across *presets*."""
     seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
     report = ChaosReport()
-    for name in programs:
-        program = CORPUS[name]
-        if program.needs_descriptors and "i1" in presets:
-            report.skipped.append({"program": name, "reason": "needs descriptors"})
-            continue
-        refs = {preset: reference_run(program, preset) for preset in presets}
-        for seed in seed_list:
-            for plan_name in plans:
-                plan = make_plan(plan_name, program, refs, seed)
-                if plan is None:
-                    report.skipped.append(
-                        {"program": name, "seed": seed, "plan": plan_name,
-                         "reason": "not applicable"}
-                    )
-                    continue
-                outcomes = {
-                    preset: run_case(program, preset, plan, engine)
-                    for preset in presets
-                }
-                failures = _check_case(program, plan, outcomes, refs)
-                report.cases.append(
-                    CaseResult(
-                        program=name,
-                        seed=seed,
-                        plan=plan.to_dict(),
-                        outcomes=outcomes,
-                        failures=failures,
-                    )
-                )
-    return report
+
+    def cases() -> Iterator[tuple[Program, int, FaultPlan, dict[str, Reference]]]:
+        for name in programs:
+            program = CORPUS[name]
+            if program.needs_descriptors and "i1" in presets:
+                report.skipped.append({"program": name, "reason": "needs descriptors"})
+                continue
+            refs = {preset: reference_run(program, preset) for preset in presets}
+            for seed in seed_list:
+                for plan_name in plans:
+                    plan = make_plan(plan_name, program, refs, seed)
+                    if plan is None:
+                        report.skipped.append(
+                            {"program": name, "seed": seed, "plan": plan_name,
+                             "reason": "not applicable"}
+                        )
+                        continue
+                    yield program, seed, plan, refs
+
+    return sweep(
+        report, cases(), presets,
+        lambda program, preset, plan: run_case(program, preset, plan, engine),
+    )

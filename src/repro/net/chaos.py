@@ -1,36 +1,46 @@
 """Net chaos: drive a split cluster through transport faults, on I1-I4.
 
-The conformance question mirrors the machine-level chaos harness
-(:mod:`repro.faults.chaos`), lifted to the wire: under a seeded plan of
-``net_*`` injections — drops, duplicates, delays, partitions — a
-cluster must either **RECOVER** (the retry discipline re-sends, dedup
-keeps execution at-most-once, and the final results equal the unfaulted
-single-machine reference) or **TRAP** cleanly (the root request faults
-with full diagnostics: a named trap, the failing procedure, a detail
-that tells the operator what was lost).  Silent corruption — a wrong
-answer, a hung pump, a request executed twice — is non-conformance.
+The transport-fault sweeps of the one chaos harness
+(:mod:`repro.faults.chaos`), which supplies their outcome, case and
+report types, their case loop and their conformance check.  Under a
+seeded plan of ``net_*`` injections — drops, duplicates, delays,
+partitions — a cluster must either **RECOVER** (the retry discipline
+re-sends, dedup keeps execution at-most-once, and the final results
+equal the unfaulted single-machine reference) or **TRAP** cleanly (the
+root request faults with a named trap and a detail that tells the
+operator what was lost), and I1-I4 must agree on which.  Silent
+corruption — a wrong answer, a hung pump, a request executed twice —
+is non-conformance.
 
-Every case also re-runs itself: the same (preset, plan) pair must
-produce bit-identical per-shard modelled meters twice in a row, faults
-and all, because the transport's fault policy is a pure function of the
-send stream.
+Three sweeps run the split case program (:func:`run_net_chaos`):
+
+* in-process (:func:`run_net_case`): every case also re-runs itself
+  and the same (preset, plan) pair must produce bit-identical per-shard
+  modelled meters twice in a row, faults and all, because the
+  transport's fault policy is a pure function of the send stream;
+* racing a migration (``migrate=True``): the same, with the root
+  migrated mid-flight to a spare shard, and every case must recover;
+* over OS worker processes (:func:`run_net_case_process`): outcome
+  class only, see :func:`run_net_chaos`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.errors import NetError
+from repro.faults.chaos import (
+    ALL_PRESETS,
+    ChaosReport,
+    Outcome,
+    OutcomeClass,
+    sweep,
+)
 from repro.faults.plan import FaultPlan, Injection, on_event
 from repro.interp.processes import ProcessStatus
 from repro.net.cluster import DEFAULT_MAX_RETRIES, Cluster
 from repro.net.transport import InProcessTransport, NetFaultPolicy
 from repro.workloads.programs import program
-
-NET_CHAOS_SCHEMA = "repro-net-chaos/1"
-
-ALL_PRESETS = ("i1", "i2", "i3", "i4")
 
 #: The split program every net case runs: Main on shard 0, Math on
 #: shard 1, so every Math call is a Remote XFER exposed to the plan.
@@ -119,143 +129,79 @@ def make_net_plan(name: str, seed: int) -> FaultPlan:
     return FaultPlan(name=name, seed=seed, injections=generator(rng))
 
 
-@dataclass
-class NetOutcome:
-    """How one (preset, plan) cluster run ended."""
+#: Plans the migration sweep races against: a partition that heals and
+#: a duplicate+delay plan — the two shapes that interact with the
+#: forwarding tombstones (a delayed or duplicated reply must chase the
+#: process to its new home; a retransmission must bounce off the
+#: source's call forward without executing twice).  ``net_blackhole``
+#: is excluded by design: it ends in a clean trap, which is orthogonal
+#: to migration.
+MIGRATION_PLANS = ("net_partition", "net_dup_delay")
 
-    klass: str  # "recovered" | "trapped"
-    results: list[int] = field(default_factory=list)
-    trap: str = ""
-    detail: str = ""
-    ticks: int = 0
-    injections_fired: int = 0
-    wire: dict = field(default_factory=dict)
-    meters: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "class": self.klass,
-            "results": list(self.results),
-            "trap": self.trap,
-            "detail": self.detail,
-            "ticks": self.ticks,
-            "injections_fired": self.injections_fired,
-            "wire": dict(self.wire),
-        }
+#: Shards in a migration case: the split pair plus a spare to adopt.
+MIGRATION_SHARDS = 3
 
 
-def run_net_case(preset: str, plan: FaultPlan) -> NetOutcome:
-    """One cluster run of the split case program under *plan*."""
+def run_net_case(preset: str, plan: FaultPlan, migrate: bool = False) -> Outcome:
+    """One cluster run of the split case program under *plan*.
+
+    With *migrate*, the cluster gets a spare third shard, and at the
+    first pump tick from a seeded one (1-6) where the root sits BLOCKED
+    on its remote reply, the root is migrated there (exclusive mode, so
+    the sweep is uniform across I1-I4).  The migration races whatever
+    the plan is doing to the wire.  The rest of the run is pumped to
+    quiescence under :meth:`Cluster.pump`'s tick bound.
+    """
+    from repro.net.migrate import MigrateError
+
     prog = program(CASE_PROGRAM)
     policy = NetFaultPolicy(plan)
     cluster = Cluster(
         list(prog.sources),
-        shards=CASE_SHARDS,
+        shards=MIGRATION_SHARDS if migrate else CASE_SHARDS,
         config=preset,
         pins=CASE_PINS,
         transport=InProcessTransport(policy=policy),
     )
     ticket = cluster.submit(prog.entry[0], prog.entry[1], *prog.args)
-    cluster.pump()
-    outcome = NetOutcome(
-        klass="recovered",
-        ticks=cluster.ticks,
-        injections_fired=len(policy.fired),
-        wire=cluster.transport.stats.as_dict(),
-        meters=cluster.meters(),
-    )
+    migrate_at = random.Random(f"migrate:{plan.name}:{plan.seed}").randrange(1, 7)
+    migrated = quiescent = False
+    while migrate and not (migrated or quiescent):
+        quiescent = not cluster.pump_tick()
+        if (
+            cluster.ticks >= migrate_at
+            and ticket.process.status is ProcessStatus.BLOCKED
+        ):
+            try:
+                cluster.migrate(ticket, MIGRATION_SHARDS - 1, mode="exclusive")
+                migrated = True
+            except MigrateError:
+                # The spare was not idle at this tick (a duplicated call
+                # can be executing there); try again at the next one.
+                pass
+    if not quiescent:
+        cluster.pump()
     if ticket.status is ProcessStatus.DONE:
-        outcome.results = ticket.results
+        outcome = Outcome(OutcomeClass.RECOVERED, results=ticket.results)
     elif ticket.status is ProcessStatus.FAULTED:
         fault = ticket.process.fault or {}
-        outcome.klass = "trapped"
-        outcome.trap = fault.get("trap", "")
-        outcome.detail = fault.get("detail", "")
-    else:  # pragma: no cover - pump() only returns at quiescence
+        outcome = Outcome(
+            OutcomeClass.TRAPPED,
+            trap=fault.get("trap", ""),
+            detail=fault.get("detail", ""),
+        )
+    else:  # pragma: no cover - the pump only returns at quiescence
         raise NetError(f"case ended with ticket status {ticket.status}")
+    outcome.ticks = cluster.ticks
+    outcome.injections_fired = len(policy.fired)
+    outcome.wire = cluster.transport.stats.as_dict()
+    outcome.meters = cluster.meters()
+    if migrate:
+        outcome.wire["migrated"] = migrated
     return outcome
 
 
-def _check_outcome(preset: str, outcome: NetOutcome, reference: list[int]) -> list[str]:
-    failures: list[str] = []
-    if outcome.klass == "recovered":
-        if outcome.results != reference:
-            failures.append(
-                f"{preset}: recovered with results {outcome.results} "
-                f"!= reference {reference}"
-            )
-    else:
-        if not outcome.trap:
-            failures.append(f"{preset}: trapped without a trap kind")
-        if not outcome.detail:
-            failures.append(f"{preset}: trapped without diagnostics")
-    return failures
-
-
-@dataclass
-class NetCaseResult:
-    """One (plan, seed) cell: outcomes on every preset."""
-
-    plan: dict
-    seed: int
-    outcomes: dict[str, NetOutcome]
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "outcomes": {p: o.to_dict() for p, o in self.outcomes.items()},
-            "failures": list(self.failures),
-        }
-
-
-@dataclass
-class NetChaosReport:
-    """The sweep: plans x seeds, each across the presets."""
-
-    cases: list[NetCaseResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(case.ok for case in self.cases)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": NET_CHAOS_SCHEMA,
-            "ok": self.ok,
-            "cases": [case.to_dict() for case in self.cases],
-        }
-
-    def summary(self) -> str:
-        by_class: dict[str, int] = {}
-        for case in self.cases:
-            for outcome in case.outcomes.values():
-                by_class[outcome.klass] = by_class.get(outcome.klass, 0) + 1
-        lines = [
-            f"net chaos: {len(self.cases)} cases "
-            f"({CASE_PROGRAM} split across {CASE_SHARDS} shards)",
-            "outcomes: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(by_class.items())),
-        ]
-        failed = [case for case in self.cases if not case.ok]
-        if failed:
-            lines.append(f"FAILED: {len(failed)} non-conformant cases")
-            for case in failed[:10]:
-                lines.append(
-                    f"  plan={case.plan['name']} seed={case.seed}: "
-                    f"{'; '.join(case.failures)}"
-                )
-        else:
-            lines.append("all implementations conformant")
-        return "\n".join(lines)
-
-
-def run_net_case_process(preset: str, plan: FaultPlan) -> NetOutcome:
+def run_net_case_process(preset: str, plan: FaultPlan) -> Outcome:
     """One run of the split case program across real worker processes.
 
     The same seeded plan drives the front door's fault router instead
@@ -277,17 +223,19 @@ def run_net_case_process(preset: str, plan: FaultPlan) -> NetOutcome:
         tick_seconds=0.02,
     )
     try:
-        outcome = NetOutcome(klass="recovered")
         try:
-            outcome.results = cluster.call(prog.entry[0], prog.entry[1], *prog.args)
+            outcome = Outcome(
+                OutcomeClass.RECOVERED,
+                results=cluster.call(prog.entry[0], prog.entry[1], *prog.args),
+            )
         except TrapError as fault:
-            outcome.klass = "trapped"
-            outcome.trap = fault.trap
-            outcome.detail = fault.detail
+            outcome = Outcome(
+                OutcomeClass.TRAPPED, trap=fault.trap, detail=fault.detail
+            )
         except LostRequest as fault:
-            outcome.klass = "trapped"
-            outcome.trap = "lost_request"
-            outcome.detail = str(fault)
+            outcome = Outcome(
+                OutcomeClass.TRAPPED, trap="lost_request", detail=str(fault)
+            )
         outcome.injections_fired = len(cluster.policy.fired)
         outcome.wire = cluster.stats.as_dict()
         outcome.meters = cluster.meters()
@@ -296,17 +244,24 @@ def run_net_case_process(preset: str, plan: FaultPlan) -> NetOutcome:
     return outcome
 
 
-def run_net_chaos_process(
-    plans: tuple[str, ...] = tuple(NET_PLANS),
-    seeds: int | tuple[int, ...] = 2,
-    presets: tuple[str, ...] = ("i2",),
-) -> NetChaosReport:
-    """The chaos sweep against process-backed transport.
+def run_net_chaos(
+    plans: tuple[str, ...] | None = None,
+    seeds: int | tuple[int, ...] = 3,
+    presets: tuple[str, ...] | None = None,
+    processes: bool = False,
+    migrate: bool = False,
+) -> ChaosReport:
+    """The transport-fault sweep: every plan, seeded, across the presets.
 
-    Conformance here is **outcome-class only**: every case must either
-    recover with the reference results or trap with full diagnostics —
-    never hang, never answer wrong, never execute twice.  The
-    in-process sweep's meter-determinism re-run is deliberately *not*
+    Plans default to :data:`NET_PLANS`, or :data:`MIGRATION_PLANS` with
+    *migrate*; presets to I1-I4, or to I2 alone with *processes*, where
+    every case forks real OS workers.
+
+    In-process cases re-run themselves (meters must match twice).  Over
+    OS workers (*processes*) conformance is **outcome-class only**:
+    every case must either recover with the reference results or trap
+    with full diagnostics — never hang, never answer wrong, never
+    execute twice.  The meter-determinism re-run is deliberately *not*
     applied: with real sockets and real timers, frame arrival order is
     a function of host scheduling, not of the plan alone, so two runs
     of the same plan may legally retry (and therefore meter) slightly
@@ -314,183 +269,24 @@ def run_net_chaos_process(
     pinned separately (tests/test_net_proc.py) where it is well
     defined.
     """
+    if plans is None:
+        plans = MIGRATION_PLANS if migrate else tuple(NET_PLANS)
+    if presets is None:
+        presets = ("i2",) if processes else ALL_PRESETS
     seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
     prog = program(CASE_PROGRAM)
-    reference = list(prog.expect_results)
-    report = NetChaosReport()
-    for plan_name in plans:
-        for seed in seed_list:
-            plan = make_net_plan(plan_name, seed)
-            outcomes: dict[str, NetOutcome] = {}
-            failures: list[str] = []
-            for preset in presets:
-                outcome = run_net_case_process(preset, plan)
-                outcomes[preset] = outcome
-                failures.extend(_check_outcome(preset, outcome, reference))
-            report.cases.append(
-                NetCaseResult(
-                    plan=plan.to_dict(),
-                    seed=seed,
-                    outcomes=outcomes,
-                    failures=failures,
-                )
-            )
-    return report
-
-
-#: Plans the migration sweep races against: a partition that heals and
-#: a duplicate+delay plan — the two shapes that interact with the
-#: forwarding tombstones (a delayed or duplicated reply must chase the
-#: process to its new home; a retransmission must bounce off the
-#: source's call forward without executing twice).  ``net_blackhole``
-#: is excluded by design: it ends in a clean trap, which is orthogonal
-#: to migration.
-MIGRATION_PLANS = ("net_partition", "net_dup_delay")
-
-#: Shards in a migration case: the split pair plus a spare to adopt.
-MIGRATION_SHARDS = 3
-
-
-def run_net_migration_case(
-    preset: str, plan: FaultPlan, migrate_at: int
-) -> NetOutcome:
-    """One chaos run that migrates the root request mid-flight.
-
-    The split case program runs under *plan* on a three-shard cluster;
-    at the first pump tick >= *migrate_at* where the root sits BLOCKED
-    on its remote reply, it is migrated (exclusive mode, so the sweep
-    is uniform across I1-I4) to the spare shard 2.  The migration races
-    whatever the plan is doing to the wire — the case must still end
-    RECOVERED with the reference results, and two runs of the same
-    (preset, plan, migrate_at) must meter identically.
-    """
-    from repro.net.migrate import MigrateError
-
-    prog = program(CASE_PROGRAM)
-    policy = NetFaultPolicy(plan)
-    cluster = Cluster(
-        list(prog.sources),
-        shards=MIGRATION_SHARDS,
-        config=preset,
-        pins=CASE_PINS,
-        transport=InProcessTransport(policy=policy),
+    cases = (
+        (prog, seed, make_net_plan(name, seed), {})
+        for name in plans
+        for seed in seed_list
     )
-    ticket = cluster.submit(prog.entry[0], prog.entry[1], *prog.args)
-    migrated = False
-    moved = True
-    while moved:
-        moved = cluster.pump_tick()
-        if (
-            not migrated
-            and cluster.ticks >= migrate_at
-            and ticket.process.status is ProcessStatus.BLOCKED
-        ):
-            try:
-                cluster.migrate(ticket, MIGRATION_SHARDS - 1, mode="exclusive")
-            except MigrateError:
-                # The spare was not idle at this tick (a duplicated call
-                # can be executing there); try again at the next one.
-                continue
-            migrated = True
-    cluster.stats.ticks = cluster.ticks
-    outcome = NetOutcome(
-        klass="recovered",
-        ticks=cluster.ticks,
-        injections_fired=len(policy.fired),
-        wire=cluster.transport.stats.as_dict(),
-        meters=cluster.meters(),
+
+    def run(_program, preset: str, plan: FaultPlan) -> Outcome:
+        if processes:
+            return run_net_case_process(preset, plan)
+        return run_net_case(preset, plan, migrate)
+
+    return sweep(
+        ChaosReport(net=True), cases, presets, run,
+        rerun=not processes, migrating=migrate,
     )
-    if ticket.status is ProcessStatus.DONE:
-        outcome.results = ticket.results
-    elif ticket.status is ProcessStatus.FAULTED:
-        fault = ticket.process.fault or {}
-        outcome.klass = "trapped"
-        outcome.trap = fault.get("trap", "")
-        outcome.detail = fault.get("detail", "")
-    else:
-        raise NetError(
-            f"migration case ended with ticket status {ticket.status}"
-        )
-    outcome.wire["migrated"] = migrated
-    return outcome
-
-
-def run_net_migration_chaos(
-    plans: tuple[str, ...] = MIGRATION_PLANS,
-    seeds: int | tuple[int, ...] = 3,
-    presets: tuple[str, ...] = ALL_PRESETS,
-) -> NetChaosReport:
-    """The migration-under-chaos sweep: every case migrates the root
-    mid-flight at a seeded tick and must still recover with the
-    reference results, deterministically (meters match on a re-run)."""
-    seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
-    prog = program(CASE_PROGRAM)
-    reference = list(prog.expect_results)
-    report = NetChaosReport()
-    for plan_name in plans:
-        for seed in seed_list:
-            plan = make_net_plan(plan_name, seed)
-            migrate_at = random.Random(f"migrate:{plan_name}:{seed}").randrange(1, 7)
-            outcomes: dict[str, NetOutcome] = {}
-            failures: list[str] = []
-            for preset in presets:
-                outcome = run_net_migration_case(preset, plan, migrate_at)
-                rerun = run_net_migration_case(preset, plan, migrate_at)
-                if rerun.meters != outcome.meters:
-                    failures.append(
-                        f"{preset}: per-shard meters differ between two "
-                        f"seeded runs of the same migrated plan"
-                    )
-                outcomes[preset] = outcome
-                if outcome.klass != "recovered":
-                    failures.append(
-                        f"{preset}: migration case must recover, got "
-                        f"{outcome.klass} ({outcome.trap}: {outcome.detail})"
-                    )
-                failures.extend(_check_outcome(preset, outcome, reference))
-            report.cases.append(
-                NetCaseResult(
-                    plan=plan.to_dict(),
-                    seed=seed,
-                    outcomes=outcomes,
-                    failures=failures,
-                )
-            )
-    return report
-
-
-def run_net_chaos(
-    plans: tuple[str, ...] = tuple(NET_PLANS),
-    seeds: int | tuple[int, ...] = 3,
-    presets: tuple[str, ...] = ALL_PRESETS,
-) -> NetChaosReport:
-    """The sweep: every plan, seeded, across the presets — with the
-    determinism re-run baked in (meters must match twice)."""
-    seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
-    prog = program(CASE_PROGRAM)
-    reference = list(prog.expect_results)
-    report = NetChaosReport()
-    for plan_name in plans:
-        for seed in seed_list:
-            plan = make_net_plan(plan_name, seed)
-            outcomes: dict[str, NetOutcome] = {}
-            failures: list[str] = []
-            for preset in presets:
-                outcome = run_net_case(preset, plan)
-                rerun = run_net_case(preset, plan)
-                if rerun.meters != outcome.meters:
-                    failures.append(
-                        f"{preset}: per-shard meters differ between two "
-                        f"seeded runs of the same plan"
-                    )
-                outcomes[preset] = outcome
-                failures.extend(_check_outcome(preset, outcome, reference))
-            report.cases.append(
-                NetCaseResult(
-                    plan=plan.to_dict(),
-                    seed=seed,
-                    outcomes=outcomes,
-                    failures=failures,
-                )
-            )
-    return report

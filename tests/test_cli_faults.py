@@ -84,3 +84,22 @@ def test_chaos_rejects_unknown_program(capsys):
 def test_chaos_rejects_unknown_plan(capsys):
     assert main(["chaos", "--plans", "meteor_strike"]) == 2
     assert "unknown plans" in capsys.readouterr().err
+
+
+def test_chaos_rejects_seeds_below_one(capsys):
+    assert main(["chaos", "--seeds", "0"]) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+
+
+def test_chaos_sweep_that_runs_no_case_fails(tmp_path, capsys):
+    """heap_exhaust applies only to recursive programs, so every cell is
+    skipped: a sweep that ran nothing must not claim conformance."""
+    report = tmp_path / "report.json"
+    assert main(["chaos", "--programs", "calls", "--plans", "heap_exhaust",
+                 "--report", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED: no case ran" in out
+    assert "all implementations conformant" not in out
+    payload = json.loads(report.read_text())
+    assert payload["ok"] is False
+    assert payload["cases"] == [] and len(payload["skipped"]) == 5

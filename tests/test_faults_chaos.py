@@ -266,6 +266,14 @@ def test_chaos_sweep_small_slice_is_conformant():
     }
 
 
+def test_summary_counts_the_presets_that_ran():
+    report = run_chaos(
+        programs=("fib",), seeds=1, plans=("av_empty",), presets=("i2", "i4")
+    )
+    assert report.ok, report.summary()
+    assert "chaos: 1 cases x 2 impls," in report.summary()
+
+
 def test_chaos_report_serializes():
     import json
 

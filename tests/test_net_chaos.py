@@ -5,14 +5,17 @@ import json
 import pytest
 
 from repro.errors import NetError
+from repro.faults.chaos import ChaosReport, Outcome, OutcomeClass, sweep
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan, Injection, at_step, on_event
 from repro.net.chaos import (
+    CASE_PROGRAM,
     NET_PLANS,
     make_net_plan,
     run_net_case,
     run_net_chaos,
 )
+from repro.workloads.programs import program
 
 
 def test_net_actions_validate_their_triggers():
@@ -48,14 +51,14 @@ def test_plans_are_seeded_and_reproducible():
 
 def test_partition_case_recovers_with_reference_results():
     outcome = run_net_case("i2", make_net_plan("net_partition", 0))
-    assert outcome.klass == "recovered"
+    assert outcome.klass is OutcomeClass.RECOVERED
     assert outcome.results == [119]
     assert outcome.injections_fired > 0
 
 
 def test_blackhole_case_traps_cleanly_with_diagnostics():
     outcome = run_net_case("i2", make_net_plan("net_blackhole", 0))
-    assert outcome.klass == "trapped"
+    assert outcome.klass is OutcomeClass.TRAPPED
     assert outcome.trap == "lost_request"
     assert "unanswered" in outcome.detail
 
@@ -68,7 +71,7 @@ def test_sweep_is_conformant_on_all_presets():
         for case in report.cases
         for outcome in case.outcomes.values()
     }
-    assert classes == {"recovered", "trapped"}  # both endings exercised
+    assert classes == {OutcomeClass.RECOVERED, OutcomeClass.TRAPPED}  # both endings exercised
     # The report serializes for the CI artifact.
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["schema"] == "repro-net-chaos/1"
@@ -93,3 +96,57 @@ def test_cli_chaos_net_rejects_unknown_plan(capsys):
     from repro.cli import main
 
     assert main(["chaos", "--net", "--plans", "net_gremlins"]) == 2
+
+
+def test_cli_chaos_net_rejects_seeds_below_one(capsys):
+    from repro.cli import main
+
+    assert main(["chaos", "--net", "--seeds", "-3"]) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+
+
+REFERENCE = Outcome(OutcomeClass.RECOVERED, results=[119])
+LOST = Outcome(OutcomeClass.TRAPPED, trap="lost_request", detail="unanswered")
+
+
+@pytest.mark.parametrize(
+    "i2, i4, failures",
+    [
+        # Each outcome alone is valid, but the implementations disagree.
+        (REFERENCE, LOST, ["outcome classes diverge: i2=recovered, i4=trapped"]),
+        (REFERENCE, Outcome(OutcomeClass.RECOVERED, results=[0]),
+         ["i4: recovered with results [0] != reference [119]"]),
+        # A wire trap needs a detail, not a pc: a lost request has none.
+        (LOST, Outcome(OutcomeClass.TRAPPED, trap="lost_request"),
+         ["i4: trapped without diagnostics"]),
+    ],
+)
+def test_net_cases_get_the_shared_check(i2, i4, failures):
+    outcomes = {"i2": i2, "i4": i4}
+    case = (program(CASE_PROGRAM), 0, make_net_plan("net_blackhole", 0), {})
+    report = sweep(
+        ChaosReport(net=True), [case], ("i2", "i4"),
+        lambda prog, preset, plan: outcomes[preset],
+    )
+    assert not report.ok
+    assert report.cases[0].failures == failures
+
+
+def test_migration_cases_must_meter_identically_twice_and_recover():
+    runs = iter(range(10))
+
+    def run(prog, preset, plan):
+        return Outcome(
+            OutcomeClass.TRAPPED, trap="lost_request", detail="unanswered",
+            meters={0: {"run": next(runs)}},
+        )
+
+    case = (program(CASE_PROGRAM), 0, make_net_plan("net_partition", 0), {})
+    report = sweep(
+        ChaosReport(net=True), [case], ("i2",), run, rerun=True, migrating=True
+    )
+    assert report.cases[0].failures == [
+        "i2: per-shard meters differ between two seeded runs of the same "
+        "migrated plan",
+        "i2: migration case must recover, got trapped (lost_request: unanswered)",
+    ]

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RouteError
+from repro.faults.chaos import OutcomeClass
 from repro.interp.processes import ProcessStatus
 from repro.net.balance import Balancer
-from repro.net.chaos import run_net_migration_chaos
+from repro.net.chaos import run_net_chaos
 from repro.net.cluster import Cluster
 from repro.net.colocate import plan_pins
 from repro.net.migrate import MigrateError, aggregate_meters, extract
@@ -278,11 +279,12 @@ def test_plan_pins_colocates_hottest_pair():
 
 
 def test_migration_races_chaos_and_recovers():
-    report = run_net_migration_chaos(
-        plans=("net_partition", "net_dup_delay"), seeds=1, presets=("i2", "i4")
+    report = run_net_chaos(
+        plans=("net_partition", "net_dup_delay"), seeds=1, presets=("i2", "i4"),
+        migrate=True,
     )
     assert report.ok, report.summary()
     for case in report.cases:
         for outcome in case.outcomes.values():
-            assert outcome.klass == "recovered"
+            assert outcome.klass is OutcomeClass.RECOVERED
             assert outcome.wire.get("migrated") is True

@@ -389,19 +389,21 @@ def test_worker_control_plane_status_and_meters():
 
 
 def test_process_chaos_partition_recovers():
+    from repro.faults.chaos import OutcomeClass
     from repro.net.chaos import make_net_plan, run_net_case_process
 
     outcome = run_net_case_process("i2", make_net_plan("net_partition", 0))
-    assert outcome.klass == "recovered"
+    assert outcome.klass is OutcomeClass.RECOVERED
     assert outcome.results == [119]
     assert outcome.injections_fired > 0
 
 
 def test_process_chaos_blackhole_traps_with_diagnostics():
+    from repro.faults.chaos import OutcomeClass
     from repro.net.chaos import make_net_plan, run_net_case_process
 
     outcome = run_net_case_process("i2", make_net_plan("net_blackhole", 0))
-    assert outcome.klass == "trapped"
+    assert outcome.klass is OutcomeClass.TRAPPED
     assert outcome.trap == "lost_request"
 
 
