@@ -21,11 +21,14 @@ import enum
 from dataclasses import dataclass
 
 from repro.machine.costs import CycleCounter, Event
-from repro.machine.memory import to_word
+from repro.machine.memory import WORD_MASK, to_word
 
 #: Paper defaults: 4-8 banks of 16 words.
 DEFAULT_BANKS = 4
 DEFAULT_BANK_WORDS = 16
+
+_READ = Event.REGISTER_READ
+_WRITE = Event.REGISTER_WRITE
 
 
 class BankRole(enum.Enum):
@@ -179,13 +182,17 @@ class BankFile:
 
     def read(self, bank: Bank, index: int) -> int:
         """Counted register read of one shadowed word."""
-        self.counter.record(Event.REGISTER_READ)
+        counter = self.counter
+        counter.counts[_READ] += 1
+        counter.cycles += counter.charges[_READ]
         return bank.words[index]
 
     def write(self, bank: Bank, index: int, value: int) -> None:
         """Counted register write of one shadowed word."""
-        self.counter.record(Event.REGISTER_WRITE)
-        bank.words[index] = to_word(value)
+        counter = self.counter
+        counter.counts[_WRITE] += 1
+        counter.cycles += counter.charges[_WRITE]
+        bank.words[index] = value & WORD_MASK
         bank.dirty.add(index)
 
     # -- spill support -------------------------------------------------------------

@@ -27,10 +27,16 @@ its event trace without a full machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.banks.bankfile import Bank, BankFile, BankRole
+
+#: Rows the assignment trace keeps: the newest, in a fixed ring.  Figure 3
+#: needs 8; a machine records a row on every call and return for its
+#: whole life, so an unbounded trace would grow with the run.
+TRACE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,8 @@ class BankManager:
         self._fill = fill
         self.lbank: Bank | None = None
         self.sbank: Bank | None = None
-        self.trace: list[BankEvent] = []
+        #: The newest :data:`TRACE_ROWS` assignment rows, oldest first.
+        self.trace: deque[BankEvent] = deque(maxlen=TRACE_ROWS)
 
     # -- lifecycle ----------------------------------------------------------------
 

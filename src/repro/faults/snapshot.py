@@ -510,10 +510,11 @@ def restore(machine, state: dict, scheduler=None) -> None:
             if banks_state["sbank"] is not None
             else None
         )
-        manager.trace = [
+        manager.trace.clear()
+        manager.trace.extend(
             BankEvent(event, lbank, sbank)
             for event, lbank, sbank in banks_state["trace"]
-        ]
+        )
 
     if machine.rstack is not None:
         rstack_state = state.get("rstack")

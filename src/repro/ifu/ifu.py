@@ -37,6 +37,10 @@ class TransferKind(enum.Enum):
     XFER = "xfer"  # general transfer (coroutines, traps)
     PROCESS_SWITCH = "process_switch"
 
+    # Identity hash, as for Event: every call and return indexes a
+    # FetchStats bucket (and the JIT's call cells) by a member.
+    __hash__ = object.__hash__
+
 
 #: Call kinds whose target the IFU knows without data reads.
 _FAST_CALLS = {TransferKind.DIRECT_CALL, TransferKind.SHORT_DIRECT_CALL}
@@ -59,7 +63,9 @@ class FetchStats:
         bucket = self.fast if fast else self.slow
         bucket[kind] = bucket.get(kind, 0) + 1
         if counter is not None:
-            counter.record(Event.FAST_TRANSFER if fast else Event.SLOW_TRANSFER)
+            event = Event.FAST_TRANSFER if fast else Event.SLOW_TRANSFER
+            counter.counts[event] += 1
+            counter.cycles += counter.charges[event]
 
     @staticmethod
     def call_is_fast(kind: TransferKind) -> bool:

@@ -264,8 +264,9 @@ class Machine:
         # The code buffer is a live bytearray (growing it preserves
         # identity), so holding it is safe; epoch changes are still
         # checked every iteration.  The per-step DECODE charge is
-        # applied directly to the counter's counts/cycles — exactly what
-        # CycleCounter.record does, minus two calls per step.
+        # applied directly to the counter's counts/cycles through its bound
+        # charge table — exactly what CycleCounter.record does, minus the
+        # call per step.
         dispatch = self._dispatch
         cache = self._decode_cache
         cache_get = cache.get
@@ -274,7 +275,7 @@ class Machine:
         counter = self.counter
         counts = counter.counts
         decode_event = Event.DECODE
-        decode_charge = counter.model.charge(decode_event)
+        decode_charge = counter.charges[decode_event]
         tracer = self.tracer
         trace_steps = tracer is not None and getattr(tracer, "trace_steps", False)
 

@@ -101,9 +101,9 @@ def make_fast_call(machine, stats):
 
     counter = machine.counter
     counts = counter.counts
-    charge = counter.model.charge
-    mr = charge(Event.MEMORY_READ)
-    mw = charge(Event.MEMORY_WRITE)
+    charges = counter.charges
+    mr = charges[Event.MEMORY_READ]
+    mw = charges[Event.MEMORY_WRITE]
     fetch = machine.fetch
     frames_name = image.frame_region.name
     memory = machine.memory
@@ -196,15 +196,13 @@ def make_fast_call(machine, stats):
         entry = entries_map.get((site.next_pc, gf))
         if entry is None:
             return -1
-        resolved, pairs = entry
+        resolved, pairs, walk_cycles = entry
         meta = procs_by_entry.get(resolved.entry_address)
         if meta is None:
             site.generic = True
             stats.sites_demoted += 1
             return -1
-        cycles = charge(site.kind_event)
-        for event, times in pairs:
-            cycles += charge(event) * times
+        cycles = charges[site.kind_event] + walk_cycles
         site.cells[gf] = _Cell(tuple(pairs), cycles, meta, resolved)
         stats.cells_built += 1
         return -1
@@ -331,7 +329,7 @@ def make_fast_return(machine, stats):
     image = machine.image
     counter = machine.counter
     counts = counter.counts
-    charge = counter.model.charge
+    charges = counter.charges
     fetch = machine.fetch
     memory = machine.memory
     words = memory._words
@@ -344,8 +342,8 @@ def make_fast_return(machine, stats):
     K_RET = TransferKind.RETURN
     E_MR = Event.MEMORY_READ
     E_MW = Event.MEMORY_WRITE
-    mr = charge(E_MR)
-    mw = charge(E_MW)
+    mr = charges[E_MR]
+    mw = charges[E_MW]
 
     if image.first_fit is not None:
         heap = image.first_fit
@@ -408,7 +406,7 @@ def make_fast_return(machine, stats):
         rentries = rstack._entries
         rstats = rstack.stats
         E_FT = Event.FAST_TRANSFER
-        ft = charge(E_FT)
+        ft = charges[E_FT]
         ffast = fetch.fast
 
         def fast_return(m) -> int:
@@ -444,7 +442,7 @@ def make_fast_return(machine, stats):
         return fast_return
 
     E_ST = Event.SLOW_TRANSFER
-    st_cost = charge(E_ST)
+    st_cost = charges[E_ST]
     fslow = fetch.slow
 
     def fast_return(m) -> int:

@@ -23,7 +23,6 @@ from repro.errors import (
     MemoryFault,
 )
 from repro.interp.traps import TrapKind, TrapTransfer
-from repro.machine.costs import Event
 from repro.machine.memory import MDS_WORDS
 
 from repro.jit import templates as T
@@ -105,7 +104,7 @@ class JitEngine:
         fast_return = make_fast_return(machine, self.stats)
 
         self._ctx = CompilerContext(
-            charge={event: counter.model.charge(event) for event in Event},
+            charge=counter.charges,
             depth=machine.stack.depth,
             banked=machine.banks is not None,
             bank_words=(

@@ -100,17 +100,24 @@ class CycleCounter:
     The counter is deliberately dumb — ``record`` an event, read back
     ``counts`` and ``cycles`` — so that every component (memory, bank file,
     IFU, interpreter) can share one instance and the total is exact.
+
+    ``charges`` is the model's charge table, bound once: a model is fixed
+    for the counter's life.  The hot components (memory, evaluation
+    stack, bank file, IFU, linkage cache, JIT) bump ``counts`` and
+    ``cycles`` through it inline, exactly as ``record`` does, instead of
+    paying a call per counted event.
     """
 
     def __init__(self, model: CostModel | None = None) -> None:
         self.model = model or CostModel()
+        self.charges: dict[Event, int] = dict(self.model.charges)
         self.counts: dict[Event, int] = {event: 0 for event in Event}
         self.cycles: int = 0
 
     def record(self, event: Event, times: int = 1) -> None:
         """Record *times* occurrences of *event* and charge their cycles."""
         self.counts[event] += times
-        self.cycles += self.model.charge(event) * times
+        self.cycles += self.charges[event] * times
 
     def count(self, event: Event) -> int:
         """Return how many times *event* has been recorded."""

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from repro.errors import EvalStackOverflow, EvalStackUnderflow
 from repro.machine.costs import CycleCounter, Event
-from repro.machine.memory import to_word
+from repro.machine.memory import WORD_MASK, to_word
 
 #: Default stack depth; the Mesa machines used a small register-resident
 #: stack of around a dozen words.
 DEFAULT_DEPTH = 16
+
+_READ = Event.REGISTER_READ
+_WRITE = Event.REGISTER_WRITE
 
 
 class EvalStack:
@@ -29,6 +32,7 @@ class EvalStack:
     Each push and pop records a register write / read on the shared
     counter: the stack lives in registers in every implementation, and in
     I4 it shares the register banks (see :mod:`repro.banks.renaming`).
+    The charge is applied inline through the counter's bound ``charges``.
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH, counter: CycleCounter | None = None) -> None:
@@ -40,24 +44,33 @@ class EvalStack:
 
     def push(self, value: int) -> None:
         """Push a word; faults with :class:`EvalStackOverflow` when full."""
-        if len(self._slots) >= self.depth:
+        slots = self._slots
+        if len(slots) >= self.depth:
             raise EvalStackOverflow(f"push onto full stack of depth {self.depth}")
-        self.counter.record(Event.REGISTER_WRITE)
-        self._slots.append(to_word(value))
+        counter = self.counter
+        counter.counts[_WRITE] += 1
+        counter.cycles += counter.charges[_WRITE]
+        slots.append(value & WORD_MASK)
 
     def pop(self) -> int:
         """Pop a word; faults with :class:`EvalStackUnderflow` when empty."""
-        if not self._slots:
+        slots = self._slots
+        if not slots:
             raise EvalStackUnderflow("pop from empty evaluation stack")
-        self.counter.record(Event.REGISTER_READ)
-        return self._slots.pop()
+        counter = self.counter
+        counter.counts[_READ] += 1
+        counter.cycles += counter.charges[_READ]
+        return slots.pop()
 
     def top(self) -> int:
         """Read the top word without popping (counted as a register read)."""
-        if not self._slots:
+        slots = self._slots
+        if not slots:
             raise EvalStackUnderflow("top of empty evaluation stack")
-        self.counter.record(Event.REGISTER_READ)
-        return self._slots[-1]
+        counter = self.counter
+        counter.counts[_READ] += 1
+        counter.cycles += counter.charges[_READ]
+        return slots[-1]
 
     def dup(self) -> None:
         """Duplicate the top word."""

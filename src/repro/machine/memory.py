@@ -19,7 +19,6 @@ matter for the reproduction:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import MemoryFault, UnwritableMemory, WordRangeError
@@ -30,6 +29,13 @@ MDS_WORDS = 1 << 16
 
 #: Mask for a 16-bit machine word.
 WORD_MASK = 0xFFFF
+
+#: Most regions one memory can hold: its region index keeps one byte per
+#: word, and byte 0 means "unmapped".
+MAX_REGIONS = 255
+
+_READ = Event.MEMORY_READ
+_WRITE = Event.MEMORY_WRITE
 
 
 def to_word(value: int) -> int:
@@ -85,6 +91,12 @@ class Memory:
         Shared cycle counter; every :meth:`read` / :meth:`write` records a
         ``MEMORY_READ`` / ``MEMORY_WRITE`` event on it.  If omitted a
         private counter is created (handy in unit tests).
+
+    A counted access is the machine's commonest event, so it is charged
+    inline: the bounds check, the write-protection check, the count, the
+    cycles (through the counter's bound ``charges``) and the traffic bump
+    take no call.  The region of an address is one byte of a per-word
+    region index.
     """
 
     def __init__(self, size: int = MDS_WORDS, counter: CycleCounter | None = None) -> None:
@@ -94,10 +106,12 @@ class Memory:
         self.counter = counter or CycleCounter()
         self._words = [0] * size
         self._regions: list[Region] = []
-        # Region lookup without a call per region: bases in ascending
-        # order and the matching (limit, region) pairs, for a bisect.
-        self._bases: list[int] = []
-        self._spans: list[tuple[int, Region]] = []
+        #: One byte per word: 0 for an unmapped address, else 1 + the
+        #: position in ``_regions`` of the region that holds it.
+        self._index = bytearray(size)
+        #: Region name and writability per index byte (0: unmapped).
+        self._names: list[str] = [""]
+        self._writable: list[bool] = [True]
         #: Counted references per region name ("" for unmapped addresses) —
         #: the attribution behind section 7.3's bandwidth argument.
         self.traffic: dict[str, int] = {}
@@ -114,10 +128,12 @@ class Memory:
         for existing in self._regions:
             if candidate.base < existing.limit and existing.base < candidate.limit:
                 raise ValueError(f"region {name!r} overlaps region {existing.name!r}")
+        if len(self._regions) >= MAX_REGIONS:
+            raise ValueError(f"region {name!r}: a memory holds at most {MAX_REGIONS} regions")
         self._regions.append(candidate)
-        ordered = sorted(self._regions, key=lambda region: region.base)
-        self._bases = [region.base for region in ordered]
-        self._spans = [(region.limit, region) for region in ordered]
+        self._names.append(name)
+        self._writable.append(writable)
+        self._index[base : candidate.limit] = bytes((len(self._regions),)) * size
         return candidate
 
     def region_named(self, name: str) -> Region:
@@ -129,12 +145,10 @@ class Memory:
 
     def region_of(self, address: int) -> Region | None:
         """Return the region containing *address*, or None."""
-        index = bisect_right(self._bases, address) - 1
-        if index >= 0:
-            limit, region = self._spans[index]
-            if address < limit:
-                return region
-        return None
+        if not 0 <= address < self.size:
+            return None
+        slot = self._index[address]
+        return self._regions[slot - 1] if slot else None
 
     @property
     def regions(self) -> tuple[Region, ...]:
@@ -145,26 +159,30 @@ class Memory:
 
     def read(self, address: int) -> int:
         """Read one word, recording a MEMORY_READ event."""
-        self._check(address)
-        self.counter.record(Event.MEMORY_READ)
-        self._attribute(address)
+        if not 0 <= address < self.size:
+            raise MemoryFault(address, self.size)
+        counter = self.counter
+        counter.counts[_READ] += 1
+        counter.cycles += counter.charges[_READ]
+        name = self._names[self._index[address]]
+        traffic = self.traffic
+        traffic[name] = traffic.get(name, 0) + 1
         return self._words[address]
 
     def write(self, address: int, value: int) -> None:
         """Write one word, recording a MEMORY_WRITE event."""
-        self._check(address)
-        region = self.region_of(address)
-        if region is not None and not region.writable:
-            raise UnwritableMemory(address, region.name)
-        self.counter.record(Event.MEMORY_WRITE)
-        name = region.name if region is not None else ""
-        self.traffic[name] = self.traffic.get(name, 0) + 1
-        self._words[address] = to_word(value)
-
-    def _attribute(self, address: int) -> None:
-        region = self.region_of(address)
-        name = region.name if region is not None else ""
-        self.traffic[name] = self.traffic.get(name, 0) + 1
+        if not 0 <= address < self.size:
+            raise MemoryFault(address, self.size)
+        slot = self._index[address]
+        if not self._writable[slot]:
+            raise UnwritableMemory(address, self._names[slot])
+        counter = self.counter
+        counter.counts[_WRITE] += 1
+        counter.cycles += counter.charges[_WRITE]
+        name = self._names[slot]
+        traffic = self.traffic
+        traffic[name] = traffic.get(name, 0) + 1
+        self._words[address] = value & WORD_MASK
 
     def traffic_fraction(self, name: str) -> float:
         """Fraction of counted references that touched region *name*."""
@@ -172,34 +190,66 @@ class Memory:
         return self.traffic.get(name, 0) / total if total else 0.0
 
     def read_block(self, address: int, count: int) -> list[int]:
-        """Read *count* consecutive words (counted as *count* reads)."""
-        return [self.read(address + i) for i in range(count)]
+        """Read *count* consecutive words (counted as *count* reads).
+
+        Words before a faulting address are counted, as if read one by one.
+        """
+        size = self.size
+        counter = self.counter
+        counts = counter.counts
+        cycles = counter.charges[_READ]
+        index = self._index
+        names = self._names
+        traffic = self.traffic
+        for target in range(address, address + count):
+            if not 0 <= target < size:
+                raise MemoryFault(target, size)
+            counts[_READ] += 1
+            counter.cycles += cycles
+            name = names[index[target]]
+            traffic[name] = traffic.get(name, 0) + 1
+        return self._words[address : address + count]
 
     def write_block(self, address: int, values: list[int]) -> None:
-        """Write consecutive words (counted as one write per word)."""
-        for i, value in enumerate(values):
-            self.write(address + i, value)
+        """Write consecutive words (counted as one write per word).
+
+        Words before a faulting address are written and counted, as if
+        written one by one.
+        """
+        size = self.size
+        counter = self.counter
+        counts = counter.counts
+        cycles = counter.charges[_WRITE]
+        index = self._index
+        names = self._names
+        writable = self._writable
+        traffic = self.traffic
+        words = self._words
+        for target, value in enumerate(values, address):
+            if not 0 <= target < size:
+                raise MemoryFault(target, size)
+            slot = index[target]
+            if not writable[slot]:
+                raise UnwritableMemory(target, names[slot])
+            counts[_WRITE] += 1
+            counter.cycles += cycles
+            name = names[slot]
+            traffic[name] = traffic.get(name, 0) + 1
+            words[target] = value & WORD_MASK
 
     # -- uncounted (setup / inspection) access ------------------------------
 
     def peek(self, address: int) -> int:
         """Read without counting — for tests, dumps, and loader setup."""
-        self._check(address)
+        if not 0 <= address < self.size:
+            raise MemoryFault(address, self.size)
         return self._words[address]
 
     def poke(self, address: int, value: int) -> None:
         """Write without counting or write-protection — for loader setup."""
-        self._check(address)
-        self._words[address] = to_word(value)
-
-    def poke_block(self, address: int, values: list[int]) -> None:
-        """Uncounted block write for loaders."""
-        for i, value in enumerate(values):
-            self.poke(address + i, value)
-
-    def _check(self, address: int) -> None:
         if not 0 <= address < self.size:
             raise MemoryFault(address, self.size)
+        self._words[address] = value & WORD_MASK
 
     def __len__(self) -> int:
         return self.size

@@ -167,7 +167,10 @@ class LinkageCache:
 
     def __init__(self, counter: CycleCounter) -> None:
         self.counter = counter
-        self._entries: dict[tuple[int, int], tuple[ResolvedTarget, tuple[tuple[Event, int], ...]]] = {}
+        #: key -> (target, the walk's (event, times) pairs, their cycles).
+        self._entries: dict[
+            tuple[int, int], tuple[ResolvedTarget, tuple[tuple[Event, int], ...], int]
+        ] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -183,10 +186,12 @@ class LinkageCache:
             self.misses += 1
             return None
         self.hits += 1
-        resolved, charges = entry
-        record = self.counter.record
+        resolved, charges, cycles = entry
+        counter = self.counter
+        counts = counter.counts
         for event, times in charges:
-            record(event, times)
+            counts[event] += times
+        counter.cycles += cycles
         return resolved
 
     def begin(self) -> dict[Event, int]:
@@ -199,14 +204,17 @@ class LinkageCache:
         resolved: ResolvedTarget,
         before: dict[Event, int],
     ) -> None:
-        """Memoize *resolved* along with the events the walk charged."""
-        counts = self.counter.counts
+        """Memoize *resolved* along with the events the walk charged and
+        their cycles, computed once here rather than on every hit."""
+        counter = self.counter
+        counts = counter.counts
         charges = tuple(
             (event, counts[event] - seen)
             for event, seen in before.items()
             if counts[event] != seen
         )
-        self._entries[key] = (resolved, charges)
+        cycles = sum(counter.charges[event] * times for event, times in charges)
+        self._entries[key] = (resolved, charges, cycles)
 
     def invalidate(self) -> None:
         """Drop everything (code epoch bump or an explicit service)."""

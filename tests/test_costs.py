@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.banks.bankfile import BankFile
+from repro.ifu.ifu import FetchStats, TransferKind
 from repro.machine.costs import DEFAULT_CHARGES, CostModel, CycleCounter, Event
+from repro.machine.evalstack import EvalStack
+from repro.machine.memory import Memory
+from repro.mesa.linkage import LinkageCache, ResolvedTarget
 
 
 def test_default_charges_cover_every_event():
@@ -60,3 +65,48 @@ def test_counter_custom_model():
     counter = CycleCounter(CostModel().with_charges(decode=7))
     counter.record(Event.DECODE)
     assert counter.cycles == 7
+
+
+def test_inline_charges_follow_the_counter_model():
+    """Every component that charges the counter inline uses the counter's
+    model, not DEFAULT_CHARGES."""
+    model = CostModel().with_charges(memory_read=3, register_write=2, fast_transfer=4)
+    counter = CycleCounter(model)
+    assert counter.charges == model.charges
+
+    def charged(action):
+        before = counter.snapshot()
+        action()
+        return counter.delta_since(before)
+
+    memory = Memory(64, counter)
+    assert charged(lambda: memory.read(1))["cycles"] == 3
+    assert charged(lambda: memory.read_block(0, 2))["cycles"] == 6
+    assert charged(lambda: memory.write(1, 7))["cycles"] == 2
+    assert charged(lambda: memory.write_block(0, [1, 2]))["cycles"] == 4
+
+    stack = EvalStack(counter=counter)
+    assert charged(lambda: stack.push(1))["cycles"] == 2
+    assert charged(stack.top)["cycles"] == 1
+    assert charged(stack.pop)["cycles"] == 1
+
+    banks = BankFile(counter=counter)
+    bank = banks.bank(0)
+    assert charged(lambda: banks.write(bank, 0, 5))["cycles"] == 2
+    assert charged(lambda: banks.read(bank, 0))["cycles"] == 1
+
+    fetch = FetchStats()
+    fast = charged(lambda: fetch.record(TransferKind.DIRECT_CALL, True, counter))
+    assert (fast["fast_transfer"], fast["cycles"]) == (1, 4)
+    slow = charged(lambda: fetch.record(TransferKind.RETURN, False, counter))
+    assert (slow["slow_transfer"], slow["cycles"]) == (1, 0)
+
+    cache = LinkageCache(counter)
+    before = cache.begin()
+    memory.read(2)  # the miss's table walk: two reads, one register write
+    memory.read(3)
+    stack.push(0)
+    target = ResolvedTarget(gf_address=0, code_base=0, entry_address=0, fsi=0, levels=1)
+    cache.store((10, 20), target, before)
+    hit = charged(lambda: cache.lookup((10, 20)))
+    assert (hit["memory_read"], hit["register_write"], hit["cycles"]) == (2, 1, 8)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MemoryFault, UnwritableMemory, WordRangeError
-from repro.machine.costs import Event
-from repro.machine.memory import Memory, from_signed, to_signed, to_word
+from repro.machine.costs import CostModel, CycleCounter, Event
+from repro.machine.memory import MAX_REGIONS, Memory, from_signed, to_signed, to_word
 
 
 def test_read_write_roundtrip(memory):
@@ -130,3 +130,103 @@ def test_traffic_ignores_uncounted_access(memory):
     memory.peek(110)
     assert memory.traffic == {}
     assert memory.traffic_fraction("frames") == 0.0
+
+
+# -- counted access against a region-scan oracle -------------------------------
+
+
+@st.composite
+def _layouts(draw):
+    """A memory size and non-overlapping regions, some read-only."""
+    size = draw(st.integers(min_value=8, max_value=200))
+    regions = []
+    cursor = draw(st.integers(min_value=0, max_value=8))
+    for number in range(draw(st.integers(min_value=0, max_value=6))):
+        length = draw(st.integers(min_value=1, max_value=40))
+        if cursor + length > size:
+            break
+        regions.append((f"r{number}", cursor, length, draw(st.booleans())))
+        cursor += length + draw(st.integers(min_value=0, max_value=8))
+    return size, regions
+
+
+_ACCESSES = st.lists(
+    st.tuples(
+        st.sampled_from(("read", "write", "read_block", "write_block")),
+        # Negative, unmapped and past-the-end addresses all occur.
+        st.integers(min_value=-20, max_value=240),
+        st.integers(min_value=0, max_value=5),  # block length
+        st.integers(min_value=-(1 << 20), max_value=1 << 20),  # value
+    ),
+    max_size=40,
+)
+
+
+@given(_layouts(), _ACCESSES)
+def test_counted_access_matches_region_oracle(layout, accesses):
+    """Each counted access moves the counts, cycles, traffic and words, or
+    raises, exactly as word-by-word access through a region scan would."""
+    size, spans = layout
+    counter = CycleCounter(CostModel().with_charges(memory_read=3, memory_write=5))
+    memory = Memory(size, counter)
+    for name, base, length, writable in spans:
+        memory.add_region(name, base, length, writable)
+
+    def region_at(address):
+        for region in memory.regions:
+            if region.contains(address):
+                return region
+        return None
+
+    words = [0] * size
+    traffic: dict[str, int] = {}
+    reads = writes = 0
+    for kind, address, length, value in accesses:
+        writing = kind.startswith("write")
+        targets = range(address, address + (length if kind.endswith("block") else 1))
+        expected_error = None
+        for target in targets:
+            assert memory.region_of(target) is region_at(target)
+            if not 0 <= target < size:
+                expected_error = MemoryFault
+                break
+            region = region_at(target)
+            if writing and region is not None and not region.writable:
+                expected_error = UnwritableMemory
+                break
+            name = region.name if region is not None else ""
+            traffic[name] = traffic.get(name, 0) + 1
+            if writing:
+                writes += 1
+                words[target] = value & 0xFFFF
+            else:
+                reads += 1
+        try:
+            if kind == "read":
+                got = [memory.read(address)]
+            elif kind == "write":
+                memory.write(address, value)
+            elif kind == "read_block":
+                got = memory.read_block(address, length)
+            else:
+                memory.write_block(address, [value] * length)
+        except (MemoryFault, UnwritableMemory) as error:
+            assert type(error) is expected_error
+        else:
+            assert expected_error is None
+            if not writing:
+                assert got == [words[target] for target in targets]
+        assert counter.count(Event.MEMORY_READ) == reads
+        assert counter.count(Event.MEMORY_WRITE) == writes
+        assert counter.cycles == 3 * reads + 5 * writes
+        assert list(memory.traffic.items()) == list(traffic.items())
+    assert [memory.peek(address) for address in range(size)] == words
+
+
+def test_region_index_holds_at_most_max_regions():
+    memory = Memory(MAX_REGIONS + 1)
+    for base in range(MAX_REGIONS):
+        memory.add_region(f"r{base}", base, 1)
+    assert memory.region_of(MAX_REGIONS - 1).name == f"r{MAX_REGIONS - 1}"
+    with pytest.raises(ValueError):
+        memory.add_region("one-too-many", MAX_REGIONS, 1)
