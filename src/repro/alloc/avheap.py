@@ -245,11 +245,6 @@ class AVHeap:
         """True if *address* lies inside this heap's arena."""
         return self.arena_base <= address < self.arena_limit
 
-    @property
-    def live_frames(self) -> tuple[int, ...]:
-        """Pointers of all currently allocated frames (for state dumps)."""
-        return tuple(self._live)
-
     def free_list_length(self, fsi: int) -> int:
         """Walk (uncounted) the free list of class *fsi* and count nodes."""
         count = 0

@@ -121,18 +121,6 @@ class FuzzTrial:
         )
 
 
-def _body_addresses(image: ProgramImage) -> list[int]:
-    """Absolute code addresses of every instruction byte in every body."""
-    addresses: list[int] = []
-    for (_name, instance), linked in image.instances.items():
-        if instance:
-            continue
-        for procedure in linked.module.procedures:
-            start = linked.code_base + procedure.entry_offset + 1
-            addresses.extend(range(start, start + len(procedure.body)))
-    return addresses
-
-
 def mutate_random_byte(image: ProgramImage, rng: random.Random) -> str:
     """Flip one code byte (body, EV word, fsi byte, or direct header)."""
     address = rng.randrange(image.code.size)

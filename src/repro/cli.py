@@ -36,8 +36,9 @@ from pathlib import Path
 
 from repro.analysis.report import format_table
 from repro.analysis.timing import transfer_cost_table
+from repro.faults.chaos import ALL_PRESETS
 from repro.interp.machine import Machine
-from repro.interp.machineconfig import MachineConfig
+from repro.interp.machineconfig import LinkageKind, MachineConfig
 from repro.isa.disassembler import format_listing
 from repro.lang.compiler import CompileOptions, compile_program
 from repro.lang.linker import link
@@ -68,6 +69,25 @@ def _entry(text: str) -> tuple[str, str]:
     if not module or not proc:
         raise argparse.ArgumentTypeError("entry must look like Module.proc")
     return module, proc
+
+
+def _add_entry(p, default=("Main", "main")) -> None:
+    p.add_argument("--entry", type=_entry, default=default,
+                   help="entry procedure, Module.proc (default Main.main)")
+
+
+def _add_impl(p, default="i2", help="implementation preset (default {})") -> None:
+    """``--impl``; a ``{}`` in *help* is filled with the default."""
+    p.add_argument("--impl", choices=ALL_PRESETS, default=default,
+                   help=help and help.format(default))
+
+
+def _add_args(p, help="integer arguments for the entry procedure") -> None:
+    p.add_argument("--args", type=int, nargs="*", default=[], help=help)
+
+
+def _add_engine(p, help: str) -> None:
+    p.add_argument("--engine", choices=["interp", "jit"], default="interp", help=help)
 
 
 def _pin(text: str) -> tuple[str, int]:
@@ -362,7 +382,7 @@ END;
 END.
 """
     meters = {}
-    for preset in ("i1", "i2", "i3", "i4"):
+    for preset in ALL_PRESETS:
         machine = _build([fib], preset, ("Main", "main"))
         machine.start()
         results = machine.run()
@@ -874,112 +894,58 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:
-    """Live-migrate a running process between shards and prove it safe.
-
-    Runs a corpus program split across shards twice — once untouched,
-    once migrating the root process to a spare shard mid-flight — and
-    compares results and cluster-aggregate modelled meters.  Exclusive
-    mode must be bit-identical on both axes; shared mode must be
-    results-identical (meter attribution legitimately shifts).
-    """
-    import re
-
-    from repro.interp.processes import ProcessStatus
-    from repro.net.cluster import Cluster
-    from repro.net.migrate import MigrateError, aggregate_meters
-    from repro.workloads.programs import CORPUS, program
+    """Live-migrate a running process between shards and prove it safe
+    (see :func:`repro.net.migrate.migration_differential`)."""
+    from repro.net.migrate import MigrateError, migration_differential
+    from repro.workloads.programs import CORPUS
 
     if args.program not in CORPUS:
         print(f"migrate: unknown corpus program {args.program!r} "
               f"(known: {', '.join(sorted(CORPUS))})", file=sys.stderr)
         return 2
-    prog = program(args.program)
-    modules: list[str] = []
-    for source in prog.sources:
-        modules.extend(re.findall(r"MODULE\s+(\w+)\s*;", source))
-    entry_module = prog.entry[0]
-    # The split that makes the demo interesting: the entry module alone
-    # on shard 0, everything else on shard 1, shard 2 spare to adopt.
-    pins = {m: (0 if m == entry_module else 1) for m in modules}
-    shards = max(3, args.to + 1)
     if args.to == 0:
         print("migrate: --to 0 is the root's own home; pick another shard",
               file=sys.stderr)
         return 2
-
-    def build() -> Cluster:
-        return Cluster(
-            list(prog.sources), shards=shards, config=args.impl, pins=pins
+    try:
+        evidence = migration_differential(
+            CORPUS[args.program], args.impl, args.at, args.to, args.mode
         )
-
-    reference = build()
-    ref_ticket = reference.submit(prog.entry[0], prog.entry[1], *prog.args)
-    reference.pump()
-    ref_agg = aggregate_meters(reference.meters())
-
-    cluster = build()
-    ticket = cluster.submit(prog.entry[0], prog.entry[1], *prog.args)
-    migrated_tick = None
-    moved = True
-    while moved:
-        moved = cluster.pump_tick()
-        if (
-            migrated_tick is None
-            and cluster.ticks >= args.at
-            and ticket.process.status is ProcessStatus.BLOCKED
-        ):
-            try:
-                cluster.migrate(ticket, args.to, mode=args.mode)
-            except MigrateError as refusal:
-                print(f"migrate: refused: {refusal}", file=sys.stderr)
-                return 2
-            migrated_tick = cluster.ticks
-    if migrated_tick is None:
+    except MigrateError as refusal:
+        print(f"migrate: refused: {refusal}", file=sys.stderr)
+        return 2
+    if evidence["migrated_tick"] is None:
         print(
             f"migrate: {args.program} never blocked at/after tick {args.at} "
             "— nothing to migrate (try a smaller --at)",
             file=sys.stderr,
         )
         return 2
-    agg = aggregate_meters(cluster.meters())
 
     print(
-        f"migrated {args.program} root p{ticket.process.pid} to shard "
-        f"{args.to} at tick {migrated_tick} ({args.mode} mode)"
+        f"migrated {args.program} root p{evidence['pid']} to shard "
+        f"{args.to} at tick {evidence['migrated_tick']} ({args.mode} mode)"
     )
-    ok = True
-    if ticket.status is not ProcessStatus.DONE or ticket.results != ref_ticket.results:
-        print(f"  results: {ticket.results} != reference {ref_ticket.results}")
-        ok = False
+    results, reference = evidence["results"], evidence["reference_results"]
+    if results == reference:
+        print(f"  results: {results} == unmigrated reference")
     else:
-        print(f"  results: {ticket.results} == unmigrated reference")
+        print(f"  results: {results} != reference {reference}")
+    same = evidence["aggregate_meters"] == evidence["reference_meters"]
     if args.mode == "exclusive":
-        if agg == ref_agg:
+        if same:
             print("  cluster-aggregate meters: bit-identical to the "
                   "unmigrated run")
         else:
             print("  cluster-aggregate meters: DIVERGED from the "
                   "unmigrated run")
-            ok = False
     else:
-        same = "identical" if agg == ref_agg else "shifted (expected)"
-        print(f"  cluster-aggregate meters: {same} — shared mode promises "
-              "results only")
+        print(f"  cluster-aggregate meters: "
+              f"{'identical' if same else 'shifted (expected)'} — shared mode "
+              "promises results only")
     if args.json:
-        print(json.dumps(
-            {
-                "program": args.program,
-                "mode": args.mode,
-                "migrated_tick": migrated_tick,
-                "results": list(ticket.results),
-                "reference_results": list(ref_ticket.results),
-                "aggregate_meters": agg,
-                "reference_meters": ref_agg,
-                "ok": ok,
-            },
-            indent=2,
-        ))
-    return 0 if ok else 1
+        print(json.dumps(evidence, indent=2))
+    return 0 if evidence["ok"] else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -1048,14 +1014,47 @@ def _embedded_sources(text: str) -> list[str]:
     return sources
 
 
+def _programs(args: argparse.Namespace, verb: str, config: MachineConfig) -> list:
+    """The programs ``check`` and ``analyze`` work on, as (label, sources,
+    entry, corpus program) rows: each corpus program *config* can link,
+    each ``--from-python`` file, or the files as one program.  An entry
+    of None means :func:`_default_entry` once compiled."""
+    programs = []
+    if args.corpus:
+        from repro.workloads.programs import CORPUS
+
+        for name, program in CORPUS.items():
+            if program.needs_descriptors and config.linkage is LinkageKind.SIMPLE:
+                continue  # no packed descriptors under SIMPLE linkage
+            programs.append((f"corpus:{name}", list(program.sources), program.entry, program))
+    if args.from_python:
+        for path in args.files:
+            sources = _embedded_sources(Path(path).read_text())
+            if sources:
+                programs.append((path, sources, None, None))
+            else:
+                print(f"{path}: no embedded MODULE sources, nothing to {verb}")
+    elif args.files:
+        programs.append((", ".join(args.files), _read_sources(args.files), args.entry, None))
+    return programs
+
+
+def _default_entry(modules) -> tuple[str, str]:
+    """``Main.main`` when present, else the first procedure compiled."""
+    for module in modules:
+        if module.name == "Main" and any(
+            procedure.name == "main" for procedure in module.procedures
+        ):
+            return ("Main", "main")
+    return (modules[0].name, modules[0].procedures[0].name)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     """Statically verify programs: control flow, stack depths, linkage.
 
     Exit status: 0 all clean, 1 findings (errors; warnings too under
     ``--strict``), 2 when a program could not even be compiled or linked.
     """
-    import sys
-
     from repro.check import check_image, check_modules
     from repro.errors import ReproError
 
@@ -1064,39 +1063,16 @@ def cmd_check(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    programs: list[tuple[str, list[str], tuple[str, str] | None]] = []
-    if args.corpus:
-        from repro.workloads.programs import CORPUS
-
-        for name, program in CORPUS.items():
-            programs.append((f"corpus:{name}", list(program.sources), program.entry))
-    if args.from_python:
-        for path in args.files:
-            sources = _embedded_sources(Path(path).read_text())
-            if sources:
-                programs.append((path, sources, None))
-            else:
-                print(f"{path}: no embedded MODULE sources, nothing to check")
-    elif args.files:
-        programs.append((", ".join(args.files), _read_sources(args.files), args.entry))
-
     config = MachineConfig.preset(args.impl)
     status = 0
-    for label, sources, entry in programs:
+    for label, sources, entry, _ in _programs(args, "check", config):
         try:
             modules = compile_program(sources, CompileOptions.for_config(config))
         except ReproError as fault:
             print(f"{label}: cannot compile: {fault}")
             status = 2
             continue
-        if entry is None:
-            entry = (modules[0].name, modules[0].procedures[0].name)
-            for module in modules:
-                if module.name == "Main" and any(
-                    procedure.name == "main" for procedure in module.procedures
-                ):
-                    entry = ("Main", "main")
-                    break
+        entry = entry or _default_entry(modules)
         report = check_modules(
             modules,
             convention=config.arg_convention,
@@ -1122,16 +1098,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return status
 
 
-def _default_entry(modules) -> tuple[str, str]:
-    """``Main.main`` when present, else the first procedure compiled."""
-    for module in modules:
-        if module.name == "Main" and any(
-            procedure.name == "main" for procedure in module.procedures
-        ):
-            return ("Main", "main")
-    return (modules[0].name, modules[0].procedures[0].name)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Interprocedural analysis: resolved call graph, effect summaries,
     stack/frame bounds, and the versioned ``repro-facts/1`` document.
@@ -1141,11 +1107,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     depth outside the static prediction), 2 when a program could not be
     compiled or linked.
     """
-    import sys
-
     from repro.check import FACTS_SCHEMA, analyze_image, soundness_differential
     from repro.errors import ReproError
-    from repro.interp.machineconfig import LinkageKind
 
     if not args.files and not args.corpus:
         print("analyze: give source files, --from-python files, or --corpus",
@@ -1153,36 +1116,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 2
 
     config = MachineConfig.preset(args.impl)
-    programs: list[tuple[str, list[str], tuple[str, str] | None, object]] = []
-    if args.corpus:
-        from repro.workloads.programs import CORPUS
-
-        for name, program in CORPUS.items():
-            if program.needs_descriptors and config.linkage is LinkageKind.SIMPLE:
-                continue  # no packed descriptors under SIMPLE linkage
-            programs.append(
-                (f"corpus:{name}", list(program.sources), program.entry, program)
-            )
-    if args.from_python:
-        for path in args.files:
-            sources = _embedded_sources(Path(path).read_text())
-            if sources:
-                programs.append((path, sources, None, None))
-            else:
-                print(f"{path}: no embedded MODULE sources, nothing to analyze")
-    elif args.files:
-        programs.append(
-            (", ".join(args.files), _read_sources(args.files), args.entry, None)
-        )
-
     status = 0
     documents: dict[str, dict] = {}
-    for label, sources, entry, program in programs:
+    for label, sources, entry, program in _programs(args, "analyze", config):
         try:
             modules = compile_program(sources, CompileOptions.for_config(config))
-            if entry is None:
-                entry = _default_entry(modules)
-            image = link(modules, config, entry)
+            image = link(modules, config, entry or _default_entry(modules))
         except ReproError as fault:
             print(f"{label}: cannot build: {fault}", file=sys.stderr)
             status = 2
@@ -1370,22 +1309,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
     def common(p):
         p.add_argument("files", nargs="+", help="module source files")
-        p.add_argument("--entry", type=_entry, default=("Main", "main"),
-                       help="entry procedure, Module.proc (default Main.main)")
+        _add_entry(p)
 
-    run = sub.add_parser("run", help="compile and execute a program")
+    def observed(p):
+        """The program flags of the subcommands that observe one run."""
+        p.add_argument("files", nargs="+",
+                       help="module source files (or .py files with embedded "
+                            "MODULE literals, like the examples)")
+        _add_entry(p)
+        _add_impl(p, "i4")
+        _add_args(p)
+
+    run = command("run", cmd_run, "compile and execute a program")
     run.add_argument("files", nargs="*", help="module source files")
-    run.add_argument("--entry", type=_entry, default=("Main", "main"),
-                     help="entry procedure, Module.proc (default Main.main)")
-    run.add_argument("--impl", choices=["i1", "i2", "i3", "i4"], default="i2",
-                     help="implementation preset (default i2)")
-    run.add_argument("--args", type=int, nargs="*", default=[],
-                     help="integer arguments for the entry procedure")
+    _add_entry(run)
+    _add_impl(run)
+    _add_args(run)
     run.add_argument("--stats", action="store_true", help="print the meters")
-    run.add_argument("--engine", choices=["interp", "jit"], default="interp",
-                     help="execution engine (jit compiles verified blocks)")
+    _add_engine(run, "execution engine (jit compiles verified blocks)")
     run.add_argument("--facts", metavar="PATH", default=None,
                      help="precomputed repro-facts/1 artifact (jit only; "
                      "must match the image)")
@@ -1393,35 +1341,22 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execute a repro-image/1 optimized image written "
                      "by `repro optimize` (instead of source files; the "
                      "file pins impl, entry, and sources)")
-    run.set_defaults(func=cmd_run)
 
-    disasm = sub.add_parser("disasm", help="show the compiled encoding")
+    disasm = command("disasm", cmd_disasm, "show the compiled encoding")
     common(disasm)
-    disasm.add_argument("--impl", choices=["i1", "i2", "i3", "i4"], default="i2")
-    disasm.set_defaults(func=cmd_disasm)
+    _add_impl(disasm, help=None)
 
-    measure = sub.add_parser("measure", help="run the I1-I4 ladder comparison")
+    measure = command("measure", cmd_measure, "run the I1-I4 ladder comparison")
     common(measure)
-    measure.add_argument("--args", type=int, nargs="*", default=[])
-    measure.add_argument("--engine", choices=["interp", "jit"],
-                         default="interp",
-                         help="execution engine for every rung of the ladder")
+    _add_args(measure, help=None)
+    _add_engine(measure, "execution engine for every rung of the ladder")
     measure.add_argument("--json", action="store_true",
                          help="emit machine-readable CycleCounter snapshots")
-    measure.set_defaults(func=cmd_measure)
 
-    trace = sub.add_parser(
-        "trace", help="record and export the observability event stream"
+    trace = command(
+        "trace", cmd_trace, "record and export the observability event stream"
     )
-    trace.add_argument("files", nargs="+",
-                       help="module source files (or .py files with embedded "
-                            "MODULE literals, like the examples)")
-    trace.add_argument("--entry", type=_entry, default=("Main", "main"),
-                       help="entry procedure, Module.proc (default Main.main)")
-    trace.add_argument("--impl", choices=["i1", "i2", "i3", "i4"], default="i4",
-                       help="implementation preset (default i4)")
-    trace.add_argument("--args", type=int, nargs="*", default=[],
-                       help="integer arguments for the entry procedure")
+    observed(trace)
     trace.add_argument("--format", choices=["chrome", "folded", "jsonl"],
                        default="jsonl",
                        help="chrome (chrome://tracing JSON), folded "
@@ -1432,20 +1367,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bound the event ring buffer (default: unbounded)")
     trace.add_argument("--steps", action="store_true",
                        help="also record one machine.step event per instruction")
-    trace.set_defaults(func=cmd_trace)
 
-    profile = sub.add_parser(
-        "profile", help="call-tree profile by inclusive/exclusive modelled cycles"
+    profile = command(
+        "profile", cmd_profile,
+        "call-tree profile by inclusive/exclusive modelled cycles",
     )
-    profile.add_argument("files", nargs="+",
-                        help="module source files (or .py files with embedded "
-                             "MODULE literals, like the examples)")
-    profile.add_argument("--entry", type=_entry, default=("Main", "main"),
-                        help="entry procedure, Module.proc (default Main.main)")
-    profile.add_argument("--impl", choices=["i1", "i2", "i3", "i4"], default="i4",
-                        help="implementation preset (default i4)")
-    profile.add_argument("--args", type=int, nargs="*", default=[],
-                        help="integer arguments for the entry procedure")
+    observed(profile)
     profile.add_argument("--top", type=int, default=10, metavar="N",
                         help="procedures to list (default 10)")
     profile.add_argument("--shards", type=int, default=1, metavar="N",
@@ -1459,42 +1386,31 @@ def build_parser() -> argparse.ArgumentParser:
                              "to `repro optimize`) instead of the table")
     profile.add_argument("--out", metavar="PATH", default=None,
                         help="write the repro-profile/1 document here")
-    profile.set_defaults(func=cmd_profile)
 
-    verify = sub.add_parser(
-        "verify", help="fast checks of the paper's headline claims"
-    )
-    verify.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "fast checks of the paper's headline claims")
 
-    snapshot = sub.add_parser(
-        "snapshot", help="run N instructions, then freeze the machine state"
+    snapshot = command(
+        "snapshot", cmd_snapshot,
+        "run N instructions, then freeze the machine state",
     )
-    snapshot.add_argument("files", nargs="+",
-                          help="module source files (or .py files with embedded "
-                               "MODULE literals, like the examples)")
-    snapshot.add_argument("--entry", type=_entry, default=("Main", "main"),
-                          help="entry procedure, Module.proc (default Main.main)")
-    snapshot.add_argument("--impl", choices=["i1", "i2", "i3", "i4"], default="i4",
-                          help="implementation preset (default i4)")
-    snapshot.add_argument("--args", type=int, nargs="*", default=[],
-                          help="integer arguments for the entry procedure")
+    observed(snapshot)
     snapshot.add_argument("--at-step", type=int, required=True, metavar="N",
                           help="freeze after N executed instructions")
     snapshot.add_argument("--out", metavar="PATH", required=True,
                           help="snapshot file to write")
-    snapshot.set_defaults(func=cmd_snapshot)
 
-    resume = sub.add_parser(
-        "resume", help="thaw a snapshot onto a fresh image and finish the run"
+    resume = command(
+        "resume", cmd_resume,
+        "thaw a snapshot onto a fresh image and finish the run",
     )
     resume.add_argument("snapshot", help="file written by `repro snapshot`")
     resume.add_argument("--verify", action="store_true",
                         help="also run straight through and require the resumed "
                              "run to match on results, steps, and all meters")
-    resume.set_defaults(func=cmd_resume)
 
-    chaos = sub.add_parser(
-        "chaos", help="replay seeded fault plans across I1-I4 over the corpus"
+    chaos = command(
+        "chaos", cmd_chaos,
+        "replay seeded fault plans across I1-I4 over the corpus",
     )
     chaos.add_argument("--corpus", action="store_true",
                        help="use the default chaos corpus subset (implied; "
@@ -1505,10 +1421,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="canned fault plans to replay (default: all)")
     chaos.add_argument("--seeds", type=int, default=5, metavar="N",
                        help="seeds per (program, plan) pair (default 5)")
-    chaos.add_argument("--engine", choices=["interp", "jit"],
-                       default="interp",
-                       help="install the jit on every machine (outcomes "
-                       "must be unchanged by the deopt contract)")
+    _add_engine(chaos, "install the jit on every machine (outcomes "
+                "must be unchanged by the deopt contract)")
     chaos.add_argument("--report", metavar="PATH", default=None,
                        help="write the full JSON conformance report here")
     chaos.add_argument("--net", action="store_true",
@@ -1524,15 +1438,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "mid-flight in every case — the migration must "
                             "race the plan and still recover with the "
                             "reference results, deterministically")
-    chaos.set_defaults(func=cmd_chaos)
 
-    serve = sub.add_parser(
-        "serve", help="drive a shard pool through a loadgen workload"
+    serve = command(
+        "serve", cmd_serve, "drive a shard pool through a loadgen workload"
     )
     serve.add_argument("--shards", type=int, default=4, metavar="N",
                        help="shards in the pool (default 4)")
-    serve.add_argument("--impl", choices=["i1", "i2", "i3", "i4"], default="i2",
-                       help="implementation preset per shard (default i2)")
+    _add_impl(serve, help="implementation preset per shard (default {})")
     serve.add_argument("--workload", metavar="PATH", default=None,
                        help="loadgen workload file (default: generate from "
                             "--requests/--seed)")
@@ -1550,11 +1462,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--processes", action="store_true",
                        help="promote each shard to a real OS worker process "
                             "behind the asyncio front door")
-    serve.add_argument("--engine", choices=["interp", "jit"],
-                       default="interp",
-                       help="shard engine: jit runs every scheduler slice "
-                            "on compiled blocks; results and meters equal "
-                            "interp's")
+    _add_engine(serve, "shard engine: jit runs every scheduler slice "
+                "on compiled blocks; results and meters equal interp's")
     serve.add_argument("--route", choices=["direct", "dispatch"],
                        default="direct",
                        help="process-mode routing: direct (leaf procedure on "
@@ -1590,17 +1499,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print the full JSON report")
     serve.add_argument("--out", metavar="PATH", default=None,
                        help="write the full JSON report here")
-    serve.set_defaults(func=cmd_serve)
 
-    migrate = sub.add_parser(
-        "migrate",
-        help="live-migrate a running process between shards and prove it",
+    migrate = command(
+        "migrate", cmd_migrate,
+        "live-migrate a running process between shards and prove it",
     )
     migrate.add_argument("--program", default="mathlib", metavar="NAME",
                          help="corpus program to run split (default mathlib)")
-    migrate.add_argument("--impl", choices=["i1", "i2", "i3", "i4"],
-                         default="i2",
-                         help="implementation preset (default i2)")
+    _add_impl(migrate)
     migrate.add_argument("--at", type=int, default=2, metavar="TICK",
                          help="migrate at the first block boundary at/after "
                               "this pump tick (default 2)")
@@ -1613,10 +1519,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "results-exact (default exclusive)")
     migrate.add_argument("--json", action="store_true",
                          help="also print the full JSON evidence")
-    migrate.set_defaults(func=cmd_migrate)
 
-    loadgen = sub.add_parser(
-        "loadgen", help="generate a seeded serving workload with known answers"
+    loadgen = command(
+        "loadgen", cmd_loadgen,
+        "generate a seeded serving workload with known answers",
     )
     loadgen.add_argument("--requests", type=int, default=100, metavar="N",
                          help="requests to generate (default 100)")
@@ -1624,16 +1530,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generator seed (default 7)")
     loadgen.add_argument("--out", metavar="PATH", default=None,
                          help="write the workload JSON here (default stdout)")
-    loadgen.set_defaults(func=cmd_loadgen)
 
-    check = sub.add_parser(
-        "check", help="statically verify programs without executing them"
+    check = command(
+        "check", cmd_check, "statically verify programs without executing them"
     )
     check.add_argument("files", nargs="*", help="module source files")
-    check.add_argument("--entry", type=_entry, default=None,
-                       help="entry procedure, Module.proc (default Main.main)")
-    check.add_argument("--impl", choices=["i1", "i2", "i3", "i4"], default="i2",
-                       help="implementation preset to verify against (default i2)")
+    _add_entry(check, default=None)
+    _add_impl(check, help="implementation preset to verify against (default {})")
     check.add_argument("--corpus", action="store_true",
                        help="also verify every workload corpus program")
     check.add_argument("--from-python", action="store_true",
@@ -1643,18 +1546,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print disassembled context around each finding")
     check.add_argument("--strict", action="store_true",
                        help="warnings also fail the check")
-    check.set_defaults(func=cmd_check)
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="interprocedural analysis: call graph, effects, bounds, facts",
+    analyze = command(
+        "analyze", cmd_analyze,
+        "interprocedural analysis: call graph, effects, bounds, facts",
     )
     analyze.add_argument("files", nargs="*", help="module source files")
-    analyze.add_argument("--entry", type=_entry, default=None,
-                         help="entry procedure, Module.proc (default Main.main)")
-    analyze.add_argument("--impl", choices=["i1", "i2", "i3", "i4"], default="i2",
-                         help="implementation preset to analyze against "
-                              "(default i2)")
+    _add_entry(analyze, default=None)
+    _add_impl(analyze, help="implementation preset to analyze against (default {})")
     analyze.add_argument("--corpus", action="store_true",
                          help="analyze every workload corpus program")
     analyze.add_argument("--from-python", action="store_true",
@@ -1674,22 +1573,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "edge and depth is statically predicted")
     analyze.add_argument("--strict", action="store_true",
                          help="warnings also fail the analysis")
-    analyze.set_defaults(func=cmd_analyze)
 
-    optimize = sub.add_parser(
-        "optimize",
-        help="feedback-directed image rewriting from a profile + facts",
+    optimize = command(
+        "optimize", cmd_optimize,
+        "feedback-directed image rewriting from a profile + facts",
     )
     optimize.add_argument("files", nargs="*",
                           help="module source files (or .py files with "
                                "embedded MODULE literals, like the examples)")
-    optimize.add_argument("--entry", type=_entry, default=("Main", "main"),
-                          help="entry procedure, Module.proc (default "
-                               "Main.main)")
-    optimize.add_argument("--impl", choices=["i1", "i2", "i3", "i4"],
-                          default="i2",
-                          help="implementation preset the rewrite targets "
-                               "(must match the profile; default i2)")
+    _add_entry(optimize)
+    _add_impl(optimize, help="implementation preset the rewrite targets "
+              "(must match the profile; default {})")
     optimize.add_argument("--profile", metavar="PATH", default=None,
                           help="repro-profile/1 document from "
                                "`repro profile --out` (image rewriting)")
@@ -1723,7 +1617,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--min-site-calls", type=int, default=2, metavar="N",
                           help="observed calls before a site counts as hot "
                                "(default 2)")
-    optimize.set_defaults(func=cmd_optimize)
 
     return parser
 

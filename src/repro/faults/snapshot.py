@@ -40,6 +40,7 @@ from repro.errors import ReproError
 from repro.ifu.ifu import TransferKind
 from repro.ifu.returnstack import ReturnStackEntry
 from repro.interp.frames import FrameState
+from repro.interp.processes import Process, ProcessStatus
 from repro.interp.traps import TrapKind
 
 #: The schema this module writes and the only one it restores.
@@ -61,41 +62,37 @@ _CONFIG_FIELDS = (
     "eval_stack_depth",
 )
 
-_ALLOC_STATS_FIELDS = (
-    "allocations",
-    "frees",
-    "replenishments",
-    "promotions",
-    "live_requested_words",
-    "live_block_words",
-    "free_list_words",
-    "high_water_words",
-    "total_requested_words",
-    "total_block_words",
-)
-
-_BANK_STATS_FIELDS = (
-    "assignments",
-    "releases",
-    "overflows",
-    "underflows",
-    "words_spilled",
-    "words_filled",
-    "xfers",
-)
-
-_FAST_STATS_FIELDS = (
-    "fast_allocations",
-    "slow_allocations",
-    "fast_frees",
-    "slow_frees",
-)
-
-_DIVERT_FIELDS = ("references_checked", "region_hits", "diversions")
-
 
 class SnapshotError(ReproError):
     """A snapshot cannot be taken or restored in the current state."""
+
+
+def process_record(process: Process) -> dict:
+    """A process's saved state, JSON-ready: every field but ``frame``.
+
+    The one encoder of a process record: snapshots, migration slices
+    and a worker's ``status`` rows all carry this dict.
+    """
+    record = dict(vars(process))
+    del record["frame"]
+    record["args"] = list(process.args)
+    record["status"] = process.status.value
+    record["stack"] = list(process.stack)
+    record["results"] = list(process.results)
+    return record
+
+
+def load_process(process: Process, record: dict, frame) -> None:
+    """Set *process*'s state from a :func:`process_record` and its top
+    *frame*.  The pid stays the one *process* has: its table owns it."""
+    for name, value in record.items():
+        if name not in ("pid", "frame"):
+            setattr(process, name, value)
+    process.args = tuple(record["args"])
+    process.status = ProcessStatus(record["status"])
+    process.stack = tuple(record["stack"])
+    process.results = list(record["results"])
+    process.frame = frame
 
 
 def _config_token(config) -> dict:
@@ -226,9 +223,7 @@ def capture(machine, scheduler=None) -> dict:
             "fast": {k.value: c for k, c in machine.fetch.fast.items()},
             "slow": {k.value: c for k, c in machine.fetch.slow.items()},
         },
-        "divert": {
-            name: getattr(machine.divert_stats, name) for name in _DIVERT_FIELDS
-        },
+        "divert": dict(vars(machine.divert_stats)),
         "trap_contexts": {
             kind.value: word for kind, word in machine.trap_contexts.items()
         },
@@ -246,13 +241,7 @@ def capture(machine, scheduler=None) -> dict:
                 }
                 for entry in machine.rstack.entries()
             ],
-            "stats": {
-                "pushes": rstats.pushes,
-                "hits": rstats.hits,
-                "misses": rstats.misses,
-                "flushes": dict(rstats.flushes),
-                "entries_flushed": rstats.entries_flushed,
-            },
+            "stats": {**vars(rstats), "flushes": dict(rstats.flushes)},
         }
 
     if machine.bankfile is not None:
@@ -270,10 +259,7 @@ def capture(machine, scheduler=None) -> dict:
                 for bank in machine.bankfile
             ],
             "seq": machine.bankfile._seq,
-            "stats": {
-                name: getattr(machine.bankfile.stats, name)
-                for name in _BANK_STATS_FIELDS
-            },
+            "stats": dict(vars(machine.bankfile.stats)),
             "lbank": manager.lbank.id if manager.lbank is not None else None,
             "sbank": manager.sbank.id if manager.sbank is not None else None,
             "trace": [[e.event, e.lbank, e.sbank] for e in manager.trace],
@@ -297,9 +283,7 @@ def capture(machine, scheduler=None) -> dict:
         fast = machine.fast_frames
         state["fast_frames"] = {
             "stack": list(fast._stack),
-            "stats": {
-                name: getattr(fast.stats, name) for name in _FAST_STATS_FIELDS
-            },
+            "stats": dict(vars(fast.stats)),
         }
 
     if scheduler is not None:
@@ -307,32 +291,9 @@ def capture(machine, scheduler=None) -> dict:
             "quantum": scheduler.quantum,
             "trap_quota": scheduler.trap_quota,
             "rotor": scheduler._rotor,
-            "stats": {
-                "switches": scheduler.stats.switches,
-                "preemptions": scheduler.stats.preemptions,
-                "yields": scheduler.stats.yields,
-                "quarantines": scheduler.stats.quarantines,
-                "blocks": scheduler.stats.blocks,
-            },
+            "stats": dict(vars(scheduler.stats)),
             "processes": [
-                {
-                    "pid": p.pid,
-                    "module": p.module,
-                    "proc": p.proc,
-                    "args": list(p.args),
-                    "status": p.status.value,
-                    "started": p.started,
-                    "frame": ref(p.frame),
-                    "pc": p.pc,
-                    "gf": p.gf,
-                    "cb": p.cb,
-                    "stack": list(p.stack),
-                    "results": list(p.results),
-                    "steps": p.steps,
-                    "traps": p.traps,
-                    "fault": p.fault,
-                    "remote": p.remote,
-                }
+                {**process_record(p), "frame": ref(p.frame)}
                 for p in scheduler.processes
             ],
         }
@@ -350,11 +311,8 @@ def _encode_return_context(machine, ref) -> dict:
 
 
 def _alloc_stats_dict(stats) -> dict:
-    data = {name: getattr(stats, name) for name in _ALLOC_STATS_FIELDS}
-    data["per_class_allocations"] = {
-        str(fsi): count for fsi, count in stats.per_class_allocations.items()
-    }
-    return data
+    per_class = {str(fsi): count for fsi, count in stats.per_class_allocations.items()}
+    return {**vars(stats), "per_class_allocations": per_class}
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +433,7 @@ def restore(machine, state: dict, scheduler=None) -> None:
     for value, count in state["fetch"]["slow"].items():
         fetch.slow[TransferKind(value)] = count
 
-    for name in _DIVERT_FIELDS:
-        setattr(machine.divert_stats, name, state["divert"][name])
+    vars(machine.divert_stats).update(state["divert"])
 
     machine.trap_contexts.clear()
     for kind_value, word in state["trap_contexts"].items():
@@ -497,8 +454,7 @@ def restore(machine, state: dict, scheduler=None) -> None:
             bank.dirty = set(record["dirty"])
             bank.assigned_at = record["assigned_at"]
         bankfile._seq = banks_state["seq"]
-        for name in _BANK_STATS_FIELDS:
-            setattr(bankfile.stats, name, banks_state["stats"][name])
+        vars(bankfile.stats).update(banks_state["stats"])
         manager = machine.banks
         manager.lbank = (
             bankfile.bank(banks_state["lbank"])
@@ -535,12 +491,8 @@ def restore(machine, state: dict, scheduler=None) -> None:
                     ),
                 )
             )
-        stats = rstack.stats
-        stats.pushes = rstack_state["stats"]["pushes"]
-        stats.hits = rstack_state["stats"]["hits"]
-        stats.misses = rstack_state["stats"]["misses"]
-        stats.flushes = dict(rstack_state["stats"]["flushes"])
-        stats.entries_flushed = rstack_state["stats"]["entries_flushed"]
+        stats = rstack_state["stats"]
+        vars(rstack.stats).update(stats, flushes=dict(stats["flushes"]))
 
     av_heap = machine.image.av_heap
     if av_heap is not None:
@@ -563,47 +515,23 @@ def restore(machine, state: dict, scheduler=None) -> None:
         if fast_state is None:
             raise SnapshotError("machine has a fast-frame stack but snapshot has none")
         machine.fast_frames._stack = list(fast_state["stack"])
-        for name in _FAST_STATS_FIELDS:
-            setattr(machine.fast_frames.stats, name, fast_state["stats"][name])
+        vars(machine.fast_frames.stats).update(fast_state["stats"])
 
     if scheduler is not None and "scheduler" in state:
         _restore_scheduler(scheduler, state["scheduler"], deref)
 
 
 def _restore_scheduler(scheduler, data: dict, deref) -> None:
-    from repro.interp.processes import Process, ProcessStatus
-
     scheduler.quantum = data["quantum"]
     scheduler.trap_quota = data["trap_quota"]
     scheduler._rotor = data["rotor"]
     scheduler.current = None
-    stats = scheduler.stats
-    stats.switches = data["stats"]["switches"]
-    stats.preemptions = data["stats"]["preemptions"]
-    stats.yields = data["stats"]["yields"]
-    stats.quarantines = data["stats"]["quarantines"]
-    stats.blocks = data["stats"]["blocks"]
-    scheduler.processes = [
-        Process(
-            pid=p["pid"],
-            module=p["module"],
-            proc=p["proc"],
-            args=tuple(p["args"]),
-            status=ProcessStatus(p["status"]),
-            started=p["started"],
-            frame=deref(p["frame"]),
-            pc=p["pc"],
-            gf=p["gf"],
-            cb=p["cb"],
-            stack=tuple(p["stack"]),
-            results=list(p["results"]),
-            steps=p["steps"],
-            traps=p["traps"],
-            fault=p["fault"],
-            remote=p["remote"],
-        )
-        for p in data["processes"]
-    ]
+    vars(scheduler.stats).update(data["stats"])
+    scheduler.processes = []
+    for record in data["processes"]:
+        process = Process(record["pid"], record["module"], record["proc"], ())
+        load_process(process, record, deref(record["frame"]))
+        scheduler.processes.append(process)
     # The schema records no pid counter: continue past the newest pid.
     scheduler._next_pid = max((p.pid for p in scheduler.processes), default=-1) + 1
 
@@ -615,8 +543,5 @@ def _event(value: str):
 
 
 def _restore_alloc_stats(stats, data: dict) -> None:
-    for name in _ALLOC_STATS_FIELDS:
-        setattr(stats, name, data[name])
-    stats.per_class_allocations = {
-        int(fsi): count for fsi, count in data["per_class_allocations"].items()
-    }
+    per_class = {int(fsi): count for fsi, count in data["per_class_allocations"].items()}
+    vars(stats).update(data, per_class_allocations=per_class)

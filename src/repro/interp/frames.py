@@ -83,13 +83,6 @@ class FrameState:
     def deferred(self) -> bool:
         return self.address is None
 
-    @property
-    def locals_address(self) -> int | None:
-        """Memory address of local word 0, or None while deferred."""
-        if self.address is None:
-            return None
-        return self.address + LOCALS_BASE
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = "deferred" if self.address is None else f"@{self.address:#x}"
         return f"FrameState({self.proc.qualified_name} {where})"

@@ -127,11 +127,6 @@ class Assembler:
         """Append a pre-built instruction (no label resolution)."""
         self._items.append(_Fixed(instruction))
 
-    @property
-    def position_items(self) -> int:
-        """Number of items emitted so far (for codegen bookkeeping)."""
-        return len(self._items)
-
     def assemble(self) -> bytes:
         """Resolve labels and jump sizes; return the body bytes.
 

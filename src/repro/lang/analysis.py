@@ -76,12 +76,6 @@ class Scope:
     locals: dict[str, int]
     globals: dict[str, int]
 
-    def local_slot(self, name: str) -> int | None:
-        return self.locals.get(name)
-
-    def global_index(self, name: str) -> int | None:
-        return self.globals.get(name)
-
     def resolve(self, name: str, pos: ast.Position) -> tuple[str, int]:
         """Return ("local", slot) or ("global", index); error if unbound."""
         slot = self.locals.get(name)

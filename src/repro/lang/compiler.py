@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.errors import SemanticError
 from repro.interp.machineconfig import ArgConvention, LinkageKind, MachineConfig
 from repro.isa.program import ModuleCode
-from repro.lang import ast
 from repro.lang.analysis import ProgramInfo
 from repro.lang.codegen import CodegenOptions, generate_module
 from repro.lang.parser import parse_module
@@ -98,11 +97,6 @@ def compile_module(
     own = ProgramInfo.collect([module])
     merged = ProgramInfo(signatures={**info.signatures, **own.signatures})
     return generate_module(module, merged, options.to_codegen())
-
-
-def parse_only(source: str) -> ast.ModuleDecl:
-    """Parse without generating code (for tooling and tests)."""
-    return parse_module(source)
 
 
 def check_entry(modules: list[ModuleCode], entry: tuple[str, str]) -> None:

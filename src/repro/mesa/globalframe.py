@@ -64,25 +64,10 @@ class GlobalFrameBuilder:
             self.memory.poke(address + GF_HEADER_WORDS + offset, 0)
         return address
 
-    @property
-    def words_used(self) -> int:
-        """Words consumed so far (for space accounting)."""
-        return self._cursor - self.base
-
 
 def read_code_base(memory: Memory, gf_address: int) -> int:
     """Run-time counted read of a global frame's code base."""
     return memory.read(gf_address + GF_CODE_BASE)
-
-
-def read_link_vector(memory: Memory, gf_address: int) -> int:
-    """Run-time counted read of a global frame's link vector base."""
-    return memory.read(gf_address + GF_LINK_VECTOR)
-
-
-def global_address(gf_address: int, index: int) -> int:
-    """Word address of global variable *index* of the given frame."""
-    return gf_address + GF_HEADER_WORDS + index
 
 
 def _align_up(value: int, alignment: int) -> int:

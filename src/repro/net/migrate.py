@@ -47,8 +47,10 @@ machine has no MIGRATE instruction, and we do not invent one.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import NetError
-from repro.faults.snapshot import capture, restore
+from repro.faults.snapshot import capture, load_process, process_record, restore
 from repro.interp.frames import FRAME_RETURN_LINK, FrameState
 from repro.interp.processes import Process, ProcessStatus
 from repro.net import wire
@@ -114,7 +116,7 @@ def extract(shard: Shard, process: Process, dst: int, mode: str = "exclusive") -
     else:
         slice_["config"] = wire.config_token(shard.machine.config)
         slice_["frames"] = _slice_frames(shard, process)
-        slice_["process"] = _process_record(process)
+        slice_["process"] = process_record(process)
     slice_["net"] = _detach_net(shard, process, dst)
 
     tracer = shard.machine.tracer
@@ -222,25 +224,6 @@ def _slice_frames(shard: Shard, process: Process) -> list[dict]:
                 "not self-contained"
             )
         frame = caller
-
-
-def _process_record(process: Process) -> dict:
-    return {
-        "module": process.module,
-        "proc": process.proc,
-        "args": list(process.args),
-        "status": process.status.value,
-        "started": process.started,
-        "pc": process.pc,
-        "gf": process.gf,
-        "cb": process.cb,
-        "stack": list(process.stack),
-        "results": list(process.results),
-        "steps": process.steps,
-        "traps": process.traps,
-        "fault": process.fault,
-        "remote": process.remote,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +355,7 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
     saved_output = list(machine.output)
     saved_traffic = dict(machine.memory.traffic)
     saved_next_pid = scheduler._next_pid
-    stats = scheduler.stats
-    saved_stats = (
-        stats.switches,
-        stats.preemptions,
-        stats.yields,
-        stats.quarantines,
-        stats.blocks,
-    )
+    saved_stats = dict(vars(scheduler.stats))
 
     restore(machine, slice_["snapshot"], scheduler)
 
@@ -392,14 +368,7 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
     machine.memory.traffic.update(saved_traffic)
     # Never hand out a pid this shard has already used.
     scheduler._next_pid = max(scheduler._next_pid, saved_next_pid)
-    stats = scheduler.stats
-    (
-        stats.switches,
-        stats.preemptions,
-        stats.yields,
-        stats.quarantines,
-        stats.blocks,
-    ) = saved_stats
+    vars(scheduler.stats).update(saved_stats)
 
     adopted = None
     for process in scheduler.processes:
@@ -478,12 +447,7 @@ def _adopt_shared(shard: Shard, slice_: dict) -> Process:
     # A new record on this shard, so a fresh pid; then the saved state.
     record = slice_["process"]
     process = shard.scheduler.spawn(record["module"], record["proc"], *record["args"])
-    for name in ("started", "pc", "gf", "cb", "steps", "traps", "fault", "remote"):
-        setattr(process, name, record[name])
-    process.status = ProcessStatus(record["status"])
-    process.frame = states[0]
-    process.stack = tuple(record["stack"])
-    process.results = list(record["results"])
+    load_process(process, record, states[0])
     return process
 
 
@@ -511,3 +475,71 @@ def aggregate_meters(meters: dict[int, dict]) -> dict:
         aggregate["blocks"] += entry["blocks"]
     aggregate["counter"] = dict(sorted(totals.items()))
     return aggregate
+
+
+# ---------------------------------------------------------------------------
+# The migration differential
+# ---------------------------------------------------------------------------
+
+
+def migration_differential(prog, config: str, at: int, dst: int, mode: str) -> dict:
+    """Prove one live migration safe against the run it interrupts.
+
+    Runs corpus program *prog* split across shards twice — once
+    untouched, once migrating its root to shard *dst* at the first
+    block boundary at or after pump tick *at* — and compares results
+    and cluster-aggregate modelled meters.  Exclusive mode must be
+    bit-identical on both axes; shared mode must be results-identical
+    (meter attribution legitimately shifts).  Returns the evidence, in
+    which ``migrated_tick`` is None if the root never blocked at or
+    after *at*; raises :class:`MigrateError` on a refused migration.
+    """
+    from repro.net.cluster import Cluster
+
+    modules = [
+        name
+        for source in prog.sources
+        for name in re.findall(r"MODULE\s+(\w+)\s*;", source)
+    ]
+    # The split that makes the demo interesting: the entry module alone
+    # on shard 0, everything else on shard 1, shard 2 spare to adopt.
+    pins = {m: (0 if m == prog.entry[0] else 1) for m in modules}
+
+    def submit():
+        cluster = Cluster(
+            list(prog.sources), shards=max(3, dst + 1), config=config, pins=pins
+        )
+        return cluster, cluster.submit(prog.entry[0], prog.entry[1], *prog.args)
+
+    reference, ref_ticket = submit()
+    reference.pump()
+    cluster, ticket = submit()
+    migrated_tick = None
+    moved = True
+    while moved:
+        moved = cluster.pump_tick()
+        if (
+            migrated_tick is None
+            and cluster.ticks >= at
+            and ticket.process.status is ProcessStatus.BLOCKED
+        ):
+            cluster.migrate(ticket, dst, mode=mode)
+            migrated_tick = cluster.ticks
+    agg = aggregate_meters(cluster.meters())
+    ref_agg = aggregate_meters(reference.meters())
+    ok = (
+        ticket.status is ProcessStatus.DONE
+        and ticket.results == ref_ticket.results
+        and (mode == "shared" or agg == ref_agg)
+    )
+    return {
+        "program": prog.name,
+        "mode": mode,
+        "pid": ticket.process.pid,
+        "migrated_tick": migrated_tick,
+        "results": ticket.results,
+        "reference_results": ref_ticket.results,
+        "aggregate_meters": agg,
+        "reference_meters": ref_agg,
+        "ok": ok,
+    }

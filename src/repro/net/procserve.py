@@ -604,7 +604,9 @@ class ProcessCluster:
         self._run(self._control(shard, "restore", {"state": state}))
 
     def status(self, shard: int) -> list[dict]:
-        """One worker's process table (pid, status, results, fault)."""
+        """One worker's process table: a process record per process
+        (:func:`repro.faults.snapshot.process_record`, every field but
+        the frame)."""
         return self._run(self._control(shard, "status")).body["processes"]
 
     # -- migration and repinning -------------------------------------------

@@ -218,19 +218,11 @@ class Worker:
         return {"pid": process.pid}
 
     def status(self) -> list[dict]:
-        """The process table, JSON-ready (the ``status`` control reply)."""
-        return [
-            {
-                "pid": p.pid,
-                "module": p.module,
-                "proc": p.proc,
-                "args": list(p.args),
-                "status": p.status.value,
-                "results": list(p.results),
-                "fault": p.fault,
-            }
-            for p in self.shard.scheduler.processes
-        ]
+        """The process table as process records (the ``status`` control
+        reply)."""
+        from repro.faults.snapshot import process_record
+
+        return [process_record(p) for p in self.shard.scheduler.processes]
 
     # -- the pump ----------------------------------------------------------
 
