@@ -39,9 +39,14 @@ from repro.banks.bankfile import Bank, BankFile, BankRole
 TRACE_ROWS = 256
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BankEvent:
-    """One row of the Figure 3 trace: the assignment after an event."""
+    """One row of the Figure 3 trace: the assignment after an event.
+
+    Every I4 call and return records one, so a row is a plain slotted
+    record: a frozen dataclass would pay ``object.__setattr__`` per
+    field on every construction.  Rows are never changed once recorded.
+    """
 
     event: str  # "begin X", "call A", "return", ...
     lbank: int  # current local bank id

@@ -7,27 +7,38 @@ frame size, and the charge schedule of the whole sequence.  The JIT
 seeds a per-``(site, gf)`` **cell** the first time a call executes
 generically, capturing the resolved target plus the linkage cache's
 recorded charge pairs; subsequent executions replay the charges in one
-batched update and perform only the state transition (frame
-allocation, linkage words, register swap) with the interpreter's exact
-memory, traffic, and allocator effects.
+batched update and perform only the state transition with the
+interpreter's exact memory, traffic, register, and allocator effects:
+
+* without register banks (i1–i3), frame allocation, the linkage words
+  (or the return-stack push), and the register swap;
+* with banks, the return stack and deferred allocation (i4), the
+  section 7.2 rename: the argument record lands in the stack bank,
+  which becomes the callee's local bank, a free bank becomes the new
+  stack, and the callee's frame stays deferred — no allocation at all.
 
 Supported shapes (anything else falls back to the generic handler,
 which *is* the interpreter's own dispatch handler, so correctness
 never depends on this module):
 
 * host linkage cache enabled (the cell replays its recorded pairs);
-* no register banks (i1–i3; the i4 bank/renaming machinery keeps the
-  generic path);
-* COPY argument convention;
-* the AV-heap or first-fit allocators.
+* no banks with the AV-heap or first-fit allocators, or banks with the
+  return stack and deferred allocation;
+* no remote stub, except for ``LFC``: its target is always in the
+  caller's module, which a shard's stub never diverts.
 
 Guards run before any charge or mutation: a guarded-out call simply
 invokes the generic handler, producing the interpreter's bit-exact
-behaviour including its charges.
+behaviour including its charges.  That covers every unusual event the
+paper sends to its "orderly fallback position" — a full return stack,
+no free bank (overflow), a reclaimed caller bank (underflow), a flagged
+or retained frame — so flushing, spilling and filling stay in one place.
 """
 
 from __future__ import annotations
 
+from repro.banks.bankfile import BankRole
+from repro.banks.renaming import BankEvent
 from repro.ifu.ifu import FetchStats, TransferKind
 from repro.ifu.returnstack import ReturnStackEntry
 from repro.interp.frames import FrameState
@@ -53,7 +64,8 @@ class CallSite:
         self.cells: dict[int, _Cell] = {}
         self.mono = mono
         #: Permanently demoted: the resolved target has no compiled
-        #: metadata (replaced procedure, trap context) — always generic.
+        #: metadata (replaced procedure, trap context) or, on a banked
+        #: machine, more locals than a bank can defer — always generic.
         self.generic = False
         self.lfc = op is Op.LFC
         if op is Op.DFC:
@@ -75,7 +87,7 @@ class _Cell:
     """The seeded (site, gf) resolution: target + batched charges."""
 
     __slots__ = ("pairs", "cycles", "meta", "gf_address", "cb_final",
-                 "first_instruction", "fsi", "frame_words")
+                 "first_instruction", "fsi", "frame_words", "label")
 
     def __init__(self, pairs, cycles, meta, resolved) -> None:
         self.pairs = pairs
@@ -86,17 +98,31 @@ class _Cell:
         self.first_instruction = resolved.first_instruction
         self.fsi = resolved.fsi
         self.frame_words = meta.frame_words
+        #: The bank-trace row a renaming call records.
+        self.label = f"call {meta.name}"
+
+
+def _renames(machine) -> bool:
+    """I4's shape: banks, the return stack, and deferred allocation.
+
+    Renaming cells need the return stack to carry the caller's bank and
+    deferral to keep the callee out of memory; a banked machine without
+    either keeps the generic handlers.
+    """
+    return (
+        machine.banks is not None
+        and machine.rstack is not None
+        and machine.config.deferred_allocation
+    )
 
 
 def make_fast_call(machine, stats):
     """Build the fast-call closure for *machine*, or None if unsupported."""
-    config = machine.config
     image = machine.image
     if machine.linkage_cache is None:
         return None
-    if machine.banks is not None:
-        return None
-    if config.arg_convention is not ArgConvention.COPY:
+    banked = machine.banks is not None
+    if banked and not _renames(machine):
         return None
 
     counter = machine.counter
@@ -117,6 +143,38 @@ def make_fast_call(machine, stats):
     gf_name = gf_region.name if gf_region is not None else ""
     E_MR = Event.MEMORY_READ
     E_MW = Event.MEMORY_WRITE
+    bank_words = machine.config.bank_words
+
+    def seed(m, site: CallSite, gf: int) -> int:
+        """Run the call generically, then capture its cell."""
+        site.handler(site.inst, site.next_pc)
+        if site.generic or (m.remote_stub is not None and not site.lfc):
+            return -1
+        entry = entries_map.get((site.next_pc, gf))
+        if entry is None:
+            return -1
+        resolved, pairs, walk_cycles = entry
+        meta = procs_by_entry.get(resolved.entry_address)
+        if meta is None or (banked and meta.local_words > bank_words):
+            site.generic = True
+            stats.sites_demoted += 1
+            return -1
+        cycles = charges[site.kind_event] + walk_cycles
+        site.cells[gf] = _Cell(tuple(pairs), cycles, meta, resolved)
+        stats.cells_built += 1
+        return -1
+
+    def lazy_cb_for_lfc(m, caller) -> None:
+        """Replay ``_current_code_base``'s charged fetch (LFC prologue)."""
+        counts[E_MR] += 1
+        counter.cycles += mr
+        traffic[gf_name] = traffic.get(gf_name, 0) + 1
+        cb = words[m.gf + GF_CODE_BASE]
+        m.cb = cb
+        caller.code_base = cb
+
+    if banked:
+        return _renaming_call(machine, seed, lazy_cb_for_lfc)
 
     if image.first_fit is not None:
         heap = image.first_fit
@@ -188,34 +246,6 @@ def make_fast_call(machine, stats):
     else:
         return None
 
-    def seed(m, site: CallSite, gf: int) -> int:
-        """Run the call generically, then capture its cell."""
-        site.handler(site.inst, site.next_pc)
-        if site.generic or m.remote_stub is not None:
-            return -1
-        entry = entries_map.get((site.next_pc, gf))
-        if entry is None:
-            return -1
-        resolved, pairs, walk_cycles = entry
-        meta = procs_by_entry.get(resolved.entry_address)
-        if meta is None:
-            site.generic = True
-            stats.sites_demoted += 1
-            return -1
-        cycles = charges[site.kind_event] + walk_cycles
-        site.cells[gf] = _Cell(tuple(pairs), cycles, meta, resolved)
-        stats.cells_built += 1
-        return -1
-
-    def lazy_cb_for_lfc(m, caller) -> None:
-        """Replay ``_current_code_base``'s charged fetch (LFC prologue)."""
-        counts[E_MR] += 1
-        counter.cycles += mr
-        traffic[gf_name] = traffic.get(gf_name, 0) + 1
-        cb = words[m.gf + GF_CODE_BASE]
-        m.cb = cb
-        caller.code_base = cb
-
     if rstack is not None:
         rentries = rstack._entries
         rstats = rstack.stats
@@ -229,7 +259,7 @@ def make_fast_call(machine, stats):
             caller = m.frame
             if (
                 caller is None
-                or m.remote_stub is not None
+                or (m.remote_stub is not None and not site.lfc)
                 or len(rentries) >= rdepth
             ):
                 site.handler(site.inst, site.next_pc)
@@ -273,7 +303,7 @@ def make_fast_call(machine, stats):
         if cell is None:
             return seed(m, site, gf)
         caller = m.frame
-        if caller is None or m.remote_stub is not None:
+        if caller is None or (m.remote_stub is not None and not site.lfc):
             site.handler(site.inst, site.next_pc)
             return -1
         if site.lfc and m.cb < 0:
@@ -322,10 +352,116 @@ def make_fast_call(machine, stats):
     return fast_call
 
 
+def _renaming_call(machine, seed, lazy_cb_for_lfc):
+    """I4's call cell: ``_do_call``'s RENAME transition, replayed.
+
+    The argument record is written into the stack bank (words and dirty
+    bits), the return stack records the caller with its bank, and
+    ``BankManager.on_call``'s rename runs inline: the stack bank becomes
+    the callee's Lbank and the first free bank the new stack, each with
+    the next assignment sequence number.  The callee's frame stays
+    deferred, so the call touches no memory at all.
+    """
+    counter = machine.counter
+    counts = counter.counts
+    fetch = machine.fetch
+    stack = machine.stack
+    rstack = machine.rstack
+    rentries = rstack._entries
+    rstats = rstack.stats
+    rdepth = rstack.depth
+    banks = machine.banks
+    trace = banks.trace
+    bankfile = machine.bankfile
+    bank_list = bankfile._banks
+    bstats = bankfile.stats
+    rename = machine.config.arg_convention is ArgConvention.RENAME
+    LOCAL = BankRole.LOCAL
+    STACK = BankRole.STACK
+    FREE = BankRole.FREE
+
+    def fast_call(m, site: CallSite) -> int:
+        gf = m.gf
+        cell = site.cells.get(gf)
+        if cell is None:
+            return seed(m, site, gf)
+        caller = m.frame
+        sbank = banks.sbank
+        slots = stack._slots
+        # The stack bank must be holding the stack, so the search for a
+        # free bank below cannot hand it back as the new stack.
+        if (
+            caller is None
+            or caller.flagged
+            or (m.remote_stub is not None and not site.lfc)
+            or len(rentries) >= rdepth
+            or sbank is None
+            or sbank.role is not STACK
+            or (rename and len(slots) > sbank.size)
+        ):
+            site.handler(site.inst, site.next_pc)
+            return -1
+        for fresh in bank_list:
+            if fresh.role is FREE:
+                break
+        else:
+            # Bank overflow: the generic path spills the oldest bank.
+            site.handler(site.inst, site.next_pc)
+            return -1
+        if site.lfc and m.cb < 0:
+            lazy_cb_for_lfc(m, caller)
+        # Committed: replay resolution charges + the transfer event.
+        for event, times in cell.pairs:
+            counts[event] += times
+        counts[site.kind_event] += 1
+        counter.cycles += cell.cycles
+        bucket = fetch.fast if site.fast else fetch.slow
+        kind = site.kind
+        bucket[kind] = bucket.get(kind, 0) + 1
+        callee = FrameState(proc=cell.meta, gf=cell.gf_address, fsi=cell.fsi)
+        if cell.cb_final >= 0:
+            callee.code_base = cell.cb_final
+        rentries.append(
+            ReturnStackEntry(frame=caller, pc=site.next_pc, cb=m.cb, bank=banks.lbank)
+        )
+        rstats.pushes += 1
+        # The rename: the stack bank shadows the callee, a free bank
+        # becomes the stack.
+        bstats.xfers += 1
+        bstats.assignments += 1
+        seq = bankfile._seq
+        sbank.role = LOCAL
+        sbank.frame = callee
+        sbank.assigned_at = seq + 1
+        fresh.role = STACK
+        fresh.frame = None
+        fresh.assigned_at = seq + 2
+        fresh.dirty.clear()
+        bankfile._seq = seq + 2
+        banks.lbank = sbank
+        banks.sbank = fresh
+        trace.append(BankEvent(cell.label, sbank.id, fresh.id))
+        if rename and slots:
+            # The arguments become the first locals: live in the bank,
+            # not yet in memory, so dirty from the frame's point of view.
+            count = len(slots)
+            sbank.words[:count] = slots
+            sbank.dirty.update(range(count))
+            slots.clear()
+        m.return_context = caller
+        m.frame = callee
+        m.gf = cell.gf_address
+        m.cb = cell.cb_final
+        m.pc = cell.first_instruction
+        return cell.first_instruction
+
+    return fast_call
+
+
 def make_fast_return(machine, stats):
     """Build the fast-return closure for *machine*, or None."""
     if machine.banks is not None:
-        return None
+        return _renaming_return(machine) if _renames(machine) else None
     image = machine.image
     counter = machine.counter
     counts = counter.counts
@@ -483,5 +619,68 @@ def make_fast_return(machine, stats):
         pc = cb + pc_rel
         m.pc = pc
         return pc
+
+    return fast_return
+
+
+def _renaming_return(machine):
+    """I4's return: ``_op_return``'s return-stack hit with bank restore.
+
+    Pops the caller's entry, frees the deferred frame (it never existed
+    in memory), releases the current Lbank and makes the caller's bank
+    current again; the stack bank stays put, carrying the results.
+    """
+    counter = machine.counter
+    counts = counter.counts
+    E_FT = Event.FAST_TRANSFER
+    ft = counter.charges[E_FT]
+    ffast = machine.fetch.fast
+    K_RET = TransferKind.RETURN
+    rstack = machine.rstack
+    rentries = rstack._entries
+    rstats = rstack.stats
+    banks = machine.banks
+    trace = banks.trace
+    bstats = machine.bankfile.stats
+    FREE = BankRole.FREE
+
+    def fast_return(m) -> int:
+        # Generic: an empty return stack, a retained frame (spilled on
+        # return), a materialized one (freed to its allocator), a
+        # dangling return (raises), and a caller whose bank was
+        # reclaimed (an underflow fills one).
+        current = m.frame
+        if not rentries or current.retained or current.address is not None:
+            m._op_return()
+            return -1
+        entry = rentries[-1]
+        dest = entry.frame
+        bank = entry.bank
+        lbank = banks.lbank
+        if dest.freed or bank is None or bank is lbank or bank.frame is not dest:
+            m._op_return()
+            return -1
+        rentries.pop()
+        rstats.hits += 1
+        counts[E_FT] += 1
+        counter.cycles += ft
+        ffast[K_RET] = ffast.get(K_RET, 0) + 1
+        current.freed = True
+        m.deferred_frames += 1
+        bstats.xfers += 1
+        if lbank is not None:
+            lbank.role = FREE
+            lbank.frame = None
+            lbank.dirty.clear()
+            bstats.releases += 1
+        banks.lbank = bank
+        sbank = banks.sbank
+        trace.append(BankEvent("return", bank.id, sbank.id if sbank is not None else -1))
+        m.frame = dest
+        m.pc = entry.pc
+        m.gf = dest.gf
+        m.cb = entry.cb if entry.cb >= 0 else dest.code_base
+        m.return_context = None
+        return entry.pc
 
     return fast_return

@@ -513,7 +513,7 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, body: list[str], ind: str) -> N
         w.add(Event.MEMORY_READ)
         w.add(Event.REGISTER_WRITE)
         body.append(f"{ind}a = st.pop()")
-        body.append(f"{ind}_n = _NM[a]")
+        body.append(f"{ind}_n = _RN[_IX[a]]")
         body.append(f"{ind}_TR[_n] = _TR.get(_n, 0) + 1")
         body.append(f"{ind}st.append(_W[a])")
         return
@@ -522,7 +522,7 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, body: list[str], ind: str) -> N
         w.add(Event.REGISTER_READ, 2)
         w.add(Event.MEMORY_WRITE)
         body.append(f"{ind}a = st.pop()")
-        body.append(f"{ind}_n = _NM[a]")
+        body.append(f"{ind}_n = _RN[_IX[a]]")
         body.append(f"{ind}_TR[_n] = _TR.get(_n, 0) + 1")
         body.append(f"{ind}_W[a] = st.pop()")
         return

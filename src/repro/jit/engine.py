@@ -85,12 +85,6 @@ class JitEngine:
         inline_memory = memory.size == MDS_WORDS and all(
             region.writable for region in memory.regions
         )
-        if inline_memory:
-            names = [""] * memory.size
-            for region in memory.regions:
-                names[region.base : region.limit] = [region.name] * region.size
-        else:
-            names = []
 
         def region_name(address: int) -> str:
             region = memory.region_of(address)
@@ -126,7 +120,11 @@ class JitEngine:
             "_CC": counter.counts,
             "_W": memory._words,
             "_TR": memory.traffic,
-            "_NM": names,
+            # The memory's own region index: compiled RD/WR attribute
+            # traffic exactly as Memory.read/write do, and see regions
+            # added after install.
+            "_IX": memory._index,
+            "_RN": memory._names,
             "_BKS": machine.banks,
             "_TT": TrapTransfer,
             "_ESO": EvalStackOverflow,

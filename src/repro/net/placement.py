@@ -45,11 +45,18 @@ class HashRing:
         points.sort()
         self._points = [p for p, _ in points]
         self._owners = [s for _, s in points]
+        #: key -> owner.  The ring never changes after construction, so
+        #: each key is hashed once; keys are module names, so the memo
+        #: is bounded by the module census.
+        self._homes: dict[str, int] = {}
 
     def home(self, key: str) -> int:
         """The shard owning *key*: first ring point clockwise of its hash."""
-        index = bisect.bisect_right(self._points, _point(key)) % len(self._points)
-        return self._owners[index]
+        owner = self._homes.get(key)
+        if owner is None:
+            index = bisect.bisect_right(self._points, _point(key)) % len(self._points)
+            owner = self._homes[key] = self._owners[index]
+        return owner
 
 
 class Placement:

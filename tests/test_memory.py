@@ -230,3 +230,36 @@ def test_region_index_holds_at_most_max_regions():
     assert memory.region_of(MAX_REGIONS - 1).name == f"r{MAX_REGIONS - 1}"
     with pytest.raises(ValueError):
         memory.add_region("one-too-many", MAX_REGIONS, 1)
+
+
+def test_compiled_pointer_access_reads_the_same_region_index():
+    """The JIT's inline RD/WR attribute traffic through the memory's own
+    region index, so a region added after the JIT was installed counts
+    exactly as it does on the interpreter."""
+    from repro.jit import install_jit
+    from tests.conftest import build
+
+    source = [
+        """
+MODULE Main;
+PROCEDURE main(): INT;
+VAR p: INT;
+BEGIN
+  p := 8;
+  ^p := 7;
+  RETURN ^p + 1;
+END;
+END.
+"""
+    ]
+    traffic = []
+    for engine in ("interp", "jit"):
+        machine = build(source, preset="i2")
+        if engine == "jit":
+            install_jit(machine)
+        machine.memory.add_region("late", 0, 16)
+        machine.start()
+        assert machine.run() == [8]
+        traffic.append(dict(machine.memory.traffic))
+    assert traffic[0]["late"] == 2
+    assert traffic[1] == traffic[0]

@@ -19,7 +19,7 @@ from repro.net.cluster import Cluster, build_shard_machine
 from repro.net.shard import Shard
 from repro.net.stitch import render, stitch
 from repro.net.transport import SocketTransport
-from repro.net.placement import Placement
+from repro.net.placement import HashRing, Placement
 from repro.net import wire
 from repro.workloads.programs import program
 from tests.conftest import ALL_PRESETS, served_activations
@@ -211,3 +211,21 @@ def test_cluster_rejects_zero_shards_and_unpumped_stub_calls():
     machine.start("Main", "main")
     with pytest.raises(NetError, match="outside a scheduled process"):
         machine.run()
+
+
+def test_memoized_ring_homes_equal_freshly_hashed_homes():
+    """``HashRing.home`` hashes each key once; the memo must answer
+    exactly what a fresh ring answers, and pins keep priority across a
+    repin."""
+    census = [f"Module{i}" for i in range(300)] + ["Main", "Fib", "Gauss", "Gcd", "Pow"]
+    placement = Placement([0, 1, 2, 3])
+    before = {module: placement.home(module) for module in census}
+    assert before == {module: HashRing([0, 1, 2, 3]).home(module) for module in census}
+    assert {module: placement.home(module) for module in census} == before
+    assert len(set(before.values())) == 4
+    pins = {"Module7": (before["Module7"] + 1) % 4, "Main": 3}
+    assert placement.repin(pins) == 1
+    after = {module: placement.home(module) for module in census}
+    fresh = HashRing([0, 1, 2, 3])
+    for module in census:
+        assert after[module] == pins.get(module, fresh.home(module))

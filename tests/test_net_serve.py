@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import NetError
+from repro.ifu.ifu import TransferKind
 from repro.interp.machine import Machine
 from repro.interp.machineconfig import MachineConfig
 from repro.net.cluster import Cluster
@@ -91,6 +92,35 @@ def test_jit_shards_serve_exactly_like_interpreter_shards(monkeypatch):
             else:
                 assert step_calls.get(machine, 0) * 10 < machine.steps
                 assert interpreted.get(machine, 0) * 10 < machine.steps
+    assert runs["jit"] == runs["interp"]
+
+
+def test_jit_shards_build_local_call_cells_and_meter_like_the_interpreter():
+    """An LFC target is always in the caller's module, which a shard's
+    stub never diverts, so a JIT shard builds LFC call cells under its
+    stub (EFC/DFC/SDFC stay generic there).  Every shard that makes a
+    local call builds cells, and the cluster's meters, remote calls
+    included, are the interpreter's."""
+    runs = {}
+    for engine in ("interp", "jit"):
+        cluster = Cluster(list(SERVICE_SOURCES), shards=4, engine=engine)
+        report = Server(cluster).serve(generate_workload(7, 120))
+        assert report.completed == 120 and report.lost == report.wrong == 0
+        fetch = {
+            shard.id: shard.machine.fetch.summary() for shard in cluster.shards
+        }
+        runs[engine] = (report.to_dict(), cluster.meters(), fetch)
+    meters, fetch = runs["jit"][1], runs["jit"][2]
+    assert sum(shard["blocks"] for shard in meters.values()) > 0
+    local_callers = 0
+    for shard in cluster.shards:
+        machine = shard.machine
+        if machine.fetch.fast.get(TransferKind.LOCAL_CALL) or machine.fetch.slow.get(
+            TransferKind.LOCAL_CALL
+        ):
+            local_callers += 1
+            assert machine.engine.stats.cells_built > 0, shard.id
+    assert local_callers > 0
     assert runs["jit"] == runs["interp"]
 
 
