@@ -16,12 +16,17 @@ Two entry points:
 
 Both return a :class:`~repro.check.diagnostics.CheckReport`; ``ok`` on
 the report is the pass/fail verdict (errors fail, warnings and notes do
-not).
+not).  :func:`verify_image` is ``check_image``'s pass with its per-body
+record kept (the CFG, the verified stack depths, the resolved call
+sites), which :func:`repro.check.interproc.analyze_image` summarizes
+instead of verifying each body a second time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from repro.errors import EncodingError, FrameSizeError
 from repro.interp.image import LinkedModule, ProgramImage
@@ -35,7 +40,6 @@ from repro.check.callgraph import CallGraph, ProcNode
 from repro.check.cfg import ControlFlowGraph, build_cfg
 from repro.check.diagnostics import CheckReport, Severity, instruction_context
 from repro.check.effects import (
-    DIRECT_CALL_OPS,
     EXTERNAL_CALL_INDEX,
     LOCAL_CALL_OPS,
     OperandLimits,
@@ -43,33 +47,169 @@ from repro.check.effects import (
     global_index_of,
     local_index_of,
 )
-from repro.check.stackcheck import CallEffect, StackRules, verify_stack_depths
+from repro.check.stackcheck import CallEffect, CallResolver, StackRules, verify_stack_depths
 
 #: MachineConfig's default evaluation stack depth, for pre-link checks.
 DEFAULT_STACK_LIMIT = 16
+
+#: A call target as a lookup finds it: ``(module name, procedure)``.
+Target = tuple[str, Procedure]
+
+#: Finds the target of one call site in a procedure, returning
+#: ``(target, check, message)`` like :func:`_descriptor_target`.  An
+#: empty *check* beside a None target means the site's defect was
+#: reported already.
+Lookup = Callable[[Procedure, DecodedInstruction], tuple[Target | None, str, str]]
+
+
+@dataclass(frozen=True)
+class VerifiedBody:
+    """What verifying one procedure body established."""
+
+    procedure: Procedure
+    cfg: ControlFlowGraph
+    #: Eval-stack depth on entry to every reachable instruction; None
+    #: when stack verification stopped at an error.
+    depths: dict[int, int] | None
+    #: Resolved call sites: offset -> the callee's stack effect.
+    calls: dict[int, CallEffect]
+
+
+@dataclass
+class VerifiedImage:
+    """One :func:`check_image` pass and its per-body record."""
+
+    report: CheckReport
+    graph: CallGraph = field(default_factory=CallGraph)
+    #: Every body that decoded, in check order.
+    bodies: dict[ProcNode, VerifiedBody] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """What the pre-link and post-link checks of a module differ in."""
+
+    convention: ArgConvention
+    stack_limit: int
+    #: Finds an ``EFC*`` site's target.
+    external: Lookup
+    #: Finds a ``DFC``/``SDFC`` site's target.
+    direct: Lookup
 
 
 # -- shared per-procedure machinery -------------------------------------------
 
 
 def _verify_body(
+    module: ModuleCode,
+    procedure: Procedure,
     body: bytes,
-    node: ProcNode,
-    limits: OperandLimits,
-    rules: StackRules,
-    resolver,
+    level: _Level,
+    graph: CallGraph,
     report: CheckReport,
-) -> ControlFlowGraph | None:
-    """Decode, CFG-check, operand-check, and stack-verify one body."""
+) -> VerifiedBody | None:
+    """Decode, CFG-check, operand-check, and stack-verify one body.
+
+    Returns None when the body does not decode into a CFG.
+    """
+    node = ProcNode(module.name, procedure.name)
     cfg = build_cfg(body, report, node.module, node.name)
     if cfg is None:
         return None
+    limits = OperandLimits(
+        local_words=procedure.local_words,
+        global_words=module.global_words,
+        import_count=len(module.imports),
+        proc_count=len(module.procedures),
+    )
     for block in cfg.block_order():
         for item in block.instructions:
             _check_data_operands(item, body, limits, report, node)
             _note_dynamic(item, body, report, node)
-    verify_stack_depths(cfg, rules, resolver, report, node.module, node.name)
-    return cfg
+    rules = StackRules(
+        entry_depth=(
+            procedure.arg_count if level.convention is ArgConvention.COPY else 0
+        ),
+        result_count=procedure.result_count,
+        stack_limit=level.stack_limit,
+    )
+    calls: dict[int, CallEffect] = {}
+    resolver = _call_resolver(node, module, procedure, body, level, graph, calls, report)
+    depths = verify_stack_depths(cfg, rules, resolver, report, node.module, node.name)
+    return VerifiedBody(procedure, cfg, depths, calls)
+
+
+def _call_resolver(
+    node: ProcNode,
+    module: ModuleCode,
+    procedure: Procedure,
+    body: bytes,
+    level: _Level,
+    graph: CallGraph,
+    calls: dict[int, CallEffect],
+    report: CheckReport,
+) -> CallResolver:
+    """The one call-site resolver behind both checks.
+
+    A local call resolves through the module's own entry vector; the
+    level's lookups find external and direct targets.  Each resolved
+    site becomes a call edge in *graph* and an entry in *calls*.
+    """
+
+    def fail(check: str, message: str, item: DecodedInstruction) -> None:
+        report.add(
+            check,
+            Severity.ERROR,
+            message,
+            node.module,
+            node.name,
+            offset=item.offset,
+            context=instruction_context(body, item.offset),
+        )
+
+    def resolve(item: DecodedInstruction) -> CallEffect | None:
+        op = item.instruction.op
+        if op in LOCAL_CALL_OPS:
+            target, check, message = _local_target(module, item)
+        elif op in EXTERNAL_CALL_INDEX:
+            target, check, message = level.external(procedure, item)
+            # Only a placed link vector can disagree with the import
+            # list; pre-link lookups resolve through the list itself.
+            if target is not None:
+                index = external_index_of(item.instruction)
+                if (target[0], target[1].name) != module.imports[index]:
+                    fail(
+                        "import-mismatch",
+                        f"link-vector entry {index} resolves to {target[0]}."
+                        f"{target[1].name} but the module imported "
+                        f"{'.'.join(module.imports[index])}",
+                        item,
+                    )
+        else:
+            target, check, message = level.direct(procedure, item)
+        if target is None:
+            if check:
+                fail(check, message, item)
+            return None
+        owner, callee = target
+        graph.add_call(node, ProcNode(owner, callee.name))
+        effect = CallEffect(callee.arg_count, callee.result_count, f"{owner}.{callee.name}")
+        calls[item.offset] = effect
+        return effect
+
+    return resolve
+
+
+def _local_target(module: ModuleCode, item: DecodedInstruction) -> tuple[Target | None, str, str]:
+    """An ``LFC`` site's target: the entry its operand indexes."""
+    index = item.instruction.operand
+    for procedure in module.procedures:
+        if procedure.ev_index == index:
+            return (module.name, procedure), "", ""
+    return None, "ev-index", (
+        f"{item.instruction} targets entry {index} but module "
+        f"{module.name!r} has {len(module.procedures)} procedure(s)"
+    )
 
 
 def _check_data_operands(
@@ -245,13 +385,43 @@ def _check_one_module(
     graph: CallGraph,
     report: CheckReport,
 ) -> None:
-    ev_map = {procedure.ev_index: procedure for procedure in module.procedures}
     direct_fixups = {
         (fixup.procedure, fixup.site_offset): fixup
         for fixup in module.fixups
         if fixup.kind in ("dfc", "sdfc")
     }
     counts: Counter = Counter()
+
+    def external(_procedure: Procedure, item: DecodedInstruction):
+        index = external_index_of(item.instruction)
+        if index >= len(module.imports):
+            return None, "lv-index", (
+                f"{item.instruction} uses link-vector index {index} but "
+                f"module {module.name!r} imports {len(module.imports)} "
+                "procedure(s)"
+            )
+        target_module, target_name = module.imports[index]
+        target = _lookup(by_name, target_module, target_name)
+        if target is None:
+            return None, "unresolved-import", (
+                f"{item.instruction} resolves to {target_module}.{target_name}, "
+                "which no module provides"
+            )
+        return (target_module, target), "", ""
+
+    def direct(procedure: Procedure, item: DecodedInstruction):
+        fixup = direct_fixups.get((procedure.name, item.offset))
+        if fixup is None:
+            return None, "direct-unbound", (
+                f"{item.instruction} has no recorded link fixup; its operand "
+                "cannot be resolved before linking"
+            )
+        target = _lookup(by_name, fixup.target_module, fixup.target_procedure)
+        if target is None:
+            return None, "", ""  # the fixup pass reported unresolved-import already
+        return (fixup.target_module, target), "", ""
+
+    level = _Level(convention, stack_limit, external, direct)
 
     for fixup in module.fixups:
         target = _lookup(by_name, fixup.target_module, fixup.target_procedure)
@@ -275,24 +445,9 @@ def _check_one_module(
                 counts[module.imports.index(key)] += 1
 
     for procedure in module.procedures:
-        node = ProcNode(module.name, procedure.name)
-        limits = OperandLimits(
-            local_words=procedure.local_words,
-            global_words=module.global_words,
-            import_count=len(module.imports),
-            proc_count=len(module.procedures),
-        )
-        rules = StackRules(
-            entry_depth=procedure.arg_count if convention is ArgConvention.COPY else 0,
-            result_count=procedure.result_count,
-            stack_limit=stack_limit,
-        )
-        resolver = _module_resolver(
-            module, procedure, by_name, ev_map, direct_fixups, graph, node, report
-        )
-        cfg = _verify_body(procedure.body, node, limits, rules, resolver, report)
-        if cfg is not None:
-            _count_external_sites(cfg, len(module.imports), counts)
+        verified = _verify_body(module, procedure, procedure.body, level, graph, report)
+        if verified is not None:
+            _count_external_sites(verified.cfg, len(module.imports), counts)
 
     if not direct_fixups:
         # Under DIRECT linkage most external calls compile to DFC/SDFC,
@@ -312,86 +467,6 @@ def _lookup(
         return None
 
 
-def _module_resolver(
-    module: ModuleCode,
-    procedure: Procedure,
-    by_name: dict[str, ModuleCode],
-    ev_map: dict[int, Procedure],
-    direct_fixups: dict,
-    graph: CallGraph,
-    node: ProcNode,
-    report: CheckReport,
-):
-    body = procedure.body
-
-    def fail(check: str, message: str, item: DecodedInstruction) -> None:
-        report.add(
-            check,
-            Severity.ERROR,
-            message,
-            node.module,
-            node.name,
-            offset=item.offset,
-            context=instruction_context(body, item.offset),
-        )
-        return None
-
-    def resolved(target_module: str, target: Procedure) -> CallEffect:
-        graph.add_call(node, ProcNode(target_module, target.name))
-        return CallEffect(
-            target.arg_count, target.result_count, f"{target_module}.{target.name}"
-        )
-
-    def resolve(item: DecodedInstruction) -> CallEffect | None:
-        op = item.instruction.op
-        if op in LOCAL_CALL_OPS:
-            index = item.instruction.operand
-            target = ev_map.get(index)
-            if target is None:
-                return fail(
-                    "ev-index",
-                    f"{item.instruction} targets entry {index} but module "
-                    f"{module.name!r} has {len(ev_map)} procedure(s)",
-                    item,
-                )
-            return resolved(module.name, target)
-        if op in EXTERNAL_CALL_INDEX:
-            index = external_index_of(item.instruction)
-            if index >= len(module.imports):
-                return fail(
-                    "lv-index",
-                    f"{item.instruction} uses link-vector index {index} but "
-                    f"module {module.name!r} imports "
-                    f"{len(module.imports)} procedure(s)",
-                    item,
-                )
-            target_module, target_name = module.imports[index]
-            target = _lookup(by_name, target_module, target_name)
-            if target is None:
-                return fail(
-                    "unresolved-import",
-                    f"{item.instruction} resolves to "
-                    f"{target_module}.{target_name}, which no module provides",
-                    item,
-                )
-            return resolved(target_module, target)
-        assert op in DIRECT_CALL_OPS
-        fixup = direct_fixups.get((procedure.name, item.offset))
-        if fixup is None:
-            return fail(
-                "direct-unbound",
-                f"{item.instruction} has no recorded link fixup; its operand "
-                "cannot be resolved before linking",
-                item,
-            )
-        target = _lookup(by_name, fixup.target_module, fixup.target_procedure)
-        if target is None:
-            return None  # the fixup pass reported unresolved-import already
-        return resolved(fixup.target_module, target)
-
-    return resolve
-
-
 # -- post-link: check_image -----------------------------------------------------
 
 
@@ -407,40 +482,45 @@ def check_image(
     outside the graph (spawned processes, externally served root
     XFERs) that must not be flagged unreachable.
     """
-    report = report or CheckReport()
-    raw = image.code.raw
-    graph = CallGraph()
+    return verify_image(image, report, extra_roots).report
 
+
+def verify_image(
+    image: ProgramImage,
+    report: CheckReport | None = None,
+    extra_roots: list[tuple[str, str]] | None = None,
+) -> VerifiedImage:
+    """:func:`check_image`'s pass, returning its per-body record too.
+
+    When the report comes back clean, every body decoded and
+    stack-verified, so each record carries its depths.
+    """
+    verified = VerifiedImage(report or CheckReport())
     primaries = {
         name: linked for (name, inst), linked in image.instances.items() if inst == 0
     }
     instance_counts = Counter(name for (name, _inst) in image.instances)
 
-    direct_headers: dict[int, tuple[LinkedModule, Procedure]] = {}
+    direct_headers: dict[int, Target] = {}
     for linked in primaries.values():
         for procedure in linked.module.procedures:
-            graph.add_node(ProcNode(linked.name, procedure.name))
+            verified.graph.add_node(ProcNode(linked.name, procedure.name))
             if procedure.direct_offset >= 0:
                 direct_headers[linked.code_base + procedure.direct_offset] = (
-                    linked,
+                    linked.name,
                     procedure,
                 )
 
-    _check_gft(image, report)
+    _check_gft(image, verified.report)
     for name in sorted(primaries):
         _check_linked_module(
-            image,
-            primaries[name],
-            direct_headers,
-            graph,
-            report,
-            instance_counts[name],
+            image, primaries[name], direct_headers, verified, instance_counts[name]
         )
 
     roots = [ProcNode(image.entry.module, image.entry.name)]
     roots.extend(ProcNode(*root) for root in extra_roots or [])
-    graph.report_unreachable(roots, report)
-    return report
+    verified.graph.report_unreachable(roots, verified.report)
+    return verified
 
 
 def _check_gft(image: ProgramImage, report: CheckReport) -> None:
@@ -470,13 +550,11 @@ def _check_gft(image: ProgramImage, report: CheckReport) -> None:
             )
 
 
-def _descriptor_target(
-    image: ProgramImage, word: int
-) -> tuple[tuple[LinkedModule, Procedure] | None, str, str]:
+def _descriptor_target(image: ProgramImage, word: int) -> tuple[Target | None, str, str]:
     """Chase a packed descriptor through GFT and EV.
 
     Returns ``(target, check, message)``: on success *target* is the
-    ``(linked module, procedure)`` pair and the rest is empty; on failure
+    ``(module name, procedure)`` pair and the rest is empty; on failure
     *target* is None and *check*/*message* describe the first broken link.
     """
     if not is_descriptor(word):
@@ -504,7 +582,7 @@ def _descriptor_target(
     effective = effective_entry_index(code, bias)
     for procedure in linked.module.procedures:
         if procedure.ev_index == effective:
-            return (linked, procedure), "", ""
+            return (linked.name, procedure), "", ""
     return None, "ev-index", (
         f"descriptor {word:#06x} selects entry {effective} (code {code}, "
         f"bias {bias}) but module {linked.name!r} has "
@@ -512,18 +590,45 @@ def _descriptor_target(
     )
 
 
+def _wide_lv_target(
+    image: ProgramImage, linked: LinkedModule, index: int
+) -> tuple[Target | None, str, str]:
+    """Resolve a SIMPLE-linkage link-vector entry: an (entry, GF) pair."""
+    entry_address = image.memory.peek(linked.lv_base + 2 * index)
+    gf_address = image.memory.peek(linked.lv_base + 2 * index + 1)
+    meta = image.procs_by_entry.get(entry_address)
+    if meta is None:
+        return None, "lv-wide-entry", (
+            f"wide link-vector entry {index} holds entry address "
+            f"{entry_address:#06x}, which is no procedure's fsi byte"
+        )
+    owner = image.by_gf.get(gf_address)
+    if owner is None:
+        return None, "lv-wide-gf", (
+            f"wide link-vector entry {index} holds GF {gf_address:#06x}, "
+            "which is not any instance's global frame"
+        )
+    for procedure in owner.module.procedures:
+        if procedure.name == meta.name:
+            return (meta.module, procedure), "", ""
+    return None, "lv-wide-gf", (
+        f"wide link-vector entry {index} pairs {meta.module}.{meta.name} "
+        f"with the GF of module {owner.name!r}, which has no such procedure"
+    )
+
+
 def _check_linked_module(
     image: ProgramImage,
     linked: LinkedModule,
-    direct_headers: dict[int, tuple[LinkedModule, Procedure]],
-    graph: CallGraph,
-    report: CheckReport,
+    direct_headers: dict[int, Target],
+    verified: VerifiedImage,
     instance_count: int,
 ) -> None:
     module = linked.module
     base = linked.code_base
     raw = image.code.raw
     config = image.config
+    report = verified.report
     use_tables = config.linkage is not LinkageKind.SIMPLE
     counts: Counter = Counter()
     desc_fixups_by_proc: dict[str, list] = {}
@@ -533,6 +638,37 @@ def _check_linked_module(
             key = (fixup.target_module, fixup.target_procedure)
             if key in module.imports:
                 counts[module.imports.index(key)] += 1
+
+    def external(_procedure: Procedure, item: DecodedInstruction):
+        index = external_index_of(item.instruction)
+        if index >= len(module.imports):
+            return None, "lv-index", (
+                f"{item.instruction} uses link-vector index {index} but the "
+                f"link vector has {len(module.imports)} populated entr(ies)"
+            )
+        if not use_tables:
+            return _wide_lv_target(image, linked, index)
+        word = image.memory.peek(linked.lv_base + index)
+        target, check, message = _descriptor_target(image, word)
+        if target is None:
+            return None, check, f"link-vector entry {index}: {message}"
+        return target, "", ""
+
+    def direct(procedure: Procedure, item: DecodedInstruction):
+        if item.instruction.op is Op.DFC:
+            address = item.instruction.operand
+        else:
+            site = base + procedure.entry_offset + 1 + item.offset
+            address = site + 3 + item.instruction.operand
+        target = direct_headers.get(address)
+        if target is None:
+            return None, "direct-target", (
+                f"{item.instruction} transfers to {address:#08x}, which is "
+                "not any procedure's DIRECTCALL header"
+            )
+        return target, "", ""
+
+    level = _Level(config.arg_convention, config.eval_stack_depth, external, direct)
 
     for procedure in module.procedures:
         node = ProcNode(module.name, procedure.name)
@@ -568,33 +704,16 @@ def _check_linked_module(
                 )
 
         body = raw[entry + 1 : entry + 1 + len(procedure.body)]
-        limits = OperandLimits(
-            local_words=procedure.local_words,
-            global_words=module.global_words,
-            import_count=len(module.imports),
-            proc_count=len(module.procedures),
-        )
-        rules = StackRules(
-            entry_depth=(
-                procedure.arg_count
-                if config.arg_convention is ArgConvention.COPY
-                else 0
-            ),
-            result_count=procedure.result_count,
-            stack_limit=config.eval_stack_depth,
-        )
-        resolver = _image_resolver(
-            image, linked, procedure, body, direct_headers, graph, node, report
-        )
-        cfg = _verify_body(body, node, limits, rules, resolver, report)
-        if cfg is not None:
-            _count_external_sites(cfg, len(module.imports), counts)
+        body_record = _verify_body(module, procedure, body, level, verified.graph, report)
+        if body_record is not None:
+            verified.bodies[node] = body_record
+            _count_external_sites(body_record.cfg, len(module.imports), counts)
             _check_desc_literals(
                 image,
-                cfg,
+                body_record.cfg,
                 desc_fixups_by_proc.get(procedure.name, ()),
                 node,
-                graph,
+                verified.graph,
                 report,
             )
 
@@ -689,12 +808,12 @@ def _check_desc_literals(
                 context=instruction_context(body, offset),
             )
             continue
-        linked, procedure = target
-        if (linked.name, procedure.name) != (fixup.target_module, fixup.target_procedure):
+        owner, procedure = target
+        if (owner, procedure.name) != (fixup.target_module, fixup.target_procedure):
             report.add(
                 "desc-mismatch",
                 Severity.ERROR,
-                f"PROC literal resolves to {linked.name}.{procedure.name} "
+                f"PROC literal resolves to {owner}.{procedure.name} "
                 f"but was compiled for "
                 f"{fixup.target_module}.{fixup.target_procedure}",
                 node.module,
@@ -702,128 +821,7 @@ def _check_desc_literals(
                 offset=offset,
                 context=instruction_context(body, offset),
             )
-        graph.add_reference(node, ProcNode(linked.name, procedure.name))
-
-
-def _image_resolver(
-    image: ProgramImage,
-    linked: LinkedModule,
-    procedure: Procedure,
-    body: bytes,
-    direct_headers: dict[int, tuple[LinkedModule, Procedure]],
-    graph: CallGraph,
-    node: ProcNode,
-    report: CheckReport,
-):
-    module = linked.module
-    memory = image.memory
-
-    def fail(check: str, message: str, item: DecodedInstruction) -> None:
-        report.add(
-            check,
-            Severity.ERROR,
-            message,
-            node.module,
-            node.name,
-            offset=item.offset,
-            context=instruction_context(body, item.offset),
-        )
-        return None
-
-    def resolved(owner_name: str, target: Procedure) -> CallEffect:
-        graph.add_call(node, ProcNode(owner_name, target.name))
-        return CallEffect(
-            target.arg_count, target.result_count, f"{owner_name}.{target.name}"
-        )
-
-    def check_import(item: DecodedInstruction, index: int, owner: str, name: str) -> None:
-        if (owner, name) != module.imports[index]:
-            expected = ".".join(module.imports[index])
-            report.add(
-                "import-mismatch",
-                Severity.ERROR,
-                f"link-vector entry {index} resolves to {owner}.{name} but "
-                f"the module imported {expected}",
-                node.module,
-                node.name,
-                offset=item.offset,
-                context=instruction_context(body, item.offset),
-            )
-
-    def resolve(item: DecodedInstruction) -> CallEffect | None:
-        op = item.instruction.op
-        if op in LOCAL_CALL_OPS:
-            index = item.instruction.operand
-            for target in module.procedures:
-                if target.ev_index == index:
-                    return resolved(module.name, target)
-            return fail(
-                "ev-index",
-                f"{item.instruction} targets entry {index} but module "
-                f"{module.name!r} has {len(module.procedures)} procedure(s)",
-                item,
-            )
-        if op in EXTERNAL_CALL_INDEX:
-            index = external_index_of(item.instruction)
-            if index >= len(module.imports):
-                return fail(
-                    "lv-index",
-                    f"{item.instruction} uses link-vector index {index} but "
-                    f"the link vector has {len(module.imports)} populated "
-                    "entr(ies)",
-                    item,
-                )
-            if image.config.linkage is LinkageKind.SIMPLE:
-                entry_address = memory.peek(linked.lv_base + 2 * index)
-                gf_address = memory.peek(linked.lv_base + 2 * index + 1)
-                meta = image.procs_by_entry.get(entry_address)
-                if meta is None:
-                    return fail(
-                        "lv-wide-entry",
-                        f"wide link-vector entry {index} holds entry address "
-                        f"{entry_address:#06x}, which is no procedure's fsi "
-                        "byte",
-                        item,
-                    )
-                if gf_address not in image.by_gf:
-                    return fail(
-                        "lv-wide-gf",
-                        f"wide link-vector entry {index} holds GF "
-                        f"{gf_address:#06x}, which is not any instance's "
-                        "global frame",
-                        item,
-                    )
-                check_import(item, index, meta.module, meta.name)
-                target_linked = image.by_gf[gf_address]
-                for target in target_linked.module.procedures:
-                    if target.name == meta.name:
-                        return resolved(meta.module, target)
-                return None  # unreachable: procs_by_entry and by_gf agree
-            word = memory.peek(linked.lv_base + index)
-            target, check, message = _descriptor_target(image, word)
-            if target is None:
-                return fail(check, f"link-vector entry {index}: {message}", item)
-            target_linked, target_proc = target
-            check_import(item, index, target_linked.name, target_proc.name)
-            return resolved(target_linked.name, target_proc)
-        assert op in DIRECT_CALL_OPS
-        if op is Op.DFC:
-            address = item.instruction.operand
-        else:
-            site = linked.code_base + procedure.entry_offset + 1 + item.offset
-            address = site + 3 + item.instruction.operand
-        entry = direct_headers.get(address)
-        if entry is None:
-            return fail(
-                "direct-target",
-                f"{item.instruction} transfers to {address:#08x}, which is "
-                "not any procedure's DIRECTCALL header",
-                item,
-            )
-        target_linked, target_proc = entry
-        return resolved(target_linked.name, target_proc)
-
-    return resolve
+        graph.add_reference(node, ProcNode(owner, procedure.name))
 
 
 def _word(raw: bytes, address: int) -> int:

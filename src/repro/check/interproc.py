@@ -2,11 +2,14 @@
 
 The intraprocedural verifier (:mod:`repro.check.checker`) proves each
 body safe in isolation; this module layers the whole-image questions on
-top, in the CFA2 / pushdown-analysis tradition: calls and returns are
-matched exactly (a call edge goes to the target's entry and comes back
-to the site, never smeared across return points), so the precision of
-the summaries below is limited only by genuinely data-dependent
-transfers (``XF``), which are over-approximated, never dropped.
+top of the record that pass keeps (``verify_image``: each body's CFG,
+verified stack depths and resolved call sites), so no body is decoded
+or verified twice.  It works in the CFA2 / pushdown-analysis tradition:
+calls and returns are matched exactly (a call edge goes to the target's
+entry and comes back to the site, never smeared across return points),
+so the precision of the summaries below is limited only by genuinely
+data-dependent transfers (``XF``), which are over-approximated, never
+dropped.
 
 Four products, one per question the FDO pass and the template JIT ask:
 
@@ -54,13 +57,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.interp.image import LinkedModule, ProgramImage
-from repro.interp.machineconfig import ArgConvention, LinkageKind
+from repro.interp.image import ProgramImage
+from repro.interp.machineconfig import LinkageKind
 from repro.isa.opcodes import CALL_OPS, Op
 from repro.isa.program import Procedure
 
 from repro.check.callgraph import CallGraph, ProcNode
-from repro.check.checker import _image_resolver, check_image
+from repro.check.checker import VerifiedBody, verify_image
 from repro.check.diagnostics import CheckReport, Severity
 from repro.check.effects import (
     FIXED_EFFECTS,
@@ -71,8 +74,6 @@ from repro.check.effects import (
     PORT_OPS,
     TRAP_POSSIBLE_OPS,
 )
-from repro.check.cfg import build_cfg
-from repro.check.stackcheck import StackRules, verify_stack_depths
 
 #: Version tag of the facts document; bump on any shape change.
 FACTS_SCHEMA = "repro-facts/1"
@@ -329,52 +330,29 @@ def analyze_image(
 ) -> ImageAnalysis:
     """Analyze a linked image; gated on a clean :func:`check_image`.
 
-    The returned :class:`ImageAnalysis` always carries the combined
-    report; summaries, bounds and facts are only populated when the
-    base verification produced no errors (an image with broken linkage
+    The summaries are built from the check's own per-body record
+    (:func:`~repro.check.checker.verify_image`), so every body is
+    decoded, resolved and stack-verified exactly once.  The returned
+    :class:`ImageAnalysis` always carries the combined report;
+    summaries, bounds and facts are only populated when the base
+    verification produced no errors (an image with broken linkage
     tables has no trustworthy call graph to summarize).
     """
-    report = report or CheckReport()
-    check_image(image, report, extra_roots=extra_roots)
-    analysis = ImageAnalysis(image=image, report=report)
+    verified = verify_image(image, report, extra_roots)
+    report = verified.report
+    analysis = ImageAnalysis(image=image, report=report, graph=verified.graph)
     if not report.ok:
         return analysis
 
-    primaries = {
-        name: linked for (name, inst), linked in image.instances.items() if inst == 0
+    # A clean report means every body decoded and stack-verified.
+    scanned = {
+        node: _scan_body(image, node, body, report)
+        for node, body in verified.bodies.items()
     }
-    direct_headers: dict[int, tuple[LinkedModule, Procedure]] = {}
-    for linked in primaries.values():
-        for procedure in linked.module.procedures:
-            analysis.graph.add_node(ProcNode(linked.name, procedure.name))
-            if procedure.direct_offset >= 0:
-                direct_headers[linked.code_base + procedure.direct_offset] = (
-                    linked,
-                    procedure,
-                )
-
-    scanned: dict[ProcNode, _BodyScan] = {}
-    for name in sorted(primaries):
-        linked = primaries[name]
-        for procedure in linked.module.procedures:
-            node = ProcNode(linked.name, procedure.name)
-            scan = _scan_body(image, linked, procedure, direct_headers, analysis, report)
-            if scan is None:
-                # The gate passed, so this only happens when the body
-                # became unanalyzable between passes; give up soundly.
-                report.add(
-                    "analysis-incomplete",
-                    Severity.ERROR,
-                    "body could not be re-analyzed after a clean image check",
-                    node.module,
-                    node.name,
-                )
-                continue
-            scanned[node] = scan
     if not report.ok:
         return analysis
 
-    analysis.xf_universe = _xf_universe(primaries, scanned, analysis.graph)
+    analysis.xf_universe = _xf_universe(scanned, verified.graph)
     universe = tuple(sorted(str(node) for node in analysis.xf_universe))
 
     for node, scan in sorted(scanned.items()):
@@ -433,58 +411,19 @@ class _BodyScan:
 
 def _scan_body(
     image: ProgramImage,
-    linked: LinkedModule,
-    procedure: Procedure,
-    direct_headers: dict[int, tuple[LinkedModule, Procedure]],
-    analysis: ImageAnalysis,
+    node: ProcNode,
+    body: VerifiedBody,
     report: CheckReport,
-) -> _BodyScan | None:
-    """Decode one placed body; resolve its sites; scan its effects."""
-    node = ProcNode(linked.name, procedure.name)
-    raw = image.code.raw
-    config = image.config
-    entry = linked.code_base + procedure.entry_offset
-    fsi = raw[entry]
-    body = raw[entry + 1 : entry + 1 + len(procedure.body)]
-
-    # The base checker already reported everything; this pass only
-    # needs the CFG, the resolved targets, and the verified depths.
-    scratch = CheckReport()
-    cfg = build_cfg(body, scratch, node.module, node.name)
-    if cfg is None:
-        return None
-    resolver = _image_resolver(
-        image, linked, procedure, body, direct_headers, analysis.graph, node, scratch
-    )
-    call_sites: list[tuple[int, str, str]] = []
-    effects_at: dict[int, int] = {}
-
-    def resolve(item):
-        effect = resolver(item)
-        if effect is not None:
-            call_sites.append((item.offset, item.instruction.op.name, effect.target))
-            effects_at[item.offset] = effect.result_count
-        return effect
-
-    rules = StackRules(
-        entry_depth=(
-            procedure.arg_count
-            if config.arg_convention is ArgConvention.COPY
-            else 0
-        ),
-        result_count=procedure.result_count,
-        stack_limit=config.eval_stack_depth,
-    )
-    depth_at = verify_stack_depths(cfg, rules, resolve, scratch, node.module, node.name)
-    if depth_at is None:
-        return None
-
+) -> _BodyScan:
+    """Scan one verified body's CFG for effects, sites and depths."""
+    procedure = body.procedure
     effects: set[str] = set()
+    call_sites: list[tuple[int, str, str]] = []
     xf_offsets: list[int] = []
     has_llc = False
     has_lrc = False
-    max_depth = rules.entry_depth
-    for block in cfg.block_order():
+    max_depth = 0
+    for block in body.cfg.block_order():
         for item in block.instructions:
             op = item.instruction.op
             for ops, flag in _EFFECT_OPS:
@@ -496,11 +435,13 @@ def _scan_body(
                 has_llc = True
             if op is Op.LRC:
                 has_lrc = True
-            before = depth_at.get(item.offset)
+            before = body.depths.get(item.offset)
             if before is None:
                 continue  # dead code: never executed
             if op in CALL_OPS:
-                after = effects_at.get(item.offset, before)
+                effect = body.calls[item.offset]
+                call_sites.append((item.offset, op.name, effect.target))
+                after = effect.result_count
             elif op is Op.XF:
                 after = 1  # the incoming record, by convention
             elif op is Op.RET:
@@ -513,9 +454,10 @@ def _scan_body(
     _check_declared_metadata(
         procedure, node, bool(xf_offsets), has_llc or has_lrc, report
     )
+    linked = image.instance_of(node.module)
     return _BodyScan(
         procedure=procedure,
-        fsi=fsi,
+        fsi=image.code.raw[linked.code_base + procedure.entry_offset],
         max_eval_depth=max_depth,
         effects=frozenset(effects),
         has_llc=has_llc,
@@ -558,7 +500,6 @@ def _check_declared_metadata(
 
 
 def _xf_universe(
-    primaries: dict[str, LinkedModule],
     scanned: dict[ProcNode, _BodyScan],
     graph: CallGraph,
 ) -> frozenset[ProcNode]:
@@ -566,7 +507,8 @@ def _xf_universe(
 
     A context word is either a packed descriptor or a live frame.
     Descriptors enter the data flow only through ``PROC`` literals, so
-    the *taken* set (desc-fixup targets) bounds the descriptor arm.  A
+    the *taken* set (the verified literals' targets) bounds the
+    descriptor arm.  A
     live frame must have been suspended with a resumable saved PC; that
     frame escapes only through ``LLC`` (its owner captured itself),
     through ``LRC`` in a callee (capturing the caller or the XF
@@ -574,13 +516,8 @@ def _xf_universe(
     arm below.  Arithmetic forgery of context words is outside the
     soundness contract (see the module docstring).
     """
-    universe: set[ProcNode] = set()
+    universe = graph.descriptor_targets()
     lrc_owners: set[ProcNode] = set()
-    for name in sorted(primaries):
-        linked = primaries[name]
-        for fixup in linked.module.fixups:
-            if fixup.kind == "desc":
-                universe.add(ProcNode(fixup.target_module, fixup.target_procedure))
     for node, scan in scanned.items():
         if scan.xf_offsets or scan.has_llc:
             universe.add(node)

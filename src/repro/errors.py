@@ -294,25 +294,3 @@ class ParseError(CompileError):
 
 class SemanticError(CompileError):
     """Name resolution or type checking failed."""
-
-
-# ---------------------------------------------------------------------------
-# Static checker
-# ---------------------------------------------------------------------------
-
-
-class CheckFailed(ReproError):
-    """The static verifier found errors in a module or linked image.
-
-    Raised by the ``check=True`` hooks in :func:`repro.lang.compiler.
-    compile_program` and :func:`repro.lang.linker.link`; carries the full
-    :class:`repro.check.diagnostics.CheckReport` for programmatic access.
-    """
-
-    def __init__(self, report) -> None:  # noqa: ANN001 - avoids an import cycle
-        errors = [d for d in report.diagnostics if d.severity.value == "error"]
-        summary = "; ".join(d.message for d in errors[:3])
-        if len(errors) > 3:
-            summary += f"; ... {len(errors) - 3} more"
-        super().__init__(f"static check failed with {len(errors)} error(s): {summary}")
-        self.report = report

@@ -16,8 +16,8 @@ turned into an image rewrite (:mod:`repro.fdo.decide`,
   the observed peaks and call-depth distribution;
 * a hot-procedure order is recorded for the JIT's compile queue.
 
-Every rewrite is re-verified (``check_image`` + ``analyze_image``) and
-replay-validated against the profile's own run before it is emitted;
+Every rewrite is re-verified (``analyze_image``, which runs
+``check_image`` once) and replay-validated against the profile's own run before it is emitted;
 anything that cannot be proven both sound and no-worse is refused.  The
 whole pass is logged as a machine-readable ``repro-fdo/1`` document.
 """

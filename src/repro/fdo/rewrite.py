@@ -12,8 +12,10 @@ Three gates stand between a plan and an emitted image:
 1. **Fingerprints** — the profile and the facts must both carry the
    fingerprint of the image actually built from the sources; stale or
    foreign artifacts are refused (exit 2 at the CLI).
-2. **Static verification** — the rebuilt image must pass ``check_image``
-   and ``analyze_image`` with zero errors.
+2. **Static verification** — the rebuilt image must pass
+   ``analyze_image`` with zero errors.  That is one ``check_image``
+   pass, whose record the analyzer summarizes: each body is verified
+   once.
 3. **Replay** — the rebuilt image re-runs the profiled workload; its
    results must be bit-identical and its modelled meters no worse than
    the profile recorded.  Frame/bank decisions that regress are dropped
@@ -234,7 +236,6 @@ def _try_candidate(
     replay: bool,
 ):
     """Build + verify + replay one candidate; (machine, "") or (None, why)."""
-    from repro.check.checker import check_image
     from repro.check.interproc import analyze_image
 
     try:
@@ -249,15 +250,13 @@ def _try_candidate(
         )
     except ReproError as fault:
         return None, f"rebuild failed: {fault}"
-    report = check_image(image)
-    if not report.ok:
-        heads = "; ".join(
-            f"{finding.check}: {finding.message}" for finding in report.errors[:3]
-        )
-        return None, f"check_image found errors: {heads}"
     analysis = analyze_image(image)
     if not analysis.ok:
-        return None, "analyze_image found errors"
+        heads = "; ".join(
+            f"{finding.check}: {finding.message}"
+            for finding in analysis.report.errors[:3]
+        )
+        return None, f"analyze_image found errors: {heads}"
     machine = Machine(image)
     if replay:
         args = profile.get("args", [])

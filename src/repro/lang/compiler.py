@@ -34,9 +34,6 @@ class CompileOptions:
     #: sites compiled to SDFC/DFC even under MESA/SIMPLE linkage (see
     #: :mod:`repro.fdo`).
     promotions: frozenset[tuple[str, str, int]] = frozenset()
-    #: Run the static verifier over the generated modules; errors raise
-    #: :class:`repro.errors.CheckFailed` with the full report attached.
-    check: bool = False
 
     @classmethod
     def for_config(
@@ -45,7 +42,6 @@ class CompileOptions:
         multi_instance: frozenset[str] = frozenset(),
         flexible_modules: frozenset[str] = frozenset(),
         promotions: frozenset[tuple[str, str, int]] = frozenset(),
-        check: bool = False,
     ) -> CompileOptions:
         """The compile options matching a machine configuration."""
         return cls(
@@ -54,7 +50,6 @@ class CompileOptions:
             multi_instance=multi_instance,
             flexible_modules=flexible_modules,
             promotions=promotions,
-            check=check,
         )
 
     def to_codegen(self) -> CodegenOptions:
@@ -74,15 +69,7 @@ def compile_program(
     options = options or CompileOptions()
     modules = [parse_module(source) for source in sources]
     info = ProgramInfo.collect(modules)
-    generated = [generate_module(module, info, options.to_codegen()) for module in modules]
-    if options.check:
-        from repro.check.checker import check_modules
-        from repro.errors import CheckFailed
-
-        report = check_modules(generated, convention=options.arg_convention)
-        if not report.ok:
-            raise CheckFailed(report)
-    return generated
+    return [generate_module(module, info, options.to_codegen()) for module in modules]
 
 
 def compile_module(

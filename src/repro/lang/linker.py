@@ -68,13 +68,10 @@ def link(
     config: MachineConfig,
     entry: tuple[str, str],
     options: LinkOptions | None = None,
-    check: bool = False,
 ) -> ProgramImage:
     """Bind *modules* into a program image for *config*.
 
-    *entry* names the main procedure as ``(module, procedure)``.  With
-    *check*, the static verifier runs over the finished image and errors
-    raise :class:`repro.errors.CheckFailed` with the report attached.
+    *entry* names the main procedure as ``(module, procedure)``.
     """
     options = options or LinkOptions()
     ladder = options.ladder or geometric_ladder()
@@ -251,13 +248,6 @@ def link(
         procs_by_entry=procs_by_entry,
         entry=entry_meta,
     )
-    if check:
-        from repro.check.checker import check_image
-        from repro.errors import CheckFailed
-
-        report = check_image(image)
-        if not report.ok:
-            raise CheckFailed(report)
     return image
 
 

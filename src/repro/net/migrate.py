@@ -274,8 +274,7 @@ def adopt(shard: Shard, slice_: dict, now: float = 0) -> Process:
             "sent": now,
             "sends": awaiting["sends"],
         }
-    for src, request_id in net.get("served", []):
-        shard._served[(src, request_id)] = process
+    _serve_here(shard, process, net)
 
     tracer = shard.machine.tracer
     if tracer is not None:
@@ -323,6 +322,14 @@ def reattach(shard: Shard, process: Process, slice_: dict, now: float = 0) -> No
             "sent": now,
             "sends": awaiting["sends"],
         }
+    _serve_here(shard, process, net)
+
+
+def _serve_here(shard: Shard, process: Process, net: dict) -> None:
+    """Serve the slice's requests on *shard*, retiring any call forward
+    this shard holds for them: after a rollback or a there-and-back
+    migration, the forward points away from the shard that serves the
+    request now."""
     for src, request_id in net.get("served", []):
         key = (src, request_id)
         shard._call_forwards.pop(key, None)

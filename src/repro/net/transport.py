@@ -168,16 +168,18 @@ class InProcessTransport:
 
     def send(self, message: Message) -> None:
         """Offer one message; the fault policy decides its fate."""
+        words = message.wire_words
         self.stats.sent += 1
-        self.stats.wire_words += message.wire_words
-        self._emit(
-            "net.send",
-            message.describe(),
-            src=message.src,
-            dst=message.dst,
-            msg=message.kind,
-            words=message.wire_words,
-        )
+        self.stats.wire_words += words
+        if self.tracer is not None:
+            self.tracer.emit(
+                "net.send",
+                message.describe(),
+                src=message.src,
+                dst=message.dst,
+                msg=message.kind,
+                words=words,
+            )
         copies, delay, partitions = 1, 0, []
         if self.policy is not None:
             copies, delay, partitions = self.policy.fate(message, self.stats, self._emit)
@@ -196,15 +198,16 @@ class InProcessTransport:
             return []
         messages = list(queue)
         queue.clear()
-        for message in messages:
-            self.stats.delivered += 1
-            self._emit(
-                "net.recv",
-                message.describe(),
-                src=message.src,
-                dst=message.dst,
-                msg=message.kind,
-            )
+        self.stats.delivered += len(messages)
+        if self.tracer is not None:
+            for message in messages:
+                self.tracer.emit(
+                    "net.recv",
+                    message.describe(),
+                    src=message.src,
+                    dst=message.dst,
+                    msg=message.kind,
+                )
         return messages
 
     def tick(self) -> None:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.check import check_image, check_modules
 from repro.check.fuzz import build_image
-from repro.errors import CheckFailed
 from repro.interp.machineconfig import MachineConfig
 from repro.isa.assembler import Assembler
 from repro.isa.opcodes import Op
@@ -216,38 +215,6 @@ def test_direct_call_into_nowhere():
     assert tampered, "expected a direct-call fixup under DIRECT linkage"
     report = check_image(image)
     assert "direct-target" in error_checks(report)
-
-
-# -- the check=True hooks --------------------------------------------------------
-
-
-def test_compile_hook_passes_clean_sources():
-    program = CORPUS["mathlib"]
-    config = MachineConfig.preset("i2")
-    modules = compile_program(
-        list(program.sources), CompileOptions.for_config(config, check=True)
-    )
-    assert [m.name for m in modules] == ["Main", "Math"]
-
-
-def test_link_hook_raises_on_bad_body():
-    asm = Assembler()
-    asm.emit(Op.ADD)  # pops two from an empty stack
-    asm.emit(Op.RET)
-    module = ModuleCode(name="Hand")
-    module.procedures.append(
-        Procedure(
-            name="main",
-            ev_index=0,
-            arg_count=0,
-            result_count=1,
-            frame_words=7,
-            body=asm.assemble(),
-        )
-    )
-    with pytest.raises(CheckFailed) as excinfo:
-        link([module], MachineConfig.preset("i2"), ("Hand", "main"), check=True)
-    assert excinfo.value.report.by_check("stack-underflow")
 
 
 ORPHAN_SRC = """
