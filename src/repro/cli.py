@@ -86,8 +86,8 @@ def _add_args(p, help="integer arguments for the entry procedure") -> None:
     p.add_argument("--args", type=int, nargs="*", default=[], help=help)
 
 
-def _add_engine(p, help: str) -> None:
-    p.add_argument("--engine", choices=["interp", "jit"], default="interp", help=help)
+def _add_engine(p, help: str, default: str | None = "interp") -> None:
+    p.add_argument("--engine", choices=["interp", "jit"], default=default, help=help)
 
 
 def _pin(text: str) -> tuple[str, int]:
@@ -488,6 +488,9 @@ def _profile_cluster(args: argparse.Namespace) -> int:
         entry=args.entry,
         pins=pins,
         record=True,
+        # The recorder pins execution to the interpreter anyway, and a
+        # program with verifier findings must stay profilable.
+        engine="interp",
     )
     ticket = cluster.submit(args.entry[0], args.entry[1], *args.args)
     cluster.pump()
@@ -823,6 +826,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    # Without --engine, each stack's own default applies.
+    engine = {"engine": args.engine} if args.engine else {}
     if args.processes:
         if args.autoscale:
             print("serve: --autoscale drives the in-process pump; drop "
@@ -836,7 +841,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             config=args.impl,
             pins=pins,
             self_homed=(args.route == "direct"),
-            engine=args.engine,
+            **engine,
         )
         try:
             server = ProcessServer(
@@ -858,7 +863,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             config=args.impl,
             pins=pins,
             transport=transport,
-            engine=args.engine,
+            **engine,
         )
     except JitRefusal as refusal:
         print(f"serve: jit refused: {refusal}", file=sys.stderr)
@@ -983,7 +988,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 2
     if args.net:
         report = run_net_chaos(plans=plans, seeds=args.seeds,
-                               processes=args.processes, migrate=args.migrate)
+                               processes=args.processes, migrate=args.migrate,
+                               engine=args.engine)
     else:
         report = run_chaos(programs=programs, seeds=args.seeds, plans=plans,
                            engine=args.engine)
@@ -1462,8 +1468,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--processes", action="store_true",
                        help="promote each shard to a real OS worker process "
                             "behind the asyncio front door")
-    _add_engine(serve, "shard engine: jit runs every scheduler slice "
-                "on compiled blocks; results and meters equal interp's")
+    _add_engine(serve, "shard engine (default: jit in-process, interp with "
+                "--processes); results and meters are the same on both",
+                default=None)
     serve.add_argument("--route", choices=["direct", "dispatch"],
                        default="direct",
                        help="process-mode routing: direct (leaf procedure on "

@@ -12,7 +12,9 @@ one cache and leave the other holding stale compiled code.
 Entries are ``pc -> (block_fn, max_steps)`` pairs: the function runs
 the block against a machine, and ``max_steps`` bounds how many modelled
 steps it can commit (the engine uses it to respect step ceilings
-exactly).
+exactly).  Procedures not yet entered wait in :attr:`CodeCache.pending`,
+keyed on their body start; an epoch bump drops both maps, and the
+engine re-arms the pending set for the new layout.
 """
 
 from __future__ import annotations
@@ -28,26 +30,33 @@ class CodeCache:
         #: pc -> (fn, max_steps); fn(machine) returns the next pc, or a
         #: negative sentinel (-1: re-check machine state; -2: deopt).
         self.blocks: dict[int, tuple[Callable, int]] = {}
+        #: body start pc -> (ProcMeta, body length) of every verified
+        #: procedure not yet compiled in this epoch.
+        self.pending: dict[int, tuple] = {}
         self.epoch = code.epoch
-        #: False until the engine has (re)compiled for the current epoch.
+        #: False until the engine has armed the pending set for the
+        #: current epoch.
         self.ready = False
         self.invalidations = 0
         #: Blocks compiled over the cache's life (cumulative).
         self.compiled_blocks = 0
-        #: Procedures covered by the last compile.
+        #: Procedures compiled in the current epoch.
         self.procedures = 0
         #: Host seconds spent generating + exec'ing block functions.
         self.compile_seconds = 0.0
 
     def invalidate(self) -> None:
-        """Drop every compiled block (epoch-bump subscriber).
+        """Drop every compiled block and pending body (epoch-bump
+        subscriber).
 
-        Clears in place so the engine's hoisted ``blocks`` reference
-        stays valid, mirroring ``Machine.invalidate_linkage``.
+        Clears in place so the engine's hoisted ``blocks`` and
+        ``pending`` references stay valid, mirroring
+        ``Machine.invalidate_linkage``.
         """
         if self.ready or self.blocks:
             self.invalidations += 1
         self.blocks.clear()
+        self.pending.clear()
         self.ready = False
         self.epoch = self.code.epoch
 

@@ -1,8 +1,9 @@
 """The JIT engine: compilation driver, block dispatch, deoptimization.
 
 ``install_jit(machine)`` verifies the image (or validates a supplied
-``repro-facts/1`` artifact against it), compiles every verified
-procedure's basic blocks, and installs itself on the machine.
+``repro-facts/1`` artifact against it), compiles the ``hot_order``
+procedures, and installs itself on the machine; every other verified
+procedure compiles the first time execution reaches its body.
 ``Machine.run`` and the scheduler's time slices then delegate to
 :meth:`JitEngine.run_until` whenever the engine is *active* — no tracer
 attached — and the engine direct-threads compiled blocks, falling back
@@ -44,8 +45,9 @@ class JitEngine:
         self.machine = machine
         self.stats = EngineStats()
         #: Hot-first qualified procedure names (a profile's block order,
-        #: e.g. from a repro-fdo/1 log): those procedures compile first,
-        #: so the code cache's block dict is laid out hottest-first.
+        #: e.g. from a repro-fdo/1 log): those procedures compile at
+        #: install, in this order, so the code cache's block dict is laid
+        #: out hottest-first; the rest compile on first entry.
         self.hot_order = list(hot_order or ())
         image = machine.image
 
@@ -141,53 +143,54 @@ class JitEngine:
 
         self.cache = CodeCache(machine.code)
         machine.on_epoch_bump(self.cache.invalidate)
-        self._ensure_compiled()
+        self._arm()
 
     # -- compilation ----------------------------------------------------
 
-    def _ensure_compiled(self) -> None:
+    def _arm(self) -> None:
+        """Arm the cache for the current code epoch: every verified
+        procedure's body start becomes pending, and the ``hot_order``
+        procedures compile now, hottest first."""
         cache = self.cache
-        if cache.ready:
-            return
-        begin = time.perf_counter()
-        machine = self.machine
-        image = machine.image
-        raw = image.code.raw
-        blocks: dict = {}
-        procedures = 0
-        worklist = []
+        image = self.machine.image
+        pending = cache.pending
         for (_name, inst), linked in sorted(image.instances.items()):
             if inst != 0:
                 continue
             for procedure in linked.module.procedures:
                 entry = linked.code_base + procedure.entry_offset
                 meta = image.procs_by_entry.get(entry)
-                if meta is None:
-                    continue
-                worklist.append((entry, procedure, meta))
-        if self.hot_order:
-            rank = {name: index for index, name in enumerate(self.hot_order)}
-            cold = len(rank)
-            worklist.sort(
-                key=lambda item: rank.get(
-                    f"{item[2].module}.{item[2].name}", cold
-                )
-            )
-        for entry, procedure, meta in worklist:
-            base = entry + 1
-            body = raw[base : base + len(procedure.body)]
-            out = compile_procedure(
-                meta, body, base, machine, self._ctx, self._ns
-            )
-            if out:
-                blocks.update(out)
-                procedures += 1
-        cache.blocks.clear()
-        cache.blocks.update(blocks)
+                if meta is not None:
+                    pending[entry + 1] = (meta, len(procedure.body))
         cache.ready = True
-        cache.epoch = machine.code.epoch
-        cache.procedures = procedures
-        cache.compiled_blocks += len(blocks)
+        cache.epoch = self.machine.code.epoch
+        cache.procedures = 0
+        if self.hot_order:
+            starts = {
+                f"{meta.module}.{meta.name}": start
+                for start, (meta, _length) in pending.items()
+            }
+            for name in self.hot_order:
+                start = starts.get(name)
+                if start in pending:
+                    self._compile(start)
+
+    def _compile(self, start: int) -> None:
+        """Compile the pending procedure whose body starts at *start*.
+
+        Tried once per epoch: a body that does not re-verify leaves the
+        pending set all the same, and the interpreter runs it.
+        """
+        begin = time.perf_counter()
+        cache = self.cache
+        meta, length = cache.pending.pop(start)
+        machine = self.machine
+        body = bytes(machine.code.buffer[start : start + length])
+        out = compile_procedure(meta, body, start, machine, self._ctx, self._ns)
+        if out:
+            cache.blocks.update(out)
+            cache.procedures += 1
+            cache.compiled_blocks += len(out)
         cache.compile_seconds += time.perf_counter() - begin
 
     # -- execution ------------------------------------------------------
@@ -208,6 +211,7 @@ class JitEngine:
         m = self.machine
         cache = self.cache
         blocks = cache.blocks
+        pending = cache.pending
         code = m.code
         stats = self.stats
 
@@ -217,13 +221,16 @@ class JitEngine:
             if m._code_epoch != code.epoch:
                 m.invalidate_linkage()  # notifies the code cache too
             if not cache.ready:
-                self._ensure_compiled()
+                self._arm()
             if not self.active():
                 # An observer was attached mid-run (a trap handler
                 # enabling tracing): hand the rest to the interpreter.
                 stats.observer_bailouts += 1
                 return m._interpret(ceiling)
             pair = blocks.get(m.pc)
+            if pair is None and m.pc in pending:
+                self._compile(m.pc)  # first entry into this body
+                pair = blocks.get(m.pc)
             if pair is None or m.steps + pair[1] > ceiling:
                 self._interp_until_block(ceiling)
             else:
@@ -242,8 +249,8 @@ class JitEngine:
         return False
 
     def _interp_until_block(self, ceiling: int) -> None:
-        """Single-step the interpreter until a compiled block boundary,
-        a halt, a yield, or the step ceiling.
+        """Single-step the interpreter until a compiled block boundary or
+        a pending body start, a halt, a yield, or the step ceiling.
 
         Steps at least once unless stopped first (a deopt pc may itself
         be a block start — the entry guard that failed would just fail
@@ -251,11 +258,12 @@ class JitEngine:
         """
         m = self.machine
         blocks = self.cache.blocks
+        pending = self.cache.pending
         stats = self.stats
         while not (m.halted or m.yield_requested or m.steps >= ceiling):
             m.step()
             stats.deopt_steps += 1
-            if m.pc in blocks:
+            if m.pc in blocks or m.pc in pending:
                 return
 
     def stats_dict(self) -> dict:
@@ -271,10 +279,11 @@ def install_jit(
     facts: dict | None = None,
     hot_order: list[str] | None = None,
 ) -> JitEngine:
-    """Verify, compile, and attach a JIT engine to *machine*.
+    """Verify *machine*'s image and attach a JIT engine to it.
 
-    *hot_order* feeds a profile's hotness ranking into the compile
-    queue (see ``docs/fdo.md``).  Raises :class:`JitRefusal` when the
+    Procedures compile on first entry; *hot_order* names procedures to
+    compile at install instead, in that order (a profile's hotness
+    ranking, see ``docs/fdo.md``).  Raises :class:`JitRefusal` when the
     image fails static verification or the supplied facts artifact does
     not match it.
     """

@@ -142,8 +142,11 @@ MIGRATION_PLANS = ("net_partition", "net_dup_delay")
 MIGRATION_SHARDS = 3
 
 
-def run_net_case(preset: str, plan: FaultPlan, migrate: bool = False) -> Outcome:
-    """One cluster run of the split case program under *plan*.
+def run_net_case(
+    preset: str, plan: FaultPlan, migrate: bool = False, engine: str = "interp"
+) -> Outcome:
+    """One cluster run of the split case program under *plan*, on
+    *engine*.
 
     With *migrate*, the cluster gets a spare third shard, and at the
     first pump tick from a seeded one (1-6) where the root sits BLOCKED
@@ -162,6 +165,7 @@ def run_net_case(preset: str, plan: FaultPlan, migrate: bool = False) -> Outcome
         config=preset,
         pins=CASE_PINS,
         transport=InProcessTransport(policy=policy),
+        engine=engine,
     )
     ticket = cluster.submit(prog.entry[0], prog.entry[1], *prog.args)
     migrate_at = random.Random(f"migrate:{plan.name}:{plan.seed}").randrange(1, 7)
@@ -201,8 +205,11 @@ def run_net_case(preset: str, plan: FaultPlan, migrate: bool = False) -> Outcome
     return outcome
 
 
-def run_net_case_process(preset: str, plan: FaultPlan) -> Outcome:
-    """One run of the split case program across real worker processes.
+def run_net_case_process(
+    preset: str, plan: FaultPlan, engine: str = "interp"
+) -> Outcome:
+    """One run of the split case program across real worker processes,
+    each on *engine*.
 
     The same seeded plan drives the front door's fault router instead
     of the in-process transport: every routed frame is a ``net.send``,
@@ -221,6 +228,7 @@ def run_net_case_process(preset: str, plan: FaultPlan) -> Outcome:
         fault_plan=plan,
         timeout_s=0.25,
         tick_seconds=0.02,
+        engine=engine,
     )
     try:
         try:
@@ -250,12 +258,13 @@ def run_net_chaos(
     presets: tuple[str, ...] | None = None,
     processes: bool = False,
     migrate: bool = False,
+    engine: str = "interp",
 ) -> ChaosReport:
     """The transport-fault sweep: every plan, seeded, across the presets.
 
     Plans default to :data:`NET_PLANS`, or :data:`MIGRATION_PLANS` with
     *migrate*; presets to I1-I4, or to I2 alone with *processes*, where
-    every case forks real OS workers.
+    every case forks real OS workers.  Every shard runs on *engine*.
 
     In-process cases re-run themselves (meters must match twice).  Over
     OS workers (*processes*) conformance is **outcome-class only**:
@@ -283,8 +292,8 @@ def run_net_chaos(
 
     def run(_program, preset: str, plan: FaultPlan) -> Outcome:
         if processes:
-            return run_net_case_process(preset, plan)
-        return run_net_case(preset, plan, migrate)
+            return run_net_case_process(preset, plan, engine)
+        return run_net_case(preset, plan, migrate, engine)
 
     return sweep(
         ChaosReport(net=True), cases, presets, run,

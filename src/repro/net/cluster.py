@@ -1,9 +1,10 @@
 """A cluster: N machine shards, one placement, one transport, one pump.
 
-Every shard links the **same program image** from the same sources with
-the same configuration — the deterministic link guarantees identical
-entry addresses, and the ``hello`` handshake (which reuses the snapshot
-codec's configuration token) verifies it.  The :class:`~repro.net.
+Every shard links the **same program image**, from one compile of the
+sources, with the same configuration — each into its own memory.  The
+deterministic link guarantees identical entry addresses, and the
+``hello`` handshake (which reuses the snapshot codec's configuration
+token) verifies it.  The :class:`~repro.net.
 placement.Placement` then decides *where each module executes*: a call
 into a module homed elsewhere becomes a Remote XFER through the stub,
 and arrives on the home shard as an ordinary root activation.
@@ -75,38 +76,60 @@ class ClusterStats:
     extra: dict = field(default_factory=dict)
 
 
+def build_shard_machines(
+    sources: list[str],
+    config: MachineConfig,
+    entry: tuple[str, str] = ("Main", "main"),
+    engine: str = "interp",
+    count: int = 1,
+) -> list[Machine]:
+    """Compile *sources* once and link *count* shard machines (no
+    auto-start).
+
+    Each machine links its own image, so each shard keeps its own
+    memory; the deterministic link gives every image the same entry
+    addresses — the property the handshake checks and Remote XFER
+    relies on.  ``engine="jit"`` installs the JIT on every machine: the
+    first install runs the verifier, and the others validate its
+    ``repro-facts/1`` document against their own image instead of
+    verifying again.  Each procedure then compiles on its first entry,
+    so a shard compiles only what it runs; results, meters and wire
+    traffic are exactly the interpreter's.
+    """
+    from repro.lang.compiler import CompileOptions, compile_program
+    from repro.lang.linker import link
+
+    modules = compile_program(sources, CompileOptions.for_config(config))
+    machines = [Machine(link(modules, config, entry)) for _ in range(count)]
+    if engine == "jit":
+        from repro.jit import install_jit
+
+        facts = None
+        for machine in machines:
+            facts = install_jit(machine, facts).facts
+    return machines
+
+
 def build_shard_machine(
     sources: list[str],
     config: MachineConfig,
     entry: tuple[str, str] = ("Main", "main"),
     engine: str = "interp",
 ) -> Machine:
-    """Compile and link one shard's image (no auto-start).
-
-    Identical inputs produce an identical image on every shard — the
-    property the handshake checks and Remote XFER relies on.
-    ``engine="jit"`` compiles the shard's procedures up front, and
-    every :meth:`Scheduler.run` slice then executes compiled blocks;
-    results, meters and wire traffic are exactly the interpreter's.
-    """
-    from repro.lang.compiler import CompileOptions, compile_program
-    from repro.lang.linker import link
-
-    modules = compile_program(sources, CompileOptions.for_config(config))
-    image = link(modules, config, entry)
-    machine = Machine(image)
-    if engine == "jit":
-        from repro.jit import install_jit
-
-        install_jit(machine)
-    return machine
+    """Compile and link one shard's image (no auto-start); see
+    :func:`build_shard_machines`."""
+    return build_shard_machines(sources, config, entry, engine)[0]
 
 
 class Cluster:
     """N shards in one host process, pumped to quiescence.
 
-    ``engine="jit"`` installs the JIT on every shard machine (see
-    :func:`build_shard_machine`).
+    Shards run on the JIT by default: the sources compile once, each
+    shard links its own image, the verifier runs once for all of them
+    (see :func:`build_shard_machines`), and an image with verifier
+    findings is refused with :class:`~repro.jit.JitRefusal`.
+    ``engine="interp"`` serves on the interpreter instead; results,
+    meters, ticks and wire words are the same on both engines.
     """
 
     def __init__(
@@ -122,7 +145,7 @@ class Cluster:
         quantum: int = 0,
         timeout_ticks: int = DEFAULT_TIMEOUT_TICKS,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        engine: str = "interp",
+        engine: str = "jit",
     ) -> None:
         if shards < 1:
             raise NetError(f"a cluster needs at least one shard, got {shards}")
@@ -142,15 +165,12 @@ class Cluster:
                 self.wire_recorder = tracer = TraceRecorder(capacity=None)
             transport = InProcessTransport(tracer=tracer)
         self.transport = transport
+        machines = build_shard_machines(
+            sources, self.config, entry, engine=engine, count=shards
+        )
         self.shards: list[Shard] = [
-            Shard(
-                shard_id,
-                build_shard_machine(sources, self.config, entry, engine=engine),
-                self.placement,
-                record=record,
-                quantum=quantum,
-            )
-            for shard_id in range(shards)
+            Shard(shard_id, machine, self.placement, record=record, quantum=quantum)
+            for shard_id, machine in enumerate(machines)
         ]
         #: Submitted tickets not yet marked complete, in submission order.
         self.open_tickets: list[Ticket] = []

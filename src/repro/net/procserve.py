@@ -236,6 +236,10 @@ class ProcessCluster:
             "placement_epoch": self.placement.epoch,
             "engine": engine,
         }
+        if engine == "jit":
+            # Import the JIT (and the checker under it) once, before the
+            # fork, rather than once in every worker after it.
+            import repro.jit  # noqa: F401
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"

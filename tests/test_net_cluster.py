@@ -229,3 +229,41 @@ def test_memoized_ring_homes_equal_freshly_hashed_homes():
     fresh = HashRing([0, 1, 2, 3])
     for module in census:
         assert after[module] == pins.get(module, fresh.home(module))
+
+
+@pytest.mark.parametrize("engine", [None, "interp"], ids=["default", "interp"])
+def test_a_cluster_compiles_once_and_links_one_image_per_shard(engine, monkeypatch):
+    """The sources compile once and, on the JIT (the default), the
+    verifier runs once per cluster: shard 0's install verifies, the
+    other shards validate its facts document.  Every shard still links
+    its own image into its own memory."""
+    import repro.jit.engine as jit_engine
+    import repro.lang.compiler as compiler
+    from repro.check.interproc import image_fingerprint
+    from repro.net.serve import SERVICE_SOURCES
+
+    calls = {"compile_program": 0, "analyze_image": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(compiler, "compile_program")
+    count(jit_engine, "analyze_image")
+    kwargs = {} if engine is None else {"engine": engine}
+    cluster = Cluster(list(SERVICE_SOURCES), shards=4, config="i2", **kwargs)
+    jit = engine is None
+    assert calls == {"compile_program": 1, "analyze_image": 1 if jit else 0}
+    machines = [shard.machine for shard in cluster.shards]
+    assert all((machine.engine is not None) == jit for machine in machines)
+    assert len({image_fingerprint(machine.image) for machine in machines}) == 1
+
+    address = machines[0].image.frame_region.base
+    before = [machine.memory.peek(address) for machine in machines]
+    machines[0].memory.poke(address, before[0] ^ 0xBEEF)
+    assert [machine.memory.peek(address) for machine in machines[1:]] == before[1:]

@@ -256,6 +256,36 @@ def test_cli_profile_stitches_across_shards(tmp_path, capsys):
     assert "metered on the transport" in out
 
 
+def test_verifier_findings_refuse_the_default_stack_only(tmp_path, capsys, monkeypatch):
+    """An image with verifier findings: the default in-process stack
+    (JIT shards) refuses it and ``repro serve`` exits 2; ``--engine
+    interp`` serves it; ``repro profile --shards`` records on the
+    interpreter, so the program stays profilable."""
+    import repro.jit.engine as jit_engine
+    from repro.cli import main
+    from repro.workloads.programs import program
+
+    class _Findings:
+        ok = False
+
+        class report:
+            errors = ["lv-index: a seeded finding"]
+
+    monkeypatch.setattr(jit_engine, "analyze_image", lambda image: _Findings)
+    assert main(["serve", "--requests", "20"]) == 2
+    assert "jit refused" in capsys.readouterr().err
+    assert main(["serve", "--requests", "20", "--engine", "interp"]) == 0
+    capsys.readouterr()
+
+    files = []
+    for index, source in enumerate(program("mathlib").sources):
+        path = tmp_path / f"m{index}.mesa"
+        path.write_text(source)
+        files.append(str(path))
+    assert main(["profile", *files, "--shards", "2", "--impl", "i2"]) == 0
+    assert "results: [119]" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # Admission cost, bounded cluster state, pinned workloads
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ admitted in which round, so any drift in batching, backpressure, retry
 order or backoff shows up here.  ``backpressure_stalls`` is the one
 field left out: it counts (round, shard) pairs, see docs/net.md.
 
+Every configuration runs on both shard engines against the same entry:
+the JIT (``Cluster``'s default, whose cases keep the bare names) and
+the interpreter.
+
 Regenerate (only when a schedule change is intended)::
 
     PYTHONPATH=src python -m tests.test_serve_golden
@@ -38,13 +42,13 @@ REDEFINED = {"backpressure_stalls"}
 REDEFINED_METRICS = {"net.backpressure_stalls"}
 
 
-def _plain(queue_capacity: int, batch_size: int):
-    cluster = Cluster(list(SERVICE_SOURCES), shards=4, config="i2")
+def _plain(queue_capacity: int, batch_size: int, engine: str):
+    cluster = Cluster(list(SERVICE_SOURCES), shards=4, config="i2", engine=engine)
     server = Server(cluster, queue_capacity=queue_capacity, batch_size=batch_size)
     return cluster, server, generate_workload(7, 200)
 
 
-def _swallow():
+def _swallow(engine: str):
     plan = FaultPlan(
         name="swallow",
         seed=1,
@@ -57,14 +61,19 @@ def _swallow():
         shards=2,
         config="i2",
         transport=InProcessTransport(policy=NetFaultPolicy(plan)),
+        engine=engine,
     )
     server = Server(cluster, queue_capacity=4, batch_size=2, max_retries=3)
     return cluster, server, generate_workload(5, 30)
 
 
-def _autoscale():
+def _autoscale(engine: str):
     cluster = Cluster(
-        list(SERVICE_SOURCES), shards=3, config="i2", pins={"Main": 0, "Fib": 1}
+        list(SERVICE_SOURCES),
+        shards=3,
+        config="i2",
+        pins={"Main": 0, "Fib": 1},
+        engine=engine,
     )
     server = Server(
         cluster,
@@ -77,17 +86,19 @@ def _autoscale():
 
 
 CONFIGS = {
-    "server-8-4": lambda: _plain(8, 4),
-    "server-1-1": lambda: _plain(1, 1),
-    "server-1-8": lambda: _plain(1, 8),
+    "server-8-4": lambda engine: _plain(8, 4, engine),
+    "server-1-1": lambda engine: _plain(1, 1, engine),
+    "server-1-8": lambda engine: _plain(1, 8, engine),
     "swallow-retries": _swallow,
     "skewed-autoscale": _autoscale,
 }
 
+ENGINES = ("jit", "interp")
 
-def capture(name: str) -> dict:
+
+def capture(name: str, engine: str = "jit") -> dict:
     """Run one configuration and return its JSON-safe evidence."""
-    cluster, server, workload = CONFIGS[name]()
+    cluster, server, workload = CONFIGS[name](engine)
     report = server.serve(workload)
     return json.loads(
         json.dumps(
@@ -112,10 +123,17 @@ def _without(doc: dict) -> dict:
     return doc
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_admission_schedule_matches_the_recorded_fixture(name):
+@pytest.mark.parametrize(
+    "name,engine",
+    [
+        pytest.param(name, engine, id=name if engine == "jit" else f"{name}-{engine}")
+        for name in sorted(CONFIGS)
+        for engine in ENGINES
+    ],
+)
+def test_admission_schedule_matches_the_recorded_fixture(name, engine):
     golden = json.loads(FIXTURE.read_text())[name]
-    assert _without(capture(name)) == _without(golden)
+    assert _without(capture(name, engine)) == _without(golden)
 
 
 if __name__ == "__main__":
