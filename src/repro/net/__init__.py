@@ -45,7 +45,7 @@ from repro.net.migrate import (
     adopt,
     aggregate_meters,
     extract,
-    reattach,
+    settle,
 )
 from repro.net.placement import HashRing, Placement
 from repro.net.procserve import (
@@ -113,10 +113,10 @@ __all__ = [
     "generate_workload",
     "load_pins",
     "plan_pins",
-    "reattach",
     "render",
     "run_process_serve",
     "run_serve",
+    "settle",
     "stitch",
     "wire_words",
 ]

@@ -211,8 +211,8 @@ def run_net_case_process(
     """One run of the split case program across real worker processes,
     each on *engine*.
 
-    The same seeded plan drives the front door's fault router instead
-    of the in-process transport: every routed frame is a ``net.send``,
+    The same seeded plan drives the front door's transport, the
+    in-process cluster's router: every routed frame is a ``net.send``,
     so drops, duplicates, delays, and partitions hit real sockets
     between real OS processes.
     """

@@ -29,7 +29,7 @@ from repro.interp.machine import Machine
 from repro.interp.machineconfig import MachineConfig
 from repro.interp.processes import Process, ProcessStatus
 from repro.net import wire
-from repro.net.placement import DEFAULT_VNODES, Placement
+from repro.net.placement import Placement
 from repro.net.shard import Shard
 from repro.net.transport import InProcessTransport
 
@@ -139,12 +139,8 @@ class Cluster:
         config: MachineConfig | str | None = None,
         entry: tuple[str, str] = ("Main", "main"),
         pins: dict[str, int] | None = None,
-        vnodes: int = DEFAULT_VNODES,
         transport: InProcessTransport | None = None,
         record: bool = False,
-        quantum: int = 0,
-        timeout_ticks: int = DEFAULT_TIMEOUT_TICKS,
-        max_retries: int = DEFAULT_MAX_RETRIES,
         engine: str = "jit",
     ) -> None:
         if shards < 1:
@@ -153,9 +149,7 @@ class Cluster:
             config = MachineConfig.preset(config)
         self.config = config or MachineConfig.i2()
         self.entry = entry
-        self.placement = Placement(list(range(shards)), pins=pins, vnodes=vnodes)
-        self.timeout_ticks = timeout_ticks
-        self.max_retries = max_retries
+        self.placement = Placement(list(range(shards)), pins=pins)
         self.wire_recorder = None
         if transport is None:
             tracer = None
@@ -169,7 +163,7 @@ class Cluster:
             sources, self.config, entry, engine=engine, count=shards
         )
         self.shards: list[Shard] = [
-            Shard(shard_id, machine, self.placement, record=record, quantum=quantum)
+            Shard(shard_id, machine, self.placement, record=record)
             for shard_id, machine in enumerate(machines)
         ]
         #: Submitted tickets not yet marked complete, in submission order.
@@ -274,7 +268,7 @@ class Cluster:
         # Stalled on replies: age the timeouts; retries re-enter the
         # transport through the ordinary outbox path.
         for shard in self.shards:
-            if shard.retry(self.ticks, self.timeout_ticks, self.max_retries):
+            if shard.retry(self.ticks, DEFAULT_TIMEOUT_TICKS, DEFAULT_MAX_RETRIES):
                 for message in shard.drain_outbox():
                     self.transport.send(message)
         return True
@@ -308,8 +302,10 @@ class Cluster:
 
         Quiesces nothing itself: call between ticks (``pump_tick``
         returns, or before the first ``pump``), when every live process
-        sits at a block boundary.  Once the target has adopted the
-        process, the source reaps it.  Updates the ticket in place so
+        sits at a block boundary.  Runs :mod:`repro.net.migrate`'s three
+        steps back to back — extract, adopt, settle — so nothing is
+        delivered between them; a refusal settles the process back onto
+        its source and re-raises.  Updates the ticket in place so
         completion tracking follows the process to its new home.
         """
         from repro.net.migrate import (
@@ -317,7 +313,7 @@ class Cluster:
             adopt,
             adopted_key,
             extract,
-            reattach,
+            settle,
             source_key,
         )
 
@@ -335,11 +331,9 @@ class Cluster:
         try:
             adopted = adopt(target, slice_, now=self.ticks)
         except MigrateError:
-            # The process never left: restore the source's net
-            # bookkeeping and tombstones so the refusal is invisible.
-            reattach(source, process, slice_, now=self.ticks)
+            settle(source, process.pid, adopted=False, now=self.ticks)
             raise
-        source.reap(process)
+        settle(source, process.pid, adopted=True)
         ticket.process = adopted
         ticket.shard_id = dst
         awaiting = slice_["net"].get("awaiting")
@@ -367,9 +361,9 @@ class Cluster:
         The adopter's ``_awaiting`` entry disappears when the forwarded
         reply (or error, or the retry discipline's own fault) resolves
         it — from then on the old home's tombstone can serve no one.
-        Call forwards are deliberately never retired: a late transport
-        duplicate must never find a shard willing to execute the
-        request a second time.
+        Call forwards stay until an adoption back onto their shard
+        supersedes them: a late transport duplicate must never find a
+        shard willing to execute the request a second time.
         """
         if not self._migrations:
             return

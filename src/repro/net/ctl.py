@@ -23,6 +23,8 @@ A control record is one framed JSON document ``{"schema":
                  reply's ``slice`` is null and ``error`` says why)
 ``adopt``        -> ``adopt_reply`` with the adopted pid (or null +
                  ``error`` on refusal)
+``settle``       -> ``settle_reply``; the source forwards to the adopter
+                 (``adopted``) or takes the process back
 ``repin``        -> ``repin_reply``; the worker installs the new pin
                  map and the epoch that fences it
 ``shutdown``     -> ``shutdown_reply``; the worker then exits cleanly
@@ -56,6 +58,8 @@ _REQUIRED_BODY: dict[str, tuple[str, ...]] = {
     "extract_reply": ("slice",),
     "adopt": ("slice",),
     "adopt_reply": ("pid",),
+    "settle": ("pid", "adopted"),
+    "settle_reply": (),
     "repin": ("pins", "epoch"),
     "repin_reply": ("epoch",),
     "shutdown": (),

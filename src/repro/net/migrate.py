@@ -7,9 +7,14 @@ remote reply.  Migration composes the two.  A process is **quiesced**
 at a block boundary — between scheduler slices, where a compiled block
 has finished too, so the same boundary exists under ``--engine jit`` —
 its state is **extracted** into a ``repro-migrate/1`` slice on the source
-shard, **adopted** on the target, and the source keeps *tombstones*:
-a forwarding entry per outstanding request, so the reply (or a late
-duplicate) still finds the process at its new home.
+shard, **adopted** on the target (never on the source), and **settled**
+on the source — the in-process cluster calls the three in a row, and
+process mode sends them as ``repro-ctl/1`` verbs.  Until it settles, the
+source holds every message for the process's requests.  After an
+adoption the source keeps *tombstones*: a forwarding entry per
+outstanding request, so the reply (or a late duplicate) still finds the
+process at its new home.  After a refusal it takes the process back.
+Either way the slice resumes in exactly one place.
 
 Two adoption modes, one slice schema:
 
@@ -48,6 +53,7 @@ machine has no MIGRATE instruction, and we do not invent one.
 from __future__ import annotations
 
 import re
+from bisect import insort
 
 from repro.errors import NetError
 from repro.faults.snapshot import capture, load_process, process_record, restore
@@ -77,12 +83,10 @@ def extract(shard: Shard, process: Process, dst: int, mode: str = "exclusive") -
     """Slice *process* out of *shard* for adoption on shard *dst*.
 
     The shard must be quiescent (``scheduler.current is None``) and the
-    process READY or BLOCKED — a block boundary.  Installs the source-
-    side tombstones (reply forward for the outstanding request, call
-    forwards for requests this process is serving) and detaches the
-    net bookkeeping, but leaves the process in the table: call
-    :meth:`Shard.reap` once adoption has succeeded, so a failed
-    adoption can roll back by re-attaching.
+    process READY or BLOCKED — a block boundary.  Moves the net
+    bookkeeping into the slice and reaps the process, installing no
+    forwards: messages for its outstanding and served requests are held
+    here until :func:`settle` says whether *dst* adopted it.
     """
     scheduler = shard.scheduler
     if scheduler.current is not None:
@@ -102,8 +106,7 @@ def extract(shard: Shard, process: Process, dst: int, mode: str = "exclusive") -
 
     # Build the refusal-capable payload FIRST: _slice_frames (and in
     # principle capture) may refuse, and a refusal must leave the shard
-    # untouched — _detach_net installs tombstones and detaches the net
-    # bookkeeping, which there is no path to roll back from here.
+    # untouched — only settle undoes _detach_net and the reap.
     slice_: dict = {
         "schema": MIGRATE_SCHEMA,
         "mode": mode,
@@ -118,6 +121,7 @@ def extract(shard: Shard, process: Process, dst: int, mode: str = "exclusive") -
         slice_["frames"] = _slice_frames(shard, process)
         slice_["process"] = process_record(process)
     slice_["net"] = _detach_net(shard, process, dst)
+    shard.reap(process)
 
     tracer = shard.machine.tracer
     if tracer is not None:
@@ -135,8 +139,10 @@ def extract(shard: Shard, process: Process, dst: int, mode: str = "exclusive") -
 
 
 def _detach_net(shard: Shard, process: Process, dst: int) -> dict:
-    """Move the process's net bookkeeping into the slice; tombstone here."""
+    """Move the process's net bookkeeping into the slice, and leave on
+    *shard* what :func:`settle` needs to forward or restore it."""
     net: dict = {"served": []}
+    awaiting = None
     # The outstanding request, if one is already on the wire.  (A
     # BLOCKED process whose call has not been flushed yet needs nothing:
     # the adopter's own flush will send it under a fresh id.)
@@ -155,20 +161,28 @@ def _detach_net(shard: Shard, process: Process, dst: int) -> dict:
                 "id": process.remote["id"],
                 "message": entry["message"].encode(),
                 "sends": entry["sends"],
-                # The key the tombstone was installed under *here* — a
+                # The key the tombstone is installed under *here* — a
                 # bare id for a first migration, an adopt triple for a
                 # chain.  JSON-safe form; the coordinator needs it to
                 # retire this shard's forward once the reply lands.
                 "source_key": list(key) if isinstance(key, tuple) else key,
             }
-            shard.install_forward(key, dst)
+            awaiting = (key, entry)
     # Requests this process is serving: the reply must come from the
     # new home, and retries (placement-routed here) must bounce.
-    for key, served in list(shard._served.items()):
-        if served is process:
-            net["served"].append([key[0], key[1]])
-            del shard._served[key]
-            shard._call_forwards[key] = dst
+    served = [key for key, p in shard._served.items() if p is process]
+    for key in served:
+        del shard._served[key]
+    net["served"] = [list(key) for key in served]
+    shard._unsettled[process.pid] = {
+        "process": process,
+        "span": shard._spans.get(process.pid),
+        "dst": dst,
+        "awaiting": awaiting,
+        "served": served,
+        "keys": {*served, awaiting[0]} if awaiting else set(served),
+        "held": [],
+    }
     return net
 
 
@@ -237,13 +251,19 @@ def adopt(shard: Shard, slice_: dict, now: float = 0) -> Process:
     *now* seeds the adopted request's retry clock (pump ticks in the
     in-process cluster, ``time.monotonic()`` in a worker): the adopter
     grants the outstanding request a fresh timeout window rather than
-    trying to reconcile two shards' clocks.
+    trying to reconcile two shards' clocks.  A slice is never adopted
+    on the shard it came from: a refused migration settles there.
     """
     schema = slice_.get("schema")
     if schema != MIGRATE_SCHEMA:
         raise MigrateError(
             f"unknown migration schema {schema!r} (this build speaks "
             f"{MIGRATE_SCHEMA!r})"
+        )
+    if slice_["source"] == shard.id:
+        raise MigrateError(
+            f"shard {shard.id} is the slice's source; settle the "
+            "migration there instead of adopting it back"
         )
     mode = slice_["mode"]
     if mode == "exclusive":
@@ -259,22 +279,18 @@ def adopt(shard: Shard, slice_: dict, now: float = 0) -> Process:
     net = slice_.get("net", {})
     awaiting = net.get("awaiting")
     if awaiting is not None:
-        key = adopted_key(awaiting)
-        skey = source_key(awaiting)
-        if skey in shard._forwards:
-            # The process came home (a refused adoption adopted it back
-            # onto its own source): serve the reply here instead of
-            # bouncing it, and key the entry under the original key so
-            # an un-forwarded reply still resolves it.
-            shard.retire_forward(skey)
-            key = skey
-        shard._awaiting[key] = {
+        shard._awaiting[adopted_key(awaiting)] = {
             "process": process,
             "message": wire.decode(awaiting["message"]),
             "sent": now,
             "sends": awaiting["sends"],
         }
-    _serve_here(shard, process, net)
+    for src, request_id in net.get("served", []):
+        key = (src, request_id)
+        # After a there-and-back migration this shard holds a call
+        # forward for the request it now serves again: retire it.
+        shard._call_forwards.pop(key, None)
+        shard._served[key] = process
 
     tracer = shard.machine.tracer
     if tracer is not None:
@@ -302,38 +318,39 @@ def source_key(awaiting: dict):
     return tuple(key) if isinstance(key, list) else key
 
 
-def reattach(shard: Shard, process: Process, slice_: dict, now: float = 0) -> None:
-    """Undo :func:`extract` after a refused adoption.
+def settle(shard: Shard, pid: int, adopted: bool, now: float = 0) -> None:
+    """Finish the migration of process *pid* on its source *shard*.
 
-    ``extract`` leaves the process in the source's table precisely so a
-    refusal downstream can roll back: restore the net bookkeeping under
-    its original keys and retire the tombstones, and the migration
-    never happened.  *now* reseeds the outstanding request's retry
-    clock, same as :func:`adopt`.
+    With *adopted*, the target took the process: install the reply
+    forward and the call forwards toward it, then release the held
+    messages through them.  Without, the target refused: put the process
+    back in the run table under its pid and span, restore its net
+    bookkeeping — the outstanding request's retry clock reseeded at
+    *now*, as :func:`adopt` seeds it — and release the held messages
+    here.  Either way the slice resumes in exactly one place.
     """
-    net = slice_.get("net", {})
-    awaiting = net.get("awaiting")
-    if awaiting is not None:
-        key = source_key(awaiting)
-        shard.retire_forward(key)
-        shard._awaiting[key] = {
-            "process": process,
-            "message": wire.decode(awaiting["message"]),
-            "sent": now,
-            "sends": awaiting["sends"],
-        }
-    _serve_here(shard, process, net)
-
-
-def _serve_here(shard: Shard, process: Process, net: dict) -> None:
-    """Serve the slice's requests on *shard*, retiring any call forward
-    this shard holds for them: after a rollback or a there-and-back
-    migration, the forward points away from the shard that serves the
-    request now."""
-    for src, request_id in net.get("served", []):
-        key = (src, request_id)
-        shard._call_forwards.pop(key, None)
-        shard._served[key] = process
+    unsettled = shard._unsettled.pop(pid, None)
+    if unsettled is None:
+        raise MigrateError(f"shard {shard.id} has no unsettled migration of p{pid}")
+    process = unsettled["process"]
+    awaiting = unsettled["awaiting"]
+    if adopted:
+        dst = unsettled["dst"]
+        if awaiting is not None:
+            shard._forwards[awaiting[0]] = dst
+        for key in unsettled["served"]:
+            shard._call_forwards[key] = dst
+    else:
+        insort(shard.scheduler.processes, process, key=lambda p: p.pid)
+        if unsettled["span"] is not None:
+            shard._spans[pid] = unsettled["span"]
+        if awaiting is not None:
+            key, entry = awaiting
+            entry["sent"] = now
+            shard._awaiting[key] = entry
+        for key in unsettled["served"]:
+            shard._served[key] = process
+    shard.deliver(unsettled["held"])
 
 
 def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
@@ -347,7 +364,7 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
                 f"exclusive adoption needs an idle target: p{process.pid} "
                 f"is {process.status.value}"
             )
-    if shard._served or shard._awaiting:
+    if shard._served or shard._awaiting or shard._unsettled:
         raise MigrateError(
             "exclusive adoption needs an idle target: requests are in flight"
         )

@@ -18,20 +18,23 @@ The **front door** is one asyncio event loop on a background thread:
 * each worker's ``hello`` is cross-checked against the others — same
   configuration token, same module census — the same deterministic-link
   handshake the in-process cluster performs;
-* wire frames are routed by destination: shard-to-shard traffic is
-  forwarded between workers, and replies addressed to the front door's
-  own pseudo-shard id (:data:`FRONT_DOOR`) resolve the caller futures;
+* wire frames are routed by destination through the in-process
+  cluster's router, an :class:`~repro.net.transport.InProcessTransport`:
+  shard-to-shard traffic is forwarded between workers, and replies to
+  the front door's pseudo-shard id (:data:`FRONT_DOOR`) resolve the
+  caller futures;
 * root submissions are ordinary wire ``call`` records from
   ``src == FRONT_DOOR``, which buys the front door the worker-side
   dedup/at-most-once machinery for free, including its timeout/retry
-  discipline: a request is transmitted at most ``1 + max_retries``
-  times, then raises :class:`~repro.errors.LostRequest`.
+  discipline: a request is transmitted at most
+  ``1 + DEFAULT_MAX_RETRIES`` times, then raises
+  :class:`~repro.errors.LostRequest`.
 
-Chaos plans plug into the router: a :class:`~repro.net.transport.
-NetFaultPolicy` sees every routed frame as a ``net.send``, so the same
-seeded ``net_*`` plans that drive the in-process transport drive real
-processes — drops and duplicates act immediately, delays and partition
-heals become real timers (``tick_seconds`` per modelled tick).
+Chaos plans plug into that transport's :class:`~repro.net.transport.
+NetFaultPolicy`, so the seeded ``net_*`` plans that drive the in-process
+cluster drive real processes; while a frame is delayed or held, the
+front door ticks the transport every ``tick_seconds``.  Migration is
+the in-process protocol too (:mod:`repro.net.migrate`).
 
 :class:`ProcessServer` is the serving layer over it: the admission
 engine of :mod:`repro.net.admission`, clocked in milliseconds.  Two
@@ -64,10 +67,9 @@ from repro.net import ctl, wire
 from repro.net.admission import Admission, Policy, ServeReport
 from repro.net.cluster import DEFAULT_MAX_RETRIES
 from repro.net.frame import RECV_BYTES, FrameBuffer, encode_frame
-from repro.net.placement import DEFAULT_VNODES, Placement
+from repro.net.placement import Placement
 from repro.net.serve import SERVICE_SOURCES, Request, generate_workload
-from repro.net.transport import NetFaultPolicy, TransportStats
-from repro.net.wire import wire_words
+from repro.net.transport import InProcessTransport, NetFaultPolicy
 from repro.net.worker import FRONT_DOOR, run_worker
 from repro.obs import MetricsRegistry
 
@@ -83,8 +85,8 @@ __all__ = [
 STARTUP_TIMEOUT = 120.0
 
 #: Seconds of real time per modelled transport tick: ``net_delay`` and
-#: ``net_partition`` details are stated in ticks, and process mode turns
-#: them into timers at this exchange rate.
+#: ``net_partition`` details are stated in ticks, and the front door
+#: ticks its transport at this rate while a frame waits on one.
 DEFAULT_TICK_SECONDS = 0.05
 
 
@@ -150,6 +152,7 @@ class ProcessCluster:
     :class:`~repro.errors.LostRequest` on retry exhaustion; ``meters``
     returns the same per-shard shape).  ``engine="jit"`` installs the
     JIT on every worker's shard machine, as ``Cluster(engine=)`` does.
+    ``stats`` and ``policy`` are the front door's transport's.
     """
 
     def __init__(
@@ -159,12 +162,8 @@ class ProcessCluster:
         config: MachineConfig | str | None = None,
         entry: tuple[str, str] = ("Main", "main"),
         pins: dict[str, int] | None = None,
-        vnodes: int = DEFAULT_VNODES,
         record: bool = False,
-        quantum: int = 0,
         timeout_s: float = 1.0,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        root_timeout_s: float | None = None,
         fault_plan: FaultPlan | None = None,
         tick_seconds: float = DEFAULT_TICK_SECONDS,
         self_homed: bool = False,
@@ -176,20 +175,18 @@ class ProcessCluster:
             config = MachineConfig.preset(config)
         self.config = config or MachineConfig.i2()
         self.shards = shards
-        self.placement = Placement(list(range(shards)), pins=pins, vnodes=vnodes)
+        self.placement = Placement(list(range(shards)), pins=pins)
         self.timeout_s = timeout_s
-        self.max_retries = max_retries
         # The front door must outwait a worker's own full retry cycle
         # (its sub-calls may be riding out chaos), so its per-attempt
-        # patience defaults to the worker's whole transmission budget.
-        self.root_timeout_s = (
-            root_timeout_s
-            if root_timeout_s is not None
-            else timeout_s * (2 + max_retries)
-        )
+        # patience is the worker's whole transmission budget.
+        self.root_timeout_s = timeout_s * (2 + DEFAULT_MAX_RETRIES)
         self.tick_seconds = tick_seconds
-        self.policy = NetFaultPolicy(fault_plan) if fault_plan is not None else None
-        self.stats = TransportStats()
+        self.transport = InProcessTransport(
+            NetFaultPolicy(fault_plan) if fault_plan is not None else None
+        )
+        self.stats = self.transport.stats
+        self.policy = self.transport.policy
         self.worker_errors: list[str] = []
 
         self._handles: dict[int, _WorkerHandle] = {}
@@ -197,8 +194,7 @@ class ProcessCluster:
         self._ctl_pending: dict[tuple[int, int], asyncio.Future] = {}
         self._next_request = 0
         self._next_ctl = 0
-        self._held: list[tuple[wire.Message, str]] = []
-        self._partitions: dict[str, asyncio.TimerHandle] = {}
+        self._ticking = False
         self._closed = False
 
         # Listener first: bound and listening before any worker forks,
@@ -227,11 +223,8 @@ class ProcessCluster:
             "config": self.config,
             "entry": tuple(entry),
             "pins": dict(pins) if pins else None,
-            "vnodes": vnodes,
-            "quantum": quantum,
             "record": record,
             "timeout_s": timeout_s,
-            "max_retries": max_retries,
             "self_homed": self_homed,
             "placement_epoch": self.placement.epoch,
             "engine": engine,
@@ -363,11 +356,11 @@ class ProcessCluster:
                     doc = json.loads(line)
                     schema = doc.get("schema") if isinstance(doc, dict) else None
                     if schema == wire.WIRE_SCHEMA:
-                        message = wire.decode_doc(doc)
+                        message = wire.decode_doc(doc, text=line)
                         if shard_id is None:
                             shard_id = self._register(message, writer)
                             continue
-                        self._offer(message, line)
+                        self._send(message)
                     elif schema == ctl.CTL_SCHEMA:
                         self._control_frame(ctl.decode_doc(doc))
                     else:
@@ -438,55 +431,46 @@ class ProcessCluster:
         if future is not None and not future.done():
             future.set_result(record)
 
-    # -- the fault router (loop thread) ------------------------------------
+    # -- routing (loop thread) ---------------------------------------------
 
-    def _offer(self, message: wire.Message, raw: str) -> None:
-        """One ``net.send``: count it, let the chaos policy act, route."""
-        self.stats.sent += 1
-        self.stats.wire_words += wire_words(raw)
-        copies, ticks, partitions = 1, 0, []
-        if self.policy is not None:
-            copies, ticks, partitions = self.policy.fate(message, self.stats)
-        for key, heal_ticks in partitions:
-            self._partition(key, heal_ticks * self.tick_seconds)
-        delay = ticks * self.tick_seconds
-        for _ in range(copies):
-            if delay > 0:
-                self._loop.call_later(delay, self._route_frame, message, raw)
-            else:
-                self._route_frame(message, raw)
+    def _send(self, message: wire.Message) -> None:
+        """One ``net.send`` into the transport; write out what it releases."""
+        transport = self.transport
+        transport.send(message)
+        self._flush(message.dst)
+        # Only a fault plan delays a frame or holds it behind a partition.
+        if self.policy is not None and not self._ticking and transport.pending():
+            self._ticking = True
+            self._loop.call_later(self.tick_seconds, self._tick)
 
-    def _partition(self, key: str, seconds: float) -> None:
-        timer = self._partitions.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        self._partitions[key] = self._loop.call_later(
-            max(seconds, self.tick_seconds), self._heal, key
-        )
+    def _tick(self) -> None:
+        """One transport tick: delays age, partitions heal."""
+        transport = self.transport
+        transport.tick()
+        for dst in (FRONT_DOOR, *self._handles):
+            self._flush(dst)
+        if transport.pending():
+            self._loop.call_later(self.tick_seconds, self._tick)
+        else:
+            self._ticking = False
 
-    def _heal(self, key: str) -> None:
-        self._partitions.pop(key, None)
-        held, self._held = self._held, []
-        for message, raw in held:
-            self._route_frame(message, raw)
-
-    def _route_frame(self, message: wire.Message, raw: str) -> None:
-        if "*" in self._partitions or f"{message.src}->{message.dst}" in self._partitions:
-            self.stats.held += 1
-            self._held.append((message, raw))
+    def _flush(self, dst: int) -> None:
+        """Write out (or resolve) what the transport releases for *dst*."""
+        messages = self.transport.poll(dst)
+        if not messages:
             return
-        if message.dst == FRONT_DOOR:
-            self.stats.delivered += 1
-            self._resolve(message)
+        if dst == FRONT_DOOR:
+            for message in messages:
+                self._resolve(message)
             return
-        handle = self._handles.get(message.dst)
+        handle = self._handles.get(dst)
         if handle is None or not handle.alive:
             # A dead shard is a blackhole; the sender's retry discipline
             # turns this into a clean lost_request, never a hang.
-            self.stats.dropped += 1
+            self.stats.delivered -= len(messages)
+            self.stats.dropped += len(messages)
             return
-        handle.writer.write(encode_frame(raw))
-        self.stats.delivered += 1
+        handle.writer.write(b"".join(encode_frame(m.encode()) for m in messages))
 
     def _resolve(self, message: wire.Message) -> None:
         future = self._pending.get(message.body["id"])
@@ -503,8 +487,8 @@ class ProcessCluster:
         At-most-once end to end: every transmission reuses the same
         request id, so the worker's (src, id) dedup either ignores the
         duplicate (still executing) or resends the byte-identical
-        cached reply.  After ``1 + max_retries`` transmissions without
-        an answer the request is abandoned with
+        cached reply.  After ``1 + DEFAULT_MAX_RETRIES`` transmissions
+        without an answer the request is abandoned with
         :class:`~repro.errors.LostRequest`.
         """
         request_id = self._next_request
@@ -513,12 +497,11 @@ class ProcessCluster:
         message = wire.call(
             FRONT_DOOR, shard, request_id, span, None, module, proc, list(args)
         )
-        raw = message.encode()
         future = self._loop.create_future()
         self._pending[request_id] = future
         try:
-            for _ in range(1 + self.max_retries):
-                self._offer(message, raw)
+            for _ in range(1 + DEFAULT_MAX_RETRIES):
+                self._send(message)
                 try:
                     reply = await asyncio.wait_for(
                         asyncio.shield(future), self.root_timeout_s
@@ -535,7 +518,7 @@ class ProcessCluster:
                     proc=body["proc"],
                 )
             raise LostRequest(
-                request_id, 1 + self.max_retries, f"{module}.{proc}"
+                request_id, 1 + DEFAULT_MAX_RETRIES, f"{module}.{proc}"
             )
         finally:
             self._pending.pop(request_id, None)
@@ -615,68 +598,44 @@ class ProcessCluster:
 
     # -- migration and repinning -------------------------------------------
 
-    def extract(self, shard: int, pid: int, dst: int, mode: str = "exclusive") -> dict:
-        """Slice process *pid* out of worker *shard* for adoption on *dst*.
+    def migrate(self, src: int, pid: int, dst: int, mode: str = "exclusive") -> int:
+        """Move process *pid* from worker *src* to worker *dst*; return
+        the adopted pid.
 
-        Returns the ``repro-migrate/1`` slice; raises
-        :class:`~repro.errors.NetError` if the worker refused (the
-        process completed while the request was in flight, the mode
-        does not fit the preset, ...) — the worker itself survives a
-        refusal untouched.
+        :mod:`repro.net.migrate`'s protocol as three ``repro-ctl/1``
+        verbs: extract on the source, adopt on the target, settle on the
+        source.  Raises :class:`~repro.errors.NetError` if the source
+        refuses the extract (the worker survives untouched), or if the
+        target refuses the slice or is dead (the source settles the
+        process back under its pid).  Reply forwards stay for the life
+        of the source worker: with real sockets no instant proves that
+        no duplicate is still in flight.
         """
-        body = self._run(
-            self._control(shard, "extract", {"pid": pid, "dst": dst, "mode": mode})
-        ).body
+        request = {"pid": pid, "dst": dst, "mode": mode}
+        body = self._run(self._control(src, "extract", request)).body
         if body["slice"] is None:
             raise NetError(
-                f"worker {shard} refused extract of p{pid}: "
+                f"worker {src} refused extract of p{pid}: "
                 f"{body.get('error', 'unspecified')}"
             )
-        return body["slice"]
-
-    def adopt(self, shard: int, slice_: dict) -> int:
-        """Install a migration slice on worker *shard*; returns the pid."""
-        body = self._run(self._control(shard, "adopt", {"slice": slice_})).body
-        if body["pid"] is None:
+        try:
+            body = self._run(self._control(dst, "adopt", {"slice": body["slice"]})).body
+        except NetError as fault:
+            handle = self._handles.get(dst)
+            if handle is not None and handle.alive:
+                # No answer in time: the target may still adopt, and
+                # settling back could then run the process twice, so
+                # it stays held on the source.
+                raise
+            body = {"pid": None, "error": str(fault)}
+        adopted = body["pid"] is not None
+        self._run(self._control(src, "settle", {"pid": pid, "adopted": adopted}))
+        if not adopted:
             raise NetError(
-                f"worker {shard} refused adoption: "
-                f"{body.get('error', 'unspecified')}"
+                f"worker {dst} refused adoption of p{pid} "
+                f"({body.get('error', 'unspecified')}); p{pid} stays on shard {src}"
             )
         return body["pid"]
-
-    def migrate(self, src: int, pid: int, dst: int, mode: str = "exclusive") -> int:
-        """Move process *pid* from worker *src* to worker *dst*.
-
-        The ``repro-ctl/1`` verb pair end to end: extract on the source
-        (which installs the source-side forwards, so the outstanding
-        reply and any in-flight duplicates chase the process), adopt on
-        the target, return the adopted pid.  Worker-mode forwards are
-        kept for the life of the source worker — with real sockets
-        there is no quiescent instant in which a coordinator could
-        prove no duplicate is still in flight, so the tombstones stay.
-        """
-        slice_ = self.extract(src, pid, dst, mode=mode)
-        try:
-            return self.adopt(dst, slice_)
-        except NetError as refusal:
-            # The source already dropped the process; adopt the slice
-            # back home so a refused migration strands nothing.  The
-            # source still holds its own reply forward — adoption
-            # retires it and re-keys the outstanding request, so the
-            # un-forwarded reply resolves normally.
-            try:
-                self.adopt(src, slice_)
-            except NetError as stranded:
-                raise NetError(
-                    f"migration of p{pid} refused ({refusal}) and the "
-                    f"rollback adoption also refused ({stranded}); the "
-                    "process is stranded"
-                ) from refusal
-            raise NetError(
-                f"migration of p{pid} to shard {dst} refused "
-                f"({refusal}); the process was adopted back onto shard "
-                f"{src}"
-            ) from refusal
 
     def repin(self, pins: dict[str, int]) -> int:
         """Replace the pin map everywhere, fenced by the placement epoch.

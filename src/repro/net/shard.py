@@ -41,12 +41,11 @@ class Shard:
         machine: Machine,
         placement: Placement,
         record: bool = False,
-        quantum: int = 0,
     ) -> None:
         self.id = shard_id
         self.machine = machine
         self.placement = placement
-        self.scheduler = Scheduler(machine, quantum=quantum)
+        self.scheduler = Scheduler(machine)
         self.recorder = None
         if record:
             from repro.obs import TraceRecorder
@@ -72,6 +71,10 @@ class Shard:
         #: retries of those requests here, so the old home must bounce
         #: them — src preserved, keeping the adopter's dedup key intact.
         self._call_forwards: dict[tuple[int, int], int] = {}
+        #: pid -> an extracted process not yet settled: its bookkeeping,
+        #: its served and awaited ``keys``, and the messages ``held`` for
+        #: them (see :func:`repro.net.migrate.settle`).
+        self._unsettled: dict[int, dict] = {}
         #: pid -> the span this process is executing (for span parents).
         self._spans: dict[int, str] = {}
         self._next_request = 0
@@ -214,6 +217,8 @@ class Shard:
             return
         if key in self._served:
             return  # duplicate of a request still executing
+        if self._unsettled and self._hold(key, message):
+            return
         new_home = self._call_forwards.get(key)
         if new_home is not None:
             # The serving process migrated away mid-request; bounce the
@@ -258,11 +263,14 @@ class Shard:
             return body["id"]
         return ("adopt", origin, body["id"])
 
-    def _forward_reply(self, message: Message, key) -> bool:
-        """Re-route a reply/error whose blocked caller migrated away."""
+    def _forward_reply(self, message: Message, key) -> None:
+        """Re-route a reply/error whose blocked caller migrated away
+        (or hold it while that migration is unsettled)."""
+        if self._unsettled and self._hold(key, message):
+            return
         new_home = self._forwards.get(key)
         if new_home is None:
-            return False
+            return
         body = dict(message.body)
         # First hop stamps the origin (this shard sent the original
         # request); later hops preserve it — the adopter keyed on it.
@@ -271,7 +279,14 @@ class Shard:
             Message(kind=message.kind, src=message.src, dst=new_home, body=body)
         )
         self._emit_forward(message, new_home)
-        return True
+
+    def _hold(self, key, message: Message) -> bool:
+        """Hold *message* if *key* belongs to an unsettled migration."""
+        for unsettled in self._unsettled.values():
+            if key in unsettled["keys"]:
+                unsettled["held"].append(message)
+                return True
+        return False
 
     def _emit_forward(self, message: Message, new_home: int) -> None:
         tracer = self.machine.tracer
@@ -281,7 +296,7 @@ class Shard:
                 message.describe(),
                 shard=self.id,
                 dst=new_home,
-                kind=message.kind,
+                msg=message.kind,
             )
 
     def _handle_reply(self, message: Message) -> None:
@@ -290,7 +305,7 @@ class Shard:
         entry = self._awaiting.pop(key, None)
         if entry is None:
             self._forward_reply(message, key)
-            return  # forwarded, or duplicate for an already-resumed caller
+            return  # forwarded, held, or duplicate for a resumed caller
         self.scheduler.unblock(entry["process"], body["results"])
 
     def _handle_error(self, message: Message) -> None:
@@ -453,10 +468,6 @@ class Shard:
 
     # -- migration surgery (host-side, uncounted) --------------------------
 
-    def install_forward(self, key, new_home: int) -> None:
-        """Tombstone an awaiting key: route its reply to *new_home*."""
-        self._forwards[key] = new_home
-
     def retire_forward(self, key) -> None:
         """Drop a tombstone once its reply has landed at the new home."""
         self._forwards.pop(key, None)
@@ -467,11 +478,11 @@ class Shard:
         The one exit of a shard's process, in both modes: a served call
         once its reply is cached and sent, a root request once its
         ticket completes, a migrated process once it has been extracted
-        (and, in-process, adopted).  Other pids stay as they are.  Host
-        bookkeeping only — no machine meters move.  A migrated process's
-        frames stay allocated in this shard's heap (their live copies
-        now belong to the adopter); the arena wears the scar, which is
-        bounded by one frame chain per migration.
+        (a refused migration settles it back).  Other pids stay as they
+        are.  Host bookkeeping only — no machine meters move.  A migrated
+        process's frames stay allocated in this shard's heap (their live
+        copies now belong to the adopter); the arena wears the scar,
+        which is bounded by one frame chain per migration.
         """
         if self.scheduler.discard(process):
             self._spans.pop(process.pid, None)

@@ -45,12 +45,19 @@ _REQUIRED_BODY: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class Message:
-    """One wire record: a kind, a source/destination shard, and a body."""
+    """One wire record: a kind, a source/destination shard, and a body.
+
+    Encoded at most once: :meth:`encode` keeps its text, and a message
+    decoded from text keeps that text, so a router never re-encodes.
+    """
 
     kind: str
     src: int
     dst: int
     body: dict = field(default_factory=dict)
+
+    #: The canonical encoding, once made or read (not a field).
+    _text = None
 
     def __post_init__(self) -> None:
         required = _REQUIRED_BODY.get(self.kind)
@@ -67,17 +74,21 @@ class Message:
 
     def encode(self) -> str:
         """The canonical JSON encoding (sorted keys, no whitespace)."""
-        return json.dumps(
-            {
-                "schema": WIRE_SCHEMA,
-                "kind": self.kind,
-                "src": self.src,
-                "dst": self.dst,
-                "body": self.body,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        text = self._text
+        if text is None:
+            text = json.dumps(
+                {
+                    "schema": WIRE_SCHEMA,
+                    "kind": self.kind,
+                    "src": self.src,
+                    "dst": self.dst,
+                    "body": self.body,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            object.__setattr__(self, "_text", text)
+        return text
 
     @property
     def wire_words(self) -> int:
@@ -101,10 +112,11 @@ def wire_words(encoded: str) -> int:
     return (len(encoded.encode("utf-8")) + 1) // 2
 
 
-def decode_doc(doc: dict) -> Message:
+def decode_doc(doc: dict, text: str | None = None) -> Message:
     """Validate one already-parsed wire document (shared with the
     worker protocol, which inspects the schema field before choosing a
-    decoder and must not parse the JSON twice)."""
+    decoder and must not parse the JSON twice).  *text*, the frame the
+    document was parsed from, becomes the message's encoding."""
     schema = doc.get("schema")
     if schema != WIRE_SCHEMA:
         raise WireError(
@@ -113,9 +125,12 @@ def decode_doc(doc: dict) -> Message:
     for name in ("kind", "src", "dst", "body"):
         if name not in doc:
             raise WireError(f"wire record missing {name!r}")
-    return Message(
+    message = Message(
         kind=doc["kind"], src=doc["src"], dst=doc["dst"], body=doc["body"]
     )
+    if text is not None:
+        object.__setattr__(message, "_text", text)
+    return message
 
 
 def decode(text: str) -> Message:
@@ -126,7 +141,7 @@ def decode(text: str) -> Message:
         raise WireError(f"wire record is not JSON: {fault}") from fault
     if not isinstance(doc, dict):
         raise WireError("wire record must be a JSON object")
-    return decode_doc(doc)
+    return decode_doc(doc, text=text)
 
 
 # -- constructors ------------------------------------------------------------

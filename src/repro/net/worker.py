@@ -14,7 +14,7 @@ synchronous loop:
    shard's ordinary ``deliver`` path (calls spawn root activations,
    replies unblock callers, dedup and the reply cache work untouched),
    ``repro-ctl/1`` records are management (meters, trace events,
-   snapshot/restore, status, shutdown);
+   snapshot/restore, status, migration, repin, shutdown);
 3. run whatever is runnable (``shard.step``), retry overdue remote
    calls, and flush the outbox back to the front door, which routes
    shard-to-shard records to their destination worker.
@@ -39,7 +39,7 @@ import time
 
 from repro.errors import ReproError
 from repro.net import ctl, wire
-from repro.net.cluster import build_shard_machine
+from repro.net.cluster import DEFAULT_MAX_RETRIES, build_shard_machine
 from repro.net.frame import RECV_BYTES, FrameBuffer, encode_frame
 from repro.net.placement import Placement
 from repro.net.shard import Shard
@@ -81,7 +81,6 @@ class Worker:
         self.spec = spec
         self.id = spec["shard_id"]
         self.timeout_s = spec.get("timeout_s", 1.0)
-        self.max_retries = spec.get("max_retries", 3)
         if spec.get("self_homed"):
             # Every module homed here: the stub never fires, each root
             # activation runs start-to-finish locally.  This is the
@@ -90,11 +89,7 @@ class Worker:
             # instead of splitting one request across them.
             placement = Placement([self.id])
         else:
-            placement = Placement(
-                list(range(spec["shards"])),
-                pins=spec.get("pins"),
-                vnodes=spec.get("vnodes", 64),
-            )
+            placement = Placement(list(range(spec["shards"])), pins=spec.get("pins"))
         # The placement epoch the front door forked us with; sent back in
         # the hello so the handshake can refuse a worker whose pin map
         # drifted from the cluster's (the silently-ignored-repin bug).
@@ -109,7 +104,6 @@ class Worker:
             ),
             placement,
             record=spec.get("record", False),
-            quantum=spec.get("quantum", 0),
         )
         self._framer = FrameBuffer()
         self._running = True
@@ -134,7 +128,7 @@ class Worker:
         doc = json.loads(frame)
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema == wire.WIRE_SCHEMA:
-            self.shard.deliver([wire.decode_doc(doc)])
+            self.shard.deliver([wire.decode_doc(doc, text=frame)])
         elif schema == ctl.CTL_SCHEMA:
             self._control(ctl.decode_doc(doc))
         else:
@@ -164,6 +158,12 @@ class Worker:
             reply = record.reply("extract_reply", self._extract(record.body))
         elif record.kind == "adopt":
             reply = record.reply("adopt_reply", self._adopt(record.body))
+        elif record.kind == "settle":
+            from repro.net.migrate import settle
+
+            body = record.body
+            settle(self.shard, body["pid"], body["adopted"], now=time.monotonic())
+            reply = record.reply("settle_reply")
         elif record.kind == "repin":
             # Install the new pin map under the epoch that fences it.
             # Validation mirrors Placement.repin; the epoch itself is the
@@ -204,7 +204,6 @@ class Worker:
             slice_ = extract(self.shard, target, body["dst"], mode=body["mode"])
         except MigrateError as refusal:
             return {"slice": None, "error": str(refusal)}
-        self.shard.reap(target)
         return {"slice": slice_}
 
     def _adopt(self, body: dict) -> dict:
@@ -232,7 +231,7 @@ class Worker:
         while self.shard.step(now):
             pass
         if self.shard.awaiting:
-            self.shard.retry(time.monotonic(), self.timeout_s, self.max_retries)
+            self.shard.retry(time.monotonic(), self.timeout_s, DEFAULT_MAX_RETRIES)
         self._flush_outbox()
         # The dedup reply cache only has to span the window in which a
         # duplicate can still arrive — the sender's full retry cycle,

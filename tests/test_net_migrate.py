@@ -191,6 +191,22 @@ def test_refused_adoption_rolls_back_and_both_finish():
     assert not cluster._migrations
 
 
+def test_recorded_migration_traces_the_forwarded_reply():
+    cluster = Cluster(list(PROG.sources), shards=3, config="i2", pins=PINS, record=True)
+    ticket = cluster.submit(PROG.entry[0], PROG.entry[1], *PROG.args)
+    _pump_until_blocked(cluster, ticket)
+    cluster.migrate(ticket, 2)
+    cluster.pump()
+    assert ticket.results == [119]
+    forwards = [
+        event
+        for events in cluster.trace_events().values()
+        for event in events
+        if event.kind == "net.migrate.forward"
+    ]
+    assert forwards and all(event.data["msg"] == "reply" for event in forwards)
+
+
 # -- the balancer -----------------------------------------------------------
 
 

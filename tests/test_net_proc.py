@@ -231,11 +231,8 @@ def _worker(shard_id: int = 1) -> tuple[socket.socket, Worker]:
         "config": MachineConfig.i2(),
         "entry": ("Main", "main"),
         "pins": PINS,
-        "vnodes": 64,
-        "quantum": 0,
         "record": False,
         "timeout_s": 1.0,
-        "max_retries": 3,
         "self_homed": False,
         "shard_id": shard_id,
     }
@@ -472,39 +469,72 @@ END.
 FIB18 = 2584
 
 
+def _submit_blocked(cluster, shard: int):
+    """Submit ``Main.main`` to *shard*; return (future, pid) once the
+    worker reports the root BLOCKED on its remote call."""
+    import asyncio
+
+    future = asyncio.run_coroutine_threadsafe(
+        cluster.call_async(shard, "Main", "main", ()), cluster._loop
+    )
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        table = cluster.status(shard)
+        if table and table[0]["status"] == "blocked":
+            return future, table[0]["pid"]
+        time.sleep(0.02)
+    raise AssertionError(f"root never observed BLOCKED on worker {shard}")
+
+
 def test_migrate_blocked_process_onto_a_third_worker():
     """Extract a root BLOCKED on a live remote call from worker 0 and
     adopt it on worker 2 — a worker it never snapshotted from.  The
     Math reply must chase it through worker 0's forward."""
-    import asyncio
-
     cluster = ProcessCluster(
         list(SLOW_SOURCES),
         shards=3,
         config="i2",
         pins=PINS,
         timeout_s=30.0,
-        root_timeout_s=60.0,
     )
     try:
-        future = asyncio.run_coroutine_threadsafe(
-            cluster.call_async(0, "Main", "main", ()), cluster._loop
-        )
-        deadline = time.monotonic() + 30.0
-        blocked = None
-        while time.monotonic() < deadline:
-            table = cluster.status(0)
-            if table and table[0]["status"] == "blocked":
-                blocked = table[0]["pid"]
-                break
-            time.sleep(0.02)
-        assert blocked is not None, "root never observed BLOCKED on worker 0"
+        future, blocked = _submit_blocked(cluster, 0)
         cluster.migrate(0, blocked, 2)
         assert future.result(timeout=60.0) == [FIB18 + 1]
         # Both workers handed the process off: worker 0 at the extract,
         # worker 2 with its reply.
         assert cluster.status(0) == []
         assert cluster.status(2) == []
+    finally:
+        cluster.close()
+
+
+def test_refused_migration_leaves_the_process_on_its_source():
+    """Worker 2 is busy: its own root waits on a reply that a partition
+    of the 1->2 link holds back.  It refuses the exclusive slice of
+    worker 0's root; worker 0 settles the root back under the same pid,
+    and the root still returns the reference result."""
+    from repro.errors import NetError
+    from repro.faults.plan import FaultPlan, Injection, on_event
+
+    hold = Injection(on_event("net.send", 1), "net_partition", detail="1->2:600")
+    cluster = ProcessCluster(
+        list(SLOW_SOURCES),
+        shards=3,
+        config="i2",
+        pins=PINS,
+        timeout_s=30.0,
+        fault_plan=FaultPlan(name="hold-1-2", seed=0, injections=(hold,)),
+    )
+    try:
+        _submit_blocked(cluster, 2)
+        future, pid = _submit_blocked(cluster, 0)
+        with pytest.raises(NetError, match=f"p{pid} stays on shard 0"):
+            cluster.migrate(0, pid, 2)
+        (row,) = cluster.status(0)
+        assert (row["pid"], row["module"], row["proc"]) == (pid, "Main", "main")
+        assert future.result(timeout=60.0) == [FIB18 + 1]
+        assert cluster.status(0) == []
     finally:
         cluster.close()
 
