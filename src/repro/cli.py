@@ -86,7 +86,7 @@ def _add_args(p, help="integer arguments for the entry procedure") -> None:
     p.add_argument("--args", type=int, nargs="*", default=[], help=help)
 
 
-def _add_engine(p, help: str, default: str | None = "interp") -> None:
+def _add_engine(p, help: str, default: str = "interp") -> None:
     p.add_argument("--engine", choices=["interp", "jit"], default=default, help=help)
 
 
@@ -826,23 +826,35 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    # Without --engine, each stack's own default applies.
-    engine = {"engine": args.engine} if args.engine else {}
-    if args.processes:
-        if args.autoscale:
-            print("serve: --autoscale drives the in-process pump; drop "
-                  "--processes", file=sys.stderr)
-            return 2
-        from repro.net.procserve import ProcessCluster, ProcessServer
+    if args.processes and args.autoscale:
+        print("serve: --autoscale drives the in-process pump; drop "
+              "--processes", file=sys.stderr)
+        return 2
+    try:
+        if args.processes:
+            from repro.net.procserve import ProcessCluster, ProcessServer
 
-        cluster = ProcessCluster(
-            list(SERVICE_SOURCES),
-            shards=args.shards,
-            config=args.impl,
-            pins=pins,
-            self_homed=(args.route == "direct"),
-            **engine,
-        )
+            cluster = ProcessCluster(
+                list(SERVICE_SOURCES),
+                shards=args.shards,
+                config=args.impl,
+                pins=pins,
+                self_homed=(args.route == "direct"),
+                engine=args.engine,
+            )
+        else:
+            cluster = Cluster(
+                list(SERVICE_SOURCES),
+                shards=args.shards,
+                config=args.impl,
+                pins=pins,
+                transport=SocketTransport() if args.socket else None,
+                engine=args.engine,
+            )
+    except JitRefusal as refusal:
+        print(f"serve: jit refused: {refusal}", file=sys.stderr)
+        return 2
+    if args.processes:
         try:
             server = ProcessServer(
                 cluster,
@@ -855,19 +867,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         finally:
             cluster.close()
         return _print_serve(report, server.metrics, source, args, extra)
-    transport = SocketTransport() if args.socket else None
-    try:
-        cluster = Cluster(
-            list(SERVICE_SOURCES),
-            shards=args.shards,
-            config=args.impl,
-            pins=pins,
-            transport=transport,
-            **engine,
-        )
-    except JitRefusal as refusal:
-        print(f"serve: jit refused: {refusal}", file=sys.stderr)
-        return 2
     balancer = None
     pump_ticks = None
     if args.autoscale:
@@ -1468,9 +1467,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--processes", action="store_true",
                        help="promote each shard to a real OS worker process "
                             "behind the asyncio front door")
-    _add_engine(serve, "shard engine (default: jit in-process, interp with "
-                "--processes); results and meters are the same on both",
-                default=None)
+    _add_engine(serve, "shard engine, in process and in every forked "
+                "worker (default jit); results and meters are the same on "
+                "both", default="jit")
     serve.add_argument("--route", choices=["direct", "dispatch"],
                        default="direct",
                        help="process-mode routing: direct (leaf procedure on "

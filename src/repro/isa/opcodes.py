@@ -185,14 +185,21 @@ JUMP_OPS: frozenset[Op] = frozenset(
 )
 
 
+#: Encoded length in bytes of each opcode's instruction, opcode included
+#: (keyed by the int-valued ``Op``, so a lookup hashes in C).
+_LENGTHS: dict[Op, int] = {
+    op: 1 + _OPERAND_BYTES[kind] for op, kind in OPERAND_KINDS.items()
+}
+
+
 def operand_bytes(op: Op) -> int:
     """Number of operand bytes following the opcode byte."""
-    return _OPERAND_BYTES[OPERAND_KINDS[op]]
+    return _LENGTHS[op] - 1
 
 
 def instruction_length(op: Op) -> int:
     """Total encoded length in bytes, opcode included."""
-    return 1 + operand_bytes(op)
+    return _LENGTHS[op]
 
 
 def is_call(op: Op) -> bool:

@@ -9,7 +9,7 @@ deoptimization at every point the static model cannot cover.  See
 
 from repro.jit.codecache import CodeCache
 from repro.jit.deopt import EngineStats, JitRefusal
-from repro.jit.engine import JitEngine, install_jit
+from repro.jit.engine import JitEngine, install_jit, verified_facts
 
 __all__ = [
     "CodeCache",
@@ -17,4 +17,5 @@ __all__ = [
     "JitEngine",
     "JitRefusal",
     "install_jit",
+    "verified_facts",
 ]

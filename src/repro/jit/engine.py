@@ -1,9 +1,10 @@
 """The JIT engine: compilation driver, block dispatch, deoptimization.
 
-``install_jit(machine)`` verifies the image (or validates a supplied
-``repro-facts/1`` artifact against it), compiles the ``hot_order``
-procedures, and installs itself on the machine; every other verified
-procedure compiles the first time execution reaches its body.
+``install_jit(machine)`` verifies the image (:func:`verified_facts`) or
+validates a supplied ``repro-facts/1`` artifact against it, compiles
+the ``hot_order`` procedures, and installs itself on the machine; every
+other verified procedure compiles the first time execution reaches its
+body.
 ``Machine.run`` and the scheduler's time slices then delegate to
 :meth:`JitEngine.run_until` whenever the engine is *active* — no tracer
 attached — and the engine direct-threads compiled blocks, falling back
@@ -31,6 +32,21 @@ from repro.jit.calls import CallSite, make_fast_call, make_fast_return
 from repro.jit.codecache import CodeCache
 from repro.jit.compile import EVENT_VARS, CompilerContext, compile_procedure
 from repro.jit.deopt import EngineStats, JitRefusal
+
+
+def verified_facts(image) -> dict:
+    """Verify *image* once; return its ``repro-facts/1`` document.
+
+    Raises :class:`JitRefusal` when the verifier has findings.  The
+    document installs the JIT on any machine over an image that links
+    the same way (``install_jit(machine, facts)``), which validates the
+    fingerprint instead of verifying again.
+    """
+    analysis = analyze_image(image)
+    if not analysis.ok:
+        first = "; ".join(str(d) for d in analysis.report.errors[:3])
+        raise JitRefusal(f"image fails static verification: {first}")
+    return analysis.to_facts()
 
 
 class JitEngine:
@@ -67,11 +83,7 @@ class JitEngine:
                 )
             doc = facts
         else:
-            analysis = analyze_image(image)
-            if not analysis.ok:
-                first = "; ".join(str(d) for d in analysis.report.errors[:3])
-                raise JitRefusal(f"image fails static verification: {first}")
-            doc = analysis.to_facts()
+            doc = verified_facts(image)
         self.facts = doc
 
         site_classes: dict = {}

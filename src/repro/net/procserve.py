@@ -12,6 +12,12 @@ plane stays exactly what the conformance suite pins.
 
 The **front door** is one asyncio event loop on a background thread:
 
+* it builds once, before anything forks: the sources compile, **one
+  image** links and, on the JIT (the default), is verified once, so an
+  image with verifier findings raises :class:`~repro.jit.JitRefusal`
+  from the constructor; each worker's spec carries the image and its
+  ``repro-facts/1`` document, and the worker builds its shard from its
+  own copy (:func:`~repro.net.worker.worker_specs`);
 * it binds a listener (a Unix socket in a private tempdir; TCP loopback
   where ``AF_UNIX`` is unavailable), forks the workers **before** the
   loop thread starts, and accepts one connection per worker;
@@ -70,7 +76,7 @@ from repro.net.frame import RECV_BYTES, FrameBuffer, encode_frame
 from repro.net.placement import Placement
 from repro.net.serve import SERVICE_SOURCES, Request, generate_workload
 from repro.net.transport import InProcessTransport, NetFaultPolicy
-from repro.net.worker import FRONT_DOOR, run_worker
+from repro.net.worker import FRONT_DOOR, run_worker, worker_specs
 from repro.obs import MetricsRegistry
 
 __all__ = [
@@ -150,9 +156,15 @@ class ProcessCluster:
     :class:`~repro.net.cluster.Cluster` (``call`` raises
     :class:`~repro.errors.TrapError` on a remote fault and
     :class:`~repro.errors.LostRequest` on retry exhaustion; ``meters``
-    returns the same per-shard shape).  ``engine="jit"`` installs the
-    JIT on every worker's shard machine, as ``Cluster(engine=)`` does.
-    ``stats`` and ``policy`` are the front door's transport's.
+    returns the same per-shard shape).  Workers run on the JIT by
+    default, as a ``Cluster``'s shards do: the constructor compiles the
+    sources, links one image and verifies it once before it forks
+    anything (:func:`~repro.net.worker.worker_specs`), so an image with
+    verifier findings raises :class:`~repro.jit.JitRefusal` with no
+    worker started, and each worker installs the JIT from the image's
+    facts.  ``engine="interp"`` serves the same image on the
+    interpreter.  ``stats`` and ``policy`` are the front door's
+    transport's.
     """
 
     def __init__(
@@ -167,7 +179,7 @@ class ProcessCluster:
         fault_plan: FaultPlan | None = None,
         tick_seconds: float = DEFAULT_TICK_SECONDS,
         self_homed: bool = False,
-        engine: str = "interp",
+        engine: str = "jit",
     ) -> None:
         if shards < 1:
             raise NetError(f"a cluster needs at least one shard, got {shards}")
@@ -182,6 +194,20 @@ class ProcessCluster:
         # patience is the worker's whole transmission budget.
         self.root_timeout_s = timeout_s * (2 + DEFAULT_MAX_RETRIES)
         self.tick_seconds = tick_seconds
+        # Build before the listener and the fork: JitRefusal leaves
+        # nothing to tear down.
+        specs = worker_specs(
+            sources,
+            shards,
+            self.config,
+            entry,
+            engine,
+            pins=pins,
+            record=record,
+            timeout_s=timeout_s,
+            self_homed=self_homed,
+            placement_epoch=self.placement.epoch,
+        )
         self.transport = InProcessTransport(
             NetFaultPolicy(fault_plan) if fault_plan is not None else None
         )
@@ -217,29 +243,14 @@ class ProcessCluster:
 
         # Workers fork before the asyncio loop thread exists: forking a
         # process that already runs threads is where fork goes wrong.
-        spec_base = {
-            "shards": shards,
-            "sources": tuple(sources),
-            "config": self.config,
-            "entry": tuple(entry),
-            "pins": dict(pins) if pins else None,
-            "record": record,
-            "timeout_s": timeout_s,
-            "self_homed": self_homed,
-            "placement_epoch": self.placement.epoch,
-            "engine": engine,
-        }
-        if engine == "jit":
-            # Import the JIT (and the checker under it) once, before the
-            # fork, rather than once in every worker after it.
-            import repro.jit  # noqa: F401
+        # Each worker gets its own copy of the image in its spec: fork
+        # copies this process, spawn pickles the spec.
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
         self._procs: list = []
-        for shard_id in range(shards):
-            spec = dict(spec_base, shard_id=shard_id)
+        for spec in specs:
             proc = context.Process(
                 target=run_worker, args=(self.address, spec), daemon=True
             )

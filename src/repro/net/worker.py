@@ -1,11 +1,15 @@
 """One shard as an operating-system process.
 
 This module is the body of a worker spawned by the
-:class:`~repro.net.procserve.ProcessCluster`: it builds an ordinary
-:class:`~repro.net.shard.Shard` (compiling and linking the same image
-every other worker links — the deterministic link the hello handshake
-verifies), connects back to the asyncio front door, and pumps a small
-synchronous loop:
+:class:`~repro.net.procserve.ProcessCluster`.  The cluster builds once,
+before the fork (:func:`worker_specs`): it compiles the sources, links
+**one image** and, on the JIT, verifies it once.  Each worker's spec
+carries that image and its ``repro-facts/1`` document; the worker builds
+an ordinary :class:`~repro.net.shard.Shard` over its own copy of the
+image (fork copies the parent, the ``spawn`` fallback unpickles the
+spec), installs the JIT from the facts without verifying again, connects
+back to the asyncio front door — whose hello handshake checks that every
+worker holds the same image — and pumps a small synchronous loop:
 
 1. read framed records off the socket (:class:`~repro.net.frame.
    FrameBuffer` reassembles frames split across ``recv`` chunks and
@@ -38,8 +42,10 @@ import socket
 import time
 
 from repro.errors import ReproError
+from repro.interp.machine import Machine
+from repro.interp.machineconfig import MachineConfig
 from repro.net import ctl, wire
-from repro.net.cluster import DEFAULT_MAX_RETRIES, build_shard_machine
+from repro.net.cluster import DEFAULT_MAX_RETRIES
 from repro.net.frame import RECV_BYTES, FrameBuffer, encode_frame
 from repro.net.placement import Placement
 from repro.net.shard import Shard
@@ -54,6 +60,69 @@ POLL_SECONDS = 0.02
 #: Seconds a worker keeps retrying its initial connect (the front door
 #: may still be binding its listener when the process starts).
 CONNECT_WINDOW = 10.0
+
+
+def worker_specs(
+    sources: list[str],
+    shards: int = 2,
+    config: MachineConfig | None = None,
+    entry: tuple[str, str] = ("Main", "main"),
+    engine: str = "jit",
+    pins: dict[str, int] | None = None,
+    record: bool = False,
+    timeout_s: float = 1.0,
+    self_homed: bool = False,
+    placement_epoch: int = 0,
+) -> list[dict]:
+    """The spec of each of *shards* workers, from one build.
+
+    Compiles *sources* and links one image; ``engine="jit"`` verifies it
+    once (:func:`repro.jit.verified_facts`), so an image with verifier
+    findings raises :class:`~repro.jit.JitRefusal` here, and ``"interp"``
+    verifies nothing.  Every spec holds the same image object and its
+    facts (None on the interpreter): a worker must get its own copy,
+    which both start methods give it — fork copies the parent's memory,
+    spawn unpickles the spec.
+    """
+    from repro.lang.compiler import CompileOptions, compile_program
+    from repro.lang.linker import link
+
+    config = config or MachineConfig.i2()
+    modules = compile_program(list(sources), CompileOptions.for_config(config))
+    image = link(modules, config, tuple(entry))
+    facts = None
+    if engine == "jit":
+        from repro.jit import verified_facts
+
+        facts = verified_facts(image)
+    return [
+        {
+            "shard_id": shard_id,
+            "shards": shards,
+            "image": image,
+            "facts": facts,
+            "pins": dict(pins) if pins else None,
+            "record": record,
+            "timeout_s": timeout_s,
+            "self_homed": self_homed,
+            "placement_epoch": placement_epoch,
+        }
+        for shard_id in range(shards)
+    ]
+
+
+def build_shard_machine(image, facts: dict | None = None) -> Machine:
+    """A worker's shard machine over its copy of the cluster's image.
+
+    With *facts* the JIT installs from them: ``install_jit`` checks the
+    image fingerprint and verifies nothing.  Without, the interpreter.
+    """
+    machine = Machine(image)
+    if facts is not None:
+        from repro.jit import install_jit
+
+        install_jit(machine, facts)
+    return machine
 
 
 def connect(address: tuple) -> socket.socket:
@@ -77,33 +146,30 @@ class Worker:
     """The synchronous pump around one shard (testable without a fork)."""
 
     def __init__(self, sock: socket.socket, spec: dict) -> None:
+        """*spec* is one of :func:`worker_specs`'s."""
         self.sock = sock
         self.spec = spec
         self.id = spec["shard_id"]
-        self.timeout_s = spec.get("timeout_s", 1.0)
-        if spec.get("self_homed"):
-            # Every module homed here: the stub never fires, each root
-            # activation runs start-to-finish locally.  This is the
+        self.timeout_s = spec["timeout_s"]
+        if spec["self_homed"]:
+            # Every module homed here: the shard installs no stub (so
+            # the JIT builds cells for cross-module calls too), and each
+            # root activation runs start-to-finish locally.  This is the
             # embarrassingly-parallel serving route ("direct"), where
             # the front door spreads whole requests across workers
             # instead of splitting one request across them.
             placement = Placement([self.id])
         else:
-            placement = Placement(list(range(spec["shards"])), pins=spec.get("pins"))
+            placement = Placement(list(range(spec["shards"])), pins=spec["pins"])
         # The placement epoch the front door forked us with; sent back in
         # the hello so the handshake can refuse a worker whose pin map
         # drifted from the cluster's (the silently-ignored-repin bug).
-        placement.epoch = spec.get("placement_epoch", 0)
+        placement.epoch = spec["placement_epoch"]
         self.shard = Shard(
             self.id,
-            build_shard_machine(
-                list(spec["sources"]),
-                spec["config"],
-                tuple(spec["entry"]),
-                engine=spec.get("engine", "interp"),
-            ),
+            build_shard_machine(spec["image"], spec["facts"]),
             placement,
-            record=spec.get("record", False),
+            record=spec["record"],
         )
         self._framer = FrameBuffer()
         self._running = True

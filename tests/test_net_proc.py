@@ -31,7 +31,7 @@ from repro.net.procserve import (
 )
 from repro.net.serve import SERVICE_SOURCES, Server, generate_workload
 from repro.net.stitch import stitch
-from repro.net.worker import Worker
+from repro.net.worker import Worker, worker_specs
 from repro.workloads.programs import program
 from tests.conftest import ALL_PRESETS, served_activations
 
@@ -181,6 +181,19 @@ def test_per_activation_meters_match_local_replay_through_processes(preset):
         assert span.cycles == reference.counter.cycles - cycles_before
 
 
+def test_the_spawn_fallback_serves_from_the_same_spec(monkeypatch):
+    """Where ``fork`` is unavailable the workers spawn, and the spec —
+    image and facts included — reaches them pickled."""
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    cluster = ProcessCluster(list(MATHLIB.sources), shards=2, pins=PINS)
+    try:
+        assert cluster.call("Main", "main") == list(MATHLIB.expect_results)
+    finally:
+        cluster.close()
+
+
 # ---------------------------------------------------------------------------
 # repro-snapshot/2 across the process boundary
 # ---------------------------------------------------------------------------
@@ -225,18 +238,83 @@ def test_snapshot_blocked_process_restores_into_a_live_worker():
 def _worker(shard_id: int = 1) -> tuple[socket.socket, Worker]:
     ours, theirs = socket.socketpair()
     ours.settimeout(5.0)
-    spec = {
-        "shards": 2,
-        "sources": tuple(MATHLIB.sources),
-        "config": MachineConfig.i2(),
-        "entry": ("Main", "main"),
-        "pins": PINS,
-        "record": False,
-        "timeout_s": 1.0,
-        "self_homed": False,
-        "shard_id": shard_id,
-    }
+    spec = worker_specs(list(MATHLIB.sources), shards=2, pins=PINS)[shard_id]
     return ours, Worker(theirs, spec)
+
+
+def test_a_worker_compiles_and_verifies_nothing(monkeypatch):
+    """The cluster builds once, before the fork: a worker installs the
+    JIT from its spec's image and facts, whether the spec arrives as
+    built (fork) or pickled (spawn), with compiling and verifying
+    refused."""
+    import pickle
+
+    import repro.check.interproc as interproc
+    import repro.jit.engine as jit_engine
+    import repro.lang.compiler as compiler
+
+    spec = worker_specs(list(MATHLIB.sources), shards=2, pins=PINS)[1]
+    assert spec["facts"]["schema"] == "repro-facts/1"
+    spawned = pickle.loads(pickle.dumps(spec))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker compiled or verified")
+
+    monkeypatch.setattr(compiler, "compile_program", refuse)
+    monkeypatch.setattr(interproc, "analyze_image", refuse)
+    monkeypatch.setattr(jit_engine, "analyze_image", refuse)
+    for shipped in (spawned, spec):
+        ours, theirs = socket.socketpair()
+        ours.settimeout(5.0)
+        try:
+            worker = Worker(theirs, shipped)
+            assert worker.shard.machine.engine is not None
+            worker._dispatch(
+                wire.call(0, 1, 1, "0:1", None, "Math", "gcd", [12, 18]).encode()
+            )
+            worker.pump_once()
+            assert json.loads(ours.recv(65536))["body"]["results"] == [6]
+        finally:
+            ours.close()
+            theirs.close()
+
+
+def test_a_self_homed_jit_worker_builds_cells_for_cross_module_calls():
+    """A one-shard placement can route nothing away, so its shard
+    installs no remote stub and the JIT builds a call cell for Main's
+    ``EFC`` into Math; a two-shard worker keeps its stub."""
+    from repro.ifu.ifu import TransferKind
+    from repro.jit.calls import CallSite
+
+    ours, theirs = socket.socketpair()
+    ours.settimeout(5.0)
+    spec = worker_specs(list(MATHLIB.sources), shards=2, self_homed=True)[0]
+    worker = Worker(theirs, spec)
+    machine = worker.shard.machine
+    assert machine.remote_stub is None
+    worker._dispatch(
+        wire.call(
+            FRONT_DOOR, 0, 0, f"{FRONT_DOOR}:0", None, "Main", "main", []
+        ).encode()
+    )
+    worker.pump_once()
+    reply = json.loads(ours.recv(65536))
+    assert reply["body"]["results"] == list(MATHLIB.expect_results)
+    sites = {
+        id(value): value
+        for fn, _steps in machine.engine.cache.blocks.values()
+        for value in fn.__globals__.values()
+        if isinstance(value, CallSite)
+    }
+    targets = {
+        (cell.meta.module, cell.meta.name)
+        for site in sites.values()
+        if site.kind is TransferKind.EXTERNAL_CALL
+        for cell in site.cells.values()
+    }
+    assert ("Math", "gcd") in targets
+    _front, split = _worker(0)
+    assert split.shard.machine.remote_stub is not None
 
 
 def test_worker_dedup_resends_byte_identical_replies():

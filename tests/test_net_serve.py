@@ -257,10 +257,13 @@ def test_cli_profile_stitches_across_shards(tmp_path, capsys):
 
 
 def test_verifier_findings_refuse_the_default_stack_only(tmp_path, capsys, monkeypatch):
-    """An image with verifier findings: the default in-process stack
-    (JIT shards) refuses it and ``repro serve`` exits 2; ``--engine
-    interp`` serves it; ``repro profile --shards`` records on the
-    interpreter, so the program stays profilable."""
+    """An image with verifier findings: the default stack (JIT shards,
+    in process or in forked workers) refuses it and ``repro serve``
+    exits 2, with no worker forked; ``--engine interp`` serves it on
+    both stacks; ``repro profile --shards`` records on the interpreter,
+    so the program stays profilable."""
+    import multiprocessing
+
     import repro.jit.engine as jit_engine
     from repro.cli import main
     from repro.workloads.programs import program
@@ -271,10 +274,20 @@ def test_verifier_findings_refuse_the_default_stack_only(tmp_path, capsys, monke
         class report:
             errors = ["lv-index: a seeded finding"]
 
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker was forked")
+
     monkeypatch.setattr(jit_engine, "analyze_image", lambda image: _Findings)
     assert main(["serve", "--requests", "20"]) == 2
     assert "jit refused" in capsys.readouterr().err
     assert main(["serve", "--requests", "20", "--engine", "interp"]) == 0
+    capsys.readouterr()
+    processes = ["serve", "--processes", "--shards", "2", "--requests", "20"]
+    with monkeypatch.context() as forks:
+        forks.setattr(multiprocessing, "get_context", no_fork)
+        assert main(processes) == 2
+    assert "jit refused" in capsys.readouterr().err
+    assert main([*processes, "--engine", "interp"]) == 0
     capsys.readouterr()
 
     files = []

@@ -101,19 +101,11 @@ def test_worker_status_rows_are_process_records():
     import socket
 
     from repro.faults.snapshot import process_record
-    from repro.interp.machineconfig import MachineConfig
-    from repro.net.worker import FRONT_DOOR, Worker
+    from repro.net.worker import FRONT_DOOR, Worker, worker_specs
 
     ours, theirs = socket.socketpair()
     ours.settimeout(5.0)
-    spec = {
-        "shards": 2,
-        "sources": tuple(PROG.sources),
-        "config": MachineConfig.i2(),
-        "entry": PROG.entry,
-        "pins": PINS,
-        "shard_id": 0,
-    }
+    spec = worker_specs(list(PROG.sources), shards=2, entry=PROG.entry, pins=PINS)[0]
     worker = Worker(theirs, spec)
     try:
         for rid in (1, 2):
