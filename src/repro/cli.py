@@ -786,6 +786,7 @@ def _print_serve(report, metrics, source: str, args: argparse.Namespace, extra: 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Drive a shard pool through a loadgen workload and report."""
+    from repro.errors import RouteError
     from repro.jit import JitRefusal
     from repro.net.cluster import Cluster
     from repro.net.serve import SERVICE_SOURCES, Request, Server, generate_workload
@@ -809,6 +810,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         workload = generate_workload(args.seed, args.requests)
         source = f"seed {args.seed}"
+    if args.processes and args.autoscale:
+        print("serve: --autoscale drives the in-process pump; drop "
+              "--processes", file=sys.stderr)
+        return 2
+    if args.processes and args.pins and args.route == "direct":
+        print("serve: --route direct homes every module on every worker, "
+              "so it would ignore --pins; use --route dispatch",
+              file=sys.stderr)
+        return 2
     pins = None
     if args.pins:
         from repro.errors import NetError
@@ -826,10 +836,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.processes and args.autoscale:
-        print("serve: --autoscale drives the in-process pump; drop "
-              "--processes", file=sys.stderr)
-        return 2
     try:
         if args.processes:
             from repro.net.procserve import ProcessCluster, ProcessServer
@@ -853,6 +859,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
     except JitRefusal as refusal:
         print(f"serve: jit refused: {refusal}", file=sys.stderr)
+        return 2
+    except RouteError as fault:  # a pin naming a shard outside --shards
+        print(f"serve: {fault}", file=sys.stderr)
         return 2
     if args.processes:
         try:

@@ -52,7 +52,6 @@ from repro.net.procserve import (
     FRONT_DOOR,
     ProcessCluster,
     ProcessServer,
-    check_census,
     run_process_serve,
 )
 from repro.net.serve import (
@@ -71,7 +70,7 @@ from repro.net.transport import (
     SocketTransport,
     TransportStats,
 )
-from repro.net.wire import WIRE_SCHEMA, Message, decode, wire_words
+from repro.net.wire import WIRE_SCHEMA, Message, check_census, decode, wire_words
 
 __all__ = [
     "Balancer",

@@ -150,15 +150,7 @@ class Cluster:
         self.config = config or MachineConfig.i2()
         self.entry = entry
         self.placement = Placement(list(range(shards)), pins=pins)
-        self.wire_recorder = None
-        if transport is None:
-            tracer = None
-            if record:
-                from repro.obs import TraceRecorder
-
-                self.wire_recorder = tracer = TraceRecorder(capacity=None)
-            transport = InProcessTransport(tracer=tracer)
-        self.transport = transport
+        self.transport = transport if transport is not None else InProcessTransport()
         machines = build_shard_machines(
             sources, self.config, entry, engine=engine, count=shards
         )
@@ -184,17 +176,15 @@ class Cluster:
     # -- setup -------------------------------------------------------------
 
     def _handshake(self) -> None:
-        """Shard 0 greets every peer; each validates config and census."""
+        """Shard 0 greets every peer; each checks the hello against its
+        own (:func:`~repro.net.wire.check_census`)."""
         zero = self.shards[0]
-        zero.hello_ok = True
         for shard in self.shards[1:]:
             self.transport.send(
                 wire.hello(0, shard.id, zero.machine.config, zero.modules())
             )
         for shard in self.shards[1:]:
             shard.deliver(self.transport.poll(shard.id))
-            if not shard.hello_ok:  # pragma: no cover - deliver raises first
-                raise NetError(f"shard {shard.id} never completed the handshake")
 
     # -- requests ----------------------------------------------------------
 

@@ -21,10 +21,9 @@ The planner is a greedy agglomerative pass:
    loaded shard.
 
 The output is advice, not mechanism: a pin map is an ordinary
-:class:`~repro.net.placement.Placement` pin dict, applied at cluster
-build (or pushed to live workers with
-:meth:`~repro.net.procserve.ProcessCluster.repin`, fenced by the
-placement epoch).
+:class:`~repro.net.placement.Placement` pin dict, applied when a
+cluster is built.  Placement is fixed for the life of a cluster, so a
+new plan takes effect in a new cluster.
 """
 
 from __future__ import annotations
@@ -155,4 +154,7 @@ def load_pins(path: str) -> tuple[dict[str, int], int]:
     for module, shard in pins.items():
         if not isinstance(shard, int):
             raise NetError(f"{path}: pin for {module!r} is not a shard id")
-    return dict(pins), int(doc.get("shards", 0))
+    shards = doc.get("shards", 0)
+    if not isinstance(shards, int):
+        raise NetError(f"{path}: planned shard count {shards!r} is not an integer")
+    return dict(pins), shards

@@ -25,8 +25,6 @@ A control record is one framed JSON document ``{"schema":
                  ``error`` on refusal)
 ``settle``       -> ``settle_reply``; the source forwards to the adopter
                  (``adopted``) or takes the process back
-``repin``        -> ``repin_reply``; the worker installs the new pin
-                 map and the epoch that fences it
 ``shutdown``     -> ``shutdown_reply``; the worker then exits cleanly
 ``worker_error`` (unsolicited) the worker's dying diagnostic
 ===============  ============================================
@@ -60,8 +58,6 @@ _REQUIRED_BODY: dict[str, tuple[str, ...]] = {
     "adopt_reply": ("pid",),
     "settle": ("pid", "adopted"),
     "settle_reply": (),
-    "repin": ("pins", "epoch"),
-    "repin_reply": ("epoch",),
     "shutdown": (),
     "shutdown_reply": (),
     "worker_error": ("error",),

@@ -3,18 +3,23 @@
 Routing must be a pure function of the module name and the shard set —
 every shard (and the serving layer) computes the same answer with no
 coordination, and adding a shard moves only ~1/N of the modules.  The
-classic construction: each shard contributes ``vnodes`` points on a
-hash ring (SHA-256 of ``"shard:replica"``), and a module lives on the
-shard owning the first point clockwise of the module's own hash.
+classic construction: each shard contributes :data:`DEFAULT_VNODES`
+points on a hash ring (SHA-256 of ``"shard:replica"``), and a module
+lives on the shard owning the first point clockwise of the module's own
+hash.
 
 Explicit *pins* override the ring — the conformance tests and the
-examples use them to place specific modules on specific shards.
+examples use them to place specific modules on specific shards, and
+``repro optimize --placement`` plans them.  A placement is fixed when
+its cluster is built: to place modules differently, build a new
+cluster.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+from types import MappingProxyType
 
 from repro.errors import RouteError
 
@@ -31,16 +36,13 @@ def _point(key: str) -> int:
 class HashRing:
     """A consistent-hash ring over a fixed set of shard ids."""
 
-    def __init__(self, shard_ids: list[int], vnodes: int = DEFAULT_VNODES) -> None:
+    def __init__(self, shard_ids: list[int]) -> None:
         if not shard_ids:
             raise RouteError("a hash ring needs at least one shard")
-        if vnodes < 1:
-            raise RouteError(f"vnodes must be >= 1, got {vnodes}")
         self.shard_ids = sorted(shard_ids)
-        self.vnodes = vnodes
         points: list[tuple[int, int]] = []
         for shard_id in self.shard_ids:
-            for replica in range(vnodes):
+            for replica in range(DEFAULT_VNODES):
                 points.append((_point(f"shard-{shard_id}:{replica}"), shard_id))
         points.sort()
         self._points = [p for p, _ in points]
@@ -62,46 +64,22 @@ class HashRing:
 class Placement:
     """Where each module executes: pins first, the ring otherwise.
 
-    A placement carries an **epoch**: a version number bumped by every
-    :meth:`repin`.  Routing is only coherent while every participant
-    uses the same pins, so the epoch travels in the process-mode hello
-    and any later repin must be pushed to every worker explicitly —
-    see :meth:`repro.net.procserve.ProcessCluster.repin`.  Mutating
-    ``pins`` behind the epoch's back is the bug this exists to catch.
+    Fixed at construction: ``pins`` is a read-only mapping, so every
+    participant that built its placement from the same pins routes by
+    the same table for the life of the cluster.
     """
 
     def __init__(
-        self,
-        shard_ids: list[int],
-        pins: dict[str, int] | None = None,
-        vnodes: int = DEFAULT_VNODES,
+        self, shard_ids: list[int], pins: dict[str, int] | None = None
     ) -> None:
-        self.ring = HashRing(shard_ids, vnodes)
-        self.pins = dict(pins or {})
-        self.epoch = 0
+        self.ring = HashRing(shard_ids)
+        self.pins = MappingProxyType(dict(pins or {}))
         known = set(self.ring.shard_ids)
         for module, shard_id in self.pins.items():
             if shard_id not in known:
                 raise RouteError(
                     f"module {module!r} pinned to unknown shard {shard_id}"
                 )
-
-    def repin(self, pins: dict[str, int]) -> int:
-        """Replace the pin map and bump the epoch; returns the new epoch.
-
-        Validation matches the constructor: every pin must name a known
-        shard.  The caller owns propagation — in process mode that means
-        a ``repin`` control round to every worker, fenced by the epoch.
-        """
-        known = set(self.ring.shard_ids)
-        for module, shard_id in pins.items():
-            if shard_id not in known:
-                raise RouteError(
-                    f"module {module!r} pinned to unknown shard {shard_id}"
-                )
-        self.pins = dict(pins)
-        self.epoch += 1
-        return self.epoch
 
     def home(self, module: str) -> int:
         """The shard on which *module*'s procedures execute."""

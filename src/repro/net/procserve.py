@@ -22,8 +22,10 @@ The **front door** is one asyncio event loop on a background thread:
   where ``AF_UNIX`` is unavailable), forks the workers **before** the
   loop thread starts, and accepts one connection per worker;
 * each worker's ``hello`` is cross-checked against the others — same
-  configuration token, same module census — the same deterministic-link
-  handshake the in-process cluster performs;
+  configuration token, same module census — by the check an in-process
+  shard runs on its greeter's hello (:func:`~repro.net.wire.check_census`);
+  a worker that exits before its hello fails the start at once, naming
+  its exit code;
 * wire frames are routed by destination through the in-process
   cluster's router, an :class:`~repro.net.transport.InProcessTransport`:
   shard-to-shard traffic is forwarded between workers, and replies to
@@ -76,6 +78,7 @@ from repro.net.frame import RECV_BYTES, FrameBuffer, encode_frame
 from repro.net.placement import Placement
 from repro.net.serve import SERVICE_SOURCES, Request, generate_workload
 from repro.net.transport import InProcessTransport, NetFaultPolicy
+from repro.net.wire import check_census
 from repro.net.worker import FRONT_DOOR, run_worker, worker_specs
 from repro.obs import MetricsRegistry
 
@@ -90,48 +93,14 @@ __all__ = [
 #: Seconds the constructor waits for every worker to connect and greet.
 STARTUP_TIMEOUT = 120.0
 
+#: Seconds between checks, while the constructor waits for hellos, for
+#: a worker process that exited before it greeted.
+STARTUP_POLL_SECONDS = 0.05
+
 #: Seconds of real time per modelled transport tick: ``net_delay`` and
 #: ``net_partition`` details are stated in ticks, and the front door
 #: ticks its transport at this rate while a frame waits on one.
 DEFAULT_TICK_SECONDS = 0.05
-
-
-def check_census(
-    hellos: dict[int, wire.Message], placement_epoch: int
-) -> None:
-    """The handshake cross-check, centralized and testable.
-
-    Every worker must present the same configuration token, the same
-    module census, and — new with live repinning — the **placement
-    epoch** the front door holds.  A worker forked before a repin (or
-    one whose spec was built from a stale pin map) would route calls by
-    a different table than its peers; before the epoch travelled in the
-    hello, that drift was silently ignored and requests landed on the
-    wrong shard.  Now it fails the handshake loudly.
-    """
-    reference = hellos[min(hellos)].body
-    for shard_id, hello in hellos.items():
-        body = hello.body
-        if body["config"] != reference["config"]:
-            raise NetError(
-                f"worker {shard_id} handshake failed: configuration "
-                "token mismatch — Remote XFER requires identical "
-                "machine configurations"
-            )
-        if body["modules"] != reference["modules"]:
-            raise NetError(
-                f"worker {shard_id} handshake failed: module census "
-                "differs — shards must link the same image"
-            )
-        epoch = body.get("epoch", 0)
-        if epoch != placement_epoch:
-            raise NetError(
-                f"worker {shard_id} handshake failed: placement epoch "
-                f"{epoch} != front door epoch {placement_epoch} — the "
-                "pin map changed after the worker spec was built; "
-                "propagate pins with ProcessCluster.repin, never by "
-                "mutating Placement.pins directly"
-            )
 
 
 class _WorkerHandle:
@@ -206,7 +175,6 @@ class ProcessCluster:
             record=record,
             timeout_s=timeout_s,
             self_homed=self_homed,
-            placement_epoch=self.placement.epoch,
         )
         self.transport = InProcessTransport(
             NetFaultPolicy(fault_plan) if fault_plan is not None else None
@@ -290,15 +258,31 @@ class ProcessCluster:
             self._server = await asyncio.start_server(
                 self._handle_connection, sock=self._lsock
             )
-        try:
-            await asyncio.wait_for(asyncio.shield(self._ready), STARTUP_TIMEOUT)
-        except asyncio.TimeoutError:
-            missing = sorted(set(range(self.shards)) - set(self._handles))
-            raise NetError(
-                f"worker(s) {missing} never completed the handshake"
-                + (f"; worker errors: {'; '.join(self.worker_errors)}"
-                   if self.worker_errors else "")
-            ) from None
+        deadline = time.monotonic() + STARTUP_TIMEOUT
+        while True:
+            # Returns the moment the last hello lands; in between, a
+            # worker that exited before greeting fails the start now.
+            done, _ = await asyncio.wait((self._ready,), timeout=STARTUP_POLL_SECONDS)
+            if done:
+                break
+            for shard_id, proc in enumerate(self._procs):
+                if shard_id not in self._handles and proc.exitcode is not None:
+                    raise NetError(
+                        f"worker {shard_id} exited with code {proc.exitcode} "
+                        "before its hello" + self._error_note()
+                    )
+            if time.monotonic() >= deadline:
+                missing = sorted(set(range(self.shards)) - set(self._handles))
+                raise NetError(
+                    f"worker(s) {missing} never completed the handshake"
+                    + self._error_note()
+                )
+        self._ready.result()
+
+    def _error_note(self) -> str:
+        if not self.worker_errors:
+            return ""
+        return f"; worker errors: {'; '.join(self.worker_errors)}"
 
     def close(self) -> None:
         """Shut the workers down cleanly, then tear the loop down."""
@@ -395,14 +379,8 @@ class ProcessCluster:
             raise NetError(f"worker {shard_id} connected twice")
         self._handles[shard_id] = _WorkerHandle(shard_id, writer, message)
         if len(self._handles) == self.shards and not self._ready.done():
-            # The in-process handshake, centralized: every worker must
-            # present the same configuration token, module census, and
-            # placement epoch (see check_census).
             try:
-                check_census(
-                    {h.id: h.hello for h in self._handles.values()},
-                    self.placement.epoch,
-                )
+                check_census({h.id: h.hello for h in self._handles.values()})
             except NetError as fault:
                 self._ready.set_exception(fault)
                 return shard_id
@@ -607,7 +585,7 @@ class ProcessCluster:
         the frame)."""
         return self._run(self._control(shard, "status")).body["processes"]
 
-    # -- migration and repinning -------------------------------------------
+    # -- migration ---------------------------------------------------------
 
     def migrate(self, src: int, pid: int, dst: int, mode: str = "exclusive") -> int:
         """Move process *pid* from worker *src* to worker *dst*; return
@@ -647,24 +625,6 @@ class ProcessCluster:
                 f"({body.get('error', 'unspecified')}); p{pid} stays on shard {src}"
             )
         return body["pid"]
-
-    def repin(self, pins: dict[str, int]) -> int:
-        """Replace the pin map everywhere, fenced by the placement epoch.
-
-        Bumps the front door's epoch, pushes the (pins, epoch) pair to
-        every live worker, and verifies each acknowledged the same
-        epoch.  Routing of requests submitted after ``repin`` returns
-        follows the new table on every participant.
-        """
-        epoch = self.placement.repin(pins)
-        acks = self._broadcast("repin", {"pins": dict(pins), "epoch": epoch})
-        for shard, body in acks.items():
-            if body["epoch"] != epoch:
-                raise NetError(
-                    f"worker {shard} acknowledged epoch {body['epoch']}, "
-                    f"expected {epoch}"
-                )
-        return epoch
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.interp.processes import Process, ProcessStatus, Scheduler
 from repro.machine.memory import to_signed
 from repro.net import wire
 from repro.net.placement import Placement
-from repro.net.wire import Message, config_token
+from repro.net.wire import Message
 
 
 class Shard:
@@ -83,7 +83,6 @@ class Shard:
         self._spans: dict[int, str] = {}
         self._next_request = 0
         self._next_span = 0
-        self.hello_ok = False
 
     # -- identity ----------------------------------------------------------
 
@@ -196,19 +195,9 @@ class Shard:
                 self._handle_error(message)
 
     def _handle_hello(self, message: Message) -> None:
-        token = config_token(self.machine.config)
-        if message.body["config"] != token:
-            raise NetError(
-                f"shard {self.id} handshake failed: configuration token "
-                f"mismatch with shard {message.src} — Remote XFER requires "
-                "identical machine configurations"
-            )
-        if message.body["modules"] != self.modules():
-            raise NetError(
-                f"shard {self.id} handshake failed: module census differs "
-                f"from shard {message.src} — shards must link the same image"
-            )
-        self.hello_ok = True
+        """Check a peer's hello against this shard's own."""
+        own = wire.hello(self.id, message.src, self.machine.config, self.modules())
+        wire.check_census({message.src: message, self.id: own})
 
     def _handle_call(self, message: Message) -> None:
         body = message.body

@@ -90,36 +90,28 @@ class NetFaultPolicy:
         return firing
 
     def fate(
-        self, message: Message, stats: TransportStats, emit=lambda *_event, **_data: None
+        self, message: Message, stats: TransportStats
     ) -> tuple[int, int, list[tuple[str, int]]]:
         """Apply the injections that fire on one offered message.
 
         Returns (copies, delay in ticks, partitions to open as (link key,
         ticks)); zero copies means the message was dropped.  Every
         transport interprets the ``net_*`` actions here, counting them in
-        *stats* and reporting each through ``emit(kind, name, **data)``.
+        *stats*.
         """
         copies, delay, partitions = 1, 0, []
         for injection in self.actions_for(message):
             if injection.action == "net_drop":
                 stats.dropped += 1
-                emit("net.drop", message.describe(), src=message.src, dst=message.dst)
                 return 0, 0, partitions
             if injection.action == "net_dup":
                 copies += 1
                 stats.duplicated += 1
-                emit("net.dup", message.describe(), src=message.src, dst=message.dst)
             elif injection.action == "net_delay":
                 delay = max(delay, int(injection.detail or "1"))
                 stats.delayed += 1
-                emit(
-                    "net.delay", message.describe(),
-                    src=message.src, dst=message.dst, ticks=delay,
-                )
             elif injection.action == "net_partition":
-                key, ticks = _parse_partition(injection.detail)
-                partitions.append((key, ticks))
-                emit("net.partition", key, ticks=ticks)
+                partitions.append(_parse_partition(injection.detail))
         return copies, delay, partitions
 
 
@@ -152,9 +144,8 @@ class InProcessTransport:
     partitions — the cluster calls it once per pump round.
     """
 
-    def __init__(self, policy: NetFaultPolicy | None = None, tracer=None) -> None:
+    def __init__(self, policy: NetFaultPolicy | None = None) -> None:
         self.policy = policy
-        self.tracer = tracer
         self.stats = TransportStats()
         self._queues: dict[int, deque[Message]] = {}
         #: [ticks remaining, message] pairs awaiting delivery.
@@ -168,21 +159,11 @@ class InProcessTransport:
 
     def send(self, message: Message) -> None:
         """Offer one message; the fault policy decides its fate."""
-        words = message.wire_words
         self.stats.sent += 1
-        self.stats.wire_words += words
-        if self.tracer is not None:
-            self.tracer.emit(
-                "net.send",
-                message.describe(),
-                src=message.src,
-                dst=message.dst,
-                msg=message.kind,
-                words=words,
-            )
+        self.stats.wire_words += message.wire_words
         copies, delay, partitions = 1, 0, []
         if self.policy is not None:
-            copies, delay, partitions = self.policy.fate(message, self.stats, self._emit)
+            copies, delay, partitions = self.policy.fate(message, self.stats)
         for key, ticks in partitions:
             self._partitions[key] = max(self._partitions.get(key, 0), ticks)
         for _ in range(copies):
@@ -199,15 +180,6 @@ class InProcessTransport:
         messages = list(queue)
         queue.clear()
         self.stats.delivered += len(messages)
-        if self.tracer is not None:
-            for message in messages:
-                self.tracer.emit(
-                    "net.recv",
-                    message.describe(),
-                    src=message.src,
-                    dst=message.dst,
-                    msg=message.kind,
-                )
         return messages
 
     def tick(self) -> None:
@@ -254,10 +226,6 @@ class InProcessTransport:
     def _commit(self, message: Message) -> None:
         self._queues.setdefault(message.dst, deque()).append(message)
 
-    def _emit(self, kind: str, name: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(kind, name, **data)
-
 
 class SocketTransport(InProcessTransport):
     """The same semantics, with the encoded records crossing a socket.
@@ -275,8 +243,8 @@ class SocketTransport(InProcessTransport):
     bytes are written, exactly as a faulty network would.
     """
 
-    def __init__(self, policy: NetFaultPolicy | None = None, tracer=None) -> None:
-        super().__init__(policy, tracer)
+    def __init__(self, policy: NetFaultPolicy | None = None) -> None:
+        super().__init__(policy)
         import socket
 
         self._rx, self._tx = socket.socketpair()

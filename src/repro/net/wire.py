@@ -13,7 +13,8 @@ The ``hello`` handshake reuses the snapshot codec's configuration
 token (:func:`repro.faults.snapshot._config_token`): two shards may
 exchange Remote XFERs only when their machine configurations — and
 therefore their modelled meters — are identical, the same compatibility
-rule ``repro-snapshot/2`` enforces for restore.
+rule ``repro-snapshot/2`` enforces for restore.  :func:`check_census`
+is that check, for both serving stacks.
 
 Wire cost is metered **explicitly and separately** from the machines:
 :func:`wire_words` counts the 16-bit words of a message's encoded form,
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.errors import WireError
+from repro.errors import NetError, WireError
 from repro.faults.snapshot import _config_token as config_token
 
 #: The schema this module writes and the only one it accepts.
@@ -147,21 +148,36 @@ def decode(text: str) -> Message:
 # -- constructors ------------------------------------------------------------
 
 
-def hello(
-    src: int, dst: int, config, modules: list[str], epoch: int | None = None
-) -> Message:
-    """The handshake: my configuration token and module list.
-
-    *epoch* is the sender's placement epoch (see
-    :class:`~repro.net.placement.Placement`); process-mode workers send
-    it so the front door can refuse a worker whose pin map has drifted
-    from the cluster's.  ``None`` omits the field — required body
-    validation ignores extras, so old and new speakers interoperate.
-    """
+def hello(src: int, dst: int, config, modules: list[str]) -> Message:
+    """The handshake: my configuration token and module list."""
     body = {"config": config_token(config), "modules": sorted(modules)}
-    if epoch is not None:
-        body["epoch"] = epoch
     return Message(kind="hello", src=src, dst=dst, body=body)
+
+
+def check_census(hellos: dict[int, Message]) -> None:
+    """The hello check of both stacks: *hellos* maps shard id to the
+    hello that speaks for it, and every one must carry the lowest
+    shard's configuration token and module census.
+
+    An in-process shard checks its greeter's hello against its own; the
+    process front door checks every worker's hello once all have
+    landed.  Raises :class:`~repro.errors.NetError` naming the first
+    shard that differs.
+    """
+    first = min(hellos)
+    reference = hellos[first].body
+    for shard_id, message in sorted(hellos.items()):
+        if message.body["config"] != reference["config"]:
+            raise NetError(
+                f"shard {shard_id} handshake failed: configuration token "
+                f"mismatch with shard {first} — Remote XFER requires "
+                "identical machine configurations"
+            )
+        if message.body["modules"] != reference["modules"]:
+            raise NetError(
+                f"shard {shard_id} handshake failed: module census differs "
+                f"from shard {first} — shards must link the same image"
+            )
 
 
 def call(

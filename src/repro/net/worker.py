@@ -18,7 +18,7 @@ worker holds the same image — and pumps a small synchronous loop:
    shard's ordinary ``deliver`` path (calls spawn root activations,
    replies unblock callers, dedup and the reply cache work untouched),
    ``repro-ctl/1`` records are management (meters, trace events,
-   snapshot/restore, status, migration, repin, shutdown);
+   snapshot/restore, status, migration, shutdown);
 3. run whatever is runnable (``shard.step``), retry overdue remote
    calls, and flush the outbox back to the front door, which routes
    shard-to-shard records to their destination worker.
@@ -72,7 +72,6 @@ def worker_specs(
     record: bool = False,
     timeout_s: float = 1.0,
     self_homed: bool = False,
-    placement_epoch: int = 0,
 ) -> list[dict]:
     """The spec of each of *shards* workers, from one build.
 
@@ -105,7 +104,6 @@ def worker_specs(
             "record": record,
             "timeout_s": timeout_s,
             "self_homed": self_homed,
-            "placement_epoch": placement_epoch,
         }
         for shard_id in range(shards)
     ]
@@ -161,10 +159,6 @@ class Worker:
             placement = Placement([self.id])
         else:
             placement = Placement(list(range(spec["shards"])), pins=spec["pins"])
-        # The placement epoch the front door forked us with; sent back in
-        # the hello so the handshake can refuse a worker whose pin map
-        # drifted from the cluster's (the silently-ignored-repin bug).
-        placement.epoch = spec["placement_epoch"]
         self.shard = Shard(
             self.id,
             build_shard_machine(spec["image"], spec["facts"]),
@@ -230,15 +224,6 @@ class Worker:
             body = record.body
             settle(self.shard, body["pid"], body["adopted"], now=time.monotonic())
             reply = record.reply("settle_reply")
-        elif record.kind == "repin":
-            # Install the new pin map under the epoch that fences it.
-            # Validation mirrors Placement.repin; the epoch itself is the
-            # front door's, not a local increment, so every worker lands
-            # on the same number.
-            placement = self.shard.placement
-            placement.repin(record.body["pins"])
-            placement.epoch = record.body["epoch"]
-            reply = record.reply("repin_reply", {"epoch": placement.epoch})
         elif record.kind == "shutdown":
             self._running = False
             reply = record.reply("shutdown_reply")
@@ -313,11 +298,7 @@ class Worker:
         """The worker loop: greet, then read/dispatch/pump until EOF."""
         self._send_text(
             wire.hello(
-                self.id,
-                FRONT_DOOR,
-                self.shard.machine.config,
-                self.shard.modules(),
-                epoch=self.shard.placement.epoch,
+                self.id, FRONT_DOOR, self.shard.machine.config, self.shard.modules()
             ).encode()
         )
         self.sock.settimeout(POLL_SECONDS)

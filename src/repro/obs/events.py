@@ -83,22 +83,10 @@ FAULT_INJECT = "fault.inject"
 
 #: A Remote XFER left the calling shard; carries span/parent ids.
 NET_CALL = "net.call"
-#: A wire message entered the transport (CALL/REPLY/ERROR/HELLO).
-NET_SEND = "net.send"
-#: A wire message was delivered to its destination shard.
-NET_RECV = "net.recv"
 #: The skeleton spawned a process for an incoming CALL.
 NET_SERVE = "net.serve"
 #: The skeleton sent a REPLY (or ERROR) back to the caller.
 NET_REPLY = "net.reply"
-#: The transport's fault policy dropped a message.
-NET_DROP = "net.drop"
-#: The transport's fault policy duplicated a message.
-NET_DUP = "net.dup"
-#: The transport's fault policy delayed a message by some ticks.
-NET_DELAY = "net.delay"
-#: A link was partitioned (messages queue until it heals).
-NET_PARTITION = "net.partition"
 #: A request was re-sent after a timeout or a shard fault.
 NET_RETRY = "net.retry"
 #: A process was extracted from its shard for migration (quiesced,
@@ -137,14 +125,8 @@ ALL_KINDS: tuple[str, ...] = (
     SCHED_UNBLOCK,
     FAULT_INJECT,
     NET_CALL,
-    NET_SEND,
-    NET_RECV,
     NET_SERVE,
     NET_REPLY,
-    NET_DROP,
-    NET_DUP,
-    NET_DELAY,
-    NET_PARTITION,
     NET_RETRY,
     NET_MIGRATE_EXTRACT,
     NET_MIGRATE_ADOPT,

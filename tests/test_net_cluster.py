@@ -215,8 +215,8 @@ def test_cluster_rejects_zero_shards_and_unpumped_stub_calls():
 
 def test_memoized_ring_homes_equal_freshly_hashed_homes():
     """``HashRing.home`` hashes each key once; the memo must answer
-    exactly what a fresh ring answers, and pins keep priority across a
-    repin."""
+    exactly what a fresh ring answers, and a placement built with pins
+    answers the pins first and the ring for everything else."""
     census = [f"Module{i}" for i in range(300)] + ["Main", "Fib", "Gauss", "Gcd", "Pow"]
     placement = Placement([0, 1, 2, 3])
     before = {module: placement.home(module) for module in census}
@@ -224,8 +224,8 @@ def test_memoized_ring_homes_equal_freshly_hashed_homes():
     assert {module: placement.home(module) for module in census} == before
     assert len(set(before.values())) == 4
     pins = {"Module7": (before["Module7"] + 1) % 4, "Main": 3}
-    assert placement.repin(pins) == 1
-    after = {module: placement.home(module) for module in census}
+    pinned = Placement([0, 1, 2, 3], pins=pins)
+    after = {module: pinned.home(module) for module in census}
     fresh = HashRing([0, 1, 2, 3])
     for module in census:
         assert after[module] == pins.get(module, fresh.home(module))

@@ -6,7 +6,7 @@ model can see — final results and cluster-aggregate modelled meters are
 bit-identical to the unmigrated run (exclusive mode; shared mode is
 results-exact).  Around it, the machinery: reply forwarding and
 tombstone retirement, chained migrations, call-forward bounces, the
-balancer's hysteresis, placement epochs, and the co-location planner.
+balancer's hysteresis, and the co-location planner.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RouteError
 from repro.faults.chaos import OutcomeClass
 from repro.interp.processes import ProcessStatus
 from repro.net.balance import Balancer
@@ -262,17 +261,7 @@ def test_tick_paced_server_matches_quiescent_results():
         assert report.completed == len(workload)
 
 
-# -- placement epochs and co-location ---------------------------------------
-
-
-def test_repin_bumps_epoch_and_validates():
-    placement = Placement([0, 1], pins={"Main": 0})
-    assert placement.epoch == 0
-    assert placement.repin({"Main": 1}) == 1
-    assert placement.home("Main") == 1
-    with pytest.raises(RouteError):
-        placement.repin({"Main": 7})
-    assert placement.epoch == 1  # failed repin must not bump
+# -- co-location -------------------------------------------------------------
 
 
 def test_plan_pins_colocates_hottest_pair():

@@ -14,6 +14,7 @@ cooperative in-process pump to real processes over real sockets changes
 """
 
 import json
+import os
 import socket
 import time
 
@@ -192,6 +193,26 @@ def test_the_spawn_fallback_serves_from_the_same_spec(monkeypatch):
         assert cluster.call("Main", "main") == list(MATHLIB.expect_results)
     finally:
         cluster.close()
+
+
+def _exit_before_hello(address: tuple, spec: dict) -> None:
+    """A worker body that dies before it connects (module level, so
+    either start method can run it in the child)."""
+    os._exit(3)
+
+
+def test_a_worker_that_exits_before_its_hello_fails_the_start_at_once(monkeypatch):
+    """The constructor watches the workers it waits on: one that exits
+    before it greets raises with its shard and exit code within
+    seconds, not after the whole start-up timeout."""
+    from repro.errors import NetError
+    from repro.net import procserve
+
+    monkeypatch.setattr(procserve, "run_worker", _exit_before_hello)
+    started = time.monotonic()
+    with pytest.raises(NetError, match=r"worker \d exited with code 3 before its hello"):
+        ProcessCluster(list(MATHLIB.sources), shards=2, pins=PINS)
+    assert time.monotonic() - started < 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -617,41 +638,26 @@ def test_refused_migration_leaves_the_process_on_its_source():
         cluster.close()
 
 
-def test_repin_propagates_epoch_to_every_worker():
-    """A live pin-map swap: the front door bumps the epoch, every
-    worker acknowledges it, and routing follows the new table."""
-    cluster = ProcessCluster(
-        list(MATHLIB.sources), shards=2, config="i2", pins=PINS
-    )
-    try:
-        assert cluster.call("Main", "main") == list(MATHLIB.expect_results)
-        assert cluster.repin({"Main": 0, "Math": 0}) == 1
-        assert cluster.placement.epoch == 1
-        assert cluster.call("Main", "main") == list(MATHLIB.expect_results)
-    finally:
-        cluster.close()
-
-
-def test_check_census_rejects_stale_placement_epoch():
-    """Pin changes after workers start must fail loudly, not silently
-    route against two different tables."""
+def test_check_census_rejects_config_and_census_drift():
+    """The front door checks the workers' hellos with the function an
+    in-process shard runs on its greeter's hello: every hello must carry
+    the lowest shard's configuration token and module census, and the
+    first shard that differs is named."""
     from repro.errors import NetError
     from repro.net.procserve import check_census
 
-    config = MachineConfig.preset("i2")
+    assert check_census is wire.check_census
+    i2 = MachineConfig.preset("i2")
 
-    def hello(shard: int, epoch: int | None) -> wire.Message:
-        return wire.hello(shard, FRONT_DOOR, config, ["Main"], epoch=epoch)
+    def hello(shard: int, config=i2, modules=("Main", "Math")) -> wire.Message:
+        return wire.hello(shard, FRONT_DOOR, config, list(modules))
 
-    fresh = {0: hello(0, 2), 1: hello(1, 2)}
-    check_census(fresh, 2)  # same epoch everywhere: fine
-
-    stale = {0: hello(0, 2), 1: hello(1, 1)}
-    with pytest.raises(NetError, match="placement epoch"):
-        check_census(stale, 2)
-
-    # A pre-epoch speaker (no epoch field) counts as epoch 0.
-    legacy = {0: hello(0, None)}
-    check_census(legacy, 0)
-    with pytest.raises(NetError, match="placement epoch"):
-        check_census(legacy, 1)
+    check_census({0: hello(0), 1: hello(1), 2: hello(2)})
+    drifted = {0: hello(0), 1: hello(1), 2: hello(2, config=MachineConfig.preset("i4"))}
+    with pytest.raises(
+        NetError, match="shard 2 handshake failed: configuration token mismatch"
+    ):
+        check_census(drifted)
+    relinked = {1: hello(1, modules=("Main",)), 0: hello(0)}
+    with pytest.raises(NetError, match="shard 1 handshake failed: module census differs"):
+        check_census(relinked)

@@ -235,6 +235,81 @@ def test_cli_serve_rejects_a_non_workload_file(tmp_path, capsys):
     assert main(["serve", "--workload", str(bogus)]) == 2
 
 
+def test_cli_serves_a_planned_pin_map_in_process_and_over_workers(tmp_path, capsys):
+    """Placement is chosen at build: ``optimize --placement`` plans a pin
+    map, and ``serve --pins`` places modules where it says, in process
+    and over worker processes on the dispatch route."""
+    from repro.cli import main
+
+    pins_file = tmp_path / "pins.json"
+    assert main(
+        ["optimize", "--placement", "--shards", "2", "--requests", "40",
+         "--out", str(pins_file)]
+    ) == 0
+    plan = json.loads(pins_file.read_text())
+    assert plan["schema"] == "repro-pins/1" and plan["shards"] == 2
+    assert set(plan["pins"].values()) == {0, 1}
+    served = ["serve", "--shards", "2", "--requests", "60", "--pins", str(pins_file)]
+    inproc, proc = tmp_path / "inproc.json", tmp_path / "proc.json"
+    assert main([*served, "--out", str(inproc)]) == 0
+    assert main([*served, "--processes", "--route", "dispatch", "--out", str(proc)]) == 0
+    capsys.readouterr()
+    for path in (inproc, proc):
+        report = json.loads(path.read_text())["report"]
+        assert report["completed"] == 60
+        assert report["lost"] == 0 and report["wrong"] == 0
+    table = json.loads(inproc.read_text())["placement"]
+    for module, shard in plan["pins"].items():
+        assert table[module] == shard
+
+
+def test_cli_serve_refuses_pins_on_the_direct_process_route(tmp_path, capsys):
+    """The direct route homes every module on every worker, so a pin
+    map would be dropped; serve refuses before any worker forks."""
+    import multiprocessing
+
+    from repro.cli import main
+
+    pins_file = tmp_path / "pins.json"
+    pins_file.write_text(
+        json.dumps({"schema": "repro-pins/1", "shards": 2, "pins": {"Fib": 1}})
+    )
+
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker was forked")
+
+    with pytest.MonkeyPatch.context() as forks:
+        forks.setattr(multiprocessing, "get_context", no_fork)
+        assert main(
+            ["serve", "--processes", "--shards", "2", "--pins", str(pins_file)]
+        ) == 2
+    assert "--route dispatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"schema": "repro-pins/0", "shards": 2, "pins": {}}, "is not a repro-pins/1"),
+        ({"schema": "repro-pins/1", "shards": 2, "pins": {"Fib": "one"}},
+         "is not a shard id"),
+        ({"schema": "repro-pins/1", "shards": 3, "pins": {"Fib": 2}},
+         "planned for 3 shard"),
+        ({"schema": "repro-pins/1", "shards": "two", "pins": {"Fib": 1}},
+         "is not an integer"),
+        ({"schema": "repro-pins/1", "shards": 2, "pins": {"Fib": 7}},
+         "pinned to unknown shard 7"),
+    ],
+    ids=["schema", "shard-id", "shard-count", "count-type", "unknown-shard"],
+)
+def test_cli_serve_refuses_a_bad_pin_map(doc, message, tmp_path, capsys):
+    from repro.cli import main
+
+    pins_file = tmp_path / "pins.json"
+    pins_file.write_text(json.dumps(doc))
+    assert main(["serve", "--shards", "2", "--pins", str(pins_file)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_profile_stitches_across_shards(tmp_path, capsys):
     from repro.cli import main
     from repro.workloads.programs import program

@@ -99,5 +99,7 @@ def test_pins_override_the_ring_and_are_validated():
         Placement([0, 1], pins={"Math": 9})
     with pytest.raises(RouteError, match="at least one shard"):
         HashRing([])
-    with pytest.raises(RouteError, match="vnodes"):
-        HashRing([0], vnodes=0)
+    # Placement is fixed when it is built: the pin map is read-only.
+    with pytest.raises(TypeError):
+        placement.pins["Math"] = 0
+    assert placement.home("Math") == 1
