@@ -56,12 +56,15 @@ class AllocationStats:
         self._update_high_water()
 
     def on_free(self, requested: int, block: int) -> None:
-        """Record one free returning a block to its free list."""
+        """Record one free returning a block to its free list.
+
+        The block's words move from the live set to a free list, so the
+        footprint, and with it the high-water mark, cannot change.
+        """
         self.frees += 1
         self.live_requested_words -= requested
         self.live_block_words -= block
         self.free_list_words += block
-        self._update_high_water()
 
     def on_reuse(self, block: int) -> None:
         """Record a block leaving a free list to satisfy an allocation."""

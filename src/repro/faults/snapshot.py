@@ -500,15 +500,20 @@ def restore(machine, state: dict, scheduler=None) -> None:
         if heap_state is None:
             raise SnapshotError("machine has an AV heap but snapshot has none")
         av_heap._bump = heap_state["bump"]
-        av_heap._live = {int(k): v for k, v in heap_state["live"].items()}
-        av_heap._known = set(heap_state["known"])
+        # The heaps' tables are restored in place, like the memory words
+        # and the frame table, so compiled call cells bind them once.
+        av_heap._live.clear()
+        av_heap._live.update((int(k), v) for k, v in heap_state["live"].items())
+        av_heap._known.clear()
+        av_heap._known.update(heap_state["known"])
         _restore_alloc_stats(av_heap.stats, heap_state["stats"])
     first_fit = machine.image.first_fit
     if first_fit is not None:
         ff_state = state.get("first_fit")
         if ff_state is None:
             raise SnapshotError("machine has a first-fit heap but snapshot has none")
-        first_fit._live = {int(k): v for k, v in ff_state["live"].items()}
+        first_fit._live.clear()
+        first_fit._live.update((int(k), v) for k, v in ff_state["live"].items())
         _restore_alloc_stats(first_fit.stats, ff_state["stats"])
     if machine.fast_frames is not None:
         fast_state = state.get("fast_frames")
@@ -543,5 +548,9 @@ def _event(value: str):
 
 
 def _restore_alloc_stats(stats, data: dict) -> None:
-    per_class = {int(fsi): count for fsi, count in data["per_class_allocations"].items()}
+    per_class = stats.per_class_allocations
     vars(stats).update(data, per_class_allocations=per_class)
+    per_class.clear()
+    per_class.update(
+        (int(fsi), count) for fsi, count in data["per_class_allocations"].items()
+    )

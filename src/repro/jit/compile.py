@@ -5,9 +5,11 @@ Each verified procedure body is carved with the checker's CFG builder
 (transfers, storage management — see :mod:`repro.jit.templates`).  The
 resulting straight-line runs are compiled into one host function per
 block via ``exec``: every inline opcode expands to a template that
-reproduces the interpreter's exact state transition, while its meter
-charges are accumulated **at compile time** and committed in a single
-batched counter update.  The interpreter charges per executed
+reproduces the interpreter's exact state transition on an evaluation
+stack interpreted at compile time (:class:`_Stack`: values live in host
+locals, and the list is written only where something can observe it),
+while its meter charges are accumulated **at compile time** and
+committed in a single batched counter update.  The interpreter charges per executed
 instruction and the charge schedule is purely additive, so batching at
 block granularity (and at every early exit) yields bit-identical
 counters at every observable point: block boundaries, deoptimizations,
@@ -195,12 +197,98 @@ class _Charges:
         return lines
 
 
-def _deopt_lines(w: _Charges, indent: str, at: int) -> list[str]:
-    """Commit the executed prefix and hand *at* to the interpreter."""
-    lines = w.commit_lines(indent)
+def _deopt_lines(flush: list[str], w: _Charges, indent: str, at: int) -> list[str]:
+    """Write the list (*flush*), commit the executed prefix, and hand
+    *at* to the interpreter."""
+    lines = flush + w.commit_lines(indent)
     lines.append(f"{indent}m.pc = {at}")
     lines.append(f"{indent}return -2")
     return lines
+
+
+def _is_literal(value: str) -> bool:
+    return value.isdigit()
+
+
+class _Stack:
+    """A block's evaluation stack, interpreted at compile time.
+
+    The verifier proved the depths and the entry guard checks them, so
+    the block never needs the list's length.  A value pushed inside the
+    block is an int literal, a host local, or a pure expression over
+    those; a load is read into a local at its own program point, so a
+    later store cannot change it.  A pop past the block's own values
+    reads the list into a local and leaves the word there.  The list is
+    written only where something can observe it (:meth:`flush_lines`):
+    at each exit, before a call cell or tail handler, and inside the
+    ``DIV``/``MOD`` zero guard before it deopts.
+    """
+
+    def __init__(self, body: list[str]) -> None:
+        self.body = body
+        #: Values pushed inside the block, bottom first.
+        self.values: list[str] = []
+        #: Entry words consumed from the top of the list, still on it.
+        self.taken = 0
+        self.temps = 0
+        #: A compare's pure ``(1 if C else 0)`` value -> its condition C,
+        #: so a conditional jump tests C itself.
+        self.tests: dict[str, str] = {}
+
+    def local(self, ind: str, expr: str) -> str:
+        """Bind *expr* to a fresh local at this program point."""
+        name = f"_v{self.temps}"
+        self.temps += 1
+        self.body.append(f"{ind}{name} = {expr}")
+        return name
+
+    def push(self, value: str) -> None:
+        self.values.append(value)
+
+    def pop(self, ind: str) -> str:
+        if self.values:
+            return self.values.pop()
+        self.taken += 1
+        return self.local(ind, f"st[-{self.taken}]")
+
+    def drop(self) -> None:
+        if self.values:
+            self.values.pop()
+        else:
+            self.taken += 1
+
+    def held(self, ind: str, value: str) -> str:
+        """*value* as a literal or a local, never a compound expression
+        (which would be evaluated once per use)."""
+        if _is_literal(value) or value.isidentifier():
+            return value
+        return self.local(ind, value)
+
+    def signed(self, ind: str, value: str) -> str:
+        """The signed decode of *value*: folded for a literal, else a
+        fresh local."""
+        if _is_literal(value):
+            word = int(value)
+            return str(word - 65536 if word > 32767 else word)
+        name = self.local(ind, value)
+        self.body.append(f"{ind}if {name} > 32767: {name} -= 65536")
+        return name
+
+    def state(self) -> tuple[list[str], int]:
+        return list(self.values), self.taken
+
+    def flush_lines(self, ind: str, state: tuple[list[str], int] | None = None) -> list[str]:
+        """Make the list hold what the interpreter's would: drop the
+        *taken* words, then push the block's values.  Words both dropped
+        and pushed are overwritten in place."""
+        values, taken = state if state is not None else self.state()
+        lines = [
+            f"{ind}st[-{taken - index}] = {value}"
+            for index, value in enumerate(values[:taken])
+        ]
+        lines += [f"{ind}st.pop()"] * (taken - len(values))
+        lines += [f"{ind}st.append({value})" for value in values[taken:]]
+        return lines
 
 
 def _gf_static_region(ctx: CompilerContext, module: str, word: int) -> str | None:
@@ -224,25 +312,22 @@ def _gf_static_region(ctx: CompilerContext, module: str, word: int) -> str | Non
 _COND_EFFECT = (1, -1)
 
 
-def _entry_guard(
-    items: list, term: str, depth: int
-) -> tuple[int, int, bool]:
-    """(needs, max_grow, uses_stack) over the emitted inline prefix."""
+def _entry_guard(items: list, term: str) -> tuple[int, int]:
+    """(needs, max_grow) over the emitted inline prefix: the list words
+    the block reads, and how far past its entry depth it pushes."""
     cum = 0
     needs = 0
     grow = 0
-    uses = False
     effects = [T.STACK_EFFECTS[item.instruction.op] for item in items]
     if term == "cond":
         effects.append(_COND_EFFECT)
     for n, delta in effects:
-        uses = True
         if n - cum > needs:
             needs = n - cum
         cum += delta
         if cum > grow:
             grow = cum
-    return needs, grow, uses
+    return needs, grow
 
 
 def gen_block(
@@ -298,7 +383,7 @@ def gen_block(
     term = spec.term if deopt_at is None else "deopt"
 
     # -- prologue -------------------------------------------------------
-    needs, grow, uses_stack = _entry_guard(emitted, term, ctx.depth)
+    needs, grow = _entry_guard(emitted, term)
     ops = [item.instruction.op for item in emitted]
     uses_local = any(
         op in T.LOCAL_LOAD or op in T.LOCAL_STORE or op in (Op.LLB, Op.SLB)
@@ -308,17 +393,17 @@ def gen_block(
     uses_out = Op.OUT in ops
 
     body.append(f"def {name}(m):")
-    if uses_stack:
+    if needs > 0 or grow > 0:
         body.append(f"{ind}st = _ST._slots")
-        guards = []
-        if needs > 0:
-            guards.append(f"len(st) < {needs}")
-        if grow > 0:
-            guards.append(f"len(st) > {ctx.depth - grow}")
-        if guards:
-            body.append(f"{ind}if {' or '.join(guards)}:")
-            body.append(f"{ind}    m.pc = {spec.start}")
-            body.append(f"{ind}    return -2")
+        if needs > 0 and grow > 0:
+            guard = f"not {needs} <= len(st) <= {ctx.depth - grow}"
+        elif needs > 0:
+            guard = f"len(st) < {needs}"
+        else:
+            guard = f"len(st) > {ctx.depth - grow}"
+        body.append(f"{ind}if {guard}:")
+        body.append(f"{ind}    m.pc = {spec.start}")
+        body.append(f"{ind}    return -2")
     if uses_local:
         if ctx.banked:
             body.append(f"{ind}_bk = _BKS.lbank")
@@ -334,14 +419,16 @@ def gen_block(
         body.append(f"{ind}_o = m.output")
 
     # -- inline run -----------------------------------------------------
+    stack = _Stack(body)
     for item in emitted:
-        _emit_op(item, spec, ctx, meta, w, body, ind)
+        _emit_op(item, spec, ctx, meta, w, stack, ind)
 
     # -- terminator -----------------------------------------------------
     n_steps = w.steps
     if term == "deopt":
-        body.extend(_deopt_lines(w, ind, deopt_at))
+        body.extend(_deopt_lines(stack.flush_lines(ind), w, ind, deopt_at))
     elif term == "fall":
+        body.extend(stack.flush_lines(ind))
         body.extend(w.commit_lines(ind))
         body.append(f"{ind}m.pc = {spec.next_abs}")
         body.append(f"{ind}return {spec.next_abs}")
@@ -349,6 +436,7 @@ def gen_block(
         w.step()
         w.add(Event.JUMP)
         n_steps += 1
+        body.extend(stack.flush_lines(ind))
         body.extend(w.commit_lines(ind))
         body.append(f"{ind}m.pc = {spec.target_abs}")
         body.append(f"{ind}return {spec.target_abs}")
@@ -357,9 +445,16 @@ def gen_block(
         w.step()
         w.add(Event.REGISTER_READ)  # the tested value's pop
         n_steps += 1
-        test = "==" if T.COND_JUMPS[op] else "!="
-        body.append(f"{ind}v = st.pop()")
-        body.append(f"{ind}if v {test} 0:")
+        value = stack.pop(ind)
+        body.extend(stack.flush_lines(ind))
+        # Jump when the value is zero (JZ) or nonzero (JNZ); a compare's
+        # value is tested through its condition.
+        condition = stack.tests.get(value)
+        if condition is None:
+            test = f"{value} == 0" if T.COND_JUMPS[op] else f"{value} != 0"
+        else:
+            test = f"not ({condition})" if T.COND_JUMPS[op] else condition
+        body.append(f"{ind}if {test}:")
         body.extend(w.commit_lines(ind + "    ", extra_jump=True))
         body.append(f"{ind}    m.pc = {spec.target_abs}")
         body.append(f"{ind}    return {spec.target_abs}")
@@ -371,6 +466,7 @@ def gen_block(
         op = item.instruction.op
         w.step()
         n_steps += 1
+        body.extend(stack.flush_lines(ind))
         body.extend(w.commit_lines(ind))
         body.append(f"{ind}m.pc = {spec.next_abs}")
         site = None
@@ -435,11 +531,12 @@ def _tail_excepts(ind: str, returning: bool) -> list[str]:
     return out
 
 
-def _emit_op(item, spec, ctx, meta, w: _Charges, body: list[str], ind: str) -> None:
+def _emit_op(item, spec, ctx, meta, w: _Charges, stack: _Stack, ind: str) -> None:
     """Emit one inline opcode's template; accumulate its charges."""
     op = item.instruction.op
     operand = item.instruction.operand
     abs_pc = spec.start + (item.offset - spec.items[0].offset)
+    body = stack.body
 
     if op is Op.NOOP:
         w.step()
@@ -448,12 +545,12 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, body: list[str], ind: str) -> N
     if op in T.PUSH_CONST:
         w.step()
         w.add(Event.REGISTER_WRITE)
-        body.append(f"{ind}st.append({T.PUSH_CONST[op]})")
+        stack.push(str(T.PUSH_CONST[op]))
         return
     if op in (Op.LIB, Op.LIW):
         w.step()
         w.add(Event.REGISTER_WRITE)
-        body.append(f"{ind}st.append({operand})")
+        stack.push(str(operand))
         return
 
     if op in T.LOCAL_LOAD or op is Op.LLB:
@@ -462,25 +559,26 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, body: list[str], ind: str) -> N
         if ctx.banked:
             w.add(Event.REGISTER_READ)
             w.add(Event.REGISTER_WRITE)
-            body.append(f"{ind}st.append(_bw[{local}])")
+            stack.push(stack.local(ind, f"_bw[{local}]"))
         else:
             w.add(Event.MEMORY_READ)
             w.add(Event.REGISTER_WRITE)
             w.hit(ctx.frames_name)
-            body.append(f"{ind}st.append(_W[_fa + {3 + local}])")
+            stack.push(stack.local(ind, f"_W[_fa + {3 + local}]"))
         return
     if op in T.LOCAL_STORE or op is Op.SLB:
         local = T.LOCAL_STORE.get(op, operand)
         w.step()
         w.add(Event.REGISTER_READ)
+        value = stack.pop(ind)
         if ctx.banked:
             w.add(Event.REGISTER_WRITE)
-            body.append(f"{ind}_bw[{local}] = st.pop()")
+            body.append(f"{ind}_bw[{local}] = {value}")
             body.append(f"{ind}_bk.dirty.add({local})")
         else:
             w.add(Event.MEMORY_WRITE)
             w.hit(ctx.frames_name)
-            body.append(f"{ind}_W[_fa + {3 + local}] = st.pop()")
+            body.append(f"{ind}_W[_fa + {3 + local}] = {value}")
         return
 
     if op is Op.LG:
@@ -490,7 +588,7 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, body: list[str], ind: str) -> N
         w.add(Event.MEMORY_READ)
         w.add(Event.REGISTER_WRITE)
         w.hit(region)
-        body.append(f"{ind}st.append(_W[_gf + {word}])")
+        stack.push(stack.local(ind, f"_W[_gf + {word}]"))
         return
     if op is Op.SG:
         word = 3 + operand
@@ -499,12 +597,12 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, body: list[str], ind: str) -> N
         w.add(Event.REGISTER_READ)
         w.add(Event.MEMORY_WRITE)
         w.hit(region)
-        body.append(f"{ind}_W[_gf + {word}] = st.pop()")
+        body.append(f"{ind}_W[_gf + {word}] = {stack.pop(ind)}")
         return
     if op is Op.LGA:
         w.step()
         w.add(Event.REGISTER_WRITE)
-        body.append(f"{ind}st.append((_gf + {3 + operand}) & 65535)")
+        stack.push(f"((_gf + {3 + operand}) & 65535)")
         return
 
     if op is Op.RD:
@@ -512,107 +610,113 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, body: list[str], ind: str) -> N
         w.add(Event.REGISTER_READ)
         w.add(Event.MEMORY_READ)
         w.add(Event.REGISTER_WRITE)
-        body.append(f"{ind}a = st.pop()")
-        body.append(f"{ind}_n = _RN[_IX[a]]")
+        address = stack.held(ind, stack.pop(ind))
+        body.append(f"{ind}_n = _RN[_IX[{address}]]")
         body.append(f"{ind}_TR[_n] = _TR.get(_n, 0) + 1")
-        body.append(f"{ind}st.append(_W[a])")
+        stack.push(stack.local(ind, f"_W[{address}]"))
         return
     if op is Op.WR:
         w.step()
         w.add(Event.REGISTER_READ, 2)
         w.add(Event.MEMORY_WRITE)
-        body.append(f"{ind}a = st.pop()")
-        body.append(f"{ind}_n = _RN[_IX[a]]")
+        address = stack.held(ind, stack.pop(ind))
+        value = stack.pop(ind)
+        body.append(f"{ind}_n = _RN[_IX[{address}]]")
         body.append(f"{ind}_TR[_n] = _TR.get(_n, 0) + 1")
-        body.append(f"{ind}_W[a] = st.pop()")
+        body.append(f"{ind}_W[{address}] = {value}")
         return
 
     if op in T.BINARY_MODULAR:
         w.step()
         w.add(Event.REGISTER_READ, 2)
         w.add(Event.REGISTER_WRITE)
-        expr = T.BINARY_MODULAR[op].format(a="a", b="b")
-        body.append(f"{ind}b = st.pop()")
-        body.append(f"{ind}a = st.pop()")
-        body.append(f"{ind}st.append({expr})")
+        b = stack.pop(ind)
+        a = stack.pop(ind)
+        stack.push(f"({T.BINARY_MODULAR[op].format(a=a, b=b)})")
         return
 
     if op in (Op.DIV, Op.MOD):
         # Divide-by-zero traps through the interpreter: guard on the
-        # (unpopped) divisor before committing this op's charges.
-        body.append(f"{ind}if st[-1] == 0:")
-        body.extend(_deopt_lines(w, ind + "    ", abs_pc))
+        # divisor before committing this op's charges, with the list
+        # holding both operands.
+        before = stack.state()
+        b = stack.pop(ind)
+        a = stack.pop(ind)
+        if not _is_literal(b) or int(b) == 0:
+            inner = ind + "    "
+            body.append(f"{ind}if {b} == 0:")
+            body.extend(
+                _deopt_lines(stack.flush_lines(inner, before), w, inner, abs_pc)
+            )
         w.step()
         w.add(Event.REGISTER_READ, 2)
         w.add(Event.REGISTER_WRITE)
-        body.append(f"{ind}b = st.pop()")
-        body.append(f"{ind}a = st.pop()")
-        body.append(f"{ind}if b > 32767: b -= 65536")
-        body.append(f"{ind}if a > 32767: a -= 65536")
-        body.append(f"{ind}q = abs(a) // abs(b)")
-        body.append(f"{ind}if (a >= 0) != (b >= 0): q = -q")
+        b = stack.signed(ind, b)
+        a = stack.signed(ind, a)
+        q = stack.local(ind, f"abs({a}) // abs({b})")
+        body.append(f"{ind}if ({a} >= 0) != ({b} >= 0): {q} = -{q}")
         if op is Op.DIV:
-            body.append(f"{ind}st.append(q & 65535)")
+            stack.push(f"({q} & 65535)")
         else:
-            body.append(f"{ind}st.append((a - q * b) & 65535)")
+            stack.push(f"(({a} - {q} * {b}) & 65535)")
         return
 
-    if op in T.COMPARE_SIGNED:
+    if op in T.COMPARE_SIGNED or op in T.COMPARE_RAW:
         w.step()
         w.add(Event.REGISTER_READ, 2)
         w.add(Event.REGISTER_WRITE)
-        cmp = T.COMPARE_SIGNED[op]
-        body.append(f"{ind}b = st.pop()")
-        body.append(f"{ind}a = st.pop()")
-        body.append(f"{ind}if b > 32767: b -= 65536")
-        body.append(f"{ind}if a > 32767: a -= 65536")
-        body.append(f"{ind}st.append(1 if a {cmp} b else 0)")
-        return
-    if op in T.COMPARE_RAW:
-        w.step()
-        w.add(Event.REGISTER_READ, 2)
-        w.add(Event.REGISTER_WRITE)
-        cmp = T.COMPARE_RAW[op]
-        body.append(f"{ind}b = st.pop()")
-        body.append(f"{ind}a = st.pop()")
-        body.append(f"{ind}st.append(1 if a {cmp} b else 0)")
+        b = stack.pop(ind)
+        a = stack.pop(ind)
+        if op in T.COMPARE_SIGNED:
+            cmp = T.COMPARE_SIGNED[op]
+            b = stack.signed(ind, b)
+            a = stack.signed(ind, a)
+        else:
+            cmp = T.COMPARE_RAW[op]
+        condition = f"{a} {cmp} {b}"
+        value = f"(1 if {condition} else 0)"
+        stack.tests[value] = condition
+        stack.push(value)
         return
 
     if op is Op.NEG:
         w.step()
         w.add(Event.REGISTER_READ)
         w.add(Event.REGISTER_WRITE)
-        body.append(f"{ind}st.append((-st.pop()) & 65535)")
+        stack.push(f"((-{stack.pop(ind)}) & 65535)")
         return
     if op is Op.NOT:
         w.step()
         w.add(Event.REGISTER_READ)
         w.add(Event.REGISTER_WRITE)
-        body.append(f"{ind}st.append(st.pop() ^ 65535)")
+        stack.push(f"({stack.pop(ind)} ^ 65535)")
         return
     if op is Op.DUP:
         w.step()
         w.add(Event.REGISTER_READ)
         w.add(Event.REGISTER_WRITE)
-        body.append(f"{ind}st.append(st[-1])")
+        a = stack.held(ind, stack.pop(ind))
+        stack.push(a)
+        stack.push(a)
         return
     if op is Op.POP:
         w.step()
         w.add(Event.REGISTER_READ)
-        body.append(f"{ind}del st[-1]")
+        stack.drop()
         return
     if op is Op.EXCH:
         w.step()
         w.add(Event.REGISTER_READ, 2)
         w.add(Event.REGISTER_WRITE, 2)
-        body.append(f"{ind}st[-1], st[-2] = st[-2], st[-1]")
+        b = stack.pop(ind)
+        a = stack.pop(ind)
+        stack.push(b)
+        stack.push(a)
         return
     if op is Op.OUT:
         w.step()
         w.add(Event.REGISTER_READ)
-        body.append(f"{ind}v = st.pop()")
-        body.append(f"{ind}if v > 32767: v -= 65536")
-        body.append(f"{ind}_o.append(v)")
+        body.append(f"{ind}_o.append({stack.signed(ind, stack.pop(ind))})")
         return
 
     raise AssertionError(f"no inline template for {op!r}")  # pragma: no cover

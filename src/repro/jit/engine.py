@@ -28,7 +28,7 @@ from repro.interp.traps import TrapKind, TrapTransfer
 from repro.machine.memory import MDS_WORDS
 
 from repro.jit import templates as T
-from repro.jit.calls import CallSite, make_fast_call, make_fast_return
+from repro.jit.calls import CallSite, make_cells
 from repro.jit.codecache import CodeCache
 from repro.jit.compile import EVENT_VARS, CompilerContext, compile_procedure
 from repro.jit.deopt import EngineStats, JitRefusal
@@ -108,9 +108,6 @@ class JitEngine:
         for (name, _inst), linked in image.instances.items():
             module_gfs.setdefault(name, []).append(linked.gf_address)
 
-        fast_call = make_fast_call(machine, self.stats)
-        fast_return = make_fast_return(machine, self.stats)
-
         self._ctx = CompilerContext(
             charge=counter.charges,
             depth=machine.stack.depth,
@@ -124,10 +121,10 @@ class JitEngine:
             region_name=region_name,
             module_gfs=module_gfs,
             site_classes=site_classes,
-            fast_call=fast_call,
-            fast_return=fast_return,
             make_site=CallSite,
         )
+        #: The call and return cells are built with the first compile.
+        self._cells_built = False
         self._ns = {
             "_ST": machine.stack,
             "_CTR": counter,
@@ -147,8 +144,6 @@ class JitEngine:
             "_K_SO": TrapKind.STACK_OVERFLOW,
             "_K_RE": TrapKind.RESOURCE_EXHAUSTED,
             "_K_SF": TrapKind.STORAGE_FAULT,
-            "_fc": fast_call,
-            "_fr": fast_return,
         }
         for event, var in EVENT_VARS.items():
             self._ns[var] = event
@@ -194,6 +189,8 @@ class JitEngine:
         pending set all the same, and the interpreter runs it.
         """
         begin = time.perf_counter()
+        if not self._cells_built:
+            self._build_cells()
         cache = self.cache
         meta, length = cache.pending.pop(start)
         machine = self.machine
@@ -204,6 +201,20 @@ class JitEngine:
             cache.procedures += 1
             cache.compiled_blocks += len(out)
         cache.compile_seconds += time.perf_counter() - begin
+
+    def _build_cells(self) -> None:
+        """Build the call and return cells the compiled blocks call.
+
+        Their source is assembled and compiled once per process (see
+        :func:`~repro.jit.calls.make_cells`), so like the blocks they
+        wait for the first compile: an install compiles nothing.
+        """
+        fast_call, fast_return = make_cells(self.machine, self.stats)
+        self._ctx.fast_call = fast_call
+        self._ctx.fast_return = fast_return
+        self._ns["_fc"] = fast_call
+        self._ns["_fr"] = fast_return
+        self._cells_built = True
 
     # -- execution ------------------------------------------------------
 

@@ -41,7 +41,7 @@ import json
 import socket
 import time
 
-from repro.errors import ReproError
+from repro.errors import NetError, ReproError
 from repro.interp.machine import Machine
 from repro.interp.machineconfig import MachineConfig
 from repro.net import ctl, wire
@@ -82,7 +82,16 @@ def worker_specs(
     facts (None on the interpreter): a worker must get its own copy,
     which both start methods give it — fork copies the parent's memory,
     spawn unpickles the spec.
+
+    A self-homed worker homes every module on itself, so it cannot
+    honour a pin map: *pins* with *self_homed* raise
+    :class:`~repro.errors.NetError` before anything is built.
     """
+    if pins and self_homed:
+        raise NetError(
+            "a self-homed worker homes every module on itself and would "
+            "drop the pin map; pin modules on the dispatch route instead"
+        )
     from repro.lang.compiler import CompileOptions, compile_program
     from repro.lang.linker import link
 

@@ -127,6 +127,30 @@ def test_capture_restore_capture_is_a_fixed_point():
     assert capture(fresh) == state
 
 
+@pytest.mark.parametrize("preset", ["i1", "i2"])
+def test_restore_keeps_the_heap_tables_in_place(preset):
+    """Restore refills the heaps' tables instead of rebinding them, as
+    it does the memory words and the frame table, so code that bound
+    them once (the JIT's call cells) sees the restored state."""
+    machine = build([FIB], preset=preset)
+    machine.start()
+    while machine.steps < 100:
+        machine.step()
+    state = capture(machine)
+    fresh = build([FIB], preset=preset)
+    fresh.start()
+    heap = fresh.image.first_fit if preset == "i1" else fresh.image.av_heap
+    tables = [heap._live, heap.stats.per_class_allocations]
+    if preset == "i2":
+        tables.append(heap._known)
+    restore(fresh, state)
+    after = [heap._live, heap.stats.per_class_allocations]
+    if preset == "i2":
+        after.append(heap._known)
+    assert all(now is before for now, before in zip(after, tables))
+    assert capture(fresh) == state
+
+
 def test_snapshot_is_json_serializable():
     import json
 

@@ -1,0 +1,126 @@
+"""The JIT's call path in host calls: one Python call per transition.
+
+A seeded call cell and a seeded return cell are one host call each
+(docs/jit.md, "Call sites"): the allocator's fast path, its
+``AllocationStats`` updates and the frame-table registration run inline,
+so a call-and-return pair adds only the record constructors —
+``FrameState``, and ``ReturnStackEntry`` on a machine with the IFU
+return stack.  The counts are deterministic, unlike host timings.
+
+Only Python calls into the repository's own code are counted (its
+modules, the cells, and its records' constructors); C calls vary with
+the Python version and are not asserted.  Compiled blocks are the
+straight-line code around the calls and are not counted either.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.jit import install_jit
+from tests.conftest import build
+
+#: The call-dense program of the repo benchmark's ``calldense`` workload:
+#: six calls per iteration of ``main``'s loop, at most four deep, so every
+#: return on i3 hits the return stack.
+CALL_DENSE = """
+MODULE Main;
+VAR acc: INT;
+PROCEDURE inc(x): INT;
+BEGIN
+  RETURN x + 1;
+END;
+PROCEDURE double(x): INT;
+BEGIN
+  RETURN x + x;
+END;
+PROCEDURE combine(a, b): INT;
+BEGIN
+  RETURN inc(a) + double(b);
+END;
+PROCEDURE step(x): INT;
+BEGIN
+  RETURN combine(inc(x), double(x));
+END;
+PROCEDURE main(n): INT;
+VAR i: INT;
+BEGIN
+  acc := 0;
+  i := 0;
+  WHILE i < n DO
+    acc := acc + step(i);
+    i := i + 1;
+  END;
+  RETURN acc;
+END;
+END.
+"""
+
+CALLS_PER_ITERATION = 6
+
+_REPO = str(Path(repro.__file__).parent)
+
+
+def _owner(frame) -> str | None:
+    """The repo function a profiled frame runs, or None if not counted."""
+    code = frame.f_code
+    if code.co_filename == "<jit cells>":
+        return code.co_name
+    if code.co_filename.startswith(_REPO):
+        return f"{Path(code.co_filename).stem}.{code.co_name}"
+    if code.co_name == "__init__":
+        owner = type(frame.f_locals.get("self"))
+        if owner.__module__.startswith("repro."):
+            return f"{owner.__name__}.__init__"
+    return None
+
+
+def _calls(machine, n: int) -> Counter:
+    """Repo-function calls made by one warm ``Main.main(n)`` run."""
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            owner = _owner(frame)
+            if owner is not None:
+                calls[owner] += 1
+
+    machine.stack.clear()
+    machine.start("Main", "main", n)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        machine.run()
+    finally:
+        sys.setprofile(previous)
+    assert machine.results() == [sum(5 * i + 2 for i in range(n))]
+    return calls
+
+
+@pytest.mark.parametrize(
+    "preset, records",
+    [
+        ("i1", ["FrameState.__init__"]),
+        ("i2", ["FrameState.__init__"]),
+        ("i3", ["FrameState.__init__", "ReturnStackEntry.__init__"]),
+    ],
+)
+def test_a_call_and_return_pair_is_two_cell_calls_and_its_records(preset, records):
+    machine = build([CALL_DENSE], preset=preset)
+    engine = install_jit(machine)
+    _calls(machine, 4)  # compile every body and seed every cell
+    short, long = _calls(machine, 3), _calls(machine, 13)
+    pairs = (13 - 3) * CALLS_PER_ITERATION
+    per_pair = Counter(long)
+    per_pair.subtract(short)
+    per_pair = {name: count / pairs for name, count in per_pair.items() if count}
+    expected = {"fast_call": 1.0, "fast_return": 1.0}
+    expected.update((record, 1.0) for record in records)
+    assert per_pair == expected
+    assert sum(per_pair.values()) == 2 + len(records)
+    assert engine.stats.deopts == 0

@@ -338,6 +338,25 @@ def test_a_self_homed_jit_worker_builds_cells_for_cross_module_calls():
     assert split.shard.machine.remote_stub is not None
 
 
+def test_a_pin_map_on_self_homed_workers_is_refused(monkeypatch):
+    """A self-homed worker would drop the pins its front door keeps, so
+    the specs refuse the pair, and so does the cluster's constructor,
+    before it binds a socket or forks a worker."""
+    import multiprocessing
+
+    from repro.errors import NetError
+
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker was forked")
+
+    pins = {"Math": 1}
+    with pytest.raises(NetError, match="pin map"):
+        worker_specs(list(MATHLIB.sources), shards=2, pins=pins, self_homed=True)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    with pytest.raises(NetError, match="pin map"):
+        ProcessCluster(list(MATHLIB.sources), shards=2, pins=pins, self_homed=True)
+
+
 def test_worker_dedup_resends_byte_identical_replies():
     """At-most-once across the process transport: a duplicated call
     frame yields the cached reply, byte for byte, with no re-execution."""
