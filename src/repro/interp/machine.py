@@ -191,8 +191,11 @@ class Machine:
 
         The root frame is always materialized, with a NIL return link, so
         that the final RETURN halts the machine through the general
-        scheme.
+        scheme.  The evaluation stack starts empty: a previous run's
+        results are dropped, uncounted, as a process switch-out or halt
+        drops them.
         """
+        self.stack.clear()
         if module is None:
             meta = self.image.entry
         else:

@@ -17,14 +17,17 @@ memory, traffic, register, and allocator effects:
   which becomes the callee's local bank, a free bank becomes the new
   stack, and the callee's frame stays deferred — no allocation at all.
 
-A seeded call and a seeded return are one host call each.  Without
-banks, the allocator's paper fast path is spliced into the cells'
-source, which :func:`make_cells` assembles and compiles when the
-engine compiles its first procedure, as :mod:`repro.jit.compile` does
-blocks: the AV heap's three-reference allocate and four-reference free
-(section 5.3), or first-fit's no-split head-block hit and its list
-push, with their :class:`~repro.alloc.stats.AllocationStats` updates
-and the frame-table registration inline.
+A seeded call and a seeded return are one host call each.  Every shape
+is source: :func:`make_cells` assembles it from the templates below
+when the engine compiles its first procedure, and execs it in the
+engine's block namespace, so the cells speak the blocks' vocabulary
+and their static charges and traffic are rendered by the blocks' own
+:class:`~repro.jit.compile._Charges`.  Without banks, the allocator's
+paper fast path is spliced in: the AV heap's three-reference allocate
+and four-reference free (section 5.3), or first-fit's no-split
+head-block hit and its list push, with their
+:class:`~repro.alloc.stats.AllocationStats` updates and the frame-table
+registration inline.
 
 Supported shapes (anything else falls back to the generic handler,
 which *is* the interpreter's own dispatch handler, so correctness
@@ -32,9 +35,12 @@ never depends on this module):
 
 * host linkage cache enabled (the cell replays its recorded pairs);
 * no banks with the AV-heap or first-fit allocators, or banks with the
-  return stack and deferred allocation;
-* no remote stub, except for ``LFC``: its target is always in the
-  caller's module, which a shard's stub never diverts.
+  return stack and deferred allocation.
+
+A call that a shard's remote stub diverts seeds no cell.  Placement is
+fixed when a cluster is built, and at a given ``(site, gf)`` both the
+caller's module and the resolved target are fixed, so the stub's
+verdict never changes: a seeded cell's call is always local.
 
 Guards run before any charge or mutation: a guarded-out call simply
 invokes the generic handler, producing the interpreter's bit-exact
@@ -59,6 +65,7 @@ from repro.ifu.returnstack import ReturnStackEntry
 from repro.interp.frames import FrameState
 from repro.interp.machineconfig import ArgConvention
 from repro.isa.opcodes import Op
+from repro.jit.compile import _Charges
 from repro.machine.costs import Event
 from repro.mesa.globalframe import GF_CODE_BASE
 
@@ -66,10 +73,10 @@ from repro.mesa.globalframe import GF_CODE_BASE
 class CallSite:
     """One compiled call site: its static shape plus seeded cells."""
 
-    __slots__ = ("next_pc", "handler", "inst", "cells", "mono", "generic",
+    __slots__ = ("next_pc", "handler", "inst", "cells", "generic",
                  "lfc", "kind", "fast", "kind_event")
 
-    def __init__(self, op: Op, next_pc: int, handler, inst, mono: bool) -> None:
+    def __init__(self, op: Op, next_pc: int, handler, inst) -> None:
         self.next_pc = next_pc
         self.handler = handler
         self.inst = inst
@@ -77,7 +84,6 @@ class CallSite:
         #: one cell per module instance); polymorphic sites get the
         #: same per-gf guarded ladder with more rungs.
         self.cells: dict[int, _Cell] = {}
-        self.mono = mono
         #: Permanently demoted: the resolved target has no compiled
         #: metadata (replaced procedure, trap context) or, on a banked
         #: machine, more locals than a bank can defer — always generic.
@@ -135,21 +141,15 @@ def _renames(machine) -> bool:
     )
 
 
-#: Each event under the name the assembled cells use for it.
-_EVENTS = {f"E_{event.name}": event for event in Event}
-
-
-def _region_name(memory, address: int) -> str:
-    region = memory.region_of(address)
-    return region.name if region is not None else ""
-
-
-# -- the non-banked cells, assembled by make_cells -------------------------
+# -- the cell templates, assembled by make_cells ---------------------------
 #
-# Each ``{slot}`` is filled by make_cells: the allocator's fragments
-# (_Allocator), the linkage shape (return stack or general scheme), and
-# the static charge and traffic lines.  The templates hold no other
-# braces.
+# Each ``{slot}`` is filled by make_cells for the machine's shape: the
+# allocator's fragments (_Allocator) or the bank rename, the linkage
+# shape, and the static charge and traffic lines, which _Charges renders
+# as it does for blocks.  The templates hold no other braces.  They run
+# in the engine's block namespace: ``_CC``, ``_CTR``, ``_TR``, ``_W``,
+# ``_ST`` and ``_BKS`` are the counter's counts, the counter, the region
+# traffic, the memory words, the evaluation stack and the bank manager.
 
 _CALL = """\
 def fast_call(m, site):
@@ -159,27 +159,37 @@ def fast_call(m, site):
     except KeyError:
         return seed(m, site, gf)
     caller = m.frame
-    if caller is None or (m.remote_stub is not None and not site.lfc){full}:
+{guard}
         site.handler(site.inst, site.next_pc)
         return -1
-{allocate_check}
+{claim}
     if site.lfc and m.cb < 0:
         # The LFC prologue's lazy CB fetch (_current_code_base), charged.
-        counts[E_MEMORY_READ] += 1
-        counter.cycles += MR
-        traffic[GF_NAME] = traffic.get(GF_NAME, 0) + 1
-        cb = words[gf + GF_CODE_BASE]
+{cb_read}
+        cb = _W[gf + GF_CODE_BASE]
         m.cb = cb
         caller.code_base = cb
-    # Committed: resolution, transfer, allocation and linkage writes.
+    # Committed: resolution, transfer, and without banks the allocation
+    # and linkage writes.
     for event, times in cell.vec:
-        counts[event] += times
-    counter.cycles += cell.cycles
+        _CC[event] += times
+    _CTR.cycles += cell.cycles
     bucket = fetch.fast if site.fast else fetch.slow
     try:
         bucket[site.kind] += 1
     except KeyError:
         bucket[site.kind] = 1
+{transfer}
+    m.return_context = caller
+    m.frame = callee
+    m.gf = cell.gf_address
+    m.cb = cell.cb_final
+    m.pc = cell.first_instruction
+    return cell.first_instruction
+"""
+
+#: The non-banked callee's frame: allocated, registered, and linked.
+_ALLOCATE = """\
 {traffic}
 {allocate}
     # AllocationStats.on_reuse then on_allocate: the block leaves a free
@@ -196,16 +206,9 @@ def fast_call(m, site):
     except KeyError:
         per_class[klass] = 1
     callee = FrameState(cell.meta, cell.gf_address, cell.fsi, addr, cell.cb_final)
-    words[addr + 1] = cell.gf_address  # FRAME_GLOBAL
+    _W[addr + 1] = cell.gf_address  # FRAME_GLOBAL
     by_address[addr] = callee
-{link}
-    m.return_context = caller
-    m.frame = callee
-    m.gf = cell.gf_address
-    m.cb = cell.cb_final
-    m.pc = cell.first_instruction
-    return cell.first_instruction
-"""
+{link}"""
 
 #: The general scheme saves the caller's PC and writes the return link
 #: now; CB is fetched lazily like ``_code_base_of``.
@@ -214,17 +217,71 @@ _LINK_GENERAL = """\
     if cb < 0:
         cb = caller.code_base
         if cb < 0:
-            counts[E_MEMORY_READ] += 1
-            counter.cycles += MR
-            traffic[GF_NAME] = traffic.get(GF_NAME, 0) + 1
-            cb = words[caller.gf + GF_CODE_BASE]
+{cb_read}
+            cb = _W[caller.gf + GF_CODE_BASE]
             caller.code_base = cb
-    words[caller.address + 2] = (site.next_pc - cb) & 65535  # FRAME_PC
-    words[addr] = caller.address  # FRAME_RETURN_LINK"""
+    _W[caller.address + 2] = (site.next_pc - cb) & 65535  # FRAME_PC
+    _W[addr] = caller.address  # FRAME_RETURN_LINK"""
 
 _LINK_RSTACK = """\
     rentries.append(ReturnStackEntry(caller, site.next_pc, m.cb))
     rstats.pushes += 1"""
+
+#: I4's guard: the stack bank must be holding the stack, so the search
+#: for a free bank below cannot hand it back as the new stack.
+_RENAME_GUARD = """\
+    sbank = _BKS.sbank
+    slots = _ST._slots
+    if (
+        caller is None
+        or caller.flagged
+        or len(rentries) >= RDEPTH
+        or sbank is None
+        or sbank.role is not STACK{wide}
+    ):"""
+
+#: A free bank for the new stack; none free is a bank overflow, and the
+#: generic path spills the oldest.
+_FREE_BANK = """\
+    for fresh in bank_list:
+        if fresh.role is FREE:
+            break
+    else:
+        site.handler(site.inst, site.next_pc)
+        return -1"""
+
+#: ``_do_call``'s RENAME transition: the return stack records the
+#: caller with its bank, and ``BankManager.on_call``'s rename runs
+#: inline — the stack bank becomes the callee's Lbank and the free bank
+#: the new stack, each with the next assignment sequence number.  The
+#: callee's frame stays deferred, so the call touches no memory at all.
+_RENAME = """\
+    callee = FrameState(cell.meta, cell.gf_address, cell.fsi, None, cell.cb_final)
+    rentries.append(ReturnStackEntry(caller, site.next_pc, m.cb, _BKS.lbank))
+    rstats.pushes += 1
+    bstats.xfers += 1
+    bstats.assignments += 1
+    seq = bankfile._seq
+    sbank.role = LOCAL
+    sbank.frame = callee
+    sbank.assigned_at = seq + 1
+    fresh.role = STACK
+    fresh.frame = None
+    fresh.assigned_at = seq + 2
+    fresh.dirty.clear()
+    bankfile._seq = seq + 2
+    _BKS.lbank = sbank
+    _BKS.sbank = fresh
+    trace.append(BankEvent(cell.label, sbank.id, fresh.id))"""
+
+#: RENAME arguments become the callee's first locals: live in the bank,
+#: not yet in memory, so dirty from the frame's point of view.
+_RENAME_ARGUMENTS = """
+    if slots:
+        count = len(slots)
+        sbank.words[:count] = slots
+        sbank.dirty.update(range(count))
+        slots.clear()"""
 
 _RETURN_GENERAL = """\
 def fast_return(m):
@@ -233,7 +290,7 @@ def fast_return(m):
         m._op_return()
         return -1
     addr = current.address
-    link = words[addr]
+    link = _W[addr]
     if link == 0:
         m._op_return()  # the final return halts the machine
         return -1
@@ -243,7 +300,7 @@ def fast_return(m):
         or dest is current
         or dest.freed
         or dest.stashed_stack
-        or {free_refused}
+        or {refused}
     ):
         m._op_return()
         return -1
@@ -254,14 +311,12 @@ def fast_return(m):
         fetch.slow[K_RET] += 1
     except KeyError:
         fetch.slow[K_RET] = 1
-{traffic}
     current.freed = True
-    by_address.pop(addr, None)
 {free}
     m.return_context = None
-    pc_rel = words[dest.address + 2]
-    gf = words[dest.address + 1]
-    cb = words[gf + GF_CODE_BASE]
+    pc_rel = _W[dest.address + 2]
+    gf = _W[dest.address + 1]
+    cb = _W[gf + GF_CODE_BASE]
     dest.code_base = cb
     m.frame = dest
     m.gf = gf
@@ -271,16 +326,17 @@ def fast_return(m):
     return pc
 """
 
+#: A return-stack hit, with or without banks.
 _RETURN_RSTACK = """\
 def fast_return(m):
     current = m.frame
-    if not rentries or current.retained:
+    if not rentries or current.retained{deferred}:
         m._op_return()
         return -1
     entry = rentries[-1]
     dest = entry.frame
-    addr = current.address
-    if dest.freed or {free_refused}:
+{source}
+    if dest.freed or {refused}:
         m._op_return()  # a dangling return raises there, identically
         return -1
     rentries.pop()
@@ -291,9 +347,7 @@ def fast_return(m):
         fetch.fast[K_RET] += 1
     except KeyError:
         fetch.fast[K_RET] = 1
-{traffic}
     current.freed = True
-    by_address.pop(addr, None)
 {free}
     m.frame = dest
     m.pc = entry.pc
@@ -303,9 +357,36 @@ def fast_return(m):
     return entry.pc
 """
 
-#: AllocationStats.on_free, inline: the block moves from the live set to
-#: a free list, so the footprint and the high-water mark stay put.
-_RECORD_FREE = """
+#: I4's return frees the deferred frame (it never existed in memory),
+#: releases the current Lbank and makes the caller's bank current again;
+#: the stack bank stays put, carrying the results.  A materialized frame
+#: (freed to its allocator) and a caller whose bank was reclaimed (an
+#: underflow fills one) go generic.
+_RETURN_RENAME = {
+    "deferred": " or current.address is not None",
+    "source": """\
+    bank = entry.bank
+    lbank = _BKS.lbank""",
+    "refused": "bank is None or bank is lbank or bank.frame is not dest",
+    "free": """\
+    m.deferred_frames += 1
+    bstats.xfers += 1
+    if lbank is not None:
+        lbank.role = FREE
+        lbank.frame = None
+        lbank.dirty.clear()
+        bstats.releases += 1
+    _BKS.lbank = bank
+    sbank = _BKS.sbank
+    trace.append(BankEvent("return", bank.id, sbank.id if sbank is not None else -1))""",
+}
+
+#: The frame leaves the frame table; AllocationStats.on_free follows the
+#: heap's free inline: the block moves from the live set to a free list,
+#: so the footprint and the high-water mark stay put.
+_FREE = """\
+    by_address.pop(addr, None)
+{free}
     heap_stats.frees += 1
     heap_stats.live_requested_words -= requested
     heap_stats.live_block_words -= block
@@ -342,10 +423,11 @@ class _Allocator:
     names: dict
 
 
-def _av_heap(av, memory, frames: str) -> _Allocator:
+def _av_heap(av, ctx) -> _Allocator:
     """The paper's three-reference allocate and four-reference free."""
     sizes = av.ladder.sizes
-    av_name = _region_name(memory, av.av_base)
+    av_name = ctx.region_name(av.av_base)
+    frames = ctx.frames_name
 
     def need(meta, fsi: int) -> int:
         # The class's block words, or 0 when the frame does not fit its
@@ -358,13 +440,13 @@ def _av_heap(av, memory, frames: str) -> _Allocator:
         av,
         av.av_base,
         allocate_check="""\
-    addr = words[BASE + cell.fsi]
+    addr = _W[BASE + cell.fsi]
     if addr == 0 or not cell.need or heap.tracer is not None:
         site.handler(site.inst, site.next_pc)
         return -1""",
         allocate="""\
     klass = cell.fsi
-    words[BASE + klass] = words[addr]
+    _W[BASE + klass] = _W[addr]
     requested = cell.frame_words
     live[addr] = requested
     block = cell.need""",
@@ -372,13 +454,13 @@ def _av_heap(av, memory, frames: str) -> _Allocator:
         allocate_traffic={av_name: 2, frames: 1},
         free_refused=(
             "addr not in live or heap.tracer is not None"
-            " or not 0 <= words[addr - 1] < LADDER"
+            " or not 0 <= _W[addr - 1] < LADDER"
         ),
         free="""\
-    fsi = words[addr - 1]
+    fsi = _W[addr - 1]
     requested = live.pop(addr)
-    words[addr] = words[BASE + fsi]
-    words[BASE + fsi] = addr
+    _W[addr] = _W[BASE + fsi]
+    _W[BASE + fsi] = addr
     block = SIZES[fsi] + 1""",
         free_charges={Event.MEMORY_READ: 2, Event.MEMORY_WRITE: 2},
         free_traffic={frames: 2, av_name: 2},
@@ -387,7 +469,7 @@ def _av_heap(av, memory, frames: str) -> _Allocator:
     )
 
 
-def _first_fit(heap, memory, frames: str) -> _Allocator:
+def _first_fit(heap, ctx) -> _Allocator:
     """First-fit's hot shapes: the head block satisfies the request
     without splitting (call-dense runs free and re-allocate the same
     sizes, so the freed block comes straight back), and the free is a
@@ -398,19 +480,20 @@ def _first_fit(heap, memory, frames: str) -> _Allocator:
         words = max(3, meta.frame_words)
         return words + 1 if words % 2 == 0 else words
 
-    head_name = _region_name(memory, heap.head_base)
+    head_name = ctx.region_name(heap.head_base)
+    frames = ctx.frames_name
     return _Allocator(
         heap,
         heap.head_base,
         allocate_check="""\
-    head = words[BASE]
-    if head == 0 or heap.tracer is not None or not 0 <= words[head] - cell.need < 4:
+    head = _W[BASE]
+    if head == 0 or heap.tracer is not None or not 0 <= _W[head] - cell.need < 4:
         site.handler(site.inst, site.next_pc)
         return -1""",
         allocate="""\
     klass = 0
-    requested = words[head]
-    words[BASE] = words[head + 1]
+    requested = _W[head]
+    _W[BASE] = _W[head + 1]
     addr = head + 1
     live[addr] = requested
     block = requested + 1""",
@@ -419,8 +502,8 @@ def _first_fit(heap, memory, frames: str) -> _Allocator:
         free_refused="addr not in live or heap.tracer is not None",
         free="""\
     requested = live.pop(addr)
-    words[addr] = words[BASE]
-    words[BASE] = addr - 1
+    _W[addr] = _W[BASE]
+    _W[BASE] = addr - 1
     block = requested + 1""",
         free_charges={Event.MEMORY_READ: 1, Event.MEMORY_WRITE: 2},
         free_traffic={head_name: 2, frames: 1},
@@ -429,16 +512,15 @@ def _first_fit(heap, memory, frames: str) -> _Allocator:
     )
 
 
-def _allocator(machine) -> _Allocator | None:
+def _allocator(machine, ctx) -> _Allocator | None:
     """The non-banked machine's heap fast paths, or None (stay generic)."""
     image = machine.image
-    frames = image.frame_region.name
     if image.first_fit is not None:
-        return _first_fit(image.first_fit, machine.memory, frames)
+        return _first_fit(image.first_fit, ctx)
     if machine.fast_frames is not None:
         return None  # FAST_STACK without banks: stay generic
     if image.av_heap is not None:
-        return _av_heap(image.av_heap, machine.memory, frames)
+        return _av_heap(image.av_heap, ctx)
     return None
 
 
@@ -450,41 +532,34 @@ def _merge(*vectors: dict) -> dict:
     return merged
 
 
-def _charge_lines(charges: dict, costs: dict) -> str:
-    """One counts update per event and one cycle total."""
-    lines = [
-        f"    counts[E_{event.name}] += {times}"
-        for event, times in charges.items()
-    ]
-    cycles = sum(costs[event] * times for event, times in charges.items())
-    lines.append(f"    counter.cycles += {cycles}")
-    return "\n".join(lines)
+def _commit_lines(ctx, charges: dict, traffic: dict, indent: str = "    ") -> str:
+    """Static *charges* and *traffic* as the blocks' batched update."""
+    pending = _Charges(ctx)
+    for event, times in charges.items():
+        pending.add(event, times)
+    for region, times in traffic.items():
+        pending.hit(region, times)
+    return "\n".join(pending.commit_lines(indent))
 
 
-def _traffic_lines(traffic: dict, indent: str = "    ") -> str:
-    return "\n".join(
-        f"{indent}traffic[{region!r}] = traffic.get({region!r}, 0) + {times}"
-        for region, times in traffic.items()
-    )
-
-
-def make_cells(machine, stats):
-    """Build *machine*'s (fast_call, fast_return); either may be None
-    (unsupported shape: those sites stay generic)."""
+def make_cells(machine, ctx, ns: dict, stats):
+    """Build *machine*'s (fast_call, fast_return) into the engine's block
+    namespace *ns*; either may be None (unsupported shape: those sites
+    stay generic)."""
     banked = machine.banks is not None
     if banked:
         if not _renames(machine):
             return None, None
         allocator = None
     else:
-        allocator = _allocator(machine)
+        allocator = _allocator(machine, ctx)
         if allocator is None:
             return None, None
 
     image = machine.image
-    charges = machine.counter.charges
+    charges = ctx.charge
     rstack = machine.rstack
-    frames = image.frame_region.name
+    frames = ctx.frames_name
     cache = machine.linkage_cache
     entries_map = cache._entries if cache is not None else None
     procs_by_entry = image.procs_by_entry
@@ -499,9 +574,10 @@ def make_cells(machine, stats):
         static = _merge(allocator.allocate_charges, {Event.MEMORY_WRITE: link_writes})
 
     def seed(m, site: CallSite, gf: int) -> int:
-        """Run the call generically, then capture its cell."""
+        """Run the call generically, then capture its cell, unless the
+        remote stub diverted it: that (site, gf) always goes remote."""
         site.handler(site.inst, site.next_pc)
-        if site.generic or (m.remote_stub is not None and not site.lfc):
+        if site.generic or m.remote_pending is not None:
             return -1
         entry = entries_map.get((site.next_pc, gf))
         if entry is None:
@@ -519,67 +595,110 @@ def make_cells(machine, stats):
         stats.cells_built += 1
         return -1
 
-    if banked:
-        fast_call = _renaming_call(machine, seed) if entries_map is not None else None
-        return fast_call, _renaming_return(machine)
+    gf_name = ctx.region_name(next(iter(image.by_gf)))
 
-    memory = machine.memory
-    gf_name = _region_name(memory, next(iter(image.by_gf)))
-    heap = allocator.heap
-    ns = {
-        "seed": seed,
-        "counter": machine.counter,
-        "counts": machine.counter.counts,
-        "fetch": machine.fetch,
-        "words": memory._words,
-        "traffic": memory.traffic,
-        "by_address": machine.frames.by_address,
-        "FrameState": FrameState,
-        "ReturnStackEntry": ReturnStackEntry,
-        "GF_CODE_BASE": GF_CODE_BASE,
-        "GF_NAME": gf_name,
-        "MR": charges[Event.MEMORY_READ],
-        "K_RET": TransferKind.RETURN,
-        "heap": heap,
-        "live": heap._live,
-        "heap_stats": heap.stats,
-        "per_class": heap.stats.per_class_allocations,
-        "BASE": allocator.base,
-        **allocator.names,
-        **_EVENTS,
-    }
+    def cb_read(indent: str) -> str:
+        """One charged read of a global frame's CB word."""
+        return _commit_lines(ctx, {Event.MEMORY_READ: 1}, {gf_name: 1}, indent)
+
+    ns.update(
+        seed=seed,
+        fetch=machine.fetch,
+        FrameState=FrameState,
+        ReturnStackEntry=ReturnStackEntry,
+        GF_CODE_BASE=GF_CODE_BASE,
+        K_RET=TransferKind.RETURN,
+    )
     if rstack is not None:
         ns.update(rentries=rstack._entries, rstats=rstack.stats, RDEPTH=rstack.depth)
 
-    source = []
-    if entries_map is not None:
-        link_traffic = {frames: 1 if rstack is not None else 3}
-        source.append(_CALL.format(
-            full=" or len(rentries) >= RDEPTH" if rstack is not None else "",
-            allocate_check=allocator.allocate_check,
-            traffic=_traffic_lines(_merge(allocator.allocate_traffic, link_traffic)),
-            allocate=allocator.allocate,
-            link=_LINK_RSTACK if rstack is not None else _LINK_GENERAL,
-        ))
-    if rstack is not None:
-        ret_charges = _merge({Event.FAST_TRANSFER: 1}, allocator.free_charges)
-        ret_traffic = allocator.free_traffic
-        template = _RETURN_RSTACK
-    else:
-        # The link read, the free, then PC and GF from the frame and CB
-        # from the global frame.
-        ret_charges = _merge(
-            {Event.SLOW_TRANSFER: 1, Event.MEMORY_READ: 4}, allocator.free_charges
+    if banked:
+        bankfile = machine.bankfile
+        ns.update(
+            trace=machine.banks.trace,
+            bankfile=bankfile,
+            bank_list=bankfile._banks,
+            bstats=bankfile.stats,
+            BankEvent=BankEvent,
+            LOCAL=BankRole.LOCAL,
+            STACK=BankRole.STACK,
+            FREE=BankRole.FREE,
         )
-        ret_traffic = _merge({frames: 3, gf_name: 1}, allocator.free_traffic)
-        template = _RETURN_GENERAL
-    source.append(template.format(
-        free_refused=allocator.free_refused,
-        charges=_charge_lines(ret_charges, charges),
-        traffic=_traffic_lines(ret_traffic),
-        free=allocator.free + _RECORD_FREE,
-    ))
-    exec(_cell_code("\n".join(source)), ns)
+        rename = machine.config.arg_convention is ArgConvention.RENAME
+        call = _CALL.format(
+            guard=_RENAME_GUARD.format(
+                wide="\n        or len(slots) > sbank.size" if rename else ""
+            ),
+            claim=_FREE_BANK,
+            cb_read=cb_read(" " * 8),
+            transfer=_RENAME + (_RENAME_ARGUMENTS if rename else ""),
+        )
+        ret = _RETURN_RSTACK.format(
+            charges=_commit_lines(ctx, {Event.FAST_TRANSFER: 1}, {}),
+            **_RETURN_RENAME,
+        )
+    else:
+        heap = allocator.heap
+        ns.update(
+            by_address=machine.frames.by_address,
+            heap=heap,
+            live=heap._live,
+            heap_stats=heap.stats,
+            per_class=heap.stats.per_class_allocations,
+            BASE=allocator.base,
+            **allocator.names,
+        )
+        if rstack is not None:
+            link, link_traffic = _LINK_RSTACK, {frames: 1}
+        else:
+            link = _LINK_GENERAL.format(cb_read=cb_read(" " * 12))
+            link_traffic = {frames: 3}
+        call = _CALL.format(
+            guard=(
+                "    if caller is None or len(rentries) >= RDEPTH:"
+                if rstack is not None
+                else "    if caller is None:"
+            ),
+            claim=allocator.allocate_check,
+            cb_read=cb_read(" " * 8),
+            transfer=_ALLOCATE.format(
+                traffic=_commit_lines(
+                    ctx, {}, _merge(allocator.allocate_traffic, link_traffic)
+                ),
+                allocate=allocator.allocate,
+                link=link,
+            ),
+        )
+        free = _FREE.format(free=allocator.free)
+        if rstack is not None:
+            ret = _RETURN_RSTACK.format(
+                deferred="",
+                source="    addr = current.address",
+                refused=allocator.free_refused,
+                charges=_commit_lines(
+                    ctx,
+                    _merge({Event.FAST_TRANSFER: 1}, allocator.free_charges),
+                    allocator.free_traffic,
+                ),
+                free=free,
+            )
+        else:
+            # The link read, the free, then PC and GF from the frame and
+            # CB from the global frame.
+            ret = _RETURN_GENERAL.format(
+                refused=allocator.free_refused,
+                charges=_commit_lines(
+                    ctx,
+                    _merge(
+                        {Event.SLOW_TRANSFER: 1, Event.MEMORY_READ: 4},
+                        allocator.free_charges,
+                    ),
+                    _merge({frames: 3, gf_name: 1}, allocator.free_traffic),
+                ),
+                free=free,
+            )
+    source = ret if entries_map is None else call + "\n" + ret
+    exec(_cell_code(source), ns)
     return ns.get("fast_call"), ns["fast_return"]
 
 
@@ -589,184 +708,3 @@ def _cell_code(source: str):
     shape (every shard of a cluster) share the code object, and each
     binds it to its own namespace."""
     return compile(source, "<jit cells>", "exec")
-
-
-def _renaming_call(machine, seed):
-    """I4's call cell: ``_do_call``'s RENAME transition, replayed.
-
-    The argument record is written into the stack bank (words and dirty
-    bits), the return stack records the caller with its bank, and
-    ``BankManager.on_call``'s rename runs inline: the stack bank becomes
-    the callee's Lbank and the first free bank the new stack, each with
-    the next assignment sequence number.  The callee's frame stays
-    deferred, so the call touches no memory at all.
-    """
-    counter = machine.counter
-    counts = counter.counts
-    fetch = machine.fetch
-    stack = machine.stack
-    rstack = machine.rstack
-    rentries = rstack._entries
-    rstats = rstack.stats
-    rdepth = rstack.depth
-    banks = machine.banks
-    trace = banks.trace
-    bankfile = machine.bankfile
-    bank_list = bankfile._banks
-    bstats = bankfile.stats
-    words = machine.memory._words
-    traffic = machine.memory.traffic
-    gf_name = _region_name(machine.memory, next(iter(machine.image.by_gf)))
-    mr = counter.charges[Event.MEMORY_READ]
-    E_MR = Event.MEMORY_READ
-    rename = machine.config.arg_convention is ArgConvention.RENAME
-    LOCAL = BankRole.LOCAL
-    STACK = BankRole.STACK
-    FREE = BankRole.FREE
-
-    def fast_call(m, site: CallSite) -> int:
-        gf = m.gf
-        try:
-            cell = site.cells[gf]
-        except KeyError:
-            return seed(m, site, gf)
-        caller = m.frame
-        sbank = banks.sbank
-        slots = stack._slots
-        # The stack bank must be holding the stack, so the search for a
-        # free bank below cannot hand it back as the new stack.
-        if (
-            caller is None
-            or caller.flagged
-            or (m.remote_stub is not None and not site.lfc)
-            or len(rentries) >= rdepth
-            or sbank is None
-            or sbank.role is not STACK
-            or (rename and len(slots) > sbank.size)
-        ):
-            site.handler(site.inst, site.next_pc)
-            return -1
-        for fresh in bank_list:
-            if fresh.role is FREE:
-                break
-        else:
-            # Bank overflow: the generic path spills the oldest bank.
-            site.handler(site.inst, site.next_pc)
-            return -1
-        if site.lfc and m.cb < 0:
-            # The LFC prologue's lazy CB fetch (_current_code_base), charged.
-            counts[E_MR] += 1
-            counter.cycles += mr
-            traffic[gf_name] = traffic.get(gf_name, 0) + 1
-            cb = words[gf + GF_CODE_BASE]
-            m.cb = cb
-            caller.code_base = cb
-        # Committed: resolution charges + the transfer event.
-        for event, times in cell.vec:
-            counts[event] += times
-        counter.cycles += cell.cycles
-        bucket = fetch.fast if site.fast else fetch.slow
-        try:
-            bucket[site.kind] += 1
-        except KeyError:
-            bucket[site.kind] = 1
-        callee = FrameState(cell.meta, cell.gf_address, cell.fsi, None, cell.cb_final)
-        rentries.append(ReturnStackEntry(caller, site.next_pc, m.cb, banks.lbank))
-        rstats.pushes += 1
-        # The rename: the stack bank shadows the callee, a free bank
-        # becomes the stack.
-        bstats.xfers += 1
-        bstats.assignments += 1
-        seq = bankfile._seq
-        sbank.role = LOCAL
-        sbank.frame = callee
-        sbank.assigned_at = seq + 1
-        fresh.role = STACK
-        fresh.frame = None
-        fresh.assigned_at = seq + 2
-        fresh.dirty.clear()
-        bankfile._seq = seq + 2
-        banks.lbank = sbank
-        banks.sbank = fresh
-        trace.append(BankEvent(cell.label, sbank.id, fresh.id))
-        if rename and slots:
-            # The arguments become the first locals: live in the bank,
-            # not yet in memory, so dirty from the frame's point of view.
-            count = len(slots)
-            sbank.words[:count] = slots
-            sbank.dirty.update(range(count))
-            slots.clear()
-        m.return_context = caller
-        m.frame = callee
-        m.gf = cell.gf_address
-        m.cb = cell.cb_final
-        m.pc = cell.first_instruction
-        return cell.first_instruction
-
-    return fast_call
-
-
-def _renaming_return(machine):
-    """I4's return: ``_op_return``'s return-stack hit with bank restore.
-
-    Pops the caller's entry, frees the deferred frame (it never existed
-    in memory), releases the current Lbank and makes the caller's bank
-    current again; the stack bank stays put, carrying the results.
-    """
-    counter = machine.counter
-    counts = counter.counts
-    E_FT = Event.FAST_TRANSFER
-    ft = counter.charges[E_FT]
-    ffast = machine.fetch.fast
-    K_RET = TransferKind.RETURN
-    rstack = machine.rstack
-    rentries = rstack._entries
-    rstats = rstack.stats
-    banks = machine.banks
-    trace = banks.trace
-    bstats = machine.bankfile.stats
-    FREE = BankRole.FREE
-
-    def fast_return(m) -> int:
-        # Generic: an empty return stack, a retained frame (spilled on
-        # return), a materialized one (freed to its allocator), a
-        # dangling return (raises), and a caller whose bank was
-        # reclaimed (an underflow fills one).
-        current = m.frame
-        if not rentries or current.retained or current.address is not None:
-            m._op_return()
-            return -1
-        entry = rentries[-1]
-        dest = entry.frame
-        bank = entry.bank
-        lbank = banks.lbank
-        if dest.freed or bank is None or bank is lbank or bank.frame is not dest:
-            m._op_return()
-            return -1
-        rentries.pop()
-        rstats.hits += 1
-        counts[E_FT] += 1
-        counter.cycles += ft
-        try:
-            ffast[K_RET] += 1
-        except KeyError:
-            ffast[K_RET] = 1
-        current.freed = True
-        m.deferred_frames += 1
-        bstats.xfers += 1
-        if lbank is not None:
-            lbank.role = FREE
-            lbank.frame = None
-            lbank.dirty.clear()
-            bstats.releases += 1
-        banks.lbank = bank
-        sbank = banks.sbank
-        trace.append(BankEvent("return", bank.id, sbank.id if sbank is not None else -1))
-        m.frame = dest
-        m.pc = entry.pc
-        m.gf = dest.gf
-        m.cb = entry.cb if entry.cb >= 0 else dest.code_base
-        m.return_context = None
-        return entry.pc
-
-    return fast_return

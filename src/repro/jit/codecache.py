@@ -25,15 +25,13 @@ from typing import Callable
 class CodeCache:
     """Compiled basic blocks for one machine's code space."""
 
-    def __init__(self, code) -> None:
-        self.code = code
+    def __init__(self) -> None:
         #: pc -> (fn, max_steps); fn(machine) returns the next pc, or a
         #: negative sentinel (-1: re-check machine state; -2: deopt).
         self.blocks: dict[int, tuple[Callable, int]] = {}
         #: body start pc -> (ProcMeta, body length) of every verified
         #: procedure not yet compiled in this epoch.
         self.pending: dict[int, tuple] = {}
-        self.epoch = code.epoch
         #: False until the engine has armed the pending set for the
         #: current epoch.
         self.ready = False
@@ -58,7 +56,6 @@ class CodeCache:
         self.blocks.clear()
         self.pending.clear()
         self.ready = False
-        self.epoch = self.code.epoch
 
     def stats(self) -> dict:
         """Code-cache statistics for benchmark tables."""

@@ -47,6 +47,8 @@ EVENT_VARS: dict[Event, str] = {
     Event.REGISTER_READ: "E_RR",
     Event.REGISTER_WRITE: "E_RW",
     Event.JUMP: "E_JP",
+    Event.FAST_TRANSFER: "E_FT",
+    Event.SLOW_TRANSFER: "E_ST",
 }
 
 
@@ -479,20 +481,16 @@ def gen_block(
             classification = classes.get(item.offset)
             if classification in ("monomorphic", "polymorphic"):
                 site = ctx.make_site(
-                    op,
-                    spec.next_abs,
-                    machine._dispatch[op],
-                    item.instruction,
-                    classification == "monomorphic",
+                    op, spec.next_abs, machine._dispatch[op], item.instruction
                 )
         if site is not None:
             ns[f"_s{index}"] = site
             body.append(f"{ind}try:")
-            body.append(f"{ind}    return _fc(m, _s{index})")
+            body.append(f"{ind}    return fast_call(m, _s{index})")
             body.extend(_tail_excepts(ind, returning=True))
         elif op is Op.RET and ctx.fast_return is not None:
             body.append(f"{ind}try:")
-            body.append(f"{ind}    return _fr(m)")
+            body.append(f"{ind}    return fast_return(m)")
             body.extend(_tail_excepts(ind, returning=True))
         else:
             ns[f"_h{index}"] = machine._dispatch[op]

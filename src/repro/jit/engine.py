@@ -148,7 +148,7 @@ class JitEngine:
         for event, var in EVENT_VARS.items():
             self._ns[var] = event
 
-        self.cache = CodeCache(machine.code)
+        self.cache = CodeCache()
         machine.on_epoch_bump(self.cache.invalidate)
         self._arm()
 
@@ -170,7 +170,6 @@ class JitEngine:
                 if meta is not None:
                     pending[entry + 1] = (meta, len(procedure.body))
         cache.ready = True
-        cache.epoch = self.machine.code.epoch
         cache.procedures = 0
         if self.hot_order:
             starts = {
@@ -206,14 +205,13 @@ class JitEngine:
         """Build the call and return cells the compiled blocks call.
 
         Their source is assembled and compiled once per process (see
-        :func:`~repro.jit.calls.make_cells`), so like the blocks they
-        wait for the first compile: an install compiles nothing.
+        :func:`~repro.jit.calls.make_cells`) and runs in the blocks'
+        namespace, so like the blocks they wait for the first compile:
+        an install compiles nothing.
         """
-        fast_call, fast_return = make_cells(self.machine, self.stats)
+        fast_call, fast_return = make_cells(self.machine, self._ctx, self._ns, self.stats)
         self._ctx.fast_call = fast_call
         self._ctx.fast_return = fast_return
-        self._ns["_fc"] = fast_call
-        self._ns["_fr"] = fast_return
         self._cells_built = True
 
     # -- execution ------------------------------------------------------

@@ -23,6 +23,7 @@ templates use ``{a}``/``{b}`` for the popped operands.
 from __future__ import annotations
 
 from repro.banks.pointers import PointerPolicy
+from repro.check.effects import FIXED_EFFECTS, SHORT_LOCAL_SLOTS
 from repro.isa.opcodes import CALL_OPS, JUMP_OPS, Op
 
 #: Opcodes that unconditionally end a compiled block and run through the
@@ -70,9 +71,14 @@ PUSH_CONST: dict[Op, int] = {
 }
 
 #: Local-variable index for the short load/store forms (LLB/SLB use
-#: their operand byte).
-LOCAL_LOAD: dict[Op, int] = {Op(int(Op.LL0) + i): i for i in range(8)}
-LOCAL_STORE: dict[Op, int] = {Op(int(Op.SL0) + i): i for i in range(8)}
+#: their operand byte): the verifier's slots, split by whether the
+#: opcode pushes the local or pops into it.
+LOCAL_LOAD: dict[Op, int] = {
+    op: slot for op, slot in SHORT_LOCAL_SLOTS.items() if FIXED_EFFECTS[op] == (0, 1)
+}
+LOCAL_STORE: dict[Op, int] = {
+    op: slot for op, slot in SHORT_LOCAL_SLOTS.items() if FIXED_EFFECTS[op] == (1, 0)
+}
 
 #: Unsigned/modular binary ops: the 16-bit result is congruent to the
 #: host-int result, so signed decode + re-encode folds to one mask.
@@ -99,36 +105,14 @@ COMPARE_SIGNED: dict[Op, str] = {
 COMPARE_RAW: dict[Op, str] = {Op.EQ: "==", Op.NE: "!="}
 
 #: Stack effect of each inline opcode: (words needed on entry, net
-#: depth delta).  Tail opcodes are absent — the interpreter handles
-#: their stack traffic (including underflow semantics) itself.
+#: depth delta), from the verifier's (pops, pushes), so the block entry
+#: guard checks exactly the effects it proved.  Tail opcodes are absent
+#: — the interpreter handles their stack traffic (including underflow
+#: semantics) itself.
 STACK_EFFECTS: dict[Op, tuple[int, int]] = {
-    Op.NOOP: (0, 0),
-    **{op: (0, 1) for op in PUSH_CONST},
-    Op.LIB: (0, 1),
-    Op.LIW: (0, 1),
-    **{op: (0, 1) for op in LOCAL_LOAD},
-    Op.LLB: (0, 1),
-    **{op: (1, -1) for op in LOCAL_STORE},
-    Op.SLB: (1, -1),
-    Op.LG: (0, 1),
-    Op.SG: (1, -1),
-    Op.LGA: (0, 1),
-    Op.RD: (1, 0),
-    Op.WR: (2, -2),
-    **{op: (2, -1) for op in BINARY_MODULAR},
-    Op.DIV: (2, -1),
-    Op.MOD: (2, -1),
-    **{op: (2, -1) for op in COMPARE_SIGNED},
-    **{op: (2, -1) for op in COMPARE_RAW},
-    Op.NEG: (1, 0),
-    Op.NOT: (1, 0),
-    Op.DUP: (1, 1),
-    Op.POP: (1, -1),
-    Op.EXCH: (2, 0),
-    Op.OUT: (1, -1),
-    Op.JB: (0, 0),
-    Op.JW: (0, 0),
-    **{op: (1, -1) for op in COND_JUMPS},
+    op: (pops, pushes - pops)
+    for op, (pops, pushes) in FIXED_EFFECTS.items()
+    if op not in BASE_TAIL_OPS
 }
 
 

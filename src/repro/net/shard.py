@@ -52,11 +52,7 @@ class Shard:
 
             self.recorder = TraceRecorder(capacity=None)
             machine.attach_tracer(self.recorder)
-        if any(other != shard_id for other in placement.ring.shard_ids):
-            # A one-shard placement routes every module here (its pins
-            # can name no other shard), so its stub could never fire;
-            # without one, the JIT builds cells for EFC/DFC/SDFC sites.
-            machine.remote_stub = self._stub
+        machine.remote_stub = self._stub
         #: Outgoing messages for the cluster to hand the transport.
         self.outbox: list[Message] = []
         #: request id -> bookkeeping for calls awaiting a reply.

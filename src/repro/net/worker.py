@@ -159,8 +159,8 @@ class Worker:
         self.id = spec["shard_id"]
         self.timeout_s = spec["timeout_s"]
         if spec["self_homed"]:
-            # Every module homed here: the shard installs no stub (so
-            # the JIT builds cells for cross-module calls too), and each
+            # Every module homed here: the stub never diverts (so the
+            # JIT builds cells for cross-module calls too), and each
             # root activation runs start-to-finish locally.  This is the
             # embarrassingly-parallel serving route ("direct"), where
             # the front door spreads whole requests across workers

@@ -5,7 +5,8 @@ A seeded call cell and a seeded return cell are one host call each
 ``AllocationStats`` updates and the frame-table registration run inline,
 so a call-and-return pair adds only the record constructors —
 ``FrameState``, and ``ReturnStackEntry`` on a machine with the IFU
-return stack.  The counts are deterministic, unlike host timings.
+return stack; i4's renaming pair adds its two Figure 3 trace rows
+(``BankEvent``).  The counts are deterministic, unlike host timings.
 
 Only Python calls into the repository's own code are counted (its
 modules, the cells, and its records' constructors); C calls vary with
@@ -63,6 +64,32 @@ END.
 
 CALLS_PER_ITERATION = 6
 
+#: Two calls per iteration, one deep: every call stays inside i4's four
+#: banks, while calldense overflows a bank on one call in six.
+CALL_SHALLOW = """
+MODULE Main;
+PROCEDURE inc(x): INT;
+BEGIN
+  RETURN x + 1;
+END;
+PROCEDURE double(x): INT;
+BEGIN
+  RETURN x + x;
+END;
+PROCEDURE main(n): INT;
+VAR i, acc: INT;
+BEGIN
+  acc := 0;
+  i := 0;
+  WHILE i < n DO
+    acc := acc + inc(i) + double(i);
+    i := i + 1;
+  END;
+  RETURN acc;
+END;
+END.
+"""
+
 _REPO = str(Path(repro.__file__).parent)
 
 
@@ -80,8 +107,9 @@ def _owner(frame) -> str | None:
     return None
 
 
-def _calls(machine, n: int) -> Counter:
-    """Repo-function calls made by one warm ``Main.main(n)`` run."""
+def _calls(machine, n: int, iteration=lambda i: 5 * i + 2) -> Counter:
+    """Repo-function calls made by one warm ``Main.main(n)`` run, whose
+    loop adds ``iteration(i)`` per pass (calldense's by default)."""
     calls: Counter = Counter()
 
     def profile(frame, event, arg):
@@ -98,7 +126,7 @@ def _calls(machine, n: int) -> Counter:
         machine.run()
     finally:
         sys.setprofile(previous)
-    assert machine.results() == [sum(5 * i + 2 for i in range(n))]
+    assert machine.results() == [sum(iteration(i) for i in range(n))]
     return calls
 
 
@@ -123,4 +151,31 @@ def test_a_call_and_return_pair_is_two_cell_calls_and_its_records(preset, record
     expected.update((record, 1.0) for record in records)
     assert per_pair == expected
     assert sum(per_pair.values()) == 2 + len(records)
+    assert engine.stats.deopts == 0
+
+
+def test_an_i4_renaming_pair_is_two_cell_calls_and_its_records():
+    """I4's renaming cells are generated like the others: a pair is the
+    two ``<jit cells>`` functions, the callee's ``FrameState``, the
+    caller's ``ReturnStackEntry`` and the call's and the return's trace
+    rows."""
+    machine = build([CALL_SHALLOW], preset="i4")
+    engine = install_jit(machine)
+
+    def shallow(n: int) -> Counter:
+        return _calls(machine, n, iteration=lambda i: 3 * i + 1)
+
+    shallow(4)
+    short, long = shallow(3), shallow(13)
+    pairs = (13 - 3) * 2
+    per_pair = Counter(long)
+    per_pair.subtract(short)
+    per_pair = {name: count / pairs for name, count in per_pair.items() if count}
+    assert per_pair == {
+        "fast_call": 1.0,
+        "fast_return": 1.0,
+        "FrameState.__init__": 1.0,
+        "ReturnStackEntry.__init__": 1.0,
+        "BankEvent.__init__": 2.0,
+    }
     assert engine.stats.deopts == 0

@@ -4,8 +4,9 @@ import pytest
 
 from repro.ifu.ifu import TransferKind
 from repro.ifu.returnstack import OverflowPolicy
+from repro.jit import install_jit
 from repro.machine.costs import Event
-from tests.conftest import ALL_PRESETS, run_source
+from tests.conftest import ALL_PRESETS, build, run_source
 
 RECURSIVE = [
     """
@@ -28,11 +29,26 @@ CROSS_MODULE = [
     "MODULE Lib;\nPROCEDURE twice(x): INT;\nBEGIN\n  RETURN x + x;\nEND;\nEND.",
 ]
 
+ADDER = "MODULE Adder;\nPROCEDURE add(a, b): INT;\nBEGIN\n  RETURN Lib.twice(a) - a + b;\nEND;\nEND."
+
 
 @pytest.mark.parametrize("preset", ALL_PRESETS)
 def test_recursion_on_every_implementation(preset):
     results, _ = run_source(RECURSIVE, preset=preset)
     assert results == [55]
+
+
+@pytest.mark.parametrize("engine", ["interp", "jit"])
+@pytest.mark.parametrize("preset", ALL_PRESETS)
+def test_each_call_of_one_machine_starts_on_an_empty_stack(preset, engine):
+    """``Machine.call`` leaves its results on the evaluation stack, and
+    the next ``start`` drops them, so a machine called again and again
+    returns one result each time instead of overflowing its stack."""
+    machine = build(CROSS_MODULE + [ADDER], preset=preset)
+    if engine == "jit":
+        install_jit(machine)
+    for n in range(20):
+        assert machine.call("Adder", "add", n, 3) == [n + 3]
 
 
 @pytest.mark.parametrize("preset", ALL_PRESETS)

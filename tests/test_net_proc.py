@@ -301,9 +301,9 @@ def test_a_worker_compiles_and_verifies_nothing(monkeypatch):
 
 
 def test_a_self_homed_jit_worker_builds_cells_for_cross_module_calls():
-    """A one-shard placement can route nothing away, so its shard
-    installs no remote stub and the JIT builds a call cell for Main's
-    ``EFC`` into Math; a two-shard worker keeps its stub."""
+    """A one-shard placement can route nothing away, so the stub never
+    diverts Main's ``EFC`` into Math and the JIT builds a call cell for
+    it; a two-shard worker has its stub too."""
     from repro.ifu.ifu import TransferKind
     from repro.jit.calls import CallSite
 
@@ -312,7 +312,6 @@ def test_a_self_homed_jit_worker_builds_cells_for_cross_module_calls():
     spec = worker_specs(list(MATHLIB.sources), shards=2, self_homed=True)[0]
     worker = Worker(theirs, spec)
     machine = worker.shard.machine
-    assert machine.remote_stub is None
     worker._dispatch(
         wire.call(
             FRONT_DOOR, 0, 0, f"{FRONT_DOOR}:0", None, "Main", "main", []

@@ -124,6 +124,40 @@ def test_jit_shards_build_local_call_cells_and_meter_like_the_interpreter():
     assert runs["jit"] == runs["interp"]
 
 
+def test_a_jit_shard_builds_cells_for_its_co_homed_targets_only():
+    """Placement is fixed when a cluster is built, so a call the stub
+    does not divert never will be: the shard homing Main holds cells for
+    ``Main.dispatch``'s ``EFC`` sites into the leaves homed beside it,
+    none into the leaves homed elsewhere, and serves like the
+    interpreter."""
+    from repro.jit.calls import CallSite
+
+    reports = {}
+    for engine in ("interp", "jit"):
+        cluster = Cluster(list(SERVICE_SOURCES), shards=4, engine=engine)
+        report = Server(cluster).serve(generate_workload(7, 120))
+        assert report.completed == 120 and report.lost == report.wrong == 0
+        reports[engine] = report.to_dict()
+    assert reports["jit"] == reports["interp"]
+
+    home = cluster.placement.home
+    machine = cluster.shards[home("Main")].machine
+    sites = {
+        id(value): value
+        for fn, _steps in machine.engine.cache.blocks.values()
+        if fn.__code__.co_filename == "<jit Main.dispatch>"
+        for value in fn.__globals__.values()
+        if isinstance(value, CallSite) and value.kind is TransferKind.EXTERNAL_CALL
+    }
+    assert len(sites) == 4
+    targets = [
+        cell.meta.module for site in sites.values() for cell in site.cells.values()
+    ]
+    co_homed = [leaf for leaf in ("Fib", "Gauss", "Gcd", "Pow") if home(leaf) == home("Main")]
+    assert co_homed and len(co_homed) < 4
+    assert sorted(targets) == co_homed
+
+
 def test_shards_are_not_subject_to_the_machine_step_limit():
     """``config.step_limit`` is ``Machine.run``'s lifetime backstop; a
     shard's scheduler serves past it, bounded per ``Scheduler.run`` call
