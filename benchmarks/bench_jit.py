@@ -2,7 +2,8 @@
 
 Implementation step I5: the template JIT compiles every verified
 procedure's basic blocks into specialized host-Python closures with
-batched meter replay and direct-threaded dispatch (see docs/jit.md).
+meters charged from exit counts and direct-threaded dispatch (see
+docs/jit.md).
 This experiment times the same call-dense workload as the host-speed
 experiment (HOST) on both engines across I1-I4 and asserts what the
 conformance suite asserts — identical results, step counts, and meter

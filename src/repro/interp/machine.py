@@ -398,8 +398,11 @@ class Machine:
         *reads* the cycle counter.  A ``trace_steps`` tracer sees every
         instruction as a ``machine.step`` event (the dynamic opcode
         histogram); every tracer sees each transfer as an ``xfer.*``
-        event.
+        event.  An installed engine first charges what its compiled
+        code left pending, so the tracer reads exact meters.
         """
+        if self.engine is not None:
+            self.engine.charge()
         bind = getattr(tracer, "bind", None)
         if bind is not None:
             bind(self)
@@ -1016,6 +1019,8 @@ class Machine:
             raise TrapTransfer()
         handler = self.trap_handlers.get(kind)
         if handler is not None:
+            if self.engine is not None:
+                self.engine.charge()  # the host handler may read the meters
             handler(self, kind, detail)
             return
         raise TrapError(kind.value, detail, pc=self.pc, proc=self._proc_label())

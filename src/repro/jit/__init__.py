@@ -1,8 +1,8 @@
 """Template-compiling JIT backend (implementation step I5).
 
 Compiles verified procedures' basic blocks into host-Python closures
-with meter-exact batched charge replay, direct-threaded block-to-block
-dispatch, facts-driven call specialization, and interpreter
+whose exits count themselves into an exit table that the engine turns
+into meter-exact charges, direct-threaded block-to-block dispatch, facts-driven call specialization, and interpreter
 deoptimization at every point the static model cannot cover.  See
 ``docs/jit.md`` for the contract.
 """

@@ -6,9 +6,10 @@ execution of a site: linkage resolution (already memoized by
 frame size, and the charge schedule of the whole sequence.  The JIT
 seeds a per-``(site, gf)`` **cell** the first time a call executes
 generically, capturing the resolved target and one merged charge
-vector; subsequent executions commit that vector in one batched update
-and perform only the state transition with the interpreter's exact
-memory, traffic, register, and allocator effects:
+vector, interned in the engine's exit table; subsequent executions
+count that vector with one hit on its slot and perform only the state
+transition with the interpreter's exact memory, traffic, register, and
+allocator effects:
 
 * without register banks (i1–i3), frame allocation, the linkage words
   (or the return-stack push), and the register swap;
@@ -40,7 +41,9 @@ never depends on this module):
 A call that a shard's remote stub diverts seeds no cell.  Placement is
 fixed when a cluster is built, and at a given ``(site, gf)`` both the
 caller's module and the resolved target are fixed, so the stub's
-verdict never changes: a seeded cell's call is always local.
+verdict never changes: a seeded cell's call is always local, and a
+diverted ``(site, gf)`` records its verdict once, as a demoted site
+does, so its later calls go straight to the generic handler.
 
 Guards run before any charge or mutation: a guarded-out call simply
 invokes the generic handler, producing the interpreter's bit-exact
@@ -74,7 +77,7 @@ class CallSite:
     """One compiled call site: its static shape plus seeded cells."""
 
     __slots__ = ("next_pc", "handler", "inst", "cells", "generic",
-                 "lfc", "kind", "fast", "kind_event")
+                 "remote", "lfc", "kind", "fast", "kind_event")
 
     def __init__(self, op: Op, next_pc: int, handler, inst) -> None:
         self.next_pc = next_pc
@@ -88,6 +91,8 @@ class CallSite:
         #: metadata (replaced procedure, trap context) or, on a banked
         #: machine, more locals than a bank can defer — always generic.
         self.generic = False
+        #: Caller gfs whose calls the remote stub diverts: always generic.
+        self.remote: set[int] = set()
         self.lfc = op is Op.LFC
         if op is Op.DFC:
             kind = TransferKind.DIRECT_CALL
@@ -107,14 +112,14 @@ class CallSite:
 class _Cell:
     """The seeded (site, gf) resolution: target + one charge vector."""
 
-    __slots__ = ("vec", "cycles", "meta", "gf_address", "cb_final",
+    __slots__ = ("slot", "meta", "gf_address", "cb_final",
                  "first_instruction", "fsi", "frame_words", "need", "label")
 
-    def __init__(self, vec, cycles, meta, resolved, need: int) -> None:
-        #: (event, times) pairs and their cycles: resolution, transfer,
-        #: and the allocation and linkage writes of the fast path.
-        self.vec = vec
-        self.cycles = cycles
+    def __init__(self, slot: int, meta, resolved, need: int) -> None:
+        #: The exit-table slot of the call's charges: resolution,
+        #: transfer, and the fast path's allocation and linkage writes
+        #: and their traffic.
+        self.slot = slot
         self.meta = meta
         self.gf_address = resolved.gf_address
         self.cb_final = resolved.code_base if resolved.code_base >= 0 else -1
@@ -145,11 +150,11 @@ def _renames(machine) -> bool:
 #
 # Each ``{slot}`` is filled by make_cells for the machine's shape: the
 # allocator's fragments (_Allocator) or the bank rename, the linkage
-# shape, and the static charge and traffic lines, which _Charges renders
-# as it does for blocks.  The templates hold no other braces.  They run
-# in the engine's block namespace: ``_CC``, ``_CTR``, ``_TR``, ``_W``,
-# ``_ST`` and ``_BKS`` are the counter's counts, the counter, the region
-# traffic, the memory words, the evaluation stack and the bank manager.
+# shape, and the static charge lines, which _Charges renders as it does
+# for blocks.  The templates hold no other braces.  They run in the
+# engine's block namespace: ``_H``, ``_W``, ``_ST`` and ``_BKS`` are the
+# exit table's hit counts, the memory words, the evaluation stack and
+# the bank manager.
 
 _CALL = """\
 def fast_call(m, site):
@@ -157,6 +162,9 @@ def fast_call(m, site):
     try:
         cell = site.cells[gf]
     except KeyError:
+        if site.generic or gf in site.remote:
+            site.handler(site.inst, site.next_pc)
+            return -1
         return seed(m, site, gf)
     caller = m.frame
 {guard}
@@ -169,11 +177,9 @@ def fast_call(m, site):
         cb = _W[gf + GF_CODE_BASE]
         m.cb = cb
         caller.code_base = cb
-    # Committed: resolution, transfer, and without banks the allocation
-    # and linkage writes.
-    for event, times in cell.vec:
-        _CC[event] += times
-    _CTR.cycles += cell.cycles
+    # Counted: resolution, transfer, and without banks the allocation
+    # and linkage writes and their traffic.
+    _H[cell.slot] += 1
     bucket = fetch.fast if site.fast else fetch.slow
     try:
         bucket[site.kind] += 1
@@ -190,7 +196,6 @@ def fast_call(m, site):
 
 #: The non-banked callee's frame: allocated, registered, and linked.
 _ALLOCATE = """\
-{traffic}
 {allocate}
     # AllocationStats.on_reuse then on_allocate: the block leaves a free
     # list for the live set, so the footprint, and with it the
@@ -304,7 +309,7 @@ def fast_return(m):
     ):
         m._op_return()
         return -1
-    # Committed: the transfer, the link read, the free, and
+    # Counted: the transfer, the link read, the free, and
     # _resume_from_memory's reads.
 {charges}
     try:
@@ -341,7 +346,7 @@ def fast_return(m):
         return -1
     rentries.pop()
     rstats.hits += 1
-    # Committed: the transfer and the free.
+    # Counted: the transfer and the free.
 {charges}
     try:
         fetch.fast[K_RET] += 1
@@ -533,7 +538,7 @@ def _merge(*vectors: dict) -> dict:
 
 
 def _commit_lines(ctx, charges: dict, traffic: dict, indent: str = "    ") -> str:
-    """Static *charges* and *traffic* as the blocks' batched update."""
+    """Static *charges* and *traffic* as the blocks' exit-table hit."""
     pending = _Charges(ctx)
     for event, times in charges.items():
         pending.add(event, times)
@@ -557,7 +562,6 @@ def make_cells(machine, ctx, ns: dict, stats):
             return None, None
 
     image = machine.image
-    charges = ctx.charge
     rstack = machine.rstack
     frames = ctx.frames_name
     cache = machine.linkage_cache
@@ -566,18 +570,23 @@ def make_cells(machine, ctx, ns: dict, stats):
     bank_words = machine.config.bank_words
     # What the fast path charges beside resolution and the transfer: the
     # allocation and the linkage writes (FRAME_GLOBAL, and without the
-    # return stack the caller's PC and the return link).
+    # return stack the caller's PC and the return link), and their
+    # traffic.
     if banked:
         static: dict = {}
+        static_traffic: dict = {}
     else:
         link_writes = 1 if rstack is not None else 3
         static = _merge(allocator.allocate_charges, {Event.MEMORY_WRITE: link_writes})
+        static_traffic = _merge(allocator.allocate_traffic, {frames: link_writes})
 
     def seed(m, site: CallSite, gf: int) -> int:
-        """Run the call generically, then capture its cell, unless the
-        remote stub diverted it: that (site, gf) always goes remote."""
+        """Run the call generically, then capture its cell.  A call the
+        remote stub diverted records that instead: its (site, gf) always
+        goes remote."""
         site.handler(site.inst, site.next_pc)
-        if site.generic or m.remote_pending is not None:
+        if m.remote_pending is not None:
+            site.remote.add(gf)
             return -1
         entry = entries_map.get((site.next_pc, gf))
         if entry is None:
@@ -588,10 +597,11 @@ def make_cells(machine, ctx, ns: dict, stats):
             site.generic = True
             stats.sites_demoted += 1
             return -1
-        vec = tuple(_merge(dict(pairs), {site.kind_event: 1}, static).items())
-        cycles = sum(charges[event] * times for event, times in vec)
+        slot = ctx.exit_slot(
+            _merge(dict(pairs), {site.kind_event: 1}, static), static_traffic
+        )
         need = 0 if banked else allocator.need(meta, resolved.fsi)
-        site.cells[gf] = _Cell(vec, cycles, meta, resolved, need)
+        site.cells[gf] = _Cell(slot, meta, resolved, need)
         stats.cells_built += 1
         return -1
 
@@ -649,10 +659,9 @@ def make_cells(machine, ctx, ns: dict, stats):
             **allocator.names,
         )
         if rstack is not None:
-            link, link_traffic = _LINK_RSTACK, {frames: 1}
+            link = _LINK_RSTACK
         else:
             link = _LINK_GENERAL.format(cb_read=cb_read(" " * 12))
-            link_traffic = {frames: 3}
         call = _CALL.format(
             guard=(
                 "    if caller is None or len(rentries) >= RDEPTH:"
@@ -661,13 +670,7 @@ def make_cells(machine, ctx, ns: dict, stats):
             ),
             claim=allocator.allocate_check,
             cb_read=cb_read(" " * 8),
-            transfer=_ALLOCATE.format(
-                traffic=_commit_lines(
-                    ctx, {}, _merge(allocator.allocate_traffic, link_traffic)
-                ),
-                allocate=allocator.allocate,
-                link=link,
-            ),
+            transfer=_ALLOCATE.format(allocate=allocator.allocate, link=link),
         )
         free = _FREE.format(free=allocator.free)
         if rstack is not None:

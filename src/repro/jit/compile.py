@@ -8,12 +8,14 @@ block via ``exec``: every inline opcode expands to a template that
 reproduces the interpreter's exact state transition on an evaluation
 stack interpreted at compile time (:class:`_Stack`: values live in host
 locals, and the list is written only where something can observe it),
-while its meter charges are accumulated **at compile time** and
-committed in a single batched counter update.  The interpreter charges per executed
-instruction and the charge schedule is purely additive, so batching at
-block granularity (and at every early exit) yields bit-identical
-counters at every observable point: block boundaries, deoptimizations,
-traps raised by tail handlers, and step-ceiling checks.
+while its meter charges are summed **at compile time**.  Each exit's
+sum is a static charge vector interned in the engine's exit table, and
+the exit counts itself with one ``_H[slot] += 1``; the engine charges
+the meters from those counts when control leaves compiled code.  The
+interpreter charges per executed instruction and the charge schedule is
+purely additive, so the meters are bit-identical wherever anything can
+read them.  ``m.steps`` is the exception: it stays eager, because the
+engine's step-ceiling check reads it between blocks.
 
 Block protocol — a compiled function ``fn(machine)`` returns:
 
@@ -23,8 +25,8 @@ Block protocol — a compiled function ``fn(machine)`` returns:
   ``halted``, and ``yield_requested`` from the machine;
 * ``-2`` — deoptimization: ``machine.pc`` names the instruction that
   needs the interpreter, and **no** charge for it (or anything after
-  it) has been committed.  Guards always fire before their
-  instruction's charges and mutations, so the committed meters
+  it) has been counted.  Guards always fire before their
+  instruction's charges and mutations, so the counted charges
   correspond to exactly the fully-executed prefix.
 """
 
@@ -39,25 +41,14 @@ from repro.isa.opcodes import CALL_OPS, Op
 from repro.jit import templates as T
 from repro.machine.costs import Event
 
-#: Namespace variable bound to each Event at exec time.
-EVENT_VARS: dict[Event, str] = {
-    Event.DECODE: "E_DEC",
-    Event.MEMORY_READ: "E_MR",
-    Event.MEMORY_WRITE: "E_MW",
-    Event.REGISTER_READ: "E_RR",
-    Event.REGISTER_WRITE: "E_RW",
-    Event.JUMP: "E_JP",
-    Event.FAST_TRANSFER: "E_FT",
-    Event.SLOW_TRANSFER: "E_ST",
-}
-
 
 @dataclass
 class CompilerContext:
     """Everything block generation needs from the engine, precomputed."""
 
-    #: Event -> cycle cost (from the machine's cost model).
-    charge: dict
+    #: (events, traffic) -> the exit-table slot that charges them, or
+    #: None when they charge nothing (``JitEngine.exit_slot``).
+    exit_slot: Callable[[dict, dict], int | None]
     #: Evaluation-stack depth limit.
     depth: int
     #: Locals live in register banks (i4-style configs).
@@ -154,17 +145,16 @@ def carve(cfg: ControlFlowGraph, base: int, tails: frozenset) -> list[BlockSpec]
 
 
 class _Charges:
-    """Accumulates the pending (uncommitted) meter effects of a block."""
+    """Accumulates the pending (uncounted) meter effects of a block."""
 
     def __init__(self, ctx: CompilerContext) -> None:
         self.ctx = ctx
-        self.events: dict[str, int] = {}
+        self.events: dict[Event, int] = {}
         self.traffic: dict[str, int] = {}
         self.steps = 0
 
     def add(self, event: Event, times: int = 1) -> None:
-        var = EVENT_VARS[event]
-        self.events[var] = self.events.get(var, 0) + times
+        self.events[event] = self.events.get(event, 0) + times
 
     def hit(self, region: str, times: int = 1) -> None:
         self.traffic[region] = self.traffic.get(region, 0) + times
@@ -174,33 +164,23 @@ class _Charges:
         self.add(Event.DECODE)
 
     def commit_lines(self, indent: str, extra_jump: bool = False) -> list[str]:
-        """Render the batched counter/traffic/steps update."""
-        events = dict(self.events)
+        """Render the commit: one hit on the exit-table slot of the
+        static charges and traffic, then the eager step count."""
+        events = self.events
         if extra_jump:
-            var = EVENT_VARS[Event.JUMP]
-            events[var] = events.get(var, 0) + 1
+            events = dict(events)
+            events[Event.JUMP] = events.get(Event.JUMP, 0) + 1
         lines = []
-        cycles = 0
-        charge = self.ctx.charge
-        by_event = {name: ev for ev, name in EVENT_VARS.items()}
-        for var in sorted(events):
-            times = events[var]
-            if not times:
-                continue
-            lines.append(f"{indent}_CC[{var}] += {times}")
-            cycles += charge[by_event[var]] * times
-        if cycles:
-            lines.append(f"{indent}_CTR.cycles += {cycles}")
-        for region in sorted(self.traffic):
-            times = self.traffic[region]
-            lines.append(f"{indent}_TR[{region!r}] = _TR.get({region!r}, 0) + {times}")
+        slot = self.ctx.exit_slot(events, self.traffic)
+        if slot is not None:
+            lines.append(f"{indent}_H[{slot}] += 1")
         if self.steps:
             lines.append(f"{indent}m.steps += {self.steps}")
         return lines
 
 
 def _deopt_lines(flush: list[str], w: _Charges, indent: str, at: int) -> list[str]:
-    """Write the list (*flush*), commit the executed prefix, and hand
+    """Write the list (*flush*), count the executed prefix, and hand
     *at* to the interpreter."""
     lines = flush + w.commit_lines(indent)
     lines.append(f"{indent}m.pc = {at}")

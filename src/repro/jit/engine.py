@@ -11,11 +11,20 @@ attached — and the engine direct-threads compiled blocks, falling back
 to interpreter single-steps at every deoptimization point.  Meters,
 memory, traffic, and statistics are bit-identical to the interpreter
 at every observable boundary.
+
+Compiled code counts its exits rather than charging them: each
+distinct static charge vector (events, cycles, region traffic) has one
+slot in the engine's exit table, and an exit bumps its slot's hit
+count.  :meth:`JitEngine.charge` turns the hits into meter charges, at
+every exit from :meth:`JitEngine.run_until` and before
+``Machine.attach_tracer`` binds an observer or a host trap handler
+runs, so no charge is ever pending where anything can read it.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import compress
 
 from repro.check.interproc import FACTS_SCHEMA, analyze_image, image_fingerprint
 from repro.errors import (
@@ -25,12 +34,13 @@ from repro.errors import (
     MemoryFault,
 )
 from repro.interp.traps import TrapKind, TrapTransfer
+from repro.machine.costs import Event
 from repro.machine.memory import MDS_WORDS
 
 from repro.jit import templates as T
 from repro.jit.calls import CallSite, make_cells
 from repro.jit.codecache import CodeCache
-from repro.jit.compile import EVENT_VARS, CompilerContext, compile_procedure
+from repro.jit.compile import CompilerContext, compile_procedure
 from repro.jit.deopt import EngineStats, JitRefusal
 
 
@@ -95,7 +105,6 @@ class JitEngine:
             }
 
         memory = machine.memory
-        counter = machine.counter
         inline_memory = memory.size == MDS_WORDS and all(
             region.writable for region in memory.regions
         )
@@ -108,8 +117,14 @@ class JitEngine:
         for (name, _inst), linked in image.instances.items():
             module_gfs.setdefault(name, []).append(linked.gf_address)
 
+        #: The exit table: static charge vector -> slot, each slot's
+        #: ``(events, cycles, traffic)``, and each slot's pending hits
+        #: (``_H`` in compiled code; zero outside :meth:`run_until`).
+        self._slots: dict = {}
+        self._vectors: list = []
+        self._hits: list[int] = []
         self._ctx = CompilerContext(
-            charge=counter.charges,
+            exit_slot=self.exit_slot,
             depth=machine.stack.depth,
             banked=machine.banks is not None,
             bank_words=(
@@ -127,13 +142,12 @@ class JitEngine:
         self._cells_built = False
         self._ns = {
             "_ST": machine.stack,
-            "_CTR": counter,
-            "_CC": counter.counts,
+            "_H": self._hits,
             "_W": memory._words,
+            # RD/WR's dynamic traffic, attributed through the memory's
+            # own region index exactly as Memory.read/write do, so they
+            # see regions added after install.
             "_TR": memory.traffic,
-            # The memory's own region index: compiled RD/WR attribute
-            # traffic exactly as Memory.read/write do, and see regions
-            # added after install.
             "_IX": memory._index,
             "_RN": memory._names,
             "_BKS": machine.banks,
@@ -145,9 +159,6 @@ class JitEngine:
             "_K_RE": TrapKind.RESOURCE_EXHAUSTED,
             "_K_SF": TrapKind.STORAGE_FAULT,
         }
-        for event, var in EVENT_VARS.items():
-            self._ns[var] = event
-
         self.cache = CodeCache()
         machine.on_epoch_bump(self.cache.invalidate)
         self._arm()
@@ -214,6 +225,50 @@ class JitEngine:
         self._ctx.fast_return = fast_return
         self._cells_built = True
 
+    # -- the exit table -------------------------------------------------
+
+    def exit_slot(self, events: dict, traffic: dict) -> int | None:
+        """The exit-table slot of one static charge vector, interned
+        once; None when the vector charges nothing."""
+        events = tuple((event, events[event]) for event in Event if events.get(event))
+        traffic = tuple(sorted(traffic.items()))
+        if not events and not traffic:
+            return None
+        key = (events, traffic)
+        slot = self._slots.get(key)
+        if slot is None:
+            charges = self.machine.counter.charges
+            cycles = sum(charges[event] * times for event, times in events)
+            slot = self._slots[key] = len(self._vectors)
+            self._vectors.append((events, cycles, traffic))
+            self._hits.append(0)
+        return slot
+
+    def charge(self) -> None:
+        """Charge every pending exit hit to the meters and zero it.
+
+        Hits × vector go to ``counter.counts``, ``counter.cycles`` and
+        ``memory.traffic``.  Charges are additive, so charging late
+        leaves the meters exactly where charging at each exit would.
+        """
+        hits = self._hits
+        vectors = self._vectors
+        machine = self.machine
+        counter = machine.counter
+        counts = counter.counts
+        traffic = machine.memory.traffic
+        cycles = 0
+        for slot in compress(range(len(hits)), hits):
+            times = hits[slot]
+            hits[slot] = 0
+            events, slot_cycles, regions = vectors[slot]
+            for event, n in events:
+                counts[event] += n * times
+            cycles += slot_cycles * times
+            for region, n in regions:
+                traffic[region] = traffic.get(region, 0) + n * times
+        counter.cycles += cycles
+
     # -- execution ------------------------------------------------------
 
     def active(self) -> bool:
@@ -227,7 +282,8 @@ class JitEngine:
         The contract of ``Machine._run_until``, which delegates here
         while the engine is active: a block runs only if all of its
         steps fit under the ceiling, and the interpreter single-steps
-        the rest of the way.
+        the rest of the way.  Every exit, a raised trap included,
+        charges the exits' pending hits (:meth:`charge`).
         """
         m = self.machine
         cache = self.cache
@@ -236,38 +292,42 @@ class JitEngine:
         code = m.code
         stats = self.stats
 
-        while not m.halted:
-            if m.steps >= ceiling:
-                return True
-            if m._code_epoch != code.epoch:
-                m.invalidate_linkage()  # notifies the code cache too
-            if not cache.ready:
-                self._arm()
-            if not self.active():
-                # An observer was attached mid-run (a trap handler
-                # enabling tracing): hand the rest to the interpreter.
-                stats.observer_bailouts += 1
-                return m._interpret(ceiling)
-            pair = blocks.get(m.pc)
-            if pair is None and m.pc in pending:
-                self._compile(m.pc)  # first entry into this body
+        try:
+            while not m.halted:
+                if m.steps >= ceiling:
+                    return True
+                if m._code_epoch != code.epoch:
+                    m.invalidate_linkage()  # notifies the code cache too
+                if not cache.ready:
+                    self._arm()
+                if not self.active():
+                    # An observer was attached mid-run (a trap handler
+                    # enabling tracing; attach_tracer charged the pending
+                    # hits): hand the rest to the interpreter.
+                    stats.observer_bailouts += 1
+                    return m._interpret(ceiling)
                 pair = blocks.get(m.pc)
-            if pair is None or m.steps + pair[1] > ceiling:
-                self._interp_until_block(ceiling)
-            else:
-                fn = pair[0]
-                result = fn(m)
-                while result >= 0:
-                    pair = blocks.get(result)
-                    if pair is None or m.steps + pair[1] > ceiling:
-                        break
-                    result = pair[0](m)
-                if result == -2:
-                    stats.deopts += 1
+                if pair is None and m.pc in pending:
+                    self._compile(m.pc)  # first entry into this body
+                    pair = blocks.get(m.pc)
+                if pair is None or m.steps + pair[1] > ceiling:
                     self._interp_until_block(ceiling)
-            if m.yield_requested:
-                break
-        return False
+                else:
+                    fn = pair[0]
+                    result = fn(m)
+                    while result >= 0:
+                        pair = blocks.get(result)
+                        if pair is None or m.steps + pair[1] > ceiling:
+                            break
+                        result = pair[0](m)
+                    if result == -2:
+                        stats.deopts += 1
+                        self._interp_until_block(ceiling)
+                if m.yield_requested:
+                    break
+            return False
+        finally:
+            self.charge()
 
     def _interp_until_block(self, ceiling: int) -> None:
         """Single-step the interpreter until a compiled block boundary or
@@ -292,6 +352,7 @@ class JitEngine:
         out = self.cache.stats()
         out.update(self.stats.as_dict())
         out["hot_ordered"] = len(self.hot_order)
+        out["exit_slots"] = len(self._vectors)
         return out
 
 

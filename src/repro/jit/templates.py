@@ -5,7 +5,8 @@ Every opcode is classified one of three ways:
 * **inline** — the compiler knows a host-Python template that replays
   the opcode's exact semantics *and* exact meter charges (the charge
   schedule is additive, so per-op charges are accumulated at compile
-  time and committed in one batched counter update per block).
+  time, and each block exit counts their sum with one hit on its
+  exit-table slot).
 * **tail** — the opcode ends a compiled block and is executed through
   the interpreter's own handler (control transfers, storage
   management, anything whose charge schedule is data-dependent).

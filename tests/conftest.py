@@ -37,6 +37,30 @@ def seeded_rng() -> random.Random:
 
 
 @pytest.fixture
+def seed_runs(monkeypatch) -> list:
+    """The ``(site, gf)`` of every JIT call-cell ``seed`` run by engines
+    that build their cells during the test, in order."""
+    import repro.jit.engine as jit_engine
+
+    runs: list = []
+    make_cells = jit_engine.make_cells
+
+    def counting_cells(machine, ctx, ns, stats):
+        cells = make_cells(machine, ctx, ns, stats)
+        seed = ns["seed"]
+
+        def counted(m, site, gf):
+            runs.append((site, gf))
+            return seed(m, site, gf)
+
+        ns["seed"] = counted
+        return cells
+
+    monkeypatch.setattr(jit_engine, "make_cells", counting_cells)
+    return runs
+
+
+@pytest.fixture
 def counter() -> CycleCounter:
     return CycleCounter()
 

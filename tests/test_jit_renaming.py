@@ -185,6 +185,14 @@ def test_a_callee_too_big_to_defer_demotes_only_its_site():
     assert engine.stats.cells_built > 0
 
 
+def test_a_demoted_site_seeds_once(seed_runs):
+    """After the demoting call, the site's calls go straight to the
+    generic handler: ``seed`` runs once per site, not once per call."""
+    _, _, engine = _run_both([WIDE], (12,))
+    assert engine.stats.sites_demoted == 1
+    assert len(seed_runs) == len(set(seed_runs)) == 2  # wide's site and leaf's
+
+
 def test_external_and_local_calls_get_renaming_cells():
     ref, jit, engine = _run_both(LINKED, (20,), multi_instance=frozenset({"Lib"}))
     assert jit.results() == [sum(2 * (i + 3) for i in range(20))]

@@ -98,9 +98,10 @@ def test_jit_shards_serve_exactly_like_interpreter_shards(monkeypatch):
 def test_jit_shards_build_local_call_cells_and_meter_like_the_interpreter():
     """An LFC target is always in the caller's module, which a shard's
     stub never diverts, so a JIT shard builds LFC call cells under its
-    stub (EFC/DFC/SDFC stay generic there).  Every shard that makes a
-    local call builds cells, and the cluster's meters, remote calls
-    included, are the interpreter's."""
+    stub, as it does for EFC/DFC/SDFC calls into modules homed on the
+    same shard; only calls the stub diverts run generic.  Every shard
+    that makes a local call builds cells, and the cluster's meters,
+    remote calls included, are the interpreter's."""
     runs = {}
     for engine in ("interp", "jit"):
         cluster = Cluster(list(SERVICE_SOURCES), shards=4, engine=engine)
@@ -156,6 +157,22 @@ def test_a_jit_shard_builds_cells_for_its_co_homed_targets_only():
     co_homed = [leaf for leaf in ("Fib", "Gauss", "Gcd", "Pow") if home(leaf) == home("Main")]
     assert co_homed and len(co_homed) < 4
     assert sorted(targets) == co_homed
+
+
+def test_a_jit_shard_seeds_each_site_and_caller_once(seed_runs):
+    """A call the stub diverts seeds no cell, and its verdict never
+    changes, so the first call at a ``(site, gf)`` records it and later
+    calls go straight to the generic handler: ``seed`` runs at most once
+    per ``(site, gf)``, and the cluster serves like the interpreter."""
+    runs = {}
+    for engine in ("interp", "jit"):
+        cluster = Cluster(list(SERVICE_SOURCES), shards=4, engine=engine)
+        report = Server(cluster).serve(generate_workload(7, 120))
+        assert report.completed == 120 and report.lost == report.wrong == 0
+        runs[engine] = (report.to_dict(), cluster.meters())
+    assert runs["jit"] == runs["interp"]
+    assert seed_runs and len(seed_runs) == len(set(seed_runs))
+    assert any(site.remote for site, _gf in seed_runs)
 
 
 def test_shards_are_not_subject_to_the_machine_step_limit():
