@@ -120,9 +120,11 @@ def link(
         cursor += options.gft_capacity
 
     av_base = cursor
-    memory.add_region("av", av_base, len(ladder))
+    # One word past the AV: the first-fit heap's free-list head, in the
+    # same region, so I1's allocator traffic is attributed like I2-I4's.
+    memory.add_region("av", av_base, len(ladder) + 1)
     cursor += len(ladder)
-    head_base = cursor  # first-fit heap's free-list head word
+    head_base = cursor
     cursor += 1
 
     # Link vectors (shared across instances of a module).

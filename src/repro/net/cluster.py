@@ -22,7 +22,7 @@ shard's modelled meters — the property the conformance suite pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import NetError, TrapError
 from repro.interp.machine import Machine
@@ -69,11 +69,9 @@ class Ticket:
 class ClusterStats:
     """Pump-level accounting (host-side)."""
 
-    ticks: int = 0
     submitted: int = 0
     completed: int = 0
     faulted: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def build_shard_machines(
@@ -162,10 +160,6 @@ class Cluster:
         self.open_tickets: list[Ticket] = []
         self.ticks = 0
         self.stats = ClusterStats()
-        #: Pending tombstone retirements: one record per migration with
-        #: an outstanding request, dropped once the reply lands at (or
-        #: the retry discipline resolves on) the new home.
-        self._migrations: list[dict] = []
         self._handshake()
 
     def close(self) -> None:
@@ -248,7 +242,6 @@ class Cluster:
         self.transport.tick()
         self.ticks += 1
         self._mark_completions()
-        self._retire_tombstones()
         if progress or self.transport.pending():
             return True
         if any(shard.has_ready() for shard in self.shards):
@@ -282,7 +275,6 @@ class Cluster:
                 )
             if not moved:
                 break
-        self.stats.ticks = self.ticks
         return self.ticks - start
 
     # -- migration ---------------------------------------------------------
@@ -298,14 +290,7 @@ class Cluster:
         its source and re-raises.  Updates the ticket in place so
         completion tracking follows the process to its new home.
         """
-        from repro.net.migrate import (
-            MigrateError,
-            adopt,
-            adopted_key,
-            extract,
-            settle,
-            source_key,
-        )
+        from repro.net.migrate import MigrateError, adopt, extract, settle
 
         if not 0 <= dst < len(self.shards):
             raise MigrateError(f"unknown migration target shard {dst}")
@@ -326,44 +311,7 @@ class Cluster:
         settle(source, process.pid, adopted=True)
         ticket.process = adopted
         ticket.shard_id = dst
-        awaiting = slice_["net"].get("awaiting")
-        if awaiting is not None:
-            key = adopted_key(awaiting)
-            # A chained migration moves the awaiting entry again: every
-            # earlier tombstone for this request now resolves at the
-            # *new* home, so retarget the watch before adding this hop.
-            for record in self._migrations:
-                if record["key"] == key:
-                    record["target"] = dst
-            self._migrations.append(
-                {
-                    "source": source.id,
-                    "target": dst,
-                    "key": key,
-                    "source_key": source_key(awaiting),
-                }
-            )
         return adopted
-
-    def _retire_tombstones(self) -> None:
-        """Drop reply forwards whose reply has landed at the new home.
-
-        The adopter's ``_awaiting`` entry disappears when the forwarded
-        reply (or error, or the retry discipline's own fault) resolves
-        it — from then on the old home's tombstone can serve no one.
-        Call forwards stay until an adoption back onto their shard
-        supersedes them: a late transport duplicate must never find a
-        shard willing to execute the request a second time.
-        """
-        if not self._migrations:
-            return
-        still_pending = []
-        for record in self._migrations:
-            if record["key"] in self.shards[record["target"]]._awaiting:
-                still_pending.append(record)
-            else:
-                self.shards[record["source"]].retire_forward(record["source_key"])
-        self._migrations = still_pending
 
     def _mark_completions(self) -> None:
         still_open = []

@@ -18,7 +18,7 @@ A control record is one framed JSON document ``{"schema":
 ``snapshot``     -> ``snapshot_reply`` with a ``repro-snapshot/2`` doc
 ``restore``      -> ``restore_reply`` after restoring such a doc
 ``status``       -> ``status_reply`` with the process table
-``extract``      -> ``extract_reply`` with a ``repro-migrate/1`` slice
+``extract``      -> ``extract_reply`` with a ``repro-migrate/2`` slice
                  (the worker detaches the process; on refusal the
                  reply's ``slice`` is null and ``error`` says why)
 ``adopt``        -> ``adopt_reply`` with the adopted pid (or null +

@@ -6,15 +6,18 @@ and ``repro-snapshot/2`` already serializes a process blocked on a
 remote reply.  Migration composes the two.  A process is **quiesced**
 at a block boundary — between scheduler slices, where a compiled block
 has finished too, so the same boundary exists under ``--engine jit`` —
-its state is **extracted** into a ``repro-migrate/1`` slice on the source
+its state is **extracted** into a ``repro-migrate/2`` slice on the source
 shard, **adopted** on the target (never on the source), and **settled**
 on the source — the in-process cluster calls the three in a row, and
 process mode sends them as ``repro-ctl/1`` verbs.  Until it settles, the
 source holds every message for the process's requests.  After an
 adoption the source keeps *tombstones*: a forwarding entry per
 outstanding request, so the reply (or a late duplicate) still finds the
-process at its new home.  After a refusal it takes the process back.
-Either way the slice resumes in exactly one place.
+process at its new home.  Tombstones live as long as any entry of the
+shard's request tables (:meth:`~repro.net.shard.Shard.remember`): once
+evicted, a late reply is dropped and a late call refused, never run
+again.  After a refusal the source takes the process back.  Either way
+the slice resumes in exactly one place.
 
 Two adoption modes, one slice schema:
 
@@ -63,7 +66,7 @@ from repro.net import wire
 from repro.net.shard import Shard
 
 #: The slice schema this module writes and the only one it adopts.
-MIGRATE_SCHEMA = "repro-migrate/1"
+MIGRATE_SCHEMA = "repro-migrate/2"
 
 #: Process states a migration can quiesce: READY, or BLOCKED on a
 #: remote reply.  Between pump ticks no process is RUNNING.
@@ -161,11 +164,6 @@ def _detach_net(shard: Shard, process: Process, dst: int) -> dict:
                 "id": process.remote["id"],
                 "message": entry["message"].encode(),
                 "sends": entry["sends"],
-                # The key the tombstone is installed under *here* — a
-                # bare id for a first migration, an adopt triple for a
-                # chain.  JSON-safe form; the coordinator needs it to
-                # retire this shard's forward once the reply lands.
-                "source_key": list(key) if isinstance(key, tuple) else key,
             }
             awaiting = (key, entry)
     # Requests this process is serving: the reply must come from the
@@ -312,12 +310,6 @@ def adopted_key(awaiting: dict) -> tuple:
     return ("adopt", awaiting["origin"], awaiting["id"])
 
 
-def source_key(awaiting: dict):
-    """The key the source shard's reply forward was installed under."""
-    key = awaiting["source_key"]
-    return tuple(key) if isinstance(key, list) else key
-
-
 def settle(shard: Shard, pid: int, adopted: bool, now: float = 0) -> None:
     """Finish the migration of process *pid* on its source *shard*.
 
@@ -337,9 +329,9 @@ def settle(shard: Shard, pid: int, adopted: bool, now: float = 0) -> None:
     if adopted:
         dst = unsettled["dst"]
         if awaiting is not None:
-            shard._forwards[awaiting[0]] = dst
+            shard.remember(shard._forwards, awaiting[0], dst)
         for key in unsettled["served"]:
-            shard._call_forwards[key] = dst
+            shard.remember(shard._call_forwards, key, dst)
     else:
         insort(shard.scheduler.processes, process, key=lambda p: p.pid)
         if unsettled["span"] is not None:

@@ -596,9 +596,9 @@ class ProcessCluster:
         source.  Raises :class:`~repro.errors.NetError` if the source
         refuses the extract (the worker survives untouched), or if the
         target refuses the slice or is dead (the source settles the
-        process back under its pid).  Reply forwards stay for the life
-        of the source worker: with real sockets no instant proves that
-        no duplicate is still in flight.
+        process back under its pid).  Reply forwards live as long as the
+        source worker's request tables keep them
+        (:meth:`~repro.net.shard.Shard.remember`), as in-process.
         """
         request = {"pid": pid, "dst": dst, "mode": mode}
         body = self._run(self._control(src, "extract", request)).body

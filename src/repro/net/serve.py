@@ -242,7 +242,6 @@ class Server:
                 for _ in range(self.pump_ticks_per_round):
                     if not cluster.pump_tick():
                         break
-                cluster.stats.ticks = cluster.ticks
 
             if self.balancer is not None:
                 live = [engine.live[index][0] for index in sorted(engine.live)]

@@ -18,6 +18,15 @@ allocation, argument prologue, body, return — with its exact local
 semantics and charges.  The reply marshals the result words back;
 request-id dedup plus a reply cache make execution at-most-once even
 when the transport duplicates or the caller retries.
+
+A shard's three request tables — the reply cache, the reply forwards
+and the call forwards — share one lifecycle (:meth:`Shard.remember`):
+past ``2 * KEEP`` entries a table keeps its newest ``KEEP``, and each
+evicted ``(src, id)`` raises that source's high-water mark.  A call at
+or below the mark that no table still answers is refused with an
+``evicted_request`` error instead of running again, so at-most-once
+holds whatever ``KEEP`` is; the constant only decides whether a very
+late duplicate gets its cached reply or that typed refusal.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from repro.machine.memory import to_signed
 from repro.net import wire
 from repro.net.placement import Placement
 from repro.net.wire import Message
+
+#: A request table past twice this many entries keeps its newest KEEP.
+KEEP = 4096
 
 
 class Shard:
@@ -63,14 +75,16 @@ class Shard:
         self._reply_cache: dict[tuple[int, int], Message] = {}
         #: Tombstones for callers that migrated away: awaiting-key ->
         #: new home shard.  A reply/error landing here is re-routed (with
-        #: an ``origin`` body field naming the original requester) and
-        #: the entry retired once the coordinator sees the reply land.
+        #: an ``origin`` body field naming the original requester).
         self._forwards: dict = {}
         #: (src shard, request id) -> new home for in-flight requests
         #: whose *serving* process migrated away.  Placement still routes
         #: retries of those requests here, so the old home must bounce
         #: them — src preserved, keeping the adopter's dedup key intact.
         self._call_forwards: dict[tuple[int, int], int] = {}
+        #: src shard -> the highest request id evicted from the reply
+        #: cache or the call forwards (see :meth:`remember`).
+        self._evicted: dict[int, int] = {}
         #: pid -> an extracted process not yet settled: its bookkeeping,
         #: its served and awaited ``keys``, and the messages ``held`` for
         #: them (see :func:`repro.net.migrate.settle`).
@@ -213,13 +227,27 @@ class Shard:
             # The serving process migrated away mid-request; bounce the
             # (retried or duplicated) call to its new home with the
             # source preserved, so the adopter's dedup key — the
-            # original (src, id) — still matches.  These forwards are
-            # permanent: a late transport duplicate must never find a
-            # shard willing to execute the request a second time.
+            # original (src, id) — still matches.
             self.outbox.append(
                 Message(kind="call", src=message.src, dst=new_home, body=dict(body))
             )
             self._emit_forward(message, new_home)
+            return
+        if body["id"] <= self._evicted.get(message.src, -1):
+            # This shard may have served the request and forgotten it:
+            # refuse loudly rather than run it a second time.
+            self.outbox.append(
+                wire.error(
+                    self.id, message.src, body["id"], body["span"],
+                    trap="evicted_request",
+                    pc=-1,
+                    proc=f"{body['module']}.{body['proc']}",
+                    detail=(
+                        f"request {body['id']} from shard {message.src} is "
+                        "older than this shard's request tables remember"
+                    ),
+                )
+            )
             return
         process = self.scheduler.spawn(body["module"], body["proc"], *body["args"])
         self._served[key] = process
@@ -352,7 +380,7 @@ class Shard:
             else:
                 continue
             del self._served[key]
-            self._reply_cache[key] = message
+            self.remember(self._reply_cache, key, message)
             self.outbox.append(message)
             tracer = self.machine.tracer
             if tracer is not None:
@@ -455,11 +483,27 @@ class Shard:
         messages, self.outbox = self.outbox, []
         return messages
 
-    # -- migration surgery (host-side, uncounted) --------------------------
+    def remember(self, table: dict, key, value) -> None:
+        """Insert into one of the three request tables: the only way in.
 
-    def retire_forward(self, key) -> None:
-        """Drop a tombstone once its reply has landed at the new home."""
-        self._forwards.pop(key, None)
+        Past ``2 * KEEP`` entries the table keeps its newest ``KEEP``.
+        An evicted ``(src, id)`` key of the reply cache or the call
+        forwards raises ``_evicted[src]``, below which
+        :meth:`_handle_call` refuses what no table answers.  An evicted
+        reply forward needs no mark: a late reply for it is dropped, as
+        a duplicate for a resumed caller is.
+        """
+        table[key] = value
+        if len(table) <= 2 * KEEP:
+            return
+        marks = table is not self._forwards
+        for old in list(table)[:-KEEP]:
+            del table[old]
+            if marks:
+                src, request_id = old
+                self._evicted[src] = max(request_id, self._evicted.get(src, -1))
+
+    # -- migration surgery (host-side, uncounted) --------------------------
 
     def reap(self, process: Process) -> None:
         """Drop a handed-off process and its span from this shard.

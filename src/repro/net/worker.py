@@ -293,15 +293,6 @@ class Worker:
         if self.shard.awaiting:
             self.shard.retry(time.monotonic(), self.timeout_s, DEFAULT_MAX_RETRIES)
         self._flush_outbox()
-        # The dedup reply cache only has to span the window in which a
-        # duplicate can still arrive — the sender's full retry cycle,
-        # a few seconds — not the whole run.  Keep the newest few
-        # thousand (dicts preserve insertion order); an in-process
-        # Shard keeps everything, but it also serves bounded runs.
-        cache = self.shard._reply_cache
-        if len(cache) > 8192:
-            for key in list(cache)[:-4096]:
-                del cache[key]
 
     def run(self) -> None:
         """The worker loop: greet, then read/dispatch/pump until EOF."""

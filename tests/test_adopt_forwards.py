@@ -10,14 +10,17 @@ forward at all: ``settle`` puts the process back where it was.
 
 Between ``extract`` and ``settle`` the source holds every message for
 the process's requests, so neither a refused migration nor a retry that
-arrives before the adoption can run a served call twice.  A spawn log
-on every scheduler counts the executions.
+arrives before the adoption can run a served call twice.  Once the
+source's request tables evict a call forward, a retry of its call is
+refused with an ``evicted_request`` error, neither run nor bounced.  A
+spawn log on every scheduler counts the executions.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.net.shard as shard_module
 from repro.interp.processes import ProcessStatus
 from repro.net import wire
 from repro.net.cluster import Cluster
@@ -222,4 +225,30 @@ def test_a_retry_in_the_migration_window_is_held():
     (bounce,) = home.drain_outbox()
     assert (bounce.kind, bounce.src, bounce.dst) == ("call", 0, SPARE)
     spare.deliver([bounce])
+    _runs_once(cluster, log, [ticket], [[41]])
+
+
+@pytest.mark.parametrize("mode", ["exclusive", "shared"])
+def test_a_retry_past_an_evicted_call_forward_is_refused(mode, monkeypatch):
+    """With ``KEEP`` at 1, two newer call forwards on shard 1 evict the
+    one toward the adopted A.f.  The caller's retry then meets an
+    ``evicted_request`` error there: shard 1 spawns nothing and bounces
+    nothing, and the adopted A.f still answers the root."""
+    monkeypatch.setattr(shard_module, "KEEP", 1)
+    cluster, log = _cluster()
+    ticket = cluster.submit("Main", "main")
+    home = cluster.shards[1]
+    ((key, process),) = _blocked_served(cluster).items()
+
+    _migrate(cluster, home, process, SPARE, mode)
+    src, request_id = key
+    for later in (request_id + 1, request_id + 2):
+        home.remember(home._call_forwards, (src, later), SPARE)
+    assert key not in home._call_forwards
+    spawned = len(log)
+    home.deliver([_retry(cluster, key)])
+    (refusal,) = home.drain_outbox()
+    assert (refusal.kind, refusal.dst, refusal.body["id"]) == ("error", src, request_id)
+    assert refusal.body["trap"] == "evicted_request"
+    assert len(log) == spawned
     _runs_once(cluster, log, [ticket], [[41]])

@@ -5,9 +5,13 @@ import pytest
 from repro.errors import LinkError
 from repro.interp.machine import Machine
 from repro.interp.machineconfig import MachineConfig
+from repro.jit import install_jit
 from repro.lang.compiler import CompileOptions, compile_program
 from repro.lang.linker import LinkOptions, link
 from repro.mesa.globalframe import GF_CODE_BASE, GF_LINK_VECTOR
+from repro.workloads.programs import CORPUS
+from tests.conftest import build as build_machine
+from tests.test_jit_exit_counts import CORPUS_CELLS
 
 PAIR = [
     "MODULE Main;\nPROCEDURE main(): INT;\nBEGIN\n  RETURN Lib.f(4);\nEND;\nEND.",
@@ -141,3 +145,19 @@ def test_multi_instance_global_frames_are_separate():
         if name == "Lib"
     }
     assert len(addresses) == 3
+
+
+@pytest.mark.parametrize("engine", ["interp", "jit"])
+@pytest.mark.parametrize("name, preset", CORPUS_CELLS)
+def test_every_reference_lands_in_a_region(name, preset, engine):
+    """The layout leaves no word a program touches outside every region:
+    the first-fit allocator's free-list head lies in ``av`` beside the
+    AV heap's list heads, so no traffic is attributed to ``""``."""
+    entry = CORPUS[name]
+    machine = build_machine(list(entry.sources), preset=preset, entry=entry.entry)
+    if engine == "jit":
+        install_jit(machine)
+    machine.start(entry.entry[0], entry.entry[1], *entry.args)
+    machine.run()
+    assert machine.memory.traffic
+    assert "" not in machine.memory.traffic

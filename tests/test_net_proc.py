@@ -389,6 +389,30 @@ def _serve_gcds(front, worker, first: int, count: int) -> bytes:
     return reply
 
 
+def test_a_call_older_than_the_reply_cache_is_refused_not_run():
+    """8,200 calls push request 0's reply out of the worker's bounded
+    cache; a late duplicate of it then gets one ``evicted_request``
+    error frame, and nothing spawns or steps."""
+    from repro.net.shard import KEEP
+
+    front, worker = _worker()
+    _serve_gcds(front, worker, 0, 8200)
+    shard = worker.shard
+    assert 0 < len(shard._reply_cache) <= 2 * KEEP
+    spawns = []
+    spawn = shard.scheduler.spawn
+    shard.scheduler.spawn = lambda *args: spawns.append(args) or spawn(*args)
+    executed = shard.machine.steps
+    worker._dispatch(_gcd_call(worker, 0))
+    worker.pump_once()
+    (frame,) = front.recv(65536).splitlines()
+    error = json.loads(frame)
+    assert (error["kind"], error["dst"]) == ("error", FRONT_DOOR)
+    assert (error["body"]["id"], error["body"]["trap"]) == (0, "evicted_request")
+    assert spawns == []
+    assert shard.machine.steps == executed
+
+
 def _block_main(front, worker, rid: int) -> int:
     """Dispatch ``Main.main`` until it blocks on Math; return its pid."""
     worker._dispatch(

@@ -10,7 +10,10 @@ field left out: it counts (round, shard) pairs, see docs/net.md.
 
 Every configuration runs on both shard engines against the same entry:
 the JIT (``Cluster``'s default, whose cases keep the bare names) and
-the interpreter.
+the interpreter.  Each pair runs again with ``repro.net.shard.KEEP`` at
+1 (the ``-keep1`` cases): every request table then keeps at most two
+entries, and since no late duplicate arrives, eviction changes nothing
+the fixture pins.
 
 Regenerate (only when a schedule change is intended)::
 
@@ -24,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.net.shard as shard_module
 from repro.faults.plan import FaultPlan, Injection, on_event
 from repro.net.balance import Balancer
 from repro.net.cluster import Cluster
@@ -96,11 +100,11 @@ CONFIGS = {
 ENGINES = ("jit", "interp")
 
 
-def capture(name: str, engine: str = "jit") -> dict:
-    """Run one configuration and return its JSON-safe evidence."""
+def _serve(name: str, engine: str) -> tuple[Cluster, dict]:
+    """Run one configuration; return the cluster and its evidence."""
     cluster, server, workload = CONFIGS[name](engine)
     report = server.serve(workload)
-    return json.loads(
+    return cluster, json.loads(
         json.dumps(
             {
                 "report": report.to_dict(),
@@ -114,6 +118,11 @@ def capture(name: str, engine: str = "jit") -> dict:
     )
 
 
+def capture(name: str, engine: str = "jit") -> dict:
+    """Run one configuration and return its JSON-safe evidence."""
+    return _serve(name, engine)[1]
+
+
 def _without(doc: dict) -> dict:
     doc = json.loads(json.dumps(doc))
     for key in REDEFINED:
@@ -123,17 +132,30 @@ def _without(doc: dict) -> dict:
     return doc
 
 
+def _case_id(name: str, engine: str, keep: int | None) -> str:
+    case = name if engine == "jit" else f"{name}-{engine}"
+    return case if keep is None else f"{case}-keep{keep}"
+
+
 @pytest.mark.parametrize(
-    "name,engine",
+    "name,engine,keep",
     [
-        pytest.param(name, engine, id=name if engine == "jit" else f"{name}-{engine}")
+        pytest.param(name, engine, keep, id=_case_id(name, engine, keep))
+        for keep in (None, 1)
         for name in sorted(CONFIGS)
         for engine in ENGINES
     ],
 )
-def test_admission_schedule_matches_the_recorded_fixture(name, engine):
+def test_admission_schedule_matches_the_recorded_fixture(name, engine, keep, monkeypatch):
+    if keep is not None:
+        monkeypatch.setattr(shard_module, "KEEP", keep)
     golden = json.loads(FIXTURE.read_text())[name]
-    assert _without(capture(name, engine)) == _without(golden)
+    cluster, evidence = _serve(name, engine)
+    assert _without(evidence) == _without(golden)
+    if keep is not None:
+        for shard in cluster.shards:
+            for table in (shard._reply_cache, shard._forwards, shard._call_forwards):
+                assert len(table) <= 2 * keep
 
 
 if __name__ == "__main__":
