@@ -6,16 +6,16 @@ DIRECTCALLs, frame classes and the replenish batch retuned from the
 observed peaks, I4's bank count sized to the call-depth histogram), and
 then both images run the same workload.  The moving numbers are the
 modelled meters — counted memory references and cycles — because that
-is the currency the paper prices linkage in; host seconds are the JIT
-experiment's business.
+is the currency the paper prices linkage in; host seconds are the repo
+benchmark's business (``benchmarks/suite``).
 
 The acceptance bar mirrors the conformance suite: results bit-identical
 everywhere, zero meter regressions anywhere, and a strictly positive
 aggregate call-path saving on i1-i3 (i4 is already direct + banked, so
 its wins are workload-dependent and only reported).
 
-``python benchmarks/run_all.py --json fdo`` adds the measurements to
-``BENCH_host.json`` under the ``fdo`` experiment.
+``python benchmarks/run_all.py --json-out BENCH_fdo.json fdo`` writes
+the measurements under the ``fdo`` experiment (CI uploads the file).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ _PAYLOADS: dict[tuple, dict] = {}
 
 
 def json_payload(corpus: tuple[str, ...] | None = None) -> dict:
-    """The BENCH_host.json ``fdo`` payload (memoized per corpus)."""
+    """The ``fdo`` section's payload (memoized per corpus)."""
     corpus = tuple(corpus) if corpus is not None else tuple(sorted(CORPUS))
     if corpus in _PAYLOADS:
         return _PAYLOADS[corpus]

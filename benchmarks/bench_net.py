@@ -5,26 +5,27 @@ spreading one service image across 1..8 shards buy (and cost)?  For
 each shard count, the seeded loadgen workload runs through the
 :class:`~repro.net.serve.Server` (bounded queues, batched admission),
 and the report records requests per pump tick, end-to-end p50/p99
-latency in pump ticks, wire words moved, and host wall time — plus a
-fixed split-call microbenchmark: the modelled cost of one Remote XFER
-(the caller's single process switch; everything else explicit wire
-cost) against the same call made locally.
+latency in pump ticks and wire words moved — plus a fixed split-call
+microbenchmark: the modelled cost of one Remote XFER (the caller's
+single process switch; everything else explicit wire cost) against
+the same call made locally — and a migration section under skew.
+
+Every number is modelled (ticks, cycles, wire words, migrations), so
+the section depends only on the code: the committed ``BENCH_net.json``
+is regenerated, never re-timed, and a test compares it with a fresh
+run.  Host time is measured by ``benchmarks/suite``.
 
 Every serving run asserts zero lost requests and zero wrong answers —
 a benchmark that silently drops work measures nothing.
 
-``python benchmarks/run_all.py --json net`` writes ``BENCH_net.json``
-with the full sweep (CI uploads it as an artifact).
+``python benchmarks/run_all.py --json-out BENCH_net.json net`` writes
+the record (CI uploads it as an artifact).
 """
 
 from __future__ import annotations
 
-import os
-import time
-
 from repro.analysis.report import banner, format_table
 from repro.net.cluster import Cluster
-from repro.net.procserve import run_process_serve
 from repro.net.serve import run_serve
 from repro.workloads.programs import program
 
@@ -32,31 +33,19 @@ SHARD_COUNTS = (1, 2, 4, 8)
 REQUESTS = 200
 SEED = 7
 
-#: The process-mode scale section: sustained seeded load against real
-#: OS worker processes.  CI runs the default (a smoke-sized sweep);
-#: the published 1M-request figure is produced with
-#: ``REPRO_NET_SCALE_REQUESTS=1000000 REPRO_NET_SCALE_SHARDS=8``.
-SCALE_REQUESTS = int(os.environ.get("REPRO_NET_SCALE_REQUESTS", "20000"))
-SCALE_SHARDS = int(os.environ.get("REPRO_NET_SCALE_SHARDS", "8"))
-
-#: The migration section rides the same scale knob at 1/50th: the
-#: point is tail latency under skew, which saturates long before the
-#: raw-throughput request counts.
-MIGRATION_REQUESTS = max(200, SCALE_REQUESTS // 50)
+#: Requests per run of the migration section's skewed workload.
+MIGRATION_REQUESTS = 400
 
 
 def _sweep() -> list[dict]:
     rows = []
     for shards in SHARD_COUNTS:
-        started = time.perf_counter()
         report, cluster, _ = run_serve(
             shards=shards, requests=REQUESTS, seed=SEED
         )
-        elapsed = time.perf_counter() - started
         assert report.lost == 0, f"{shards} shards lost {report.lost} requests"
         assert report.wrong == 0, f"{shards} shards answered wrong"
         summary = report.to_dict()
-        summary["host_seconds"] = round(elapsed, 3)
         summary["remote_calls"] = sum(
             shard.scheduler.stats.blocks for shard in cluster.shards
         )
@@ -84,31 +73,6 @@ def _split_call_cost() -> dict:
         "wire_words": split.transport.stats.wire_words,
         "wire_messages": split.transport.stats.sent,
     }
-
-
-def _process_scale() -> dict:
-    """Sustained load across real OS worker processes (the scale bar).
-
-    The front door spreads the seeded workload round-robin over
-    ``SCALE_SHARDS`` self-homed workers (the embarrassingly-parallel
-    "direct" route) and the run must finish with zero lost requests
-    and zero wrong answers — at 1M requests that is the tentpole
-    acceptance number, not a sample.
-    """
-    started = time.perf_counter()
-    report, _ = run_process_serve(
-        shards=SCALE_SHARDS,
-        requests=SCALE_REQUESTS,
-        seed=SEED,
-        queue_capacity=16,
-        batch_size=8,
-    )
-    elapsed = time.perf_counter() - started
-    assert report.lost == 0, f"process scale run lost {report.lost} requests"
-    assert report.wrong == 0, f"process scale run answered {report.wrong} wrong"
-    summary = report.to_dict()
-    summary["host_seconds"] = round(elapsed, 3)
-    return summary
 
 
 def _migration() -> dict:
@@ -141,7 +105,6 @@ def _migration() -> dict:
             if autoscale
             else None
         )
-        started = time.perf_counter()
         report = Server(
             cluster,
             queue_capacity=16,
@@ -149,12 +112,9 @@ def _migration() -> dict:
             balancer=balancer,
             pump_ticks_per_round=1,
         ).serve(list(workload))
-        elapsed = time.perf_counter() - started
         assert report.lost == 0, f"migration bench ({label}) lost requests"
         assert report.wrong == 0, f"migration bench ({label}) answered wrong"
-        summary = report.to_dict()
-        summary["host_seconds"] = round(elapsed, 3)
-        section[label] = summary
+        section[label] = report.to_dict()
     return section
 
 
@@ -164,7 +124,7 @@ _PAYLOAD: dict | None = None
 def json_payload() -> dict:
     # Memoized: run_all calls report() (which needs the payload) and
     # then json_payload() again for the artifact — without the cache
-    # the whole sweep, including the process scale run, executes twice.
+    # the whole sweep executes twice.
     global _PAYLOAD
     if _PAYLOAD is None:
         _PAYLOAD = {
@@ -172,7 +132,6 @@ def json_payload() -> dict:
             "seed": SEED,
             "sweep": _sweep(),
             "split_call": _split_call_cost(),
-            "process_scale": _process_scale(),
             "migration": _migration(),
         }
     return _PAYLOAD
@@ -190,13 +149,12 @@ def report() -> str:
             row["p99_ticks"],
             row["requests_per_tick"],
             row["wire_words"],
-            row["host_seconds"],
         ]
         for row in payload["sweep"]
     ]
     lines.append(
         format_table(
-            ["shards", "done", "lost", "p50", "p99", "req/tick", "wire words", "host s"],
+            ["shards", "done", "lost", "p50", "p99", "req/tick", "wire words"],
             rows,
         )
     )
@@ -207,15 +165,6 @@ def report() -> str:
         f"{split['caller_cycles_split']} split (switch cost only), "
         f"callee {split['callee_cycles_split']} cycles, "
         f"{split['wire_words']} wire words on the transport's meters"
-    )
-    scale = payload["process_scale"]
-    lines.append(
-        f"\nprocess scale ({scale['route']}): {scale['completed']}/"
-        f"{scale['requests']} requests on {scale['shards']} worker "
-        f"process(es) in {scale['elapsed_s']}s "
-        f"({scale['requests_per_s']} req/s), lost={scale['lost']} "
-        f"wrong={scale['wrong']}, p50={scale['p50_ms']}ms "
-        f"p99={scale['p99_ms']}ms"
     )
     migration = payload["migration"]
     static, auto = migration["static"], migration["autoscale"]

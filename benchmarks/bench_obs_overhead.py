@@ -20,8 +20,8 @@ step counts, and every ``CycleCounter`` meter are asserted bit-identical
 across all three (the differential test in
 tests/test_obs_differential.py widens this over the corpus).
 
-``python benchmarks/run_all.py --json obs`` writes the measurements to
-``BENCH_host.json``; CI writes them to ``BENCH_obs_overhead.json``.
+``python benchmarks/run_all.py --json-out BENCH_obs_overhead.json obs``
+writes the measurements to ``BENCH_obs_overhead.json`` (CI uploads it).
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from repro.obs import MetricsTracer, TeeTracer, TraceRecorder
 
 from repro.analysis.report import banner, format_table
 
-#: Same call-dense shape as bench_host_speed: the worst case for the
-#: hooks because call/return (two hook sites plus an IFU pop) dominate.
+#: The call-dense shape of the repo benchmark's ``calldense`` workload:
+#: the worst case for the hooks because call/return (two hook sites plus
+#: an IFU pop) dominate.
 _CALL_DENSE = """
 MODULE Main;
 VAR acc: INT;

@@ -2,22 +2,21 @@
 
 Usage::
 
-    python benchmarks/run_all.py                 # all experiments
-    python benchmarks/run_all.py f2 c5 c13       # a subset
-    python benchmarks/run_all.py --json host     # + write BENCH_host.json
-    python benchmarks/run_all.py --json f1 c5    # smoke: reports as JSON
+    python benchmarks/run_all.py                          # all experiments
+    python benchmarks/run_all.py f2 c5 c13                # a subset
+    python benchmarks/run_all.py --json-out BENCH_net.json net   # + JSON
 
 The output of a full run is recorded in EXPERIMENTS.md.  Timing-oriented
 micro-benchmarks live in the same modules and run separately with
-``pytest benchmarks/ --benchmark-only``.
+``pytest benchmarks/ --benchmark-only``; the repo benchmark
+(``benchmarks/suite``) is the one harness that times whole workloads.
 
-With ``--json``, results are also written machine-readably (default
-``BENCH_host.json``, override with ``--json-out``): experiments that
-expose a ``json_payload()`` contribute structured data (the host-speed
-experiment's timings live here), the rest contribute their report text.
-Sections are merged into an existing file by experiment name, so runs
-of different subsets accumulate, and each section carries a ``stamp``:
-git SHA (in a git checkout), Python version, CPU count and UTC date.
+With ``--json-out PATH``, results are also written machine-readably to
+PATH: experiments that expose a ``json_payload()`` contribute
+structured data, the rest contribute their report text.  Sections are
+merged into an existing file by experiment name, so runs of different
+subsets accumulate, and each section carries a ``stamp``: git SHA (in a
+git checkout), Python version, CPU count and UTC date.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ EXPERIMENTS = {
     "c14": "bench_c14_pointer_locals",
     "c15": "bench_c15_local_traffic",
     "c16": "bench_c16_hybrid",
-    "host": "bench_host_speed",
-    "jit": "bench_jit",
     "fdo": "bench_fdo",
     "obs": "bench_obs_overhead",
     "faults": "bench_faults",
@@ -112,15 +109,9 @@ def main(argv: list[str]) -> int:
         help=f"subset to run (default: all of {', '.join(EXPERIMENTS)})",
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        help="also write machine-readable results (see --json-out)",
-    )
-    parser.add_argument(
         "--json-out",
-        default="BENCH_host.json",
         metavar="PATH",
-        help="where --json writes its results (default: BENCH_host.json)",
+        help="also merge machine-readable results into PATH",
     )
     args = parser.parse_args(argv)
 
@@ -137,12 +128,12 @@ def main(argv: list[str]) -> int:
         text = module.report()
         print(text)
         print()
-        if args.json:
+        if args.json_out:
             payload_fn = getattr(module, "json_payload", None)
             payload = payload_fn() if payload_fn else {"report": text}
             collected[name] = {**payload, "stamp": stamp()}
 
-    if args.json:
+    if args.json_out:
         out = Path(args.json_out)
         doc = json.loads(out.read_text()) if out.exists() else {}
         doc.setdefault("experiments", {}).update(collected)

@@ -102,13 +102,39 @@ def _pin(text: str) -> tuple[str, int]:
         ) from None
 
 
-def _build(sources: list[str], preset: str, entry: tuple[str, str]) -> Machine:
-    from repro.lang.compiler import check_entry
+class _BadInput(Exception):
+    """Input a command cannot run: :func:`main` prints it on one stderr
+    line and exits 2."""
 
-    config = MachineConfig.preset(preset)
+
+def _check_entry(modules: list, entry: tuple[str, str], entry_args: list[int]) -> None:
+    """Refuse an entry procedure the program lacks, or ``--args`` that do
+    not fill its parameters: too few underflow the evaluation stack, and
+    extra ones stay on it as results."""
+    arg_counts = {(m.name, p.name): p.arg_count for m in modules for p in m.procedures}
+    name = ".".join(entry)
+    if entry not in arg_counts:
+        raise _BadInput(f"the program has no procedure {name}")
+    if len(entry_args) != arg_counts[entry]:
+        raise _BadInput(
+            f"{name} takes {arg_counts[entry]} argument(s); --args gave {len(entry_args)}"
+        )
+
+
+def _compile(
+    sources: list[str], config: MachineConfig, entry: tuple[str, str], entry_args: list[int]
+) -> list:
+    """Compile *sources* for *config* and check the entry against them."""
     modules = compile_program(sources, CompileOptions.for_config(config))
-    check_entry(modules, entry)  # friendlier message than a link error
-    image = link(modules, config, entry)
+    _check_entry(modules, entry, entry_args)
+    return modules
+
+
+def _build(
+    sources: list[str], preset: str, entry: tuple[str, str], entry_args: list[int]
+) -> Machine:
+    config = MachineConfig.preset(preset)
+    image = link(_compile(sources, config, entry, entry_args), config, entry)
     return Machine(image)
 
 
@@ -137,12 +163,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         module, _, proc = doc["entry"].partition(".")
         args.entry = (module, proc)
+        modules = [linked.module for linked in machine.image.instances.values()]
+        _check_entry(modules, args.entry, args.args)
         hot_order = doc.get("log", {}).get("block_order") or None
     else:
         if not args.files:
             print("run: give source files or --image", file=sys.stderr)
             return 2
-        machine = _build(_read_sources(args.files), args.impl, args.entry)
+        machine = _build(_read_sources(args.files), args.impl, args.entry, args.args)
     recorder = None
     if args.engine == "jit":
         from repro.jit import JitRefusal, install_jit
@@ -234,6 +262,7 @@ MEASURE_JSON_SCHEMA = "repro-measure/1"
 
 def cmd_measure(args: argparse.Namespace) -> int:
     sources = _read_program_sources(args.files)
+    _compile(sources, MachineConfig.preset("i2"), args.entry, args.args)
     costs = transfer_cost_table(
         sources, entry=args.entry, args=tuple(args.args), engine=args.engine
     )
@@ -383,7 +412,7 @@ END.
 """
     meters = {}
     for preset in ALL_PRESETS:
-        machine = _build([fib], preset, ("Main", "main"))
+        machine = _build([fib], preset, ("Main", "main"), [])
         machine.start()
         results = machine.run()
         meters[preset] = (
@@ -418,7 +447,7 @@ def _traced_run(args: argparse.Namespace, capacity: int | None, trace_steps: boo
     """Build, attach a recorder, run; shared by ``trace`` and ``profile``."""
     from repro.obs import TraceRecorder
 
-    machine = _build(_read_program_sources(args.files), args.impl, args.entry)
+    machine = _build(_read_program_sources(args.files), args.impl, args.entry, args.args)
     recorder = TraceRecorder(capacity=capacity, trace_steps=trace_steps)
     machine.attach_tracer(recorder)
     machine.start(args.entry[0], args.entry[1], *args.args)
@@ -480,6 +509,7 @@ def _profile_cluster(args: argparse.Namespace) -> int:
     from repro.net.stitch import render, stitch
 
     sources = _read_program_sources(args.files)
+    _compile(sources, MachineConfig.preset(args.impl), args.entry, args.args)
     pins = dict(args.pin) if args.pin else None
     cluster = Cluster(
         sources,
@@ -637,7 +667,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.faults import capture
 
     sources = _read_program_sources(args.files)
-    machine = _build(sources, args.impl, args.entry)
+    machine = _build(sources, args.impl, args.entry, args.args)
     machine.start(args.entry[0], args.entry[1], *args.args)
     while not machine.halted and machine.steps < args.at_step:
         machine.step()
@@ -684,7 +714,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         return 1
     entry = _entry(doc["entry"])
-    machine = _build(doc["sources"], doc["impl"], entry)
+    machine = _build(doc["sources"], doc["impl"], entry, doc["args"])
     restore(machine, doc["state"])
     try:
         results = machine.run()
@@ -696,7 +726,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         print(f"output:  {machine.output}")
     print(f"steps:   {machine.steps}  cycles: {machine.counter.cycles}")
     if args.verify:
-        reference = _build(doc["sources"], doc["impl"], entry)
+        reference = _build(doc["sources"], doc["impl"], entry, doc["args"])
         reference.start(entry[0], entry[1], *doc["args"])
         ref_results = reference.run()
         mismatches = []
@@ -1639,7 +1669,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as problem:
+        print(f"{args.command}: {problem}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SemanticError
 from repro.interp.machineconfig import ArgConvention, LinkageKind, MachineConfig
 from repro.isa.program import ModuleCode
 from repro.lang.analysis import ProgramInfo
@@ -84,12 +83,3 @@ def compile_module(
     own = ProgramInfo.collect([module])
     merged = ProgramInfo(signatures={**info.signatures, **own.signatures})
     return generate_module(module, merged, options.to_codegen())
-
-
-def check_entry(modules: list[ModuleCode], entry: tuple[str, str]) -> None:
-    """Validate that the entry procedure exists (friendlier link errors)."""
-    for module in modules:
-        if module.name == entry[0]:
-            module.procedure_named(entry[1])
-            return
-    raise SemanticError(f"entry module {entry[0]!r} not found")

@@ -65,15 +65,6 @@ class Ticket:
         return list(self.process.results)
 
 
-@dataclass
-class ClusterStats:
-    """Pump-level accounting (host-side)."""
-
-    submitted: int = 0
-    completed: int = 0
-    faulted: int = 0
-
-
 def build_shard_machines(
     sources: list[str],
     config: MachineConfig,
@@ -159,7 +150,6 @@ class Cluster:
         #: Submitted tickets not yet marked complete, in submission order.
         self.open_tickets: list[Ticket] = []
         self.ticks = 0
-        self.stats = ClusterStats()
         self._handshake()
 
     def close(self) -> None:
@@ -196,7 +186,6 @@ class Cluster:
             process=process,
         )
         self.open_tickets.append(ticket)
-        self.stats.submitted += 1
         return ticket
 
     def call(self, module: str, proc: str, *args: int) -> list[int]:
@@ -319,10 +308,6 @@ class Cluster:
             if not ticket.done:
                 still_open.append(ticket)
                 continue
-            if ticket.status is ProcessStatus.DONE:
-                self.stats.completed += 1
-            else:
-                self.stats.faulted += 1
             # Close the root span so the stitcher sees an end stamp
             # (remote-served spans get theirs from the reply flush).
             shard = self.shards[ticket.shard_id]

@@ -74,6 +74,42 @@ def test_bad_entry_rejected(program):
         main(["run", *program, "--entry", "nodot"])
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run"],
+        ["measure"],
+        ["trace"],
+        ["profile"],
+        ["profile", "--shards", "2"],
+        ["snapshot", "--at-step", "3", "--out", "unwritten.json"],
+    ],
+    ids=["run", "measure", "trace", "profile", "profile-shards", "snapshot"],
+)
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        (["--entry", "Main.nope"], "the program has no procedure Main.nope"),
+        (["--entry", "Util.double"], "Util.double takes 1 argument(s); --args gave 0"),
+        (
+            ["--entry", "Util.double", "--args", "1", "2"],
+            "Util.double takes 1 argument(s); --args gave 2",
+        ),
+    ],
+    ids=["missing-procedure", "too-few-args", "too-many-args"],
+)
+def test_bad_entry_input_exits_two_with_one_line(
+    program, capsys, monkeypatch, tmp_path, command, entry, problem
+):
+    """Refused before the run: too few arguments would underflow the
+    evaluation stack, and an extra one would stay on it as a result."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], *program, *command[1:], *entry]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command[0]}: {problem}\n"
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -274,6 +274,8 @@ def test_cli_loop_and_refusals(tmp_path, capsys):
     image_doc["image_hash"] = "f" * 32
     (tmp_path / "tampered.json").write_text(json.dumps(image_doc))
     assert cli(["run", "--image", str(tmp_path / "tampered.json")]) == 2
+    # --args the image's entry does not take.
+    assert cli(["run", "--image", image_path, "--args", "1"]) == 2
     # Sources and --image are exclusive; neither is an error too.
     assert cli(["run", source, "--image", image_path]) == 2
     assert cli(["run"]) == 2
