@@ -1,11 +1,11 @@
-"""Static verification of compiled modules and linked XFER images.
+"""Static verification of linked XFER images.
 
 The subsystem the machine's trust story leans on: before an image runs,
-:func:`check_modules` / :func:`check_image` prove the properties the
-interpreter otherwise discovers by trapping — clean decode, jumps on
-instruction boundaries, path-independent eval-stack depths, transfer
-records matching target signatures, linkage tables whose every
-descriptor resolves, and fsi bytes the allocation vector can honour.
+:func:`check_image` proves the properties the interpreter otherwise
+discovers by trapping — clean decode, jumps on instruction boundaries,
+path-independent eval-stack depths, transfer records matching target
+signatures, linkage tables whose every descriptor resolves, and fsi
+bytes the allocation vector can honour.
 
 See ``docs/checker.md`` for the full catalogue of checks and the paper
 sections each one guards.
@@ -13,7 +13,7 @@ sections each one guards.
 
 from repro.check.callgraph import CallGraph, ProcNode, spawn_roots
 from repro.check.cfg import BasicBlock, ControlFlowGraph, build_cfg
-from repro.check.checker import check_image, check_modules
+from repro.check.checker import check_image
 from repro.check.diagnostics import (
     CheckReport,
     Diagnostic,
@@ -53,7 +53,6 @@ __all__ = [
     "analyze_image",
     "build_cfg",
     "check_image",
-    "check_modules",
     "instruction_context",
     "soundness_differential",
     "spawn_roots",

@@ -21,7 +21,7 @@ at its own procedure, and the net serving layer runs incoming Remote
 XFERs as root activations — none of which appear as call edges.  Those
 procedures are *roots*, not dead code: :func:`spawn_roots` derives them
 from spawned processes (or plain ``(module, proc)`` pairs), and
-``check_image``/``check_modules`` accept them as ``extra_roots``.
+``check_image`` accepts them as ``extra_roots``.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ def spawn_roots(processes: Iterable) -> list[ProcNode]:
     Accepts anything with ``module``/``proc`` attributes (a
     :class:`~repro.interp.processes.Process`, or the Scheduler's
     ``processes`` list directly) or plain ``(module, proc)`` tuples.
-    Pass the result as ``extra_roots`` to ``check_image`` /
-    ``check_modules`` so scheduler-spawned processes and externally
-    served entry points are not falsely reported unreachable.
+    Pass the result as ``extra_roots`` to ``check_image`` so
+    scheduler-spawned processes and externally served entry points are
+    not falsely reported unreachable.
     """
     roots: list[ProcNode] = []
     for process in processes:

@@ -1,20 +1,17 @@
-"""The static verifier: compiled modules and linked images, checked.
+"""The static verifier: linked program images, checked.
 
-Two entry points:
+:func:`check_image` verifies a :class:`ProgramImage` without running
+it.  Each procedure body is checked once, on the *placed* code bytes
+(fixups applied): control flow, stack discipline, operand ranges,
+import-order hygiene and call-graph reachability, plus the
+linkage-table checks of section 5: descriptor tag bits, LV/GFT/EV
+indices in range, GFT bias decoding, entry-vector words, the fsi byte
+against the geometric ladder and the procedure's frame need, and the
+inline GF word of every DIRECTCALL header.  Those tables exist only
+once the linker lays them out, so the linked image is what every
+consumer verifies.
 
-* :func:`check_modules` — pre-link, over :class:`ModuleCode` values as
-  the compiler or assembler produced them.  Call targets resolve through
-  the modules' import lists and recorded fixups; table geometry does not
-  exist yet, so the checks are control flow, stack discipline, operand
-  ranges, import-order hygiene, and call-graph reachability.
-* :func:`check_image` — post-link, over a :class:`ProgramImage`.  All
-  of the above on the *placed* code bytes (fixups applied), plus the
-  linkage-table checks of section 5: descriptor tag bits, LV/GFT/EV
-  indices in range, GFT bias decoding, entry-vector words, the fsi byte
-  against the geometric ladder and the procedure's frame need, and the
-  inline GF word of every DIRECTCALL header.
-
-Both return a :class:`~repro.check.diagnostics.CheckReport`; ``ok`` on
+It returns a :class:`~repro.check.diagnostics.CheckReport`; ``ok`` on
 the report is the pass/fail verdict (errors fail, warnings and notes do
 not).  :func:`verify_image` is ``check_image``'s pass with its per-body
 record kept (the CFG, the verified stack depths, the resolved call
@@ -28,9 +25,9 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.errors import EncodingError, FrameSizeError
+from repro.errors import FrameSizeError
 from repro.interp.image import LinkedModule, ProgramImage
-from repro.interp.machineconfig import ArgConvention, LinkageKind
+from repro.interp.machineconfig import ArgConvention, LinkageKind, MachineConfig
 from repro.isa.disassembler import DecodedInstruction
 from repro.isa.opcodes import Op
 from repro.isa.program import EV_ENTRY_BYTES, ModuleCode, Procedure
@@ -49,16 +46,11 @@ from repro.check.effects import (
 )
 from repro.check.stackcheck import CallEffect, CallResolver, StackRules, verify_stack_depths
 
-#: MachineConfig's default evaluation stack depth, for pre-link checks.
-DEFAULT_STACK_LIMIT = 16
-
 #: A call target as a lookup finds it: ``(module name, procedure)``.
 Target = tuple[str, Procedure]
 
 #: Finds the target of one call site in a procedure, returning
-#: ``(target, check, message)`` like :func:`_descriptor_target`.  An
-#: empty *check* beside a None target means the site's defect was
-#: reported already.
+#: ``(target, check, message)`` like :func:`_descriptor_target`.
 Lookup = Callable[[Procedure, DecodedInstruction], tuple[Target | None, str, str]]
 
 
@@ -85,32 +77,24 @@ class VerifiedImage:
     bodies: dict[ProcNode, VerifiedBody] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _Level:
-    """What the pre-link and post-link checks of a module differ in."""
-
-    convention: ArgConvention
-    stack_limit: int
-    #: Finds an ``EFC*`` site's target.
-    external: Lookup
-    #: Finds a ``DFC``/``SDFC`` site's target.
-    direct: Lookup
-
-
-# -- shared per-procedure machinery -------------------------------------------
+# -- per-procedure machinery ---------------------------------------------------
 
 
 def _verify_body(
     module: ModuleCode,
     procedure: Procedure,
     body: bytes,
-    level: _Level,
+    config: MachineConfig,
+    external: Lookup,
+    direct: Lookup,
     graph: CallGraph,
     report: CheckReport,
 ) -> VerifiedBody | None:
     """Decode, CFG-check, operand-check, and stack-verify one body.
 
-    Returns None when the body does not decode into a CFG.
+    *external* finds an ``EFC*`` site's target and *direct* a
+    ``DFC``/``SDFC`` site's.  Returns None when the body does not
+    decode into a CFG.
     """
     node = ProcNode(module.name, procedure.name)
     cfg = build_cfg(body, report, node.module, node.name)
@@ -128,13 +112,15 @@ def _verify_body(
             _note_dynamic(item, body, report, node)
     rules = StackRules(
         entry_depth=(
-            procedure.arg_count if level.convention is ArgConvention.COPY else 0
+            procedure.arg_count if config.arg_convention is ArgConvention.COPY else 0
         ),
         result_count=procedure.result_count,
-        stack_limit=level.stack_limit,
+        stack_limit=config.eval_stack_depth,
     )
     calls: dict[int, CallEffect] = {}
-    resolver = _call_resolver(node, module, procedure, body, level, graph, calls, report)
+    resolver = _call_resolver(
+        node, module, procedure, body, external, direct, graph, calls, report
+    )
     depths = verify_stack_depths(cfg, rules, resolver, report, node.module, node.name)
     return VerifiedBody(procedure, cfg, depths, calls)
 
@@ -144,16 +130,17 @@ def _call_resolver(
     module: ModuleCode,
     procedure: Procedure,
     body: bytes,
-    level: _Level,
+    external: Lookup,
+    direct: Lookup,
     graph: CallGraph,
     calls: dict[int, CallEffect],
     report: CheckReport,
 ) -> CallResolver:
-    """The one call-site resolver behind both checks.
+    """The one call-site resolver.
 
-    A local call resolves through the module's own entry vector; the
-    level's lookups find external and direct targets.  Each resolved
-    site becomes a call edge in *graph* and an entry in *calls*.
+    A local call resolves through the module's own entry vector, an
+    external or direct one through *external* or *direct*.  Each
+    resolved site becomes a call edge in *graph* and an entry in *calls*.
     """
 
     def fail(check: str, message: str, item: DecodedInstruction) -> None:
@@ -172,9 +159,7 @@ def _call_resolver(
         if op in LOCAL_CALL_OPS:
             target, check, message = _local_target(module, item)
         elif op in EXTERNAL_CALL_INDEX:
-            target, check, message = level.external(procedure, item)
-            # Only a placed link vector can disagree with the import
-            # list; pre-link lookups resolve through the list itself.
+            target, check, message = external(procedure, item)
             if target is not None:
                 index = external_index_of(item.instruction)
                 if (target[0], target[1].name) != module.imports[index]:
@@ -186,10 +171,9 @@ def _call_resolver(
                         item,
                     )
         else:
-            target, check, message = level.direct(procedure, item)
+            target, check, message = direct(procedure, item)
         if target is None:
-            if check:
-                fail(check, message, item)
+            fail(check, message, item)
             return None
         owner, callee = target
         graph.add_call(node, ProcNode(owner, callee.name))
@@ -319,155 +303,7 @@ def _check_import_order(
             )
 
 
-# -- pre-link: check_modules ---------------------------------------------------
-
-
-def check_modules(
-    modules: list[ModuleCode],
-    convention: ArgConvention = ArgConvention.COPY,
-    stack_limit: int = DEFAULT_STACK_LIMIT,
-    entry: tuple[str, str] | None = None,
-    report: CheckReport | None = None,
-    extra_roots: list[tuple[str, str]] | None = None,
-) -> CheckReport:
-    """Verify compiled modules before linking.
-
-    *entry* names the call-graph root as ``(module, procedure)``; without
-    one, every procedure counts as a root (so nothing is flagged
-    unreachable — there is no program yet, only a library).
-    *extra_roots* adds further ``(module, procedure)`` roots — procedures
-    entered from outside the call graph, such as scheduler-spawned
-    processes (see :func:`repro.check.callgraph.spawn_roots`).
-    """
-    report = report or CheckReport()
-    by_name: dict[str, ModuleCode] = {}
-    for module in modules:
-        if module.name in by_name:
-            report.add(
-                "duplicate-module",
-                Severity.ERROR,
-                f"module {module.name!r} appears twice",
-                module.name,
-            )
-            continue
-        by_name[module.name] = module
-
-    graph = CallGraph()
-    for module in by_name.values():
-        for procedure in module.procedures:
-            graph.add_node(ProcNode(module.name, procedure.name))
-    for module in by_name.values():
-        _check_one_module(module, by_name, convention, stack_limit, graph, report)
-
-    if entry is not None:
-        roots = [ProcNode(*entry)]
-        if roots[0] not in graph.nodes:
-            report.add(
-                "missing-entry",
-                Severity.ERROR,
-                f"entry procedure {roots[0]} does not exist",
-                entry[0],
-                entry[1],
-            )
-            roots = sorted(graph.nodes)
-    else:
-        roots = sorted(graph.nodes)
-    roots.extend(ProcNode(*root) for root in extra_roots or [])
-    graph.report_unreachable(roots, report)
-    return report
-
-
-def _check_one_module(
-    module: ModuleCode,
-    by_name: dict[str, ModuleCode],
-    convention: ArgConvention,
-    stack_limit: int,
-    graph: CallGraph,
-    report: CheckReport,
-) -> None:
-    direct_fixups = {
-        (fixup.procedure, fixup.site_offset): fixup
-        for fixup in module.fixups
-        if fixup.kind in ("dfc", "sdfc")
-    }
-    counts: Counter = Counter()
-
-    def external(_procedure: Procedure, item: DecodedInstruction):
-        index = external_index_of(item.instruction)
-        if index >= len(module.imports):
-            return None, "lv-index", (
-                f"{item.instruction} uses link-vector index {index} but "
-                f"module {module.name!r} imports {len(module.imports)} "
-                "procedure(s)"
-            )
-        target_module, target_name = module.imports[index]
-        target = _lookup(by_name, target_module, target_name)
-        if target is None:
-            return None, "unresolved-import", (
-                f"{item.instruction} resolves to {target_module}.{target_name}, "
-                "which no module provides"
-            )
-        return (target_module, target), "", ""
-
-    def direct(procedure: Procedure, item: DecodedInstruction):
-        fixup = direct_fixups.get((procedure.name, item.offset))
-        if fixup is None:
-            return None, "direct-unbound", (
-                f"{item.instruction} has no recorded link fixup; its operand "
-                "cannot be resolved before linking"
-            )
-        target = _lookup(by_name, fixup.target_module, fixup.target_procedure)
-        if target is None:
-            return None, "", ""  # the fixup pass reported unresolved-import already
-        return (fixup.target_module, target), "", ""
-
-    level = _Level(convention, stack_limit, external, direct)
-
-    for fixup in module.fixups:
-        target = _lookup(by_name, fixup.target_module, fixup.target_procedure)
-        if target is None:
-            report.add(
-                "unresolved-import",
-                Severity.ERROR,
-                f"{fixup.kind} fixup targets unknown procedure "
-                f"{fixup.target_module}.{fixup.target_procedure}",
-                module.name,
-                fixup.procedure,
-                offset=fixup.site_offset,
-            )
-        elif fixup.kind == "desc":
-            graph.add_reference(
-                ProcNode(module.name, fixup.procedure),
-                ProcNode(fixup.target_module, fixup.target_procedure),
-            )
-            key = (fixup.target_module, fixup.target_procedure)
-            if key in module.imports:
-                counts[module.imports.index(key)] += 1
-
-    for procedure in module.procedures:
-        verified = _verify_body(module, procedure, procedure.body, level, graph, report)
-        if verified is not None:
-            _count_external_sites(verified.cfg, len(module.imports), counts)
-
-    if not direct_fixups:
-        # Under DIRECT linkage most external calls compile to DFC/SDFC,
-        # so EFC site counts no longer mirror the static frequencies.
-        _check_import_order(module.name, module.imports, counts, report)
-
-
-def _lookup(
-    by_name: dict[str, ModuleCode], module_name: str, proc_name: str
-) -> Procedure | None:
-    owner = by_name.get(module_name)
-    if owner is None:
-        return None
-    try:
-        return owner.procedure_named(proc_name)
-    except EncodingError:
-        return None
-
-
-# -- post-link: check_image -----------------------------------------------------
+# -- check_image ---------------------------------------------------------------
 
 
 def check_image(
@@ -668,8 +504,6 @@ def _check_linked_module(
             )
         return target, "", ""
 
-    level = _Level(config.arg_convention, config.eval_stack_depth, external, direct)
-
     for procedure in module.procedures:
         node = ProcNode(module.name, procedure.name)
         entry = base + procedure.entry_offset
@@ -704,7 +538,9 @@ def _check_linked_module(
                 )
 
         body = raw[entry + 1 : entry + 1 + len(procedure.body)]
-        body_record = _verify_body(module, procedure, body, level, verified.graph, report)
+        body_record = _verify_body(
+            module, procedure, body, config, external, direct, verified.graph, report
+        )
         if body_record is not None:
             verified.bodies[node] = body_record
             _count_external_sites(body_record.cfg, len(module.imports), counts)

@@ -44,8 +44,25 @@ from repro.lang.compiler import CompileOptions, compile_program
 from repro.lang.linker import link
 
 
+class _BadInput(Exception):
+    """Input a command cannot run: :func:`main` prints it on one stderr
+    line and exits 2."""
+
+
+def _read_input(path: str, parse=str):
+    """Input file *path*, read and handed through *parse* (``json.loads``
+    for a JSON document); a file that cannot be read or parsed is bad
+    input."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as fault:
+        raise _BadInput(f"cannot read {path}: {fault.strerror}") from None
+    except ValueError as fault:
+        raise _BadInput(f"cannot read {path}: {fault}") from None
+
+
 def _read_sources(paths: list[str]) -> list[str]:
-    return [Path(path).read_text() for path in paths]
+    return [_read_input(path) for path in paths]
 
 
 def _read_program_sources(paths: list[str]) -> list[str]:
@@ -53,11 +70,11 @@ def _read_program_sources(paths: list[str]) -> list[str]:
     ``MODULE ...`` string literals (the examples)."""
     sources: list[str] = []
     for path in paths:
-        text = Path(path).read_text()
+        text = _read_input(path)
         if path.endswith(".py"):
             embedded = _embedded_sources(text)
             if not embedded:
-                raise SystemExit(f"{path}: no embedded MODULE sources")
+                raise _BadInput(f"{path}: no embedded MODULE sources")
             sources.extend(embedded)
         else:
             sources.append(text)
@@ -102,20 +119,18 @@ def _pin(text: str) -> tuple[str, int]:
         ) from None
 
 
-class _BadInput(Exception):
-    """Input a command cannot run: :func:`main` prints it on one stderr
-    line and exits 2."""
-
-
-def _check_entry(modules: list, entry: tuple[str, str], entry_args: list[int]) -> None:
+def _check_entry(
+    modules: list, entry: tuple[str, str], entry_args: list[int] | None
+) -> None:
     """Refuse an entry procedure the program lacks, or ``--args`` that do
     not fill its parameters: too few underflow the evaluation stack, and
-    extra ones stay on it as results."""
+    extra ones stay on it as results.  *entry_args* is None for a
+    command that takes no ``--args``."""
     arg_counts = {(m.name, p.name): p.arg_count for m in modules for p in m.procedures}
     name = ".".join(entry)
     if entry not in arg_counts:
         raise _BadInput(f"the program has no procedure {name}")
-    if len(entry_args) != arg_counts[entry]:
+    if entry_args is not None and len(entry_args) != arg_counts[entry]:
         raise _BadInput(
             f"{name} takes {arg_counts[entry]} argument(s); --args gave {len(entry_args)}"
         )
@@ -147,7 +162,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     hot_order = None
     if args.image:
-        from repro.fdo import FdoRefusal, load_image
+        from repro.fdo import FdoRefusal, load_image_document
 
         if args.files:
             print(
@@ -157,7 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            machine, doc = load_image(args.image)
+            machine, doc = load_image_document(_read_input(args.image, json.loads))
         except FdoRefusal as refusal:
             print(f"run: image refused: {refusal}", file=sys.stderr)
             return 2
@@ -177,7 +192,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         facts = None
         if args.facts:
-            facts = json.loads(Path(args.facts).read_text())
+            facts = _read_input(args.facts, json.loads)
         try:
             install_jit(machine, facts, hot_order=hot_order)
         except JitRefusal as refusal:
@@ -235,8 +250,8 @@ def _print_trap_diagnostics(machine, recorder, fault) -> None:
 
 def cmd_disasm(args: argparse.Namespace) -> int:
     config = MachineConfig.preset(args.impl)
-    sources = _read_sources(args.files)
-    modules = compile_program(sources, CompileOptions.for_config(config))
+    modules = compile_program(_read_sources(args.files), CompileOptions.for_config(config))
+    _check_entry(modules, args.entry, None)
     image = link(modules, config, args.entry)
     for module in modules:
         linked = image.instance_of(module.name)
@@ -705,7 +720,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     from repro.errors import TrapError
     from repro.faults import restore
 
-    doc = json.loads(Path(args.snapshot).read_text())
+    doc = _read_input(args.snapshot, json.loads)
     if doc.get("schema") != SNAPSHOT_FILE_SCHEMA:
         print(
             f"resume: {args.snapshot} is not a {SNAPSHOT_FILE_SCHEMA} file "
@@ -823,7 +838,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.transport import SocketTransport
 
     if args.workload:
-        doc = json.loads(Path(args.workload).read_text())
+        doc = _read_input(args.workload, json.loads)
         if doc.get("schema") != LOADGEN_SCHEMA:
             print(
                 f"serve: {args.workload} is not a {LOADGEN_SCHEMA} workload",
@@ -1073,7 +1088,7 @@ def _programs(args: argparse.Namespace, verb: str, config: MachineConfig) -> lis
             programs.append((f"corpus:{name}", list(program.sources), program.entry, program))
     if args.from_python:
         for path in args.files:
-            sources = _embedded_sources(Path(path).read_text())
+            sources = _embedded_sources(_read_input(path))
             if sources:
                 programs.append((path, sources, None, None))
             else:
@@ -1099,7 +1114,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     Exit status: 0 all clean, 1 findings (errors; warnings too under
     ``--strict``), 2 when a program could not even be compiled or linked.
     """
-    from repro.check import check_image, check_modules
+    from repro.check import check_image
     from repro.errors import ReproError
 
     if not args.files and not args.corpus:
@@ -1116,21 +1131,13 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"{label}: cannot compile: {fault}")
             status = 2
             continue
-        entry = entry or _default_entry(modules)
-        report = check_modules(
-            modules,
-            convention=config.arg_convention,
-            stack_limit=config.eval_stack_depth,
-            entry=entry,
-        )
-        if report.ok:
-            try:
-                image = link(modules, config, entry)
-            except ReproError as fault:
-                print(f"{label}: cannot link: {fault}")
-                status = 2
-                continue
-            report = check_image(image)
+        try:
+            image = link(modules, config, entry or _default_entry(modules))
+        except ReproError as fault:
+            print(f"{label}: cannot link: {fault}")
+            status = 2
+            continue
+        report = check_image(image)
         failed = not report.ok or (args.strict and report.warnings)
         if report.diagnostics:
             print(f"== {label} ==")
@@ -1294,13 +1301,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        sources = _read_program_sources(args.files)
-        profile = json.loads(Path(args.profile).read_text())
-        facts = json.loads(Path(args.facts).read_text())
-    except (OSError, json.JSONDecodeError) as fault:
-        print(f"optimize: cannot read inputs: {fault}", file=sys.stderr)
-        return 2
+    sources = _read_program_sources(args.files)
+    profile = _read_input(args.profile, json.loads)
+    facts = _read_input(args.facts, json.loads)
     try:
         result = optimize(
             sources,

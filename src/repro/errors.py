@@ -32,15 +32,6 @@ class MemoryFault(MachineError):
         self.size = size
 
 
-class UnwritableMemory(MachineError):
-    """A write touched a region registered as read-only."""
-
-    def __init__(self, address: int, region: str) -> None:
-        super().__init__(f"write to {address:#x} in read-only region {region!r}")
-        self.address = address
-        self.region = region
-
-
 class WordRangeError(MachineError):
     """A value did not fit in a 16-bit machine word."""
 

@@ -26,7 +26,6 @@ from repro.fdo.decide import FDO_SCHEMA, build_plan
 from repro.fdo.imagefile import (
     IMAGE_FILE_SCHEMA,
     image_document,
-    load_image,
     load_image_document,
     save_image,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "build_plan",
     "collect_profile",
     "image_document",
-    "load_image",
     "load_image_document",
     "optimize",
     "profile_document",

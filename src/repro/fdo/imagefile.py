@@ -85,7 +85,3 @@ def load_image_document(doc: dict) -> tuple[Machine, dict]:
             "edited"
         )
     return machine, doc
-
-
-def load_image(path: str | Path) -> tuple[Machine, dict]:
-    return load_image_document(json.loads(Path(path).read_text()))

@@ -57,7 +57,7 @@ class CompilerContext:
     bank_words: int
     #: Tail-opcode set for this configuration.
     tails: frozenset
-    #: RD/WR may be inlined (full 64K store, every region writable).
+    #: RD/WR may be inlined (full 64K store, so no address is out of range).
     inline_memory: bool
     #: Name of the frame arena region ("frames").
     frames_name: str

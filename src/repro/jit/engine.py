@@ -105,9 +105,7 @@ class JitEngine:
             }
 
         memory = machine.memory
-        inline_memory = memory.size == MDS_WORDS and all(
-            region.writable for region in memory.regions
-        )
+        inline_memory = memory.size == MDS_WORDS
 
         def region_name(address: int) -> str:
             region = memory.region_of(address)

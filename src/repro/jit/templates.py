@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.banks.pointers import PointerPolicy
 from repro.check.effects import FIXED_EFFECTS, SHORT_LOCAL_SLOTS
-from repro.isa.opcodes import CALL_OPS, JUMP_OPS, Op
+from repro.isa.opcodes import CALL_OPS, Op
 
 #: Opcodes that unconditionally end a compiled block and run through the
 #: interpreter's dispatch handler.  RD/WR join this set when the machine
@@ -130,11 +130,6 @@ def tail_ops(config) -> frozenset[Op]:
     return tails
 
 
-def is_inline(op: Op, tails: frozenset[Op]) -> bool:
-    """True when *op* has an inline template under this tail set."""
-    return op not in tails and (op in STACK_EFFECTS or op in JUMP_OPS)
-
-
 __all__ = [
     "BASE_TAIL_OPS",
     "BINARY_MODULAR",
@@ -146,6 +141,5 @@ __all__ = [
     "PUSH_CONST",
     "STACK_EFFECTS",
     "UNCOND_JUMPS",
-    "is_inline",
     "tail_ops",
 ]

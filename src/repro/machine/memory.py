@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import MemoryFault, UnwritableMemory, WordRangeError
+from repro.errors import MemoryFault, WordRangeError
 from repro.machine.costs import CycleCounter, Event
 
 #: Size of the main data space, in 16-bit words (64K, as on the Mesa machines).
@@ -60,15 +60,12 @@ def to_signed(word: int) -> int:
 class Region:
     """A named, half-open address range ``[base, base + size)``.
 
-    Regions never overlap; :meth:`Memory.add_region` enforces that.  A
-    region can be marked read-only (used for tables that, per section 5,
-    "cannot be changed" once linked, when the caller wants that checked).
+    Regions never overlap; :meth:`Memory.add_region` enforces that.
     """
 
     name: str
     base: int
     size: int
-    writable: bool = True
 
     @property
     def limit(self) -> int:
@@ -93,10 +90,9 @@ class Memory:
         private counter is created (handy in unit tests).
 
     A counted access is the machine's commonest event, so it is charged
-    inline: the bounds check, the write-protection check, the count, the
-    cycles (through the counter's bound ``charges``) and the traffic bump
-    take no call.  The region of an address is one byte of a per-word
-    region index.
+    inline: the bounds check, the count, the cycles (through the
+    counter's bound ``charges``) and the traffic bump take no call.  The
+    region of an address is one byte of a per-word region index.
     """
 
     def __init__(self, size: int = MDS_WORDS, counter: CycleCounter | None = None) -> None:
@@ -109,22 +105,21 @@ class Memory:
         #: One byte per word: 0 for an unmapped address, else 1 + the
         #: position in ``_regions`` of the region that holds it.
         self._index = bytearray(size)
-        #: Region name and writability per index byte (0: unmapped).
+        #: Region name per index byte (0: unmapped).
         self._names: list[str] = [""]
-        self._writable: list[bool] = [True]
         #: Counted references per region name ("" for unmapped addresses) —
         #: the attribution behind section 7.3's bandwidth argument.
         self.traffic: dict[str, int] = {}
 
     # -- region bookkeeping -------------------------------------------------
 
-    def add_region(self, name: str, base: int, size: int, writable: bool = True) -> Region:
+    def add_region(self, name: str, base: int, size: int) -> Region:
         """Register a named region; raises ``ValueError`` on any overlap."""
         if base < 0 or base + size > self.size:
             raise ValueError(f"region {name!r} [{base}, {base + size}) outside memory")
         if size <= 0:
             raise ValueError(f"region {name!r} must have positive size")
-        candidate = Region(name=name, base=base, size=size, writable=writable)
+        candidate = Region(name=name, base=base, size=size)
         for existing in self._regions:
             if candidate.base < existing.limit and existing.base < candidate.limit:
                 raise ValueError(f"region {name!r} overlaps region {existing.name!r}")
@@ -132,7 +127,6 @@ class Memory:
             raise ValueError(f"region {name!r}: a memory holds at most {MAX_REGIONS} regions")
         self._regions.append(candidate)
         self._names.append(name)
-        self._writable.append(writable)
         self._index[base : candidate.limit] = bytes((len(self._regions),)) * size
         return candidate
 
@@ -173,13 +167,10 @@ class Memory:
         """Write one word, recording a MEMORY_WRITE event."""
         if not 0 <= address < self.size:
             raise MemoryFault(address, self.size)
-        slot = self._index[address]
-        if not self._writable[slot]:
-            raise UnwritableMemory(address, self._names[slot])
         counter = self.counter
         counter.counts[_WRITE] += 1
         counter.cycles += counter.charges[_WRITE]
-        name = self._names[slot]
+        name = self._names[self._index[address]]
         traffic = self.traffic
         traffic[name] = traffic.get(name, 0) + 1
         self._words[address] = value & WORD_MASK
@@ -222,18 +213,14 @@ class Memory:
         cycles = counter.charges[_WRITE]
         index = self._index
         names = self._names
-        writable = self._writable
         traffic = self.traffic
         words = self._words
         for target, value in enumerate(values, address):
             if not 0 <= target < size:
                 raise MemoryFault(target, size)
-            slot = index[target]
-            if not writable[slot]:
-                raise UnwritableMemory(target, names[slot])
             counts[_WRITE] += 1
             counter.cycles += cycles
-            name = names[slot]
+            name = names[index[target]]
             traffic[name] = traffic.get(name, 0) + 1
             words[target] = value & WORD_MASK
 
@@ -246,7 +233,7 @@ class Memory:
         return self._words[address]
 
     def poke(self, address: int, value: int) -> None:
-        """Write without counting or write-protection — for loader setup."""
+        """Write without counting — for loader setup."""
         if not 0 <= address < self.size:
             raise MemoryFault(address, self.size)
         self._words[address] = value & WORD_MASK

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.check import analyze_image, check_image, check_modules
+from repro.check import analyze_image, check_image
 from repro.check.fuzz import (
     ANALYZER_DEFECT_INJECTIONS,
     DEFECT_INJECTIONS,
@@ -105,8 +105,6 @@ def test_generated_programs_verify_clean(seed):
     )
     config = MachineConfig.preset("i2")
     modules = compile_program(list(program.sources), CompileOptions.for_config(config))
-    report = check_modules(modules, convention=config.arg_convention, entry=program.entry)
-    assert report.ok, report.format()
     image = link(modules, config, program.entry)
     image_report = check_image(image)
     assert image_report.ok, image_report.format()

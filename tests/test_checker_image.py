@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.check import check_image, check_modules
+from repro.check import check_image
 from repro.check.fuzz import build_image
 from repro.interp.machineconfig import MachineConfig
 from repro.isa.assembler import Assembler
@@ -37,10 +37,6 @@ def test_corpus_is_clean_at_both_levels(preset):
         modules = compile_program(
             list(program.sources), CompileOptions.for_config(config)
         )
-        module_report = check_modules(
-            modules, convention=config.arg_convention, entry=program.entry
-        )
-        assert module_report.ok, f"{program.name}/{preset}:\n{module_report.format()}"
         image = link(modules, config, program.entry)
         image_report = check_image(image)
         assert image_report.ok, f"{program.name}/{preset}:\n{image_report.format()}"

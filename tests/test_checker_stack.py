@@ -5,13 +5,14 @@ from repro.check import (
     CheckReport,
     StackRules,
     build_cfg,
-    check_modules,
+    check_image,
     verify_stack_depths,
 )
-from repro.interp.machineconfig import ArgConvention
+from repro.interp.machineconfig import ArgConvention, MachineConfig
 from repro.isa.assembler import Assembler
 from repro.isa.opcodes import Op
 from repro.isa.program import ModuleCode, Procedure
+from repro.lang.linker import link
 
 
 def no_calls(item):
@@ -220,10 +221,25 @@ def test_call_record_checked_against_resolved_target():
     assert diag.offset == 1
 
 
-# -- whole-module verification over hand-built code ------------------------------
+# -- whole-image verification over hand-built code -------------------------------
 
 
-def test_check_modules_accepts_clean_local_calls():
+def check_linked(modules, entry=("Hand", "main"), preset="i2"):
+    """``check_image`` over hand-assembled *modules*, linked for *preset*."""
+    return check_image(link(modules, MachineConfig.preset(preset), entry))
+
+
+def other_module():
+    """Provides ``Other.f``, the import the hand-built modules name."""
+
+    def f(asm):
+        asm.emit(Op.LI0)
+        asm.emit(Op.RET)
+
+    return hand_module("Other", [("f", 0, 1, f)])
+
+
+def test_check_image_accepts_clean_local_calls():
     def helper(asm):
         asm.emit(Op.ADD)
         asm.emit(Op.RET)
@@ -235,11 +251,11 @@ def test_check_modules_accepts_clean_local_calls():
         asm.emit(Op.RET)
 
     module = hand_module("Hand", [("helper", 2, 1, helper), ("main", 0, 1, main)])
-    report = check_modules([module], entry=("Hand", "main"))
+    report = check_linked([module])
     assert report.ok, report.format()
 
 
-def test_check_modules_flags_call_record_mismatch():
+def test_check_image_flags_call_record_mismatch():
     def helper(asm):
         asm.emit(Op.ADD)
         asm.emit(Op.RET)
@@ -250,12 +266,12 @@ def test_check_modules_flags_call_record_mismatch():
         asm.emit(Op.RET)
 
     module = hand_module("Hand", [("helper", 2, 1, helper), ("main", 0, 1, main)])
-    report = check_modules([module])
+    report = check_linked([module])
     assert [d.check for d in report.errors] == ["call-record-mismatch"]
     assert report.errors[0].procedure == "main"
 
 
-def test_check_modules_flags_bad_ev_and_lv_indices():
+def test_check_image_flags_bad_ev_and_lv_indices():
     # One bad call per procedure: an unresolvable call abandons the path
     # behind it, so each defect needs its own body to be seen.
     def bad_local(asm):
@@ -271,22 +287,20 @@ def test_check_modules_flags_bad_ev_and_lv_indices():
         [("bad_local", 0, 1, bad_local), ("bad_external", 0, 1, bad_external)],
         imports=[("Other", "f")],
     )
-    assert sorted(d.check for d in check_modules([module]).errors) == [
-        "ev-index",
-        "lv-index",
-    ]
+    report = check_linked([module, other_module()], entry=("Hand", "bad_local"))
+    assert sorted(d.check for d in report.errors) == ["ev-index", "lv-index"]
 
 
-def test_check_modules_flags_bad_local_slot():
+def test_check_image_flags_bad_local_slot():
     def main(asm):
         asm.emit(Op.LL7)  # frame has 4 local words
         asm.emit(Op.RET)
 
     module = hand_module("Hand", [("main", 0, 1, main)])
-    assert [d.check for d in check_modules([module]).errors] == ["local-index"]
+    assert [d.check for d in check_linked([module]).errors] == ["local-index"]
 
 
-def test_check_modules_rename_convention_enters_empty():
+def test_check_image_rename_convention_enters_empty():
     def main(asm):
         asm.emit(Op.LL0)  # RENAME: arguments arrive in locals, stack empty
         asm.emit(Op.LL1)
@@ -294,11 +308,12 @@ def test_check_modules_rename_convention_enters_empty():
         asm.emit(Op.RET)
 
     module = hand_module("Hand", [("main", 2, 1, main)])
-    report = check_modules([module], convention=ArgConvention.RENAME)
+    assert MachineConfig.preset("i4").arg_convention is ArgConvention.RENAME
+    report = check_linked([module], preset="i4")
     assert report.ok, report.format()
 
 
-def test_check_modules_unreachable_procedure_warning():
+def test_check_image_unreachable_procedure_warning():
     def orphan(asm):
         asm.emit(Op.LI1)
         asm.emit(Op.RET)
@@ -308,7 +323,7 @@ def test_check_modules_unreachable_procedure_warning():
         asm.emit(Op.RET)
 
     module = hand_module("Hand", [("orphan", 0, 1, orphan), ("main", 0, 1, main)])
-    report = check_modules([module], entry=("Hand", "main"))
+    report = check_linked([module])
     assert report.ok
     (diag,) = report.by_check("unreachable-procedure")
     assert diag.procedure == "orphan"

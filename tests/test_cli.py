@@ -74,29 +74,43 @@ def test_bad_entry_rejected(program):
         main(["run", *program, "--entry", "nodot"])
 
 
+#: Commands that check the entry and the --args count.
+_ENTRY_COMMANDS = {
+    "run": ["run"],
+    "measure": ["measure"],
+    "trace": ["trace"],
+    "profile": ["profile"],
+    "profile-shards": ["profile", "--shards", "2"],
+    "snapshot": ["snapshot", "--at-step", "3", "--out", "unwritten.json"],
+}
+
+#: Each bad entry, as ``(arguments, the problem stderr names)``.
+_BAD_ENTRIES = {
+    "missing-procedure": (["--entry", "Main.nope"], "the program has no procedure Main.nope"),
+    "too-few-args": (
+        ["--entry", "Util.double"],
+        "Util.double takes 1 argument(s); --args gave 0",
+    ),
+    "too-many-args": (
+        ["--entry", "Util.double", "--args", "1", "2"],
+        "Util.double takes 1 argument(s); --args gave 2",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "command",
+    "command, entry, problem",
     [
-        ["run"],
-        ["measure"],
-        ["trace"],
-        ["profile"],
-        ["profile", "--shards", "2"],
-        ["snapshot", "--at-step", "3", "--out", "unwritten.json"],
+        pytest.param(command, *_BAD_ENTRIES[case], id=f"{case}-{name}")
+        for case in _BAD_ENTRIES
+        for name, command in _ENTRY_COMMANDS.items()
+    ]
+    # disasm takes no --args, so only its entry is checked.
+    + [
+        pytest.param(
+            ["disasm"], *_BAD_ENTRIES["missing-procedure"], id="missing-procedure-disasm"
+        )
     ],
-    ids=["run", "measure", "trace", "profile", "profile-shards", "snapshot"],
-)
-@pytest.mark.parametrize(
-    "entry, problem",
-    [
-        (["--entry", "Main.nope"], "the program has no procedure Main.nope"),
-        (["--entry", "Util.double"], "Util.double takes 1 argument(s); --args gave 0"),
-        (
-            ["--entry", "Util.double", "--args", "1", "2"],
-            "Util.double takes 1 argument(s); --args gave 2",
-        ),
-    ],
-    ids=["missing-procedure", "too-few-args", "too-many-args"],
 )
 def test_bad_entry_input_exits_two_with_one_line(
     program, capsys, monkeypatch, tmp_path, command, entry, problem
@@ -108,6 +122,52 @@ def test_bad_entry_input_exits_two_with_one_line(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{command[0]}: {problem}\n"
+
+
+#: One command per input file a command reads; PROGRAM stands for the
+#: two source files of the ``program`` fixture.
+_MISSING_INPUTS = {
+    "run": ["run", "gone.mesa"],
+    "run-image": ["run", "--image", "gone.json"],
+    "run-facts": ["run", "PROGRAM", "--engine", "jit", "--facts", "gone.json"],
+    "resume": ["resume", "gone.json"],
+    "disasm": ["disasm", "gone.mesa"],
+    "measure": ["measure", "gone.mesa"],
+    "trace": ["trace", "gone.mesa"],
+    "profile": ["profile", "gone.mesa"],
+    "snapshot": ["snapshot", "gone.mesa", "--at-step", "3", "--out", "unwritten.json"],
+    "check": ["check", "gone.mesa"],
+    "check-from-python": ["check", "--from-python", "gone.py"],
+    "analyze": ["analyze", "gone.mesa"],
+    "serve-workload": ["serve", "--workload", "gone.json"],
+    "optimize-profile": [
+        "optimize", "PROGRAM", "--profile", "gone.json", "--facts", "gone.json",
+        "--out", "unwritten.json",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", _MISSING_INPUTS.values(), ids=_MISSING_INPUTS.keys())
+def test_missing_input_file_exits_two_with_one_line(
+    program, capsys, monkeypatch, tmp_path, command
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [word for arg in command for word in (program if arg == "PROGRAM" else [arg])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    gone = next(word for word in command if word.startswith("gone"))
+    assert captured.err == f"{command[0]}: cannot read {gone}: No such file or directory\n"
+    assert not (tmp_path / "unwritten.json").exists()
+
+
+def test_python_file_without_sources_exits_two(capsys, tmp_path):
+    host = tmp_path / "plain.py"
+    host.write_text("x = 1\n")
+    assert main(["trace", str(host)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"trace: {host}: no embedded MODULE sources\n"
 
 
 def test_unknown_command_rejected():

@@ -108,3 +108,26 @@ def test_example_files_check_clean(capsys):
     files = sorted(str(path) for path in examples.glob("*.py"))
     assert files, "examples/ directory should not be empty"
     assert main(["check", "--from-python", *files]) == 0
+
+
+def test_check_builds_each_body_cfg_once(program, monkeypatch, capsys):
+    """``repro check`` verifies the linked image only: one CFG per body."""
+    import repro.check.checker as checker
+
+    built = []
+    build_cfg = checker.build_cfg
+
+    def counting(body, report, module, procedure):
+        built.append((module, procedure))
+        return build_cfg(body, report, module, procedure)
+
+    monkeypatch.setattr(checker, "build_cfg", counting)
+    assert main(["check", *program]) == 0
+    assert sorted(built) == [("Main", "main"), ("Util", "double")]
+
+
+def test_entry_naming_no_procedure_cannot_link(program, capsys):
+    assert main(["check", *program, "--entry", "Main.nope"]) == 2
+    assert capsys.readouterr().out == (
+        f"{', '.join(program)}: cannot link: module 'Main' has no procedure 'nope'\n"
+    )

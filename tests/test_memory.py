@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import MemoryFault, UnwritableMemory, WordRangeError
+from repro.errors import MemoryFault, WordRangeError
 from repro.machine.costs import CostModel, CycleCounter, Event
 from repro.machine.memory import MAX_REGIONS, Memory, from_signed, to_signed, to_word
 
@@ -65,13 +65,6 @@ def test_region_lookup(memory):
 def test_region_named_missing(memory):
     with pytest.raises(KeyError):
         memory.region_named("nope")
-
-
-def test_readonly_region(memory):
-    memory.add_region("code", 0, 16, writable=False)
-    memory.poke(3, 1)  # loader writes bypass protection
-    with pytest.raises(UnwritableMemory):
-        memory.write(3, 2)
 
 
 def test_region_bounds_checking(memory):
@@ -137,7 +130,7 @@ def test_traffic_ignores_uncounted_access(memory):
 
 @st.composite
 def _layouts(draw):
-    """A memory size and non-overlapping regions, some read-only."""
+    """A memory size and non-overlapping regions."""
     size = draw(st.integers(min_value=8, max_value=200))
     regions = []
     cursor = draw(st.integers(min_value=0, max_value=8))
@@ -145,7 +138,7 @@ def _layouts(draw):
         length = draw(st.integers(min_value=1, max_value=40))
         if cursor + length > size:
             break
-        regions.append((f"r{number}", cursor, length, draw(st.booleans())))
+        regions.append((f"r{number}", cursor, length))
         cursor += length + draw(st.integers(min_value=0, max_value=8))
     return size, regions
 
@@ -169,8 +162,8 @@ def test_counted_access_matches_region_oracle(layout, accesses):
     size, spans = layout
     counter = CycleCounter(CostModel().with_charges(memory_read=3, memory_write=5))
     memory = Memory(size, counter)
-    for name, base, length, writable in spans:
-        memory.add_region(name, base, length, writable)
+    for name, base, length in spans:
+        memory.add_region(name, base, length)
 
     def region_at(address):
         for region in memory.regions:
@@ -191,9 +184,6 @@ def test_counted_access_matches_region_oracle(layout, accesses):
                 expected_error = MemoryFault
                 break
             region = region_at(target)
-            if writing and region is not None and not region.writable:
-                expected_error = UnwritableMemory
-                break
             name = region.name if region is not None else ""
             traffic[name] = traffic.get(name, 0) + 1
             if writing:
@@ -210,7 +200,7 @@ def test_counted_access_matches_region_oracle(layout, accesses):
                 got = memory.read_block(address, length)
             else:
                 memory.write_block(address, [value] * length)
-        except (MemoryFault, UnwritableMemory) as error:
+        except MemoryFault as error:
             assert type(error) is expected_error
         else:
             assert expected_error is None
