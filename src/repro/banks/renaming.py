@@ -93,6 +93,16 @@ class BankManager:
         self.sbank = self._acquire(BankRole.STACK, None)
         self._record(event)
 
+    def end(self) -> None:
+        """The halting return: the root frame is freed, so its bank and
+        the stack bank are released, and a later run on the machine does
+        not begin with two stale banks."""
+        for bank in (self.lbank, self.sbank):
+            if bank is not None:
+                bank.release()
+        self.lbank = None
+        self.sbank = None
+
     def on_call(
         self, callee_frame: object, arg_words: int = 0, event: str = "call"
     ) -> Bank | None:

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.analysis.report import format_table
 from repro.analysis.timing import transfer_cost_table
+from repro.errors import CompileError
 from repro.faults.chaos import ALL_PRESETS
 from repro.interp.machine import Machine
 from repro.interp.machineconfig import LinkageKind, MachineConfig
@@ -59,6 +60,15 @@ def _read_input(path: str, parse=str):
         raise _BadInput(f"cannot read {path}: {fault.strerror}") from None
     except ValueError as fault:
         raise _BadInput(f"cannot read {path}: {fault}") from None
+
+
+def _read_document(path: str) -> dict:
+    """Input file *path* as a JSON document; one that is not an object
+    is bad input."""
+    doc = _read_input(path, json.loads)
+    if not isinstance(doc, dict):
+        raise _BadInput(f"cannot read {path}: not a JSON object")
+    return doc
 
 
 def _read_sources(paths: list[str]) -> list[str]:
@@ -137,10 +147,17 @@ def _check_entry(
 
 
 def _compile(
-    sources: list[str], config: MachineConfig, entry: tuple[str, str], entry_args: list[int]
+    sources: list[str],
+    config: MachineConfig,
+    entry: tuple[str, str],
+    entry_args: list[int] | None,
 ) -> list:
-    """Compile *sources* for *config* and check the entry against them."""
-    modules = compile_program(sources, CompileOptions.for_config(config))
+    """Compile *sources* for *config* and check the entry against them;
+    a program that does not compile is bad input."""
+    try:
+        modules = compile_program(sources, CompileOptions.for_config(config))
+    except CompileError as fault:
+        raise _BadInput(f"cannot compile: {fault}") from None
     _check_entry(modules, entry, entry_args)
     return modules
 
@@ -172,7 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            machine, doc = load_image_document(_read_input(args.image, json.loads))
+            machine, doc = load_image_document(_read_document(args.image))
         except FdoRefusal as refusal:
             print(f"run: image refused: {refusal}", file=sys.stderr)
             return 2
@@ -192,7 +209,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         facts = None
         if args.facts:
-            facts = _read_input(args.facts, json.loads)
+            facts = _read_document(args.facts)
         try:
             install_jit(machine, facts, hot_order=hot_order)
         except JitRefusal as refusal:
@@ -250,8 +267,7 @@ def _print_trap_diagnostics(machine, recorder, fault) -> None:
 
 def cmd_disasm(args: argparse.Namespace) -> int:
     config = MachineConfig.preset(args.impl)
-    modules = compile_program(_read_sources(args.files), CompileOptions.for_config(config))
-    _check_entry(modules, args.entry, None)
+    modules = _compile(_read_sources(args.files), config, args.entry, None)
     image = link(modules, config, args.entry)
     for module in modules:
         linked = image.instance_of(module.name)
@@ -720,7 +736,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     from repro.errors import TrapError
     from repro.faults import restore
 
-    doc = _read_input(args.snapshot, json.loads)
+    doc = _read_document(args.snapshot)
     if doc.get("schema") != SNAPSHOT_FILE_SCHEMA:
         print(
             f"resume: {args.snapshot} is not a {SNAPSHOT_FILE_SCHEMA} file "
@@ -838,7 +854,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.transport import SocketTransport
 
     if args.workload:
-        doc = _read_input(args.workload, json.loads)
+        doc = _read_document(args.workload)
         if doc.get("schema") != LOADGEN_SCHEMA:
             print(
                 f"serve: {args.workload} is not a {LOADGEN_SCHEMA} workload",
@@ -1302,8 +1318,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
         return 2
     sources = _read_program_sources(args.files)
-    profile = _read_input(args.profile, json.loads)
-    facts = _read_input(args.facts, json.loads)
+    profile = _read_document(args.profile)
+    facts = _read_document(args.facts)
     try:
         result = optimize(
             sources,

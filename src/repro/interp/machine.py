@@ -855,6 +855,8 @@ class Machine:
         self.return_context = None
         tracer = self.tracer
         if link == 0:
+            if self.banks is not None:
+                self.banks.end()
             if tracer is not None:
                 tracer.emit(
                     "xfer.return",

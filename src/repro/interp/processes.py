@@ -493,13 +493,8 @@ class Scheduler:
                 steps=machine.steps - self._steps_base - 1,
                 results=list(process.results),
             )
-        if machine.banks is not None:
-            # The dead process's chain is gone; release any banks still
-            # bound to freed frames.
-            for bank in machine.bankfile:
-                frame = bank.frame
-                if isinstance(frame, FrameState) and frame.freed:
-                    bank.release()
+        # The halting return already released the root's bank and the
+        # stack bank (BankManager.end).
         return False  # let machine.halted go True; run() rotates
 
 

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import main
+from repro.cli import SNAPSHOT_FILE_SCHEMA, main
 
 MAIN_SRC = """
 MODULE Main;
@@ -158,6 +160,92 @@ def test_missing_input_file_exits_two_with_one_line(
     assert captured.out == ""
     gone = next(word for word in command if word.startswith("gone"))
     assert captured.err == f"{command[0]}: cannot read {gone}: No such file or directory\n"
+    assert not (tmp_path / "unwritten.json").exists()
+
+
+#: One command per path that compiles the program it is given; SOURCE
+#: stands for the source file, and ``resume`` reads its sources from a
+#: snapshot file.
+_COMPILING = {
+    "run": ["run", "SOURCE"],
+    "disasm": ["disasm", "SOURCE"],
+    "measure": ["measure", "SOURCE"],
+    "trace": ["trace", "SOURCE"],
+    "profile": ["profile", "SOURCE"],
+    "profile-shards": ["profile", "SOURCE", "--shards", "2"],
+    "snapshot": ["snapshot", "SOURCE", "--at-step", "3", "--out", "unwritten.json"],
+    "resume": ["resume", "SNAPSHOT"],
+}
+
+#: Programs that do not compile, as ``(source, the fault stderr names)``.
+_UNCOMPILABLE = {
+    "parse-error": (
+        "MODULE Broken; PROCEDURE (",
+        "expected an identifier, found '(' at line 1, column 26",
+    ),
+    "semantic-error": (
+        "MODULE Main;\nPROCEDURE main(): INT;\nBEGIN\n  RETURN Other.f(1);\nEND;\nEND.\n",
+        "unknown procedure Other.f at line 4, column 10",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, source, fault",
+    [
+        pytest.param(command, *_UNCOMPILABLE[case], id=f"{case}-{name}")
+        for case in _UNCOMPILABLE
+        for name, command in _COMPILING.items()
+    ],
+)
+def test_a_program_that_does_not_compile_exits_two_with_one_line(
+    capsys, monkeypatch, tmp_path, command, source, fault
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.mesa").write_text(source)
+    snapshot = {
+        "schema": SNAPSHOT_FILE_SCHEMA, "entry": "Main.main", "sources": [source],
+        "impl": "i2", "args": [], "state": {},
+    }
+    (tmp_path / "snapshot.json").write_text(json.dumps(snapshot))
+    paths = {"SOURCE": "broken.mesa", "SNAPSHOT": "snapshot.json"}
+    assert main([paths.get(arg, arg) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command[0]}: cannot compile: {fault}\n"
+    assert not (tmp_path / "unwritten.json").exists()
+
+
+#: One command per JSON document a command reads, given ``[]`` there
+#: (list.json) and an object elsewhere (object.json).
+_NOT_OBJECTS = {
+    "run-image": ["run", "--image", "list.json"],
+    "run-facts": ["run", "PROGRAM", "--engine", "jit", "--facts", "list.json"],
+    "resume": ["resume", "list.json"],
+    "serve-workload": ["serve", "--workload", "list.json"],
+    "optimize-profile": [
+        "optimize", "PROGRAM", "--profile", "list.json", "--facts", "object.json",
+        "--out", "unwritten.json",
+    ],
+    "optimize-facts": [
+        "optimize", "PROGRAM", "--profile", "object.json", "--facts", "list.json",
+        "--out", "unwritten.json",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", _NOT_OBJECTS.values(), ids=_NOT_OBJECTS.keys())
+def test_a_json_input_that_is_not_an_object_exits_two_with_one_line(
+    program, capsys, monkeypatch, tmp_path, command
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "object.json").write_text("{}")
+    argv = [word for arg in command for word in (program if arg == "PROGRAM" else [arg])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command[0]}: cannot read list.json: not a JSON object\n"
     assert not (tmp_path / "unwritten.json").exists()
 
 

@@ -210,15 +210,18 @@ def _generated(monkeypatch, preset: str) -> tuple[list[str], list[str], list]:
     return blocks, cells, engines
 
 
-_HIT = re.compile(r"_H\[(\d+|cell\.slot)\] \+= 1")
+#: One hit on a static vector's slot, or, for the words an i4 cell
+#: spills or fills, ``words`` hits on the slot of one word's charges.
+_HIT = re.compile(r"_H\[(\d+|cell\.slot)\] \+= 1|_H\[\d+\] \+= words")
 _DYNAMIC_TRAFFIC = "_TR[_n] = _TR.get(_n, 0) + 1"
 
 
 @pytest.mark.parametrize("preset", ALL_PRESETS)
 def test_each_exit_charges_with_one_hit(monkeypatch, preset):
     """No block or cell names the counter, and only ``RD``/``WR`` touch
-    the region traffic; every static charge is one ``_H[slot] += 1``,
-    and a block exit has at most one."""
+    the region traffic; every static charge is one ``_H[slot] += 1``
+    (or ``_H[slot] += words`` per spilled or filled bank word), and a
+    block exit has at most one."""
     blocks, cells, engines = _generated(monkeypatch, preset)
     assert blocks and cells
     for source in blocks + cells:

@@ -203,8 +203,8 @@ def _calls_per_step(machine) -> float:
 @pytest.mark.parametrize("preset", ["i1", "i2", "i3", "i4"])
 def test_the_jit_makes_a_third_of_the_interpreters_calls_per_step(preset):
     """About 8 to 9 calls per step interpreted, against 0.3 to 0.4 on
-    i1-i3 and 2.0 on i4, where the call that overflows a bank (one in
-    six here) runs the generic transfer."""
+    i1-i3 and 0.67 on i4, where one call in six overflows a bank and its
+    return underflows, both inside the cells."""
     interpreted = _calls_per_step(build([CALL_DENSE], preset=preset))
     machine = build([CALL_DENSE], preset=preset)
     engine = install_jit(machine)
@@ -212,3 +212,24 @@ def test_the_jit_makes_a_third_of_the_interpreters_calls_per_step(preset):
     assert compiled <= interpreted / 3, (interpreted, compiled)
     assert engine.stats.deopts == 0
     assert engine.stats.cells_built > 0
+
+
+def test_a_warm_calldense_run_on_i4_runs_no_generic_transfer():
+    """I4's call cell spills the oldest bank when a call overflows, and
+    its return cell refills the caller's bank when a return underflows:
+    a warm calldense run makes no ``Machine._do_call`` and one
+    ``Machine._op_return``, the halting one, and its bank statistics
+    equal the interpreter's."""
+    interpreted = build([CALL_DENSE], preset="i4")
+    machine = build([CALL_DENSE], preset="i4")
+    engine = install_jit(machine)
+    _calls(interpreted, 4)
+    _calls(machine, 4)
+    before = machine.bankfile.stats.overflows
+    calls = _calls(machine, 13)
+    _calls(interpreted, 13)
+    assert calls["machine._do_call"] == 0
+    assert calls["machine._op_return"] == 1
+    assert machine.bankfile.stats.overflows - before == 13
+    assert vars(machine.bankfile.stats) == vars(interpreted.bankfile.stats)
+    assert engine.stats.deopts == 0
