@@ -1,61 +1,32 @@
 """F3 — Figure 3: assignment of register banks for stacks and frames.
 
-Regenerates the figure's exact table: the trace "begin X, call A,
+Regenerates the figure's exact table: the events "begin X, call A,
 return, call B, call C, return, call D, return" over four banks, with
-the stack bank renamed into each callee's local bank.  Paper row values
-(1-indexed): Lbank = 1,2,1,3,2,3,4,3 and Sbank = 2,3,3,2,4,4,2,2.
+the stack bank renamed into each callee's local bank, and the manager's
+Lbank and Sbank read after each (``repro.banks.renaming.figure3``).
+Paper row values (1-indexed): Lbank = 1,2,1,3,2,3,4,3 and
+Sbank = 2,3,3,2,4,4,2,2.
 """
 
 from __future__ import annotations
 
 from repro.analysis.report import banner, format_table
 from repro.banks.bankfile import BankFile
-from repro.banks.renaming import BankManager
-
-EVENTS = [
-    "begin X",
-    "call A",
-    "return",
-    "call B",
-    "call C",
-    "return",
-    "call D",
-    "return",
-]
+from repro.banks.renaming import figure3
 
 PAPER_LBANK = [1, 2, 1, 3, 2, 3, 4, 3]
 PAPER_SBANK = [2, 3, 3, 2, 4, 4, 2, 2]
 
 
-class _Frame:
-    def __init__(self, name):
-        self.name = name
-
-
-def run_figure3(bank_count=4):
-    banks = BankFile(bank_count, 16)
-    manager = BankManager(banks, spill=lambda bank: None, fill=lambda bank, frame: None)
-    x, a, b, c, d = (_Frame(n) for n in "XABCD")
-    manager.begin(x, event="begin X")
-    caller = manager.on_call(a, event="call A")
-    manager.on_return(x, caller, event="return")
-    caller_b = manager.on_call(b, event="call B")
-    caller_c = manager.on_call(c, event="call C")
-    manager.on_return(b, caller_c, event="return")
-    caller_d = manager.on_call(d, event="call D")
-    manager.on_return(b, caller_d, event="return")
-    return manager
-
-
 def report() -> str:
-    manager = run_figure3()
+    banks = BankFile(4, 16)
     rows = []
-    for event, paper_l, paper_s in zip(manager.trace, PAPER_LBANK, PAPER_SBANK):
-        measured_l = event.lbank + 1  # figure numbers banks from 1
-        measured_s = event.sbank + 1
-        rows.append([event.event, paper_l, measured_l, paper_s, measured_s])
-        assert measured_l == paper_l and measured_s == paper_s
-    assert manager.banks.stats.overflows == 0  # 4 banks suffice, as drawn
+    for (event, lbank, sbank), paper_l, paper_s in zip(
+        figure3(banks), PAPER_LBANK, PAPER_SBANK, strict=True
+    ):
+        rows.append([event, paper_l, lbank, paper_s, sbank])
+        assert lbank == paper_l and sbank == paper_s
+    assert banks.stats.overflows == 0  # 4 banks suffice, as drawn
     table = format_table(
         ["event", "Lbank (paper)", "Lbank (us)", "Sbank (paper)", "Sbank (us)"], rows
     )
@@ -67,7 +38,7 @@ def test_f3_matches_paper_exactly():
 
 
 def test_bench_renaming_sequence(benchmark):
-    benchmark(run_figure3)
+    benchmark(figure3)
 
 
 if __name__ == "__main__":

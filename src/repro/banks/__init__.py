@@ -19,11 +19,10 @@ a local frame:
 from repro.banks.bankfile import Bank, BankFile, BankRole, BankStats
 from repro.banks.deferred import FastFrameStack
 from repro.banks.pointers import PointerPolicy, divert_lookup
-from repro.banks.renaming import BankEvent, BankManager
+from repro.banks.renaming import BankManager
 
 __all__ = [
     "Bank",
-    "BankEvent",
     "BankFile",
     "BankManager",
     "BankRole",

@@ -231,7 +231,3 @@ class BankFile:
                 "bank.fill", frame=_frame_label(bank.frame), bank=bank.id,
                 words=len(values),
             )
-
-    def snapshot(self) -> list[tuple[int, str, object | None]]:
-        """(id, role, frame) per bank — the rows of Figure 3."""
-        return [(bank.id, bank.role.value, bank.frame) for bank in self._banks]

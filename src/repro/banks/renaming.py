@@ -21,36 +21,17 @@
 :class:`BankManager` executes exactly that pattern.  It does not touch
 memory itself: the interpreter supplies ``spill`` and ``fill`` callbacks
 that move words between a bank and its frame (counted), so that the
-manager stays a pure policy object and Figure 3 can be regenerated from
-its event trace without a full machine.
+manager stays a pure policy object.  Its state is two registers, the
+current Lbank and Sbank, beside each bank's role, frame and assignment
+number; Figure 3 is those two registers read after each event
+(:func:`figure3`), without a full machine.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.banks.bankfile import Bank, BankFile, BankRole
-
-#: Rows the assignment trace keeps: the newest, in a fixed ring.  Figure 3
-#: needs 8; a machine records a row on every call and return for its
-#: whole life, so an unbounded trace would grow with the run.
-TRACE_ROWS = 256
-
-
-@dataclass(slots=True)
-class BankEvent:
-    """One row of the Figure 3 trace: the assignment after an event.
-
-    Every I4 call and return records one, so a row is a plain slotted
-    record: a frozen dataclass would pay ``object.__setattr__`` per
-    field on every construction.  Rows are never changed once recorded.
-    """
-
-    event: str  # "begin X", "call A", "return", ...
-    lbank: int  # current local bank id
-    sbank: int  # current stack bank id
 
 
 class BankManager:
@@ -82,16 +63,13 @@ class BankManager:
         self._fill = fill
         self.lbank: Bank | None = None
         self.sbank: Bank | None = None
-        #: The newest :data:`TRACE_ROWS` assignment rows, oldest first.
-        self.trace: deque[BankEvent] = deque(maxlen=TRACE_ROWS)
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def begin(self, root_frame: object, event: str = "begin") -> None:
+    def begin(self, root_frame: object) -> None:
         """Assign banks for the first context: one L, one S."""
         self.lbank = self._acquire(BankRole.LOCAL, root_frame)
         self.sbank = self._acquire(BankRole.STACK, None)
-        self._record(event)
 
     def end(self) -> None:
         """The halting return: the root frame is freed, so its bank and
@@ -103,28 +81,28 @@ class BankManager:
         self.lbank = None
         self.sbank = None
 
-    def on_call(
-        self, callee_frame: object, arg_words: int = 0, event: str = "call"
-    ) -> Bank | None:
+    def on_call(self, callee_frame: object, arg_words: int = 0) -> Bank | None:
         """The call pattern; returns the *caller's* Lbank for the return stack.
 
         The stack bank (holding the just-loaded arguments) is renamed to
         shadow *callee_frame* — zero data movement — and a fresh bank
         becomes the stack.  *arg_words* says how many stack words became
         locals; they are live in registers but not yet in memory, so they
-        start dirty from the frame's point of view.
+        start dirty from the frame's point of view.  After a flush there
+        is no stack bank: one is acquired first, as :meth:`on_resume`
+        does, so the callee always gets a bank.
         """
         self.banks.stats.xfers += 1
+        if self.sbank is None:
+            self.sbank = self._acquire(BankRole.STACK, None)
         caller_lbank = self.lbank
         self.lbank = self.sbank
-        if self.lbank is not None:
-            self.lbank.rebind(BankRole.LOCAL, callee_frame, self.banks.next_seq())
-            self.lbank.dirty.update(range(min(arg_words, self.lbank.size)))
+        self.lbank.rebind(BankRole.LOCAL, callee_frame, self.banks.next_seq())
+        self.lbank.dirty.update(range(min(arg_words, self.lbank.size)))
         self.sbank = self._acquire(BankRole.STACK, None)
-        self._record(event)
         return caller_lbank
 
-    def on_return(self, caller_frame: object, caller_bank: Bank | None, event: str = "return") -> None:
+    def on_return(self, caller_frame: object, caller_bank: Bank | None) -> None:
         """The return pattern: free current L, restore the caller's.
 
         If the caller's bank was reclaimed in the meantime (or the return
@@ -148,20 +126,15 @@ class BankManager:
                 self.banks.stats.underflows += 1
                 self.lbank = self._acquire(BankRole.LOCAL, caller_frame)
                 self._fill(self.lbank, caller_frame)
-        self._record(event)
 
-    def on_resume(self, frame: object, event: str = "resume") -> None:
+    def on_resume(self, frame: object) -> None:
         """General XFER into a frame context (coroutine, process switch).
 
         The frame gets a shadowing bank (underflow fill if none), and a
         fresh stack bank is assigned.
         """
         self.banks.stats.xfers += 1
-        existing = None
-        for bank in self.banks:
-            if bank.role is BankRole.LOCAL and bank.frame is frame:
-                existing = bank
-                break
+        existing = self.bank_of(frame)
         if existing is not None:
             self.lbank = existing
         else:
@@ -170,9 +143,8 @@ class BankManager:
             self._fill(self.lbank, frame)
         if self.sbank is None or self.sbank.role is not BankRole.STACK:
             self.sbank = self._acquire(BankRole.STACK, None)
-        self._record(event)
 
-    def flush_all(self, event: str = "flush") -> None:
+    def flush_all(self) -> None:
         """The fallback: "all the banks are flushed into storage"."""
         for bank in self.banks:
             if bank.role is BankRole.LOCAL:
@@ -182,15 +154,13 @@ class BankManager:
                 bank.release()
         self.lbank = None
         self.sbank = None
-        self.trace.append(BankEvent(event, -1, -1))
 
     def release_frame_bank(self, frame: object) -> None:
         """Free the bank shadowing *frame* (the frame was freed)."""
-        for bank in self.banks:
-            if bank.role is BankRole.LOCAL and bank.frame is frame:
-                bank.release()
-                self.banks.stats.releases += 1
-                return
+        bank = self.bank_of(frame)
+        if bank is not None:
+            bank.release()
+            self.banks.stats.releases += 1
 
     def bank_of(self, frame: object) -> Bank | None:
         """The bank currently shadowing *frame*, if any."""
@@ -220,11 +190,39 @@ class BankManager:
         assert bank is victim
         return bank
 
-    def _record(self, event: str) -> None:
-        self.trace.append(
-            BankEvent(
-                event,
-                self.lbank.id if self.lbank is not None else -1,
-                self.sbank.id if self.sbank is not None else -1,
-            )
-        )
+
+def figure3(banks: BankFile | None = None) -> list[tuple[str, int, int]]:
+    """Figure 3's eight rows: ``(event, lbank, sbank)`` after each of
+    begin X, call A, return, call B, call C, return, call D, return,
+    with banks numbered from 1 as the figure numbers them.
+
+    A bare manager over *banks* (four 16-word banks by default) runs the
+    sequence, and each row reads its two registers; spills and fills
+    move nothing, as Figure 3 draws no memory.
+    """
+    if banks is None:
+        banks = BankFile(4, 16)
+    manager = BankManager(banks, spill=lambda bank: None, fill=lambda bank, frame: None)
+    x, a, b, c, d = (object() for _ in "XABCD")
+    rows = []
+
+    def row(event: str) -> None:
+        rows.append((event, manager.lbank.id + 1, manager.sbank.id + 1))
+
+    manager.begin(x)
+    row("begin X")
+    caller = manager.on_call(a)
+    row("call A")
+    manager.on_return(x, caller)
+    row("return")
+    manager.on_call(b)
+    row("call B")
+    caller = manager.on_call(c)
+    row("call C")
+    manager.on_return(b, caller)
+    row("return")
+    caller = manager.on_call(d)
+    row("call D")
+    manager.on_return(b, caller)
+    row("return")
+    return rows

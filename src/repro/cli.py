@@ -396,26 +396,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         and free_refs["memory_read"] + free_refs["memory_write"] == 4,
     )
 
-    # Figure 3 (section 7.2): the exact bank-assignment trace.
-    from repro.banks.bankfile import BankFile
-    from repro.banks.renaming import BankManager
+    # Figure 3 (section 7.2): the exact bank assignment after each event.
+    from repro.banks.renaming import figure3
 
-    banks = BankFile(4, 16)
-    manager = BankManager(banks, spill=lambda b: None, fill=lambda b, f: None)
-    frames = {name: object() for name in "XABCD"}
-    manager.begin(frames["X"])
-    caller = manager.on_call(frames["A"])
-    manager.on_return(frames["X"], caller)
-    manager.on_call(frames["B"])
-    caller_c = manager.on_call(frames["C"])
-    manager.on_return(frames["B"], caller_c)
-    caller_d = manager.on_call(frames["D"])
-    manager.on_return(frames["B"], caller_d)
-    lbanks = [event.lbank + 1 for event in manager.trace]
-    sbanks = [event.sbank + 1 for event in manager.trace]
+    _, lbanks, sbanks = zip(*figure3())
     check(
         "Figure 3 renaming trace: Lbank 1,2,1,3,2,3,4,3 / Sbank 2,3,3,2,4,4,2,2",
-        lbanks == [1, 2, 1, 3, 2, 3, 4, 3] and sbanks == [2, 3, 3, 2, 4, 4, 2, 2],
+        lbanks == (1, 2, 1, 3, 2, 3, 4, 3) and sbanks == (2, 3, 3, 2, 4, 4, 2, 2),
     )
 
     # Descriptor packing (section 5.1).

@@ -167,6 +167,6 @@ class FaultInjector:
                 machine._flush_return_stack("fault", rstack.take_all())
         elif action == "flush_banks":
             if machine.banks is not None:
-                machine.banks.flush_all(event="fault")
+                machine.banks.flush_all()
         else:  # pragma: no cover - plan validation rejects unknown actions
             raise AssertionError(f"unhandled state action {action!r}")

@@ -13,15 +13,18 @@ the machine is bit-identical — on every modelled meter — to never
 having stopped.
 
 Schema versioning policy (see ``docs/faults.md``): the schema string
-``repro-snapshot/2`` names the layout; any change to the meaning or
+``repro-snapshot/3`` names the layout; any change to the meaning or
 shape of a section bumps the version, and :func:`restore` refuses a
 snapshot whose schema it does not know.  (Version 2 added the process
 records' ``remote`` field and the scheduler's ``blocks`` stat — a
-process can now be BLOCKED on a Remote XFER, see :mod:`repro.net`.)  Host-side caches (decode
-cache, linkage cache) are deliberately **not** captured: they are
-rebuilt cold, and their charging discipline guarantees identical meters
-either way.  Host trap *handlers* (Python callables) are likewise not
-captured; trap *contexts* (in-machine procedure descriptors) are.
+process can now be BLOCKED on a Remote XFER, see :mod:`repro.net`.
+Version 3 dropped the banks section's ``trace``, the Figure 3
+assignment rows: the bank state is each bank and the ``lbank`` and
+``sbank`` registers.)  Host-side caches (decode cache, linkage cache)
+are deliberately **not** captured: they are rebuilt cold, and their
+charging discipline guarantees identical meters either way.  Host trap
+*handlers* (Python callables) are likewise not captured; trap
+*contexts* (in-machine procedure descriptors) are.
 
 Frames are serialized as a graph keyed by Python identity: every
 reachable :class:`~repro.interp.frames.FrameState` gets an index, and
@@ -35,7 +38,6 @@ addresses agree between the capturing and restoring images.
 from __future__ import annotations
 
 from repro.banks.bankfile import BankRole
-from repro.banks.renaming import BankEvent
 from repro.errors import ReproError
 from repro.ifu.ifu import TransferKind
 from repro.ifu.returnstack import ReturnStackEntry
@@ -44,7 +46,7 @@ from repro.interp.processes import Process, ProcessStatus
 from repro.interp.traps import TrapKind
 
 #: The schema this module writes and the only one it restores.
-SNAPSHOT_SCHEMA = "repro-snapshot/2"
+SNAPSHOT_SCHEMA = "repro-snapshot/3"
 
 #: Config fields that must match between capture and restore; the rest
 #: (cost model, step limit) are carried by the rebuilt image itself.
@@ -262,7 +264,6 @@ def capture(machine, scheduler=None) -> dict:
             "stats": dict(vars(machine.bankfile.stats)),
             "lbank": manager.lbank.id if manager.lbank is not None else None,
             "sbank": manager.sbank.id if manager.sbank is not None else None,
-            "trace": [[e.event, e.lbank, e.sbank] for e in manager.trace],
         }
 
     av_heap = machine.image.av_heap
@@ -465,11 +466,6 @@ def restore(machine, state: dict, scheduler=None) -> None:
             bankfile.bank(banks_state["sbank"])
             if banks_state["sbank"] is not None
             else None
-        )
-        manager.trace.clear()
-        manager.trace.extend(
-            BankEvent(event, lbank, sbank)
-            for event, lbank, sbank in banks_state["trace"]
         )
 
     if machine.rstack is not None:

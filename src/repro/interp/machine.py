@@ -215,7 +215,7 @@ class Machine:
         self.return_context = None
 
         if self.banks is not None:
-            self.banks.begin(frame, event=f"begin {meta.name}")
+            self.banks.begin(frame)
         self._pass_arguments(list(args), frame)
         if self.tracer is not None:
             self.tracer.emit(
@@ -716,9 +716,7 @@ class Machine:
                 self.memory.write(caller.address + FRAME_PC, to_word(return_pc - cb))
 
         if self.banks is not None:
-            caller_bank = self.banks.on_call(
-                callee, arg_words=len(args), event=f"call {meta.name}"
-            )
+            caller_bank = self.banks.on_call(callee, arg_words=len(args))
             if entry is not None:
                 entry.bank = caller_bank
 
@@ -945,7 +943,7 @@ class Machine:
             callee = self._new_frame(meta, resolved)
             self._materialize(callee)  # XFER-created contexts get no rstack entry
             if self.banks is not None:
-                self.banks.on_call(callee, arg_words=len(args), event=f"xfer {meta.name}")
+                self.banks.on_call(callee, arg_words=len(args))
             if rename and args:
                 self._install_renamed_arguments(args, callee)
             self.memory.write(callee.address + FRAME_RETURN_LINK, current.address)

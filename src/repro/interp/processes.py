@@ -293,7 +293,7 @@ class Scheduler:
         machine.return_context = None
         machine.halted = False
         if machine.banks is not None:
-            machine.banks.on_resume(process.frame, event=f"switch-in p{process.pid}")
+            machine.banks.on_resume(process.frame)
         self._emit_switch("sched.switch_in", process, fresh=False)
 
     def _emit_switch(self, kind: str, process: Process, **extra) -> None:
@@ -334,7 +334,7 @@ class Scheduler:
         if machine.rstack is not None and len(machine.rstack):
             machine._flush_return_stack("process", machine.rstack.take_all())
         if machine.banks is not None:
-            machine.banks.flush_all(event=f"switch-out p{process.pid}")
+            machine.banks.flush_all()
         current = machine.frame
         machine._materialize(current)
         cb = machine._current_code_base()

@@ -72,7 +72,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.banks.bankfile import BankRole
-from repro.banks.renaming import BankEvent
 from repro.ifu.ifu import FetchStats, TransferKind
 from repro.ifu.returnstack import ReturnStackEntry
 from repro.interp.frames import LOCALS_BASE, FrameState
@@ -123,7 +122,7 @@ class _Cell:
     """The seeded (site, gf) resolution: target + one charge vector."""
 
     __slots__ = ("slot", "meta", "gf_address", "cb_final",
-                 "first_instruction", "fsi", "frame_words", "need", "label")
+                 "first_instruction", "fsi", "frame_words", "need")
 
     def __init__(self, slot: int, meta, resolved, need: int) -> None:
         #: The exit-table slot of the call's charges: resolution,
@@ -138,8 +137,6 @@ class _Cell:
         self.frame_words = meta.frame_words
         #: The allocator's request for this callee (see _Allocator.need).
         self.need = need
-        #: The bank-trace row a renaming call records.
-        self.label = f"call {meta.name}"
 
 
 def _renames(machine) -> bool:
@@ -321,8 +318,7 @@ _RENAME = """\
     fresh.dirty.clear()
     bankfile._seq = seq + 2
     _BKS.lbank = sbank
-    _BKS.sbank = fresh
-    trace.append(BankEvent(cell.label, sbank.id, fresh.id))"""
+    _BKS.sbank = fresh"""
 
 #: RENAME arguments become the callee's first locals: live in the bank,
 #: not yet in memory, so dirty from the frame's point of view.
@@ -461,9 +457,7 @@ _RETURN_RENAME = {
         bstats.underflows += 1
         bstats.words_filled += words
 {fill}
-    _BKS.lbank = bank
-    sbank = _BKS.sbank
-    trace.append(BankEvent("return", bank.id, sbank.id if sbank is not None else -1))""",
+    _BKS.lbank = bank""",
 }
 
 #: The frame leaves the frame table; AllocationStats.on_free follows the
@@ -716,11 +710,9 @@ def make_cells(machine, ctx, ns: dict, stats):
     if banked:
         bankfile = machine.bankfile
         ns.update(
-            trace=machine.banks.trace,
             bankfile=bankfile,
             bank_list=bankfile._banks,
             bstats=bankfile.stats,
-            BankEvent=BankEvent,
             LOCAL=BankRole.LOCAL,
             STACK=BankRole.STACK,
             FREE=BankRole.FREE,

@@ -15,7 +15,7 @@ A control record is one framed JSON document ``{"schema":
 ===============  ============================================
 ``meters``       -> ``meters_reply`` with the shard's modelled meters
 ``events``       -> ``events_reply`` with recorded trace events
-``snapshot``     -> ``snapshot_reply`` with a ``repro-snapshot/2`` doc
+``snapshot``     -> ``snapshot_reply`` with a ``repro-snapshot/3`` doc
 ``restore``      -> ``restore_reply`` after restoring such a doc
 ``status``       -> ``status_reply`` with the process table
 ``extract``      -> ``extract_reply`` with a ``repro-migrate/2`` slice

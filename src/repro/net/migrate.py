@@ -2,7 +2,7 @@
 
 The paper's thesis makes this almost inevitable: a process switch is
 just another XFER, a Remote XFER already stretches one across shards,
-and ``repro-snapshot/2`` already serializes a process blocked on a
+and ``repro-snapshot/3`` already serializes a process blocked on a
 remote reply.  Migration composes the two.  A process is **quiesced**
 at a block boundary — between scheduler slices, where a compiled block
 has finished too, so the same boundary exists under ``--engine jit`` —
@@ -22,7 +22,7 @@ the slice resumes in exactly one place.
 Two adoption modes, one slice schema:
 
 ``exclusive``
-    The slice carries a full ``repro-snapshot/2`` of the source
+    The slice carries a full ``repro-snapshot/3`` of the source
     machine; the target — which must be **idle** (no live processes,
     nothing awaiting, nothing being served) — restores it wholesale,
     then surgically keeps its *own* meters (cycle counter, step count,

@@ -572,11 +572,11 @@ class ProcessCluster:
         }
 
     def snapshot(self, shard: int) -> dict:
-        """A ``repro-snapshot/2`` document of one worker's machine."""
+        """A ``repro-snapshot/3`` document of one worker's machine."""
         return self._run(self._control(shard, "snapshot")).body["state"]
 
     def restore(self, shard: int, state: dict) -> None:
-        """Restore a ``repro-snapshot/2`` document into one worker."""
+        """Restore a ``repro-snapshot/3`` document into one worker."""
         self._run(self._control(shard, "restore", {"state": state}))
 
     def status(self, shard: int) -> list[dict]:

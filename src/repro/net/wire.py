@@ -13,7 +13,7 @@ The ``hello`` handshake reuses the snapshot codec's configuration
 token (:func:`repro.faults.snapshot._config_token`): two shards may
 exchange Remote XFERs only when their machine configurations — and
 therefore their modelled meters — are identical, the same compatibility
-rule ``repro-snapshot/2`` enforces for restore.  :func:`check_census`
+rule ``repro-snapshot/3`` enforces for restore.  :func:`check_census`
 is that check, for both serving stacks.
 
 Wire cost is metered **explicitly and separately** from the machines:

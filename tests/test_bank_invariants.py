@@ -4,7 +4,8 @@ Whatever interleaving of calls, returns, resumes, and flushes occurs,
 the bank file must satisfy:
 
 * at most one bank shadows any given frame;
-* the current Lbank (when set) shadows the current frame;
+* the current Lbank (when set) shadows the current frame, and a call
+  always sets it: the callee is shadowed even after a flush;
 * the current Sbank (when set) has the STACK role;
 * free banks carry no frame binding;
 * spilled banks always belonged to LOCAL frames (stack contents are
@@ -64,10 +65,11 @@ def test_invariants_hold_under_random_streams(banks, choices):
     suspended: list[list] = []
     current = root
     for choice in choices:
-        action = choice % 4
+        action = choice % 5
         if action in (0, 1):  # call (weighted: calls dominate)
             frame = Frame()
             caller_bank = manager.on_call(frame)
+            assert manager.lbank is not None and manager.lbank.frame is frame
             chain[-1] = (chain[-1][0], caller_bank)
             chain.append((frame, None))
             current = frame
@@ -77,6 +79,9 @@ def test_invariants_hold_under_random_streams(banks, choices):
                 caller, bank = chain[-1]
                 manager.on_return(caller, bank)
                 current = caller
+        elif action == 3:  # the fallback: flush every bank
+            manager.flush_all()
+            assert all(bank.role is BankRole.FREE for bank in file)
         else:  # coroutine switch
             suspended.append(chain)
             if len(suspended) > 1 and choice % 2:

@@ -120,11 +120,3 @@ def test_overflow_rate_property():
     banks.stats.overflows = 3
     banks.stats.underflows = 2
     assert banks.stats.overflow_rate == 0.05
-
-
-def test_snapshot():
-    banks = BankFile(3)
-    banks.acquire_free(BankRole.LOCAL, "fr")
-    snap = banks.snapshot()
-    assert snap[0] == (0, "local", "fr")
-    assert snap[1] == (1, "free", None)

@@ -38,7 +38,7 @@ def test_snapshot_then_resume_verified(fib_file, tmp_path, capsys):
     doc = json.loads((tmp_path / "snap.json").read_text())
     assert doc["schema"] == "repro-snapshot-file/1"
     assert doc["impl"] == "i3"
-    assert doc["state"]["schema"] == "repro-snapshot/2"
+    assert doc["state"]["schema"] == "repro-snapshot/3"
     assert doc["sources"]  # embedded, so resume needs no original files
 
     assert main(["resume", snap, "--verify"]) == 0

@@ -203,7 +203,7 @@ def test_restore_rejects_foreign_program():
 
 
 # ---------------------------------------------------------------------------
-# Blocked processes (repro-snapshot/2): freeze mid-remote-call, resume
+# Blocked processes (since repro-snapshot/2): freeze mid-remote-call, resume
 # ---------------------------------------------------------------------------
 
 
@@ -234,7 +234,7 @@ def test_snapshot_blocked_process_roundtrips_and_resumes():
     assert process.status is ProcessStatus.BLOCKED
     assert process.remote is not None and "id" not in process.remote
     state = capture(c1.shards[0].machine, c1.shards[0].scheduler)
-    assert state["schema"] == "repro-snapshot/2"
+    assert state["schema"] == "repro-snapshot/3"
 
     # Restore onto a fresh cluster's shard 0 and pump to completion.
     c2 = Cluster(sources, shards=2, config="i2", pins=pins)

@@ -49,19 +49,33 @@ def _started(name: str, preset: str, jit: bool):
 
 
 def _meters(machine) -> tuple:
-    return (
+    """Steps, counter and traffic; on a banked machine also the bank
+    assignment: the Lbank and Sbank registers and each bank's role,
+    assignment number, dirty set and words."""
+    meters = (
         machine.steps,
         machine.counter.snapshot(),
         list(machine.memory.traffic.items()),
     )
+    manager = machine.banks
+    if manager is None:
+        return meters
+    registers = tuple(
+        bank.id if bank is not None else None for bank in (manager.lbank, manager.sbank)
+    )
+    banks = [
+        (bank.role, bank.assigned_at, sorted(bank.dirty), list(bank.words))
+        for bank in machine.bankfile
+    ]
+    return meters + (registers, banks)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("name, preset", CORPUS_CELLS)
 def test_lock_step_slices_leave_no_charge_pending(name, preset, chunk):
     """Run both engines in ``run(max_steps=chunk)`` slices: after every
-    slice the steps, the counter and the region traffic (key order
-    included) are the interpreter's."""
+    slice the steps, the counter, the region traffic (key order
+    included) and on i4 the bank assignment are the interpreter's."""
     ref, _ = _started(name, preset, jit=False)
     jit, engine = _started(name, preset, jit=True)
     slices = 0

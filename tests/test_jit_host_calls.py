@@ -5,8 +5,8 @@ A seeded call cell and a seeded return cell are one host call each
 ``AllocationStats`` updates and the frame-table registration run inline,
 so a call-and-return pair adds only the record constructors —
 ``FrameState``, and ``ReturnStackEntry`` on a machine with the IFU
-return stack; i4's renaming pair adds its two Figure 3 trace rows
-(``BankEvent``).  The counts are deterministic, unlike host timings.
+return stack, i4's renaming pair included.  The counts are
+deterministic, unlike host timings.
 
 Only Python calls into the repository's own code are counted (its
 modules, the cells, and its records' constructors); C calls vary with
@@ -161,9 +161,8 @@ def test_a_call_and_return_pair_is_two_cell_calls_and_its_records(preset, record
 
 def test_an_i4_renaming_pair_is_two_cell_calls_and_its_records():
     """I4's renaming cells are generated like the others: a pair is the
-    two ``<jit cells>`` functions, the callee's ``FrameState``, the
-    caller's ``ReturnStackEntry`` and the call's and the return's trace
-    rows."""
+    two ``<jit cells>`` functions, the callee's ``FrameState`` and the
+    caller's ``ReturnStackEntry``."""
     machine = build([CALL_SHALLOW], preset="i4")
     engine = install_jit(machine)
 
@@ -181,7 +180,6 @@ def test_an_i4_renaming_pair_is_two_cell_calls_and_its_records():
         "fast_return": 1.0,
         "FrameState.__init__": 1.0,
         "ReturnStackEntry.__init__": 1.0,
-        "BankEvent.__init__": 2.0,
     }
     assert engine.stats.deopts == 0
 
@@ -202,9 +200,9 @@ def _calls_per_step(machine) -> float:
 
 @pytest.mark.parametrize("preset", ["i1", "i2", "i3", "i4"])
 def test_the_jit_makes_a_third_of_the_interpreters_calls_per_step(preset):
-    """About 8 to 9 calls per step interpreted, against 0.3 to 0.4 on
-    i1-i3 and 0.67 on i4, where one call in six overflows a bank and its
-    return underflows, both inside the cells."""
+    """About 8 to 9 calls per step interpreted, against 0.3 to 0.45 on
+    i1-i4; on i4 one call in six overflows a bank and its return
+    underflows, both inside the cells."""
     interpreted = _calls_per_step(build([CALL_DENSE], preset=preset))
     machine = build([CALL_DENSE], preset=preset)
     engine = install_jit(machine)

@@ -10,8 +10,8 @@ still deferred or that is not a local bank, a bank-file tracer, no
 current Lbank, a flagged or retained frame, a callee too big to defer)
 goes to the interpreter's generic handler.  Each program here drives one
 of those paths; the full captured state vector must equal the
-interpreter's, so a cell that drops a trace row, a dirty bit, a return
-stack count or a sequence number fails.
+interpreter's, so a cell that drops a dirty bit, a return stack count
+or a sequence number fails.
 """
 
 from __future__ import annotations
@@ -182,8 +182,9 @@ END;
 END.
 """
 
-#: ``seven`` has no argument and no local, so after a flush it runs
-#: without any bank, still deferred.
+#: ``seven`` has no argument and no local.  A call after a flush gives it
+#: the stack bank the call acquires; a flush inside it leaves its return
+#: with no current Lbank.
 BANKLESS = """
 MODULE Main;
 PROCEDURE seven(): INT;
@@ -197,6 +198,32 @@ BEGIN
   i := 0;
   WHILE i < n DO
     acc := acc + seven() + i;
+    i := i + 1;
+  END;
+  RETURN acc;
+END;
+END.
+"""
+
+#: ``main`` calls ``outer``, which calls ``inner``; neither takes an
+#: argument, so a call after a flush has no stack bank to rename.
+NESTED = """
+MODULE Main;
+PROCEDURE inner(): INT;
+BEGIN
+  RETURN 2;
+END;
+PROCEDURE outer(): INT;
+BEGIN
+  RETURN inner() + 1;
+END;
+PROCEDURE main(n): INT;
+VAR i, acc: INT;
+BEGIN
+  acc := 0;
+  i := 0;
+  WHILE i < n DO
+    acc := acc + outer();
     i := i + 1;
   END;
   RETURN acc;
@@ -261,20 +288,29 @@ def _generic_bank_events(machine) -> Counter:
 def _bank_shapes(machine) -> Counter:
     """The shape of each overflow at a call on interpreter *machine* —
     what its victim was — and of each underflow at a return — whether
-    the bank it fills is the Lbank the return released."""
+    the bank it fills is the Lbank the return released.  An XFER to a
+    descriptor renames a bank too, but only a call runs in a cell."""
     shapes: Counter = Counter()
     manager = machine.banks
     stats = machine.bankfile.stats
     on_call, on_return = manager.on_call, manager.on_return
+    calling = []
 
-    def call(callee, arg_words=0, event="call"):
+    def do_call(*args, handler=machine._do_call):
+        calling.append(True)
+        try:
+            handler(*args)
+        finally:
+            calling.pop()
+
+    def call(callee, arg_words=0):
         before = {
             bank: (bank.role, getattr(bank.frame, "address", None))
             for bank in machine.bankfile
         }
         caller, overflows = manager.lbank, stats.overflows
-        bank = on_call(callee, arg_words, event)
-        if stats.overflows > overflows and event.startswith("call "):
+        bank = on_call(callee, arg_words)
+        if stats.overflows > overflows and calling:
             victim = manager.sbank
             role, address = before[victim]
             if role is not BankRole.LOCAL:
@@ -285,13 +321,14 @@ def _bank_shapes(machine) -> Counter:
                 shapes["caller's victim" if victim is caller else "older victim"] += 1
         return bank
 
-    def ret(frame, bank, event="return"):
+    def ret(frame, bank):
         released, underflows = manager.lbank, stats.underflows
-        on_return(frame, bank, event)
+        on_return(frame, bank)
         if stats.underflows > underflows:
             shapes["refill released" if manager.lbank is released else "refill other"] += 1
 
     manager.on_call, manager.on_return = call, ret
+    machine._do_call = do_call
     return shapes
 
 
@@ -493,11 +530,19 @@ def test_without_dirty_tracking_the_overflows_stay_generic():
 @pytest.mark.parametrize("chunk", [29, 61])
 def test_a_return_without_a_current_lbank_stays_generic(chunk):
     """A flush leaves no current Lbank and no stack bank: the next call
-    runs generically and ``seven`` runs without a bank, still deferred.
-    Its return must fill main's bank, and with no Lbank to release the
-    return cell leaves that to the interpreter."""
+    runs generically and acquires a stack bank for ``seven``.  A flush
+    that lands inside ``seven`` leaves its return with no current Lbank;
+    that return must fill main's bank, and with no Lbank to release the
+    return cell leaves it to the interpreter."""
     ref, jit, engine = _pair([BANKLESS], (40,))
     generic = _generic_bank_events(jit)
+    bankless = []
+
+    def op_return(handler=jit._op_return):
+        bankless.append(jit.banks.lbank is None)
+        handler()
+
+    jit._op_return = op_return
     flushes = 0
     while True:
         outcomes = []
@@ -515,8 +560,28 @@ def test_a_return_without_a_current_lbank_stays_generic(chunk):
         flushes += 1
     assert jit.results() == [sum(7 + i for i in range(40))]
     assert flushes > 5
+    assert any(bankless)
     assert generic["underflows"] > 0
     assert engine.stats.cells_built > 0, engine.stats
+
+
+def test_a_flush_at_any_step_leaves_every_callee_a_bank():
+    """Flush every bank after step k, for every k, then run to the end.
+    The next call acquires a stack bank to rename, so no callee runs
+    without a bank and no return fills from a frame that was never
+    given memory: both engines finish with the right result and equal
+    state."""
+    straight, _, _ = _pair([NESTED], (2,))
+    straight.run()
+    for k in range(1, straight.steps):
+        ref, jit, engine = _pair([NESTED], (2,))
+        for machine in (ref, jit):
+            with pytest.raises(StepLimitExceeded):
+                machine.run(max_steps=k)
+            machine.banks.flush_all()
+        assert jit.run() == ref.run() == [6], k
+        assert state_vector(jit) == state_vector(ref), k
+    assert engine.stats.cells_built > 0
 
 
 @pytest.mark.parametrize("engine", ["interp", "jit"])

@@ -1,7 +1,7 @@
 """Machine tests: register banks, renaming, deferred allocation (I4)."""
 
 from repro.machine.costs import Event
-from tests.conftest import run_source
+from tests.conftest import build, run_source
 
 LEAFY = [
     """
@@ -124,25 +124,77 @@ END.
     assert machine.deferred_frames == 0 or machine.counter.memory_references > 10
 
 
-def test_bank_trace_records_figure3_pattern():
-    source = [
-        """
+#: Figure 3's events on a machine: ``main`` is X; it calls ``a``, then
+#: ``b``, which calls ``c``, then ``d``.
+FIGURE3 = [
+    """
 MODULE Main;
 PROCEDURE a(): INT;
 BEGIN
   RETURN 1;
 END;
+PROCEDURE c(): INT;
+BEGIN
+  RETURN 3;
+END;
+PROCEDURE d(): INT;
+BEGIN
+  RETURN 4;
+END;
+PROCEDURE b(): INT;
+VAR x: INT;
+BEGIN
+  x := c();
+  RETURN x + d();
+END;
 PROCEDURE main(): INT;
 VAR x: INT;
 BEGIN
   x := a();
-  RETURN x + a();
+  RETURN x + b();
 END;
 END.
 """
+]
+
+
+class _Registers:
+    """A tracer that reads the bank manager's two registers at every
+    transfer, numbering banks from 1 as Figure 3 does."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.rows = []
+
+    def emit(self, kind, name="", **data):
+        if kind in ("machine.begin", "xfer.call", "xfer.return"):
+            banks = self.machine.banks
+            self.rows.append((
+                kind,
+                banks.lbank.id + 1 if banks.lbank is not None else None,
+                banks.sbank.id + 1 if banks.sbank is not None else None,
+            ))
+
+
+def test_an_i4_machine_assigns_banks_as_figure3():
+    """The paper's rows on a real machine: begin X, call A, return, call
+    B, call C, return, call D, return.  Then B returns to X, and the
+    halting return releases both banks."""
+    machine = build(FIGURE3, preset="i4")
+    registers = _Registers(machine)
+    machine.attach_tracer(registers)
+    machine.start("Main", "main")
+    assert machine.run() == [1 + 3 + 4]
+    assert registers.rows == [
+        ("machine.begin", 1, 2),  # begin X
+        ("xfer.call", 2, 3),  # call A
+        ("xfer.return", 1, 3),
+        ("xfer.call", 3, 2),  # call B
+        ("xfer.call", 2, 4),  # call C
+        ("xfer.return", 3, 4),
+        ("xfer.call", 4, 2),  # call D
+        ("xfer.return", 3, 2),
+        ("xfer.return", 1, 2),  # B returns to X
+        ("xfer.return", None, None),  # the halting return
     ]
-    _, machine = run_source(source, preset="i4")
-    events = [event.event for event in machine.banks.trace]
-    assert events[0].startswith("begin")
-    assert any(event.startswith("call") for event in events)
-    assert any(event == "return" for event in events)
+    assert machine.bankfile.stats.overflows == 0

@@ -8,7 +8,7 @@ cooperative in-process pump to real processes over real sockets changes
   (wire cost lives on transport meters only);
 * under an identical (sequential) admission schedule, aggregate
   per-shard meters are bit-identical to the in-process serving layer;
-* ``repro-snapshot/2`` round-trips a BLOCKED-on-remote process into a
+* ``repro-snapshot/3`` round-trips a BLOCKED-on-remote process into a
   live OS worker, which finishes it;
 * dedup still answers duplicates with byte-identical cached replies.
 """
@@ -216,7 +216,7 @@ def test_a_worker_that_exits_before_its_hello_fails_the_start_at_once(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# repro-snapshot/2 across the process boundary
+# repro-snapshot/3 across the process boundary
 # ---------------------------------------------------------------------------
 
 
@@ -233,7 +233,7 @@ def test_snapshot_blocked_process_restores_into_a_live_worker():
     frozen.shards[0].scheduler.run()
     assert ticket.process.status is ProcessStatus.BLOCKED
     state = capture(frozen.shards[0].machine, frozen.shards[0].scheduler)
-    assert state["schema"] == "repro-snapshot/2"
+    assert state["schema"] == "repro-snapshot/3"
 
     cluster = ProcessCluster(sources, shards=2, config="i2", pins=PINS)
     try:
@@ -246,7 +246,7 @@ def test_snapshot_blocked_process_restores_into_a_live_worker():
         assert table[0]["status"] == "done"
         assert table[0]["results"] == list(MATHLIB.expect_results)
         # And the worker's state is still capturable from outside.
-        assert cluster.snapshot(0)["schema"] == "repro-snapshot/2"
+        assert cluster.snapshot(0)["schema"] == "repro-snapshot/3"
     finally:
         cluster.close()
 

@@ -1,7 +1,7 @@
 """The process documents, pinned against a recorded fixture.
 
 A process's state leaves a shard in three documents: a
-``repro-snapshot/2`` capture, a ``repro-migrate/2`` slice, and a
+``repro-snapshot/3`` capture, a ``repro-migrate/2`` slice, and a
 worker's ``status`` rows.  ``tests/fixtures/process_records.json``
 holds, on I2 and I4, the first two for one moment of a split run:
 ``mathlib`` on 3 shards with ``Main`` pinned to shard 0 and ``Math``

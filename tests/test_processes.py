@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.banks.bankfile import BankRole
 from repro.errors import StepLimitExceeded
 from repro.interp.processes import ProcessStatus, Scheduler, run_processes
 from tests.conftest import build
@@ -77,16 +78,34 @@ def test_preemption_by_quantum():
     assert scheduler.stats.preemptions > 0
 
 
+class _SwitchOuts:
+    """A tracer that checks, at every switch-out, that the flush
+    discipline ran: every bank free, no current Lbank or Sbank, and an
+    empty return stack."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.seen = 0
+
+    def emit(self, kind, name="", **data):
+        if kind == "sched.switch_out":
+            machine = self.machine
+            assert all(bank.role is BankRole.FREE for bank in machine.bankfile)
+            assert machine.banks.lbank is None and machine.banks.sbank is None
+            assert len(machine.rstack) == 0
+            self.seen += 1
+
+
 def test_process_switch_flushes_banks_and_return_stack():
     machine = fresh_machine("i4")
+    switch_outs = _SwitchOuts(machine)
+    machine.attach_tracer(switch_outs)
     scheduler = Scheduler(machine, quantum=40)
     scheduler.spawn("Main", "spin", 150)
     scheduler.spawn("Main", "spin", 150)
     scheduler.run()
-    # Switches happened, and the flush discipline ran.
     assert scheduler.stats.preemptions > 0
-    events = [event.event for event in machine.banks.trace]
-    assert any(event.startswith("switch-out") for event in events)
+    assert switch_outs.seen >= scheduler.stats.preemptions
 
 
 def test_single_process_runs_to_completion():

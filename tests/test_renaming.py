@@ -1,7 +1,7 @@
-"""Tests for stack-bank renaming — including the exact Figure 3 trace."""
+"""Tests for stack-bank renaming — including the exact Figure 3 rows."""
 
 from repro.banks.bankfile import Bank, BankFile, BankRole
-from repro.banks.renaming import BankManager
+from repro.banks.renaming import BankManager, figure3
 
 
 class Frame:
@@ -29,7 +29,8 @@ def manager_with_log(banks=4, bank_words=16):
 
 def test_figure_3_exact_assignment_sequence():
     """Reproduce Figure 3: begin X, call A, return, call B, call C,
-    return, call D, return, with 4 banks.
+    return, call D, return, with 4 banks, reading the manager's two
+    registers after each event.
 
     Paper (1-indexed): Lbank = 1,2,1,3,2,3,4,3 and Sbank = 2,3,3,2,4,4,2,2.
     Our banks are 0-indexed, so expect L = 0,1,0,2,1,2,3,2 and
@@ -37,25 +38,51 @@ def test_figure_3_exact_assignment_sequence():
     """
     manager, _, spilled, _ = manager_with_log(banks=4)
     x, a, b, c, d = (Frame(n) for n in "XABCD")
+    rows = []
 
-    manager.begin(x, event="begin X")
+    def read():
+        rows.append((manager.lbank.id, manager.sbank.id))
+
+    manager.begin(x)
+    read()
     bank_x = manager.lbank
-    caller_a = manager.on_call(a, event="call A")
-    manager.on_return(x, caller_a, event="return")
-    caller_b = manager.on_call(b, event="call B")
-    caller_c = manager.on_call(c, event="call C")
-    manager.on_return(b, caller_c, event="return")
-    caller_d = manager.on_call(d, event="call D")
-    manager.on_return(b, caller_d, event="return")
+    caller_a = manager.on_call(a)
+    read()
+    manager.on_return(x, caller_a)
+    read()
+    manager.on_call(b)
+    read()
+    caller_c = manager.on_call(c)
+    read()
+    manager.on_return(b, caller_c)
+    read()
+    caller_d = manager.on_call(d)
+    read()
+    manager.on_return(b, caller_d)
+    read()
 
-    lbanks = [event.lbank for event in manager.trace]
-    sbanks = [event.sbank for event in manager.trace]
+    lbanks, sbanks = (list(column) for column in zip(*rows))
     assert lbanks == [0, 1, 0, 2, 1, 2, 3, 2]
     assert sbanks == [1, 2, 2, 1, 3, 3, 1, 1]
     # Bank 1 (paper's bank 1) holds X's frame throughout.
     assert bank_x.frame is x
     # Nothing was ever spilled: four banks suffice for this pattern.
     assert spilled == []
+
+
+def test_figure3_driver_prints_the_papers_rows():
+    """``figure3()``, which ``repro verify`` and F3 print, numbers banks
+    from 1 as the figure does."""
+    assert figure3() == [
+        ("begin X", 1, 2),
+        ("call A", 2, 3),
+        ("return", 1, 3),
+        ("call B", 3, 2),
+        ("call C", 2, 4),
+        ("return", 3, 4),
+        ("call D", 4, 2),
+        ("return", 3, 2),
+    ]
 
 
 def test_renaming_moves_no_data():
@@ -149,6 +176,20 @@ def test_flush_all_spills_locals_and_frees_everything():
     assert manager.lbank is None and manager.sbank is None
     assert all(bank.role is BankRole.FREE for bank in file)
     assert len(spilled) == 2  # both local banks
+
+
+def test_a_call_after_a_flush_gives_the_callee_a_bank():
+    """A flush leaves no stack bank: the call acquires one and renames
+    it, so the callee never runs without a bank."""
+    manager, file, _, _ = manager_with_log(banks=4)
+    manager.begin(Frame("a"))
+    manager.flush_all()
+    callee = Frame("b")
+    assert manager.on_call(callee, arg_words=1) is None  # the caller's bank was flushed
+    assert manager.lbank.frame is callee
+    assert manager.lbank.dirty == {0}
+    assert manager.sbank.role is BankRole.STACK
+    assert file.stats.overflows == 0
 
 
 def test_release_frame_bank():
