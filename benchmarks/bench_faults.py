@@ -1,11 +1,9 @@
-"""FAULTS — cost of the resilience machinery (injection + snapshot).
+"""FAULTS — cost of the resilience machinery (snapshot and restore).
 
-Three questions with budgets attached:
+Two questions with budgets attached (fault injection itself costs a run
+nothing until a fault fires: the chaos harness runs the machine to each
+firing step on a step budget, with no observer attached):
 
-* **Injector tax** — an attached-but-idle :class:`FaultInjector` rides
-  the same tracing hooks as the recorder, so its host cost must stay in
-  the same band (and the *modelled* meters must be bit-identical, which
-  this benchmark asserts rather than measures).
 * **Snapshot latency** — how long `capture` takes mid-run, and how big
   the state vector is on each implementation.  The RLE memory section
   keeps the document proportional to *touched* state, not the 64K
@@ -23,7 +21,7 @@ import json
 import time
 
 from repro.analysis.report import banner, format_table
-from repro.faults import FaultInjector, FaultPlan, Injection, capture, on_event, restore
+from repro.faults import capture, restore
 from repro.interp.machine import Machine
 from repro.interp.machineconfig import MachineConfig
 from repro.lang.compiler import CompileOptions, compile_program
@@ -45,47 +43,15 @@ END.
 
 PRESETS = ("i1", "i2", "i3", "i4")
 
-#: A plan whose trigger never matches: the injector is armed and
-#: inspecting every event, but no fault ever fires.
-_IDLE_PLAN = FaultPlan(
-    "idle", 0, (Injection(on_event("no.such.event", 1), "drain_av"),)
-)
-
-
 def _build(preset: str) -> Machine:
     config = MachineConfig.preset(preset)
     modules = compile_program([_FIB], CompileOptions.for_config(config))
     return Machine(link(modules, config, ("Main", "main")))
 
 
-def _timed_run(machine) -> tuple[float, list[int]]:
-    machine.start()
-    begin = time.perf_counter()
-    results = machine.run()
-    return time.perf_counter() - begin, results
-
-
-def _measure(repeats: int = 3) -> dict:
+def _measure() -> dict:
     presets: dict[str, dict] = {}
     for preset in PRESETS:
-        bare_times, armed_times = [], []
-        bare_meters = armed_meters = None
-        for _ in range(repeats):
-            machine = _build(preset)
-            elapsed, _ = _timed_run(machine)
-            bare_times.append(elapsed)
-            bare_meters = machine.counter.snapshot()
-
-            machine = _build(preset)
-            machine.attach_tracer(FaultInjector(_IDLE_PLAN))
-            elapsed, _ = _timed_run(machine)
-            armed_times.append(elapsed)
-            armed_meters = machine.counter.snapshot()
-        if armed_meters != bare_meters:
-            raise AssertionError(
-                f"{preset}: an idle injector perturbed the modelled meters"
-            )
-
         # Snapshot latency + size at mid-run, and resume fidelity.
         machine = _build(preset)
         machine.start()
@@ -102,17 +68,13 @@ def _measure(repeats: int = 3) -> dict:
         restore_seconds = time.perf_counter() - begin
         fresh.run()
         reference = _build(preset)
-        _timed_run(reference)
+        reference.start()
+        reference.run()
         if fresh.counter.snapshot() != reference.counter.snapshot():
             raise AssertionError(f"{preset}: resumed run diverged from reference")
 
-        steps = reference.steps
-        bare, armed = min(bare_times), min(armed_times)
         presets[preset] = {
-            "steps": steps,
-            "bare_seconds": bare,
-            "armed_seconds": armed,
-            "injector_overhead": (armed - bare) / bare if bare else 0.0,
+            "steps": reference.steps,
             "capture_ms": capture_seconds * 1e3,
             "restore_ms": restore_seconds * 1e3,
             "snapshot_bytes": size_bytes,
@@ -127,7 +89,7 @@ def json_payload() -> dict:
     global _PAYLOAD
     if _PAYLOAD is None:
         _PAYLOAD = {
-            "benchmark": "fault injection and snapshot/restore cost",
+            "benchmark": "snapshot/restore cost",
             "workload": {"program": "fib(15)", "mid_run_snapshot_step": 500},
             "presets": _measure(),
         }
@@ -142,22 +104,19 @@ def report() -> str:
             [
                 preset,
                 entry["steps"],
-                f"{entry['injector_overhead']:+.1%}",
                 f"{entry['capture_ms']:.1f}",
                 f"{entry['restore_ms']:.1f}",
                 f"{entry['snapshot_bytes']:,}",
             ]
         )
     table = format_table(
-        ["preset", "steps", "idle injector cost", "capture ms",
-         "restore ms", "snapshot bytes"],
+        ["preset", "steps", "capture ms", "restore ms", "snapshot bytes"],
         rows,
     )
     return (
-        banner("FAULTS: injection and snapshot/restore cost")
+        banner("FAULTS: snapshot/restore cost")
         + "\n"
         + table
-        + "\nmodelled meters bit-identical with an idle injector attached;"
         + "\nresume-after-restore bit-identical to the uninterrupted run"
     )
 

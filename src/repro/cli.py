@@ -1031,7 +1031,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         canned = MIGRATION_PLANS if args.migrate else tuple(NET_PLANS)
     else:
         canned = tuple(CANNED_PLANS)
-        programs = tuple(args.programs) if args.programs else DEFAULT_PROGRAMS
+        if args.programs:
+            programs = tuple(args.programs)
+        else:
+            programs = tuple(CORPUS) if args.corpus else DEFAULT_PROGRAMS
         unknown = [name for name in programs if name not in CORPUS]
         if unknown:
             print(f"chaos: unknown corpus programs {unknown}", file=sys.stderr)
@@ -1463,16 +1466,17 @@ def build_parser() -> argparse.ArgumentParser:
         "replay seeded fault plans across I1-I4 over the corpus",
     )
     chaos.add_argument("--corpus", action="store_true",
-                       help="use the default chaos corpus subset (implied; "
-                            "narrow it with --programs)")
+                       help="stress every corpus program instead of the "
+                            "default subset (narrow it with --programs)")
     chaos.add_argument("--programs", nargs="*", metavar="NAME",
                        help="corpus programs to stress (default: chaos subset)")
     chaos.add_argument("--plans", nargs="*", metavar="NAME",
                        help="canned fault plans to replay (default: all)")
     chaos.add_argument("--seeds", type=int, default=5, metavar="N",
                        help="seeds per (program, plan) pair (default 5)")
-    _add_engine(chaos, "install the jit on every machine (outcomes "
-                "must be unchanged by the deopt contract)")
+    _add_engine(chaos, "install the jit on every machine: compiled code "
+                "runs between the faults, and the report must equal the "
+                "interpreter's")
     chaos.add_argument("--report", metavar="PATH", default=None,
                        help="write the full JSON conformance report here")
     chaos.add_argument("--net", action="store_true",

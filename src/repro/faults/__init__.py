@@ -7,14 +7,15 @@ a trap.  This package makes those situations reproducible on demand and
 checks that the implementations never diverge:
 
 * :mod:`repro.faults.plan` — a seeded, declarative **FaultPlan** DSL:
-  inject at step N, at cycle N, or on the k-th occurrence of any traced
-  event (``alloc.frame``, ``bank.spill``, ``ifu.flush``, ``xfer.trap``,
-  ...).
-* :mod:`repro.faults.inject` — the **FaultInjector**, a
-  :class:`~repro.obs.tracer.Tracer` that watches the machine's own event
-  stream and applies the plan.  Injection rides the existing
-  observability hooks, so the interpreter needs no new branches and the
-  modelled meters are untouched until a fault actually fires.
+  inject at step N, or after the instruction that emits the k-th
+  occurrence of any traced event (``alloc.frame``, ``bank.spill``,
+  ``ifu.flush``, ``xfer.trap``, ...).
+* :mod:`repro.faults.inject` — resolves each injection to a step of the
+  program's uninterrupted run and applies the state actions.  A fault
+  lands between two instructions: the harness runs the machine to the
+  firing step on step budgets, as the scheduler's time slices do, so a
+  machine with a JIT engine runs compiled code up to every fault and
+  the modelled meters are untouched until one fires.
 * :mod:`repro.faults.snapshot` — versioned serialization of the complete
   machine state vector (frames, heaps and AV free lists, bank file, IFU
   return stack, process table, counters, pending traps).  ``capture``
@@ -40,14 +41,12 @@ from repro.faults.chaos import (
     run_case,
     run_chaos,
 )
-from repro.faults.inject import FaultInjector
 from repro.faults.plan import (
     CONTROL_ACTIONS,
     STATE_ACTIONS,
     FaultPlan,
     Injection,
     Trigger,
-    at_cycle,
     at_step,
     on_event,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "CANNED_PLANS",
     "CONTROL_ACTIONS",
     "ChaosReport",
-    "FaultInjector",
     "FaultPlan",
     "Injection",
     "Outcome",
@@ -71,7 +69,6 @@ __all__ = [
     "STATE_ACTIONS",
     "SnapshotError",
     "Trigger",
-    "at_cycle",
     "at_step",
     "capture",
     "on_event",

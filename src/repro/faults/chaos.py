@@ -42,7 +42,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.errors import TrapError
-from repro.faults.inject import FaultInjector
+from repro.faults.inject import apply_state_action, firing_schedule
 from repro.faults.plan import FaultPlan, Injection, at_step, on_event
 from repro.faults.snapshot import capture, restore
 from repro.interp.machine import Machine
@@ -50,6 +50,7 @@ from repro.interp.machineconfig import MachineConfig
 from repro.interp.traps import TrapKind, TrapTransfer
 from repro.lang.compiler import CompileOptions, compile_program
 from repro.lang.linker import link
+from repro.obs.tracer import TraceRecorder
 from repro.workloads.programs import CORPUS, Program
 
 #: The report format versions (see docs/faults.md for the policy): one
@@ -134,34 +135,24 @@ def _build(program: Program, preset: str, engine: str = "interp") -> Machine:
     return machine
 
 
-class _EventCounter:
-    """A minimal tracer that tallies event kinds (reference runs)."""
-
-    trace_steps = False
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-
-    def emit(self, kind: str, name: str = "", **data) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-
-
 @dataclass
 class Reference:
-    """An uninterrupted run of (program, preset): the oracle."""
+    """An uninterrupted run of (program, preset): the oracle, and the
+    ``(kind, step)`` stamp of every event it emitted, in order, which
+    fault triggers resolve against."""
 
     results: list[int]
     output: list[int]
     steps: int
     meters: dict
-    event_counts: dict[str, int]
+    stamps: list[tuple[str, int]]
 
 
 def reference_run(program: Program, preset: str) -> Reference:
     """Run *program* on *preset* with no faults; record the oracle."""
     machine = _build(program, preset)
-    counter = _EventCounter()
-    machine.attach_tracer(counter)
+    recorder = TraceRecorder(capacity=None)
+    machine.attach_tracer(recorder)
     machine.start(program.entry[0], program.entry[1], *program.args)
     results = machine.run()
     return Reference(
@@ -169,7 +160,7 @@ def reference_run(program: Program, preset: str) -> Reference:
         output=list(machine.output),
         steps=machine.steps,
         meters=machine.counter.snapshot(),
-        event_counts=dict(counter.counts),
+        stamps=[(event.kind, event.steps) for event in recorder],
     )
 
 
@@ -184,7 +175,10 @@ def reference_run(program: Program, preset: str) -> Reference:
 
 
 def _min_event(refs: dict[str, Reference], kind: str) -> int:
-    return min(ref.event_counts.get(kind, 0) for ref in refs.values())
+    return min(
+        sum(1 for stamped, _step in ref.stamps if stamped == kind)
+        for ref in refs.values()
+    )
 
 
 def _min_steps(refs: dict[str, Reference]) -> int:
@@ -307,62 +301,46 @@ def make_plan(
 
 
 def run_case(
-    program: Program, preset: str, plan: FaultPlan, engine: str = "interp"
+    program: Program,
+    preset: str,
+    plan: FaultPlan,
+    reference: Reference,
+    engine: str = "interp",
 ) -> Outcome:
     """Run *program* on *preset* under *plan*; classify the ending.
 
-    The controller drives the machine's run loop: state actions fire
-    inside the injector; control actions break the loop at an
-    instruction boundary and are executed here (snapshot the state
-    vector, kill-and-restore onto a fresh image, dispatch a trap).
-
-    With ``engine="jit"`` every machine gets a compiled engine; the
-    injector's tracer pins execution to the interpreter (the deopt
-    contract), so outcomes must be identical — this arm checks that
-    installing the engine never perturbs a faulted run.
+    Every machine injection fires between two instructions, at its step
+    on *reference*, the preset's uninterrupted run
+    (:func:`~repro.faults.inject.firing_schedule`): the machine runs to
+    that step and the action is carried out there.  A state action
+    applies in place; a snapshot captures the state vector beside the
+    schedule position after it; a kill restores the last snapshot onto
+    a freshly linked image, which fires again what came after the
+    snapshot but never the kill; a trap is dispatched.  No tracer
+    rides the run, so with ``engine="jit"`` compiled code runs up to
+    and after every fault.
     """
+    schedule = firing_schedule(plan, reference.stamps)
     machine = _build(program, preset, engine)
-    injector = FaultInjector(plan)
-    machine.attach_tracer(injector)
     machine.start(program.entry[0], program.entry[1], *program.args)
 
-    saved: tuple[dict, dict] | None = None  # (machine state, injector state)
+    position = 0  # the next schedule entry to fire
+    saved: tuple[dict, int] | None = None  # (machine state, position)
     restores = 0
     fired = 0
 
-    while True:
-        try:
-            machine.run()
-        except TrapError as err:
-            return Outcome(
-                klass=OutcomeClass.TRAPPED,
-                trap=err.trap,
-                pc=err.pc,
-                proc=err.proc,
-                detail=err.detail,
-                steps=machine.steps,
-                meters=machine.counter.snapshot(),
-                restores=restores,
-                injections_fired=fired + len(injector.fired),
-            )
-        if machine.halted:
-            return Outcome(
-                klass=(
-                    OutcomeClass.RESUMED if restores else OutcomeClass.RECOVERED
-                ),
-                results=machine.results(),
-                output=list(machine.output),
-                steps=machine.steps,
-                meters=machine.counter.snapshot(),
-                restores=restores,
-                injections_fired=fired + len(injector.fired),
-            )
-        # The injector broke the loop for a control action.
-        machine.yield_requested = False
-        for index, injection in injector.take_pending():
-            if injection.action == "snapshot":
-                saved = (capture(machine), injector.state())
-            elif injection.action == "kill":
+    try:
+        while position < len(schedule):
+            step, index, injection = schedule[position]
+            machine._run_until(step)
+            if machine.halted:
+                break
+            position += 1
+            fired += 1
+            action = injection.action
+            if action == "snapshot":
+                saved = (capture(machine), position)
+            elif action == "kill":
                 if saved is None:
                     raise ChaosError(
                         f"plan {plan.name!r} kills at injection {index} "
@@ -372,34 +350,40 @@ def run_case(
                     raise ChaosError(
                         f"plan {plan.name!r} exceeded {MAX_RESTORES} restores"
                     )
-                fired += len(injector.fired)
-                machine_state, injector_state = saved
+                del schedule[position - 1]  # the kill already happened
+                machine_state, position = saved
                 machine = _build(program, preset, engine)
-                injector = FaultInjector(plan, state=injector_state)
-                # The kill already happened; it must not fire again in
-                # the restored run.
-                injector.disarm(index)
-                machine.attach_tracer(injector)
                 restore(machine, machine_state)
                 restores += 1
-                break  # stale pending actions died with the old machine
-            elif injection.action == "trap":
+            elif action == "trap":
                 try:
                     machine.trap(TrapKind(injection.detail), "injected")
                 except TrapTransfer:
                     pass
-                except TrapError as err:
-                    return Outcome(
-                        klass=OutcomeClass.TRAPPED,
-                        trap=err.trap,
-                        pc=err.pc,
-                        proc=err.proc,
-                        detail=err.detail,
-                        steps=machine.steps,
-                        meters=machine.counter.snapshot(),
-                        restores=restores,
-                        injections_fired=fired + len(injector.fired),
-                    )
+            else:
+                apply_state_action(machine, action)
+        machine.run()
+    except TrapError as err:
+        return Outcome(
+            klass=OutcomeClass.TRAPPED,
+            trap=err.trap,
+            pc=err.pc,
+            proc=err.proc,
+            detail=err.detail,
+            steps=machine.steps,
+            meters=machine.counter.snapshot(),
+            restores=restores,
+            injections_fired=fired,
+        )
+    return Outcome(
+        klass=OutcomeClass.RESUMED if restores else OutcomeClass.RECOVERED,
+        results=machine.results(),
+        output=list(machine.output),
+        steps=machine.steps,
+        meters=machine.counter.snapshot(),
+        restores=restores,
+        injections_fired=fired,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +596,7 @@ def run_chaos(
     """The machine sweep: programs x seeds x plans, each across *presets*."""
     seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
     report = ChaosReport()
+    refs: dict[str, Reference] = {}  # the current program's, by preset
 
     def cases() -> Iterator[tuple[Program, int, FaultPlan, dict[str, Reference]]]:
         for name in programs:
@@ -619,7 +604,8 @@ def run_chaos(
             if program.needs_descriptors and "i1" in presets:
                 report.skipped.append({"program": name, "reason": "needs descriptors"})
                 continue
-            refs = {preset: reference_run(program, preset) for preset in presets}
+            refs.clear()
+            refs.update((preset, reference_run(program, preset)) for preset in presets)
             for seed in seed_list:
                 for plan_name in plans:
                     plan = make_plan(plan_name, program, refs, seed)
@@ -633,5 +619,7 @@ def run_chaos(
 
     return sweep(
         report, cases(), presets,
-        lambda program, preset, plan: run_case(program, preset, plan, engine),
+        lambda program, preset, plan: run_case(
+            program, preset, plan, refs[preset], engine
+        ),
     )

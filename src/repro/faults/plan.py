@@ -8,22 +8,24 @@ implementation.
 
 Triggers
 --------
+Each machine trigger names an instruction boundary of the program's
+uninterrupted run (see :func:`repro.faults.inject.firing_schedule`):
+
 ``at_step(n)``
-    Fire when the machine has executed *n* instructions.  Rides the
-    ``machine.step`` trace event, so the injector asks for per-step
-    tracing only when a plan needs it.
-``at_cycle(n)``
-    Fire at the first traced event whose modelled cycle stamp is >= *n*.
+    Fire once the machine has executed *n* instructions.
 ``on_event(kind, k)``
-    Fire on the *k*-th occurrence of a traced event kind — the k-th
-    ``alloc.frame``, ``bank.spill``, ``ifu.flush``, ``xfer.trap``, and
-    so on.  A kind without a dot suffix matches its whole family
-    (``alloc`` matches ``alloc.frame`` and ``alloc.trap``).
+    Fire after the instruction that emitted the *k*-th traced event of
+    kind *kind* — the k-th ``alloc.frame``, ``bank.spill``,
+    ``ifu.flush``, ``xfer.trap``, and so on (``machine.begin`` is
+    emitted before the first instruction).  A kind without a dot
+    suffix matches its whole family (``alloc`` matches ``alloc.frame``
+    and ``alloc.trap``).
 
 Actions
 -------
-State actions corrupt or exhaust a resource *in place* and let the run
-continue (the machine must degrade gracefully):
+State actions corrupt or exhaust a resource *in place* between two
+instructions and let the run continue (the machine must degrade
+gracefully):
 
 * ``drain_av`` — zero every AV free-list head (section 5.3's empty-list
   trap on the next allocation);
@@ -35,9 +37,7 @@ continue (the machine must degrade gracefully):
 * ``flush_banks`` — force the section 7.1 fallback: "all the banks are
   flushed into storage".
 
-Control actions break the run loop at the next instruction boundary
-(meter-neutrally, via the scheduler's yield flag) and hand control to
-the driver:
+Control actions are carried out by the chaos harness at their boundary:
 
 * ``snapshot`` — capture the complete state vector;
 * ``kill`` — abandon the machine; the driver restores the last snapshot
@@ -47,9 +47,9 @@ the driver:
 
 Network actions target the wire, not a machine: they are interpreted by
 the transport's fault policy (:class:`repro.net.transport.NetFaultPolicy`)
-rather than the :class:`~repro.faults.inject.FaultInjector`, and their
-triggers must be ``on_event`` over the ``net.send`` stream — the k-th
-message offered to the transport:
+and never fire on a machine, and their triggers must be ``on_event``
+over the ``net.send`` stream — the k-th message offered to the
+transport:
 
 * ``net_drop`` — the message vanishes (the caller's timeout/retry path
   must recover it);
@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 #: Actions applied in place while the run continues.
 STATE_ACTIONS = frozenset({"drain_av", "exhaust_heap", "flush_rstack", "flush_banks"})
 
-#: Actions that break the run loop and are executed by the driver.
+#: Actions the chaos harness carries out at their boundary.
 CONTROL_ACTIONS = frozenset({"snapshot", "kill", "trap"})
 
 #: Actions applied to wire messages by the transport's fault policy
@@ -79,9 +79,9 @@ NET_ACTIONS = frozenset({"net_drop", "net_dup", "net_delay", "net_partition"})
 class Trigger:
     """When an injection fires.
 
-    ``kind`` is ``"step"``, ``"cycle"``, or ``"event"``; ``at`` is the
-    step/cycle threshold or the occurrence ordinal (1-based); ``event``
-    names the traced event kind (only for ``kind == "event"``).
+    ``kind`` is ``"step"`` or ``"event"``; ``at`` is the step count or
+    the occurrence ordinal (1-based); ``event`` names the traced event
+    kind (only for ``kind == "event"``).
     """
 
     kind: str
@@ -89,7 +89,7 @@ class Trigger:
     event: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("step", "cycle", "event"):
+        if self.kind not in ("step", "event"):
             raise ValueError(f"unknown trigger kind {self.kind!r}")
         if self.at < 1:
             raise ValueError(f"trigger threshold must be >= 1, got {self.at}")
@@ -129,10 +129,6 @@ class FaultPlan:
     name: str
     seed: int
     injections: tuple[Injection, ...] = field(default_factory=tuple)
-
-    def needs_step_tracing(self) -> bool:
-        """True if any trigger requires per-step trace events."""
-        return any(i.trigger.kind in ("step", "cycle") for i in self.injections)
 
     def to_dict(self) -> dict:
         """JSON-ready representation (for chaos reports)."""
@@ -182,11 +178,6 @@ def at_step(n: int) -> Trigger:
     return Trigger(kind="step", at=n)
 
 
-def at_cycle(n: int) -> Trigger:
-    """Fire at the first traced event at or past modelled cycle *n*."""
-    return Trigger(kind="cycle", at=n)
-
-
 def on_event(event: str, k: int = 1) -> Trigger:
-    """Fire on the *k*-th occurrence of traced event kind *event*."""
+    """Fire after the instruction that emits the *k*-th *event*."""
     return Trigger(kind="event", at=k, event=event)

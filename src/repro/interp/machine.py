@@ -166,7 +166,9 @@ class Machine:
         # Call-site linkage cache (host-side; see LinkageCache): shares
         # the epoch discipline with the decode cache.
         self.linkage_cache: LinkageCache | None = (
-            LinkageCache(self.counter) if self.config.host_linkage_cache else None
+            LinkageCache(self.counter, self.memory.traffic)
+            if self.config.host_linkage_cache
+            else None
         )
         # Epoch-bump subscribers: every host-side cache of code-derived
         # state registers an invalidation callback here, so the

@@ -676,14 +676,15 @@ def make_cells(machine, ctx, ns: dict, stats):
         entry = entries_map.get((site.next_pc, gf))
         if entry is None:
             return -1
-        resolved, pairs, _walk_cycles = entry
+        resolved, pairs, _walk_cycles, regions = entry
         meta = procs_by_entry.get(resolved.entry_address)
         if meta is None or (banked and meta.local_words > bank_words):
             site.generic = True
             stats.sites_demoted += 1
             return -1
         slot = ctx.exit_slot(
-            _merge(dict(pairs), {site.kind_event: 1}, static), static_traffic
+            _merge(dict(pairs), {site.kind_event: 1}, static),
+            _merge(dict(regions), static_traffic),
         )
         need = 0 if banked else allocator.need(meta, resolved.fsi)
         site.cells[gf] = _Cell(slot, meta, resolved, need)

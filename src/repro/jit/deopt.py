@@ -19,11 +19,15 @@ that:
   to exactly the fully-executed instructions — the interpreter resumes
   from a state it could have produced itself.
 
-Attaching a tracer (the fault injector, snapshot capture triggers and
-plain tracing all observe through one) deactivates the engine
-wholesale: ``Machine.run`` consults ``engine.active()``
-first and falls through to the interpreter loop, so chaos and
-observability runs are interpreter runs by construction.
+Attaching a tracer deactivates the engine wholesale:
+``Machine.run`` consults ``engine.active()`` first and falls through to
+the interpreter loop, so traced runs are interpreter runs by
+construction.  Fault injection attaches none: the chaos harness runs
+the machine to each fault's step on a step budget and applies the
+fault between two instructions, so its JIT arm runs compiled code and
+exercises every hand-off the faults force (an empty AV list, a flushed
+return stack, flushed banks, a restore onto a fresh image, an injected
+trap).
 """
 
 from __future__ import annotations

@@ -156,8 +156,8 @@ class LinkageCache:
     services — so a call site's :class:`ResolvedTarget` can be computed
     once and replayed.  To keep the paper metrics bit-identical, the
     first (miss) resolution records which counter events the table walk
-    charged, and every hit replays exactly those charges without
-    touching the tables.
+    charged and which memory regions it touched, and every hit replays
+    exactly those charges and that traffic without touching the tables.
 
     Invalidation follows the same "unusual event" discipline as the IFU
     return stack: any code-space epoch bump (relocation, procedure
@@ -165,11 +165,20 @@ class LinkageCache:
     :mod:`repro.interp.services` also invalidates explicitly.
     """
 
-    def __init__(self, counter: CycleCounter) -> None:
+    def __init__(self, counter: CycleCounter, traffic: dict[str, int]) -> None:
         self.counter = counter
-        #: key -> (target, the walk's (event, times) pairs, their cycles).
+        #: The memory's per-region reference counts (``Memory.traffic``).
+        self.traffic = traffic
+        #: key -> (target, the walk's (event, times) pairs, their cycles,
+        #: its (region, references) pairs).
         self._entries: dict[
-            tuple[int, int], tuple[ResolvedTarget, tuple[tuple[Event, int], ...], int]
+            tuple[int, int],
+            tuple[
+                ResolvedTarget,
+                tuple[tuple[Event, int], ...],
+                int,
+                tuple[tuple[str, int], ...],
+            ],
         ] = {}
         self.hits = 0
         self.misses = 0
@@ -186,35 +195,46 @@ class LinkageCache:
             self.misses += 1
             return None
         self.hits += 1
-        resolved, charges, cycles = entry
+        resolved, charges, cycles, regions = entry
         counter = self.counter
         counts = counter.counts
         for event, times in charges:
             counts[event] += times
         counter.cycles += cycles
+        traffic = self.traffic
+        for region, references in regions:
+            traffic[region] = traffic.get(region, 0) + references
         return resolved
 
-    def begin(self) -> dict[Event, int]:
-        """Snapshot the counter before a miss's real table walk."""
-        return dict(self.counter.counts)
+    def begin(self) -> tuple[dict[Event, int], dict[str, int]]:
+        """Snapshot the counter and the traffic before a miss's real
+        table walk."""
+        return dict(self.counter.counts), dict(self.traffic)
 
     def store(
         self,
         key: tuple[int, int],
         resolved: ResolvedTarget,
-        before: dict[Event, int],
+        before: tuple[dict[Event, int], dict[str, int]],
     ) -> None:
-        """Memoize *resolved* along with the events the walk charged and
-        their cycles, computed once here rather than on every hit."""
+        """Memoize *resolved* along with the events the walk charged,
+        their cycles and the walk's region traffic, computed once here
+        rather than on every hit."""
         counter = self.counter
         counts = counter.counts
+        seen_counts, seen_traffic = before
         charges = tuple(
             (event, counts[event] - seen)
-            for event, seen in before.items()
+            for event, seen in seen_counts.items()
             if counts[event] != seen
         )
         cycles = sum(counter.charges[event] * times for event, times in charges)
-        self._entries[key] = (resolved, charges, cycles)
+        regions = tuple(
+            (region, references - seen_traffic.get(region, 0))
+            for region, references in self.traffic.items()
+            if references != seen_traffic.get(region, 0)
+        )
+        self._entries[key] = (resolved, charges, cycles, regions)
 
     def invalidate(self) -> None:
         """Drop everything (code epoch bump or an explicit service)."""

@@ -53,9 +53,11 @@ class NetFaultPolicy:
 
     Each armed injection counts the messages offered to the transport
     (its trigger must be ``on_event`` over ``net.send`` or the ``net``
-    family) and fires once when its ordinal arrives — same discipline
-    as :class:`~repro.faults.inject.FaultInjector`, but the "event
-    stream" is the wire, so the policy lives with the transport.
+    family) and fires once when its ordinal arrives.  A machine fault
+    fires at a step resolved in advance on the program's reference run
+    (:func:`~repro.faults.inject.firing_schedule`); a wire fault cannot,
+    since the send stream is only known as the cluster runs, so the
+    policy counts it live and lives with the transport.
     """
 
     def __init__(self, plan: FaultPlan) -> None:

@@ -78,9 +78,6 @@ SCHED_BLOCK = "sched.block"
 #: A remote reply delivered result words onto a blocked process's stack.
 SCHED_UNBLOCK = "sched.unblock"
 
-#: The fault-injection harness fired an injection (repro.faults).
-FAULT_INJECT = "fault.inject"
-
 #: A Remote XFER left the calling shard; carries span/parent ids.
 NET_CALL = "net.call"
 #: The skeleton spawned a process for an incoming CALL.
@@ -123,7 +120,6 @@ ALL_KINDS: tuple[str, ...] = (
     SCHED_FAULT,
     SCHED_BLOCK,
     SCHED_UNBLOCK,
-    FAULT_INJECT,
     NET_CALL,
     NET_SERVE,
     NET_REPLY,

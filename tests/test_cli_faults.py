@@ -76,6 +76,21 @@ def test_chaos_small_sweep(tmp_path, capsys):
     assert payload["cases"]
 
 
+def test_chaos_corpus_stresses_every_corpus_program(tmp_path, capsys):
+    """--corpus widens the sweep from the default subset to the whole
+    corpus: every program runs a case or is skipped by name."""
+    from repro.faults.chaos import DEFAULT_PROGRAMS
+    from repro.workloads.programs import CORPUS
+
+    report = tmp_path / "report.json"
+    assert main(["chaos", "--corpus", "--plans", "heap_exhaust", "--seeds", "1",
+                 "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    seen = {case["program"] for case in payload["cases"]}
+    seen |= {skip["program"] for skip in payload["skipped"]}
+    assert seen == set(CORPUS) != set(DEFAULT_PROGRAMS)
+
+
 def test_chaos_rejects_unknown_program(capsys):
     assert main(["chaos", "--programs", "nope"]) == 2
     assert "unknown corpus programs" in capsys.readouterr().err

@@ -101,7 +101,7 @@ def test_inline_charges_follow_the_counter_model():
     slow = charged(lambda: fetch.record(TransferKind.RETURN, False, counter))
     assert (slow["slow_transfer"], slow["cycles"]) == (1, 0)
 
-    cache = LinkageCache(counter)
+    cache = LinkageCache(counter, memory.traffic)
     before = cache.begin()
     memory.read(2)  # the miss's table walk: two reads, one register write
     memory.read(3)

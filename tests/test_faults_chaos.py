@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TrapError
-from repro.faults import FaultInjector, FaultPlan, Injection, at_step, on_event
+from repro.errors import StepLimitExceeded, TrapError
+from repro.faults import FaultPlan, Injection, on_event
 from repro.faults.chaos import (
     CANNED_PLANS,
     OutcomeClass,
@@ -58,7 +58,7 @@ def test_av_empty_recovers_via_software_allocator(preset):
     plan = FaultPlan(
         "av_empty", 0, (Injection(on_event("alloc.frame", 1), "drain_av"),)
     )
-    outcome = run_case(FIB, preset, plan)
+    outcome = run_case(FIB, preset, plan, reference_run(FIB, preset))
     assert outcome.klass is OutcomeClass.RECOVERED
     assert outcome.results == list(FIB.expect_results)
     assert outcome.injections_fired == 1
@@ -79,7 +79,7 @@ def test_bank_overflow_mid_xfer_falls_back_and_recovers():
             Injection(on_event("xfer.call", 5), "flush_banks"),
         ),
     )
-    outcome = run_case(FIB, "i4", plan)
+    outcome = run_case(FIB, "i4", plan, reference_run(FIB, "i4"))
     assert outcome.klass is OutcomeClass.RECOVERED
     assert outcome.results == list(FIB.expect_results)
     assert outcome.injections_fired == 2
@@ -101,7 +101,7 @@ def test_return_stack_spill_storm_recovers():
         ),
     )
     for preset in ("i3", "i4"):
-        outcome = run_case(FIB, preset, plan)
+        outcome = run_case(FIB, preset, plan, reference_run(FIB, preset))
         assert outcome.klass is OutcomeClass.RECOVERED, preset
         assert outcome.results == list(FIB.expect_results)
 
@@ -143,23 +143,17 @@ def test_trap_inside_trap_context_surfaces_cleanly():
     assert results == [99]  # the context's replacement value
     trap_step = stamper.first("xfer.trap")
 
-    # Now inject a BREAKPOINT trap two instructions into the context.
-    plan = FaultPlan(
-        "trap_in_trap",
-        0,
-        (Injection(at_step(trap_step + 2), "trap", detail="breakpoint"),),
-    )
+    # Now inject a BREAKPOINT trap two instructions into the context:
+    # a step budget stops the run there, as run_case does.
     machine = build(TRAP_IN_TRAP, preset="i2")
     machine.set_trap_context(TrapKind.DIVIDE_BY_ZERO, "Main", "fix")
-    injector = FaultInjector(plan)
-    machine.attach_tracer(injector)
     machine.start()
-    machine.run()  # breaks at the injection point, inside the context
-    assert not machine.halted
+    with pytest.raises(StepLimitExceeded):
+        machine.run(max_steps=trap_step + 2)
+    assert machine.steps == trap_step + 2
     assert machine.frame.proc.qualified_name == "Main.fix"
-    [(index, injection)] = injector.take_pending()
     with pytest.raises(TrapError) as excinfo:
-        machine.trap(TrapKind(injection.detail), "injected")
+        machine.trap(TrapKind.BREAKPOINT, "injected")
     assert excinfo.value.trap == "breakpoint"
     assert excinfo.value.proc == "Main.fix"
     assert excinfo.value.pc == machine.pc
@@ -229,7 +223,7 @@ def test_canned_plan_outcome_classes_are_stable():
         plan = make_plan(name, FIB, refs, seed=7)
         assert plan is not None, name
         for preset in ALL_PRESETS:
-            outcome = run_case(FIB, preset, plan)
+            outcome = run_case(FIB, preset, plan, refs[preset])
             assert outcome.klass is klass, (name, preset)
             if trap:
                 assert outcome.trap == trap, (name, preset)
@@ -242,7 +236,7 @@ def test_resumed_runs_match_reference_meters_exactly():
     refs = {preset: reference_run(FIB, preset) for preset in ALL_PRESETS}
     plan = make_plan("kill_resume", FIB, refs, seed=3)
     for preset in ALL_PRESETS:
-        outcome = run_case(FIB, preset, plan)
+        outcome = run_case(FIB, preset, plan, refs[preset])
         assert outcome.klass is OutcomeClass.RESUMED
         assert outcome.restores == 1
         assert outcome.steps == refs[preset].steps

@@ -1,21 +1,26 @@
-"""Unit tests for the FaultPlan DSL and the FaultInjector tracer."""
+"""Unit tests for the FaultPlan DSL, the firing-step resolver and the
+case runner that fires a plan between instructions."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.faults import (
-    FaultInjector,
     FaultPlan,
     Injection,
+    OutcomeClass,
     Trigger,
-    at_cycle,
     at_step,
     on_event,
+    run_case,
 )
-from tests.conftest import build
+from repro.faults.chaos import reference_run
+from repro.faults.inject import firing_schedule
+from repro.workloads.programs import CORPUS, Program
 
-FIB = """
+FIB = Program(
+    "fib10",
+    ("""
 MODULE Main;
 PROCEDURE fib(n): INT;
 BEGIN
@@ -27,16 +32,24 @@ BEGIN
   RETURN fib(10);
 END;
 END.
-"""
+""",),
+    expect_results=(55,),
+)
+
+#: A reference run's (kind, step) stamps, in emission order.
+STAMPS = [
+    ("machine.begin", 0),
+    ("xfer.call", 3),
+    ("alloc.frame", 3),
+    ("xfer.call", 7),
+    ("xfer.return", 9),
+    ("xfer.call", 12),
+]
 
 
-def run_with(plan: FaultPlan, preset: str = "i2", source: str = FIB):
-    machine = build([source], preset=preset)
-    injector = FaultInjector(plan)
-    machine.attach_tracer(injector)
-    machine.start()
-    results = machine.run()
-    return machine, injector, results
+def run_with(plan: FaultPlan, preset: str = "i2", program: Program = FIB):
+    reference = reference_run(program, preset)
+    return run_case(program, preset, plan, reference), reference
 
 
 # -- the DSL -----------------------------------------------------------------
@@ -44,13 +57,14 @@ def run_with(plan: FaultPlan, preset: str = "i2", source: str = FIB):
 
 def test_trigger_constructors():
     assert at_step(7) == Trigger(kind="step", at=7)
-    assert at_cycle(100) == Trigger(kind="cycle", at=100)
     assert on_event("alloc.frame", 3) == Trigger(kind="event", at=3, event="alloc.frame")
 
 
 def test_trigger_validation():
     with pytest.raises(ValueError):
         Trigger(kind="instant", at=1)
+    with pytest.raises(ValueError):
+        Trigger(kind="cycle", at=100)
     with pytest.raises(ValueError):
         at_step(0)
     with pytest.raises(ValueError):
@@ -77,116 +91,105 @@ def test_plan_round_trips_through_dict():
     assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
-def test_needs_step_tracing_only_for_step_and_cycle_triggers():
-    event_only = FaultPlan("e", 0, (Injection(on_event("xfer.call", 1), "drain_av"),))
-    stepped = FaultPlan("s", 0, (Injection(at_step(3), "snapshot"),))
-    cycled = FaultPlan("c", 0, (Injection(at_cycle(3), "snapshot"),))
-    assert not event_only.needs_step_tracing()
-    assert stepped.needs_step_tracing()
-    assert cycled.needs_step_tracing()
-    # The injector advertises exactly that need to the machine.
-    assert FaultInjector(event_only).trace_steps is False
-    assert FaultInjector(stepped).trace_steps is True
-
-
-# -- the injector ------------------------------------------------------------
-
-
-def test_attached_but_never_firing_injector_is_meter_neutral():
-    """The injector rides the trace bus; until a fault fires, the run is
-    bit-identical to an uninstrumented one on every modelled meter."""
-    baseline = build([FIB], preset="i4")
-    baseline.start()
-    expected = baseline.run()
-
-    plan = FaultPlan("never", 0, (Injection(on_event("no.such.event", 1), "drain_av"),))
-    machine, injector, results = run_with(plan, preset="i4")
-    assert results == expected
-    assert injector.fired == []
-    assert machine.counter.snapshot() == baseline.counter.snapshot()
-    assert machine.steps == baseline.steps
+# -- firing steps ------------------------------------------------------------
 
 
 def test_event_trigger_fires_on_kth_occurrence():
     plan = FaultPlan("k3", 0, (Injection(on_event("xfer.call", 3), "flush_rstack"),))
-    _, injector, results = run_with(plan, preset="i3")
-    assert results == [55]
-    assert len(injector.fired) == 1
+    assert [entry[0] for entry in firing_schedule(plan, STAMPS)] == [12]
+
+    outcome, reference = run_with(plan, preset="i3")
+    calls = [step for kind, step in reference.stamps if kind == "xfer.call"]
+    assert [entry[0] for entry in firing_schedule(plan, reference.stamps)] == [calls[2]]
+    assert outcome.results == [55]
+    assert outcome.injections_fired == 1
 
 
 def test_event_trigger_matches_whole_family_without_dot():
-    plan = FaultPlan("fam", 0, (Injection(on_event("xfer", 1), "flush_rstack"),))
-    _, injector, _ = run_with(plan, preset="i3")
-    # The first xfer.* event of any kind fires it.
-    assert len(injector.fired) == 1
+    # The k-th xfer.* event of any kind: call, call, return, call.
+    plan = FaultPlan("fam", 0, (
+        Injection(on_event("xfer", 1), "flush_rstack"),
+        Injection(on_event("xfer", 3), "flush_rstack"),
+        Injection(on_event("xfer", 4), "flush_rstack"),
+    ))
+    assert [entry[0] for entry in firing_schedule(plan, STAMPS)] == [3, 9, 12]
+
+    outcome, _ = run_with(plan, preset="i3")
+    assert outcome.results == [55]
+    assert outcome.injections_fired == 3
+
+
+def test_machine_begin_fires_before_the_first_instruction():
+    plan = FaultPlan("begin", 0, (Injection(on_event("machine.begin", 1), "exhaust_heap"),))
+    assert firing_schedule(plan, STAMPS)[0][0] == 0
+    outcome, _ = run_with(plan, preset="i2")
+    assert outcome.klass is OutcomeClass.TRAPPED
+    assert outcome.trap == "resource_exhausted"
 
 
 def test_step_trigger_fires_at_exact_step():
-    plan = FaultPlan("s40", 0, (Injection(at_step(40), "snapshot"),))
-    machine = build([FIB], preset="i2")
-    injector = FaultInjector(plan)
-    machine.attach_tracer(injector)
-    machine.start()
-    machine.run()  # breaks at the yield point
-    assert machine.yield_requested
-    assert not machine.halted
-    assert machine.steps == 40
-    [(index, steps, _cycles)] = injector.fired
-    assert (index, steps) == (0, 40)
-    assert [pair[1].action for pair in injector.take_pending()] == ["snapshot"]
-    assert injector.take_pending() == []  # drained
+    plan = FaultPlan("s40", 0, (Injection(at_step(40), "trap", detail="divide_by_zero"),))
+    assert [entry[:2] for entry in firing_schedule(plan, STAMPS)] == [(40, 0)]
+
+    outcome, _ = run_with(plan, preset="i2")
+    assert outcome.klass is OutcomeClass.TRAPPED
+    assert outcome.trap == "divide_by_zero"
+    assert outcome.steps == 40
+    assert outcome.injections_fired == 1
 
 
-def test_cycle_trigger_fires_at_first_event_past_threshold():
-    plan = FaultPlan("c100", 0, (Injection(at_cycle(100), "snapshot"),))
-    machine = build([FIB], preset="i2")
-    injector = FaultInjector(plan)
-    machine.attach_tracer(injector)
-    machine.start()
-    machine.run()
-    assert machine.counter.cycles >= 100
-    assert len(injector.fired) == 1
+def test_schedule_fires_in_step_order_and_ties_in_plan_order():
+    plan = FaultPlan("order", 0, (
+        Injection(at_step(12), "flush_banks"),
+        Injection(on_event("xfer.call", 1), "drain_av"),
+        Injection(on_event("xfer.call", 3), "flush_rstack"),
+    ))
+    assert [entry[:2] for entry in firing_schedule(plan, STAMPS)] == [(3, 1), (12, 0), (12, 2)]
+
+
+def test_an_event_the_reference_never_reaches_does_not_fire():
+    """A trigger past the reference's last matching event resolves to
+    no step: the run is the uninterrupted one, meter for meter."""
+    plan = FaultPlan("never", 0, (
+        Injection(on_event("no.such.event", 1), "drain_av"),
+        Injection(on_event("xfer.call", 4), "exhaust_heap"),
+    ))
+    assert firing_schedule(plan, STAMPS) == []
+
+    plan = FaultPlan("past", 0, (Injection(on_event("xfer.call", 10**6), "exhaust_heap"),))
+    outcome, reference = run_with(plan, preset="i4")
+    assert outcome.klass is OutcomeClass.RECOVERED
+    assert outcome.injections_fired == 0
+    assert outcome.meters == reference.meters
+    assert outcome.steps == reference.steps
+
+
+def test_a_state_action_lands_after_the_instruction_that_emitted_its_event():
+    """One i4 call instruction can allocate two frames.  Draining the AV
+    lists on the first of those allocations or on the second fires at
+    the same boundary, after the whole instruction: both runs are the
+    same run, and neither traps between the two allocations."""
+    fib = CORPUS["fib"]
+    reference = reference_run(fib, "i4")
+    allocs = [step for kind, step in reference.stamps if kind == "alloc.frame"]
+    k = next(k for k in range(1, len(allocs)) if allocs[k] == allocs[k - 1])
+    outcomes = [
+        run_case(fib, "i4", FaultPlan("drain", 0, (
+            Injection(on_event("alloc.frame", ordinal), "drain_av"),
+        )), reference)
+        for ordinal in (k, k + 1)
+    ]
+    assert all(o.klass is OutcomeClass.RECOVERED for o in outcomes)
+    assert all(o.results == list(fib.expect_results) for o in outcomes)
+    assert outcomes[0].meters == outcomes[1].meters
+    assert outcomes[0].steps == outcomes[1].steps
 
 
 def test_injection_fires_at_most_once():
     plan = FaultPlan("once", 0, (Injection(on_event("xfer.call", 1), "flush_banks"),))
-    _, injector, results = run_with(plan, preset="i4")
-    assert results == [55]
-    assert len(injector.fired) == 1  # dozens of later calls do not re-fire
-
-
-def test_state_actions_cannot_retrigger_injections():
-    """flush_rstack emits ifu.flush from inside the injection; the
-    reentrancy guard keeps that from firing the ifu-triggered one."""
-    plan = FaultPlan(
-        "reent",
-        0,
-        (
-            Injection(on_event("xfer.call", 2), "flush_rstack"),
-            Injection(on_event("ifu.flush", 1), "flush_banks"),
-        ),
-    )
-    _, injector, results = run_with(plan, preset="i3")
-    assert results == [55]
-    fired_indices = [record[0] for record in injector.fired]
-    assert 0 in fired_indices
-    # A *later* organic ifu.flush may fire injection 1, but never during
-    # injection 0's own application (same step would be the tell).
-    records = {record[0]: record for record in injector.fired}
-    if 1 in records:
-        assert records[1][1] != records[0][1]
-
-
-def test_injector_state_round_trip_resumes_event_counts():
-    plan = FaultPlan("cnt", 0, (Injection(on_event("xfer.call", 5), "drain_av"),))
-    first = FaultInjector(plan)
-    first._counts[0] = 3
-    first._armed[0] = True
-    clone = FaultInjector(plan, state=first.state())
-    assert clone._counts == [3]
-    assert clone._armed == [True]
-    clone.disarm(0)
-    assert clone._armed == [False]
+    outcome, _ = run_with(plan, preset="i4")
+    assert outcome.results == [55]
+    assert outcome.injections_fired == 1  # dozens of later calls do not re-fire
 
 
 def test_flush_actions_are_noops_on_presets_without_the_hardware():
@@ -200,6 +203,8 @@ def test_flush_actions_are_noops_on_presets_without_the_hardware():
             Injection(on_event("xfer.call", 2), "flush_banks"),
         ),
     )
-    machine, _, results = run_with(plan, preset="i1")
-    assert results == [55]
-    assert machine.halted
+    outcome, reference = run_with(plan, preset="i1")
+    assert outcome.klass is OutcomeClass.RECOVERED
+    assert outcome.results == [55]
+    assert outcome.injections_fired == 2
+    assert outcome.meters == reference.meters

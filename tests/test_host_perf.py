@@ -20,6 +20,7 @@ from repro.ifu.returnstack import OverflowPolicy, ReturnStack, ReturnStackEntry
 from repro.interp.services import relocate_module, replace_procedure
 from repro.isa.assembler import Assembler
 from repro.isa.opcodes import Op
+from repro.jit import install_jit
 from repro.workloads.programs import CORPUS
 from tests.conftest import ALL_PRESETS, build
 
@@ -32,20 +33,30 @@ from tests.conftest import ALL_PRESETS, build
 @pytest.mark.parametrize("preset", ALL_PRESETS)
 @pytest.mark.parametrize("name", ["calls", "fib", "pipeline", "mutual"])
 def test_paper_metrics_identical_with_and_without_cache(preset, name):
+    """On both engines, region traffic included: a hit replays the
+    walk's traffic, so the regions and their order match the uncached run."""
     entry = CORPUS[name]
-    outcomes = []
-    for cached in (False, True):
-        machine = build(
-            entry.sources,
-            preset=preset,
-            entry=entry.entry,
-            host_linkage_cache=cached,
-        )
-        machine.start(entry.entry[0], entry.entry[1], *entry.args)
-        results = machine.run()
-        outcomes.append((tuple(results), machine.steps, machine.counter.snapshot()))
-    off, on = outcomes
-    assert off == on
+    for engine in ("interp", "jit"):
+        outcomes = []
+        for cached in (False, True):
+            machine = build(
+                entry.sources,
+                preset=preset,
+                entry=entry.entry,
+                host_linkage_cache=cached,
+            )
+            if engine == "jit":
+                install_jit(machine)
+            machine.start(entry.entry[0], entry.entry[1], *entry.args)
+            results = machine.run()
+            outcomes.append((
+                tuple(results),
+                machine.steps,
+                machine.counter.snapshot(),
+                list(machine.memory.traffic.items()),
+            ))
+        off, on = outcomes
+        assert off == on, engine
 
 
 def test_cache_serves_the_call_dense_hot_path():

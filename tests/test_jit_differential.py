@@ -133,28 +133,35 @@ def test_chunked_run_bit_identical(preset):
     assert state_vector(jit) == state_vector(ref)
 
 
-def test_chaos_outcomes_identical_under_jit():
+def test_chaos_outcomes_identical_under_jit(monkeypatch):
     """All canned fault plans, both engines: identical outcome classes,
-    traps, meters, and results (the injector's tracer pins execution to
-    the interpreter — installing the engine must not perturb a run)."""
-    reports = {
-        engine: run_chaos(
+    traps, meters, and results.  Faults land between instructions with
+    no tracer attached, so the JIT arm runs compiled blocks and call
+    cells up to and after every fault."""
+    engines = []
+
+    def installing(machine, *args, **kwargs):
+        engines.append(install_jit(machine, *args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr("repro.jit.install_jit", installing)
+    cases = {}
+    for engine in ("interp", "jit"):
+        report = run_chaos(
             programs=("fib",), seeds=1, plans=tuple(CANNED_PLANS), engine=engine
         )
-        for engine in ("interp", "jit")
-    }
-    assert reports["interp"].ok
-    assert reports["jit"].ok
-    interp_cases = {
-        (c.program, c.seed, c.plan["name"]): c.to_dict()
-        for c in reports["interp"].cases
-    }
-    jit_cases = {
-        (c.program, c.seed, c.plan["name"]): c.to_dict()
-        for c in reports["jit"].cases
-    }
-    assert interp_cases == jit_cases
-    assert len(interp_cases) == len(CANNED_PLANS)
+        assert report.ok, engine
+        cases[engine] = {
+            (c.program, c.seed, c.plan["name"]): (
+                c.to_dict(),
+                {preset: o.meters for preset, o in c.outcomes.items()},
+            )
+            for c in report.cases
+        }
+    assert cases["interp"] == cases["jit"]
+    assert len(cases["jit"]) == len(CANNED_PLANS)
+    assert sum(e.cache.compiled_blocks for e in engines) > 0
+    assert sum(e.stats.cells_built for e in engines) > 0
 
 
 @settings(max_examples=12, deadline=None)
@@ -165,11 +172,9 @@ def test_chaos_outcomes_identical_under_jit():
 def test_snapshot_roundtrip_resumes_on_jit(cut, preset):
     """Interrupt the interpreter anywhere, restore the snapshot onto
     fresh machines with and without the JIT, finish both: bit-identical
-    endings.  (The uninterrupted run is not the oracle here — host
-    caches are deliberately not captured, so a resumed run's traffic
-    legitimately differs from an uninterrupted one on either engine;
-    the engines must still agree with each other exactly, and on the
-    modelled meters with the uninterrupted reference.)"""
+    endings, and the uninterrupted run's meters and region traffic (a
+    restored machine's host caches start cold, and a cold linkage cache
+    charges the same traffic as a warm one)."""
     entry = CORPUS["mutual"]
     ref = build(list(entry.sources), preset=preset)
     ref.start(*entry.entry)
@@ -194,6 +199,7 @@ def test_snapshot_roundtrip_resumes_on_jit(cut, preset):
     assert results == ref.results()
     assert state_vector(resumed) == state_vector(interp)
     assert resumed.counter.snapshot() == ref.counter.snapshot()
+    assert resumed.memory.traffic == ref.memory.traffic
     assert resumed.steps == ref.steps
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import NetError
 from repro.faults.chaos import ChaosReport, Outcome, OutcomeClass, sweep
-from repro.faults.inject import FaultInjector
+from repro.faults.inject import firing_schedule
 from repro.faults.plan import FaultPlan, Injection, at_step, on_event
 from repro.net.chaos import (
     CASE_PROGRAM,
@@ -27,8 +27,8 @@ def test_net_actions_validate_their_triggers():
 
 
 def test_machine_injector_never_arms_net_actions():
-    """net_* faults belong to the transport; the per-machine injector
-    must leave them alone even when the plan mixes both kinds."""
+    """net_* faults belong to the transport; the machine's firing
+    schedule leaves them out even when the plan mixes both kinds."""
     plan = FaultPlan(
         name="mixed",
         seed=0,
@@ -37,8 +37,8 @@ def test_machine_injector_never_arms_net_actions():
             Injection(at_step(10), "trap", detail="frame_fault"),
         ),
     )
-    injector = FaultInjector(plan)
-    assert injector._armed == [False, True]
+    stamps = [("machine.begin", 0), ("net.send", 4)]
+    assert [entry[:2] for entry in firing_schedule(plan, stamps)] == [(10, 1)]
 
 
 def test_plans_are_seeded_and_reproducible():
