@@ -41,7 +41,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from repro.errors import TrapError
+from repro.errors import StepLimitExceeded, TrapError
 from repro.faults.inject import apply_state_action, firing_schedule
 from repro.faults.plan import FaultPlan, Injection, at_step, on_event
 from repro.faults.snapshot import capture, restore
@@ -148,13 +148,32 @@ class Reference:
     stamps: list[tuple[str, int]]
 
 
+def _run_to(machine: Machine, step: int | None = None) -> None:
+    """Run *machine* until it halts or, given *step*, until ``steps``
+    reaches it.
+
+    No scheduler rides a chaos run, so a ``YIELD`` has no other process
+    to switch to: the run carries on at once, as a scheduler with one
+    ready process would resume it (``Machine.run`` alone returns at the
+    yield).  Running to the end past the step limit raises
+    :class:`~repro.errors.StepLimitExceeded`, as ``Machine.run`` does.
+    """
+    limit = machine.config.step_limit
+    ceiling = limit if step is None else min(step, limit)
+    while not machine._run_until(ceiling) and machine.yield_requested and not machine.halted:
+        machine.yield_requested = False
+    if step is None and not machine.halted and machine.steps >= limit:
+        raise StepLimitExceeded(limit)
+
+
 def reference_run(program: Program, preset: str) -> Reference:
     """Run *program* on *preset* with no faults; record the oracle."""
     machine = _build(program, preset)
     recorder = TraceRecorder(capacity=None)
     machine.attach_tracer(recorder)
     machine.start(program.entry[0], program.entry[1], *program.args)
-    results = machine.run()
+    _run_to(machine)
+    results = machine.results()
     return Reference(
         results=results,
         output=list(machine.output),
@@ -332,7 +351,7 @@ def run_case(
     try:
         while position < len(schedule):
             step, index, injection = schedule[position]
-            machine._run_until(step)
+            _run_to(machine, step)
             if machine.halted:
                 break
             position += 1
@@ -362,7 +381,7 @@ def run_case(
                     pass
             else:
                 apply_state_action(machine, action)
-        machine.run()
+        _run_to(machine)
     except TrapError as err:
         return Outcome(
             klass=OutcomeClass.TRAPPED,

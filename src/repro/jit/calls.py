@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from repro.banks.bankfile import BankRole
 from repro.ifu.ifu import FetchStats, TransferKind
 from repro.ifu.returnstack import ReturnStackEntry
-from repro.interp.frames import LOCALS_BASE, FrameState
+from repro.interp.frames import FRAME_GLOBAL, FRAME_PC, LOCALS_BASE, FrameState
 from repro.interp.machineconfig import ArgConvention
 from repro.isa.opcodes import Op
 from repro.jit.compile import _Charges
@@ -86,12 +86,20 @@ class CallSite:
     """One compiled call site: its static shape plus seeded cells."""
 
     __slots__ = ("next_pc", "handler", "inst", "cells", "generic",
-                 "remote", "lfc", "kind", "fast", "kind_event")
+                 "remote", "lfc", "kind", "fast", "kind_event", "start",
+                 "monomorphic")
 
-    def __init__(self, op: Op, next_pc: int, handler, inst) -> None:
+    def __init__(
+        self, op: Op, next_pc: int, handler, inst, start: int, monomorphic: bool
+    ) -> None:
         self.next_pc = next_pc
         self.handler = handler
         self.inst = inst
+        #: The start of the block this site ends, which a superblock
+        #: rebuilds once the site is seeded.
+        self.start = start
+        #: The facts say one target: the only sites a superblock splices.
+        self.monomorphic = monomorphic
         #: caller gf -> _Cell.  Monomorphic sites see one target (and
         #: one cell per module instance); polymorphic sites get the
         #: same per-gf guarded ladder with more rungs.
@@ -121,14 +129,19 @@ class CallSite:
 class _Cell:
     """The seeded (site, gf) resolution: target + one charge vector."""
 
-    __slots__ = ("slot", "meta", "gf_address", "cb_final",
-                 "first_instruction", "fsi", "frame_words", "need")
+    __slots__ = ("slot", "charges", "traffic", "meta", "gf_address",
+                 "cb_final", "first_instruction", "fsi", "frame_words", "need")
 
-    def __init__(self, slot: int, meta, resolved, need: int) -> None:
+    def __init__(
+        self, slot: int, charges: dict, traffic: dict, meta, resolved, need: int
+    ) -> None:
         #: The exit-table slot of the call's charges: resolution,
         #: transfer, and the fast path's allocation and linkage writes
-        #: and their traffic.
+        #: and their traffic.  A superblock adds the *charges* and
+        #: *traffic* themselves to its own exit's vector.
         self.slot = slot
+        self.charges = charges
+        self.traffic = traffic
         self.meta = meta
         self.gf_address = resolved.gf_address
         self.cb_final = resolved.code_base if resolved.code_base >= 0 else -1
@@ -500,6 +513,21 @@ class _Allocator:
     need: Callable
     #: Further names the fragments use.
     names: dict
+    #: The fold's view of the free lists (:class:`Fold`): a frame that a
+    #: superblock allocates and frees comes off the head of its list and
+    #: goes back there, so the superblock only reads the list walk, as
+    #: an uncounted entry guard.  key(cell) names the cell's list;
+    #: ``first`` is the list's head block (``{key}``), ``next`` the block
+    #: after ``{block}``, and ``frame`` the frame a block holds.
+    fold_key: Callable
+    fold_first: str
+    fold_next: str
+    fold_frame: str
+    #: (block, key, needs) -> a condition true when *block* cannot hold
+    #: every frame of *needs* the way the cells' fast path would.
+    fold_refused: Callable
+    #: (block, cell) -> the (requested, block) words of the statistics.
+    fold_words: Callable
 
 
 def _av_heap(av, ctx) -> _Allocator:
@@ -545,6 +573,13 @@ def _av_heap(av, ctx) -> _Allocator:
         free_traffic={frames: 2, av_name: 2},
         need=need,
         names={"LADDER": len(sizes), "SIZES": sizes},
+        fold_key=lambda cell: cell.fsi,
+        fold_first="_W[BASE + {key}]",
+        fold_next="_W[{block}]",
+        fold_frame="{block}",
+        # The free reads the class from the block's header.
+        fold_refused=lambda block, key, needs: f"not {block} or _W[{block} - 1] != {key}",
+        fold_words=lambda block, cell: (cell.frame_words, cell.need),
     )
 
 
@@ -588,6 +623,15 @@ def _first_fit(heap, ctx) -> _Allocator:
         free_traffic={head_name: 2, frames: 1},
         need=need,
         names={},
+        fold_key=lambda cell: 0,
+        fold_first="_W[BASE]",
+        fold_next="_W[{block} + 1]",
+        fold_frame="{block} + 1",
+        # The allocate check: no split for any frame the block holds.
+        fold_refused=lambda block, key, needs: (
+            f"not {block} or not {max(needs)} <= _W[{block}] < {min(needs) + 4}"
+        ),
+        fold_words=lambda block, cell: (f"_W[{block}]", f"_W[{block}] + 1"),
     )
 
 
@@ -632,23 +676,201 @@ def _bank_move_lines(ctx, event: Event, per_word: dict) -> str:
     ))
 
 
+class Fold:
+    """A seeded call and its return, folded into a superblock.
+
+    Without banks a superblock (:mod:`repro.jit.compile`) splices a
+    seeded monomorphic call to a straight-line callee: the caller's
+    block, the callee's body and the caller's continuation become one
+    host function.  The callee's frame lives and dies inside it, LIFO,
+    so the pair's transitions leave only their net effects, which this
+    class renders from the cells' own fragments and vectors:
+
+    * the charges: the cell's merged call vector and the return cell's
+      vector, added to the superblock's exit vector;
+    * the memory words that outlive the superblock: each frame's global
+      word and, without the return stack, the caller's saved PC
+      (``_ALLOCATE``, ``_LINK_GENERAL``).  The return link, the AV or
+      first-fit list words and the frame table are put back as they were
+      by the free, so they are not written, and no ``FrameState`` or
+      ``ReturnStackEntry`` is built;
+    * the statistics' net increments (:meth:`exit_lines`).
+
+    Every guard the spliced transitions need runs at the superblock's
+    entry (:meth:`entry_lines`); a refused one sends the whole
+    superblock to its unspliced block, whose cells and generic handlers
+    do today's bit-exact work.
+    """
+
+    def __init__(
+        self, allocator: _Allocator, rstack: bool, ret_charges: dict, ret_traffic: dict
+    ) -> None:
+        self.allocator = allocator
+        self.rstack = rstack
+        self.ret_charges = ret_charges
+        self.ret_traffic = ret_traffic
+
+    def frame_var(self, key: int, index: int) -> str:
+        """The host local holding the *index*-th frame a superblock takes
+        from free list *key*."""
+        return f"_f{key}_{index}"
+
+    def _block_var(self, key: int, index: int) -> str:
+        if self.allocator.fold_frame == "{block}":
+            return self.frame_var(key, index)
+        return f"_k{key}_{index}"
+
+    def call_writes(self, site, cell, caller: str, callee: str, cb: int) -> list:
+        """(frame, word, value) of the call's words that outlive it."""
+        writes = [(callee, FRAME_GLOBAL, str(cell.gf_address))]
+        if not self.rstack:
+            writes.append((caller, FRAME_PC, str((site.next_pc - cb) & 0xFFFF)))
+        return writes
+
+    def entry_lines(self, record, fallback: list[str], ind: str) -> list[str]:
+        """The superblock's transition guards, before any charge or
+        mutation: the registers, the caller's frame, the return stack's
+        room and the free-list walk of every nested frame."""
+        gf = record.gf
+        if self.rstack:
+            refused = [
+                f"m.gf != {gf}",
+                "heap.tracer is not None",
+                "caller.freed",
+                f"caller.gf != {gf}",
+                f"len(rentries) > RDEPTH - {record.depth}",
+            ]
+            if record.top_lfc:
+                refused.append("m.cb < 0")
+        else:
+            # The general return reads the caller's frame, its global
+            # word and each global frame's CB word back.
+            refused = [
+                f"m.gf != {gf}",
+                f"m.cb != {record.code_base}",
+                "heap.tracer is not None",
+                "caller.stashed_stack",
+                "by_address.get(_fa) is not caller",
+                f"_W[_fa + {FRAME_GLOBAL}] != {gf}",
+            ]
+            refused += [
+                f"_W[{frame_gf} + GF_CODE_BASE] != {cb}"
+                for frame_gf, cb in record.code_bases.items()
+            ]
+        lines = [f"{ind}caller = m.frame", f"{ind}_fa = caller.address", f"{ind}if ("]
+        lines.append(f"{ind}    {refused[0]}")
+        lines += [f"{ind}    or {condition}" for condition in refused[1:]]
+        lines.append(f"{ind}):")
+        lines += fallback
+        allocator = self.allocator
+        for (key, index), needs in record.frames.items():
+            block = self._block_var(key, index)
+            if index == 0:
+                source = allocator.fold_first.format(key=key)
+            else:
+                source = allocator.fold_next.format(block=self._block_var(key, index - 1))
+            lines.append(f"{ind}{block} = {source}")
+            lines.append(f"{ind}if {allocator.fold_refused(block, key, needs)}:")
+            lines += fallback
+            frame = self.frame_var(key, index)
+            if frame != block:
+                lines.append(f"{ind}{frame} = {allocator.fold_frame.format(block=block)}")
+        if self.rstack:
+            # entry.cb, or the caller's CB when it was never discovered:
+            # what every spliced return leaves in the CB register.
+            lines.append(f"{ind}_cb = m.cb")
+            lines.append(f"{ind}if _cb < 0:")
+            lines.append(f"{ind}    _cb = caller.code_base")
+        return lines
+
+    def exit_lines(self, record, ind: str) -> list[str]:
+        """The spliced pairs' net effect on the registers and the
+        statistics: the fetch tallies in the order the pairs first bump
+        them, the return stack's pushes and hits, and the heap's
+        allocations and frees, whose live and free-list words cancel."""
+        lines = [f"{ind}m.return_context = None"]
+        if self.rstack:
+            lines.append(f"{ind}m.cb = _cb")
+        else:
+            lines.append(f"{ind}caller.code_base = {record.code_base}")
+        tallies: dict = {}
+        calls = []
+        for site, cell, key, index in record.transitions:
+            if site is None:
+                bucket, kind = ("fast" if self.rstack else "slow"), "RETURN"
+            else:
+                bucket, kind = ("fast" if site.fast else "slow"), site.kind.name
+                calls.append((cell, key, index))
+            tallies[bucket, kind] = tallies.get((bucket, kind), 0) + 1
+        for (bucket, kind), times in tallies.items():
+            lines += _bump(f"fetch.{bucket}", f"K_{kind}", times, ind)
+        n = len(calls)
+        if self.rstack:
+            lines.append(f"{ind}rstats.pushes += {n}")
+            lines.append(f"{ind}rstats.hits += {n}")
+        lines.append(f"{ind}heap_stats.allocations += {n}")
+        lines.append(f"{ind}heap_stats.frees += {n}")
+        requested: dict = {}
+        blocks: dict = {}
+        classes: dict = {}
+        for cell, key, index in calls:
+            words = self.allocator.fold_words(self._block_var(key, index), cell)
+            for total, value in zip((requested, blocks), words):
+                total[value] = total.get(value, 0) + 1
+            classes[key] = classes.get(key, 0) + 1
+        for field, total in (("requested", requested), ("block", blocks)):
+            lines.append(
+                f"{ind}heap_stats.total_{field}_words += {_weighted_sum(total)}"
+            )
+        for key, times in classes.items():
+            lines += _bump("per_class", str(key), times, ind)
+        return lines
+
+
+def _bump(table: str, key: str, times: int, ind: str) -> list[str]:
+    """``table[key] += times``, inserting the key where it is new."""
+    return [
+        f"{ind}try:",
+        f"{ind}    {table}[{key}] += {times}",
+        f"{ind}except KeyError:",
+        f"{ind}    {table}[{key}] = {times}",
+    ]
+
+
+def _weighted_sum(terms: dict) -> str:
+    """``sum(times * value)`` as source: int values summed, expressions
+    scaled."""
+    constant = sum(value * times for value, times in terms.items() if isinstance(value, int))
+    parts = [
+        value if times == 1 else f"{times} * ({value})"
+        for value, times in terms.items()
+        if not isinstance(value, int)
+    ]
+    if constant or not parts:
+        parts.append(str(constant))
+    return " + ".join(parts)
+
+
 def make_cells(machine, ctx, ns: dict, stats):
     """Build *machine*'s (fast_call, fast_return) into the engine's block
-    namespace *ns*; either may be None (unsupported shape: those sites
-    stay generic)."""
+    namespace *ns*, with the :class:`Fold` that superblocks splice calls
+    by; any may be None (unsupported shape: those sites stay generic;
+    banks: nothing is spliced).  ``ctx.on_seed(site, gf)`` runs after
+    each cell is seeded."""
     banked = machine.banks is not None
     if banked:
         if not _renames(machine):
-            return None, None
+            return None, None, None
         allocator = None
     else:
         allocator = _allocator(machine, ctx)
         if allocator is None:
-            return None, None
+            return None, None, None
 
     image = machine.image
     rstack = machine.rstack
     frames = ctx.frames_name
+    fold = None
     cache = machine.linkage_cache
     entries_map = cache._entries if cache is not None else None
     procs_by_entry = image.procs_by_entry
@@ -682,14 +904,18 @@ def make_cells(machine, ctx, ns: dict, stats):
             site.generic = True
             stats.sites_demoted += 1
             return -1
-        slot = ctx.exit_slot(
-            _merge(dict(pairs), {site.kind_event: 1}, static),
-            _merge(dict(regions), static_traffic),
-        )
+        charges = _merge(dict(pairs), {site.kind_event: 1}, static)
+        traffic = _merge(dict(regions), static_traffic)
         need = 0 if banked else allocator.need(meta, resolved.fsi)
-        site.cells[gf] = _Cell(slot, meta, resolved, need)
+        site.cells[gf] = _Cell(
+            ctx.exit_slot(charges, traffic), charges, traffic, meta, resolved, need
+        )
         stats.cells_built += 1
+        if on_seed is not None:
+            on_seed(site, gf)
         return -1
+
+    on_seed = ctx.on_seed
 
     gf_name = ctx.region_name(next(iter(image.by_gf)))
 
@@ -704,6 +930,7 @@ def make_cells(machine, ctx, ns: dict, stats):
         ReturnStackEntry=ReturnStackEntry,
         GF_CODE_BASE=GF_CODE_BASE,
         K_RET=TransferKind.RETURN,
+        **{f"K_{kind.name}": kind for kind in TransferKind},
     )
     if rstack is not None:
         ns.update(rentries=rstack._entries, rstats=rstack.stats, RDEPTH=rstack.depth)
@@ -769,36 +996,33 @@ def make_cells(machine, ctx, ns: dict, stats):
         )
         free = _FREE.format(free=allocator.free)
         if rstack is not None:
+            ret_charges = _merge({Event.FAST_TRANSFER: 1}, allocator.free_charges)
+            ret_traffic = allocator.free_traffic
             ret = _RETURN_RSTACK.format(
                 deferred="",
                 source="    addr = current.address",
                 refused=" or " + allocator.free_refused,
                 claim="",
-                charges=_commit_lines(
-                    ctx,
-                    _merge({Event.FAST_TRANSFER: 1}, allocator.free_charges),
-                    allocator.free_traffic,
-                ),
+                charges=_commit_lines(ctx, ret_charges, ret_traffic),
                 free=free,
             )
         else:
             # The link read, the free, then PC and GF from the frame and
             # CB from the global frame.
+            ret_charges = _merge(
+                {Event.SLOW_TRANSFER: 1, Event.MEMORY_READ: 4}, allocator.free_charges
+            )
+            ret_traffic = _merge({frames: 3, gf_name: 1}, allocator.free_traffic)
             ret = _RETURN_GENERAL.format(
                 refused=allocator.free_refused,
-                charges=_commit_lines(
-                    ctx,
-                    _merge(
-                        {Event.SLOW_TRANSFER: 1, Event.MEMORY_READ: 4},
-                        allocator.free_charges,
-                    ),
-                    _merge({frames: 3, gf_name: 1}, allocator.free_traffic),
-                ),
+                charges=_commit_lines(ctx, ret_charges, ret_traffic),
                 free=free,
             )
+        if entries_map is not None:
+            fold = Fold(allocator, rstack is not None, ret_charges, ret_traffic)
     source = ret if entries_map is None else call + "\n" + ret
     exec(_cell_code(source), ns)
-    return ns.get("fast_call"), ns["fast_return"]
+    return ns.get("fast_call"), ns["fast_return"], fold
 
 
 @functools.lru_cache(maxsize=16)

@@ -35,6 +35,16 @@ class CodeCache:
         #: False until the engine has armed the pending set for the
         #: current epoch.
         self.ready = False
+        #: Superblock bookkeeping (see ``JitEngine._splice``): block
+        #: start -> (spec, meta, terminating CallSite); the unspliced
+        #: (fn, max_steps) of each superblock's block; its gf; the
+        #: splices it holds; and block start -> the superblock starts
+        #: whose plans read it.
+        self.specs: dict[int, tuple] = {}
+        self.plain: dict[int, tuple[Callable, int]] = {}
+        self.superblock_gf: dict[int, int] = {}
+        self.shapes: dict[int, tuple] = {}
+        self.dependents: dict[int, set[int]] = {}
         self.invalidations = 0
         #: Blocks compiled over the cache's life (cumulative).
         self.compiled_blocks = 0
@@ -55,6 +65,8 @@ class CodeCache:
             self.invalidations += 1
         self.blocks.clear()
         self.pending.clear()
+        for table in (self.specs, self.plain, self.superblock_gf, self.shapes, self.dependents):
+            table.clear()
         self.ready = False
 
     def stats(self) -> dict:

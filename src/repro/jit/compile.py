@@ -75,6 +75,17 @@ class CompilerContext:
     #: CallSite factory, bound by the engine (imported lazily to keep
     #: compile.py free of runtime deps).
     make_site: Callable | None = None
+    #: The folded call-and-return runtime superblocks splice by
+    #: (:class:`repro.jit.calls.Fold`), or None: nothing is spliced.
+    fold: object | None = None
+    #: gf -> its module's current code base.
+    code_base: Callable[[int], int] | None = None
+    #: Called with (site, gf) after a call cell is seeded.
+    on_seed: Callable | None = None
+    #: Filled by :func:`compile_procedure`: block start -> (spec, meta,
+    #: the CallSite of its terminator or None), what superblocks are
+    #: planned from.
+    specs: dict | None = None
 
 
 @dataclass
@@ -312,28 +323,10 @@ def _entry_guard(items: list, term: str) -> tuple[int, int]:
     return needs, grow
 
 
-def gen_block(
-    spec: BlockSpec,
-    index: int,
-    ctx: CompilerContext,
-    ns: dict,
-    machine,
-    meta,
-) -> tuple[str, list[str], int]:
-    """Generate one block function; returns (name, source lines, n_steps).
-
-    ``n_steps`` is the maximum number of modelled steps the block can
-    commit — the engine compares it against the step ceiling before
-    entering the block.
-    """
-    name = f"_b{spec.start}"
-    w = _Charges(ctx)
-    body: list[str] = []
-    ind = "    "
-
-    # -- decide how far the inline run actually compiles ---------------
+def _inline_prefix(spec: BlockSpec, ctx: CompilerContext, meta) -> tuple[list, int | None]:
+    """The items of *spec* that compile inline, and the pc of the first
+    one that must deopt instead (None: the whole run compiles)."""
     emitted: list = []
-    deopt_at: int | None = None
     for item in spec.items:
         op = item.instruction.op
         abs_pc = spec.start + (item.offset - spec.items[0].offset)
@@ -350,18 +343,98 @@ def gen_block(
             if local >= ctx.bank_words:
                 # Falls to the memory path (possibly materializing a
                 # deferred frame): data-dependent, interpreter's job.
-                deopt_at = abs_pc
-                break
+                return emitted, abs_pc
         if op in (Op.LG, Op.SG):
             word = 3 + item.instruction.operand  # GF_HEADER_WORDS
             if _gf_static_region(ctx, meta.module, word) is None:
-                deopt_at = abs_pc
-                break
+                return emitted, abs_pc
         if op in (Op.RD, Op.WR) and not ctx.inline_memory:
-            deopt_at = abs_pc
-            break
+            return emitted, abs_pc
         emitted.append(item)
+    return emitted, None
 
+
+@dataclass
+class _Frame:
+    """Where one activation's locals and globals are while a block runs.
+
+    A block's own frame is the running one (``_fa``, ``_gf``) and its
+    stores write through.  A frame a superblock folds holds a free
+    block's address and a constant gf, and its stores land in *words*,
+    the superblock's deferred writes: a later load of the same word
+    reads the held value, and the superblock writes each word once
+    before it exits.
+    """
+
+    meta: object
+    address: str
+    gf: str
+    words: dict | None = None
+    #: The CB register's value while the frame runs (folded frames).
+    cb: int = -1
+
+
+def _make_site(spec: BlockSpec, ctx: CompilerContext, machine, meta):
+    """The CallSite of *spec*'s terminating call, or None (no call, no
+    cells, or a site the facts do not classify)."""
+    item = spec.term_item
+    if (
+        spec.term != "tail"
+        or item.instruction.op not in CALL_OPS
+        or ctx.fast_call is None
+        or ctx.make_site is None
+    ):
+        return None
+    classes = ctx.site_classes.get((meta.module, meta.name), {})
+    classification = classes.get(item.offset)
+    if classification not in ("monomorphic", "polymorphic"):
+        return None
+    op = item.instruction.op
+    return ctx.make_site(
+        op,
+        spec.next_abs,
+        machine._dispatch[op],
+        item.instruction,
+        spec.start,
+        classification == "monomorphic",
+    )
+
+
+def _stack_guard(needs: int, grow: int, depth: int, ind: str, fail: list[str]) -> list[str]:
+    """The entry check that the list holds the words a block reads and
+    has room for what it pushes."""
+    if needs <= 0 and grow <= 0:
+        return []
+    lines = [f"{ind}st = _ST._slots"]
+    if needs > 0 and grow > 0:
+        guard = f"not {needs} <= len(st) <= {depth - grow}"
+    elif needs > 0:
+        guard = f"len(st) < {needs}"
+    else:
+        guard = f"len(st) > {depth - grow}"
+    lines.append(f"{ind}if {guard}:")
+    return lines + fail
+
+
+def gen_block(
+    spec: BlockSpec,
+    index: int,
+    ctx: CompilerContext,
+    ns: dict,
+    machine,
+    meta,
+    site=None,
+) -> tuple[str, list[str], int]:
+    """Generate one block function; returns (name, source lines, n_steps).
+
+    ``n_steps`` is the maximum number of modelled steps the block can
+    commit — the engine compares it against the step ceiling before
+    entering the block.  *site* is the CallSite of a terminating call.
+    """
+    name = f"_b{spec.start}"
+    w = _Charges(ctx)
+    ind = "    "
+    emitted, deopt_at = _inline_prefix(spec, ctx, meta)
     term = spec.term if deopt_at is None else "deopt"
 
     # -- prologue -------------------------------------------------------
@@ -372,20 +445,11 @@ def gen_block(
         for op in ops
     )
     uses_gf = any(op in (Op.LG, Op.SG, Op.LGA) for op in ops)
-    uses_out = Op.OUT in ops
 
-    body.append(f"def {name}(m):")
-    if needs > 0 or grow > 0:
-        body.append(f"{ind}st = _ST._slots")
-        if needs > 0 and grow > 0:
-            guard = f"not {needs} <= len(st) <= {ctx.depth - grow}"
-        elif needs > 0:
-            guard = f"len(st) < {needs}"
-        else:
-            guard = f"len(st) > {ctx.depth - grow}"
-        body.append(f"{ind}if {guard}:")
-        body.append(f"{ind}    m.pc = {spec.start}")
-        body.append(f"{ind}    return -2")
+    body = [f"def {name}(m):"]
+    body += _stack_guard(
+        needs, grow, ctx.depth, ind, [f"{ind}    m.pc = {spec.start}", f"{ind}    return -2"]
+    )
     if uses_local:
         if ctx.banked:
             body.append(f"{ind}_bk = _BKS.lbank")
@@ -397,36 +461,45 @@ def gen_block(
             body.append(f"{ind}_fa = m.frame.address")
     if uses_gf:
         body.append(f"{ind}_gf = m.gf")
-    if uses_out:
+    if Op.OUT in ops:
         body.append(f"{ind}_o = m.output")
 
     # -- inline run -----------------------------------------------------
     stack = _Stack(body)
+    frame = _Frame(meta, "_fa", "_gf")
     for item in emitted:
-        _emit_op(item, spec, ctx, meta, w, stack, ind)
+        _emit_op(item, spec, ctx, frame, w, stack, ind)
 
     # -- terminator -----------------------------------------------------
-    n_steps = w.steps
     if term == "deopt":
         body.extend(_deopt_lines(stack.flush_lines(ind), w, ind, deopt_at))
-    elif term == "fall":
+    else:
+        body.extend(_terminator(spec, site, index, ctx, ns, machine, w, stack, ind))
+    body.append("")
+    return name, body, w.steps
+
+
+def _terminator(spec, site, tag, ctx, ns, machine, w: _Charges, stack: _Stack, ind: str):
+    """A block's exit: a fall-through, a jump, a conditional jump, or a
+    tail handler (a call or return cell where one is built); its names
+    are bound in *ns* under *tag*."""
+    body: list[str] = []
+    if spec.term == "fall":
         body.extend(stack.flush_lines(ind))
         body.extend(w.commit_lines(ind))
         body.append(f"{ind}m.pc = {spec.next_abs}")
         body.append(f"{ind}return {spec.next_abs}")
-    elif term == "jump":
+    elif spec.term == "jump":
         w.step()
         w.add(Event.JUMP)
-        n_steps += 1
         body.extend(stack.flush_lines(ind))
         body.extend(w.commit_lines(ind))
         body.append(f"{ind}m.pc = {spec.target_abs}")
         body.append(f"{ind}return {spec.target_abs}")
-    elif term == "cond":
+    elif spec.term == "cond":
         op = spec.term_item.instruction.op
         w.step()
         w.add(Event.REGISTER_READ)  # the tested value's pop
-        n_steps += 1
         value = stack.pop(ind)
         body.extend(stack.flush_lines(ind))
         # Jump when the value is zero (JZ) or nonzero (JNZ); a compare's
@@ -447,41 +520,290 @@ def gen_block(
         item = spec.term_item
         op = item.instruction.op
         w.step()
-        n_steps += 1
         body.extend(stack.flush_lines(ind))
         body.extend(w.commit_lines(ind))
         body.append(f"{ind}m.pc = {spec.next_abs}")
-        site = None
-        if (
-            op in CALL_OPS
-            and ctx.fast_call is not None
-            and ctx.make_site is not None
-        ):
-            classes = ctx.site_classes.get((meta.module, meta.name), {})
-            classification = classes.get(item.offset)
-            if classification in ("monomorphic", "polymorphic"):
-                site = ctx.make_site(
-                    op, spec.next_abs, machine._dispatch[op], item.instruction
-                )
         if site is not None:
-            ns[f"_s{index}"] = site
+            ns[f"_s{tag}"] = site
             body.append(f"{ind}try:")
-            body.append(f"{ind}    return fast_call(m, _s{index})")
+            body.append(f"{ind}    return fast_call(m, _s{tag})")
             body.extend(_tail_excepts(ind, returning=True))
         elif op is Op.RET and ctx.fast_return is not None:
             body.append(f"{ind}try:")
             body.append(f"{ind}    return fast_return(m)")
             body.extend(_tail_excepts(ind, returning=True))
         else:
-            ns[f"_h{index}"] = machine._dispatch[op]
-            ns[f"_i{index}"] = item.instruction
+            ns[f"_h{tag}"] = machine._dispatch[op]
+            ns[f"_i{tag}"] = item.instruction
             body.append(f"{ind}try:")
-            body.append(f"{ind}    _h{index}(_i{index}, {spec.next_abs})")
+            body.append(f"{ind}    _h{tag}(_i{tag}, {spec.next_abs})")
             body.extend(_tail_excepts(ind, returning=False))
             body.append(f"{ind}return -1")
+    return body
 
-    body.append("")
-    return name, body, n_steps
+
+# -- superblocks -------------------------------------------------------------
+
+#: The most modelled steps one superblock may take.  The engine enters a
+#: block only when all of its steps fit under the run's step ceiling
+#: (a scheduler slice, a lock-step budget, a fault's firing step), and
+#: single-steps the interpreter otherwise, so an unbounded superblock
+#: would hand ever more of a sliced run to the interpreter; the cap also
+#: bounds the source a rebuild compiles.  Calldense's ``main`` loop body,
+#: six calls three deep, is 60 steps.
+SUPERBLOCK_STEPS = 128
+
+
+@dataclass
+class _Splice:
+    """A seeded call whose straight-line callee a superblock runs inline:
+    the callee's body is its runs and nested splices, ending at its RET."""
+
+    site: object
+    cell: object
+    body: list
+    steps: int
+
+
+def _spec_steps(spec: BlockSpec) -> int:
+    return len(spec.items) + (spec.term in ("jump", "cond", "tail"))
+
+
+def _splice_ok(spec: BlockSpec, meta, ctx: CompilerContext, callee: bool) -> bool:
+    """Whether a spliced run may follow a spliced call: no deopt point
+    (a DIV/MOD guard, an op left to the interpreter).  A callee's run
+    also reads no memory by address, whose free lists and frame words
+    the fold leaves as they were, and ends at a call or its RET."""
+    if _inline_prefix(spec, ctx, meta)[1] is not None:
+        return False
+    ops = [item.instruction.op for item in spec.items]
+    if Op.DIV in ops or Op.MOD in ops:
+        return False
+    if not callee:
+        return True
+    if Op.RD in ops or Op.WR in ops:
+        return False
+    if spec.term != "tail":
+        return False
+    op = spec.term_item.instruction.op
+    return op is Op.RET or op in CALL_OPS
+
+
+class _Planner:
+    """Plans one superblock from the compiled specs and seeded cells.
+
+    ``consulted`` collects every block start the plan read, spliced or
+    not: when one of them is compiled, seeded or spliced itself, the
+    superblock is planned again.
+    """
+
+    def __init__(self, ctx: CompilerContext) -> None:
+        self.ctx = ctx
+        self.consulted: set[int] = set()
+
+    def _entry(self, start: int):
+        self.consulted.add(start)
+        return self.ctx.specs.get(start)
+
+    def top(self, start: int, gf: int) -> tuple[list, int]:
+        """The parts of the superblock at *start* under *gf*: runs
+        ``(spec, meta)`` and splices, ending at a run whose terminator is
+        the superblock's own; and its steps."""
+        spec, meta, site = self._entry(start)
+        parts: list = [(spec, meta)]
+        steps = _spec_steps(spec)
+        active = (meta.entry_address + 1,)
+        while spec.term == "tail" and spec.term_item.instruction.op in CALL_OPS:
+            splice = self._splice(site, gf, active, SUPERBLOCK_STEPS - steps)
+            if splice is None:
+                break
+            following = self._entry(spec.next_abs)
+            if following is None or not _splice_ok(
+                following[0], following[1], self.ctx, callee=False
+            ):
+                break
+            cost = splice.steps + _spec_steps(following[0])
+            if steps + cost > SUPERBLOCK_STEPS:
+                break
+            spec, meta, site = following
+            parts += [splice, (spec, meta)]
+            steps += cost
+        return parts, steps
+
+    def _splice(self, site, gf: int, active: tuple, budget: int) -> _Splice | None:
+        """The splice of *site*'s call under caller *gf*, or None: the
+        site is polymorphic or unseeded there, the callee is recursive,
+        or its body is not straight-line up to its RET within *budget*."""
+        if site is None or not site.monomorphic:
+            return None
+        cell = site.cells.get(gf)
+        if cell is None or not cell.need:
+            return None
+        entry = cell.first_instruction
+        if entry in active:
+            return None
+        if not self.ctx.fold.rstack and cell.cb_final < 0:
+            return None  # the saved PC and the return would read CB
+        active = active + (entry,)
+        body: list = []
+        steps = 0
+        start = entry
+        while True:
+            found = self._entry(start)
+            if found is None:
+                return None
+            spec, meta, inner = found
+            if not _splice_ok(spec, meta, self.ctx, callee=True):
+                return None
+            body.append((spec, meta))
+            steps += _spec_steps(spec)
+            if steps > budget:
+                return None
+            if spec.term_item.instruction.op is Op.RET:
+                return _Splice(site, cell, body, steps)
+            if inner is not None and inner.lfc and cell.cb_final < 0:
+                return None  # the LFC prologue would fetch CB
+            nested = self._splice(inner, cell.gf_address, active, budget - steps)
+            if nested is None:
+                return None
+            body.append(nested)
+            steps += nested.steps
+            start = spec.next_abs
+
+
+class _Unfoldable(Exception):
+    """Two spliced frames of one global frame assume different CBs."""
+
+
+@dataclass
+class _FoldRecord:
+    """What a superblock's spliced pairs need, collected as it is
+    emitted, for :class:`repro.jit.calls.Fold`'s entry guard and exit."""
+
+    gf: int
+    code_base: int
+    #: gf -> the CB each spliced general return reads from it.
+    code_bases: dict
+    #: (list key, index) -> the needs of the frames taken there.
+    frames: dict
+    #: (site, cell, key, index) per call, (None, None, key, index) per
+    #: return, in program order.
+    transitions: list
+    depth: int = 0
+    top_lfc: bool = False
+
+
+def plan_superblock(start: int, gf: int, ctx: CompilerContext) -> tuple[list, int, set]:
+    """(parts, steps, consulted block starts) of the superblock at
+    *start* under *gf*; one part means nothing splices."""
+    planner = _Planner(ctx)
+    parts, steps = planner.top(start, gf)
+    return parts, steps, planner.consulted
+
+
+def gen_superblock(
+    parts: list, gf: int, ctx: CompilerContext, ns: dict, machine
+) -> tuple[str, list[str], int] | None:
+    """Generate a superblock: the block of ``parts[0]``, each spliced
+    call's callee and the caller's continuation, as one function.
+
+    Every guard runs first; a refused one tail-calls ``_fb``, the
+    unspliced block, bound in *ns*.  The spliced transitions count in
+    the exit's one vector, the folded frames' words are written once
+    before the exit (:class:`_Frame`), and the fold's net effects follow
+    them (:meth:`repro.jit.calls.Fold.exit_lines`).  None when two
+    spliced frames of one global frame would assume different CBs.
+    """
+    fold = ctx.fold
+    top_spec, top_meta = parts[0]
+    last_spec = parts[-1][0]
+    name = f"_sb{top_spec.start}"
+    ind = "    "
+    w = _Charges(ctx)
+    code_base = ctx.code_base(gf)
+    record = _FoldRecord(gf, code_base, {}, {}, [])
+    words: dict = {}
+    body: list[str] = []
+    stack = _Stack(body)
+    items: list = []
+    live: dict = {}
+
+    def run(parts: list, frame: _Frame, depth: int) -> None:
+        for part in parts:
+            if isinstance(part, tuple):
+                spec, _meta = part
+                for item in spec.items:
+                    if item.instruction.op in (Op.RD, Op.WR) and words:
+                        body.extend(_word_lines(words, ind))
+                        words.clear()
+                    _emit_op(item, spec, ctx, frame, w, stack, ind)
+                items.extend(spec.items)
+                continue
+            site, cell = part.site, part.cell
+            w.step()  # the call
+            for event, times in cell.charges.items():
+                w.add(event, times)
+            for region, times in cell.traffic.items():
+                w.hit(region, times)
+            key = fold.allocator.fold_key(cell)
+            index = live.get(key, 0)
+            live[key] = index + 1
+            record.frames.setdefault((key, index), set()).add(cell.need)
+            record.depth = max(record.depth, depth + 1)
+            record.transitions.append((site, cell, key, index))
+            if frame.words is None:
+                record.top_lfc = record.top_lfc or site.lfc
+            elif not fold.rstack:
+                _assume_code_base(record, int(frame.gf), frame.cb)
+            callee = _Frame(
+                cell.meta, fold.frame_var(key, index), str(cell.gf_address), words,
+                cell.cb_final,
+            )
+            for address, word, value in fold.call_writes(
+                site, cell, frame.address, callee.address, frame.cb
+            ):
+                words[address, word] = value
+            run(part.body, callee, depth + 1)
+            w.step()  # the RET
+            for event, times in fold.ret_charges.items():
+                w.add(event, times)
+            for region, times in fold.ret_traffic.items():
+                w.hit(region, times)
+            record.transitions.append((None, None, key, index))
+            live[key] = index
+
+    top = _Frame(top_meta, "_fa", str(gf), None, code_base)
+    try:
+        run(parts, top, 0)
+        if not fold.rstack:
+            _assume_code_base(record, gf, code_base)
+    except _Unfoldable:
+        return None
+    body.extend(_word_lines(words, ind))
+    body.extend(fold.exit_lines(record, ind))
+    body.extend(
+        _terminator(last_spec, ctx.specs[last_spec.start][2], "", ctx, ns, machine, w, stack, ind)
+    )
+
+    fallback = [f"{ind}    _ES.entry_fallbacks += 1", f"{ind}    return _fb(m)"]
+    needs, grow = _entry_guard(items, last_spec.term)
+    head = [f"def {name}(m):"]
+    head += _stack_guard(needs, grow, ctx.depth, ind, fallback)
+    head += fold.entry_lines(record, fallback, ind)
+    if any(item.instruction.op is Op.OUT for item in items):
+        head.append(f"{ind}_o = m.output")
+    return name, head + body + [""], w.steps
+
+
+def _assume_code_base(record: _FoldRecord, gf: int, cb: int) -> None:
+    """Guard that a general return into a frame of *gf* reads *cb*."""
+    if record.code_bases.setdefault(gf, cb) != cb:
+        raise _Unfoldable
+
+
+def _word_lines(words: dict, ind: str) -> list[str]:
+    """Write the folded frames' deferred words."""
+    return [f"{ind}_W[{address} + {word}] = {value}" for (address, word), value in words.items()]
 
 
 def _tail_excepts(ind: str, returning: bool) -> list[str]:
@@ -509,8 +831,9 @@ def _tail_excepts(ind: str, returning: bool) -> list[str]:
     return out
 
 
-def _emit_op(item, spec, ctx, meta, w: _Charges, stack: _Stack, ind: str) -> None:
-    """Emit one inline opcode's template; accumulate its charges."""
+def _emit_op(item, spec, ctx, frame: _Frame, w: _Charges, stack: _Stack, ind: str) -> None:
+    """Emit one inline opcode's template in *frame*; accumulate its
+    charges."""
     op = item.instruction.op
     operand = item.instruction.operand
     abs_pc = spec.start + (item.offset - spec.items[0].offset)
@@ -542,7 +865,10 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, stack: _Stack, ind: str) -> Non
             w.add(Event.MEMORY_READ)
             w.add(Event.REGISTER_WRITE)
             w.hit(ctx.frames_name)
-            stack.push(stack.local(ind, f"_W[_fa + {3 + local}]"))
+            held = frame.words.get((frame.address, 3 + local)) if frame.words else None
+            if held is None:
+                held = stack.local(ind, f"_W[{frame.address} + {3 + local}]")
+            stack.push(held)
         return
     if op in T.LOCAL_STORE or op is Op.SLB:
         local = T.LOCAL_STORE.get(op, operand)
@@ -556,31 +882,34 @@ def _emit_op(item, spec, ctx, meta, w: _Charges, stack: _Stack, ind: str) -> Non
         else:
             w.add(Event.MEMORY_WRITE)
             w.hit(ctx.frames_name)
-            body.append(f"{ind}_W[_fa + {3 + local}] = {value}")
+            if frame.words is None:
+                body.append(f"{ind}_W[{frame.address} + {3 + local}] = {value}")
+            else:
+                frame.words[frame.address, 3 + local] = stack.held(ind, value)
         return
 
     if op is Op.LG:
         word = 3 + operand
-        region = _gf_static_region(ctx, meta.module, word)
+        region = _gf_static_region(ctx, frame.meta.module, word)
         w.step()
         w.add(Event.MEMORY_READ)
         w.add(Event.REGISTER_WRITE)
         w.hit(region)
-        stack.push(stack.local(ind, f"_W[_gf + {word}]"))
+        stack.push(stack.local(ind, f"_W[{frame.gf} + {word}]"))
         return
     if op is Op.SG:
         word = 3 + operand
-        region = _gf_static_region(ctx, meta.module, word)
+        region = _gf_static_region(ctx, frame.meta.module, word)
         w.step()
         w.add(Event.REGISTER_READ)
         w.add(Event.MEMORY_WRITE)
         w.hit(region)
-        body.append(f"{ind}_W[_gf + {word}] = {stack.pop(ind)}")
+        body.append(f"{ind}_W[{frame.gf} + {word}] = {stack.pop(ind)}")
         return
     if op is Op.LGA:
         w.step()
         w.add(Event.REGISTER_WRITE)
-        stack.push(f"((_gf + {3 + operand}) & 65535)")
+        stack.push(f"(({frame.gf} + {3 + operand}) & 65535)")
         return
 
     if op is Op.RD:
@@ -718,7 +1047,10 @@ def compile_procedure(
     steps: dict[int, int] = {}
     names: dict[int, str] = {}
     for index, spec in enumerate(specs):
-        name, block_lines, n_steps = gen_block(spec, index, ctx, ns, machine, meta)
+        site = _make_site(spec, ctx, machine, meta)
+        if ctx.specs is not None:
+            ctx.specs[spec.start] = (spec, meta, site)
+        name, block_lines, n_steps = gen_block(spec, index, ctx, ns, machine, meta, site)
         lines.extend(block_lines)
         steps[spec.start] = n_steps
         names[spec.start] = name

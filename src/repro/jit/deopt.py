@@ -56,6 +56,10 @@ class EngineStats:
     #: Runs that fell back to the interpreter mid-flight because an
     #: observer was attached while compiled code was running.
     observer_bailouts: int = 0
+    #: Superblocks built (each rebuild of a block that splices more).
+    superblocks: int = 0
+    #: Superblock entries whose guard sent them to the unspliced block.
+    entry_fallbacks: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -64,6 +68,8 @@ class EngineStats:
             "cells_built": self.cells_built,
             "sites_demoted": self.sites_demoted,
             "observer_bailouts": self.observer_bailouts,
+            "superblocks": self.superblocks,
+            "entry_fallbacks": self.entry_fallbacks,
         }
 
 

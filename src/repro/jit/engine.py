@@ -40,7 +40,12 @@ from repro.machine.memory import MDS_WORDS
 from repro.jit import templates as T
 from repro.jit.calls import CallSite, make_cells
 from repro.jit.codecache import CodeCache
-from repro.jit.compile import CompilerContext, compile_procedure
+from repro.jit.compile import (
+    CompilerContext,
+    compile_procedure,
+    gen_superblock,
+    plan_superblock,
+)
 from repro.jit.deopt import EngineStats, JitRefusal
 
 
@@ -135,6 +140,8 @@ class JitEngine:
             module_gfs=module_gfs,
             site_classes=site_classes,
             make_site=CallSite,
+            code_base=lambda gf: image.by_gf[gf].code_base,
+            on_seed=self._on_seed,
         )
         #: The call and return cells are built with the first compile.
         self._cells_built = False
@@ -209,6 +216,13 @@ class JitEngine:
             cache.procedures += 1
             cache.compiled_blocks += len(out)
         cache.compile_seconds += time.perf_counter() - begin
+        if out and cache.dependents:
+            # Superblocks that waited for this body to splice it.
+            self._splice({
+                dependent: cache.superblock_gf[dependent]
+                for block in out
+                for dependent in cache.dependents.get(block, ())
+            })
 
     def _build_cells(self) -> None:
         """Build the call and return cells the compiled blocks call.
@@ -218,10 +232,60 @@ class JitEngine:
         namespace, so like the blocks they wait for the first compile:
         an install compiles nothing.
         """
-        fast_call, fast_return = make_cells(self.machine, self._ctx, self._ns, self.stats)
-        self._ctx.fast_call = fast_call
-        self._ctx.fast_return = fast_return
+        ctx = self._ctx
+        ctx.fast_call, ctx.fast_return, ctx.fold = make_cells(
+            self.machine, ctx, self._ns, self.stats
+        )
+        if ctx.fold is not None:
+            ctx.specs = self.cache.specs
         self._cells_built = True
+
+    # -- superblocks ----------------------------------------------------
+
+    def _on_seed(self, site, gf: int) -> None:
+        """A cell was seeded: a monomorphic site's block may splice it."""
+        if site.monomorphic and self._ctx.fold is not None:
+            self._splice({site.start: gf})
+
+    def _splice(self, todo: dict) -> None:
+        """(Re)build the superblock at each ``start -> gf`` of *todo*,
+        then at each block whose plan read a block that changed, so
+        callees splice bottom-up.
+
+        A block splices under one gf, the first one seeded there; the
+        unspliced block stays compiled as its entry fallback.  A plan
+        that splices nothing new leaves the block as it is.
+        """
+        cache = self.cache
+        ctx = self._ctx
+        while todo:
+            start, gf = todo.popitem()
+            if cache.superblock_gf.setdefault(start, gf) != gf or start not in ctx.specs:
+                continue
+            begin = time.perf_counter()
+            parts, steps, consulted = plan_superblock(start, gf, ctx)
+            for block in consulted:
+                cache.dependents.setdefault(block, set()).add(start)
+            shape = _shape(parts)
+            built = None
+            if shape and shape != cache.shapes.get(start):
+                plain = cache.plain.setdefault(start, cache.blocks[start])
+                ns = dict(self._ns, _fb=plain[0], _ES=self.stats)
+                out = gen_superblock(parts, gf, ctx, ns, self.machine)
+                if out is not None:
+                    name, lines, steps = out
+                    meta = parts[0][1]
+                    exec(compile("\n".join(lines), f"<jit {meta.module}.{meta.name}>", "exec"), ns)
+                    built = (ns[name], steps)
+            cache.compile_seconds += time.perf_counter() - begin
+            if built is None:
+                continue
+            cache.shapes[start] = shape
+            cache.blocks[start] = built
+            self.stats.superblocks += 1
+            for dependent in cache.dependents.get(start, ()):
+                if dependent != start:
+                    todo[dependent] = cache.superblock_gf[dependent]
 
     # -- the exit table -------------------------------------------------
 
@@ -352,6 +416,13 @@ class JitEngine:
         out["hot_ordered"] = len(self.hot_order)
         out["exit_slots"] = len(self._vectors)
         return out
+
+
+def _shape(parts: list) -> tuple:
+    """The cells a superblock plan splices, nested as it nests them."""
+    return tuple(
+        (id(part.cell), _shape(part.body)) for part in parts if not isinstance(part, tuple)
+    )
 
 
 def install_jit(

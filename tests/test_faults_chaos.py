@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StepLimitExceeded, TrapError
-from repro.faults import FaultPlan, Injection, on_event
+from repro.faults import FaultPlan, Injection, at_step, on_event
+from repro.faults import chaos
 from repro.faults.chaos import (
     CANNED_PLANS,
     OutcomeClass,
@@ -22,7 +23,7 @@ from repro.faults.chaos import (
 )
 from repro.interp.processes import ProcessStatus, Scheduler
 from repro.interp.traps import TrapKind
-from repro.workloads.programs import CORPUS
+from repro.workloads.programs import CORPUS, Program
 from tests.conftest import ALL_PRESETS, build
 
 FIB = CORPUS["fib"]
@@ -277,3 +278,49 @@ def test_chaos_report_serializes():
     assert payload["ok"] is True
     for case in payload["cases"]:
         assert set(case["outcomes"]) == set(ALL_PRESETS)
+
+
+#: A ``main`` that yields once before it computes its result.  No
+#: scheduler rides a chaos run, so the yield must not end it.
+YIELDER = Program(
+    name="yielder",
+    sources=(
+        """
+MODULE Main;
+PROCEDURE main(a): INT;
+BEGIN
+  YIELD;
+  RETURN a + 4;
+END;
+END.
+""",
+    ),
+    args=(3,),
+    expect_results=(7,),
+)
+
+
+@pytest.mark.parametrize("engine", ["interp", "jit"])
+@pytest.mark.parametrize("preset", ALL_PRESETS)
+def test_a_chaos_run_resumes_past_a_yield(monkeypatch, preset, engine):
+    """The reference and a faulted run both carry on past the yield, and
+    an injection scheduled after the yield fires at its own step, not at
+    the yield."""
+    reference = reference_run(YIELDER, preset)
+    assert reference.results == [7]
+    fired: list[int] = []
+    apply_state_action = chaos.apply_state_action
+
+    def recording(machine, action) -> None:
+        fired.append(machine.steps)
+        apply_state_action(machine, action)
+
+    monkeypatch.setattr(chaos, "apply_state_action", recording)
+    late = reference.steps - 1  # the yield is the first or second step
+    plan = FaultPlan(name="late", seed=0, injections=(Injection(at_step(late), "flush_rstack"),))
+    outcome = run_case(YIELDER, preset, plan, reference, engine)
+    assert outcome.klass is OutcomeClass.RECOVERED
+    assert outcome.results == [7]
+    assert outcome.steps == reference.steps
+    assert outcome.meters == reference.meters
+    assert fired == [late]

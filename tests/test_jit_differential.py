@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StepLimitExceeded, TrapError
+from repro.faults import chaos
 from repro.faults.chaos import CANNED_PLANS, run_chaos
+from repro.faults.plan import FaultPlan, Injection, on_event
 from repro.faults.snapshot import capture, restore
 from repro.interp.services import relocate_module
 from repro.jit import JitRefusal, install_jit
@@ -134,10 +136,11 @@ def test_chunked_run_bit_identical(preset):
 
 
 def test_chaos_outcomes_identical_under_jit(monkeypatch):
-    """All canned fault plans, both engines: identical outcome classes,
-    traps, meters, and results.  Faults land between instructions with
-    no tracer attached, so the JIT arm runs compiled blocks and call
-    cells up to and after every fault."""
+    """All canned fault plans on every corpus program, both engines:
+    identical outcome classes, traps, results and every outcome's
+    meters.  Faults land between instructions with no tracer attached,
+    so the JIT arm runs compiled blocks, call cells and superblocks up to
+    and after every fault."""
     engines = []
 
     def installing(machine, *args, **kwargs):
@@ -148,7 +151,7 @@ def test_chaos_outcomes_identical_under_jit(monkeypatch):
     cases = {}
     for engine in ("interp", "jit"):
         report = run_chaos(
-            programs=("fib",), seeds=1, plans=tuple(CANNED_PLANS), engine=engine
+            programs=tuple(sorted(CORPUS)), seeds=1, plans=tuple(CANNED_PLANS), engine=engine
         )
         assert report.ok, engine
         cases[engine] = {
@@ -159,9 +162,47 @@ def test_chaos_outcomes_identical_under_jit(monkeypatch):
             for c in report.cases
         }
     assert cases["interp"] == cases["jit"]
-    assert len(cases["jit"]) == len(CANNED_PLANS)
+    assert {plan for _program, _seed, plan in cases["jit"]} == set(CANNED_PLANS)
     assert sum(e.cache.compiled_blocks for e in engines) > 0
     assert sum(e.stats.cells_built for e in engines) > 0
+    assert sum(e.stats.superblocks for e in engines) > 0
+
+
+@pytest.mark.parametrize("preset", ["i2", "i3"])
+def test_a_drained_av_list_under_chaos_sends_superblocks_to_their_fallback(
+    monkeypatch, preset
+):
+    """The canned ``av_empty`` plan sizes its trigger on every preset,
+    and i4 allocates no frame on ``calls``, so no sweep drains an AV
+    list under spliced code.  Here the same drain fires on the k-th
+    allocation of ``calls`` for one whole loop pass of k (six calls),
+    through the chaos harness: outcomes and meters equal on both
+    engines, and some runs enter a superblock to find a list too short
+    for its nest."""
+    engines = []
+
+    def installing(machine, *args, **kwargs):
+        engines.append(install_jit(machine, *args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr("repro.jit.install_jit", installing)
+    program = CORPUS["calls"]
+    reference = chaos.reference_run(program, preset)
+    for k in range(13, 19):
+        plan = FaultPlan(
+            name="av_empty",
+            seed=0,
+            injections=(Injection(on_event("alloc.frame", k), "drain_av"),),
+        )
+        outcomes = [
+            chaos.run_case(program, preset, plan, reference, engine)
+            for engine in ("interp", "jit")
+        ]
+        assert outcomes[0].to_dict() == outcomes[1].to_dict()
+        assert outcomes[0].meters == outcomes[1].meters
+        assert outcomes[1].results == reference.results
+    assert sum(e.stats.superblocks for e in engines) > 0
+    assert sum(e.stats.entry_fallbacks for e in engines) > 0
 
 
 @settings(max_examples=12, deadline=None)

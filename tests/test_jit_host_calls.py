@@ -1,17 +1,21 @@
-"""The JIT's call path in host calls: one Python call per transition.
+"""The JIT's call path in host calls: calls at jump speed.
 
-A seeded call cell and a seeded return cell are one host call each
-(docs/jit.md, "Call sites"): the allocator's fast path, its
-``AllocationStats`` updates and the frame-table registration run inline,
-so a call-and-return pair adds only the record constructors —
-``FrameState``, and ``ReturnStackEntry`` on a machine with the IFU
-return stack, i4's renaming pair included.  The counts are
-deterministic, unlike host timings.
+Without banks (i1-i3) a seeded call to a straight-line callee is
+spliced into its caller's superblock (docs/jit.md, "Superblocks"), so
+a warm loop that calls makes the Python calls of the same loop without
+the call: the loop's two compiled blocks.  A call that cannot splice (a
+recursive callee, i4's renaming pair) goes through the call and return
+cells, one host call each (docs/jit.md, "Call sites"): the allocator's
+fast path, its ``AllocationStats`` updates and the frame-table
+registration run inline, so such a pair adds only the record
+constructors — ``FrameState``, and ``ReturnStackEntry`` on a machine
+with the IFU return stack.  The counts are deterministic, unlike host
+timings.
 
-Only Python calls into the repository's own code are counted (its
-modules, the cells, and its records' constructors); C calls vary with
-the Python version and are not asserted.  Compiled blocks are the
-straight-line code around the calls and are not counted either.
+The pair tests count only Python calls into the repository's own code
+(its modules, the cells, and its records' constructors); the loop tests
+count every Python call, compiled blocks included.  C calls vary with
+the Python version and are not asserted.
 
 The same counter gates the engine as a whole: on the call-dense loop,
 the JIT makes at most a third of the interpreter's calls per modelled
@@ -95,6 +99,53 @@ END;
 END.
 """
 
+#: The call loop of the jump-speed comparison (ROADMAP): the same loop
+#: as :data:`JUMP_LOOP`, with one call to a one-line leaf per pass.
+CALL_LOOP = """
+MODULE Main;
+PROCEDURE id(x): INT;
+BEGIN
+  RETURN x;
+END;
+PROCEDURE main(n): INT;
+VAR i, acc: INT;
+BEGIN
+  acc := 0;
+  i := 0;
+  WHILE i < n DO
+    acc := acc + id(i);
+    i := i + 1;
+  END;
+  RETURN acc;
+END;
+END.
+"""
+
+JUMP_LOOP = CALL_LOOP.replace("acc + id(i)", "acc + i")
+
+#: Three calls per pass that cannot splice: ``down`` recurses, so its
+#: body is no straight line up to its RET.
+RECURSIVE = """
+MODULE Main;
+PROCEDURE down(x): INT;
+BEGIN
+  IF x = 0 THEN RETURN 0; END;
+  RETURN down(x - 1) + 1;
+END;
+PROCEDURE main(n): INT;
+VAR i, acc: INT;
+BEGIN
+  acc := 0;
+  i := 0;
+  WHILE i < n DO
+    acc := acc + down(2) + i;
+    i := i + 1;
+  END;
+  RETURN acc;
+END;
+END.
+"""
+
 _REPO = str(Path(repro.__file__).parent)
 
 
@@ -143,12 +194,19 @@ def _calls(machine, n: int, iteration=lambda i: 5 * i + 2) -> Counter:
         ("i3", ["FrameState.__init__", "ReturnStackEntry.__init__"]),
     ],
 )
-def test_a_call_and_return_pair_is_two_cell_calls_and_its_records(preset, records):
-    machine = build([CALL_DENSE], preset=preset)
+def test_an_unspliced_call_and_return_pair_is_two_cell_calls_and_its_records(
+    preset, records
+):
+    """A recursive callee never splices: each pair runs the cells."""
+    machine = build([RECURSIVE], preset=preset)
     engine = install_jit(machine)
-    _calls(machine, 4)  # compile every body and seed every cell
-    short, long = _calls(machine, 3), _calls(machine, 13)
-    pairs = (13 - 3) * CALLS_PER_ITERATION
+
+    def recursive(n: int) -> Counter:
+        return _calls(machine, n, iteration=lambda i: i + 2)
+
+    recursive(4)  # compile every body and seed every cell
+    short, long = recursive(3), recursive(13)
+    pairs = (13 - 3) * 3
     per_pair = Counter(long)
     per_pair.subtract(short)
     per_pair = {name: count / pairs for name, count in per_pair.items() if count}
@@ -157,6 +215,46 @@ def test_a_call_and_return_pair_is_two_cell_calls_and_its_records(preset, record
     assert per_pair == expected
     assert sum(per_pair.values()) == 2 + len(records)
     assert engine.stats.deopts == 0
+    assert engine.stats.superblocks == 0
+
+
+def _python_calls_per_pass(source: str, preset: str, iteration) -> float:
+    """Every Python call (compiled blocks and cells included) per pass
+    of a warm ``Main.main`` loop: ``main(13)`` less ``main(3)``."""
+    machine = build([source], preset=preset)
+    install_jit(machine)
+    counts = []
+    for n in (4, 3, 13):
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        machine.stack.clear()
+        machine.start("Main", "main", n)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            results = machine.run()
+        finally:
+            sys.setprofile(previous)
+        assert results == [sum(iteration(i) for i in range(n)) & 0xFFFF]
+        counts.append(calls[0])
+    return (counts[2] - counts[1]) / 10
+
+
+@pytest.mark.parametrize(
+    "preset, jump, call, dense",
+    [("i1", 2, 2, 2), ("i2", 2, 2, 2), ("i3", 2, 2, 2), ("i4", 2, 8, 38)],
+)
+def test_a_spliced_call_runs_at_jump_speed_in_python_calls(preset, jump, call, dense):
+    """Python calls per warm loop pass: the jump loop's two blocks (the
+    test and the body); on i1-i3 the call loop and calldense's six calls
+    three deep make those same two, where i4's cells make 8 and 38."""
+    assert _python_calls_per_pass(JUMP_LOOP, preset, lambda i: i) == jump
+    assert _python_calls_per_pass(CALL_LOOP, preset, lambda i: i) == call
+    assert _python_calls_per_pass(CALL_DENSE, preset, lambda i: 5 * i + 2) == dense
 
 
 def test_an_i4_renaming_pair_is_two_cell_calls_and_its_records():
@@ -200,9 +298,11 @@ def _calls_per_step(machine) -> float:
 
 @pytest.mark.parametrize("preset", ["i1", "i2", "i3", "i4"])
 def test_the_jit_makes_a_third_of_the_interpreters_calls_per_step(preset):
-    """About 8 to 9 calls per step interpreted, against 0.3 to 0.45 on
-    i1-i4; on i4 one call in six overflows a bank and its return
-    underflows, both inside the cells."""
+    """8.54, 8.84, 8.15 and 8.74 calls per step interpreted on i1-i4,
+    against 0.0, 0.0, 0.0 and 0.444 compiled (Python 3.11): on i1-i3 the
+    warm loop runs in superblocks, which call no repository code, and on
+    i4 one call in six overflows a bank and its return underflows, both
+    inside the cells."""
     interpreted = _calls_per_step(build([CALL_DENSE], preset=preset))
     machine = build([CALL_DENSE], preset=preset)
     engine = install_jit(machine)
