@@ -22,8 +22,11 @@ allocator effects:
   caller lost its bank (an underflow) fills the first free bank from
   the caller's frame.
 
-A seeded call and a seeded return are one host call each.  Every shape
-is source: :func:`make_cells` assembles it from the templates below
+A seeded call and a seeded return are one host call each, and without
+banks a seeded call to a straight-line callee makes none: a superblock
+splices it into its caller's block and folds the callee's frame
+(:class:`Fold`, which renders the pair's net effects from these same
+fragments and vectors).  Every shape is source: :func:`make_cells` assembles it from the templates below
 when the engine compiles its first procedure, and execs it in the
 engine's block namespace, so the cells speak the blocks' vocabulary
 and their static charges and traffic are rendered by the blocks' own
@@ -524,8 +527,10 @@ class _Allocator:
     fold_next: str
     fold_frame: str
     #: (block, key, needs) -> a condition true when *block* cannot hold
-    #: every frame of *needs* the way the cells' fast path would.
+    #: every frame of *needs* the way the cells' fast path would; and
+    #: needs -> False when no block ever can.
     fold_refused: Callable
+    fold_fits: Callable
     #: (block, cell) -> the (requested, block) words of the statistics.
     fold_words: Callable
 
@@ -579,6 +584,7 @@ def _av_heap(av, ctx) -> _Allocator:
         fold_frame="{block}",
         # The free reads the class from the block's header.
         fold_refused=lambda block, key, needs: f"not {block} or _W[{block} - 1] != {key}",
+        fold_fits=lambda needs: True,  # one class per list
         fold_words=lambda block, cell: (cell.frame_words, cell.need),
     )
 
@@ -631,6 +637,7 @@ def _first_fit(heap, ctx) -> _Allocator:
         fold_refused=lambda block, key, needs: (
             f"not {block} or not {max(needs)} <= _W[{block}] < {min(needs) + 4}"
         ),
+        fold_fits=lambda needs: max(needs) < min(needs) + 4,
         fold_words=lambda block, cell: (f"_W[{block}]", f"_W[{block}] + 1"),
     )
 

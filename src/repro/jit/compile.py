@@ -17,6 +17,15 @@ purely additive, so the meters are bit-identical wherever anything can
 read them.  ``m.steps`` is the exception: it stays eager, because the
 engine's step-ceiling check reads it between blocks.
 
+Without banks, a block that ends at a seeded monomorphic call to a
+straight-line callee grows into a *superblock* (:func:`gen_superblock`,
+planned by :func:`plan_superblock` from the recorded specs and seeded
+cells): the same templates, ``_Stack`` and ``_Charges`` carry on
+through the call transition, the callee's body, the return transition
+and the caller's continuation, whose folded frames
+:class:`repro.jit.calls.Fold` renders.  All of its guards run at
+entry, and a refused one tail-calls the unspliced block.
+
 Block protocol — a compiled function ``fn(machine)`` returns:
 
 * ``pc >= 0`` — the block completed; ``machine.pc`` is ``pc`` (the
@@ -712,7 +721,9 @@ def gen_superblock(
     the exit's one vector, the folded frames' words are written once
     before the exit (:class:`_Frame`), and the fold's net effects follow
     them (:meth:`repro.jit.calls.Fold.exit_lines`).  None when two
-    spliced frames of one global frame would assume different CBs.
+    spliced frames of one global frame would assume different CBs, or
+    when no free block could ever pass the guard for the frames one
+    depth takes.
     """
     fold = ctx.fold
     top_spec, top_meta = parts[0]
@@ -779,6 +790,8 @@ def gen_superblock(
             _assume_code_base(record, gf, code_base)
     except _Unfoldable:
         return None
+    if not all(map(fold.allocator.fold_fits, record.frames.values())):
+        return None  # first-fit: frames at one depth too unlike for one block
     body.extend(_word_lines(words, ind))
     body.extend(fold.exit_lines(record, ind))
     body.extend(

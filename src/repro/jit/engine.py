@@ -12,6 +12,12 @@ to interpreter single-steps at every deoptimization point.  Meters,
 memory, traffic, and statistics are bit-identical to the interpreter
 at every observable boundary.
 
+Seeding a call cell on a machine without banks rebuilds the cell's
+block as a superblock when its callee is straight-line code up to its
+``RET`` (:meth:`JitEngine._splice`), and each block whose plan read a
+block that changed is planned again, so callees splice into their
+callers bottom-up.
+
 Compiled code counts its exits rather than charging them: each
 distinct static charge vector (events, cycles, region traffic) has one
 slot in the engine's exit table, and an exit bumps its slot's hit

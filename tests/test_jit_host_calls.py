@@ -194,10 +194,8 @@ def _calls(machine, n: int, iteration=lambda i: 5 * i + 2) -> Counter:
         ("i3", ["FrameState.__init__", "ReturnStackEntry.__init__"]),
     ],
 )
-def test_an_unspliced_call_and_return_pair_is_two_cell_calls_and_its_records(
-    preset, records
-):
-    """A recursive callee never splices: each pair runs the cells."""
+def test_a_call_and_return_pair_is_two_cell_calls_and_its_records(preset, records):
+    """A pair that does not splice (the callee recurses) runs the cells."""
     machine = build([RECURSIVE], preset=preset)
     engine = install_jit(machine)
 

@@ -325,3 +325,70 @@ def test_lock_step_slices_at_a_superblocks_step_count(preset):
                 break
         _assert_same(ref, jit)
         assert engine.stats.superblocks > 0
+
+
+#: Callees that write globals and output, read a local their sibling
+#: frame left in the same block (``b``'s ``u`` and ``v`` are never
+#: stored), and nest a frame of another size class (``big``).
+MIXED = """
+MODULE Main;
+VAR g, h: INT;
+PROCEDURE a(x): INT;
+VAR t: INT;
+BEGIN
+  t := x * 3;
+  g := g + t;
+  RETURN t;
+END;
+PROCEDURE b(x): INT;
+VAR u, v: INT;
+BEGIN
+  OUTPUT u;
+  RETURN u + x + v;
+END;
+PROCEDURE big(x, y): INT;
+VAR p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, q0, q1, q2, q3: INT;
+BEGIN
+  p9 := x + y;
+  q3 := a(p9) + b(x);
+  h := h + q3;
+  RETURN q3 - p9;
+END;
+PROCEDURE mid(x): INT;
+BEGIN
+  RETURN big(x, a(x)) + b(x);
+END;
+PROCEDURE main(n): INT;
+VAR i, acc: INT;
+BEGIN
+  acc := 0;
+  i := 0;
+  WHILE i < n DO
+    acc := acc + a(i) + b(i) + mid(i) - g + h;
+    i := i + 1;
+  END;
+  RETURN acc;
+END;
+END.
+"""
+
+
+@pytest.mark.parametrize("preset", ["i1", "i2", "i3"])
+def test_folded_frames_of_mixed_sizes_read_what_their_siblings_left(preset):
+    """Folded locals are written once, at the exit, and a later load of
+    the same word reads the held value, so an uninitialized local sees
+    its sibling's store as memory would show it; frames of two size
+    classes nest (on i1, first-fit blocks of two sizes)."""
+    runs = []
+    for jit in (False, True):
+        machine, engine = _started(MIXED, preset, jit, 3)
+        machine.run()
+        machine.stack.clear()
+        machine.start("Main", "main", 25)
+        machine.run()
+        runs.append((machine, engine))
+    (ref, _), (jit, engine) = runs
+    _assert_same(ref, jit)
+    assert ref.output and jit.output == ref.output
+    assert engine.stats.superblocks > 0
+    assert engine.stats.deopts == 0
