@@ -87,8 +87,6 @@ class CompilerContext:
     #: The folded call-and-return runtime superblocks splice by
     #: (:class:`repro.jit.calls.Fold`), or None: nothing is spliced.
     fold: object | None = None
-    #: gf -> its module's current code base.
-    code_base: Callable[[int], int] | None = None
     #: Called with (site, gf) after a call cell is seeded.
     on_seed: Callable | None = None
     #: Filled by :func:`compile_procedure`: block start -> (spec, meta,
@@ -559,7 +557,7 @@ def _terminator(spec, site, tag, ctx, ns, machine, w: _Charges, stack: _Stack, i
 #: single-steps the interpreter otherwise, so an unbounded superblock
 #: would hand ever more of a sliced run to the interpreter; the cap also
 #: bounds the source a rebuild compiles.  Calldense's ``main`` loop body,
-#: six calls three deep, is 60 steps.
+#: six calls three deep, is 57 steps.
 SUPERBLOCK_STEPS = 128
 
 
@@ -614,10 +612,10 @@ class _Planner:
         self.consulted.add(start)
         return self.ctx.specs.get(start)
 
-    def top(self, start: int, gf: int) -> tuple[list, int]:
+    def top(self, start: int, gf: int) -> list:
         """The parts of the superblock at *start* under *gf*: runs
         ``(spec, meta)`` and splices, ending at a run whose terminator is
-        the superblock's own; and its steps."""
+        the superblock's own."""
         spec, meta, site = self._entry(start)
         parts: list = [(spec, meta)]
         steps = _spec_steps(spec)
@@ -637,7 +635,7 @@ class _Planner:
             spec, meta, site = following
             parts += [splice, (spec, meta)]
             steps += cost
-        return parts, steps
+        return parts
 
     def _splice(self, site, gf: int, active: tuple, budget: int) -> _Splice | None:
         """The splice of *site*'s call under caller *gf*, or None: the
@@ -702,12 +700,12 @@ class _FoldRecord:
     top_lfc: bool = False
 
 
-def plan_superblock(start: int, gf: int, ctx: CompilerContext) -> tuple[list, int, set]:
-    """(parts, steps, consulted block starts) of the superblock at
-    *start* under *gf*; one part means nothing splices."""
+def plan_superblock(start: int, gf: int, ctx: CompilerContext) -> tuple[list, set]:
+    """(parts, consulted block starts) of the superblock at *start*
+    under *gf*; one part means nothing splices."""
     planner = _Planner(ctx)
-    parts, steps = planner.top(start, gf)
-    return parts, steps, planner.consulted
+    parts = planner.top(start, gf)
+    return parts, planner.consulted
 
 
 def gen_superblock(
@@ -731,7 +729,7 @@ def gen_superblock(
     name = f"_sb{top_spec.start}"
     ind = "    "
     w = _Charges(ctx)
-    code_base = ctx.code_base(gf)
+    code_base = machine.image.by_gf[gf].code_base
     record = _FoldRecord(gf, code_base, {}, {}, [])
     words: dict = {}
     body: list[str] = []

@@ -146,7 +146,6 @@ class JitEngine:
             module_gfs=module_gfs,
             site_classes=site_classes,
             make_site=CallSite,
-            code_base=lambda gf: image.by_gf[gf].code_base,
             on_seed=self._on_seed,
         )
         #: The call and return cells are built with the first compile.
@@ -269,7 +268,7 @@ class JitEngine:
             if cache.superblock_gf.setdefault(start, gf) != gf or start not in ctx.specs:
                 continue
             begin = time.perf_counter()
-            parts, steps, consulted = plan_superblock(start, gf, ctx)
+            parts, consulted = plan_superblock(start, gf, ctx)
             for block in consulted:
                 cache.dependents.setdefault(block, set()).add(start)
             shape = _shape(parts)
