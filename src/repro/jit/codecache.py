@@ -37,12 +37,11 @@ class CodeCache:
         self.ready = False
         #: Superblock bookkeeping (see ``JitEngine._splice``): block
         #: start -> (spec, meta, terminating CallSite); the unspliced
-        #: (fn, max_steps) of each superblock's block; its gf; the
-        #: splices it holds; and block start -> the superblock starts
-        #: whose plans read it.
+        #: (fn, max_steps) of each superblock's block; the splices it
+        #: holds; and block start -> the superblock starts whose plans
+        #: read it.
         self.specs: dict[int, tuple] = {}
         self.plain: dict[int, tuple[Callable, int]] = {}
-        self.superblock_gf: dict[int, int] = {}
         self.shapes: dict[int, tuple] = {}
         self.dependents: dict[int, set[int]] = {}
         self.invalidations = 0
@@ -65,7 +64,7 @@ class CodeCache:
             self.invalidations += 1
         self.blocks.clear()
         self.pending.clear()
-        for table in (self.specs, self.plain, self.superblock_gf, self.shapes, self.dependents):
+        for table in (self.specs, self.plain, self.shapes, self.dependents):
             table.clear()
         self.ready = False
 

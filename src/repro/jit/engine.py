@@ -224,9 +224,7 @@ class JitEngine:
         if out and cache.dependents:
             # Superblocks that waited for this body to splice it.
             self._splice({
-                dependent: cache.superblock_gf[dependent]
-                for block in out
-                for dependent in cache.dependents.get(block, ())
+                dependent for block in out for dependent in cache.dependents.get(block, ())
             })
 
     def _build_cells(self) -> None:
@@ -250,23 +248,28 @@ class JitEngine:
     def _on_seed(self, site, gf: int) -> None:
         """A cell was seeded: a monomorphic site's block may splice it."""
         if site.monomorphic and self._ctx.fold is not None:
-            self._splice({site.start: gf})
+            self._splice({site.start})
 
-    def _splice(self, todo: dict) -> None:
-        """(Re)build the superblock at each ``start -> gf`` of *todo*,
-        then at each block whose plan read a block that changed, so
-        callees splice bottom-up.
+    def _splice(self, todo: set) -> None:
+        """(Re)build the superblock at each block start of *todo*, then
+        at each block whose plan read a block that changed, so callees
+        splice bottom-up.
 
-        A block splices under one gf, the first one seeded there; the
-        unspliced block stays compiled as its entry fallback.  A plan
-        that splices nothing new leaves the block as it is.
+        Only a module with one instance splices its blocks: a block runs
+        under every instance's gf, and a superblock under one gf would
+        send the others through its entry fallback.  The unspliced block
+        stays compiled as that fallback.  A plan that splices nothing
+        new leaves the block as it is.
         """
         cache = self.cache
         ctx = self._ctx
         while todo:
-            start, gf = todo.popitem()
-            if cache.superblock_gf.setdefault(start, gf) != gf or start not in ctx.specs:
+            start = todo.pop()
+            found = ctx.specs.get(start)
+            gfs = ctx.module_gfs.get(found[1].module, ()) if found else ()
+            if len(gfs) != 1:
                 continue
+            gf = gfs[0]
             begin = time.perf_counter()
             parts, consulted = plan_superblock(start, gf, ctx)
             for block in consulted:
@@ -288,9 +291,7 @@ class JitEngine:
             cache.shapes[start] = shape
             cache.blocks[start] = built
             self.stats.superblocks += 1
-            for dependent in cache.dependents.get(start, ()):
-                if dependent != start:
-                    todo[dependent] = cache.superblock_gf[dependent]
+            todo |= cache.dependents.get(start, set()) - {start}
 
     # -- the exit table -------------------------------------------------
 
