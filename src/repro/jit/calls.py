@@ -706,7 +706,7 @@ class Fold:
     Every guard the spliced transitions need runs at the superblock's
     entry (:meth:`entry_lines`); a refused one sends the whole
     superblock to its unspliced block, whose cells and generic handlers
-    do today's bit-exact work.
+    do the bit-exact work.
     """
 
     def __init__(
