@@ -97,6 +97,10 @@ class Outcome:
     injections_fired: int = 0
     ticks: int = 0
     wire: dict = field(default_factory=dict)
+    #: The JIT's counts (:data:`ENGINE_COUNTS`) summed over every machine
+    #: the case built, a restored one included; empty on the interpreter.
+    #: In-process only: the report does not carry them.
+    engine_counts: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -112,6 +116,20 @@ class Outcome:
             "ticks": self.ticks,
             "wire": dict(self.wire),
         }
+
+
+#: The :class:`~repro.jit.deopt.EngineStats` counts an outcome carries.
+ENGINE_COUNTS = ("superblocks", "entry_fallbacks", "deopts", "cells_built")
+
+
+def _engine_counts(machines: list[Machine]) -> dict:
+    """:data:`ENGINE_COUNTS` summed over the JIT engines of *machines*."""
+    engines = [machine.engine for machine in machines if machine.engine is not None]
+    if not engines:
+        return {}
+    return {
+        key: sum(getattr(engine.stats, key) for engine in engines) for key in ENGINE_COUNTS
+    }
 
 
 class ChaosError(Exception):
@@ -187,10 +205,10 @@ def reference_run(program: Program, preset: str) -> Reference:
 # Canned plan generators
 # ---------------------------------------------------------------------------
 #
-# Each generator gets the program, the per-preset references (for
-# sizing triggers so they fire on *every* implementation), and a seeded
-# RNG; it returns a FaultPlan, or None when the plan does not apply to
-# this program (e.g. too few allocations to target).
+# Each generator gets the program, the references of the presets the
+# plan applies to (for sizing triggers so they fire on every one of
+# them), and a seeded RNG; it returns a FaultPlan, or None when the plan
+# does not apply to this program (e.g. too few allocations to target).
 
 
 def _min_event(refs: dict[str, Reference], kind: str) -> int:
@@ -206,7 +224,9 @@ def _min_steps(refs: dict[str, Reference]) -> int:
 
 def _plan_av_empty(program, refs, rng) -> FaultPlan | None:
     """Drain every AV free list on the k-th allocation; the next one
-    takes the section 5.3 software-allocator trap and the run recovers."""
+    takes the section 5.3 software-allocator trap and the run recovers.
+    It applies to the presets that allocate a frame (:data:`_APPLIES`):
+    I4's deferred allocation gives a non-recursive program none."""
     ceiling = _min_event(refs, "alloc.frame")
     if ceiling < 1:
         return None
@@ -291,6 +311,16 @@ def _plan_trap_inject(program, refs, rng) -> FaultPlan | None:
     )
 
 
+#: The event a preset's reference must emit for a plan to apply there;
+#: a plan not named applies on every preset.
+_APPLIES = {"av_empty": "alloc.frame"}
+
+
+def _applies(plan_name: str, reference: Reference) -> bool:
+    kind = _APPLIES.get(plan_name)
+    return kind is None or any(stamped == kind for stamped, _step in reference.stamps)
+
+
 CANNED_PLANS = {
     "av_empty": _plan_av_empty,
     "heap_exhaust": _plan_heap_exhaust,
@@ -341,6 +371,7 @@ def run_case(
     """
     schedule = firing_schedule(plan, reference.stamps)
     machine = _build(program, preset, engine)
+    machines = [machine]
     machine.start(program.entry[0], program.entry[1], *program.args)
 
     position = 0  # the next schedule entry to fire
@@ -372,6 +403,7 @@ def run_case(
                 del schedule[position - 1]  # the kill already happened
                 machine_state, position = saved
                 machine = _build(program, preset, engine)
+                machines.append(machine)
                 restore(machine, machine_state)
                 restores += 1
             elif action == "trap":
@@ -393,6 +425,7 @@ def run_case(
             meters=machine.counter.snapshot(),
             restores=restores,
             injections_fired=fired,
+            engine_counts=_engine_counts(machines),
         )
     return Outcome(
         klass=OutcomeClass.RESUMED if restores else OutcomeClass.RECOVERED,
@@ -402,6 +435,7 @@ def run_case(
         meters=machine.counter.snapshot(),
         restores=restores,
         injections_fired=fired,
+        engine_counts=_engine_counts(machines),
     )
 
 
@@ -569,8 +603,10 @@ def sweep(
     rerun: bool = False,
     migrating: bool = False,
 ) -> ChaosReport:
-    """Run each (program, seed, plan, refs) case on every preset and
-    check it; the one case loop behind every chaos sweep.
+    """Run each (program, seed, plan, refs) case and check it; the one
+    case loop behind every chaos sweep.  A case runs on the presets its
+    *refs* hold references for, and one without references (a transport
+    sweep's) on every preset of *presets*.
 
     *rerun* runs each preset twice: a cluster's fault policy is a pure
     function of its send stream, so the per-shard meters must match.
@@ -580,7 +616,7 @@ def sweep(
     for program, seed, plan, refs in cases:
         outcomes: dict[str, Outcome] = {}
         failures: list[str] = []
-        for preset in presets:
+        for preset in tuple(refs) or presets:
             outcome = outcomes[preset] = run(program, preset, plan)
             if rerun and run(program, preset, plan).meters != outcome.meters:
                 failures.append(
@@ -612,7 +648,10 @@ def run_chaos(
     presets: tuple[str, ...] = ALL_PRESETS,
     engine: str = "interp",
 ) -> ChaosReport:
-    """The machine sweep: programs x seeds x plans, each across *presets*."""
+    """The machine sweep: programs x seeds x plans, each across the
+    *presets* it applies to.  A program that transfers to descriptors
+    cannot link on I1, and a plan may apply on some presets only
+    (:data:`_APPLIES`); ``report.skipped`` names each preset left out."""
     seed_list = tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
     report = ChaosReport()
     refs: dict[str, Reference] = {}  # the current program's, by preset
@@ -620,21 +659,37 @@ def run_chaos(
     def cases() -> Iterator[tuple[Program, int, FaultPlan, dict[str, Reference]]]:
         for name in programs:
             program = CORPUS[name]
-            if program.needs_descriptors and "i1" in presets:
-                report.skipped.append({"program": name, "reason": "needs descriptors"})
+            linked = tuple(
+                preset for preset in presets
+                if not (program.needs_descriptors and preset == "i1")
+            )
+            report.skipped += [
+                {"program": name, "preset": preset, "reason": "needs descriptors"}
+                for preset in presets if preset not in linked
+            ]
+            if not linked:
                 continue
             refs.clear()
-            refs.update((preset, reference_run(program, preset)) for preset in presets)
+            refs.update((preset, reference_run(program, preset)) for preset in linked)
             for seed in seed_list:
                 for plan_name in plans:
-                    plan = make_plan(plan_name, program, refs, seed)
-                    if plan is None:
+                    applied = {
+                        preset: refs[preset] for preset in linked
+                        if _applies(plan_name, refs[preset])
+                    }
+                    plan = applied and make_plan(plan_name, program, applied, seed)
+                    if not plan:
                         report.skipped.append(
                             {"program": name, "seed": seed, "plan": plan_name,
                              "reason": "not applicable"}
                         )
                         continue
-                    yield program, seed, plan, refs
+                    report.skipped += [
+                        {"program": name, "seed": seed, "plan": plan_name,
+                         "preset": preset, "reason": "not applicable"}
+                        for preset in linked if preset not in applied
+                    ]
+                    yield program, seed, plan, applied
 
     return sweep(
         report, cases(), presets,

@@ -22,11 +22,12 @@ allocator effects:
   caller lost its bank (an underflow) fills the first free bank from
   the caller's frame.
 
-A seeded call and a seeded return are one host call each, and without
-banks a seeded call to a straight-line callee makes none: a superblock
-splices it into its caller's block and folds the callee's frame
-(:class:`Fold`, which renders the pair's net effects from these same
-fragments and vectors).  Every shape is source: :func:`make_cells` assembles it from the templates below
+A seeded call and a seeded return are one host call each, and a
+seeded call to a straight-line callee makes none: a superblock splices
+it into its caller's block and folds the callee's frame (:class:`Fold`,
+which renders the pair's net effects from these same fragments and
+vectors, on i4 through :class:`_BankPlan`).  Every shape is source:
+:func:`make_cells` assembles it from the templates below
 when the engine compiles its first procedure, and execs it in the
 engine's block namespace, so the cells speak the blocks' vocabulary
 and their static charges and traffic are rendered by the blocks' own
@@ -71,6 +72,7 @@ refilling from it is the common case there, not the unusual one.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -80,7 +82,7 @@ from repro.ifu.returnstack import ReturnStackEntry
 from repro.interp.frames import FRAME_GLOBAL, FRAME_PC, LOCALS_BASE, FrameState
 from repro.interp.machineconfig import ArgConvention
 from repro.isa.opcodes import Op
-from repro.jit.compile import _Charges
+from repro.jit.compile import _Charges, _Unfoldable
 from repro.machine.costs import Event
 from repro.mesa.globalframe import GF_CODE_BASE
 
@@ -672,6 +674,12 @@ def _commit_lines(ctx, charges: dict, traffic: dict, indent: str = "    ") -> st
     return "\n".join(pending.commit_lines(indent))
 
 
+#: One spilled word's charges (``Machine._spill_bank``: the register read
+#: and the frame write) and one filled word's (``Machine._fill_bank``).
+_SPILL_WORD = {Event.REGISTER_READ: 1, Event.MEMORY_WRITE: 1}
+_FILL_WORD = {Event.MEMORY_READ: 1, Event.REGISTER_WRITE: 1}
+
+
 def _bank_move_lines(ctx, event: Event, per_word: dict) -> str:
     """A spill's or a fill's charges: one hit for its *event*, and
     ``words`` hits on the slot of one word's *per_word* events and its
@@ -683,24 +691,303 @@ def _bank_move_lines(ctx, event: Event, per_word: dict) -> str:
     ))
 
 
+@dataclass(frozen=True)
+class _Banks:
+    """A renaming machine's bank file, as its fold needs it."""
+
+    count: int
+    words: int
+    rename: bool
+    #: The cells' exit slot of one spilled word; None without dirty
+    #: tracking, where a nest that overflows never folds.
+    spill_slot: int | None
+
+
+@dataclass
+class _Life:
+    """One bank name of a banked superblock's plan."""
+
+    #: (role, frame) where the superblock first names the bank, and as it
+    #: leaves it.  The frame is "caller" (the superblock's own frame),
+    #: None, or the depth of a spliced frame.
+    before: tuple
+    state: tuple
+    #: Its last assignment number, relative to the entry's ``_seq``.
+    seq: int | None = None
+    #: When its last lifetime began.  Two names may be one bank; the exit
+    #: writes the names in this order, so the later lifetime's state stands.
+    start: int = 0
+
+
+class _BankPlan:
+    """A banked superblock's bank transitions, planned as it is generated.
+
+    The plan replays ``BankManager.on_call`` and ``on_return``, as the
+    renaming cells do, over bank *names*, for the entry layout in which
+    every bank but the Lbank (``_l0``) and the stack bank (``_s0``) is
+    free.  ``BankFile.acquire_free`` takes the free bank of lowest id:
+    the entry's scan binds the free banks it finds to ``_f0``, ``_f1``,
+    … in id order, a name keeps its rank among the names it was ranked
+    with, and where the lowest of two ranked groups is not known the
+    entry sorts their heads by id (:meth:`_take`), so every choice is
+    made before the superblock mutates anything.  The entry may find
+    more busy banks (frames further down hold theirs): the plan holds
+    while it finds every free bank the plan names.  A bank overflow takes
+    the oldest bank (``BankFile.oldest``): the entry's Lbank, older than
+    every bank the superblock assigns, or the Lbank a fill gave the
+    caller.  A victim or an underflow in a spliced frame, whose frame is
+    deferred, cannot fold (:class:`~repro.jit.compile._Unfoldable`).
+
+    A bank's words move where the cells move them: the argument record
+    into the renamed bank, a spliced frame's stores, a spill into the
+    caller's frame and a fill out of it, in program order, so two names
+    of one bank see each other's words.  Its role, frame and assignment
+    number are written once, at the exit (:meth:`exit_lines`).  Dirty
+    sets need no write: a bank that is not LOCAL has none, and a spliced
+    frame's bank is freed before the exit; a spill clears its victim's,
+    and the caller's bank takes its stores' as blocks do.
+    """
+
+    def __init__(self, banks: _Banks, top_words: int) -> None:
+        self.banks = banks
+        #: The superblock's own frame's local words: a spill's bound and
+        #: a fill's length.
+        self.top_words = top_words
+        free = [f"_f{index}" for index in range(banks.count - 2)]
+        self.lives = {
+            "_l0": _Life((BankRole.LOCAL, "caller"), (BankRole.LOCAL, "caller")),
+            "_s0": _Life((BankRole.STACK, None), (BankRole.STACK, None)),
+        }
+        #: name -> (group, rank): the names of one group are in id order.
+        self.rank = {"_l0": ("L", 0), "_s0": ("S", 0)}
+        for index, name in enumerate(free):
+            self.lives[name] = _Life((BankRole.FREE, None), (BankRole.FREE, None))
+            self.rank[name] = ("F", index)
+        #: The free banks: group -> [(rank, name)], lowest first.
+        self.pool = {"F": list(enumerate(free))} if free else {}
+        #: The busy banks' assignment numbers; the entry's Lbank is the oldest.
+        self.busy = {"_l0": -1, "_s0": 0}
+        #: Each active frame's bank, the superblock's own first; None
+        #: once a spill took it.
+        self.frames: list = ["_l0"]
+        self.sbank = "_s0"
+        self.seq = 0
+        self.events = 0
+        #: Entry lines that sort group heads by id.
+        self.sorts: list[str] = []
+        #: How many ``_f`` names the plan reads: the free banks it needs.
+        self.free_used = 0
+        #: The entry's Lbank is spilled: its frame must be allocated.
+        self.spills_entry = False
+        #: A spill or a fill, which a bank-file tracer would see.
+        self.moves = False
+        self.calls = self.overflows = self.fills = self.filled = 0
+        #: Under RENAME, the stack depth at entry that leaves the first
+        #: spliced call exactly its argument record.
+        self.entry_depth: int | None = None
+        #: (bank, local) -> the value a spliced frame's bank holds there.
+        self.held: dict = {}
+
+    def _assign(self, name: str, role: BankRole, frame) -> None:
+        self.seq += 1
+        life = self.lives[name]
+        life.state = (role, frame)
+        life.seq = self.seq
+        self.busy[name] = self.seq
+
+    def _begin(self, name: str) -> None:
+        self.events += 1
+        self.lives[name].start = self.events
+
+    def _take(self) -> str:
+        """The free bank of lowest id: a group's head, or the first of
+        the heads sorted at entry."""
+        pool = self.pool
+        if "F" in pool:
+            self.free_used = max(self.free_used, pool["F"][0][0] + 1)
+        if len(pool) == 1:
+            (members,) = pool.values()
+            name = members.pop(0)[1]
+        else:
+            heads = [members.pop(0)[1] for members in pool.values()]
+            group = f"_p{len(self.sorts)}"
+            names = [f"{group}_{index}" for index in range(len(heads))]
+            self.sorts.append(f"{', '.join(names)} = sorted(({', '.join(heads)}), key=_ID)")
+            for index, member in enumerate(names):
+                self.lives[member] = _Life((BankRole.FREE, None), (BankRole.FREE, None))
+                self.rank[member] = (group, index)
+            pool[group] = list(enumerate(names))[1:]
+            name = names[0]
+        self.pool = {group: members for group, members in pool.items() if members}
+        return name
+
+    def _free(self, name: str) -> None:
+        group, rank = self.rank[name]
+        members = self.pool.setdefault(group, [])
+        members.append((rank, name))
+        members.sort()
+
+    def call(self, cell, stack, w, ind: str) -> tuple[str, list[str]]:
+        """A spliced call's rename: (the callee's bank, the lines that
+        spill a victim and move the argument record into the bank)."""
+        banks = self.banks
+        args: list = []
+        if banks.rename:
+            # The whole stack is the record; the first call fixes the
+            # entry depth that makes it the callee's arguments.
+            arguments = cell.meta.arg_count
+            if self.entry_depth is None:
+                self.entry_depth = arguments + stack.taken - len(stack.values)
+            count = self.entry_depth - stack.taken + len(stack.values)
+            if count != arguments or self.entry_depth < stack.taken or count > banks.words:
+                raise _Unfoldable
+            args = [stack.held(ind, stack.pop(ind)) for _ in range(count)][::-1]
+        self.calls += 1
+        callee = self.sbank
+        self._assign(callee, BankRole.LOCAL, len(self.frames))
+        self.frames.append(callee)
+        lines: list[str] = []
+        if self.pool:
+            fresh = self._take()
+        else:
+            # BankManager._acquire's overflow, as _OVERFLOW_SPILL: the
+            # oldest bank but the one just renamed, spilled into its frame.
+            fresh = min((name for name in self.busy if name != callee), key=self.busy.get)
+            if self.lives[fresh].state[1] != "caller" or banks.spill_slot is None:
+                raise _Unfoldable
+            self.frames[0] = None
+            self.spills_entry |= fresh == "_l0"
+            self.overflows += 1
+            self.moves = True
+            w.add(Event.BANK_FLUSH)
+            lines += [
+                f"{ind}_d = {fresh}.dirty",
+                f"{ind}words = len(_d)",
+                f"{ind}_v = {fresh}.words",
+                f"{ind}for _x in _d:",
+                f"{ind}    _W[_fa + {LOCALS_BASE} + _x] = _v[_x]",
+                f"{ind}_d.clear()",
+                f"{ind}bstats.words_spilled += words",
+                f"{ind}_H[{banks.spill_slot}] += words",
+            ]
+        self._begin(fresh)
+        self._assign(fresh, BankRole.STACK, None)
+        self.sbank = fresh
+        for index, value in enumerate(args):
+            self.held[callee, index] = value
+            lines.append(f"{ind}{callee}.words[{index}] = {value}")
+        return callee, lines
+
+    def ret(self, w, frames_name: str, ind: str) -> list[str]:
+        """A spliced return: the callee's bank is freed, and a caller
+        whose bank was spilled takes the first free bank, filled from its
+        frame (the lines that fill it)."""
+        done = self.frames.pop()
+        self.lives[done].state = (BankRole.FREE, None)
+        del self.busy[done]
+        self._free(done)
+        if self.frames[-1] is not None:
+            return []
+        filled = self._take()
+        self._begin(filled)
+        self._assign(filled, BankRole.LOCAL, "caller")
+        self.frames[0] = filled
+        words = min(self.banks.words, self.top_words)
+        self.fills += 1
+        self.filled += words
+        self.moves = True
+        w.add(Event.BANK_LOAD)
+        for event, times in _FILL_WORD.items():
+            w.add(event, times * words)
+        w.hit(frames_name, words)
+        return [
+            f"{ind}{filled}.words[:{words}] = "
+            f"_W[_fa + {LOCALS_BASE} : _fa + {LOCALS_BASE + words}]",
+            f"{ind}_bk = {filled}",
+            f"{ind}_bw = _bk.words",
+        ]
+
+    def entry_lines(self, fallback: list[str], ind: str) -> list[str]:
+        """Bind the banks the plan names, refusing a layout it does not
+        fit: no Lbank over the caller or no stack bank, too few free
+        banks, or an entry Lbank whose spill the cells leave generic."""
+        refused = ["_l0 is None", "_l0.frame is not caller", "_s0 is None", "_s0.role is not STACK"]
+        if self.spills_entry:
+            refused += ["_fa is None", f"(_l0.dirty and max(_l0.dirty) >= {self.top_words})"]
+        lines = [f"{ind}_l0 = _BKS.lbank", f"{ind}_s0 = _BKS.sbank", f"{ind}if ("]
+        lines.append(f"{ind}    {refused[0]}")
+        lines += [f"{ind}    or {condition}" for condition in refused[1:]]
+        lines.append(f"{ind}):")
+        lines += fallback
+        lines += [
+            f"{ind}_F = []",
+            f"{ind}for _b in bank_list:",
+            f"{ind}    if _b.role is FREE:",
+            f"{ind}        _F.append(_b)",
+            f"{ind}if len(_F) < {self.free_used}:",
+        ]
+        lines += fallback
+        lines += [f"{ind}_f{index} = _F[{index}]" for index in range(self.free_used)]
+        lines += [ind + line for line in self.sorts]
+        lines += [f"{ind}_sq = bankfile._seq", f"{ind}_bk = _l0", f"{ind}_bw = _l0.words"]
+        return lines
+
+    def exit_lines(self, ind: str) -> list[str]:
+        """Each named bank's role, frame and assignment number as the
+        superblock leaves them, the two registers, the sequence number
+        and the bank statistics' net increments."""
+        lines = []
+        named = sorted(
+            (life.start, name) for name, life in self.lives.items() if life.seq is not None
+        )
+        for _start, name in named:
+            life = self.lives[name]
+            role, frame = life.state
+            lines.append(f"{ind}{name}.assigned_at = _sq + {life.seq}")
+            if role is not life.before[0]:
+                lines.append(f"{ind}{name}.role = {role.name}")
+            if frame != life.before[1]:
+                lines.append(f"{ind}{name}.frame = {'caller' if frame else 'None'}")
+        lines.append(f"{ind}bankfile._seq = _sq + {self.seq}")
+        if self.frames[0] != "_l0":
+            lines.append(f"{ind}_BKS.lbank = {self.frames[0]}")
+        lines.append(f"{ind}_BKS.sbank = {self.sbank}")
+        calls = self.calls
+        lines += [
+            f"{ind}bstats.xfers += {2 * calls}",
+            f"{ind}bstats.assignments += {calls + self.fills}",
+            f"{ind}bstats.releases += {calls}",
+        ]
+        if self.overflows:
+            lines.append(f"{ind}bstats.overflows += {self.overflows}")
+        if self.fills:
+            lines.append(f"{ind}bstats.underflows += {self.fills}")
+            lines.append(f"{ind}bstats.words_filled += {self.filled}")
+        lines.append(f"{ind}m.deferred_frames += {calls}")
+        return lines
+
+
 class Fold:
     """A seeded call and its return, folded into a superblock.
 
-    Without banks a superblock (:mod:`repro.jit.compile`) splices a
-    seeded monomorphic call to a straight-line callee: the caller's
-    block, the callee's body and the caller's continuation become one
-    host function.  The callee's frame lives and dies inside it, LIFO,
-    so the pair's transitions leave only their net effects, which this
-    class renders from the cells' own fragments and vectors:
+    A superblock (:mod:`repro.jit.compile`) splices a seeded monomorphic
+    call to a straight-line callee: the caller's block, the callee's
+    body and the caller's continuation become one host function.  The
+    callee's frame lives and dies inside it, LIFO, so the pair's
+    transitions leave only their net effects, which this class renders
+    from the cells' own fragments and vectors:
 
     * the charges: the cell's merged call vector and the return cell's
       vector, added to the superblock's exit vector;
-    * the memory words that outlive the superblock: each frame's global
-      word and, without the return stack, the caller's saved PC
-      (``_ALLOCATE``, ``_LINK_GENERAL``).  The return link, the AV or
-      first-fit list words and the frame table are put back as they were
-      by the free, so they are not written, and no ``FrameState`` or
-      ``ReturnStackEntry`` is built;
+    * without banks, the memory words that outlive the superblock: each
+      frame's global word and, without the return stack, the caller's
+      saved PC (``_ALLOCATE``, ``_LINK_GENERAL``).  The return link, the
+      AV or first-fit list words and the frame table are put back as
+      they were by the free, so they are not written, and no
+      ``FrameState`` or ``ReturnStackEntry`` is built;
+    * with banks (i4), the callee's frame stays deferred and writes no
+      memory; the renames, spills and fills are planned by
+      :class:`_BankPlan`, which writes each bank's net state;
     * the statistics' net increments (:meth:`exit_lines`).
 
     Every guard the spliced transitions need runs at the superblock's
@@ -710,12 +997,29 @@ class Fold:
     """
 
     def __init__(
-        self, allocator: _Allocator, rstack: bool, ret_charges: dict, ret_traffic: dict
+        self,
+        allocator: _Allocator | None,
+        rstack: bool,
+        ret_charges: dict,
+        ret_traffic: dict,
+        banks: _Banks | None = None,
     ) -> None:
         self.allocator = allocator
         self.rstack = rstack
         self.ret_charges = ret_charges
         self.ret_traffic = ret_traffic
+        self.banks = banks
+
+    def splices(self, cell) -> bool:
+        """Whether a superblock may fold *cell*'s callee: a bank defers
+        every seeded callee; a heap must fit its frame in its class."""
+        return self.banks is not None or bool(cell.need)
+
+    def bank_plan(self, meta) -> _BankPlan | None:
+        """A fresh plan for a superblock of *meta*'s, on a banked machine."""
+        if self.banks is None:
+            return None
+        return _BankPlan(self.banks, meta.local_words)
 
     def frame_var(self, key: int, index: int) -> str:
         """The host local holding the *index*-th frame a superblock takes
@@ -739,7 +1043,21 @@ class Fold:
         mutation: the registers, the caller's frame, the return stack's
         room and the free-list walk of every nested frame."""
         gf = record.gf
-        if self.rstack:
+        if self.banks is not None:
+            # The call cells' guards, once for the nest; a spill or a
+            # fill refuses a bank-file tracer.
+            refused = [
+                f"m.gf != {gf}",
+                "caller.freed",
+                "caller.flagged",
+                f"caller.gf != {gf}",
+                f"len(rentries) > RDEPTH - {record.depth}",
+            ]
+            if record.top_lfc:
+                refused.append("m.cb < 0")
+            if record.banks.moves:
+                refused.append("bankfile.tracer is not None")
+        elif self.rstack:
             refused = [
                 f"m.gf != {gf}",
                 "heap.tracer is not None",
@@ -782,6 +1100,8 @@ class Fold:
             frame = self.frame_var(key, index)
             if frame != block:
                 lines.append(f"{ind}{frame} = {allocator.fold_frame.format(block=block)}")
+        if record.banks is not None:
+            lines += record.banks.entry_lines(fallback, ind)
         if self.rstack:
             # entry.cb, or the caller's CB when it was never discovered:
             # what every spliced return leaves in the CB register.
@@ -794,7 +1114,8 @@ class Fold:
         """The spliced pairs' net effect on the registers and the
         statistics: the fetch tallies in the order the pairs first bump
         them, the return stack's pushes and hits, and the heap's
-        allocations and frees, whose live and free-list words cancel."""
+        allocations and frees, whose live and free-list words cancel, or
+        the banks' net state (:meth:`_BankPlan.exit_lines`)."""
         lines = [f"{ind}m.return_context = None"]
         if self.rstack:
             lines.append(f"{ind}m.cb = _cb")
@@ -815,6 +1136,8 @@ class Fold:
         if self.rstack:
             lines.append(f"{ind}rstats.pushes += {n}")
             lines.append(f"{ind}rstats.hits += {n}")
+        if record.banks is not None:
+            return lines + record.banks.exit_lines(ind)
         lines.append(f"{ind}heap_stats.allocations += {n}")
         lines.append(f"{ind}heap_stats.frees += {n}")
         requested: dict = {}
@@ -862,8 +1185,8 @@ def make_cells(machine, ctx, ns: dict, stats):
     """Build *machine*'s (fast_call, fast_return) into the engine's block
     namespace *ns*, with the :class:`Fold` that superblocks splice calls
     by; any may be None (unsupported shape: those sites stay generic;
-    banks: nothing is spliced).  ``ctx.on_seed(site, gf)`` runs after
-    each cell is seeded."""
+    no linkage cache: nothing is spliced).  ``ctx.on_seed(site, gf)``
+    runs after each cell is seeded."""
     banked = machine.banks is not None
     if banked:
         if not _renames(machine):
@@ -953,12 +1276,13 @@ def make_cells(machine, ctx, ns: dict, stats):
             FREE=BankRole.FREE,
             LOCALS_BASE=LOCALS_BASE,
             BANK_WORDS=bank_words,
+            _ID=operator.attrgetter("id"),
         )
         rename = machine.config.arg_convention is ArgConvention.RENAME
         if bankfile.track_dirty:
-            overflow = _OVERFLOW_SPILL.format(spill=_bank_move_lines(
-                ctx, Event.BANK_FLUSH, {Event.REGISTER_READ: 1, Event.MEMORY_WRITE: 1}
-            ))
+            overflow = _OVERFLOW_SPILL.format(
+                spill=_bank_move_lines(ctx, Event.BANK_FLUSH, _SPILL_WORD)
+            )
         else:
             overflow = _OVERFLOW_GENERIC
         call = _CALL.format(
@@ -969,13 +1293,19 @@ def make_cells(machine, ctx, ns: dict, stats):
             cb_read=cb_read(" " * 8),
             transfer=_RENAME + (_RENAME_ARGUMENTS if rename else ""),
         )
-        fill = _bank_move_lines(
-            ctx, Event.BANK_LOAD, {Event.MEMORY_READ: 1, Event.REGISTER_WRITE: 1}
-        )
+        fill = _bank_move_lines(ctx, Event.BANK_LOAD, _FILL_WORD)
+        ret_charges = {Event.FAST_TRANSFER: 1}
         ret = _RETURN_RSTACK.format(
-            charges=_commit_lines(ctx, {Event.FAST_TRANSFER: 1}, {}),
+            charges=_commit_lines(ctx, ret_charges, {}),
             **dict(_RETURN_RENAME, free=_RETURN_RENAME["free"].format(fill=fill)),
         )
+        if entries_map is not None:
+            fold = Fold(None, True, ret_charges, {}, _Banks(
+                len(bankfile),
+                bank_words,
+                rename,
+                ctx.exit_slot(_SPILL_WORD, {frames: 1}) if bankfile.track_dirty else None,
+            ))
     else:
         heap = allocator.heap
         ns.update(

@@ -17,12 +17,12 @@ purely additive, so the meters are bit-identical wherever anything can
 read them.  ``m.steps`` is the exception: it stays eager, because the
 engine's step-ceiling check reads it between blocks.
 
-Without banks, a block that ends at a seeded monomorphic call to a
-straight-line callee grows into a *superblock* (:func:`gen_superblock`,
-planned by :func:`plan_superblock` from the recorded specs and seeded
-cells): the same templates, ``_Stack`` and ``_Charges`` carry on
-through the call transition, the callee's body, the return transition
-and the caller's continuation, whose folded frames
+A block that ends at a seeded monomorphic call to a straight-line
+callee grows into a *superblock* (:func:`gen_superblock`, planned by
+:func:`plan_superblock` from the recorded specs and seeded cells): the
+same templates, ``_Stack`` and ``_Charges`` carry on through the call
+transition, the callee's body, the return transition and the caller's
+continuation, whose folded frames (and on i4, whose bank renames)
 :class:`repro.jit.calls.Fold` renders.  All of its guards run at
 entry, and a refused one tail-calls the unspliced block.
 
@@ -365,12 +365,15 @@ def _inline_prefix(spec: BlockSpec, ctx: CompilerContext, meta) -> tuple[list, i
 class _Frame:
     """Where one activation's locals and globals are while a block runs.
 
-    A block's own frame is the running one (``_fa``, ``_gf``) and its
-    stores write through.  A frame a superblock folds holds a free
-    block's address and a constant gf, and its stores land in *words*,
-    the superblock's deferred writes: a later load of the same word
-    reads the held value, and the superblock writes each word once
-    before it exits.
+    A block's own frame is the running one (``_fa``, ``_gf``, and on a
+    banked machine its Lbank ``_bk``) and its stores write through.  A
+    frame a superblock folds holds a free block's address and a constant
+    gf, and its stores land in *words*, the superblock's deferred
+    writes: a later load of the same word reads the held value, and the
+    superblock writes each word once before it exits.  On a banked
+    machine a folded frame's *address* names its bank instead: its
+    stores write the bank's words in place, and *words* holds them for
+    later loads.
     """
 
     meta: object
@@ -618,6 +621,8 @@ class _Planner:
         the superblock's own."""
         spec, meta, site = self._entry(start)
         parts: list = [(spec, meta)]
+        if _inline_prefix(spec, self.ctx, meta)[1] is not None:
+            return parts  # the block deopts before its call
         steps = _spec_steps(spec)
         active = (meta.entry_address + 1,)
         while spec.term == "tail" and spec.term_item.instruction.op in CALL_OPS:
@@ -644,7 +649,7 @@ class _Planner:
         if site is None or not site.monomorphic:
             return None
         cell = site.cells.get(gf)
-        if cell is None or not cell.need:
+        if cell is None or not self.ctx.fold.splices(cell):
             return None
         entry = cell.first_instruction
         if entry in active:
@@ -698,6 +703,9 @@ class _FoldRecord:
     transitions: list
     depth: int = 0
     top_lfc: bool = False
+    #: On a banked machine, the nest's bank plan
+    #: (:class:`repro.jit.calls._BankPlan`).
+    banks: object | None = None
 
 
 def plan_superblock(start: int, gf: int, ctx: CompilerContext) -> tuple[list, set]:
@@ -718,10 +726,11 @@ def gen_superblock(
     unspliced block, bound in *ns*.  The spliced transitions count in
     the exit's one vector, the folded frames' words are written once
     before the exit (:class:`_Frame`), and the fold's net effects follow
-    them (:meth:`repro.jit.calls.Fold.exit_lines`).  None when two
-    spliced frames of one global frame would assume different CBs, or
-    when no free block could ever pass the guard for the frames one
-    depth takes.
+    them (:meth:`repro.jit.calls.Fold.exit_lines`).  None when no entry
+    could pass the guard: two spliced frames of one global frame would
+    assume different CBs, no free block holds the frames one depth
+    takes, the nest is deeper than the return stack, or its banks would
+    spill a spliced frame or spill without dirty tracking.
     """
     fold = ctx.fold
     top_spec, top_meta = parts[0]
@@ -730,7 +739,8 @@ def gen_superblock(
     ind = "    "
     w = _Charges(ctx)
     code_base = machine.image.by_gf[gf].code_base
-    record = _FoldRecord(gf, code_base, {}, {}, [])
+    record = _FoldRecord(gf, code_base, {}, {}, [], banks=fold.bank_plan(top_meta))
+    banks = record.banks
     words: dict = {}
     body: list[str] = []
     stack = _Stack(body)
@@ -754,24 +764,32 @@ def gen_superblock(
                 w.add(event, times)
             for region, times in cell.traffic.items():
                 w.hit(region, times)
-            key = fold.allocator.fold_key(cell)
-            index = live.get(key, 0)
-            live[key] = index + 1
-            record.frames.setdefault((key, index), set()).add(cell.need)
             record.depth = max(record.depth, depth + 1)
-            record.transitions.append((site, cell, key, index))
             if frame.words is None:
                 record.top_lfc = record.top_lfc or site.lfc
             elif not fold.rstack:
                 _assume_code_base(record, int(frame.gf), frame.cb)
-            callee = _Frame(
-                cell.meta, fold.frame_var(key, index), str(cell.gf_address), words,
-                cell.cb_final,
-            )
-            for address, word, value in fold.call_writes(
-                site, cell, frame.address, callee.address, frame.cb
-            ):
-                words[address, word] = value
+            if banks is None:
+                key = fold.allocator.fold_key(cell)
+                index = live.get(key, 0)
+                live[key] = index + 1
+                record.frames.setdefault((key, index), set()).add(cell.need)
+                callee = _Frame(
+                    cell.meta, fold.frame_var(key, index), str(cell.gf_address), words,
+                    cell.cb_final,
+                )
+                for address, word, value in fold.call_writes(
+                    site, cell, frame.address, callee.address, frame.cb
+                ):
+                    words[address, word] = value
+            else:
+                key = index = None
+                bank, lines = banks.call(cell, stack, w, ind)
+                body.extend(lines)
+                callee = _Frame(
+                    cell.meta, bank, str(cell.gf_address), banks.held, cell.cb_final
+                )
+            record.transitions.append((site, cell, key, index))
             run(part.body, callee, depth + 1)
             w.step()  # the RET
             for event, times in fold.ret_charges.items():
@@ -779,7 +797,10 @@ def gen_superblock(
             for region, times in fold.ret_traffic.items():
                 w.hit(region, times)
             record.transitions.append((None, None, key, index))
-            live[key] = index
+            if banks is None:
+                live[key] = index
+            else:
+                body.extend(banks.ret(w, ctx.frames_name, ind))
 
     top = _Frame(top_meta, "_fa", str(gf), None, code_base)
     try:
@@ -788,8 +809,10 @@ def gen_superblock(
             _assume_code_base(record, gf, code_base)
     except _Unfoldable:
         return None
-    if not all(map(fold.allocator.fold_fits, record.frames.values())):
+    if banks is None and not all(map(fold.allocator.fold_fits, record.frames.values())):
         return None  # first-fit: frames at one depth too unlike for one block
+    if fold.rstack and record.depth > machine.rstack.depth:
+        return None  # the nest never has room on the return stack
     body.extend(_word_lines(words, ind))
     body.extend(fold.exit_lines(record, ind))
     body.extend(
@@ -797,9 +820,15 @@ def gen_superblock(
     )
 
     fallback = [f"{ind}    _ES.entry_fallbacks += 1", f"{ind}    return _fb(m)"]
-    needs, grow = _entry_guard(items, last_spec.term)
     head = [f"def {name}(m):"]
-    head += _stack_guard(needs, grow, ctx.depth, ind, fallback)
+    if banks is not None and banks.entry_depth is not None:
+        # RENAME takes the whole stack as a record: the entry depth is
+        # exact, and a verified path cannot underflow or overflow it.
+        head += [f"{ind}st = _ST._slots", f"{ind}if len(st) != {banks.entry_depth}:"]
+        head += fallback
+    else:
+        needs, grow = _entry_guard(items, last_spec.term)
+        head += _stack_guard(needs, grow, ctx.depth, ind, fallback)
     head += fold.entry_lines(record, fallback, ind)
     if any(item.instruction.op is Op.OUT for item in items):
         head.append(f"{ind}_o = m.output")
@@ -871,7 +900,13 @@ def _emit_op(item, spec, ctx, frame: _Frame, w: _Charges, stack: _Stack, ind: st
         if ctx.banked:
             w.add(Event.REGISTER_READ)
             w.add(Event.REGISTER_WRITE)
-            stack.push(stack.local(ind, f"_bw[{local}]"))
+            if frame.words is None:
+                stack.push(stack.local(ind, f"_bw[{local}]"))
+            else:
+                held = frame.words.get((frame.address, local))
+                if held is None:
+                    held = stack.local(ind, f"{frame.address}.words[{local}]")
+                stack.push(held)
         else:
             w.add(Event.MEMORY_READ)
             w.add(Event.REGISTER_WRITE)
@@ -888,8 +923,15 @@ def _emit_op(item, spec, ctx, frame: _Frame, w: _Charges, stack: _Stack, ind: st
         value = stack.pop(ind)
         if ctx.banked:
             w.add(Event.REGISTER_WRITE)
-            body.append(f"{ind}_bw[{local}] = {value}")
-            body.append(f"{ind}_bk.dirty.add({local})")
+            if frame.words is None:
+                body.append(f"{ind}_bw[{local}] = {value}")
+                body.append(f"{ind}_bk.dirty.add({local})")
+            else:
+                # A folded frame's bank is freed before the exit, so its
+                # dirty set is never read.
+                value = stack.held(ind, value)
+                frame.words[frame.address, local] = value
+                body.append(f"{ind}{frame.address}.words[{local}] = {value}")
         else:
             w.add(Event.MEMORY_WRITE)
             w.hit(ctx.frames_name)

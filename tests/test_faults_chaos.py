@@ -280,6 +280,60 @@ def test_chaos_report_serializes():
         assert set(case["outcomes"]) == set(ALL_PRESETS)
 
 
+def test_av_empty_runs_on_the_presets_that_allocate():
+    """I4's deferred allocation gives ``calls`` no frame to allocate, so
+    ``av_empty`` is sized over i1-i3 and runs there; the report names
+    i4 as skipped for each seed."""
+    report = run_chaos(programs=("calls",), seeds=2, plans=("av_empty",))
+    assert report.ok, report.summary()
+    assert [set(case.outcomes) for case in report.cases] == [{"i1", "i2", "i3"}] * 2
+    assert report.skipped == [
+        {"program": "calls", "seed": seed, "plan": "av_empty", "preset": "i4",
+         "reason": "not applicable"}
+        for seed in (0, 1)
+    ]
+
+
+def test_a_descriptor_program_is_skipped_on_i1_only():
+    report = run_chaos(programs=("coroutine", "dispatch"), seeds=1, plans=("trap_inject",))
+    assert report.ok, report.summary()
+    assert [set(case.outcomes) for case in report.cases] == [{"i2", "i3", "i4"}] * 2
+    assert report.skipped == [
+        {"program": name, "preset": "i1", "reason": "needs descriptors"}
+        for name in ("coroutine", "dispatch")
+    ]
+
+
+def test_outcomes_carry_the_engines_counts_in_process(monkeypatch):
+    """A JIT case sums its engines' counts over every machine it built,
+    the restored one included; the interpreter's carry none, and the
+    report leaves them out."""
+    from repro.jit import install_jit
+
+    engines: list = []
+
+    def installing(machine, *args, **kwargs):
+        engines.append(install_jit(machine, *args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr("repro.jit.install_jit", installing)
+    program = CORPUS["calls"]
+    refs = {preset: reference_run(program, preset) for preset in ALL_PRESETS}
+    plan = make_plan("kill_resume", program, refs, seed=0)
+    for preset in ALL_PRESETS:
+        interpreted = run_case(program, preset, plan, refs[preset])
+        engines.clear()
+        compiled = run_case(program, preset, plan, refs[preset], "jit")
+        assert compiled.restores == 1 and len(engines) == 2
+        assert interpreted.engine_counts == {}
+        assert compiled.engine_counts == {
+            key: sum(getattr(engine.stats, key) for engine in engines)
+            for key in chaos.ENGINE_COUNTS
+        }
+        assert all(engine.stats.superblocks for engine in engines), preset
+        assert compiled.to_dict() == interpreted.to_dict()
+
+
 #: A ``main`` that yields once before it computes its result.  No
 #: scheduler rides a chaos run, so the yield must not end it.
 YIELDER = Program(

@@ -21,6 +21,7 @@ from repro.faults.plan import FaultPlan, Injection, on_event
 from repro.faults.snapshot import capture, restore
 from repro.interp.services import relocate_module
 from repro.jit import JitRefusal, install_jit
+from repro.workloads.generator import GeneratorConfig, generate_program
 from repro.workloads.programs import CORPUS
 from tests.conftest import ALL_PRESETS, build
 
@@ -65,6 +66,37 @@ def test_corpus_bit_identical(name, preset):
     assert state_vector(jit) == state_vector(ref)
     # The corpus is fully verified: compiled blocks did the work.
     assert engine.cache.ready and engine.cache.blocks
+
+
+#: I1-I4, and i4 with three banks (every nest two deep overflows) and
+#: with eight.
+GENERATED_MACHINES = [(preset, {}) for preset in ALL_PRESETS] + [
+    ("i4", {"bank_count": 3}),
+    ("i4", {"bank_count": 8}),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    GENERATED_MACHINES,
+    ids=[*ALL_PRESETS, "i4-banks3", "i4-banks8"],
+)
+def test_generated_call_trees_bit_identical(preset, overrides):
+    """Twenty seeded generated programs, skewed call trees across four
+    modules whose straight-line callees splice: results and state vectors
+    equal the interpreter's, and every machine builds superblocks."""
+    superblocks = 0
+    for seed in range(20):
+        program = generate_program(GeneratorConfig(seed=seed))
+        ref = build(program.sources, preset=preset, entry=program.entry, **overrides)
+        jit = build(program.sources, preset=preset, entry=program.entry, **overrides)
+        engine = install_jit(jit)
+        for machine in (ref, jit):
+            machine.start(*program.entry)
+        assert jit.run() == ref.run() == [program.expected], seed
+        assert state_vector(jit) == state_vector(ref), seed
+        superblocks += engine.stats.superblocks
+    assert superblocks > 0
 
 
 _DIV_TRAP = """
@@ -172,13 +204,11 @@ def test_chaos_outcomes_identical_under_jit(monkeypatch):
 def test_a_drained_av_list_under_chaos_sends_superblocks_to_their_fallback(
     monkeypatch, preset
 ):
-    """The canned ``av_empty`` plan sizes its trigger on every preset,
-    and i4 allocates no frame on ``calls``, so no sweep drains an AV
-    list under spliced code.  Here the same drain fires on the k-th
-    allocation of ``calls`` for one whole loop pass of k (six calls),
-    through the chaos harness: outcomes and meters equal on both
-    engines, and some runs enter a superblock to find a list too short
-    for its nest."""
+    """The canned ``av_empty`` plan draws one k per seed; here the same
+    drain fires on the k-th allocation of ``calls`` for one whole loop
+    pass of k (six calls), through the chaos harness: outcomes and
+    meters equal on both engines, and some runs enter a superblock to
+    find a list too short for its nest."""
     engines = []
 
     def installing(machine, *args, **kwargs):

@@ -1,11 +1,11 @@
 """The JIT's call path in host calls: calls at jump speed.
 
-Without banks (i1-i3) a seeded call to a straight-line callee is
-spliced into its caller's superblock (docs/jit.md, "Superblocks"), so
-a warm loop that calls makes the Python calls of the same loop without
-the call: the loop's two compiled blocks.  A call that cannot splice (a
-recursive callee, i4's renaming pair) goes through the call and return
-cells, one host call each (docs/jit.md, "Call sites"): the allocator's
+A seeded call to a straight-line callee is spliced into its caller's
+superblock (docs/jit.md, "Superblocks"), i4's renaming pair included,
+so a warm loop that calls makes the Python calls of the same loop
+without the call: the loop's two compiled blocks.  A call that cannot
+splice (a recursive callee, or one that branches) goes through the
+call and return cells, one host call each (docs/jit.md, "Call sites"): the allocator's
 fast path, its ``AllocationStats`` updates and the frame-table
 registration run inline, so such a pair adds only the record
 constructors — ``FrameState``, and ``ReturnStackEntry`` on a machine
@@ -122,6 +122,14 @@ END.
 """
 
 JUMP_LOOP = CALL_LOOP.replace("acc + id(i)", "acc + i")
+
+#: :data:`CALL_SHALLOW` with a branch in each callee, which returns the
+#: same values: neither callee is straight-line, so neither call splices.
+BRANCHING_SHALLOW = CALL_SHALLOW.replace(
+    "BEGIN\n  RETURN x + 1;", "BEGIN\n  IF x = 0 THEN RETURN 1; END;\n  RETURN x + 1;"
+).replace(
+    "BEGIN\n  RETURN x + x;", "BEGIN\n  IF x = 0 THEN RETURN 0; END;\n  RETURN x + x;"
+)
 
 #: Three calls per pass that cannot splice: ``down`` recurses, so its
 #: body is no straight line up to its RET.
@@ -244,22 +252,24 @@ def _python_calls_per_pass(source: str, preset: str, iteration) -> float:
 
 @pytest.mark.parametrize(
     "preset, jump, call, dense",
-    [("i1", 2, 2, 2), ("i2", 2, 2, 2), ("i3", 2, 2, 2), ("i4", 2, 8, 38)],
+    [("i1", 2, 2, 2), ("i2", 2, 2, 2), ("i3", 2, 2, 2), ("i4", 2, 2, 2)],
 )
 def test_a_spliced_call_runs_at_jump_speed_in_python_calls(preset, jump, call, dense):
     """Python calls per warm loop pass: the jump loop's two blocks (the
-    test and the body); on i1-i3 the call loop and calldense's six calls
-    three deep make those same two, where i4's cells make 8 and 38."""
+    test and the body); the call loop and calldense's six calls three
+    deep make those same two on every preset, i4's bank overflow and
+    underflow included (through the cells they made 8 and 38 on i4)."""
     assert _python_calls_per_pass(JUMP_LOOP, preset, lambda i: i) == jump
     assert _python_calls_per_pass(CALL_LOOP, preset, lambda i: i) == call
     assert _python_calls_per_pass(CALL_DENSE, preset, lambda i: 5 * i + 2) == dense
 
 
 def test_an_i4_renaming_pair_is_two_cell_calls_and_its_records():
-    """I4's renaming cells are generated like the others: a pair is the
-    two ``<jit cells>`` functions, the callee's ``FrameState`` and the
-    caller's ``ReturnStackEntry``."""
-    machine = build([CALL_SHALLOW], preset="i4")
+    """I4's renaming cells are generated like the others: a pair that
+    does not splice (the callees branch) is the two ``<jit cells>``
+    functions, the callee's ``FrameState`` and the caller's
+    ``ReturnStackEntry``."""
+    machine = build([BRANCHING_SHALLOW], preset="i4")
     engine = install_jit(machine)
 
     def shallow(n: int) -> Counter:
@@ -278,6 +288,7 @@ def test_an_i4_renaming_pair_is_two_cell_calls_and_its_records():
         "ReturnStackEntry.__init__": 1.0,
     }
     assert engine.stats.deopts == 0
+    assert engine.stats.superblocks == 0
 
 
 def _calls_per_step(machine) -> float:
@@ -297,10 +308,9 @@ def _calls_per_step(machine) -> float:
 @pytest.mark.parametrize("preset", ["i1", "i2", "i3", "i4"])
 def test_the_jit_makes_a_third_of_the_interpreters_calls_per_step(preset):
     """8.54, 8.84, 8.15 and 8.74 calls per step interpreted on i1-i4,
-    against 0.0, 0.0, 0.0 and 0.444 compiled (Python 3.11): on i1-i3 the
-    warm loop runs in superblocks, which call no repository code, and on
-    i4 one call in six overflows a bank and its return underflows, both
-    inside the cells."""
+    against 0.0 compiled on every preset (Python 3.11): the warm loop
+    runs in superblocks, which call no repository code, i4's bank
+    overflow and underflow included."""
     interpreted = _calls_per_step(build([CALL_DENSE], preset=preset))
     machine = build([CALL_DENSE], preset=preset)
     engine = install_jit(machine)

@@ -1,15 +1,17 @@
 """Superblocks: seeded calls to straight-line callees, spliced and folded.
 
-Without banks (i1-i3) the JIT splices a seeded monomorphic call whose
-callee is straight-line code up to its RET into the caller's block, and
-folds the callee's frame, which lives and dies inside the superblock
-(docs/jit.md, "Superblocks").  Every guard the spliced transitions need
-runs at the superblock's entry; a refused one sends the whole
-superblock to the unspliced block, whose cells and generic handlers do
-the unusual work.  These tests drive each guard to its fallback and
-hold the run to the interpreter's state vector, and they pin what is
-never spliced, the step cap, the rebuild after an epoch bump, a
-restored snapshot, and lock-step slices at a superblock's step count.
+The JIT splices a seeded monomorphic call whose callee is straight-line
+code up to its RET into the caller's block, and folds the callee's
+frame, which lives and dies inside the superblock (docs/jit.md,
+"Superblocks").  On i4 the fold also replaces the pair's bank renames,
+and calldense's bank overflow and underflow, by their net effect.
+Every guard the spliced transitions need runs at the superblock's
+entry; a refused one sends the whole superblock to the unspliced block,
+whose cells and generic handlers do the unusual work.  These tests
+drive each guard to its fallback and hold the run to the interpreter's
+state vector, and they pin what is never spliced, the step cap, the
+rebuild after an epoch bump, a restored snapshot, and lock-step slices
+at a superblock's step count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from tests.conftest import build
 from tests.test_jit_differential import state_vector
 from tests.test_jit_exit_counts import _meters
 from tests.test_jit_host_calls import CALL_DENSE
+from tests.test_jit_renaming import _generic_bank_events, _stale_stack_bank
 
 #: Runs ``main(n)`` on the call loop of calldense's ``step``, below
 #: ``depth`` recursive frames: each of them holds a return-stack entry.
@@ -95,8 +98,8 @@ END.
 """
 
 
-def _started(source: str, preset: str, jit: bool, *args: int, facts=None):
-    machine = build([source], preset=preset)
+def _started(source: str, preset: str, jit: bool, *args: int, facts=None, **overrides):
+    machine = build([source], preset=preset, **overrides)
     engine = install_jit(machine, facts) if jit else None
     machine.start("Main", "main", *args)
     return machine, engine
@@ -165,15 +168,27 @@ def test_a_first_fit_head_that_must_split_sends_the_superblock_to_its_fallback()
     assert engine.stats.entry_fallbacks > 0
 
 
-@pytest.mark.parametrize("depth, falls_back", [(3, False), (4, True)])
-def test_a_return_stack_one_entry_short_of_the_nest_falls_back(depth, falls_back):
+@pytest.mark.parametrize(
+    "depth, falls_back, preset, overrides",
+    [
+        (3, False, "i3", {}),
+        (4, True, "i3", {}),
+        (3, False, "i4", {"bank_count": 16}),
+        (4, True, "i4", {"bank_count": 16}),
+    ],
+    ids=["3-False", "4-True", "3-False-i4", "4-True-i4"],
+)
+def test_a_return_stack_one_entry_short_of_the_nest_falls_back(
+    depth, falls_back, preset, overrides
+):
     """``step``'s nest is three frames deep; a warm ``work`` loop runs
     below ``depth`` + 2 return-stack entries of the eight, so at depth 4
     the nest would overflow the return stack by one.  (The warm-up runs
-    as deep, so the AV list already holds the deeper run's frames.)"""
+    as deep, so the AV list already holds the deeper run's frames; on i4
+    sixteen banks keep every frame of the recursion in a bank.)"""
     runs = []
     for jit in (False, True):
-        machine, engine = _started(DEEP, "i3", jit, 4, 4)
+        machine, engine = _started(DEEP, preset, jit, 4, 4, **overrides)
         machine.run()
         fallbacks = engine.stats.entry_fallbacks if engine else 0
         flushes = machine.rstack.stats.entries_flushed
@@ -299,10 +314,12 @@ def test_a_chain_longer_than_the_cap_stops_splicing_at_the_cap(preset):
     assert engine.stats.entry_fallbacks == 0
 
 
-@pytest.mark.parametrize("preset", ["i1", "i2", "i3"])
+@pytest.mark.parametrize("preset", ["i1", "i2", "i3", "i4"])
 def test_lock_step_slices_at_a_superblocks_step_count(preset):
     """Slices of the main-loop superblock's step count and one either
-    side of it: after every slice the meters are the interpreter's."""
+    side of it: after every slice the meters are the interpreter's, on
+    i4 both bank registers and every bank's role, assignment number,
+    dirty set and words too, and so is the whole state vector."""
     probe, engine = _started(CALL_DENSE, preset, True, 8)
     probe.run()
     longest = max(_superblock_steps(engine))
@@ -321,6 +338,7 @@ def test_lock_step_slices_at_a_superblocks_step_count(preset):
             slices += 1
             assert done[0] == done[1], (chunk, slices)
             assert _meters(jit) == _meters(ref), (chunk, slices)
+            assert state_vector(jit) == state_vector(ref), (chunk, slices)
             if done[0]:
                 break
         _assert_same(ref, jit)
@@ -392,3 +410,114 @@ def test_folded_frames_of_mixed_sizes_read_what_their_siblings_left(preset):
     assert ref.output and jit.output == ref.output
     assert engine.stats.superblocks > 0
     assert engine.stats.deopts == 0
+
+
+# -- i4: renaming pairs, bank overflow and underflow -------------------------
+
+
+def _main_superblock(engine) -> int:
+    """The start of the superblock of calldense's ``main`` loop body."""
+    (start,) = (
+        start for start in engine.cache.shapes if engine.cache.specs[start][1].name == "main"
+    )
+    return start
+
+
+def test_i4_enters_the_calldense_superblock_under_both_loop_head_layouts():
+    """``BankFile.acquire_free`` takes the first free bank by id, so the
+    stack bank at the loop head alternates between banks 3 and 2, with
+    main's bank 0 holding its dirty words.  The superblock computes its
+    choices at entry, so a warm ``Main.main(50)`` enters it under both
+    layouts and never falls back."""
+    machine, engine = _started(CALL_DENSE, "i4", True, 4)
+    machine.run()
+    start = _main_superblock(engine)
+    function, steps = engine.cache.blocks[start]
+    layouts = []
+
+    def entering(m):
+        layouts.append((m.banks.lbank.id, m.banks.sbank.id, sorted(m.banks.lbank.dirty)))
+        return function(m)
+
+    engine.cache.blocks[start] = (entering, steps)
+    machine.stack.clear()
+    machine.start("Main", "main", 50)
+    assert machine.run() == [sum(5 * i + 2 for i in range(50))]
+    assert len(layouts) == 50
+    assert {sbank for _lbank, sbank, _dirty in layouts[1:]} == {2, 3}
+    assert {(lbank, tuple(dirty)) for lbank, _sbank, dirty in layouts[1:]} == {(0, (1, 3))}
+    assert engine.stats.entry_fallbacks == 0
+    assert engine.stats.deopts == 0
+
+
+def _dirty_past_the_locals(machine) -> None:
+    machine.banks.lbank.dirty.add(9)  # main has four local words
+
+
+def _bank_file_tracer(machine) -> None:
+    machine.bankfile.tracer = _Events()
+
+
+def _flagged(machine) -> None:
+    machine.frame.flagged = True
+
+
+#: Each acts at a superblock's start, on both machines alike.
+I4_GUARDS = {
+    # The cells leave a victim that is not a local bank generic; the
+    # stale stack bank also leaves the plan one free bank short.
+    "stale stack bank": _stale_stack_bank,
+    "dirty word past the locals": _dirty_past_the_locals,
+    "bank-file tracer": _bank_file_tracer,
+    "no current Lbank or stack bank": lambda machine: machine.banks.flush_all(),
+    "flagged caller": _flagged,
+}
+
+
+@pytest.mark.parametrize("action", list(I4_GUARDS.values()), ids=list(I4_GUARDS))
+def test_each_i4_guard_sends_the_superblock_to_its_fallback(action):
+    ref, jit, engine = _warm_pair(CALL_DENSE, "i4")
+    assert engine.stats.superblocks > 0 and engine.stats.entry_fallbacks == 0
+    _finish_at_superblock(ref, jit, engine, action)
+    _assert_same(ref, jit)
+    assert engine.stats.entry_fallbacks > 0
+
+
+#: Calldense's loop in ``work``, which ``main`` calls once: work's frame
+#: is deferred until a spill of its bank allocates it.
+UNDER_MAIN = CALL_DENSE.replace("PROCEDURE main(n): INT;", "PROCEDURE work(n): INT;").replace(
+    "END;\nEND.", "END;\nPROCEDURE main(n): INT;\nBEGIN\n  RETURN work(n);\nEND;\nEND."
+)
+
+
+def test_a_deferred_victim_sends_the_superblock_to_its_fallback():
+    """The nest overflows into work's bank while work's frame is still
+    deferred: the superblock falls back, and the cells leave that spill,
+    which allocates, to the generic transfer once per run."""
+    runs = []
+    for jit in (False, True):
+        machine, engine = _started(UNDER_MAIN, "i4", jit, 4)
+        machine.run()
+        fallbacks = engine.stats.entry_fallbacks if engine else 0
+        machine.stack.clear()
+        machine.start("Main", "main", 20)
+        generic = _generic_bank_events(machine)
+        machine.run()
+        runs.append((machine, engine, fallbacks, generic))
+    (ref, _, _, _), (jit, engine, fallbacks, generic) = runs
+    _assert_same(ref, jit)
+    assert engine.stats.entry_fallbacks > fallbacks
+    assert generic["overflows"] == 1
+
+
+def test_without_dirty_tracking_an_overflowing_nest_builds_nothing():
+    """A spill without dirty tracking writes the whole bank, which the
+    cells leave generic: main's nest overflows, so its superblock is
+    never built, while the nests inside ``step`` still are."""
+    built = {}
+    for track_dirty in (True, False):
+        machine, engine = _started(CALL_DENSE, "i4", True, 4, track_dirty=track_dirty)
+        machine.run()
+        specs = engine.cache.specs
+        built[track_dirty] = {specs[start][1].name for start in engine.cache.shapes}
+    assert built == {True: {"main", "step", "combine"}, False: {"step", "combine"}}
