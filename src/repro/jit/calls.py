@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import textwrap
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -305,14 +306,21 @@ _OVERFLOW_SPILL = """\
         ):
             site.handler(site.inst, site.next_pc)
             return -1
-        words = len(dirty)
-        held = fresh.words
         base = fresh.frame.address + LOCALS_BASE
-        for index in dirty:
-            _W[base + index] = held[index]
-        bstats.words_spilled += words
 {spill}
         bstats.overflows += 1"""
+
+#: ``Machine._spill_bank`` into an allocated frame: *fresh*'s *dirty*
+#: words, from its locals at *base* on, each a register read and a frame
+#: write counted on the per-word slot (``{word_slot}``).  The call cell's
+#: overflow and a superblock's spill share it.
+_SPILL = """\
+words = len(dirty)
+held = fresh.words
+for index in dirty:
+    _W[base + index] = held[index]
+bstats.words_spilled += words
+_H[{word_slot}] += words"""
 
 #: ``_do_call``'s RENAME transition: the return stack records the
 #: caller with its bank, and ``BankManager.on_call``'s rename runs
@@ -681,9 +689,9 @@ _FILL_WORD = {Event.MEMORY_READ: 1, Event.REGISTER_WRITE: 1}
 
 
 def _bank_move_lines(ctx, event: Event, per_word: dict) -> str:
-    """A spill's or a fill's charges: one hit for its *event*, and
-    ``words`` hits on the slot of one word's *per_word* events and its
-    frame reference."""
+    """A fill's charges (a spill counts its words in :data:`_SPILL`): one
+    hit for its *event*, and ``words`` hits on the slot of one word's
+    *per_word* events and its frame reference."""
     word_slot = ctx.exit_slot(per_word, {ctx.frames_name: 1})
     return "\n".join((
         _commit_lines(ctx, {event: 1}, {}, " " * 8),
@@ -860,16 +868,14 @@ class _BankPlan:
             self.overflows += 1
             self.moves = True
             w.add(Event.BANK_FLUSH)
+            # The caller's frame: a bank's frame is written at the exit.
             lines += [
-                f"{ind}_d = {fresh}.dirty",
-                f"{ind}words = len(_d)",
-                f"{ind}_v = {fresh}.words",
-                f"{ind}for _x in _d:",
-                f"{ind}    _W[_fa + {LOCALS_BASE} + _x] = _v[_x]",
-                f"{ind}_d.clear()",
-                f"{ind}bstats.words_spilled += words",
-                f"{ind}_H[{banks.spill_slot}] += words",
+                f"{ind}fresh = {fresh}",
+                f"{ind}dirty = fresh.dirty",
+                f"{ind}base = _fa + {LOCALS_BASE}",
             ]
+            lines += textwrap.indent(_SPILL.format(word_slot=banks.spill_slot), ind).splitlines()
+            lines.append(f"{ind}dirty.clear()")
         self._begin(fresh)
         self._assign(fresh, BankRole.STACK, None)
         self.sbank = fresh
@@ -1280,10 +1286,13 @@ def make_cells(machine, ctx, ns: dict, stats):
         )
         rename = machine.config.arg_convention is ArgConvention.RENAME
         if bankfile.track_dirty:
-            overflow = _OVERFLOW_SPILL.format(
-                spill=_bank_move_lines(ctx, Event.BANK_FLUSH, _SPILL_WORD)
-            )
+            flush = _commit_lines(ctx, {Event.BANK_FLUSH: 1}, {}, " " * 8)
+            word_slot = ctx.exit_slot(_SPILL_WORD, {frames: 1})
+            overflow = _OVERFLOW_SPILL.format(spill="\n".join((
+                textwrap.indent(_SPILL.format(word_slot=word_slot), " " * 8), flush
+            )))
         else:
+            word_slot = None
             overflow = _OVERFLOW_GENERIC
         call = _CALL.format(
             guard=_RENAME_GUARD.format(
@@ -1304,7 +1313,7 @@ def make_cells(machine, ctx, ns: dict, stats):
                 len(bankfile),
                 bank_words,
                 rename,
-                ctx.exit_slot(_SPILL_WORD, {frames: 1}) if bankfile.track_dirty else None,
+                word_slot,
             ))
     else:
         heap = allocator.heap
