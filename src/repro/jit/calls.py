@@ -22,21 +22,26 @@ allocator effects:
   caller lost its bank (an underflow) fills the first free bank from
   the caller's frame.
 
-A seeded call and a seeded return are one host call each, and a
-seeded call to a straight-line callee makes none: a superblock splices
-it into its caller's block and folds the callee's frame (:class:`Fold`,
-which renders the pair's net effects from these same fragments and
-vectors, on i4 through :class:`_BankPlan`).  Every shape is source:
-:func:`make_cells` assembles it from the templates below
-when the engine compiles its first procedure, and execs it in the
-engine's block namespace, so the cells speak the blocks' vocabulary
-and their static charges and traffic are rendered by the blocks' own
+A seeded call and a seeded return are one host call each.  Every
+shape is source: :func:`make_cells` assembles it from the templates
+below when the engine compiles its first procedure, and execs it in the
+engine's block namespace, so the cells speak the blocks' vocabulary and
+their static charges and traffic are rendered by the blocks' own
 :class:`~repro.jit.compile._Charges`.  Without banks, the allocator's
 paper fast path is spliced in: the AV heap's three-reference allocate
 and four-reference free (section 5.3), or first-fit's no-split
 head-block hit and its list push, with their
 :class:`~repro.alloc.stats.AllocationStats` updates and the frame-table
 registration inline.
+
+A seeded call to a straight-line callee makes no host call: a
+superblock splices it into its caller's block and folds the callee's
+frame.  :class:`Fold` says which cells splice, and hands each
+superblock a *nest* that renders the pairs' net effects from these same
+fragments and vectors and decides every refusal of a nest that no
+entry could pass: a :class:`_HeapNest` (free-list blocks, the deferred
+frame words, the CB words a general return reads) or a
+:class:`_BankNest` (i4's renamed banks, its spills and fills).
 
 Supported shapes (anything else falls back to the generic handler,
 which *is* the interpreter's own dispatch handler, so correctness
@@ -65,8 +70,9 @@ that holds a dirty word past its frame's locals, a spill without dirty
 tracking, no current Lbank, a deferred caller, or a tracer on the bank
 file.  So flushing, allocating on a spill and the software allocator
 stay in one place.  On the call-dense loop one i4 call in six overflows
-and one return in six underflows, so spilling into the root's frame and
-refilling from it is the common case there, not the unusual one.
+and one return in six underflows; a superblock's bank nest folds those
+moves, so the cells spill and fill only outside superblocks (a site
+that does not splice, or an entry that fell back).
 """
 
 from __future__ import annotations
@@ -83,9 +89,16 @@ from repro.ifu.returnstack import ReturnStackEntry
 from repro.interp.frames import FRAME_GLOBAL, FRAME_PC, LOCALS_BASE, FrameState
 from repro.interp.machineconfig import ArgConvention
 from repro.isa.opcodes import Op
-from repro.jit.compile import _Charges, _Unfoldable
+from repro.jit.compile import _Charges, _Frame, _Nest, _Unfoldable
 from repro.machine.costs import Event
 from repro.mesa.globalframe import GF_CODE_BASE
+
+
+_KINDS = {
+    Op.DFC: TransferKind.DIRECT_CALL,
+    Op.SDFC: TransferKind.SHORT_DIRECT_CALL,
+    Op.LFC: TransferKind.LOCAL_CALL,
+}
 
 
 class CallSite:
@@ -117,15 +130,7 @@ class CallSite:
         #: Caller gfs whose calls the remote stub diverts: always generic.
         self.remote: set[int] = set()
         self.lfc = op is Op.LFC
-        if op is Op.DFC:
-            kind = TransferKind.DIRECT_CALL
-        elif op is Op.SDFC:
-            kind = TransferKind.SHORT_DIRECT_CALL
-        elif op is Op.LFC:
-            kind = TransferKind.LOCAL_CALL
-        else:
-            kind = TransferKind.EXTERNAL_CALL
-        self.kind = kind
+        self.kind = kind = _KINDS.get(op, TransferKind.EXTERNAL_CALL)
         self.fast = FetchStats.call_is_fast(kind)
         self.kind_event = (
             Event.FAST_TRANSFER if self.fast else Event.SLOW_TRANSFER
@@ -675,10 +680,7 @@ def _merge(*vectors: dict) -> dict:
 def _commit_lines(ctx, charges: dict, traffic: dict, indent: str = "    ") -> str:
     """Static *charges* and *traffic* as the blocks' exit-table hit."""
     pending = _Charges(ctx)
-    for event, times in charges.items():
-        pending.add(event, times)
-    for region, times in traffic.items():
-        pending.hit(region, times)
+    pending.count(charges, traffic)
     return "\n".join(pending.commit_lines(indent))
 
 
@@ -686,17 +688,6 @@ def _commit_lines(ctx, charges: dict, traffic: dict, indent: str = "    ") -> st
 #: and the frame write) and one filled word's (``Machine._fill_bank``).
 _SPILL_WORD = {Event.REGISTER_READ: 1, Event.MEMORY_WRITE: 1}
 _FILL_WORD = {Event.MEMORY_READ: 1, Event.REGISTER_WRITE: 1}
-
-
-def _bank_move_lines(ctx, event: Event, per_word: dict) -> str:
-    """A fill's charges (a spill counts its words in :data:`_SPILL`): one
-    hit for its *event*, and ``words`` hits on the slot of one word's
-    *per_word* events and its frame reference."""
-    word_slot = ctx.exit_slot(per_word, {ctx.frames_name: 1})
-    return "\n".join((
-        _commit_lines(ctx, {event: 1}, {}, " " * 8),
-        f"        _H[{word_slot}] += words",
-    ))
 
 
 @dataclass(frozen=True)
@@ -727,8 +718,323 @@ class _Life:
     start: int = 0
 
 
-class _BankPlan:
-    """A banked superblock's bank transitions, planned as it is generated.
+def _refuse(conditions: list[str], fallback: list[str], ind: str) -> list[str]:
+    """``if (c0 or c1 …):``, a condition a line, then *fallback*."""
+    lines = [f"{ind}if (", f"{ind}    {conditions[0]}"]
+    lines += [f"{ind}    or {condition}" for condition in conditions[1:]]
+    return lines + [f"{ind}):"] + fallback
+
+
+class Fold:
+    """Seeded calls and their returns, folded into superblocks.
+
+    :meth:`splices` says whether a superblock may splice a seeded cell's
+    callee; :meth:`nest` hands out each superblock's nest, which renders
+    its spliced pairs and decides every refusal of a nest that no entry
+    could pass.
+    """
+
+    def __init__(
+        self, machine, ctx, ret_charges: dict, ret_traffic: dict,
+        allocator: _Allocator | None = None, banks: _Banks | None = None,
+    ) -> None:
+        self.ctx = ctx
+        self.by_gf = machine.image.by_gf
+        #: The return stack's depth; None in the general scheme.
+        self.rdepth = None if machine.rstack is None else machine.rstack.depth
+        #: The return cell's vector, which each spliced RET counts.
+        self.ret_charges = ret_charges
+        self.ret_traffic = ret_traffic
+        self.allocator = allocator
+        self.banks = banks
+
+    def splices(self, site, cell, caller) -> bool:
+        """Whether a superblock may fold *cell*'s callee, called at *site*
+        from the body of the spliced *caller* cell (None: from the
+        superblock's own frame).  An LFC whose caller's CB is unknown
+        would fetch it.  A bank defers every seeded callee; a heap must
+        fit its frame in its class, and without the return stack the
+        saved PC and the return read the callee's CB."""
+        if caller is not None and site.lfc and caller.cb_final < 0:
+            return False
+        if self.banks is not None:
+            return True
+        return bool(cell.need) and (self.rdepth is not None or cell.cb_final >= 0)
+
+    def nest(self, gf: int, meta) -> _Spliced:
+        """A fresh nest for a superblock of *meta*'s under *gf*."""
+        if self.banks is not None:
+            return _BankNest(self, gf, meta)
+        return _HeapNest(self, gf, meta)
+
+
+class _Spliced(_Nest):
+    """One superblock's spliced pairs, folded: what both nests share.
+
+    Each spliced callee's frame lives and dies inside the superblock,
+    LIFO, so the pairs leave only their net effects: the cells' call
+    vectors and the return cell's, counted in the exit's one vector; the
+    frames, held as the nest's kind holds them; and the registers and the
+    statistics (:meth:`exit_lines`): the fetch tallies in the order the
+    pairs first bump them, the return stack's pushes and hits, and the
+    kind's own.  No ``FrameState`` or ``ReturnStackEntry`` is built.
+    Every guard runs at entry (:meth:`entry_lines`), and a refused one
+    runs the unspliced block (``_fb``), whose cells and generic handlers
+    do the bit-exact work.  A nest that no entry could pass (deeper than
+    the return stack, or one its kind refuses) raises
+    :class:`~repro.jit.compile._Unfoldable` as it is generated.
+    """
+
+    prefix = "_sb"
+
+    def __init__(self, fold: Fold, gf: int, meta, banked: bool) -> None:
+        super().__init__(fold.ctx, _Frame(meta, str(gf), banked, fold.by_gf[gf].code_base))
+        self.fold = fold
+        self.gf = gf
+        #: The spliced frames active now, and the most at once.
+        self.level = self.depth = 0
+        #: A call from the superblock's own frame is an LFC.
+        self.top_lfc = False
+        #: Each call's site and each return's None, in program order.
+        self.transitions: list = []
+        #: (cell, callee frame) per call, in program order.
+        self.calls: list = []
+
+    def fallback(self, ind: str) -> list[str]:
+        return [f"{ind}    _ES.entry_fallbacks += 1", f"{ind}    return _fb(m)"]
+
+    def call(self, site, cell, frame: _Frame, stack, w, ind: str) -> tuple[_Frame, list[str]]:
+        """A spliced call from *frame*: (the callee's frame, its lines)."""
+        w.step()
+        w.count(cell.charges, cell.traffic)
+        self.level += 1
+        self.depth = max(self.depth, self.level)
+        if frame is self.top:
+            self.top_lfc = self.top_lfc or site.lfc
+        callee, lines = self._call(site, cell, frame, stack, w, ind)
+        self.transitions.append(site)
+        self.calls.append((cell, callee))
+        return callee, lines
+
+    def ret(self, frame: _Frame, w, ind: str) -> list[str]:
+        """The RET of spliced *frame*: its lines."""
+        w.step()
+        w.count(self.fold.ret_charges, self.fold.ret_traffic)
+        self.level -= 1
+        self.transitions.append(None)
+        return self._ret(frame, w, ind)
+
+    def _rstack_refused(self) -> list[str]:
+        """Room on the return stack for the nest, and a known CB for an
+        LFC from the superblock's own frame."""
+        refused = [f"len(rentries) > RDEPTH - {self.depth}"]
+        if self.top_lfc:
+            refused.append("m.cb < 0")
+        return refused
+
+    def entry_lines(self, items: list, ind: str) -> list[str]:
+        """The transition guards, before any charge or mutation: the
+        registers, the caller's frame and the return stack's room
+        (``_refused``), then what the folded frames need
+        (``_claim_lines``)."""
+        lines = [f"{ind}caller = m.frame", f"{ind}_fa = caller.address"]
+        lines += _refuse(self._refused(), self.fallback(ind), ind)
+        lines += self._claim_lines(ind)
+        if self.fold.rdepth is not None:
+            # entry.cb, or the caller's CB when it was never discovered:
+            # what every spliced return leaves in the CB register.
+            lines += [f"{ind}_cb = m.cb", f"{ind}if _cb < 0:", f"{ind}    _cb = caller.code_base"]
+        return lines
+
+    def exit_lines(self, ind: str) -> list[str]:
+        rdepth = self.fold.rdepth
+        if rdepth is not None and self.depth > rdepth:
+            raise _Unfoldable  # the nest never has room on the return stack
+        lines = [f"{ind}m.return_context = None"]
+        if rdepth is None:
+            lines.append(f"{ind}caller.code_base = {self.top.cb}")
+        else:
+            lines.append(f"{ind}m.cb = _cb")
+        tallies: dict = {}
+        for site in self.transitions:
+            if site is None:
+                bucket, kind = ("slow" if rdepth is None else "fast"), "RETURN"
+            else:
+                bucket, kind = ("fast" if site.fast else "slow"), site.kind.name
+            tallies[bucket, kind] = tallies.get((bucket, kind), 0) + 1
+        for (bucket, kind), times in tallies.items():
+            lines += _bump(f"fetch.{bucket}", f"K_{kind}", times, ind)
+        if rdepth is not None:
+            lines.append(f"{ind}rstats.pushes += {len(self.calls)}")
+            lines.append(f"{ind}rstats.hits += {len(self.calls)}")
+        return lines + self._stats_lines(ind)
+
+
+class _Folded(_Frame):
+    """A frame a superblock folds, named by *address*: a free block's on
+    a heap, whose stores land in the nest's deferred words, or its bank,
+    whose words its stores write.  Either way *held* keeps each stored
+    value, so a later load of the same word reads it.  (A folded bank is
+    freed before the exit, so its dirty set is never read.)"""
+
+    def __init__(self, cell, address: str, held: dict, banked: bool, key=None, index=0) -> None:
+        super().__init__(cell.meta, str(cell.gf_address), banked, cell.cb_final)
+        self.address = address
+        self.held = held
+        #: On a heap, the free list the frame comes off and its place there.
+        self.key = key
+        self.index = index
+
+    def _word(self, local: int) -> tuple[int, str]:
+        if self.banked:
+            return local, f"{self.address}.words[{local}]"
+        return LOCALS_BASE + local, f"_W[{self.address} + {LOCALS_BASE + local}]"
+
+    def load(self, local: int, stack, ind: str) -> str:
+        word, source = self._word(local)
+        held = self.held.get((self.address, word))
+        return stack.local(ind, source) if held is None else held
+
+    def store(self, local: int, value: str, stack, ind: str) -> None:
+        word, target = self._word(local)
+        value = self.held[self.address, word] = stack.held(ind, value)
+        if self.banked:
+            stack.body.append(f"{ind}{target} = {value}")
+
+
+class _HeapNest(_Spliced):
+    """A superblock's folded frames without banks (i1–i3).
+
+    A frame the superblock allocates and frees comes off the head of its
+    free list and goes back there, so the superblock only reads the list
+    walk, as an uncounted entry guard (:meth:`_claim_lines`).  The memory
+    words that outlive the superblock are each frame's global word and,
+    without the return stack, the caller's saved PC (``_ALLOCATE``,
+    ``_LINK_GENERAL``); they and the folded frames' stores are deferred
+    and written once, before an RD or WR and before the exit.  The return
+    link, the list words and the frame table are put back as they were by
+    the free, so they are not written.  Without the return stack a
+    general return reads each global frame's CB word back, which the
+    entry guards.  The heap's statistics take net increments: its
+    allocations and frees, whose live and free-list words cancel.
+    """
+
+    def __init__(self, fold: Fold, gf: int, meta) -> None:
+        super().__init__(fold, gf, meta, False)
+        self.allocator = fold.allocator
+        #: (list key, index) -> the needs of the frames taken there.
+        self.frames: dict = {}
+        #: gf -> the CB each spliced general return reads from it.
+        self.code_bases: dict = {}
+        #: (frame, word) -> value: the deferred writes.
+        self.words: dict = {}
+        #: list key -> how many of its blocks the active frames hold.
+        self.live: dict = {}
+
+    def _assume(self, gf: int, cb: int) -> None:
+        """Guard that a general return into a frame of *gf* reads *cb*:
+        two frames of one global frame that assume different CBs cannot
+        fold."""
+        if self.code_bases.setdefault(gf, cb) != cb:
+            raise _Unfoldable
+
+    def _block_var(self, key, index: int) -> str:
+        """The host local of the block a frame comes off list *key* at."""
+        if self.allocator.fold_frame == "{block}":
+            return f"_f{key}_{index}"
+        return f"_k{key}_{index}"
+
+    def _call(self, site, cell, frame: _Frame, stack, w, ind: str):
+        general = self.fold.rdepth is None
+        if general and frame is not self.top:
+            self._assume(int(frame.gf), frame.cb)
+        key = self.allocator.fold_key(cell)
+        index = self.live.get(key, 0)
+        self.live[key] = index + 1
+        self.frames.setdefault((key, index), set()).add(cell.need)
+        callee = _Folded(cell, f"_f{key}_{index}", self.words, False, key, index)
+        self.words[callee.address, FRAME_GLOBAL] = str(cell.gf_address)
+        if general:
+            self.words[frame.address, FRAME_PC] = str((site.next_pc - frame.cb) & 0xFFFF)
+        return callee, []
+
+    def _ret(self, frame: _Folded, w, ind: str) -> list[str]:
+        self.live[frame.key] = frame.index
+        return []
+
+    def memory_lines(self, ind: str) -> list[str]:
+        """Write the deferred words."""
+        lines = [f"{ind}_W[{address} + {word}] = {value}" for (address, word), value in self.words.items()]
+        self.words.clear()
+        return lines
+
+    def exit_lines(self, ind: str) -> list[str]:
+        if self.fold.rdepth is None:
+            self._assume(self.gf, self.top.cb)
+        if not all(map(self.allocator.fold_fits, self.frames.values())):
+            raise _Unfoldable  # first-fit: frames at one depth too unlike for one block
+        return self.memory_lines(ind) + super().exit_lines(ind)
+
+    def _refused(self) -> list[str]:
+        gf = self.gf
+        if self.fold.rdepth is not None:
+            return [
+                f"m.gf != {gf}", "heap.tracer is not None", "caller.freed", f"caller.gf != {gf}",
+                *self._rstack_refused(),
+            ]
+        # The general return reads the caller's frame, its global word
+        # and each global frame's CB word back.
+        return [
+            f"m.gf != {gf}",
+            f"m.cb != {self.top.cb}",
+            "heap.tracer is not None",
+            "caller.stashed_stack",
+            "by_address.get(_fa) is not caller",
+            f"_W[_fa + {FRAME_GLOBAL}] != {gf}",
+            *(f"_W[{frame_gf} + GF_CODE_BASE] != {cb}" for frame_gf, cb in self.code_bases.items()),
+        ]
+
+    def _claim_lines(self, ind: str) -> list[str]:
+        """The free-list walk of every nested frame."""
+        allocator = self.allocator
+        lines = []
+        for (key, index), needs in self.frames.items():
+            block = self._block_var(key, index)
+            if index == 0:
+                source = allocator.fold_first.format(key=key)
+            else:
+                source = allocator.fold_next.format(block=self._block_var(key, index - 1))
+            lines.append(f"{ind}{block} = {source}")
+            lines.append(f"{ind}if {allocator.fold_refused(block, key, needs)}:")
+            lines += self.fallback(ind)
+            frame = f"_f{key}_{index}"
+            if frame != block:
+                lines.append(f"{ind}{frame} = {allocator.fold_frame.format(block=block)}")
+        return lines
+
+    def _stats_lines(self, ind: str) -> list[str]:
+        n = len(self.calls)
+        lines = [f"{ind}heap_stats.allocations += {n}", f"{ind}heap_stats.frees += {n}"]
+        requested: dict = {}
+        blocks: dict = {}
+        classes: dict = {}
+        for cell, frame in self.calls:
+            words = self.allocator.fold_words(self._block_var(frame.key, frame.index), cell)
+            for total, value in zip((requested, blocks), words):
+                total[value] = total.get(value, 0) + 1
+            classes[frame.key] = classes.get(frame.key, 0) + 1
+        for field, total in (("requested", requested), ("block", blocks)):
+            lines.append(f"{ind}heap_stats.total_{field}_words += {_weighted_sum(total)}")
+        for key, times in classes.items():
+            lines += _bump("per_class", str(key), times, ind)
+        return lines
+
+
+class _BankNest(_Spliced):
+    """A superblock's folded frames on a renaming machine (i4): each
+    spliced callee's frame stays deferred and writes no memory, its
+    locals held in its bank, and the bank transitions are planned as the
+    superblock is generated.
 
     The plan replays ``BankManager.on_call`` and ``on_return``, as the
     renaming cells do, over bank *names*, for the entry layout in which
@@ -744,7 +1050,8 @@ class _BankPlan:
     the oldest bank (``BankFile.oldest``): the entry's Lbank, older than
     every bank the superblock assigns, or the Lbank a fill gave the
     caller.  A victim or an underflow in a spliced frame, whose frame is
-    deferred, cannot fold (:class:`~repro.jit.compile._Unfoldable`).
+    deferred, cannot fold (:class:`~repro.jit.compile._Unfoldable`), nor
+    can a spill without dirty tracking.
 
     A bank's words move where the cells move them: the argument record
     into the renamed bank, a spliced frame's stores, a spill into the
@@ -756,11 +1063,12 @@ class _BankPlan:
     and the caller's bank takes its stores' as blocks do.
     """
 
-    def __init__(self, banks: _Banks, top_words: int) -> None:
-        self.banks = banks
+    def __init__(self, fold: Fold, gf: int, meta) -> None:
+        super().__init__(fold, gf, meta, True)
+        banks = self.banks = fold.banks
         #: The superblock's own frame's local words: a spill's bound and
         #: a fill's length.
-        self.top_words = top_words
+        self.top_words = meta.local_words
         free = [f"_f{index}" for index in range(banks.count - 2)]
         self.lives = {
             "_l0": _Life((BankRole.LOCAL, "caller"), (BankRole.LOCAL, "caller")),
@@ -789,7 +1097,7 @@ class _BankPlan:
         self.spills_entry = False
         #: A spill or a fill, which a bank-file tracer would see.
         self.moves = False
-        self.calls = self.overflows = self.fills = self.filled = 0
+        self.overflows = self.fills = self.filled = 0
         #: Under RENAME, the stack depth at entry that leaves the first
         #: spliced call exactly its argument record.
         self.entry_depth: int | None = None
@@ -835,9 +1143,10 @@ class _BankPlan:
         members.append((rank, name))
         members.sort()
 
-    def call(self, cell, stack, w, ind: str) -> tuple[str, list[str]]:
-        """A spliced call's rename: (the callee's bank, the lines that
-        spill a victim and move the argument record into the bank)."""
+    def _call(self, site, cell, frame: _Frame, stack, w, ind: str):
+        """A spliced call's rename: (the callee's frame in its bank, the
+        lines that spill a victim and move the argument record into the
+        bank)."""
         banks = self.banks
         args: list = []
         if banks.rename:
@@ -850,7 +1159,6 @@ class _BankPlan:
             if count != arguments or self.entry_depth < stack.taken or count > banks.words:
                 raise _Unfoldable
             args = [stack.held(ind, stack.pop(ind)) for _ in range(count)][::-1]
-        self.calls += 1
         callee = self.sbank
         self._assign(callee, BankRole.LOCAL, len(self.frames))
         self.frames.append(callee)
@@ -882,9 +1190,9 @@ class _BankPlan:
         for index, value in enumerate(args):
             self.held[callee, index] = value
             lines.append(f"{ind}{callee}.words[{index}] = {value}")
-        return callee, lines
+        return _Folded(cell, callee, self.held, True), lines
 
-    def ret(self, w, frames_name: str, ind: str) -> list[str]:
+    def _ret(self, frame: _Frame, w, ind: str) -> list[str]:
         """A spliced return: the callee's bank is freed, and a caller
         whose bank was spilled takes the first free bank, filled from its
         frame (the lines that fill it)."""
@@ -905,7 +1213,7 @@ class _BankPlan:
         w.add(Event.BANK_LOAD)
         for event, times in _FILL_WORD.items():
             w.add(event, times * words)
-        w.hit(frames_name, words)
+        w.hit(self.ctx.frames_name, words)
         return [
             f"{ind}{filled}.words[:{words}] = "
             f"_W[_fa + {LOCALS_BASE} : _fa + {LOCALS_BASE + words}]",
@@ -913,18 +1221,35 @@ class _BankPlan:
             f"{ind}_bw = _bk.words",
         ]
 
-    def entry_lines(self, fallback: list[str], ind: str) -> list[str]:
+    def guard_lines(self, needs: int, grow: int, ind: str) -> list[str]:
+        if self.entry_depth is None:
+            return super().guard_lines(needs, grow, ind)
+        # RENAME takes the whole stack as a record: the entry depth is
+        # exact, and a verified path cannot underflow or overflow it.
+        return [f"{ind}st = _ST._slots", f"{ind}if len(st) != {self.entry_depth}:"] + self.fallback(ind)
+
+    def _refused(self) -> list[str]:
+        # The call cells' guards, once for the nest; a spill or a fill
+        # refuses a bank-file tracer.
+        gf = self.gf
+        refused = [
+            f"m.gf != {gf}", "caller.freed", "caller.flagged", f"caller.gf != {gf}",
+            *self._rstack_refused(),
+        ]
+        if self.moves:
+            refused.append("bankfile.tracer is not None")
+        return refused
+
+    def _claim_lines(self, ind: str) -> list[str]:
         """Bind the banks the plan names, refusing a layout it does not
         fit: no Lbank over the caller or no stack bank, too few free
         banks, or an entry Lbank whose spill the cells leave generic."""
+        fallback = self.fallback(ind)
         refused = ["_l0 is None", "_l0.frame is not caller", "_s0 is None", "_s0.role is not STACK"]
         if self.spills_entry:
             refused += ["_fa is None", f"(_l0.dirty and max(_l0.dirty) >= {self.top_words})"]
-        lines = [f"{ind}_l0 = _BKS.lbank", f"{ind}_s0 = _BKS.sbank", f"{ind}if ("]
-        lines.append(f"{ind}    {refused[0]}")
-        lines += [f"{ind}    or {condition}" for condition in refused[1:]]
-        lines.append(f"{ind}):")
-        lines += fallback
+        lines = [f"{ind}_l0 = _BKS.lbank", f"{ind}_s0 = _BKS.sbank"]
+        lines += _refuse(refused, fallback, ind)
         lines += [
             f"{ind}_F = []",
             f"{ind}for _b in bank_list:",
@@ -938,7 +1263,7 @@ class _BankPlan:
         lines += [f"{ind}_sq = bankfile._seq", f"{ind}_bk = _l0", f"{ind}_bw = _l0.words"]
         return lines
 
-    def exit_lines(self, ind: str) -> list[str]:
+    def _stats_lines(self, ind: str) -> list[str]:
         """Each named bank's role, frame and assignment number as the
         superblock leaves them, the two registers, the sequence number
         and the bank statistics' net increments."""
@@ -958,7 +1283,7 @@ class _BankPlan:
         if self.frames[0] != "_l0":
             lines.append(f"{ind}_BKS.lbank = {self.frames[0]}")
         lines.append(f"{ind}_BKS.sbank = {self.sbank}")
-        calls = self.calls
+        calls = len(self.calls)
         lines += [
             f"{ind}bstats.xfers += {2 * calls}",
             f"{ind}bstats.assignments += {calls + self.fills}",
@@ -970,196 +1295,6 @@ class _BankPlan:
             lines.append(f"{ind}bstats.underflows += {self.fills}")
             lines.append(f"{ind}bstats.words_filled += {self.filled}")
         lines.append(f"{ind}m.deferred_frames += {calls}")
-        return lines
-
-
-class Fold:
-    """A seeded call and its return, folded into a superblock.
-
-    A superblock (:mod:`repro.jit.compile`) splices a seeded monomorphic
-    call to a straight-line callee: the caller's block, the callee's
-    body and the caller's continuation become one host function.  The
-    callee's frame lives and dies inside it, LIFO, so the pair's
-    transitions leave only their net effects, which this class renders
-    from the cells' own fragments and vectors:
-
-    * the charges: the cell's merged call vector and the return cell's
-      vector, added to the superblock's exit vector;
-    * without banks, the memory words that outlive the superblock: each
-      frame's global word and, without the return stack, the caller's
-      saved PC (``_ALLOCATE``, ``_LINK_GENERAL``).  The return link, the
-      AV or first-fit list words and the frame table are put back as
-      they were by the free, so they are not written, and no
-      ``FrameState`` or ``ReturnStackEntry`` is built;
-    * with banks (i4), the callee's frame stays deferred and writes no
-      memory; the renames, spills and fills are planned by
-      :class:`_BankPlan`, which writes each bank's net state;
-    * the statistics' net increments (:meth:`exit_lines`).
-
-    Every guard the spliced transitions need runs at the superblock's
-    entry (:meth:`entry_lines`); a refused one sends the whole
-    superblock to its unspliced block, whose cells and generic handlers
-    do the bit-exact work.
-    """
-
-    def __init__(
-        self,
-        allocator: _Allocator | None,
-        rstack: bool,
-        ret_charges: dict,
-        ret_traffic: dict,
-        banks: _Banks | None = None,
-    ) -> None:
-        self.allocator = allocator
-        self.rstack = rstack
-        self.ret_charges = ret_charges
-        self.ret_traffic = ret_traffic
-        self.banks = banks
-
-    def splices(self, cell) -> bool:
-        """Whether a superblock may fold *cell*'s callee: a bank defers
-        every seeded callee; a heap must fit its frame in its class."""
-        return self.banks is not None or bool(cell.need)
-
-    def bank_plan(self, meta) -> _BankPlan | None:
-        """A fresh plan for a superblock of *meta*'s, on a banked machine."""
-        if self.banks is None:
-            return None
-        return _BankPlan(self.banks, meta.local_words)
-
-    def frame_var(self, key: int, index: int) -> str:
-        """The host local holding the *index*-th frame a superblock takes
-        from free list *key*."""
-        return f"_f{key}_{index}"
-
-    def _block_var(self, key: int, index: int) -> str:
-        if self.allocator.fold_frame == "{block}":
-            return self.frame_var(key, index)
-        return f"_k{key}_{index}"
-
-    def call_writes(self, site, cell, caller: str, callee: str, cb: int) -> list:
-        """(frame, word, value) of the call's words that outlive it."""
-        writes = [(callee, FRAME_GLOBAL, str(cell.gf_address))]
-        if not self.rstack:
-            writes.append((caller, FRAME_PC, str((site.next_pc - cb) & 0xFFFF)))
-        return writes
-
-    def entry_lines(self, record, fallback: list[str], ind: str) -> list[str]:
-        """The superblock's transition guards, before any charge or
-        mutation: the registers, the caller's frame, the return stack's
-        room and the free-list walk of every nested frame."""
-        gf = record.gf
-        if self.banks is not None:
-            # The call cells' guards, once for the nest; a spill or a
-            # fill refuses a bank-file tracer.
-            refused = [
-                f"m.gf != {gf}",
-                "caller.freed",
-                "caller.flagged",
-                f"caller.gf != {gf}",
-                f"len(rentries) > RDEPTH - {record.depth}",
-            ]
-            if record.top_lfc:
-                refused.append("m.cb < 0")
-            if record.banks.moves:
-                refused.append("bankfile.tracer is not None")
-        elif self.rstack:
-            refused = [
-                f"m.gf != {gf}",
-                "heap.tracer is not None",
-                "caller.freed",
-                f"caller.gf != {gf}",
-                f"len(rentries) > RDEPTH - {record.depth}",
-            ]
-            if record.top_lfc:
-                refused.append("m.cb < 0")
-        else:
-            # The general return reads the caller's frame, its global
-            # word and each global frame's CB word back.
-            refused = [
-                f"m.gf != {gf}",
-                f"m.cb != {record.code_base}",
-                "heap.tracer is not None",
-                "caller.stashed_stack",
-                "by_address.get(_fa) is not caller",
-                f"_W[_fa + {FRAME_GLOBAL}] != {gf}",
-            ]
-            refused += [
-                f"_W[{frame_gf} + GF_CODE_BASE] != {cb}"
-                for frame_gf, cb in record.code_bases.items()
-            ]
-        lines = [f"{ind}caller = m.frame", f"{ind}_fa = caller.address", f"{ind}if ("]
-        lines.append(f"{ind}    {refused[0]}")
-        lines += [f"{ind}    or {condition}" for condition in refused[1:]]
-        lines.append(f"{ind}):")
-        lines += fallback
-        allocator = self.allocator
-        for (key, index), needs in record.frames.items():
-            block = self._block_var(key, index)
-            if index == 0:
-                source = allocator.fold_first.format(key=key)
-            else:
-                source = allocator.fold_next.format(block=self._block_var(key, index - 1))
-            lines.append(f"{ind}{block} = {source}")
-            lines.append(f"{ind}if {allocator.fold_refused(block, key, needs)}:")
-            lines += fallback
-            frame = self.frame_var(key, index)
-            if frame != block:
-                lines.append(f"{ind}{frame} = {allocator.fold_frame.format(block=block)}")
-        if record.banks is not None:
-            lines += record.banks.entry_lines(fallback, ind)
-        if self.rstack:
-            # entry.cb, or the caller's CB when it was never discovered:
-            # what every spliced return leaves in the CB register.
-            lines.append(f"{ind}_cb = m.cb")
-            lines.append(f"{ind}if _cb < 0:")
-            lines.append(f"{ind}    _cb = caller.code_base")
-        return lines
-
-    def exit_lines(self, record, ind: str) -> list[str]:
-        """The spliced pairs' net effect on the registers and the
-        statistics: the fetch tallies in the order the pairs first bump
-        them, the return stack's pushes and hits, and the heap's
-        allocations and frees, whose live and free-list words cancel, or
-        the banks' net state (:meth:`_BankPlan.exit_lines`)."""
-        lines = [f"{ind}m.return_context = None"]
-        if self.rstack:
-            lines.append(f"{ind}m.cb = _cb")
-        else:
-            lines.append(f"{ind}caller.code_base = {record.code_base}")
-        tallies: dict = {}
-        calls = []
-        for site, cell, key, index in record.transitions:
-            if site is None:
-                bucket, kind = ("fast" if self.rstack else "slow"), "RETURN"
-            else:
-                bucket, kind = ("fast" if site.fast else "slow"), site.kind.name
-                calls.append((cell, key, index))
-            tallies[bucket, kind] = tallies.get((bucket, kind), 0) + 1
-        for (bucket, kind), times in tallies.items():
-            lines += _bump(f"fetch.{bucket}", f"K_{kind}", times, ind)
-        n = len(calls)
-        if self.rstack:
-            lines.append(f"{ind}rstats.pushes += {n}")
-            lines.append(f"{ind}rstats.hits += {n}")
-        if record.banks is not None:
-            return lines + record.banks.exit_lines(ind)
-        lines.append(f"{ind}heap_stats.allocations += {n}")
-        lines.append(f"{ind}heap_stats.frees += {n}")
-        requested: dict = {}
-        blocks: dict = {}
-        classes: dict = {}
-        for cell, key, index in calls:
-            words = self.allocator.fold_words(self._block_var(key, index), cell)
-            for total, value in zip((requested, blocks), words):
-                total[value] = total.get(value, 0) + 1
-            classes[key] = classes.get(key, 0) + 1
-        for field, total in (("requested", requested), ("block", blocks)):
-            lines.append(
-                f"{ind}heap_stats.total_{field}_words += {_weighted_sum(total)}"
-            )
-        for key, times in classes.items():
-            lines += _bump("per_class", str(key), times, ind)
         return lines
 
 
@@ -1206,7 +1341,6 @@ def make_cells(machine, ctx, ns: dict, stats):
     image = machine.image
     rstack = machine.rstack
     frames = ctx.frames_name
-    fold = None
     cache = machine.linkage_cache
     entries_map = cache._entries if cache is not None else None
     procs_by_entry = image.procs_by_entry
@@ -1302,20 +1436,20 @@ def make_cells(machine, ctx, ns: dict, stats):
             cb_read=cb_read(" " * 8),
             transfer=_RENAME + (_RENAME_ARGUMENTS if rename else ""),
         )
-        fill = _bank_move_lines(ctx, Event.BANK_LOAD, _FILL_WORD)
+        # A fill's charges: its load, and ``words`` hits on one filled
+        # word's slot (a spill counts its words in _SPILL).
+        fill_slot = ctx.exit_slot(_FILL_WORD, {frames: 1})
+        fill = _commit_lines(ctx, {Event.BANK_LOAD: 1}, {}, " " * 8)
+        fill += f"\n        _H[{fill_slot}] += words"
         ret_charges = {Event.FAST_TRANSFER: 1}
         ret = _RETURN_RSTACK.format(
             charges=_commit_lines(ctx, ret_charges, {}),
             **dict(_RETURN_RENAME, free=_RETURN_RENAME["free"].format(fill=fill)),
         )
-        if entries_map is not None:
-            fold = Fold(None, True, ret_charges, {}, _Banks(
-                len(bankfile),
-                bank_words,
-                rename,
-                word_slot,
-            ))
+        ret_traffic = {}
+        banks = _Banks(len(bankfile), bank_words, rename, word_slot)
     else:
+        banks = None
         heap = allocator.heap
         ns.update(
             by_address=machine.frames.by_address,
@@ -1364,11 +1498,13 @@ def make_cells(machine, ctx, ns: dict, stats):
                 charges=_commit_lines(ctx, ret_charges, ret_traffic),
                 free=free,
             )
-        if entries_map is not None:
-            fold = Fold(allocator, rstack is not None, ret_charges, ret_traffic)
-    source = ret if entries_map is None else call + "\n" + ret
-    exec(_cell_code(source), ns)
-    return ns.get("fast_call"), ns["fast_return"], fold
+    if entries_map is None:
+        exec(_cell_code(ret), ns)
+        return None, ns["fast_return"], None
+    exec(_cell_code(call + "\n" + ret), ns)
+    return ns["fast_call"], ns["fast_return"], Fold(
+        machine, ctx, ret_charges, ret_traffic, allocator, banks
+    )
 
 
 @functools.lru_cache(maxsize=16)

@@ -17,14 +17,17 @@ purely additive, so the meters are bit-identical wherever anything can
 read them.  ``m.steps`` is the exception: it stays eager, because the
 engine's step-ceiling check reads it between blocks.
 
-A block that ends at a seeded monomorphic call to a straight-line
-callee grows into a *superblock* (:func:`gen_superblock`, planned by
-:func:`plan_superblock` from the recorded specs and seeded cells): the
-same templates, ``_Stack`` and ``_Charges`` carry on through the call
-transition, the callee's body, the return transition and the caller's
-continuation, whose folded frames (and on i4, whose bank renames)
-:class:`repro.jit.calls.Fold` renders.  All of its guards run at
-entry, and a refused one tail-calls the unspliced block.
+One generator, :func:`gen_block`, emits every block function.  A block
+that ends at a seeded monomorphic call to a straight-line callee grows
+into a *superblock* (planned by :func:`plan_superblock` from the
+recorded specs and seeded cells): the same templates, ``_Stack`` and
+``_Charges`` carry on through the call transition, the callee's body,
+the return transition and the caller's continuation.  How the callee's
+frame is folded, and whether a nest can fold at all, is its *nest*'s
+(:meth:`repro.jit.calls.Fold.nest`): a heap nest on i1–i3, a bank nest
+on i4.  A plain block's nest (:class:`_Nest`) binds its own frame and
+deopts; a superblock's guards all run at entry, and a refused one
+tail-calls the unspliced block.
 
 Block protocol — a compiled function ``fn(machine)`` returns:
 
@@ -122,43 +125,19 @@ def carve(cfg: ControlFlowGraph, base: int, tails: frozenset) -> list[BlockSpec]
             op = item.instruction.op
             following = item.offset + item.length
             if op in tails:
-                specs.append(
-                    BlockSpec(
-                        start=base + start,
-                        items=run,
-                        term="tail",
-                        term_item=item,
-                        next_abs=base + following,
-                    )
-                )
-                run = []
-                start = following
+                term, target = "tail", None
             elif op in T.COND_JUMPS or op in T.UNCOND_JUMPS:
                 # Jumps always terminate their CFG block.
-                specs.append(
-                    BlockSpec(
-                        start=base + start,
-                        items=run,
-                        term="cond" if op in T.COND_JUMPS else "jump",
-                        term_item=item,
-                        next_abs=base + following,
-                        target_abs=base + item.target(),
-                    )
-                )
-                run = []
-                start = following
+                term = "cond" if op in T.COND_JUMPS else "jump"
+                target = base + item.target()
             else:
                 run.append(item)
+                continue
+            specs.append(BlockSpec(base + start, run, term, item, base + following, target))
+            run = []
+            start = following
         if run:
-            specs.append(
-                BlockSpec(
-                    start=base + start,
-                    items=run,
-                    term="fall",
-                    term_item=None,
-                    next_abs=base + block.end,
-                )
-            )
+            specs.append(BlockSpec(base + start, run, "fall", None, base + block.end))
     return specs
 
 
@@ -176,6 +155,13 @@ class _Charges:
 
     def hit(self, region: str, times: int = 1) -> None:
         self.traffic[region] = self.traffic.get(region, 0) + times
+
+    def count(self, charges: dict, traffic: dict) -> None:
+        """Add a static vector: *charges* and its *traffic*."""
+        for event, times in charges.items():
+            self.add(event, times)
+        for region, times in traffic.items():
+            self.hit(region, times)
 
     def step(self) -> None:
         self.steps += 1
@@ -330,6 +316,14 @@ def _entry_guard(items: list, term: str) -> tuple[int, int]:
     return needs, grow
 
 
+def _local(item) -> int | None:
+    """The local a load or store of a local names; None for other ops."""
+    op = item.instruction.op
+    if op in (Op.LLB, Op.SLB):
+        return item.instruction.operand
+    return T.LOCAL_LOAD.get(op, T.LOCAL_STORE.get(op))
+
+
 def _inline_prefix(spec: BlockSpec, ctx: CompilerContext, meta) -> tuple[list, int | None]:
     """The items of *spec* that compile inline, and the pc of the first
     one that must deopt instead (None: the whole run compiles)."""
@@ -337,20 +331,11 @@ def _inline_prefix(spec: BlockSpec, ctx: CompilerContext, meta) -> tuple[list, i
     for item in spec.items:
         op = item.instruction.op
         abs_pc = spec.start + (item.offset - spec.items[0].offset)
-        if ctx.banked and (
-            op in T.LOCAL_LOAD
-            or op in T.LOCAL_STORE
-            or op in (Op.LLB, Op.SLB)
-        ):
-            local = T.LOCAL_LOAD.get(op)
-            if local is None:
-                local = T.LOCAL_STORE.get(op)
-            if local is None:
-                local = item.instruction.operand
-            if local >= ctx.bank_words:
-                # Falls to the memory path (possibly materializing a
-                # deferred frame): data-dependent, interpreter's job.
-                return emitted, abs_pc
+        local = _local(item)
+        if ctx.banked and local is not None and local >= ctx.bank_words:
+            # Falls to the memory path (possibly materializing a
+            # deferred frame): data-dependent, interpreter's job.
+            return emitted, abs_pc
         if op in (Op.LG, Op.SG):
             word = 3 + item.instruction.operand  # GF_HEADER_WORDS
             if _gf_static_region(ctx, meta.module, word) is None:
@@ -361,27 +346,39 @@ def _inline_prefix(spec: BlockSpec, ctx: CompilerContext, meta) -> tuple[list, i
     return emitted, None
 
 
-@dataclass
 class _Frame:
-    """Where one activation's locals and globals are while a block runs.
+    """Where an activation's locals and globals are while a block runs it.
 
-    A block's own frame is the running one (``_fa``, ``_gf``, and on a
-    banked machine its Lbank ``_bk``) and its stores write through.  A
-    frame a superblock folds holds a free block's address and a constant
-    gf, and its stores land in *words*, the superblock's deferred
-    writes: a later load of the same word reads the held value, and the
-    superblock writes each word once before it exits.  On a banked
-    machine a folded frame's *address* names its bank instead: its
-    stores write the bank's words in place, and *words* holds them for
-    later loads.
+    A block's own frame is the running one: its locals are at ``_fa``,
+    or on a banked machine in its Lbank's words (``_bw``), its stores
+    write through, and its *gf* is ``_gf`` or the constant a superblock
+    guards.  A frame a superblock folds is its nest's
+    (:mod:`repro.jit.calls`), which holds the frame's locals its own way
+    behind the same :meth:`load` and :meth:`store`.
     """
 
-    meta: object
-    address: str
-    gf: str
-    words: dict | None = None
-    #: The CB register's value while the frame runs (folded frames).
-    cb: int = -1
+    address = "_fa"
+
+    def __init__(self, meta, gf: str, banked: bool, cb: int = -1) -> None:
+        self.meta = meta
+        self.gf = gf
+        self.banked = banked
+        #: The CB register's value while the frame runs, where known.
+        self.cb = cb
+
+    def load(self, local: int, stack: _Stack, ind: str) -> str:
+        """The value of *local*, read at this program point."""
+        if self.banked:
+            return stack.local(ind, f"_bw[{local}]")
+        return stack.local(ind, f"_W[_fa + {3 + local}]")
+
+    def store(self, local: int, value: str, stack: _Stack, ind: str) -> None:
+        """Store *value* in *local*."""
+        if self.banked:
+            stack.body.append(f"{ind}_bw[{local}] = {value}")
+            stack.body.append(f"{ind}_bk.dirty.add({local})")
+        else:
+            stack.body.append(f"{ind}_W[_fa + {3 + local}] = {value}")
 
 
 def _make_site(spec: BlockSpec, ctx: CompilerContext, machine, meta):
@@ -426,67 +423,127 @@ def _stack_guard(needs: int, grow: int, depth: int, ind: str, fail: list[str]) -
     return lines + fail
 
 
-def gen_block(
-    spec: BlockSpec,
-    index: int,
-    ctx: CompilerContext,
-    ns: dict,
-    machine,
-    meta,
-    site=None,
-) -> tuple[str, list[str], int]:
-    """Generate one block function; returns (name, source lines, n_steps).
+class _Unfoldable(Exception):
+    """Raised by a superblock's nest that no entry could pass: the
+    superblock is not built."""
 
-    ``n_steps`` is the maximum number of modelled steps the block can
-    commit — the engine compares it against the step ceiling before
-    entering the block.  *site* is the CallSite of a terminating call.
+
+class _Nest:
+    """The frames a block function runs and the guards it enters by, as
+    :func:`gen_block` asks for them.
+
+    This one is a plain block's: it binds its own frame from the
+    registers, and a refused guard deopts at the block's start.  A
+    superblock's nest (:meth:`repro.jit.calls.Fold.nest`) also folds each
+    spliced call's frame, and holds those frames, their guards and their
+    refusals itself: ``call(site, cell, frame, stack, w, ind)`` returns
+    the callee's frame and the call's lines, ``ret(frame, w, ind)`` the
+    return's, each counting its charges in *w*.  :meth:`exit_lines` may
+    raise :class:`_Unfoldable`; every guard runs before any charge or
+    mutation, and a refused one runs :meth:`fallback`.
     """
-    name = f"_b{spec.start}"
-    w = _Charges(ctx)
+
+    prefix = "_b"
+
+    def __init__(self, ctx: CompilerContext, top: _Frame, start: int = -1) -> None:
+        self.ctx = ctx
+        #: The block's own frame, which runs first and last.
+        self.top = top
+        self.start = start
+
+    def fallback(self, ind: str) -> list[str]:
+        return [f"{ind}    m.pc = {self.start}", f"{ind}    return -2"]
+
+    def guard_lines(self, needs: int, grow: int, ind: str) -> list[str]:
+        return _stack_guard(needs, grow, self.ctx.depth, ind, self.fallback(ind))
+
+    def entry_lines(self, items: list, ind: str) -> list[str]:
+        """Bind the registers the block's *items* read."""
+        lines = []
+        if any(_local(item) is not None for item in items):
+            if self.ctx.banked:
+                lines.append(f"{ind}_bk = _BKS.lbank")
+                lines.append(f"{ind}if _bk is None or _bk.frame is not m.frame:")
+                lines += self.fallback(ind)
+                lines.append(f"{ind}_bw = _bk.words")
+            else:
+                lines.append(f"{ind}_fa = m.frame.address")
+        if any(item.instruction.op in (Op.LG, Op.SG, Op.LGA) for item in items):
+            lines.append(f"{ind}_gf = m.gf")
+        return lines
+
+    def memory_lines(self, ind: str) -> list[str]:
+        """What must reach memory before an RD or WR."""
+        return []
+
+    def exit_lines(self, ind: str) -> list[str]:
+        """The nest's net effects, written before the exit."""
+        return []
+
+
+def gen_block(
+    parts: list, ctx: CompilerContext, ns: dict, machine, tag, nest: _Nest | None = None
+) -> tuple[str, list[str], int] | None:
+    """Generate one block function over *parts*; returns (name, source
+    lines, n_steps), or None when *nest* refuses the superblock.
+
+    A plain block is one part, a run ``(spec, meta, site)`` (*site* is
+    the CallSite of a terminating call), under a plain :class:`_Nest`;
+    where its inline prefix stops short, it deopts there.  A superblock
+    carries on through each spliced call (:class:`_Splice`), its callee's
+    body and the caller's continuation under *nest*, which renders their
+    transitions: the templates, :class:`_Stack` and :class:`_Charges`
+    run on across them, and the one exit counts them all.  Every guard
+    runs first.  ``n_steps`` is the most modelled steps the function can
+    commit — the engine compares it against the step ceiling before
+    entering it.  The terminator's names are bound in *ns* under *tag*.
+    """
+    spec, meta, site = parts[0]
+    if nest is None:
+        nest = _Nest(ctx, _Frame(meta, "_gf", ctx.banked), spec.start)
     ind = "    "
-    emitted, deopt_at = _inline_prefix(spec, ctx, meta)
-    term = spec.term if deopt_at is None else "deopt"
-
-    # -- prologue -------------------------------------------------------
-    needs, grow = _entry_guard(emitted, term)
-    ops = [item.instruction.op for item in emitted]
-    uses_local = any(
-        op in T.LOCAL_LOAD or op in T.LOCAL_STORE or op in (Op.LLB, Op.SLB)
-        for op in ops
-    )
-    uses_gf = any(op in (Op.LG, Op.SG, Op.LGA) for op in ops)
-
-    body = [f"def {name}(m):"]
-    body += _stack_guard(
-        needs, grow, ctx.depth, ind, [f"{ind}    m.pc = {spec.start}", f"{ind}    return -2"]
-    )
-    if uses_local:
-        if ctx.banked:
-            body.append(f"{ind}_bk = _BKS.lbank")
-            body.append(f"{ind}if _bk is None or _bk.frame is not m.frame:")
-            body.append(f"{ind}    m.pc = {spec.start}")
-            body.append(f"{ind}    return -2")
-            body.append(f"{ind}_bw = _bk.words")
-        else:
-            body.append(f"{ind}_fa = m.frame.address")
-    if uses_gf:
-        body.append(f"{ind}_gf = m.gf")
-    if Op.OUT in ops:
-        body.append(f"{ind}_o = m.output")
-
-    # -- inline run -----------------------------------------------------
+    w = _Charges(ctx)
+    body: list[str] = []
     stack = _Stack(body)
-    frame = _Frame(meta, "_fa", "_gf")
-    for item in emitted:
-        _emit_op(item, spec, ctx, frame, w, stack, ind)
+    items: list = []
+    deopt_at = None
 
-    # -- terminator -----------------------------------------------------
-    if term == "deopt":
-        body.extend(_deopt_lines(stack.flush_lines(ind), w, ind, deopt_at))
+    def run(parts: list, frame: _Frame) -> None:
+        nonlocal deopt_at
+        for part in parts:
+            if isinstance(part, _Splice):
+                callee, lines = nest.call(part.site, part.cell, frame, stack, w, ind)
+                body.extend(lines)
+                run(part.body, callee)
+                body.extend(nest.ret(callee, w, ind))
+                continue
+            spec, meta, _site = part
+            emitted, deopt_at = _inline_prefix(spec, ctx, meta)
+            for item in emitted:
+                if item.instruction.op in (Op.RD, Op.WR):
+                    body.extend(nest.memory_lines(ind))
+                _emit_op(item, spec, ctx, frame, w, stack, ind)
+            items.extend(emitted)
+
+    try:
+        run(parts, nest.top)
+        body.extend(nest.exit_lines(ind))
+    except _Unfoldable:
+        return None
+    last, _meta, site = parts[-1]
+    if deopt_at is None:
+        term = last.term
+        body.extend(_terminator(last, site, tag, ctx, ns, machine, w, stack, ind))
     else:
-        body.extend(_terminator(spec, site, index, ctx, ns, machine, w, stack, ind))
-    body.append("")
-    return name, body, w.steps
+        term = "deopt"
+        body.extend(_deopt_lines(stack.flush_lines(ind), w, ind, deopt_at))
+    name = f"{nest.prefix}{spec.start}"
+    head = [f"def {name}(m):"]
+    head += nest.guard_lines(*_entry_guard(items, term), ind)
+    head += nest.entry_lines(items, ind)
+    if any(item.instruction.op is Op.OUT for item in items):
+        head.append(f"{ind}_o = m.output")
+    return name, head + body + [""], w.steps
 
 
 def _terminator(spec, site, tag, ctx, ns, machine, w: _Charges, stack: _Stack, ind: str):
@@ -617,16 +674,17 @@ class _Planner:
 
     def top(self, start: int, gf: int) -> list:
         """The parts of the superblock at *start* under *gf*: runs
-        ``(spec, meta)`` and splices, ending at a run whose terminator is
-        the superblock's own."""
-        spec, meta, site = self._entry(start)
-        parts: list = [(spec, meta)]
+        ``(spec, meta, site)`` and splices, ending at a run whose
+        terminator is the superblock's own."""
+        part = self._entry(start)
+        spec, meta, site = part
+        parts: list = [part]
         if _inline_prefix(spec, self.ctx, meta)[1] is not None:
             return parts  # the block deopts before its call
         steps = _spec_steps(spec)
         active = (meta.entry_address + 1,)
         while spec.term == "tail" and spec.term_item.instruction.op in CALL_OPS:
-            splice = self._splice(site, gf, active, SUPERBLOCK_STEPS - steps)
+            splice = self._splice(site, gf, None, active, SUPERBLOCK_STEPS - steps)
             if splice is None:
                 break
             following = self._entry(spec.next_abs)
@@ -638,24 +696,24 @@ class _Planner:
             if steps + cost > SUPERBLOCK_STEPS:
                 break
             spec, meta, site = following
-            parts += [splice, (spec, meta)]
+            parts += [splice, following]
             steps += cost
         return parts
 
-    def _splice(self, site, gf: int, active: tuple, budget: int) -> _Splice | None:
-        """The splice of *site*'s call under caller *gf*, or None: the
-        site is polymorphic or unseeded there, the callee is recursive,
-        or its body is not straight-line up to its RET within *budget*."""
+    def _splice(self, site, gf: int, caller, active: tuple, budget: int) -> _Splice | None:
+        """The splice of *site*'s call under caller *gf*, made in the body
+        of the spliced *caller* cell (None: in the superblock's own
+        frame), or None: the site is polymorphic or unseeded there, the
+        fold refuses the cell, the callee is recursive, or its body is not
+        straight-line up to its RET within *budget*."""
         if site is None or not site.monomorphic:
             return None
         cell = site.cells.get(gf)
-        if cell is None or not self.ctx.fold.splices(cell):
+        if cell is None or not self.ctx.fold.splices(site, cell, caller):
             return None
         entry = cell.first_instruction
         if entry in active:
             return None
-        if not self.ctx.fold.rstack and cell.cb_final < 0:
-            return None  # the saved PC and the return would read CB
         active = active + (entry,)
         body: list = []
         steps = 0
@@ -667,45 +725,18 @@ class _Planner:
             spec, meta, inner = found
             if not _splice_ok(spec, meta, self.ctx, callee=True):
                 return None
-            body.append((spec, meta))
+            body.append(found)
             steps += _spec_steps(spec)
             if steps > budget:
                 return None
             if spec.term_item.instruction.op is Op.RET:
                 return _Splice(site, cell, body, steps)
-            if inner is not None and inner.lfc and cell.cb_final < 0:
-                return None  # the LFC prologue would fetch CB
-            nested = self._splice(inner, cell.gf_address, active, budget - steps)
+            nested = self._splice(inner, cell.gf_address, cell, active, budget - steps)
             if nested is None:
                 return None
             body.append(nested)
             steps += nested.steps
             start = spec.next_abs
-
-
-class _Unfoldable(Exception):
-    """Two spliced frames of one global frame assume different CBs."""
-
-
-@dataclass
-class _FoldRecord:
-    """What a superblock's spliced pairs need, collected as it is
-    emitted, for :class:`repro.jit.calls.Fold`'s entry guard and exit."""
-
-    gf: int
-    code_base: int
-    #: gf -> the CB each spliced general return reads from it.
-    code_bases: dict
-    #: (list key, index) -> the needs of the frames taken there.
-    frames: dict
-    #: (site, cell, key, index) per call, (None, None, key, index) per
-    #: return, in program order.
-    transitions: list
-    depth: int = 0
-    top_lfc: bool = False
-    #: On a banked machine, the nest's bank plan
-    #: (:class:`repro.jit.calls._BankPlan`).
-    banks: object | None = None
 
 
 def plan_superblock(start: int, gf: int, ctx: CompilerContext) -> tuple[list, set]:
@@ -716,158 +747,12 @@ def plan_superblock(start: int, gf: int, ctx: CompilerContext) -> tuple[list, se
     return parts, planner.consulted
 
 
-def gen_superblock(
-    parts: list, gf: int, ctx: CompilerContext, ns: dict, machine
-) -> tuple[str, list[str], int] | None:
-    """Generate a superblock: the block of ``parts[0]``, each spliced
-    call's callee and the caller's continuation, as one function.
-
-    Every guard runs first; a refused one tail-calls ``_fb``, the
-    unspliced block, bound in *ns*.  The spliced transitions count in
-    the exit's one vector, the folded frames' words are written once
-    before the exit (:class:`_Frame`), and the fold's net effects follow
-    them (:meth:`repro.jit.calls.Fold.exit_lines`).  None when no entry
-    could pass the guard: two spliced frames of one global frame would
-    assume different CBs, no free block holds the frames one depth
-    takes, the nest is deeper than the return stack, or its banks would
-    spill a spliced frame or spill without dirty tracking.
-    """
-    fold = ctx.fold
-    top_spec, top_meta = parts[0]
-    last_spec = parts[-1][0]
-    name = f"_sb{top_spec.start}"
-    ind = "    "
-    w = _Charges(ctx)
-    code_base = machine.image.by_gf[gf].code_base
-    record = _FoldRecord(gf, code_base, {}, {}, [], banks=fold.bank_plan(top_meta))
-    banks = record.banks
-    words: dict = {}
-    body: list[str] = []
-    stack = _Stack(body)
-    items: list = []
-    live: dict = {}
-
-    def run(parts: list, frame: _Frame, depth: int) -> None:
-        for part in parts:
-            if isinstance(part, tuple):
-                spec, _meta = part
-                for item in spec.items:
-                    if item.instruction.op in (Op.RD, Op.WR) and words:
-                        body.extend(_word_lines(words, ind))
-                        words.clear()
-                    _emit_op(item, spec, ctx, frame, w, stack, ind)
-                items.extend(spec.items)
-                continue
-            site, cell = part.site, part.cell
-            w.step()  # the call
-            for event, times in cell.charges.items():
-                w.add(event, times)
-            for region, times in cell.traffic.items():
-                w.hit(region, times)
-            record.depth = max(record.depth, depth + 1)
-            if frame.words is None:
-                record.top_lfc = record.top_lfc or site.lfc
-            elif not fold.rstack:
-                _assume_code_base(record, int(frame.gf), frame.cb)
-            if banks is None:
-                key = fold.allocator.fold_key(cell)
-                index = live.get(key, 0)
-                live[key] = index + 1
-                record.frames.setdefault((key, index), set()).add(cell.need)
-                callee = _Frame(
-                    cell.meta, fold.frame_var(key, index), str(cell.gf_address), words,
-                    cell.cb_final,
-                )
-                for address, word, value in fold.call_writes(
-                    site, cell, frame.address, callee.address, frame.cb
-                ):
-                    words[address, word] = value
-            else:
-                key = index = None
-                bank, lines = banks.call(cell, stack, w, ind)
-                body.extend(lines)
-                callee = _Frame(
-                    cell.meta, bank, str(cell.gf_address), banks.held, cell.cb_final
-                )
-            record.transitions.append((site, cell, key, index))
-            run(part.body, callee, depth + 1)
-            w.step()  # the RET
-            for event, times in fold.ret_charges.items():
-                w.add(event, times)
-            for region, times in fold.ret_traffic.items():
-                w.hit(region, times)
-            record.transitions.append((None, None, key, index))
-            if banks is None:
-                live[key] = index
-            else:
-                body.extend(banks.ret(w, ctx.frames_name, ind))
-
-    top = _Frame(top_meta, "_fa", str(gf), None, code_base)
-    try:
-        run(parts, top, 0)
-        if not fold.rstack:
-            _assume_code_base(record, gf, code_base)
-    except _Unfoldable:
-        return None
-    if banks is None and not all(map(fold.allocator.fold_fits, record.frames.values())):
-        return None  # first-fit: frames at one depth too unlike for one block
-    if fold.rstack and record.depth > machine.rstack.depth:
-        return None  # the nest never has room on the return stack
-    body.extend(_word_lines(words, ind))
-    body.extend(fold.exit_lines(record, ind))
-    body.extend(
-        _terminator(last_spec, ctx.specs[last_spec.start][2], "", ctx, ns, machine, w, stack, ind)
-    )
-
-    fallback = [f"{ind}    _ES.entry_fallbacks += 1", f"{ind}    return _fb(m)"]
-    head = [f"def {name}(m):"]
-    if banks is not None and banks.entry_depth is not None:
-        # RENAME takes the whole stack as a record: the entry depth is
-        # exact, and a verified path cannot underflow or overflow it.
-        head += [f"{ind}st = _ST._slots", f"{ind}if len(st) != {banks.entry_depth}:"]
-        head += fallback
-    else:
-        needs, grow = _entry_guard(items, last_spec.term)
-        head += _stack_guard(needs, grow, ctx.depth, ind, fallback)
-    head += fold.entry_lines(record, fallback, ind)
-    if any(item.instruction.op is Op.OUT for item in items):
-        head.append(f"{ind}_o = m.output")
-    return name, head + body + [""], w.steps
-
-
-def _assume_code_base(record: _FoldRecord, gf: int, cb: int) -> None:
-    """Guard that a general return into a frame of *gf* reads *cb*."""
-    if record.code_bases.setdefault(gf, cb) != cb:
-        raise _Unfoldable
-
-
-def _word_lines(words: dict, ind: str) -> list[str]:
-    """Write the folded frames' deferred words."""
-    return [f"{ind}_W[{address} + {word}] = {value}" for (address, word), value in words.items()]
-
-
 def _tail_excepts(ind: str, returning: bool) -> list[str]:
     """The run loop's four-clause fault net around a tail handler."""
-    out = [
-        f"{ind}except _TT:",
-        f"{ind}    return -1" if returning else f"{ind}    pass",
-        f"{ind}except _ESO as _f:",
-        f"{ind}    m._surface_trap(_K_SO, str(_f))",
-    ]
-    if returning:
-        out.append(f"{ind}    return -1")
-    out += [
-        f"{ind}except _HE as _f:",
-        f"{ind}    m._surface_trap(_K_RE, str(_f))",
-    ]
-    if returning:
-        out.append(f"{ind}    return -1")
-    out += [
-        f"{ind}except _AMF as _f:",
-        f"{ind}    m._surface_trap(_K_SF, str(_f))",
-    ]
-    if returning:
-        out.append(f"{ind}    return -1")
+    after = [f"{ind}    return -1"] if returning else []
+    out = [f"{ind}except _TT:", f"{ind}    return -1" if returning else f"{ind}    pass"]
+    for error, kind in (("_ESO", "_K_SO"), ("_HE", "_K_RE"), ("_AMF", "_K_SF")):
+        out += [f"{ind}except {error} as _f:", f"{ind}    m._surface_trap({kind}, str(_f))", *after]
     return out
 
 
@@ -895,50 +780,24 @@ def _emit_op(item, spec, ctx, frame: _Frame, w: _Charges, stack: _Stack, ind: st
         return
 
     if op in T.LOCAL_LOAD or op is Op.LLB:
-        local = T.LOCAL_LOAD.get(op, operand)
         w.step()
+        w.add(Event.REGISTER_WRITE)
         if ctx.banked:
             w.add(Event.REGISTER_READ)
-            w.add(Event.REGISTER_WRITE)
-            if frame.words is None:
-                stack.push(stack.local(ind, f"_bw[{local}]"))
-            else:
-                held = frame.words.get((frame.address, local))
-                if held is None:
-                    held = stack.local(ind, f"{frame.address}.words[{local}]")
-                stack.push(held)
         else:
             w.add(Event.MEMORY_READ)
-            w.add(Event.REGISTER_WRITE)
             w.hit(ctx.frames_name)
-            held = frame.words.get((frame.address, 3 + local)) if frame.words else None
-            if held is None:
-                held = stack.local(ind, f"_W[{frame.address} + {3 + local}]")
-            stack.push(held)
+        stack.push(frame.load(_local(item), stack, ind))
         return
     if op in T.LOCAL_STORE or op is Op.SLB:
-        local = T.LOCAL_STORE.get(op, operand)
         w.step()
         w.add(Event.REGISTER_READ)
-        value = stack.pop(ind)
         if ctx.banked:
             w.add(Event.REGISTER_WRITE)
-            if frame.words is None:
-                body.append(f"{ind}_bw[{local}] = {value}")
-                body.append(f"{ind}_bk.dirty.add({local})")
-            else:
-                # A folded frame's bank is freed before the exit, so its
-                # dirty set is never read.
-                value = stack.held(ind, value)
-                frame.words[frame.address, local] = value
-                body.append(f"{ind}{frame.address}.words[{local}] = {value}")
         else:
             w.add(Event.MEMORY_WRITE)
             w.hit(ctx.frames_name)
-            if frame.words is None:
-                body.append(f"{ind}_W[{frame.address} + {3 + local}] = {value}")
-            else:
-                frame.words[frame.address, 3 + local] = stack.held(ind, value)
+        frame.store(_local(item), stack.pop(ind), stack, ind)
         return
 
     if op is Op.LG:
@@ -1100,10 +959,10 @@ def compile_procedure(
     steps: dict[int, int] = {}
     names: dict[int, str] = {}
     for index, spec in enumerate(specs):
-        site = _make_site(spec, ctx, machine, meta)
+        part = (spec, meta, _make_site(spec, ctx, machine, meta))
         if ctx.specs is not None:
-            ctx.specs[spec.start] = (spec, meta, site)
-        name, block_lines, n_steps = gen_block(spec, index, ctx, ns, machine, meta, site)
+            ctx.specs[spec.start] = part
+        name, block_lines, n_steps = gen_block([part], ctx, ns, machine, index)
         lines.extend(block_lines)
         steps[spec.start] = n_steps
         names[spec.start] = name

@@ -14,9 +14,11 @@ at every observable boundary.
 
 Seeding a call cell rebuilds the cell's block as a superblock when its
 callee is straight-line code up to its ``RET``
-(:meth:`JitEngine._splice`), and each block whose plan read a block
-that changed is planned again, so callees splice into their callers
-bottom-up.
+(:meth:`JitEngine._splice`): the generator that emits every block,
+:func:`~repro.jit.compile.gen_block`, runs over the plan under the nest
+the cells' :class:`~repro.jit.calls.Fold` hands out, which may refuse
+it.  Each block whose plan read a block that changed is planned again,
+so callees splice into their callers bottom-up.
 
 Compiled code counts its exits rather than charging them: each
 distinct static charge vector (events, cycles, region traffic) has one
@@ -46,12 +48,7 @@ from repro.machine.memory import MDS_WORDS
 from repro.jit import templates as T
 from repro.jit.calls import CallSite, make_cells
 from repro.jit.codecache import CodeCache
-from repro.jit.compile import (
-    CompilerContext,
-    compile_procedure,
-    gen_superblock,
-    plan_superblock,
-)
+from repro.jit.compile import CompilerContext, compile_procedure, gen_block, plan_superblock
 from repro.jit.deopt import EngineStats, JitRefusal
 
 
@@ -279,10 +276,10 @@ class JitEngine:
             if shape and shape != cache.shapes.get(start):
                 plain = cache.plain.setdefault(start, cache.blocks[start])
                 ns = dict(self._ns, _fb=plain[0], _ES=self.stats)
-                out = gen_superblock(parts, gf, ctx, ns, self.machine)
+                meta = parts[0][1]
+                out = gen_block(parts, ctx, ns, self.machine, "", ctx.fold.nest(gf, meta))
                 if out is not None:
                     name, lines, steps = out
-                    meta = parts[0][1]
                     exec(compile("\n".join(lines), f"<jit {meta.module}.{meta.name}>", "exec"), ns)
                     built = (ns[name], steps)
             cache.compile_seconds += time.perf_counter() - begin
