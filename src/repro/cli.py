@@ -482,6 +482,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         validate_chrome_trace,
     )
 
+    if args.capacity is not None and args.capacity < 1:
+        print(f"trace: --capacity must be at least 1, got {args.capacity}", file=sys.stderr)
+        return 2
     machine, recorder, _ = _traced_run(args, args.capacity, args.steps)
     events = list(recorder.events)
     if recorder.dropped:
@@ -523,23 +526,28 @@ def _profile_cluster(args: argparse.Namespace) -> int:
     """``profile --shards N``: split the program across a cluster and
     print the stitched cross-shard call tree (one span per Remote XFER,
     costed with the callee shard's modelled meters)."""
+    from repro.errors import RouteError
     from repro.net.cluster import Cluster
     from repro.net.stitch import render, stitch
 
     sources = _read_program_sources(args.files)
     _compile(sources, MachineConfig.preset(args.impl), args.entry, args.args)
     pins = dict(args.pin) if args.pin else None
-    cluster = Cluster(
-        sources,
-        shards=args.shards,
-        config=args.impl,
-        entry=args.entry,
-        pins=pins,
-        record=True,
-        # The recorder pins execution to the interpreter anyway, and a
-        # program with verifier findings must stay profilable.
-        engine="interp",
-    )
+    try:
+        cluster = Cluster(
+            sources,
+            shards=args.shards,
+            config=args.impl,
+            entry=args.entry,
+            pins=pins,
+            record=True,
+            # The recorder pins execution to the interpreter anyway, and a
+            # program with verifier findings must stay profilable.
+            engine="interp",
+        )
+    except RouteError as fault:  # a pin naming a shard outside --shards
+        print(f"profile: {fault}", file=sys.stderr)
+        return 2
     ticket = cluster.submit(args.entry[0], args.entry[1], *args.args)
     cluster.pump()
     print(f"results: {ticket.results}")
@@ -840,6 +848,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.serve import SERVICE_SOURCES, Request, Server, generate_workload
     from repro.net.transport import SocketTransport
 
+    # The library refuses these too, some only once the pool is built
+    # (and, with --processes, its workers forked).
+    knobs = [
+        ("--shards", args.shards),
+        ("--queue-capacity", args.queue_capacity),
+        ("--batch-size", args.batch_size),
+    ]
+    if args.autoscale:
+        knobs += [
+            ("--pump-ticks", args.pump_ticks),
+            ("--patience", args.patience),
+            ("--migration-budget", args.migration_budget),
+        ]
+    for flag, value in knobs:
+        if value < 1:
+            print(f"serve: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
+    if args.autoscale and args.high_water <= args.low_water:
+        print(
+            f"serve: --high-water ({args.high_water}) must exceed "
+            f"--low-water ({args.low_water})",
+            file=sys.stderr,
+        )
+        return 2
     if args.workload:
         doc = _read_document(args.workload)
         if doc.get("schema") != LOADGEN_SCHEMA:

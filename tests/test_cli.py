@@ -249,6 +249,71 @@ def test_a_json_input_that_is_not_an_object_exits_two_with_one_line(
     assert not (tmp_path / "unwritten.json").exists()
 
 
+#: Knobs out of range, as ``(arguments, the problem stderr names)``;
+#: PROGRAM stands for the two source files of the ``program`` fixture.
+_OUT_OF_RANGE = {
+    "serve-shards": (["serve", "--shards", "0"], "--shards must be at least 1, got 0"),
+    "serve-shards-processes": (
+        ["serve", "--processes", "--shards", "0"], "--shards must be at least 1, got 0"
+    ),
+    "serve-queue-capacity": (
+        ["serve", "--queue-capacity", "0"], "--queue-capacity must be at least 1, got 0"
+    ),
+    "serve-queue-capacity-processes": (
+        ["serve", "--processes", "--queue-capacity", "0"],
+        "--queue-capacity must be at least 1, got 0",
+    ),
+    "serve-batch-size": (["serve", "--batch-size", "0"], "--batch-size must be at least 1, got 0"),
+    "serve-batch-size-processes": (
+        ["serve", "--processes", "--batch-size", "0"], "--batch-size must be at least 1, got 0"
+    ),
+    "serve-water": (
+        ["serve", "--autoscale", "--high-water", "1", "--low-water", "2"],
+        "--high-water (1) must exceed --low-water (2)",
+    ),
+    "serve-patience": (
+        ["serve", "--autoscale", "--patience", "0"], "--patience must be at least 1, got 0"
+    ),
+    "serve-migration-budget": (
+        ["serve", "--autoscale", "--migration-budget", "0"],
+        "--migration-budget must be at least 1, got 0",
+    ),
+    "serve-pump-ticks": (
+        ["serve", "--autoscale", "--pump-ticks", "0"], "--pump-ticks must be at least 1, got 0"
+    ),
+    "trace-capacity-zero": (
+        ["trace", "PROGRAM", "--capacity", "0"], "--capacity must be at least 1, got 0"
+    ),
+    "trace-capacity-negative": (
+        ["trace", "PROGRAM", "--capacity", "-5"], "--capacity must be at least 1, got -5"
+    ),
+    "profile-pin": (
+        ["profile", "PROGRAM", "--shards", "2", "--pin", "Main=5"],
+        "module 'Main' pinned to unknown shard 5",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, problem", _OUT_OF_RANGE.values(), ids=_OUT_OF_RANGE.keys()
+)
+def test_a_knob_out_of_range_exits_two_with_one_line(
+    program, capsys, monkeypatch, command, problem
+):
+    """Refused before any pool is built or worker forked."""
+    import os
+
+    def forbidden():
+        raise AssertionError("forked a worker")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    argv = [word for arg in command for word in (program if arg == "PROGRAM" else [arg])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command[0]}: {problem}\n"
+
+
 def test_python_file_without_sources_exits_two(capsys, tmp_path):
     host = tmp_path / "plain.py"
     host.write_text("x = 1\n")
