@@ -6,9 +6,8 @@ budget, not an afterthought:
 
 * **disabled** — the default: ``machine.tracer is None``, so every hook
   is one attribute load and an ``is None`` test.  The budget for this
-  mode is **≤2%** of wall clock against the pre-instrumentation
-  interpreter (reference constants below, measured on the same
-  container just before the hooks landed).
+  mode, **≤2%** of the host's opcodes, is checked as a count by
+  tests/test_obs_opcode_budget.py.
 * **recorder** — a bounded :class:`~repro.obs.tracer.TraceRecorder`
   attached: every mechanism event is materialized and appended to the
   ring.
@@ -73,22 +72,6 @@ END.
 """
 
 PRESETS = ("i1", "i2", "i3", "i4")
-
-#: The tracing-disabled wall-clock budget: the hooks may cost at most
-#: this fraction of the pre-instrumentation interpreter's time.
-DISABLED_OVERHEAD_BUDGET = 0.02
-
-#: Interpreter throughput immediately before the observability hooks
-#: landed (fused loop + linkage cache, no tracer checks), measured on
-#: the reference container with iterations=500: steps per host second.
-#: Informational on other hosts — the within-run mode comparison below
-#: is host-independent.
-PRE_OBS_STEPS_PER_SECOND = {
-    "i1": 137_593,
-    "i2": 142_893,
-    "i3": 191_423,
-    "i4": 212_024,
-}
 
 MODES = ("disabled", "recorder", "recorder+metrics")
 
@@ -179,14 +162,6 @@ def json_payload(iterations: int = 500, repeats: int = 3) -> dict:
             "repeats": repeats,
         },
         "modes": list(MODES),
-        "disabled_overhead_budget": DISABLED_OVERHEAD_BUDGET,
-        "pre_obs_reference": {
-            "note": (
-                "interpreter just before the tracing hooks landed "
-                "(reference container, iterations=500)"
-            ),
-            "steps_per_second": PRE_OBS_STEPS_PER_SECOND,
-        },
         "presets": presets,
     }
     _PAYLOADS[key] = payload
@@ -228,9 +203,8 @@ def report() -> str:
         + "\n"
         + table
         + "\nmodelled cycles and memory references are bit-identical in all modes"
-        + f"\ntracing-disabled budget: hooks may cost at most "
-        f"{payload['disabled_overhead_budget']:.0%} vs the pre-instrumentation "
-        "interpreter (see pre_obs_reference in the JSON payload)"
+        + "\ntracing-disabled budget: the hooks run at most 2% of the host's "
+        "opcodes (tests/test_obs_opcode_budget.py)"
     )
 
 
