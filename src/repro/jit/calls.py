@@ -94,13 +94,6 @@ from repro.machine.costs import Event
 from repro.mesa.globalframe import GF_CODE_BASE
 
 
-_KINDS = {
-    Op.DFC: TransferKind.DIRECT_CALL,
-    Op.SDFC: TransferKind.SHORT_DIRECT_CALL,
-    Op.LFC: TransferKind.LOCAL_CALL,
-}
-
-
 class CallSite:
     """One compiled call site: its static shape plus seeded cells."""
 
@@ -130,7 +123,15 @@ class CallSite:
         #: Caller gfs whose calls the remote stub diverts: always generic.
         self.remote: set[int] = set()
         self.lfc = op is Op.LFC
-        self.kind = kind = _KINDS.get(op, TransferKind.EXTERNAL_CALL)
+        if op is Op.DFC:
+            kind = TransferKind.DIRECT_CALL
+        elif op is Op.SDFC:
+            kind = TransferKind.SHORT_DIRECT_CALL
+        elif op is Op.LFC:
+            kind = TransferKind.LOCAL_CALL
+        else:
+            kind = TransferKind.EXTERNAL_CALL
+        self.kind = kind
         self.fast = FetchStats.call_is_fast(kind)
         self.kind_event = (
             Event.FAST_TRANSFER if self.fast else Event.SLOW_TRANSFER
@@ -531,12 +532,10 @@ class _Allocator:
     need: Callable
     #: Further names the fragments use.
     names: dict
-    #: The fold's view of the free lists (:class:`Fold`): a frame that a
-    #: superblock allocates and frees comes off the head of its list and
-    #: goes back there, so the superblock only reads the list walk, as
-    #: an uncounted entry guard.  key(cell) names the cell's list;
-    #: ``first`` is the list's head block (``{key}``), ``next`` the block
-    #: after ``{block}``, and ``frame`` the frame a block holds.
+    #: The heap nest's list walk (:class:`_HeapNest`): key(cell) names
+    #: the cell's list; ``first`` is the list's head block (``{key}``),
+    #: ``next`` the block after ``{block}``, and ``frame`` the frame a
+    #: block holds.
     fold_key: Callable
     fold_first: str
     fold_next: str
@@ -753,8 +752,8 @@ class Fold:
         from the body of the spliced *caller* cell (None: from the
         superblock's own frame).  An LFC whose caller's CB is unknown
         would fetch it.  A bank defers every seeded callee; a heap must
-        fit its frame in its class, and without the return stack the
-        saved PC and the return read the callee's CB."""
+        fit its frame in its class, and without the return stack know the
+        callee's CB, which its saved PCs and general returns read."""
         if caller is not None and site.lfc and caller.cb_final < 0:
             return False
         if self.banks is not None:

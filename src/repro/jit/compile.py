@@ -407,22 +407,6 @@ def _make_site(spec: BlockSpec, ctx: CompilerContext, machine, meta):
     )
 
 
-def _stack_guard(needs: int, grow: int, depth: int, ind: str, fail: list[str]) -> list[str]:
-    """The entry check that the list holds the words a block reads and
-    has room for what it pushes."""
-    if needs <= 0 and grow <= 0:
-        return []
-    lines = [f"{ind}st = _ST._slots"]
-    if needs > 0 and grow > 0:
-        guard = f"not {needs} <= len(st) <= {depth - grow}"
-    elif needs > 0:
-        guard = f"len(st) < {needs}"
-    else:
-        guard = f"len(st) > {depth - grow}"
-    lines.append(f"{ind}if {guard}:")
-    return lines + fail
-
-
 class _Unfoldable(Exception):
     """Raised by a superblock's nest that no entry could pass: the
     superblock is not built."""
@@ -455,7 +439,18 @@ class _Nest:
         return [f"{ind}    m.pc = {self.start}", f"{ind}    return -2"]
 
     def guard_lines(self, needs: int, grow: int, ind: str) -> list[str]:
-        return _stack_guard(needs, grow, self.ctx.depth, ind, self.fallback(ind))
+        """The entry check that the list holds the *needs* words the
+        block reads and has room for the *grow* it pushes."""
+        if needs <= 0 and grow <= 0:
+            return []
+        room = self.ctx.depth - grow
+        if needs > 0 and grow > 0:
+            guard = f"not {needs} <= len(st) <= {room}"
+        elif needs > 0:
+            guard = f"len(st) < {needs}"
+        else:
+            guard = f"len(st) > {room}"
+        return [f"{ind}st = _ST._slots", f"{ind}if {guard}:"] + self.fallback(ind)
 
     def entry_lines(self, items: list, ind: str) -> list[str]:
         """Bind the registers the block's *items* read."""
