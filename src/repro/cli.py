@@ -1281,26 +1281,30 @@ def _optimize_placement(args: argparse.Namespace) -> int:
     caller/callee module pairs (``repro serve --pins FILE`` loads the
     result).
     """
+    from repro.errors import NetError
     from repro.net.colocate import plan_pins
     from repro.net.serve import run_serve
     from repro.net.stitch import stitch
 
-    report, cluster, _ = run_serve(
-        shards=args.shards,
-        requests=args.requests,
-        seed=args.seed,
-        config=args.impl,
-        record=True,
-    )
-    if report.lost or report.wrong:
-        print(
-            f"optimize: profiling run lost {report.lost} / answered "
-            f"{report.wrong} wrong — refusing to plan from it",
-            file=sys.stderr,
+    try:
+        report, cluster, _ = run_serve(
+            shards=args.shards,
+            requests=args.requests,
+            seed=args.seed,
+            config=args.impl,
+            record=True,
         )
+        if report.lost or report.wrong:
+            print(
+                f"optimize: profiling run lost {report.lost} / answered "
+                f"{report.wrong} wrong — refusing to plan from it",
+                file=sys.stderr,
+            )
+            return 2
+        plan = plan_pins(stitch(cluster.trace_events()), args.shards)
+    except NetError as fault:  # no shards, or a run with no spans to plan from
+        print(f"optimize: {fault}", file=sys.stderr)
         return 2
-    roots = stitch(cluster.trace_events())
-    plan = plan_pins(roots, args.shards)
     text = json.dumps(plan.to_dict(), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -291,6 +291,13 @@ _OUT_OF_RANGE = {
         ["profile", "PROGRAM", "--shards", "2", "--pin", "Main=5"],
         "module 'Main' pinned to unknown shard 5",
     ),
+    "optimize-placement-shards": (
+        ["optimize", "--placement", "--shards", "0"], "a cluster needs at least one shard, got 0"
+    ),
+    "optimize-placement-requests": (
+        ["optimize", "--placement", "--requests", "0"],
+        "no spans to plan from (was the run recorded?)",
+    ),
 }
 
 
