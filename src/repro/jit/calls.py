@@ -963,7 +963,10 @@ class _HeapNest(_Spliced):
 
     def memory_lines(self, ind: str) -> list[str]:
         """Write the deferred words."""
-        lines = [f"{ind}_W[{address} + {word}] = {value}" for (address, word), value in self.words.items()]
+        lines = [
+            f"{ind}_W[{address} + {word}] = {value}"
+            for (address, word), value in self.words.items()
+        ]
         self.words.clear()
         return lines
 
@@ -1225,7 +1228,8 @@ class _BankNest(_Spliced):
             return super().guard_lines(needs, grow, ind)
         # RENAME takes the whole stack as a record: the entry depth is
         # exact, and a verified path cannot underflow or overflow it.
-        return [f"{ind}st = _ST._slots", f"{ind}if len(st) != {self.entry_depth}:"] + self.fallback(ind)
+        guard = [f"{ind}st = _ST._slots", f"{ind}if len(st) != {self.entry_depth}:"]
+        return guard + self.fallback(ind)
 
     def _refused(self) -> list[str]:
         # The call cells' guards, once for the nest; a spill or a fill
