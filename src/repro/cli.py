@@ -129,6 +129,13 @@ def _pin(text: str) -> tuple[str, int]:
         ) from None
 
 
+def _check_counts(*knobs: tuple[str, int]) -> None:
+    """Refuse a count flag below 1, before anything is built."""
+    for flag, value in knobs:
+        if value < 1:
+            raise _BadInput(f"{flag} must be at least 1, got {value}")
+
+
 def _check_entry(
     modules: list, entry: tuple[str, str], entry_args: list[int] | None
 ) -> None:
@@ -177,7 +184,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.facts and args.engine != "jit":
         print("run: --facts requires --engine jit", file=sys.stderr)
         return 2
-    hot_order = None
     if args.image:
         from repro.fdo import FdoRefusal, load_image_document
 
@@ -197,7 +203,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.entry = (module, proc)
         modules = [linked.module for linked in machine.image.instances.values()]
         _check_entry(modules, args.entry, args.args)
-        hot_order = doc.get("log", {}).get("block_order") or None
     else:
         if not args.files:
             print("run: give source files or --image", file=sys.stderr)
@@ -211,7 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.facts:
             facts = _read_document(args.facts)
         try:
-            install_jit(machine, facts, hot_order=hot_order)
+            install_jit(machine, facts)
         except JitRefusal as refusal:
             print(f"run: jit refused: {refusal}", file=sys.stderr)
             return 2
@@ -482,9 +487,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         validate_chrome_trace,
     )
 
-    if args.capacity is not None and args.capacity < 1:
-        print(f"trace: --capacity must be at least 1, got {args.capacity}", file=sys.stderr)
-        return 2
+    if args.capacity is not None:
+        _check_counts(("--capacity", args.capacity))
     machine, recorder, _ = _traced_run(args, args.capacity, args.steps)
     events = list(recorder.events)
     if recorder.dropped:
@@ -584,6 +588,7 @@ def _profile_cluster(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import aggregate, build_call_tree
 
+    _check_counts(("--top", args.top), ("--shards", args.shards))
     if (args.json or args.out) and args.shards > 1:
         print(
             "profile: --json/--out summarize one machine's run; they do "
@@ -784,6 +789,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     """Generate a seeded serving workload with host-computed answers."""
     from repro.net.serve import generate_workload
 
+    _check_counts(("--requests", args.requests))
     workload = generate_workload(args.seed, args.requests)
     doc = {
         "schema": LOADGEN_SCHEMA,
@@ -848,10 +854,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.serve import SERVICE_SOURCES, Request, Server, generate_workload
     from repro.net.transport import SocketTransport
 
-    # The library refuses these too, some only once the pool is built
-    # (and, with --processes, its workers forked).
+    # Refused before the pool is built (and, with --processes, its
+    # workers forked): the library refuses the pool knobs only then, and
+    # it would serve an empty workload.
     knobs = [
         ("--shards", args.shards),
+        ("--requests", args.requests),
         ("--queue-capacity", args.queue_capacity),
         ("--batch-size", args.batch_size),
     ]
@@ -861,10 +869,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             ("--patience", args.patience),
             ("--migration-budget", args.migration_budget),
         ]
-    for flag, value in knobs:
-        if value < 1:
-            print(f"serve: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return 2
+    _check_counts(*knobs)
     if args.autoscale and args.high_water <= args.low_water:
         print(
             f"serve: --high-water ({args.high_water}) must exceed "
@@ -1286,6 +1291,7 @@ def _optimize_placement(args: argparse.Namespace) -> int:
     from repro.net.serve import run_serve
     from repro.net.stitch import stitch
 
+    _check_counts(("--requests", args.requests))
     try:
         report, cluster, _ = run_serve(
             shards=args.shards,

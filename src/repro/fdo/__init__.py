@@ -14,7 +14,7 @@ turned into an image rewrite (:mod:`repro.fdo.decide`,
   frame-size histogram (the AV tuning question section 5.4 leaves open);
 * the allocator's replenish batch and I4's bank count are sized from
   the observed peaks and call-depth distribution;
-* a hot-procedure order is recorded for the JIT's compile queue.
+* a hot-procedure order is recorded in the log.
 
 Every rewrite is re-verified (``analyze_image``, which runs
 ``check_image`` once) and replay-validated against the profile's own run before it is emitted;

@@ -21,8 +21,8 @@ soundness (the facts):
   traps once, not ``ceil(peak/4)`` times.
 * **Bank count** (I4) — raised to cover the observed call-depth
   distribution so the register-bank stack stops spilling.
-* **Block order** — procedures by observed hotness, for the JIT's
-  compile queue.
+* **Block order** — procedures by observed hotness, recorded in the
+  log (the JIT compiles on first entry and takes no order).
 
 The plan is advisory: the rewriter re-verifies statically and replays
 the profile's run, dropping any frame/bank decision that fails to beat
@@ -84,7 +84,7 @@ class Plan:
     fsi_overrides: dict[tuple[str, str], int] = field(default_factory=dict)
     replenish_batch: int | None = None
     bank_count: int | None = None
-    #: Hot-first qualified procedure names for the JIT compile queue.
+    #: Hot-first qualified procedure names, recorded in the log.
     block_order: list[str] = field(default_factory=list)
     decisions: list[dict] = field(default_factory=list)
     refusals: list[dict] = field(default_factory=list)

@@ -9,6 +9,12 @@ activation counts, the live-frame peak of every AV size class, the
 call-depth histogram — plus the run's own results and meters, which the
 rewriter replays against as its no-regression guard.
 
+The document has two halves.  Edges, activations and allocator traps
+are flat counts of events, which need no order.  The depth histogram,
+the class peaks and ``structured`` depend on which return closes which
+call, so they are read off :func:`repro.obs.build_call_tree`, the one
+place a recorded run's returns are matched to its calls.
+
 ``image_hash`` pins the profile to the exact image it observed
 (:func:`repro.check.interproc.image_fingerprint`); the optimizer refuses
 stale profiles.
@@ -18,14 +24,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.obs import TraceRecorder
-from repro.obs.events import (
-    ALLOC_TRAP,
-    MACHINE_BEGIN,
-    XFER_CALL,
-    XFER_RETURN,
-    XFER_XFER,
-)
+from repro.obs import TraceRecorder, build_call_tree
+from repro.obs.events import ALLOC_TRAP, XFER_CALL
 
 #: Version tag of the profile document; bump on shape change.
 PROFILE_SCHEMA = "repro-profile/1"
@@ -58,16 +58,25 @@ def profile_document(
     entry: tuple[str, str],
     args: tuple[int, ...] = (),
 ) -> dict:
-    """Summarize a finished traced run into the versioned document."""
+    """Summarize a finished traced run into the versioned document.
+
+    *events* must be the whole stream from ``start()`` on: the root
+    activation, which ``machine.begin`` opens, counts at depth 1 and
+    toward its class peak.
+    """
     from repro.check.interproc import image_fingerprint
 
     edges: Counter[tuple[str, str, str]] = Counter()
     activations: Counter[str] = Counter()
-    depth_histogram: Counter[int] = Counter()
-    class_peaks: dict[int, int] = {}
-    class_live: Counter[int] = Counter()
     alloc_traps = 0
-    structured = True
+    for event in events:
+        if event.kind == XFER_CALL:
+            edges[
+                (event.data.get("source", ""), event.name, event.data.get("transfer", ""))
+            ] += 1
+            activations[event.name] += 1
+        elif event.kind == ALLOC_TRAP:
+            alloc_traps += 1
 
     fsi_of: dict[str, int] = {}
     frame_words_of: dict[str, int] = {}
@@ -76,44 +85,9 @@ def profile_document(
         fsi_of[name] = meta.fsi
         frame_words_of[name] = meta.frame_words
 
-    stack: list[str] = []
-    for event in events:
-        if event.kind == MACHINE_BEGIN:
-            # The root activation gets its frame from start(), not from a
-            # call transfer; put it on the shadow stack so the final
-            # return balances and its frame counts toward its class peak.
-            stack.append(event.name)
-            depth_histogram[len(stack)] += 1
-            fsi = fsi_of.get(event.name)
-            if fsi is not None:
-                class_live[fsi] += 1
-                class_peaks[fsi] = max(class_peaks.get(fsi, 0), class_live[fsi])
-        elif event.kind == XFER_CALL:
-            callee = event.name
-            source = event.data.get("source", "")
-            edges[(source, callee, event.data.get("transfer", ""))] += 1
-            activations[callee] += 1
-            stack.append(callee)
-            depth_histogram[len(stack)] += 1
-            fsi = fsi_of.get(callee)
-            if fsi is not None:
-                class_live[fsi] += 1
-                class_peaks[fsi] = max(class_peaks.get(fsi, 0), class_live[fsi])
-        elif event.kind == XFER_RETURN:
-            if stack and stack[-1] == event.name:
-                returned = stack.pop()
-                fsi = fsi_of.get(returned)
-                if fsi is not None and class_live[fsi] > 0:
-                    class_live[fsi] -= 1
-            else:
-                # A return that does not match the open call (XFER
-                # discipline broke the bracket structure): peak tracking
-                # is no longer exact, so mark the profile approximate.
-                structured = False
-        elif event.kind == XFER_XFER:
-            structured = False
-        elif event.kind == ALLOC_TRAP:
-            alloc_traps += 1
+    tree = build_call_tree(events)
+    depth_histogram = tree.depth_histogram()
+    class_peaks = tree.open_peaks(fsi_of.get)
 
     return {
         "schema": PROFILE_SCHEMA,
@@ -127,7 +101,7 @@ def profile_document(
             "cycles": machine.counter.cycles,
             "memory_references": machine.counter.memory_references,
         },
-        "structured": structured,
+        "structured": tree.structured,
         "edges": [
             {
                 "caller": caller,
@@ -146,7 +120,7 @@ def profile_document(
             for name, count in sorted(activations.items())
         },
         "depth": {
-            "max": max(depth_histogram) if depth_histogram else 0,
+            "max": max(depth_histogram),
             "histogram": {
                 str(depth): count
                 for depth, count in sorted(depth_histogram.items())

@@ -1,10 +1,9 @@
 """The JIT engine: compilation driver, block dispatch, deoptimization.
 
 ``install_jit(machine)`` verifies the image (:func:`verified_facts`) or
-validates a supplied ``repro-facts/1`` artifact against it, compiles
-the ``hot_order`` procedures, and installs itself on the machine; every
-other verified procedure compiles the first time execution reaches its
-body.
+validates a supplied ``repro-facts/1`` artifact against it, and
+installs itself on the machine, compiling nothing; each verified
+procedure compiles the first time execution reaches its body.
 ``Machine.run`` and the scheduler's time slices then delegate to
 :meth:`JitEngine.run_until` whenever the engine is *active* — no tracer
 attached — and the engine direct-threads compiled blocks, falling back
@@ -70,19 +69,9 @@ def verified_facts(image) -> dict:
 class JitEngine:
     """Compiled-block execution for one machine."""
 
-    def __init__(
-        self,
-        machine,
-        facts: dict | None = None,
-        hot_order: list[str] | None = None,
-    ) -> None:
+    def __init__(self, machine, facts: dict | None = None) -> None:
         self.machine = machine
         self.stats = EngineStats()
-        #: Hot-first qualified procedure names (a profile's block order,
-        #: e.g. from a repro-fdo/1 log): those procedures compile at
-        #: install, in this order, so the code cache's block dict is laid
-        #: out hottest-first; the rest compile on first entry.
-        self.hot_order = list(hot_order or ())
         image = machine.image
 
         if facts is not None:
@@ -174,8 +163,7 @@ class JitEngine:
 
     def _arm(self) -> None:
         """Arm the cache for the current code epoch: every verified
-        procedure's body start becomes pending, and the ``hot_order``
-        procedures compile now, hottest first."""
+        procedure's body start becomes pending."""
         cache = self.cache
         image = self.machine.image
         pending = cache.pending
@@ -189,15 +177,6 @@ class JitEngine:
                     pending[entry + 1] = (meta, len(procedure.body))
         cache.ready = True
         cache.procedures = 0
-        if self.hot_order:
-            starts = {
-                f"{meta.module}.{meta.name}": start
-                for start, (meta, _length) in pending.items()
-            }
-            for name in self.hot_order:
-                start = starts.get(name)
-                if start in pending:
-                    self._compile(start)
 
     def _compile(self, start: int) -> None:
         """Compile the pending procedure whose body starts at *start*.
@@ -416,7 +395,6 @@ class JitEngine:
         """Cache + engine counters for benchmark tables."""
         out = self.cache.stats()
         out.update(self.stats.as_dict())
-        out["hot_ordered"] = len(self.hot_order)
         out["exit_slots"] = len(self._vectors)
         return out
 
@@ -428,19 +406,13 @@ def _shape(parts: list) -> tuple:
     )
 
 
-def install_jit(
-    machine,
-    facts: dict | None = None,
-    hot_order: list[str] | None = None,
-) -> JitEngine:
+def install_jit(machine, facts: dict | None = None) -> JitEngine:
     """Verify *machine*'s image and attach a JIT engine to it.
 
-    Procedures compile on first entry; *hot_order* names procedures to
-    compile at install instead, in that order (a profile's hotness
-    ranking, see ``docs/fdo.md``).  Raises :class:`JitRefusal` when the
-    image fails static verification or the supplied facts artifact does
-    not match it.
+    Procedures compile on first entry.  Raises :class:`JitRefusal` when
+    the image fails static verification or the supplied facts artifact
+    does not match it.
     """
-    engine = JitEngine(machine, facts, hot_order=hot_order)
+    engine = JitEngine(machine, facts)
     machine.engine = engine
     return engine

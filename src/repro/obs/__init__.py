@@ -9,13 +9,17 @@ observable the same way:
   mechanism: ``xfer``, ``alloc``, ``ifu``, ``bank``, ``sched``);
 * :mod:`repro.obs.tracer` — the event bus: a :class:`Tracer` protocol
   whose disabled path is a single ``is None`` check at every
-  instrumentation point, a ring-buffer :class:`TraceRecorder`, and a
-  fan-out :class:`TeeTracer`;
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters,
-  gauges, log2-bucket histograms) wrapping the shared
-  :class:`~repro.machine.costs.CycleCounter` read-only;
+  instrumentation point, and the ring-buffer :class:`TraceRecorder`;
 * :mod:`repro.obs.calltree` — the matched call/return tree with exact
-  inclusive/exclusive modelled-cycle attribution;
+  inclusive/exclusive modelled-cycle attribution.  It is the one place
+  a recorded run's returns are matched to its calls: the profile
+  (:mod:`repro.fdo.profile`) reads its depth histogram and live-frame
+  peaks off the tree;
+* :mod:`repro.obs.edges` — the observed call edges and transfer depth
+  the analyzer's soundness differential compares with its bounds;
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters,
+  gauges, log2-bucket histograms), where the serving layer publishes
+  its ``net.*`` metrics;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON, flamegraph
   folded stacks, and JSONL dumps.
 
@@ -57,14 +61,8 @@ from repro.obs.export import (
     to_jsonl,
     validate_chrome_trace,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsTracer,
-)
-from repro.obs.tracer import TeeTracer, Tracer, TraceRecorder
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.tracer import Tracer, TraceRecorder
 
 __all__ = [
     "ALL_KINDS",
@@ -74,9 +72,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsTracer",
     "ProcProfile",
-    "TeeTracer",
     "TraceEvent",
     "TraceRecorder",
     "Tracer",

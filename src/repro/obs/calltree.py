@@ -18,10 +18,17 @@ Non-LIFO transfers (coroutine XFERs, trap contexts) break the bracket
 discipline; the builder recovers by name-matching returns against the
 open-node stack and flags the tree ``structured=False`` so consumers
 know the attribution is approximate there.
+
+The builder is the one place a recorded run's returns are matched to
+its calls.  Every order-dependent summary reads the tree: the profile
+table's attribution (:func:`aggregate`), the Chrome exporter's
+duration events, and the FDO profile's depth histogram, live-frame
+peaks per size class and ``structured`` (:mod:`repro.fdo.profile`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs import events as ev
@@ -63,6 +70,18 @@ class CallNode:
             for child in reversed(node.children):
                 stack.append((child, depth + 1))
 
+    def brackets(self):
+        """Yield (node, closing) in run order: each activation opens
+        before its children and closes after them, so the activations
+        open at any point are one root-to-node path."""
+        stack = [(self, False)]
+        while stack:
+            node, closing = stack.pop()
+            yield node, closing
+            if not closing:
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(node.children))
+
 
 @dataclass
 class CallTree:
@@ -81,6 +100,26 @@ class CallTree:
 
     def nodes(self) -> list[CallNode]:
         return [node for node, _ in self.root.walk()]
+
+    def depth_histogram(self) -> Counter[int]:
+        """Activations per call depth, the root's being 1."""
+        return Counter(depth + 1 for _, depth in self.root.walk())
+
+    def open_peaks(self, group) -> dict:
+        """The most activations open at once per ``group(name)``; names
+        whose group is None are not counted."""
+        open_now: Counter = Counter()
+        peaks: dict = {}
+        for node, closing in self.root.brackets():
+            key = group(node.name)
+            if key is None:
+                continue
+            if closing:
+                open_now[key] -= 1
+            else:
+                open_now[key] += 1
+                peaks[key] = max(peaks.get(key, 0), open_now[key])
+        return peaks
 
 
 @dataclass
@@ -180,11 +219,9 @@ def aggregate(tree: CallTree) -> list[ProcProfile]:
     ``inclusive <= total`` always holds per procedure.
     """
     profiles: dict[str, ProcProfile] = {}
-    active: dict[str, int] = {}  # names on the current ancestor path
-    stack: list[tuple[CallNode, bool]] = [(tree.root, False)]
-    while stack:
-        node, leaving = stack.pop()
-        if leaving:
+    active: Counter[str] = Counter()  # names on the current ancestor path
+    for node, closing in tree.root.brackets():
+        if closing:
             active[node.name] -= 1
             continue
         profile = profiles.get(node.name)
@@ -192,11 +229,8 @@ def aggregate(tree: CallTree) -> list[ProcProfile]:
             profile = profiles[node.name] = ProcProfile(node.name)
         profile.calls += 1
         profile.exclusive_cycles += node.exclusive_cycles
-        if not active.get(node.name):
+        if not active[node.name]:
             profile.inclusive_cycles += node.inclusive_cycles
             profile.inclusive_steps += node.inclusive_steps
-        active[node.name] = active.get(node.name, 0) + 1
-        stack.append((node, True))
-        for child in reversed(node.children):
-            stack.append((child, False))
+        active[node.name] += 1
     return sorted(profiles.values(), key=lambda p: (-p.inclusive_cycles, p.name))

@@ -1,25 +1,22 @@
 """The metrics registry: counters, gauges, and log2-bucket histograms.
 
-The registry is the aggregated (as opposed to event-stream) face of the
-observability subsystem.  It *wraps* the existing
-:class:`~repro.machine.costs.CycleCounter` — a bound counter's event
-counts and cycle total appear in every snapshot — without ever recording
-into it: metrics are host-side bookkeeping and must not change any
-modelled charge.
+The registry is the serving layer's aggregated face: admission (in
+both serving stacks) and the in-process balancer publish their
+``net.*`` counters, gauges and latency histogram into one
+(docs/net.md).  It is host-side
+bookkeeping and never touches a machine's modelled meters.  A run's own
+distributions — call depth, live frames per size class, allocator
+traps — come from its profile (:mod:`repro.fdo.profile`) and the
+machine's meters, not from here.
 
-Histograms use power-of-two buckets, the natural scale for the paper's
-distributions: frame sizes follow the section 5.3 ladder (geometric with
-ratio ~1.4, so log2 buckets group adjacent rungs), call depth and
-steps-per-process span orders of magnitude.  Bucket *i* holds values
-``v`` with ``2**(i-1) <= v < 2**i`` (bucket 0 holds 0).
+Histograms use power-of-two buckets, since latencies and queue depths
+span orders of magnitude.  Bucket *i* holds values ``v`` with
+``2**(i-1) <= v < 2**i`` (bucket 0 holds 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.machine.costs import CycleCounter
-from repro.obs import events as ev
 
 
 @dataclass
@@ -93,19 +90,15 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics plus an optional view of the machine's cycle counter.
+    """Named metrics.
 
     ``counter``/``gauge``/``histogram`` create on first use and return
     the existing instrument afterwards (mixing types under one name is
-    an error).  :meth:`snapshot` returns one JSON-ready dict; when a
-    :class:`CycleCounter` is bound, its event counts and cycle total are
-    included under ``"model"`` — read straight off the shared counter,
-    never modified.
+    an error).  :meth:`snapshot` returns one JSON-ready dict.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._cycle_counter: CycleCounter | None = None
 
     def _get(self, name: str, kind):
         metric = self._metrics.get(name)
@@ -127,10 +120,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
-    def bind_cycle_counter(self, counter: CycleCounter) -> None:
-        """Include *counter*'s state (read-only) in snapshots."""
-        self._cycle_counter = counter
-
     def names(self) -> list[str]:
         return sorted(self._metrics)
 
@@ -144,78 +133,4 @@ class MetricsRegistry:
                 data["gauges"][name] = metric.value
             else:
                 data["histograms"][name] = metric.as_dict()
-        if self._cycle_counter is not None:
-            data["model"] = self._cycle_counter.snapshot()
         return data
-
-
-class MetricsTracer:
-    """A :class:`~repro.obs.tracer.Tracer` sink that feeds a registry.
-
-    Subscribes to the event stream and maintains the distributions the
-    paper argues from: frame sizes (section 5.3 sizes the ladder from
-    them), call depth (section 6 sizes the return stack from its
-    excursions), and steps-per-process (section 7's XFER-rate
-    denominator).  Attach alongside a recorder with
-    :class:`~repro.obs.tracer.TeeTracer`, or alone when only aggregates
-    are wanted.
-    """
-
-    trace_steps = False
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._depth = 0
-
-    def bind(self, machine) -> None:
-        self.registry.bind_cycle_counter(machine.counter)
-
-    def emit(self, kind: str, name: str = "", **data) -> None:
-        registry = self.registry
-        if kind == ev.XFER_CALL:
-            self._depth += 1
-            registry.counter("xfer.calls").inc()
-            registry.gauge("current_call_depth").set(self._depth)
-            registry.histogram("call_depth").observe(self._depth)
-            words = data.get("words")
-            if words is not None:
-                registry.histogram("frame_words").observe(words)
-        elif kind == ev.XFER_RETURN:
-            if self._depth > 0:
-                self._depth -= 1
-            registry.gauge("current_call_depth").set(self._depth)
-            registry.counter("xfer.returns").inc()
-        elif kind == ev.XFER_XFER:
-            registry.counter("xfer.xfers").inc()
-        elif kind == ev.XFER_TRAP:
-            registry.counter(f"trap.{name}").inc()
-        elif kind == ev.ALLOC_FRAME:
-            registry.counter("alloc.frames").inc()
-            words = data.get("words")
-            if words is not None:
-                registry.histogram("alloc_words").observe(words)
-        elif kind == ev.ALLOC_FREE:
-            registry.counter("alloc.frees").inc()
-        elif kind == ev.ALLOC_TRAP:
-            registry.counter("alloc.traps").inc()
-        elif kind == ev.IFU_HIT:
-            registry.counter("ifu.hits").inc()
-        elif kind == ev.IFU_MISS:
-            registry.counter("ifu.misses").inc()
-        elif kind == ev.IFU_FLUSH:
-            registry.counter("ifu.flushes").inc()
-            registry.counter("ifu.entries_flushed").inc(data.get("entries", 0))
-        elif kind == ev.BANK_SPILL:
-            registry.counter("bank.spills").inc()
-            registry.counter("bank.words_spilled").inc(data.get("words", 0))
-        elif kind == ev.BANK_FILL:
-            registry.counter("bank.fills").inc()
-            registry.counter("bank.words_filled").inc(data.get("words", 0))
-        elif kind == ev.SCHED_SWITCH_OUT:
-            registry.counter("sched.switches").inc()
-            registry.counter(f"sched.{data.get('reason', 'switch')}s").inc()
-        elif kind == ev.SCHED_DONE:
-            registry.counter("sched.completions").inc()
-            steps = data.get("steps")
-            if steps is not None:
-                registry.histogram("steps_per_process").observe(steps)

@@ -11,9 +11,8 @@ totals with tracing on and off).
 
 :class:`TraceRecorder` is the standard sink: a bounded ring buffer of
 :class:`~repro.obs.events.TraceEvent` stamped with the machine's steps
-and modelled cycles.  :class:`TeeTracer` fans one event stream out to
-several sinks (e.g. a recorder plus a
-:class:`~repro.obs.metrics.MetricsTracer`).
+and modelled cycles.  A machine has one tracer; every summary of a run
+is read off the recorded stream afterwards.
 """
 
 from __future__ import annotations
@@ -106,26 +105,3 @@ class TraceRecorder:
     def clear(self) -> None:
         """Forget retained events (the emission counter keeps running)."""
         self.events.clear()
-
-
-class TeeTracer:
-    """Fan one event stream out to several sinks."""
-
-    def __init__(self, *tracers: Tracer) -> None:
-        if not tracers:
-            raise ValueError("TeeTracer needs at least one sink")
-        self.tracers = tuple(tracers)
-
-    @property
-    def trace_steps(self) -> bool:
-        return any(getattr(tracer, "trace_steps", False) for tracer in self.tracers)
-
-    def bind(self, machine) -> None:
-        for tracer in self.tracers:
-            bind = getattr(tracer, "bind", None)
-            if bind is not None:
-                bind(machine)
-
-    def emit(self, kind: str, name: str = "", **data) -> None:
-        for tracer in self.tracers:
-            tracer.emit(kind, name, **data)

@@ -281,11 +281,29 @@ _OUT_OF_RANGE = {
     "serve-pump-ticks": (
         ["serve", "--autoscale", "--pump-ticks", "0"], "--pump-ticks must be at least 1, got 0"
     ),
+    "serve-requests-negative": (
+        ["serve", "--requests", "-3"], "--requests must be at least 1, got -3"
+    ),
+    "serve-requests-zero": (["serve", "--requests", "0"], "--requests must be at least 1, got 0"),
+    "serve-requests-processes": (
+        ["serve", "--processes", "--requests", "0"], "--requests must be at least 1, got 0"
+    ),
+    "loadgen-requests-negative": (
+        ["loadgen", "--requests", "-2"], "--requests must be at least 1, got -2"
+    ),
+    "loadgen-requests-zero": (
+        ["loadgen", "--requests", "0"], "--requests must be at least 1, got 0"
+    ),
     "trace-capacity-zero": (
         ["trace", "PROGRAM", "--capacity", "0"], "--capacity must be at least 1, got 0"
     ),
     "trace-capacity-negative": (
         ["trace", "PROGRAM", "--capacity", "-5"], "--capacity must be at least 1, got -5"
+    ),
+    "profile-top": (["profile", "PROGRAM", "--top", "-1"], "--top must be at least 1, got -1"),
+    "profile-top-zero": (["profile", "PROGRAM", "--top", "0"], "--top must be at least 1, got 0"),
+    "profile-shards": (
+        ["profile", "PROGRAM", "--shards", "0"], "--shards must be at least 1, got 0"
     ),
     "profile-pin": (
         ["profile", "PROGRAM", "--shards", "2", "--pin", "Main=5"],
@@ -295,8 +313,11 @@ _OUT_OF_RANGE = {
         ["optimize", "--placement", "--shards", "0"], "a cluster needs at least one shard, got 0"
     ),
     "optimize-placement-requests": (
-        ["optimize", "--placement", "--requests", "0"],
-        "no spans to plan from (was the run recorded?)",
+        ["optimize", "--placement", "--requests", "0"], "--requests must be at least 1, got 0"
+    ),
+    "optimize-placement-shards-requests": (
+        ["optimize", "--placement", "--shards", "2", "--requests", "0"],
+        "--requests must be at least 1, got 0",
     ),
 }
 

@@ -1,12 +1,11 @@
 """EXPERIMENTS.md's harness output matches a fresh run, section by section.
 
 ``benchmarks/generate_experiments.py`` writes ``run_all.py``'s full
-output under "## Full harness output".  Every modelled section depends
-only on the code, so this runs ``run_all.py`` in a subprocess and
-compares each section, split at its banner, with the committed text.
-OBS and FAULTS time the host (steps per second, milliseconds), so they
-are left out by name, of the run and of the comparison; a change that
-moves any other section regenerates the file.
+output under "## Full harness output".  Every section prints only what
+the code decides (the OBS and FAULTS host timings stay in their JSON
+payloads), so this runs ``run_all.py`` in a subprocess and compares
+each section, split at its banner, with the committed text; a change
+that moves any line regenerates the file.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-#: The experiments that time the host: left out of the comparison.
-HOST_TIMED = ("obs", "faults")
 
 #: A banner: a title line over a rule of "=" as long as it.
 _BANNER = re.compile(r"^(.+)\n(=+)$", re.MULTILINE)
@@ -47,7 +43,7 @@ def test_committed_experiments_match_a_fresh_run():
         spec.loader.exec_module(run_all)
     finally:
         sys.path[:] = path  # run_all puts benchmarks/ on the path
-    names = [name for name in run_all.EXPERIMENTS if name not in HOST_TIMED]
+    names = list(run_all.EXPERIMENTS)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     fresh = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "run_all.py"), *names],
@@ -55,7 +51,7 @@ def test_committed_experiments_match_a_fresh_run():
     ).stdout
     harness = (ROOT / "EXPERIMENTS.md").read_text().partition("## Full harness output")[2]
     committed = harness.partition("```text\n")[2].rpartition("```")[0]
-    expected = [section for section in _sections(committed) if section[0] not in HOST_TIMED]
+    expected = _sections(committed)
     got = _sections(fresh)
     assert [name for name, _ in got] == names
     assert [name for name, _ in expected] == names

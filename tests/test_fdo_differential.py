@@ -6,8 +6,7 @@ bit-identical results (and traps identically, at the same step, with
 the same meters) while its modelled meters are never worse — and on
 the call-dense programs under late-bound linkage, strictly better.
 Both engines are held to the matrix: the interpreter runs the rewritten
-image directly, and the JIT must agree with it exactly, hot-ordered
-compile queue included.
+image directly, and the JIT must agree with it exactly.
 """
 
 from __future__ import annotations
@@ -115,8 +114,7 @@ def test_call_dense_strictly_faster_when_late_bound(name, preset):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_jit_agrees_on_optimized_images(name, preset):
     """The rewritten image under the JIT is indistinguishable from the
-    rewritten image under the interpreter; the fdo log's block order
-    feeds the compile queue."""
+    rewritten image under the interpreter."""
     skip_unbuildable(name, preset)
     program = CORPUS[name]
     _, result = fdo_cell(name, preset)
@@ -125,44 +123,12 @@ def test_jit_agrees_on_optimized_images(name, preset):
     interp_results = finish(interp, program.entry, program.args)
 
     jitted = result.build()
-    engine = install_jit(jitted, hot_order=result.log["block_order"])
+    install_jit(jitted)
     jit_results = finish(jitted, program.entry, program.args)
 
     assert jit_results == interp_results
     assert jitted.steps == interp.steps
     assert jitted.counter.snapshot() == interp.counter.snapshot()
-    assert engine.stats_dict()["hot_ordered"] == len(
-        result.log["block_order"]
-    )
-
-
-def test_hot_order_changes_queue_not_output():
-    """Hot-first compilation is a pure scheduling hint: the block set
-    and every meter are identical with and without it."""
-    program = CORPUS["calls"]
-    _, result = fdo_cell("calls", "i2")
-
-    plain = result.build()
-    plain_engine = install_jit(plain)
-    plain_results = finish(plain, program.entry, program.args)
-
-    ordered = result.build()
-    ordered_engine = install_jit(ordered, hot_order=result.log["block_order"])
-    ordered_results = finish(ordered, program.entry, program.args)
-
-    assert set(ordered_engine.cache.blocks) == set(plain_engine.cache.blocks)
-    assert ordered_results == plain_results
-    assert ordered.counter.snapshot() == plain.counter.snapshot()
-    # The queue really was reordered: the hottest profiled procedure's
-    # blocks lead the cache's insertion order.
-    hottest = result.log["block_order"][0]
-    first_pc = next(iter(ordered_engine.cache.blocks))
-    owners = {
-        entry: f"{meta.module}.{meta.name}"
-        for entry, meta in ordered.image.procs_by_entry.items()
-    }
-    owner_entry = max(entry for entry in owners if entry <= first_pc)
-    assert owners[owner_entry] == hottest
 
 
 _TRAPPY = """

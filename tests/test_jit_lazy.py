@@ -1,12 +1,11 @@
 """Compilation on first entry: the JIT compiles what runs, when it runs.
 
-``install_jit`` verifies the image and compiles only the ``hot_order``
-procedures; every other verified procedure compiles the first time
-execution reaches its body start, and an epoch bump re-arms that
-pending set instead of recompiling the image.  These tests pin when a
-procedure compiles — never before its first entry, never if it is
-never entered, once per epoch — and that meters stay the
-interpreter's throughout.
+``install_jit`` verifies the image and compiles nothing; every
+verified procedure compiles the first time execution reaches its body
+start, and an epoch bump re-arms that pending set instead of
+recompiling the image.  These tests pin when a procedure compiles —
+never before its first entry, never if it is never entered, once per
+epoch — and that meters stay the interpreter's throughout.
 """
 
 from __future__ import annotations
@@ -106,22 +105,6 @@ def test_nothing_compiles_before_the_first_run_or_if_never_entered(compiles):
     assert engine.cache.procedures == 3
     assert set(engine.cache.pending) == {starts["Main.unused"]}
     assert starts["Main.unused"] not in engine.cache.blocks
-
-
-def test_hot_order_procedures_compile_at_install_and_lead_the_cache(compiles):
-    machine = build(_LIB)
-    engine = install_jit(machine, hot_order=["Lib.g", "Nowhere.h", "Lib.f"])
-    starts = _body_starts(machine)
-    assert [name for _, name in compiles] == ["Lib.g", "Lib.f"]
-    assert next(iter(engine.cache.blocks)) == starts["Lib.g"]
-    assert starts["Main.main"] in engine.cache.pending
-
-    machine.start()
-    results = machine.run()
-    reference, reference_results = _reference()
-    assert results == reference_results
-    assert machine.counter.snapshot() == reference.counter.snapshot()
-    assert [name for _, name in compiles] == ["Lib.g", "Lib.f", "Main.main"]
 
 
 def _triple_body() -> bytes:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import MetricsTracer, TeeTracer, TraceRecorder
+from repro.obs import TraceRecorder
 from repro.workloads.programs import corpus_sources
 from tests.conftest import ALL_PRESETS, build
 
@@ -32,8 +32,7 @@ def run_machine(entry, preset, tracer=None):
 def test_tracing_is_bit_identical(entry, preset):
     plain, plain_results = run_machine(entry, preset)
     recorder = TraceRecorder(capacity=None, trace_steps=True)
-    tracer = TeeTracer(recorder, MetricsTracer())
-    traced, traced_results = run_machine(entry, preset, tracer=tracer)
+    traced, traced_results = run_machine(entry, preset, tracer=recorder)
     assert traced_results == plain_results
     assert traced.steps == plain.steps
     assert traced.output == plain.output

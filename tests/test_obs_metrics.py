@@ -1,4 +1,4 @@
-"""Observability: the metrics registry and the MetricsTracer sink."""
+"""Observability: the metrics registry and its instruments."""
 
 from __future__ import annotations
 
@@ -6,12 +6,8 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, MetricsTracer, TeeTracer, TraceRecorder
+from repro.obs import MetricsRegistry
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.workloads.programs import program
-from tests.conftest import build
-
-FIB = program("fib")
 
 
 # -- instruments --------------------------------------------------------------
@@ -81,83 +77,4 @@ def test_registry_snapshot_shape():
     assert snapshot["counters"] == {"hits": 3}
     assert snapshot["gauges"] == {"depth": 2}
     assert snapshot["histograms"]["sizes"]["count"] == 1
-    assert "model" not in snapshot  # no cycle counter bound
     json.dumps(snapshot)
-
-
-# -- MetricsTracer end-to-end -------------------------------------------------
-
-
-def run_with_metrics(preset="i4"):
-    machine = build(FIB.sources, preset=preset)
-    metrics = MetricsTracer()
-    machine.attach_tracer(metrics)
-    machine.start("Main", "main")
-    results = machine.run()
-    return machine, metrics.registry, results
-
-
-def test_metrics_tracer_counts_transfers():
-    machine, registry, results = run_with_metrics()
-    assert results == [89]
-    snapshot = registry.snapshot()
-    calls = snapshot["counters"]["xfer.calls"]
-    returns = snapshot["counters"]["xfer.returns"]
-    assert returns == calls + 1  # the root's final return
-    assert snapshot["gauges"]["current_call_depth"] == 0  # everything returned
-    depth = snapshot["histograms"]["call_depth"]
-    assert depth["count"] == calls
-    assert depth["max"] >= 10  # fib(10) recursion
-    frames = snapshot["histograms"]["frame_words"]
-    assert frames["count"] == calls
-
-
-def test_metrics_tracer_mechanism_counters_match_machine_stats():
-    machine, registry, _ = run_with_metrics(preset="i4")
-    counters = registry.snapshot()["counters"]
-    rstats = machine.rstack.stats
-    assert counters["ifu.hits"] == rstats.hits
-    assert counters["ifu.misses"] == rstats.misses
-    bstats = machine.bankfile.stats
-    assert counters["bank.words_spilled"] == bstats.words_spilled
-    assert counters["bank.words_filled"] == bstats.words_filled
-
-
-def test_metrics_tracer_alloc_counters_match_heap_stats():
-    # i2: every frame goes through the AV heap at run time (i4's deferred
-    # pool preallocates frames before the tracer attaches).
-    machine, registry, _ = run_with_metrics(preset="i2")
-    counters = registry.snapshot()["counters"]
-    alloc = machine.image.av_heap.stats.summary()
-    assert counters["alloc.frames"] == alloc["allocations"]
-    assert counters["alloc.frees"] == alloc["frees"]
-    assert counters.get("alloc.traps", 0) == alloc["replenishments"]
-
-
-def test_bound_cycle_counter_appears_in_snapshot_readonly():
-    machine, registry, _ = run_with_metrics()
-    before = machine.counter.snapshot()
-    snapshot = registry.snapshot()
-    assert snapshot["model"] == before
-    assert snapshot["model"]["cycles"] == machine.counter.cycles
-    # Reading the snapshot twice does not disturb the machine's meters.
-    assert machine.counter.snapshot() == before
-
-
-def test_metrics_do_not_change_modelled_totals():
-    plain = build(FIB.sources, preset="i4")
-    plain.start("Main", "main")
-    plain.run()
-    traced, _, _ = run_with_metrics(preset="i4")
-    assert traced.counter.snapshot() == plain.counter.snapshot()
-
-
-def test_metrics_alongside_recorder_via_tee():
-    machine = build(FIB.sources, preset="i2")
-    recorder = TraceRecorder(capacity=None)
-    metrics = MetricsTracer()
-    machine.attach_tracer(TeeTracer(recorder, metrics))
-    machine.start("Main", "main")
-    machine.run()
-    counters = metrics.registry.snapshot()["counters"]
-    assert counters["xfer.calls"] == len(recorder.by_kind("xfer.call"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.fdo import build_machine, collect_profile
 from repro.obs import (
     TraceEvent,
     TraceRecorder,
@@ -181,3 +182,55 @@ def test_deep_recursion_does_not_hit_python_limits():
     assert profiles["M.deep"].calls == depth
     # Only the outermost activation contributes inclusive cycles.
     assert profiles["M.deep"].inclusive_cycles == 2 * depth - 1
+
+
+# -- the FDO profile's order-dependent half, read off the tree ----------------
+
+
+def test_depth_histogram_and_open_peaks_read_the_matching():
+    events = [
+        TraceEvent(0, "machine.begin", "M.root", 0, 0),
+        _call(1, "M.a", 10),
+        _call(2, "M.b", 20),
+        _call(3, "M.a", 25),
+        _ret(4, "M.a", 28),
+        _ret(5, "M.b", 30),
+        _ret(6, "M.a", 50),
+        _call(7, "M.a", 60),
+        _ret(8, "M.a", 70),
+    ]
+    tree = build_call_tree(events)
+    assert tree.depth_histogram() == {1: 1, 2: 2, 3: 1, 4: 1}
+    size_class = {"M.root": 0, "M.a": 1, "M.b": 1}.get
+    # Class 1 peaks while M.a, M.b and the inner M.a are all open; the
+    # second M.a opens after the first closed.
+    assert tree.open_peaks(size_class) == {0: 1, 1: 3}
+    assert tree.open_peaks(lambda name: None) == {}
+
+
+@pytest.mark.parametrize("preset", ALL_PRESETS)
+def test_profile_depth_histogram_counts_every_activation(preset):
+    """Every activation, the root's included, at the depth it ran:
+    fib(10) nests eleven deep below ``main``."""
+    fib = program("fib")
+    doc = collect_profile(list(fib.sources), preset, fib.entry, fib.args)
+    histogram = {int(depth): count for depth, count in doc["depth"]["histogram"].items()}
+    calls = sum(entry["activations"] for entry in doc["procedures"].values())
+    assert calls == sum(edge["count"] for edge in doc["edges"]) == 287
+    assert sum(histogram.values()) == calls + 1
+    assert doc["depth"]["max"] == max(histogram) == 12
+    assert doc["structured"]
+
+
+@pytest.mark.parametrize("preset, prefilled", [("i2", 0), ("i4", 2)], ids=["i2", "i4"])
+def test_profile_alloc_traps_count_the_events(preset, prefilled):
+    """``alloc_traps`` counts the run's ``alloc.trap`` events.  On I2
+    that is the heap's replenishment meter; on I4 the fast-frame prefill
+    traps twice at build, before the tracer is attached, so only the
+    meter sees those two."""
+    fib = program("fib")
+    doc = collect_profile(list(fib.sources), preset, fib.entry, fib.args)
+    machine = build_machine(list(fib.sources), preset, fib.entry)
+    machine.start(*fib.entry, *fib.args)
+    machine.run()
+    assert doc["alloc_traps"] + prefilled == machine.report()["alloc"]["replenishments"]

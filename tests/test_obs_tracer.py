@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.interp.processes import Scheduler
-from repro.obs import TeeTracer, TraceRecorder
+from repro.obs import TraceRecorder
 from repro.obs import events as ev
 from repro.workloads.programs import program
 from tests.conftest import build
@@ -213,21 +213,6 @@ def test_attach_and_detach():
     machine.start("Main", "main")
     assert machine.run() == [89]
     assert recorder.emitted == 0  # detached before anything ran
-
-
-def test_tee_tracer_fans_out_and_aggregates_trace_steps():
-    sink_a = TraceRecorder(capacity=None)
-    sink_b = TraceRecorder(capacity=None, trace_steps=True)
-    tee = TeeTracer(sink_a, sink_b)
-    assert tee.trace_steps  # any sink wanting steps turns them on
-    machine = build(FIB.sources, preset="i2")
-    machine.attach_tracer(tee)
-    machine.start("Main", "main")
-    machine.run()
-    assert sink_a.emitted == sink_b.emitted > 0
-    assert sink_b.by_kind(ev.MACHINE_STEP)
-    with pytest.raises(ValueError):
-        TeeTracer()
 
 
 def test_tracing_does_not_touch_modelled_meters():
