@@ -38,7 +38,10 @@ from repro.alloc.sizing import SizeLadder
 from repro.alloc.stats import AllocationStats
 from repro.errors import DoubleFree, FrameSizeError, HeapExhausted
 from repro.machine.costs import Event
-from repro.machine.memory import Memory
+from repro.machine.memory import WORD_MASK, Memory
+
+_READ = Event.MEMORY_READ
+_WRITE = Event.MEMORY_WRITE
 
 #: Words of overhead per frame block (the fsi header word).
 FRAME_OVERHEAD_WORDS = 1
@@ -112,9 +115,15 @@ class AVHeap:
         *requested_words* is the size the program actually needs (defaults
         to the full class size); it only feeds fragmentation statistics.
         The counted cost of the fast path is exactly three memory
-        references, per the paper.
+        references, per the paper.  When the list is not empty and its
+        head is an address, none of the three can fault, so they and the
+        statistics updates run inline; the general path reads through
+        :meth:`Memory.read`, which faults where the machine would.
         """
-        class_words = self.ladder.size_of(fsi)
+        sizes = self.ladder.sizes
+        if not 0 <= fsi < len(sizes):
+            self.ladder.size_of(fsi)  # raises FrameSizeError
+        class_words = sizes[fsi]
         if requested_words is None:
             requested_words = class_words
         if requested_words > class_words:
@@ -122,27 +131,55 @@ class AVHeap:
                 f"request of {requested_words} words exceeds class {fsi} "
                 f"size {class_words}"
             )
+        memory = self.memory
+        words = memory._words
+        slot = self.av_base + fsi  # inside memory: the constructor zeroed it
+        head = words[slot]
         grant_fsi = fsi
-        head = self.memory.read(self.av_base + fsi)  # ref 1: fetch list head
-        if head == 0:
-            try:
-                self._replenish(fsi)
-            except HeapExhausted:
-                # Bounded retry (section 5.3's software allocator doing its
-                # best): promote the request to a nearby larger class that
-                # still has a free frame.  Only reached when the arena is
-                # full, so the fast path's three-reference cost and the
-                # normal trap path are untouched.
-                grant_fsi, head = self._promote(fsi)
-                class_words = self.ladder.size_of(grant_fsi)
-            else:
-                head = self.memory.read(self.av_base + fsi)
-        next_frame = self.memory.read(head)  # ref 2: fetch next pointer
-        self.memory.write(self.av_base + grant_fsi, next_frame)  # ref 3: store head
-        self.stats.on_reuse(class_words + FRAME_OVERHEAD_WORDS)
-        self.stats.on_allocate(
-            grant_fsi, requested_words, class_words + FRAME_OVERHEAD_WORDS
-        )
+        if 0 < head < memory.size:
+            # ref 1: fetch list head; ref 2: fetch next pointer; ref 3:
+            # store head.
+            counter = memory.counter
+            counter.counts[_READ] += 2
+            counter.counts[_WRITE] += 1
+            counter.cycles += 2 * counter.charges[_READ] + counter.charges[_WRITE]
+            traffic, names, regions = memory.traffic, memory._names, memory._index
+            name = names[regions[slot]]
+            traffic[name] = traffic.get(name, 0) + 2
+            name = names[regions[head]]
+            traffic[name] = traffic.get(name, 0) + 1
+            words[slot] = words[head]
+        else:
+            head = memory.read(slot)  # ref 1: fetch list head
+            if head == 0:
+                try:
+                    self._replenish(fsi)
+                except HeapExhausted:
+                    # Bounded retry (section 5.3's software allocator doing
+                    # its best): promote the request to a nearby larger
+                    # class that still has a free frame.  Only reached when
+                    # the arena is full, so the fast path's three-reference
+                    # cost and the normal trap path are untouched.
+                    grant_fsi, head = self._promote(fsi)
+                    class_words = sizes[grant_fsi]
+                else:
+                    head = memory.read(slot)
+            next_frame = memory.read(head)  # ref 2: fetch next pointer
+            memory.write(self.av_base + grant_fsi, next_frame)  # ref 3: store head
+        # AllocationStats.on_reuse, then on_allocate.
+        block = class_words + FRAME_OVERHEAD_WORDS
+        stats = self.stats
+        stats.free_list_words -= block
+        stats.allocations += 1
+        stats.live_requested_words += requested_words
+        stats.live_block_words += block
+        stats.total_requested_words += requested_words
+        stats.total_block_words += block
+        per_class = stats.per_class_allocations
+        per_class[grant_fsi] = per_class.get(grant_fsi, 0) + 1
+        footprint = stats.live_block_words + stats.free_list_words
+        if footprint > stats.high_water_words:
+            stats.high_water_words = footprint
         self._live[head] = requested_words
         if self.tracer is not None:
             self.tracer.emit(
@@ -160,18 +197,47 @@ class AVHeap:
 
         The size need not be supplied: the fsi header at ``frame - 1`` is
         read back, making the counted cost exactly four memory references.
+        A live frame with a sound header, the common case, makes them
+        and the statistics updates inline.
         """
         if frame not in self._live:
             raise DoubleFree(frame)
         requested = self._live.pop(frame)
-        fsi = self.memory.read(frame - 1)  # ref 1: fetch fsi header
-        if not 0 <= fsi < len(self.ladder):
-            raise FrameSizeError(f"corrupt fsi header {fsi} on frame {frame:#x}")
-        head = self.memory.read(self.av_base + fsi)  # ref 2: fetch list head
-        self.memory.write(frame, head)  # ref 3: link node
-        self.memory.write(self.av_base + fsi, frame)  # ref 4: store list head
-        class_words = self.ladder.size_of(fsi)
-        self.stats.on_free(requested, class_words + FRAME_OVERHEAD_WORDS)
+        memory = self.memory
+        words = memory._words
+        sizes = self.ladder.sizes
+        fsi = words[frame - 1] if 0 < frame < memory.size else -1
+        if 0 <= fsi < len(sizes):
+            # ref 1: fetch fsi header; ref 2: fetch list head; ref 3: link
+            # node; ref 4: store list head.
+            slot = self.av_base + fsi
+            counter = memory.counter
+            counter.counts[_READ] += 2
+            counter.counts[_WRITE] += 2
+            counter.cycles += 2 * (counter.charges[_READ] + counter.charges[_WRITE])
+            traffic, names, regions = memory.traffic, memory._names, memory._index
+            name = names[regions[frame - 1]]
+            traffic[name] = traffic.get(name, 0) + 1
+            name = names[regions[slot]]
+            traffic[name] = traffic.get(name, 0) + 2
+            name = names[regions[frame]]
+            traffic[name] = traffic.get(name, 0) + 1
+            words[frame] = words[slot]
+            words[slot] = frame & WORD_MASK
+        else:
+            fsi = memory.read(frame - 1)  # ref 1: fetch fsi header
+            if not 0 <= fsi < len(sizes):
+                raise FrameSizeError(f"corrupt fsi header {fsi} on frame {frame:#x}")
+            head = memory.read(self.av_base + fsi)  # ref 2: fetch list head
+            memory.write(frame, head)  # ref 3: link node
+            memory.write(self.av_base + fsi, frame)  # ref 4: store list head
+        block = sizes[fsi] + FRAME_OVERHEAD_WORDS
+        # AllocationStats.on_free.
+        stats = self.stats
+        stats.frees += 1
+        stats.live_requested_words -= requested
+        stats.live_block_words -= block
+        stats.free_list_words += block
         if self.tracer is not None:
             self.tracer.emit(
                 "alloc.free", "avheap", pointer=frame, fsi=fsi, words=requested,

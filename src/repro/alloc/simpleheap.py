@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from repro.alloc.stats import AllocationStats
 from repro.errors import DoubleFree, HeapExhausted
-from repro.machine.memory import Memory
+from repro.machine.costs import Event
+from repro.machine.memory import WORD_MASK, Memory
 
 #: Minimum words in a block body (a free block needs a next-pointer word;
 #: bodies are kept odd-sized for alignment, so the minimum is 3).
@@ -31,6 +32,9 @@ MIN_BODY_WORDS = 3
 
 #: Header words per block (the size word).
 HEADER_WORDS = 1
+
+_READ = Event.MEMORY_READ
+_WRITE = Event.MEMORY_WRITE
 
 
 class SimpleHeap:
@@ -64,13 +68,63 @@ class SimpleHeap:
     # -- public API ----------------------------------------------------------
 
     def allocate(self, words: int) -> int:
-        """First-fit allocate a *words*-word body; return the body pointer."""
+        """First-fit allocate a *words*-word body; return the body pointer.
+
+        When the head block fits with no tail worth splitting off (a
+        frame reusing the block the last one freed), its three reads and
+        one write cannot fault, and they run inline with the statistics
+        updates.
+        """
         if words <= 0:
             raise ValueError(f"allocation size must be positive, got {words}")
         if words < MIN_BODY_WORDS:
             words = MIN_BODY_WORDS
         if words % 2 == 0:
             words += 1  # odd bodies keep split-tail bases odd, pointers even
+        memory = self.memory
+        store = memory._words
+        head_base = self.head_base
+        block = store[head_base]  # inside memory: the constructor set it
+        if 0 < block < memory.size - 1 and (
+            words <= store[block] < words + HEADER_WORDS + MIN_BODY_WORDS
+        ):
+            words = store[block]
+            counter = memory.counter
+            counter.counts[_READ] += 3
+            counter.counts[_WRITE] += 1
+            counter.cycles += 3 * counter.charges[_READ] + counter.charges[_WRITE]
+            traffic, names, regions = memory.traffic, memory._names, memory._index
+            for address in (head_base, block, block + 1, head_base):
+                name = names[regions[address]]
+                traffic[name] = traffic.get(name, 0) + 1
+            store[head_base] = store[block + 1]
+        else:
+            block, words = self._first_fit(words)
+        pointer = block + HEADER_WORDS
+        self._live[pointer] = words
+        # AllocationStats.on_reuse, then on_allocate (class 0).
+        stats = self.stats
+        stats.free_list_words -= words + HEADER_WORDS
+        stats.allocations += 1
+        stats.live_requested_words += words
+        stats.live_block_words += words + HEADER_WORDS
+        stats.total_requested_words += words
+        stats.total_block_words += words + HEADER_WORDS
+        per_class = stats.per_class_allocations
+        per_class[0] = per_class.get(0, 0) + 1
+        footprint = stats.live_block_words + stats.free_list_words
+        if footprint > stats.high_water_words:
+            stats.high_water_words = footprint
+        if self.tracer is not None:
+            self.tracer.emit(
+                "alloc.frame", "first_fit", pointer=pointer, words=words,
+            )
+        return pointer
+
+    def _first_fit(self, words: int) -> tuple[int, int]:
+        """Walk the free list, counted, for the first block of *words*
+        and unlink it, splitting off a tail worth keeping; returns the
+        block and the body words it grants."""
         prev_addr = self.head_base
         block = self.memory.read(self.head_base)
         while block != 0:
@@ -78,40 +132,48 @@ class SimpleHeap:
             if size >= words:
                 next_block = self.memory.read(block + 1)
                 remainder = size - words
-                if remainder >= HEADER_WORDS + MIN_BODY_WORDS:
-                    # Split: tail becomes a new free block.
-                    tail = block + HEADER_WORDS + words
-                    self.memory.write(tail, remainder - HEADER_WORDS)
-                    self.memory.write(tail + 1, next_block)
-                    self.memory.write(prev_addr, tail)
-                    self.memory.write(block, words)
-                else:
-                    words_given = size
+                if remainder < HEADER_WORDS + MIN_BODY_WORDS:
                     self.memory.write(prev_addr, next_block)
-                    words = words_given
-                pointer = block + HEADER_WORDS
-                self._live[pointer] = words
-                self.stats.on_reuse(words + HEADER_WORDS)
-                self.stats.on_allocate(0, words, words + HEADER_WORDS)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "alloc.frame", "first_fit", pointer=pointer, words=words,
-                    )
-                return pointer
+                    return block, size
+                # Split: tail becomes a new free block.
+                tail = block + HEADER_WORDS + words
+                self.memory.write(tail, remainder - HEADER_WORDS)
+                self.memory.write(tail + 1, next_block)
+                self.memory.write(prev_addr, tail)
+                self.memory.write(block, words)
+                return block, words
             prev_addr = block + 1
             block = self.memory.read(block + 1)
         raise HeapExhausted(f"no free block of {words} words")
 
     def free(self, pointer: int) -> None:
-        """Return the block at *pointer* to the free list (no size needed)."""
+        """Return the block at *pointer* to the free list (no size needed).
+
+        A live pointer lies inside memory (``allocate`` read the word at
+        it), so the read and two writes cannot fault: they run inline
+        with the statistics updates.
+        """
         if pointer not in self._live:
             raise DoubleFree(pointer)
         words = self._live.pop(pointer)
-        block = pointer - HEADER_WORDS
-        head = self.memory.read(self.head_base)
-        self.memory.write(block + 1, head)
-        self.memory.write(self.head_base, block)
-        self.stats.on_free(words, words + HEADER_WORDS)
+        memory = self.memory
+        counter = memory.counter
+        counter.counts[_READ] += 1
+        counter.counts[_WRITE] += 2
+        counter.cycles += counter.charges[_READ] + 2 * counter.charges[_WRITE]
+        traffic, names, regions = memory.traffic, memory._names, memory._index
+        for address in (self.head_base, pointer, self.head_base):
+            name = names[regions[address]]
+            traffic[name] = traffic.get(name, 0) + 1
+        store = memory._words
+        store[pointer] = store[self.head_base]
+        store[self.head_base] = (pointer - HEADER_WORDS) & WORD_MASK
+        # AllocationStats.on_free.
+        stats = self.stats
+        stats.frees += 1
+        stats.live_requested_words -= words
+        stats.live_block_words -= words + HEADER_WORDS
+        stats.free_list_words += words + HEADER_WORDS
         if self.tracer is not None:
             self.tracer.emit(
                 "alloc.free", "first_fit", pointer=pointer, words=words,

@@ -157,7 +157,8 @@ class BankFile:
         """Take a free bank, or None if all are busy (overflow condition)."""
         for bank in self._banks:
             if bank.role is BankRole.FREE:
-                bank.rebind(role, frame, self.next_seq())
+                self._seq += 1  # rebind(role, frame, next_seq()), inline
+                bank.role, bank.frame, bank.assigned_at = role, frame, self._seq
                 bank.dirty.clear()
                 self.stats.assignments += 1
                 return bank

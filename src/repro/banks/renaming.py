@@ -96,9 +96,11 @@ class BankManager:
         if self.sbank is None:
             self.sbank = self._acquire(BankRole.STACK, None)
         caller_lbank = self.lbank
-        self.lbank = self.sbank
-        self.lbank.rebind(BankRole.LOCAL, callee_frame, self.banks.next_seq())
-        self.lbank.dirty.update(range(min(arg_words, self.lbank.size)))
+        lbank = self.lbank = self.sbank
+        # Bank.rebind, inline: the old stack words become the locals.
+        lbank.role, lbank.frame = BankRole.LOCAL, callee_frame
+        lbank.assigned_at = self.banks.next_seq()
+        lbank.dirty.update(range(min(arg_words, lbank.size)))
         self.sbank = self._acquire(BankRole.STACK, None)
         return caller_lbank
 
@@ -111,8 +113,11 @@ class BankManager:
         The stack bank stays put — the results ride it back to the caller.
         """
         self.banks.stats.xfers += 1
-        if self.lbank is not None:
-            self.lbank.release()
+        lbank = self.lbank
+        if lbank is not None:
+            # Bank.release, inline.
+            lbank.role, lbank.frame = BankRole.FREE, None
+            lbank.dirty.clear()
             self.banks.stats.releases += 1
         if caller_bank is not None and caller_bank.frame is caller_frame:
             self.lbank = caller_bank

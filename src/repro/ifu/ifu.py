@@ -43,7 +43,7 @@ class TransferKind(enum.Enum):
 
 
 #: Call kinds whose target the IFU knows without data reads.
-_FAST_CALLS = {TransferKind.DIRECT_CALL, TransferKind.SHORT_DIRECT_CALL}
+FAST_CALLS = frozenset({TransferKind.DIRECT_CALL, TransferKind.SHORT_DIRECT_CALL})
 
 
 @dataclass
@@ -70,7 +70,7 @@ class FetchStats:
     @staticmethod
     def call_is_fast(kind: TransferKind) -> bool:
         """Whether a call of *kind* fetches at jump speed."""
-        return kind in _FAST_CALLS
+        return kind in FAST_CALLS
 
     # -- derived metrics -----------------------------------------------------
 

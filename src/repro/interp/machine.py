@@ -20,11 +20,14 @@ Event accounting runs through one shared
 charged by the :class:`~repro.machine.memory.Memory` and
 :class:`~repro.isa.program.CodeSpace`, register traffic by the
 :class:`~repro.machine.evalstack.EvalStack` and
-:class:`~repro.banks.bankfile.BankFile`, decodes and jumps here.
+:class:`~repro.banks.bankfile.BankFile`, decodes and jumps here.  The
+simple instructions' handlers charge memory and register traffic
+inline, exactly as those components do (:meth:`Machine._build_dispatch`).
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 
 from repro.banks.bankfile import Bank, BankFile
@@ -42,7 +45,7 @@ from repro.errors import (
     StepLimitExceeded,
     TrapError,
 )
-from repro.ifu.ifu import FetchStats, TransferKind
+from repro.ifu.ifu import FAST_CALLS, FetchStats, TransferKind
 from repro.ifu.returnstack import ReturnStack, ReturnStackEntry
 from repro.interp.frames import (
     FRAME_GLOBAL,
@@ -51,7 +54,6 @@ from repro.interp.frames import (
     LOCALS_BASE,
     FrameState,
     FrameTable,
-    ProcMeta,
 )
 from repro.interp.image import ProgramImage
 from repro.interp.machineconfig import ArgConvention, FrameAllocatorKind, LinkageKind
@@ -60,7 +62,7 @@ from repro.isa.instruction import decode
 from repro.isa.opcodes import Op
 from repro.machine.costs import Event
 from repro.machine.evalstack import EvalStack
-from repro.machine.memory import to_signed, to_word
+from repro.machine.memory import WORD_MASK, to_signed, to_word
 from repro.mesa.descriptor import is_descriptor
 from repro.mesa.globalframe import GF_CODE_BASE, GF_HEADER_WORDS
 from repro.mesa.linkage import (
@@ -110,6 +112,10 @@ class Machine:
         if self.config.allocator is FrameAllocatorKind.FAST_STACK:
             assert image.av_heap is not None
             self.fast_frames = FastFrameStack(image.av_heap)
+        #: Where a freed frame goes back: its ``free(pointer)``.
+        self._frame_heap = image.first_fit if image.first_fit is not None else (
+            self.fast_frames if self.fast_frames is not None else image.av_heap
+        )
 
         # Machine registers.
         self.frame: FrameState | None = None  # LF
@@ -154,7 +160,6 @@ class Machine:
         #: emission never touches the modelled meters.
         self.tracer = None
 
-        self._dispatch = self._build_dispatch()
         # Decode cache: programs are static between code-space epochs, so
         # each pc decodes once.  Entries are (instruction, handler,
         # next_pc) triples so the run loop skips the dispatch-table
@@ -178,6 +183,15 @@ class Machine:
         self._epoch_subscribers: list[Callable[[], None]] = []
         if self.linkage_cache is not None:
             self._epoch_subscribers.append(self.linkage_cache.invalidate)
+        #: The largest frame whose allocation a call defers (section 7.1:
+        #: its locals fit a bank); -1 when no frame's is.
+        self._deferrable_frame_words = (
+            self.config.bank_words + LOCALS_BASE
+            if self.config.deferred_allocation and self.banks is not None
+            else -1
+        )
+        # Built last: the call handlers hold the linkage cache.
+        self._dispatch = self._build_dispatch()
         #: Optional execution engine (repro.jit.JitEngine).  When set and
         #: active, ``run()`` and the scheduler's slices delegate to it;
         #: ``step()`` is always the interpreter (the engine's own
@@ -195,9 +209,17 @@ class Machine:
         that the final RETURN halts the machine through the general
         scheme.  The evaluation stack starts empty: a previous run's
         results are dropped, uncounted, as a process switch-out or halt
-        drops them.
+        drops them.  A run abandoned mid-way (its step budget ran out)
+        leaves return-stack entries and banks behind; they are flushed
+        into their frames first, the fallback a process switch-out takes,
+        so the new root's final RETURN halts instead of resuming the old
+        activation.  After a halt or a switch-out nothing is left to flush.
         """
         self.stack.clear()
+        if self.rstack is not None and len(self.rstack):
+            self._flush_return_stack("start", self.rstack.take_all())
+        if self.banks is not None:
+            self.banks.flush_all()
         if module is None:
             meta = self.image.entry
         else:
@@ -466,48 +488,15 @@ class Machine:
             return
         words = frame.proc.frame_words
         if self.image.first_fit is not None:
-            frame.address = self.image.first_fit.allocate(words)
+            address = self.image.first_fit.allocate(words)
         elif self.fast_frames is not None:
-            frame.address, _ = self.fast_frames.allocate(words)
+            address, _ = self.fast_frames.allocate(words)
         else:
             assert self.image.av_heap is not None
-            frame.address = self.image.av_heap.allocate(frame.fsi, requested_words=words)
-        self.memory.write(frame.address + FRAME_GLOBAL, frame.gf)
-        self.frames.register(frame)
-
-    def _new_frame(self, meta: ProcMeta, resolved: ResolvedTarget) -> FrameState:
-        """Create the callee's frame, deferring allocation when allowed."""
-        frame = FrameState(proc=meta, gf=resolved.gf_address, fsi=resolved.fsi)
-        if resolved.code_base >= 0:
-            frame.code_base = resolved.code_base
-        deferrable = (
-            self.config.deferred_allocation
-            and self.banks is not None
-            and meta.local_words <= self.config.bank_words
-        )
-        if not deferrable:
-            self._materialize(frame)
-        return frame
-
-    def _free_frame(self, frame: FrameState) -> None:
-        """RETURN's free: "it frees the current local frame (unless it is
-        retained)".  A deferred frame simply never existed in memory —
-        section 7.1's "95% of the time there will be no allocation at
-        all"."""
-        if frame.retained:
-            return
-        frame.freed = True
-        if frame.address is None:
-            self.deferred_frames += 1
-            return
-        self.frames.forget(frame)
-        if self.image.first_fit is not None:
-            self.image.first_fit.free(frame.address)
-        elif self.fast_frames is not None:
-            self.fast_frames.free(frame.address)
-        else:
-            assert self.image.av_heap is not None
-            self.image.av_heap.free(frame.address)
+            address = self.image.av_heap.allocate(frame.fsi, requested_words=words)
+        frame.address = address
+        self.memory.write(address + FRAME_GLOBAL, frame.gf)
+        self.frames.by_address[address] = frame
 
     # ------------------------------------------------------------------
     # Bank plumbing
@@ -552,37 +541,6 @@ class Machine:
                 bank.release()
                 if self.banks.lbank is bank:
                     self.banks.lbank = None
-
-    # ------------------------------------------------------------------
-    # Local variable access (the hot path of section 5 / 7)
-    # ------------------------------------------------------------------
-
-    def _current_bank(self) -> Bank | None:
-        if self.banks is None:
-            return None
-        bank = self.banks.lbank
-        if bank is not None and bank.frame is self.frame:
-            return bank
-        return None
-
-    def _local_read(self, index: int) -> int:
-        bank = self._current_bank()
-        if bank is not None and index < bank.size:
-            return self.bankfile.read(bank, index)
-        frame = self.frame
-        if frame.address is None:
-            self._materialize(frame)
-        return self.memory.read(frame.address + LOCALS_BASE + index)
-
-    def _local_write(self, index: int, value: int) -> None:
-        bank = self._current_bank()
-        if bank is not None and index < bank.size:
-            self.bankfile.write(bank, index, value)
-            return
-        frame = self.frame
-        if frame.address is None:
-            self._materialize(frame)
-        self.memory.write(frame.address + LOCALS_BASE + index, value)
 
     # ------------------------------------------------------------------
     # Context words and code bases
@@ -642,11 +600,6 @@ class Machine:
             self._flush_entry(victim, callee)
         self.rstack.note_flush(reason, len(victims))
 
-    def _ensure_return_stack_room(self) -> None:
-        if self.rstack is not None and self.rstack.full:
-            victims = self.rstack.overflow_victims()
-            self._flush_return_stack("overflow", victims)
-
     # ------------------------------------------------------------------
     # Calls, returns, transfers
     # ------------------------------------------------------------------
@@ -675,7 +628,13 @@ class Machine:
                 self.memory.write(callee.address + LOCALS_BASE + index, value)
 
     def _do_call(self, resolved: ResolvedTarget, kind: TransferKind, return_pc: int) -> None:
-        """The shared call path for EFC / LFC / DFC / SDFC."""
+        """The shared call path for EFC / LFC / DFC / SDFC.
+
+        Its per-transfer steps run inline: the IFU's fast/slow tally, the
+        callee's frame, the return-stack entry and its overflow flush, or
+        the general scheme's linkage writes.  What it calls is the frame
+        records, the allocator, the bank manager and the memory.
+        """
         meta = self.image.procs_by_entry.get(resolved.entry_address)
         if meta is None:
             raise InvalidContext(
@@ -691,53 +650,68 @@ class Machine:
             # an ordinary call had just returned.
             return
         caller = self.frame
-        fast = FetchStats.call_is_fast(kind)
-        self.fetch.record(kind, fast, self.counter)
+        counter = self.counter
+        fast = kind in FAST_CALLS
+        bucket = self.fetch.fast if fast else self.fetch.slow
+        bucket[kind] = bucket.get(kind, 0) + 1
+        event = Event.FAST_TRANSFER if fast else Event.SLOW_TRANSFER
+        counter.counts[event] += 1
+        counter.cycles += counter.charges[event]
 
         # Collect the argument record under RENAME (the stack bank's
         # contents are about to become the callee's locals).
-        rename = self.config.arg_convention is ArgConvention.RENAME
         args: list[int] = []
-        if rename:
-            args = list(self.stack.contents())
-            self.stack.clear()
+        if self.config.arg_convention is ArgConvention.RENAME:
+            slots = self.stack._slots
+            args = slots[:]
+            slots.clear()
 
-        callee = self._new_frame(meta, resolved)
+        # The callee's frame; its allocation is deferred when its locals
+        # fit a bank (section 7.1).
+        callee = FrameState(proc=meta, gf=resolved.gf_address, fsi=resolved.fsi)
+        if resolved.code_base >= 0:
+            callee.code_base = resolved.code_base
+        if meta.frame_words > self._deferrable_frame_words:
+            self._materialize(callee)
 
+        rstack = self.rstack
         entry: ReturnStackEntry | None = None
         if caller is not None:
-            self._flush_flagged(caller)
-            if self.rstack is not None:
-                self._ensure_return_stack_room()
+            if caller.flagged:
+                self._flush_flagged(caller)
+            if rstack is not None:
+                entries = rstack._entries
+                if len(entries) >= rstack.depth:
+                    self._flush_return_stack("overflow", rstack.overflow_victims())
                 entry = ReturnStackEntry(frame=caller, pc=return_pc, cb=self.cb)
-                self.rstack.push(entry)
+                entries.append(entry)  # ReturnStack.push, with room made
+                rstack.stats.pushes += 1
             else:
                 # General scheme: save the caller's PC and write the
                 # return link now (sections 4-5).
-                cb = self._code_base_of(caller, self.cb)
-                self.memory.write(caller.address + FRAME_PC, to_word(return_pc - cb))
+                cb = self.cb if self.cb >= 0 else self._code_base_of(caller)
+                self.memory.write(caller.address + FRAME_PC, return_pc - cb)
 
         if self.banks is not None:
             caller_bank = self.banks.on_call(callee, arg_words=len(args))
             if entry is not None:
                 entry.bank = caller_bank
+        if args:
+            # The renamed stack bank is the callee's Lbank now, and the
+            # record fits it: the stack is no deeper than a bank.
+            self.banks.lbank.words[: len(args)] = args
 
-        if rename and args:
-            self._install_renamed_arguments(args, callee)
-
-        if self.rstack is None:
+        if rstack is None:
             # EXTERNALCALL "stores it automatically in the returnLink
             # component of the newly allocated frame" (section 5.1).
-            link = 0 if caller is None else self._context_word(caller)
+            link = 0 if caller is None else caller.address
             self.memory.write(callee.address + FRAME_RETURN_LINK, link)
 
         self.return_context = caller
         self.frame = callee
         self.gf = resolved.gf_address
-        self.cb = resolved.code_base if resolved.code_base >= 0 else -1
-        if self.cb < 0 and callee.code_base >= 0:
-            self.cb = callee.code_base
-        self.pc = resolved.first_instruction
+        self.cb = callee.code_base
+        self.pc = resolved.entry_address + 1
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
@@ -758,76 +732,45 @@ class Machine:
             self.memory, self.code, self.image.gft, linked.lv, lv_index
         )
 
-    def _op_external_call(self, lv_index: int, next_pc: int) -> None:
-        # The call site is identified by its end address (next_pc) plus
-        # the current global frame: the same code byte executed from a
-        # different module instance resolves through a different LV.
-        cache = self.linkage_cache
-        if cache is None:
-            resolved = self._resolve_external(lv_index)
-        else:
-            key = (next_pc, self.gf)
-            resolved = cache.lookup(key)
-            if resolved is None:
-                before = cache.begin()
-                resolved = self._resolve_external(lv_index)
-                cache.store(key, resolved, before)
-        self._do_call(resolved, TransferKind.EXTERNAL_CALL, next_pc)
-
-    def _op_local_call(self, ev_index: int, next_pc: int) -> None:
-        # The lazy CB fetch stays *outside* the cached region: whether it
-        # charges a read depends on machine state (was CB discovered?),
-        # not on the call site, so memoizing it would skew the metrics.
-        code_base = self._current_code_base()
-        cache = self.linkage_cache
-        if cache is None:
-            resolved = resolve_local(
-                self.memory, self.code, self.gf, code_base, ev_index
-            )
-        else:
-            key = (next_pc, self.gf)
-            resolved = cache.lookup(key)
-            if resolved is None:
-                before = cache.begin()
-                resolved = resolve_local(
-                    self.memory, self.code, self.gf, code_base, ev_index
-                )
-                cache.store(key, resolved, before)
-        self._do_call(resolved, TransferKind.LOCAL_CALL, next_pc)
-
-    def _op_direct_call(self, target: int, next_pc: int, short: bool) -> None:
-        cache = self.linkage_cache
-        if cache is None:
-            resolved = resolve_direct(self.code, target)
-        else:
-            key = (next_pc, self.gf)
-            resolved = cache.lookup(key)
-            if resolved is None:
-                before = cache.begin()
-                resolved = resolve_direct(self.code, target)
-                cache.store(key, resolved, before)
-        kind = TransferKind.SHORT_DIRECT_CALL if short else TransferKind.DIRECT_CALL
-        self._do_call(resolved, kind, next_pc)
-
-    def _prepare_return_of(self, current: FrameState) -> None:
-        """A retained frame survives its return: make its memory image
-        current (spill its bank) so later references see live values."""
+    def _op_return(self) -> None:
+        """RET: a return-stack hit resumes the caller from IFU registers;
+        a miss takes the general scheme, through the frame in memory.
+        The IFU tally and the free are inline."""
+        current = self.frame
         if current.retained and self.banks is not None:
+            # A retained frame survives its return: make its memory image
+            # current (spill its bank) so later references see live values.
             bank = self.banks.bank_of(current)
             if bank is not None:
                 self._spill_bank(bank)
-
-    def _op_return(self) -> None:
-        current = self.frame
-        self._prepare_return_of(current)
         entry = self.rstack.pop() if self.rstack is not None else None
         if entry is not None:
             dest = entry.frame
             assert isinstance(dest, FrameState)
             if dest.freed:
                 raise DanglingFrame(f"return to freed frame {dest!r}")
-            self.fetch.record(TransferKind.RETURN, True, self.counter)
-            self._free_frame(current)
+            bucket, event = self.fetch.fast, Event.FAST_TRANSFER
+        else:
+            bucket, event = self.fetch.slow, Event.SLOW_TRANSFER
+        bucket[TransferKind.RETURN] = bucket.get(TransferKind.RETURN, 0) + 1
+        counter = self.counter
+        counter.counts[event] += 1
+        counter.cycles += counter.charges[event]
+        if entry is None:
+            assert current.address is not None, "a slow return needs a materialized frame"
+            link = self.memory.read(current.address + FRAME_RETURN_LINK)
+        if not current.retained:
+            # RETURN "frees the current local frame (unless it is
+            # retained)".  A deferred frame never existed in memory:
+            # section 7.1's "95% of the time there will be no allocation".
+            current.freed = True
+            if current.address is None:
+                self.deferred_frames += 1
+            else:
+                self.frames.by_address.pop(current.address, None)
+                self._frame_heap.free(current.address)
+        tracer = self.tracer
+        if entry is not None:
             if self.banks is not None:
                 bank = entry.bank if isinstance(entry.bank, Bank) else None
                 self.banks.on_return(dest, bank)
@@ -836,7 +779,6 @@ class Machine:
             self.gf = dest.gf
             self.cb = entry.cb if entry.cb >= 0 else dest.code_base
             self.return_context = None
-            tracer = self.tracer
             if tracer is not None:
                 tracer.emit(
                     "xfer.return",
@@ -848,12 +790,7 @@ class Machine:
 
         # General scheme (section 5.1): RETURN "does returnContext := NIL;
         # XFER[LF.returnLink] after freeing the current frame".
-        self.fetch.record(TransferKind.RETURN, False, self.counter)
-        assert current.address is not None, "a slow return needs a materialized frame"
-        link = self.memory.read(current.address + FRAME_RETURN_LINK)
-        self._free_frame(current)
         self.return_context = None
-        tracer = self.tracer
         if link == 0:
             if self.banks is not None:
                 self.banks.end()
@@ -866,7 +803,7 @@ class Machine:
                 )
             self._halt()
             return
-        dest = self.frames.at(link)
+        dest = self.frames.by_address.get(link)
         if dest is None:
             raise InvalidContext(f"return link {link:#x} is not a live frame")
         if dest.freed:
@@ -942,7 +879,8 @@ class Machine:
             if rename:
                 args = list(self.stack.contents())
                 self.stack.clear()
-            callee = self._new_frame(meta, resolved)
+            callee = FrameState(proc=meta, gf=resolved.gf_address, fsi=resolved.fsi)
+            callee.code_base = resolved.code_base
             self._materialize(callee)  # XFER-created contexts get no rstack entry
             if self.banks is not None:
                 self.banks.on_call(callee, arg_words=len(args))
@@ -1095,105 +1033,346 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _build_dispatch(self) -> dict:
-        table: dict[Op, Callable] = {}
+        """One handler per opcode, ``handler(instruction, next_pc)``.
 
-        def d(op: Op, handler: Callable) -> None:
-            table[op] = handler
+        Each simple instruction (immediates, locals, globals,
+        arithmetic, comparisons, stack operations, jumps) is one closure
+        over the counter, the evaluation stack's slots and the memory's
+        words, region index and traffic, so it runs in one Python call.
+        It makes the bounds checks and charges of :class:`EvalStack`,
+        :class:`Memory` and :class:`BankFile` inline, in their order;
+        when a stack check fails it calls the stack's own method, which
+        raises as it always has.  Stack, bank and memory slots hold
+        16-bit words (each writer masks), so a word moves between them
+        as is.  A call handler replays a linkage-cache hit inline.  Call
+        handlers and RET reach :meth:`_do_call` and :meth:`_op_return`
+        through the instance, where a test may rebind them.
+        """
+        machine = self
+        counter = self.counter
+        counts = counter.counts
+        REG_READ, REG_WRITE = Event.REGISTER_READ, Event.REGISTER_WRITE
+        MEM_READ, MEM_WRITE, JUMP = Event.MEMORY_READ, Event.MEMORY_WRITE, Event.JUMP
+        charges = counter.charges
+        rr, rw = charges[REG_READ], charges[REG_WRITE]
+        mr, mw, jump = charges[MEM_READ], charges[MEM_WRITE], charges[JUMP]
+        stack = self.stack
+        slots, depth, push, pop = stack._slots, stack.depth, stack.push, stack.pop
+        memory = self.memory
+        words, regions, names = memory._words, memory._index, memory._names
+        traffic, size = memory.traffic, memory.size
+        banks = self.banks
+        code = self.code
+        cache = self.linkage_cache
+        cached = None if cache is None else cache._entries
 
-        d(Op.NOOP, lambda i, n: None)
-        d(Op.HALT, lambda i, n: self._halt())
-        d(Op.BRK, lambda i, n: self.trap(TrapKind.BREAKPOINT))
+        # Each of LI, LL, SL and EFC has eight short forms whose opcode
+        # implies the operand, then a form that carries it (LIN1, just
+        # before LI0, implies -1).  One handler serves a whole family.
+        li0, ll0, sl0, efc0 = int(Op.LI0), int(Op.LL0), int(Op.SL0), int(Op.EFC0)
 
-        # Immediates.
-        d(Op.LIN1, lambda i, n: self.stack.push(0xFFFF))
-        for value in range(8):
-            d(Op(int(Op.LI0) + value), lambda i, n, v=value: self.stack.push(v))
-        d(Op.LIB, lambda i, n: self.stack.push(i.operand))
-        d(Op.LIW, lambda i, n: self.stack.push(i.operand))
+        def constant(i, n):
+            word = i.op - li0
+            if word > 7:
+                word = i.operand
+            word &= WORD_MASK
+            if len(slots) >= depth:
+                push(word)
+            counts[REG_WRITE] += 1
+            counter.cycles += rw
+            slots.append(word)
 
-        # Locals.
-        for index in range(8):
-            d(Op(int(Op.LL0) + index), lambda i, n, x=index: self.stack.push(self._local_read(x)))
-            d(Op(int(Op.SL0) + index), lambda i, n, x=index: self._local_write(x, self.stack.pop()))
-        d(Op.LLB, lambda i, n: self.stack.push(self._local_read(i.operand)))
-        d(Op.SLB, lambda i, n: self._local_write(i.operand, self.stack.pop()))
-        d(Op.LLA, self._op_lla)
+        def load_local(i, n):
+            index = i.op - ll0
+            if index > 7:
+                index = i.operand
+            frame = machine.frame
+            bank = None if banks is None else banks.lbank
+            if bank is not None and bank.frame is frame and index < bank.size:
+                counts[REG_READ] += 1
+                counter.cycles += rr
+                value = bank.words[index]
+            else:
+                if frame.address is None:
+                    machine._materialize(frame)
+                address = frame.address + LOCALS_BASE + index
+                if not 0 <= address < size:
+                    raise MemoryFault(address, size)
+                counts[MEM_READ] += 1
+                counter.cycles += mr
+                name = names[regions[address]]
+                traffic[name] = traffic.get(name, 0) + 1
+                value = words[address]
+            if len(slots) >= depth:
+                push(value)
+            counts[REG_WRITE] += 1
+            counter.cycles += rw
+            slots.append(value)
 
-        # Globals.
-        d(Op.LG, lambda i, n: self.stack.push(self.memory.read(self.gf + GF_HEADER_WORDS + i.operand)))
-        d(Op.SG, lambda i, n: self.memory.write(self.gf + GF_HEADER_WORDS + i.operand, self.stack.pop()))
-        d(Op.LGA, lambda i, n: self.stack.push(self.gf + GF_HEADER_WORDS + i.operand))
+        def store_local(i, n):
+            if not slots:
+                pop()
+            counts[REG_READ] += 1
+            counter.cycles += rr
+            value = slots.pop()
+            index = i.op - sl0
+            if index > 7:
+                index = i.operand
+            frame = machine.frame
+            bank = None if banks is None else banks.lbank
+            if bank is not None and bank.frame is frame and index < bank.size:
+                counts[REG_WRITE] += 1
+                counter.cycles += rw
+                bank.words[index] = value
+                bank.dirty.add(index)
+                return
+            if frame.address is None:
+                machine._materialize(frame)
+            address = frame.address + LOCALS_BASE + index
+            if not 0 <= address < size:
+                raise MemoryFault(address, size)
+            counts[MEM_WRITE] += 1
+            counter.cycles += mw
+            name = names[regions[address]]
+            traffic[name] = traffic.get(name, 0) + 1
+            words[address] = value
 
-        # Indirect.
-        d(Op.RD, lambda i, n: self.stack.push(self._deref_read(self.stack.pop())))
-        d(Op.WR, self._op_wr)
+        def load_global(i, n):
+            address = machine.gf + GF_HEADER_WORDS + i.operand
+            if not 0 <= address < size:
+                raise MemoryFault(address, size)
+            counts[MEM_READ] += 1
+            counter.cycles += mr
+            name = names[regions[address]]
+            traffic[name] = traffic.get(name, 0) + 1
+            value = words[address]
+            if len(slots) >= depth:
+                push(value)
+            counts[REG_WRITE] += 1
+            counter.cycles += rw
+            slots.append(value)
 
-        # Arithmetic.
-        d(Op.ADD, lambda i, n: self._binary(lambda a, b: a + b))
-        d(Op.SUB, lambda i, n: self._binary(lambda a, b: a - b))
-        d(Op.MUL, lambda i, n: self._binary(lambda a, b: a * b))
-        d(Op.DIV, lambda i, n: self._binary(self._signed_div))
-        d(Op.MOD, lambda i, n: self._binary(self._signed_mod))
-        d(Op.NEG, lambda i, n: self.stack.push(-to_signed(self.stack.pop())))
-        d(Op.AND, lambda i, n: self._binary(lambda a, b: a & b, signed=False))
-        d(Op.OR, lambda i, n: self._binary(lambda a, b: a | b, signed=False))
-        d(Op.XOR, lambda i, n: self._binary(lambda a, b: a ^ b, signed=False))
-        d(Op.NOT, lambda i, n: self.stack.push(~self.stack.pop()))
-        d(Op.SHL, lambda i, n: self._binary(lambda a, b: a << (b & 15), signed=False))
-        d(Op.SHR, lambda i, n: self._binary(lambda a, b: a >> (b & 15), signed=False))
+        def store_global(i, n):
+            if not slots:
+                pop()
+            counts[REG_READ] += 1
+            counter.cycles += rr
+            value = slots.pop()
+            address = machine.gf + GF_HEADER_WORDS + i.operand
+            if not 0 <= address < size:
+                raise MemoryFault(address, size)
+            counts[MEM_WRITE] += 1
+            counter.cycles += mw
+            name = names[regions[address]]
+            traffic[name] = traffic.get(name, 0) + 1
+            words[address] = value
 
+        binary_cycles = rr + rr + rw
+
+        def binary(fn, bias=0, mask=WORD_MASK):
+            """Pop b, then a; push ``fn(a, b)``.  The 16-bit results of
+            ADD, SUB and MUL do not depend on reading the operands
+            signed; the comparisons read them signed by flipping the
+            sign bit (*bias*), and the shifts take *b*'s low four bits."""
+
+            def handler(i, n):
+                if len(slots) < 2:
+                    pop()
+                    pop()
+                counts[REG_READ] += 2
+                counts[REG_WRITE] += 1
+                counter.cycles += binary_cycles
+                b = slots.pop()
+                slots[-1] = fn(slots[-1] ^ bias, (b & mask) ^ bias) & WORD_MASK
+
+            return handler
+
+        def unary(fn):
+            def handler(i, n):
+                if not slots:
+                    pop()
+                counts[REG_READ] += 1
+                counts[REG_WRITE] += 1
+                counter.cycles += rr + rw
+                slots[-1] = fn(slots[-1]) & WORD_MASK
+
+            return handler
+
+        def signed(fn):
+            """DIV and MOD, through the methods that carry the trap."""
+
+            def handler(i, n):
+                b = pop()
+                a = pop()
+                push(fn(to_signed(a), to_signed(b)))
+
+            return handler
+
+        def dup(i, n):
+            if not slots or len(slots) >= depth:
+                stack.dup()
+                return
+            counts[REG_READ] += 1
+            counts[REG_WRITE] += 1
+            counter.cycles += rr + rw
+            slots.append(slots[-1])
+
+        def drop(i, n):
+            if not slots:
+                pop()
+            counts[REG_READ] += 1
+            counter.cycles += rr
+            slots.pop()
+
+        def exch(i, n):
+            if len(slots) < 2:
+                stack.exch()
+                return
+            counts[REG_READ] += 2
+            counts[REG_WRITE] += 2
+            counter.cycles += rr + rr + rw + rw
+            slots[-1], slots[-2] = slots[-2], slots[-1]
+
+        def jump_to(i, n):
+            counts[JUMP] += 1
+            counter.cycles += jump
+            machine.pc = n + i.operand
+
+        def branch(on_zero):
+            def handler(i, n):
+                if not slots:
+                    pop()
+                counts[REG_READ] += 1
+                counter.cycles += rr
+                if (slots.pop() == 0) is on_zero:
+                    counts[JUMP] += 1
+                    counter.cycles += jump
+                    machine.pc = n + i.operand
+
+            return handler
+
+        def call_site(kind, resolve, lazy_cb=False):
+            """A call handler.  The site is its end address plus GF (the
+            same code byte run from another module instance resolves
+            through another LV).  ``resolve(i, n)`` walks the tables on
+            a linkage-cache miss; a hit replays what
+            :meth:`LinkageCache.lookup` replays, in its order."""
+
+            def handler(i, n):
+                if lazy_cb and machine.cb < 0:
+                    # Outside the cached region: whether the CB fetch
+                    # charges a read depends on machine state, not on
+                    # the site, so memoizing it would skew the metrics.
+                    machine._current_code_base()
+                if cached is None:
+                    resolved = resolve(i, n)
+                else:
+                    key = (n, machine.gf)
+                    entry = cached.get(key)
+                    if entry is None:
+                        cache.misses += 1
+                        before = cache.begin()
+                        resolved = resolve(i, n)
+                        cache.store(key, resolved, before)
+                    else:
+                        cache.hits += 1
+                        resolved, events, cycles, regions_touched = entry
+                        for event, times in events:
+                            counts[event] += times
+                        counter.cycles += cycles
+                        for region, references in regions_touched:
+                            traffic[region] = traffic.get(region, 0) + references
+                machine._do_call(resolved, kind, n)
+
+            return handler
+
+        def resolve_external(i, n):
+            index = i.op - efc0
+            return machine._resolve_external(index if index < 8 else i.operand)
+
+        external = call_site(TransferKind.EXTERNAL_CALL, resolve_external)
+        if_zero, if_nonzero = branch(True), branch(False)
+
+        table: dict[Op, Callable] = {
+            Op.NOOP: lambda i, n: None,
+            Op.HALT: lambda i, n: machine._halt(),
+            Op.BRK: lambda i, n: machine.trap(TrapKind.BREAKPOINT),
+            # Immediates.
+            Op.LIN1: constant,
+            Op.LIB: constant,
+            Op.LIW: constant,
+            # Locals.
+            Op.LLB: load_local,
+            Op.SLB: store_local,
+            Op.LLA: self._op_lla,
+            # Globals.
+            Op.LG: load_global,
+            Op.SG: store_global,
+            Op.LGA: lambda i, n: push(machine.gf + GF_HEADER_WORDS + i.operand),
+            # Indirect.
+            Op.RD: lambda i, n: push(machine._deref_read(pop())),
+            Op.WR: self._op_wr,
+            # Arithmetic.
+            Op.DIV: signed(self._signed_div),
+            Op.MOD: signed(self._signed_mod),
+            Op.NEG: unary(operator.neg),
+            Op.NOT: unary(operator.invert),
+            Op.SHL: binary(operator.lshift, mask=15),
+            Op.SHR: binary(operator.rshift, mask=15),
+            # Stack manipulation.
+            Op.DUP: dup,
+            Op.POP: drop,
+            Op.EXCH: exch,
+            # Jumps.
+            Op.JB: jump_to,
+            Op.JW: jump_to,
+            Op.JZB: if_zero,
+            Op.JZW: if_zero,
+            Op.JNZB: if_nonzero,
+            Op.JNZW: if_nonzero,
+            # Transfers.
+            Op.EFCB: external,
+            Op.LFC: call_site(
+                TransferKind.LOCAL_CALL,
+                lambda i, n: resolve_local(memory, code, machine.gf, machine.cb, i.operand),
+                lazy_cb=True,
+            ),
+            Op.DFC: call_site(
+                TransferKind.DIRECT_CALL, lambda i, n: resolve_direct(code, i.operand)
+            ),
+            Op.SDFC: call_site(
+                TransferKind.SHORT_DIRECT_CALL, lambda i, n: resolve_direct(code, n + i.operand)
+            ),
+            Op.RET: lambda i, n: machine._op_return(),
+            Op.XF: lambda i, n: machine._op_xf(n),
+            Op.LRC: self._op_lrc,
+            Op.LLC: lambda i, n: push(machine._context_word(machine.frame)),
+            Op.YIELD: self._op_yield,
+            Op.OUT: lambda i, n: machine.output.append(to_signed(pop())),
+            # Storage management (section 4).
+            Op.RETAIN: self._op_retain,
+            Op.ALOC: lambda i, n: push(machine._allocate_record(pop())),
+            Op.FREE: lambda i, n: machine._op_free(pop()),
+        }
+        for op, fn in (
+            (Op.ADD, operator.add), (Op.SUB, operator.sub), (Op.MUL, operator.mul),
+            (Op.AND, operator.and_), (Op.OR, operator.or_), (Op.XOR, operator.xor),
+        ):
+            table[op] = binary(fn)
         # Comparisons (signed).
-        d(Op.EQ, lambda i, n: self._compare(lambda a, b: a == b))
-        d(Op.NE, lambda i, n: self._compare(lambda a, b: a != b))
-        d(Op.LT, lambda i, n: self._compare(lambda a, b: a < b))
-        d(Op.LE, lambda i, n: self._compare(lambda a, b: a <= b))
-        d(Op.GT, lambda i, n: self._compare(lambda a, b: a > b))
-        d(Op.GE, lambda i, n: self._compare(lambda a, b: a >= b))
-
-        # Stack manipulation.
-        d(Op.DUP, lambda i, n: self.stack.dup())
-        d(Op.POP, lambda i, n: self.stack.pop())
-        d(Op.EXCH, lambda i, n: self.stack.exch())
-
-        # Jumps.
-        d(Op.JB, self._op_jump)
-        d(Op.JW, self._op_jump)
-        d(Op.JZB, lambda i, n: self._op_cond_jump(i, n, want_zero=True))
-        d(Op.JZW, lambda i, n: self._op_cond_jump(i, n, want_zero=True))
-        d(Op.JNZB, lambda i, n: self._op_cond_jump(i, n, want_zero=False))
-        d(Op.JNZW, lambda i, n: self._op_cond_jump(i, n, want_zero=False))
-
-        # Transfers.
+        for op, fn in (
+            (Op.EQ, operator.eq), (Op.NE, operator.ne), (Op.LT, operator.lt),
+            (Op.LE, operator.le), (Op.GT, operator.gt), (Op.GE, operator.ge),
+        ):
+            table[op] = binary(fn, bias=0x8000)
         for index in range(8):
-            d(Op(int(Op.EFC0) + index), lambda i, n, x=index: self._op_external_call(x, n))
-        d(Op.EFCB, lambda i, n: self._op_external_call(i.operand, n))
-        d(Op.LFC, lambda i, n: self._op_local_call(i.operand, n))
-        d(Op.DFC, lambda i, n: self._op_direct_call(i.operand, n, short=False))
-        d(Op.SDFC, lambda i, n: self._op_direct_call(n + i.operand, n, short=True))
-        d(Op.RET, lambda i, n: self._op_return())
-        d(Op.XF, lambda i, n: self._op_xf(n))
-        d(Op.LRC, self._op_lrc)
-        d(Op.LLC, lambda i, n: self.stack.push(self._context_word(self.frame)))
-
-        d(Op.YIELD, self._op_yield)
-        d(Op.OUT, lambda i, n: self.output.append(to_signed(self.stack.pop())))
-
-        # Storage management (section 4).
-        d(Op.RETAIN, self._op_retain)
-        d(Op.ALOC, lambda i, n: self.stack.push(self._allocate_record(self.stack.pop())))
-        d(Op.FREE, lambda i, n: self._op_free(self.stack.pop()))
+            table[Op(li0 + index)] = constant
+            table[Op(ll0 + index)] = load_local
+            table[Op(sl0 + index)] = store_local
+            table[Op(efc0 + index)] = external
         return table
 
     # -- small handlers -------------------------------------------------------
-
-    def _binary(self, fn, signed: bool = True) -> None:
-        b = self.stack.pop()
-        a = self.stack.pop()
-        if signed:
-            result = fn(to_signed(a), to_signed(b))
-        else:
-            result = fn(a, b)
-        self.stack.push(result)
 
     def _signed_div(self, a: int, b: int) -> int:
         if b == 0:
@@ -1207,22 +1386,6 @@ class Machine:
             self.trap(TrapKind.DIVIDE_BY_ZERO)
             return 0
         return a - self._signed_div(a, b) * b
-
-    def _compare(self, fn) -> None:
-        b = to_signed(self.stack.pop())
-        a = to_signed(self.stack.pop())
-        self.stack.push(1 if fn(a, b) else 0)
-
-    def _op_jump(self, instruction, next_pc: int) -> None:
-        self.counter.record(Event.JUMP)
-        self.pc = next_pc + instruction.operand
-
-    def _op_cond_jump(self, instruction, next_pc: int, want_zero: bool) -> None:
-        value = self.stack.pop()
-        taken = (value == 0) if want_zero else (value != 0)
-        if taken:
-            self.counter.record(Event.JUMP)
-            self.pc = next_pc + instruction.operand
 
     def _op_wr(self, instruction, next_pc: int) -> None:
         address = self.stack.pop()
@@ -1297,7 +1460,9 @@ class Machine:
             if self.banks is not None:
                 self.banks.release_frame_bank(frame)
             frame.retained = False
-            self._free_frame(frame)
+            frame.freed = True
+            self.frames.forget(frame)
+            self._frame_heap.free(pointer)
             return
         if self.image.first_fit is not None:
             self.image.first_fit.free(pointer)

@@ -92,10 +92,13 @@ class EvalStack:
         return tuple(self._slots)
 
     def load(self, values: tuple[int, ...] | list[int]) -> None:
-        """Uncounted bulk restore — for process-switch state reload."""
+        """Uncounted bulk restore — for process-switch state reload.
+
+        Refills the slot list in place: the interpreter's handlers hold it.
+        """
         if len(values) > self.depth:
             raise EvalStackOverflow(f"restoring {len(values)} words into depth {self.depth}")
-        self._slots = [to_word(v) for v in values]
+        self._slots[:] = [to_word(v) for v in values]
 
     def __len__(self) -> int:
         return len(self._slots)

@@ -15,7 +15,9 @@ instant StepLimitExceeded.
 
 import pytest
 
+from repro.banks.bankfile import BankRole
 from repro.errors import StepLimitExceeded
+from repro.ifu.ifu import TransferKind
 from repro.ifu.returnstack import OverflowPolicy, ReturnStack, ReturnStackEntry
 from repro.interp.services import relocate_module, replace_procedure
 from repro.isa.assembler import Assembler
@@ -23,6 +25,7 @@ from repro.isa.opcodes import Op
 from repro.jit import install_jit
 from repro.workloads.programs import CORPUS
 from tests.conftest import ALL_PRESETS, build
+from tests.test_jit_host_calls import CALL_DENSE
 
 
 # ---------------------------------------------------------------------------
@@ -30,12 +33,25 @@ from tests.conftest import ALL_PRESETS, build
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("preset", ALL_PRESETS)
-@pytest.mark.parametrize("name", ["calls", "fib", "pipeline", "mutual"])
-def test_paper_metrics_identical_with_and_without_cache(preset, name):
+#: Every corpus program on every preset it links on: a descriptor
+#: program cannot link under I1's SIMPLE linkage.
+LINKED_CORPUS = [
+    (name, preset)
+    for name in sorted(CORPUS)
+    for preset in ALL_PRESETS
+    if not (CORPUS[name].needs_descriptors and preset == "i1")
+]
+
+
+@pytest.mark.parametrize("name, preset", LINKED_CORPUS)
+def test_paper_metrics_identical_with_and_without_cache(name, preset):
     """On both engines, region traffic included: a hit replays the
-    walk's traffic, so the regions and their order match the uncached run."""
+    walk's traffic, so the regions and their order match the uncached
+    run, and so do the IFU's fast and slow tallies.  The interpreter
+    looks every executed call up once, and misses once per site; the
+    JIT's cells resolve each site once too."""
     entry = CORPUS[name]
+    misses = {}
     for engine in ("interp", "jit"):
         outcomes = []
         for cached in (False, True):
@@ -54,9 +70,23 @@ def test_paper_metrics_identical_with_and_without_cache(preset, name):
                 machine.steps,
                 machine.counter.snapshot(),
                 list(machine.memory.traffic.items()),
+                dict(machine.fetch.fast),
+                dict(machine.fetch.slow),
             ))
         off, on = outcomes
         assert off == on, engine
+        stats = machine.linkage_cache.stats()
+        misses[engine] = stats["misses"]
+        if engine == "interp":
+            calls = sum(
+                count
+                for bucket in (machine.fetch.fast, machine.fetch.slow)
+                for kind, count in bucket.items()
+                if kind not in (TransferKind.RETURN, TransferKind.XFER)
+            )
+            assert stats["hits"] + stats["misses"] == calls
+            assert stats["misses"] == stats["entries"]
+    assert misses["jit"] == misses["interp"]
 
 
 def test_cache_serves_the_call_dense_hot_path():
@@ -143,6 +173,45 @@ def test_yielded_run_resumes_with_full_allowance():
         assert slices < 500
     assert machine.results() == [50]
     assert slices > 5
+
+
+@pytest.mark.parametrize("engine", ["interp", "jit"])
+@pytest.mark.parametrize("preset", ALL_PRESETS)
+def test_start_does_not_resume_an_abandoned_run(preset, engine):
+    """A run stopped by its step budget leaves return-stack entries, and
+    on i4 banks, behind.  ``start`` flushes them into their frames, as a
+    process switch-out does, so the new root's final RETURN halts the
+    machine.  Popping an entry of the old run instead resumed it, and
+    returned 6283 on i3 and i4."""
+    machine = build([CALL_DENSE], preset=preset)
+    if engine == "jit":
+        install_jit(machine)
+    machine.start("Main", "main", 50)
+    with pytest.raises(StepLimitExceeded):
+        machine.run(max_steps=37)
+    machine.start("Main", "main", 5)
+    assert machine.run() == [60]
+
+
+def test_a_reused_machine_does_not_pile_up_banks():
+    """The corpus coroutine halts with its suspended coroutine's frame
+    still allocated (on Mesa only a return or FREE frees a frame) and
+    its bank still held.  Each later ``start`` spills that bank, 9
+    cycles, so one bank is held after every halt and no run overflows;
+    before, the held banks piled up until the third run overflowed."""
+    entry = CORPUS["coroutine"]
+    machine = build(entry.sources, preset="i4", entry=entry.entry)
+    cycles, held = [], []
+    for _ in range(3):
+        before = machine.counter.cycles
+        machine.start(entry.entry[0], entry.entry[1], *entry.args)
+        assert machine.run() == list(entry.expect_results)
+        cycles.append(machine.counter.cycles - before)
+        held.append(sum(bank.role is not BankRole.FREE for bank in machine.bankfile))
+    assert cycles == [537, 546, 546]
+    assert held == [1, 1, 1]
+    assert machine.bankfile.stats.overflows == 0
+    assert len(machine.frames.by_address) == 3
 
 
 def test_step_limit_remains_the_cumulative_backstop():
