@@ -139,10 +139,9 @@ class AVHeap:
         if 0 < head < memory.size:
             # ref 1: fetch list head; ref 2: fetch next pointer; ref 3:
             # store head.
-            counter = memory.counter
-            counter.counts[_READ] += 2
-            counter.counts[_WRITE] += 1
-            counter.cycles += 2 * counter.charges[_READ] + counter.charges[_WRITE]
+            counts = memory.counter.counts
+            counts[_READ] += 2
+            counts[_WRITE] += 1
             traffic, names, regions = memory.traffic, memory._names, memory._index
             name = names[regions[slot]]
             traffic[name] = traffic.get(name, 0) + 2
@@ -211,10 +210,9 @@ class AVHeap:
             # ref 1: fetch fsi header; ref 2: fetch list head; ref 3: link
             # node; ref 4: store list head.
             slot = self.av_base + fsi
-            counter = memory.counter
-            counter.counts[_READ] += 2
-            counter.counts[_WRITE] += 2
-            counter.cycles += 2 * (counter.charges[_READ] + counter.charges[_WRITE])
+            counts = memory.counter.counts
+            counts[_READ] += 2
+            counts[_WRITE] += 2
             traffic, names, regions = memory.traffic, memory._names, memory._index
             name = names[regions[frame - 1]]
             traffic[name] = traffic.get(name, 0) + 1

@@ -89,10 +89,9 @@ class SimpleHeap:
             words <= store[block] < words + HEADER_WORDS + MIN_BODY_WORDS
         ):
             words = store[block]
-            counter = memory.counter
-            counter.counts[_READ] += 3
-            counter.counts[_WRITE] += 1
-            counter.cycles += 3 * counter.charges[_READ] + counter.charges[_WRITE]
+            counts = memory.counter.counts
+            counts[_READ] += 3
+            counts[_WRITE] += 1
             traffic, names, regions = memory.traffic, memory._names, memory._index
             for address in (head_base, block, block + 1, head_base):
                 name = names[regions[address]]
@@ -157,10 +156,9 @@ class SimpleHeap:
             raise DoubleFree(pointer)
         words = self._live.pop(pointer)
         memory = self.memory
-        counter = memory.counter
-        counter.counts[_READ] += 1
-        counter.counts[_WRITE] += 2
-        counter.cycles += counter.charges[_READ] + 2 * counter.charges[_WRITE]
+        counts = memory.counter.counts
+        counts[_READ] += 1
+        counts[_WRITE] += 2
         traffic, names, regions = memory.traffic, memory._names, memory._index
         for address in (self.head_base, pointer, self.head_base):
             name = names[regions[address]]

@@ -183,16 +183,12 @@ class BankFile:
 
     def read(self, bank: Bank, index: int) -> int:
         """Counted register read of one shadowed word."""
-        counter = self.counter
-        counter.counts[_READ] += 1
-        counter.cycles += counter.charges[_READ]
+        self.counter.counts[_READ] += 1
         return bank.words[index]
 
     def write(self, bank: Bank, index: int, value: int) -> None:
         """Counted register write of one shadowed word."""
-        counter = self.counter
-        counter.counts[_WRITE] += 1
-        counter.cycles += counter.charges[_WRITE]
+        self.counter.counts[_WRITE] += 1
         bank.words[index] = value & WORD_MASK
         bank.dirty.add(index)
 

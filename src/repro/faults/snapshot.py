@@ -375,6 +375,14 @@ def restore(machine, state: dict, scheduler=None) -> None:
     ):
         if present is not None and state.get(section) is None:
             raise SnapshotError(f"machine has {what} but snapshot has none")
+    counter = machine.counter
+    counts = {_event(value): count for value, count in state["counter"]["counts"].items()}
+    cycles = sum(count * counter.charges[event] for event, count in counts.items())
+    if cycles != state["counter"]["cycles"]:
+        raise SnapshotError(
+            f"counter cycles {state['counter']['cycles']} are not its counts "
+            f"times this machine's charges ({cycles})"
+        )
 
     # Code space: the relink should reproduce it bit-for-bit; restoring
     # the bytes also covers runs that patched code (services).
@@ -387,11 +395,8 @@ def restore(machine, state: dict, scheduler=None) -> None:
     memory.traffic.clear()
     memory.traffic.update(state["memory"]["traffic"])
 
-    # Meters.
-    counter = machine.counter
-    for event_value, count in state["counter"]["counts"].items():
-        counter.counts[_event(event_value)] = count
-    counter.cycles = state["counter"]["cycles"]
+    # Meters (the cycles derive from the counts).
+    counter.counts.update(counts)
 
     # The frame graph.
     frames: list[FrameState] = []
@@ -543,7 +548,10 @@ def _restore_scheduler(scheduler, data: dict, deref) -> None:
 def _event(value: str):
     from repro.machine.costs import Event
 
-    return Event(value)
+    try:
+        return Event(value)
+    except ValueError:
+        raise SnapshotError(f"unknown counter event {value!r}") from None
 
 
 def _restore_alloc_stats(stats, data: dict) -> None:

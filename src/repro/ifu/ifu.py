@@ -59,13 +59,11 @@ class FetchStats:
         fast: bool,
         counter: CycleCounter | None = None,
     ) -> None:
-        """Tally one transfer; optionally charge the cycle counter."""
+        """Tally one transfer; optionally count it on the cycle counter."""
         bucket = self.fast if fast else self.slow
         bucket[kind] = bucket.get(kind, 0) + 1
         if counter is not None:
-            event = Event.FAST_TRANSFER if fast else Event.SLOW_TRANSFER
-            counter.counts[event] += 1
-            counter.cycles += counter.charges[event]
+            counter.counts[Event.FAST_TRANSFER if fast else Event.SLOW_TRANSFER] += 1
 
     @staticmethod
     def call_is_fast(kind: TransferKind) -> bool:

@@ -16,12 +16,13 @@ image decides which mechanisms are live:
   bank gets no memory address until a flush (or ``LLA``) forces one.
 
 Event accounting runs through one shared
-:class:`~repro.machine.costs.CycleCounter`: memory reads/writes are
-charged by the :class:`~repro.machine.memory.Memory` and
+:class:`~repro.machine.costs.CycleCounter`, which derives the cycles
+from the counts: memory reads/writes are counted by the
+:class:`~repro.machine.memory.Memory` and
 :class:`~repro.isa.program.CodeSpace`, register traffic by the
 :class:`~repro.machine.evalstack.EvalStack` and
 :class:`~repro.banks.bankfile.BankFile`, decodes and jumps here.  The
-simple instructions' handlers charge memory and register traffic
+simple instructions' handlers count memory and register traffic
 inline, exactly as those components do (:meth:`Machine._build_dispatch`).
 """
 
@@ -37,6 +38,7 @@ from repro.banks.renaming import BankManager
 from repro.errors import (
     AllocationError,
     DanglingFrame,
+    DecodeError,
     EvalStackOverflow,
     HeapExhausted,
     InvalidContext,
@@ -160,12 +162,7 @@ class Machine:
         #: emission never touches the modelled meters.
         self.tracer = None
 
-        # Decode cache: programs are static between code-space epochs, so
-        # each pc decodes once.  Entries are (instruction, handler,
-        # next_pc) triples so the run loop skips the dispatch-table
-        # lookup and length arithmetic too.  (A
-        # simulation shortcut, not machine state: decode is still charged
-        # per executed instruction.)
+        # Decode cache: pc -> the run that starts there (_decode_run).
         self._decode_cache: dict[int, tuple] = {}
         self._code_epoch = self.code.epoch
         # Call-site linkage cache (host-side; see LinkageCache): shares
@@ -191,7 +188,7 @@ class Machine:
             else -1
         )
         # Built last: the call handlers hold the linkage cache.
-        self._dispatch = self._build_dispatch()
+        self._dispatch, self._simple = self._build_dispatch()
         #: Optional execution engine (repro.jit.JitEngine).  When set and
         #: active, ``run()`` and the scheduler's slices delegate to it;
         #: ``step()`` is always the interpreter (the engine's own
@@ -284,47 +281,59 @@ class Machine:
     def _interpret(self, ceiling: int) -> bool:
         """The interpreter's fetch-decode-dispatch loop; see :meth:`_run_until`.
 
-        The dispatch table, decode cache, and counter are hoisted into
-        locals.  (A tracer attached mid-loop by a trap handler takes
-        effect at the next call.)
+        Each decode-cache entry is a run (:meth:`_decode_run`): the
+        simple instructions from a pc on, then its end, the first
+        instruction that is not simple.  With no tracer attached and the
+        run and its end under *ceiling*, the loop counts their DECODEs
+        and steps in one update each, calls the simple handlers with
+        ``pc`` set before each, then calls the end's; a fault among the
+        simple ones first takes back what did not execute
+        (:meth:`_take_back`), so every reader sees what single steps
+        leave.  Otherwise the per-step code executes the run's first
+        instruction alone: it serves :meth:`step`, tracers and runs that
+        do not fit.  (A tracer attached mid-loop by a trap handler stops
+        the batching at once, and sees ``machine.step`` events from the
+        next call.)
         """
-        # The code buffer is a live bytearray (growing it preserves
-        # identity), so holding it is safe; epoch changes are still
-        # checked every iteration.  The per-step DECODE charge is
-        # applied directly to the counter's counts/cycles through its bound
-        # charge table — exactly what CycleCounter.record does, minus the
-        # call per step.
-        dispatch = self._dispatch
-        cache = self._decode_cache
-        cache_get = cache.get
-        buffer = self.code.buffer
+        cache_get = self._decode_cache.get
         code = self.code
-        counter = self.counter
-        counts = counter.counts
+        counts = self.counter.counts
         decode_event = Event.DECODE
-        decode_charge = counter.charges[decode_event]
         tracer = self.tracer
         trace_steps = tracer is not None and getattr(tracer, "trace_steps", False)
 
         while not self.halted:
-            if self.steps >= ceiling:
+            steps = self.steps
+            if steps >= ceiling:
                 return True
             if self._code_epoch != code.epoch:
                 self.invalidate_linkage()  # clears in place; locals stay valid
-            pc = self.pc
-            pair = cache_get(pc)
-            if pair is None:
-                instruction = decode(buffer, pc)
-                pair = (instruction, dispatch[instruction.op], pc + instruction.length)
-                cache[pc] = pair
-            instruction, handler, next_pc = pair
-            counts[decode_event] += 1
-            counter.cycles += decode_charge
-            self.steps += 1
-            if trace_steps:
-                tracer.emit("machine.step", instruction.op.name, pc=pc)
-            self.pc = next_pc
+            entry = cache_get(self.pc)
+            if entry is None:
+                entry = self._decode_run(self.pc)
+            run, size, handler, instruction, next_pc = entry
             try:
+                if (
+                    steps + size <= ceiling
+                    and self.tracer is None
+                ):
+                    counts[decode_event] += size
+                    self.steps = steps + size
+                    try:
+                        for run_handler, run_instruction, run_next in run:
+                            self.pc = run_next
+                            run_handler(run_instruction, run_next)
+                    except BaseException:
+                        self._take_back(run, size)
+                        raise
+                else:
+                    if run:
+                        handler, instruction, next_pc = run[0]
+                    counts[decode_event] += 1
+                    self.steps = steps + 1
+                    if trace_steps:
+                        tracer.emit("machine.step", instruction.op.name, pc=self.pc)
+                self.pc = next_pc
                 handler(instruction, next_pc)
             except TrapTransfer:
                 pass  # control is already in the trap context
@@ -337,6 +346,50 @@ class Machine:
             if self.yield_requested:
                 break
         return False
+
+    def _decode_run(self, pc: int) -> tuple:
+        """Decode the run at *pc* into the decode cache and return it:
+        ``(run, size, handler, instruction, next_pc)``, where *run* holds
+        ``(handler, instruction, next_pc)`` for each simple instruction
+        from *pc* on, the rest describe its end (the first instruction
+        whose handler is not simple) and *size* counts both.  Decoding
+        ahead stops at a byte that does not decode, and the instruction
+        before it ends the run: the bad byte faults when it is executed,
+        as always.  Decode is still charged per executed instruction.
+        """
+        buffer = self.code.buffer
+        dispatch = self._dispatch
+        simple = self._simple
+        run = []
+        at = pc
+        while True:
+            try:
+                instruction = decode(buffer, at)
+            except DecodeError:
+                if not run:
+                    raise
+                end = run.pop()
+                break
+            end = (dispatch[instruction.op], instruction, at + instruction.length)
+            if end[0] not in simple:
+                break
+            run.append(end)
+            at = end[2]
+        entry = (tuple(run), len(run) + 1, *end)
+        self._decode_cache[pc] = entry
+        return entry
+
+    def _take_back(self, run: tuple, size: int) -> None:
+        """Uncount the DECODEs and steps that a batched run counted for
+        the instructions after the one that faulted (``self.pc`` is that
+        one's next pc), its end included."""
+        executed = 1
+        for _, _, after in run:
+            if after == self.pc:
+                break
+            executed += 1
+        self.counter.counts[Event.DECODE] -= size - executed
+        self.steps -= size - executed
 
     def call(self, module: str, proc: str, *args: int) -> list[int]:
         """Convenience: start + run; returns the (signed) result values."""
@@ -417,7 +470,8 @@ class Machine:
         Propagates the sink to the return stack, the bank file, and the
         frame allocators, and binds tracers that want the machine's
         meters as timestamps (see :mod:`repro.obs.tracer`).  Attaching
-        mid-``run()`` takes effect on the next ``run()``/``step()``.
+        mid-``run()`` puts the interpreter on single steps at once, and
+        ``machine.step`` events start with the next ``run()``/``step()``.
         Tracing never changes the modelled meters — emission only
         *reads* the cycle counter.  A ``trace_steps`` tracer sees every
         instruction as a ``machine.step`` event (the dynamic opcode
@@ -650,13 +704,10 @@ class Machine:
             # an ordinary call had just returned.
             return
         caller = self.frame
-        counter = self.counter
         fast = kind in FAST_CALLS
         bucket = self.fetch.fast if fast else self.fetch.slow
         bucket[kind] = bucket.get(kind, 0) + 1
-        event = Event.FAST_TRANSFER if fast else Event.SLOW_TRANSFER
-        counter.counts[event] += 1
-        counter.cycles += counter.charges[event]
+        self.counter.counts[Event.FAST_TRANSFER if fast else Event.SLOW_TRANSFER] += 1
 
         # Collect the argument record under RENAME (the stack bank's
         # contents are about to become the callee's locals).
@@ -753,9 +804,7 @@ class Machine:
         else:
             bucket, event = self.fetch.slow, Event.SLOW_TRANSFER
         bucket[TransferKind.RETURN] = bucket.get(TransferKind.RETURN, 0) + 1
-        counter = self.counter
-        counter.counts[event] += 1
-        counter.cycles += counter.charges[event]
+        self.counter.counts[event] += 1
         if entry is None:
             assert current.address is not None, "a slow return needs a materialized frame"
             link = self.memory.read(current.address + FRAME_RETURN_LINK)
@@ -1032,30 +1081,30 @@ class Machine:
     # Dispatch table
     # ------------------------------------------------------------------
 
-    def _build_dispatch(self) -> dict:
-        """One handler per opcode, ``handler(instruction, next_pc)``.
+    def _build_dispatch(self) -> tuple[dict, frozenset]:
+        """One handler per opcode, ``handler(instruction, next_pc)``, and
+        the set of the simple instructions' handlers.
 
         Each simple instruction (immediates, locals, globals,
-        arithmetic, comparisons, stack operations, jumps) is one closure
-        over the counter, the evaluation stack's slots and the memory's
-        words, region index and traffic, so it runs in one Python call.
-        It makes the bounds checks and charges of :class:`EvalStack`,
-        :class:`Memory` and :class:`BankFile` inline, in their order;
-        when a stack check fails it calls the stack's own method, which
-        raises as it always has.  Stack, bank and memory slots hold
-        16-bit words (each writer masks), so a word moves between them
-        as is.  A call handler replays a linkage-cache hit inline.  Call
-        handlers and RET reach :meth:`_do_call` and :meth:`_op_return`
-        through the instance, where a test may rebind them.
+        arithmetic, comparisons, stack operations) and each jump is one
+        closure over the counter's counts, the evaluation stack's slots
+        and the memory's words, region index and traffic, so it runs in
+        one Python call.  It makes the bounds checks and counts of
+        :class:`EvalStack`, :class:`Memory` and :class:`BankFile` inline,
+        in their order; when a stack check fails it calls the stack's own
+        method, which raises as it always has.  Stack, bank and memory
+        slots hold 16-bit words (each writer masks), so a word moves
+        between them as is.  No simple handler transfers control, traps,
+        yields or halts, so a straight line of them runs as one batch
+        (:meth:`_interpret`).  A call handler replays a linkage-cache hit
+        inline.  Call handlers and RET reach :meth:`_do_call` and
+        :meth:`_op_return` through the instance, where a test may rebind
+        them.
         """
         machine = self
-        counter = self.counter
-        counts = counter.counts
+        counts = self.counter.counts
         REG_READ, REG_WRITE = Event.REGISTER_READ, Event.REGISTER_WRITE
         MEM_READ, MEM_WRITE, JUMP = Event.MEMORY_READ, Event.MEMORY_WRITE, Event.JUMP
-        charges = counter.charges
-        rr, rw = charges[REG_READ], charges[REG_WRITE]
-        mr, mw, jump = charges[MEM_READ], charges[MEM_WRITE], charges[JUMP]
         stack = self.stack
         slots, depth, push, pop = stack._slots, stack.depth, stack.push, stack.pop
         memory = self.memory
@@ -1079,7 +1128,6 @@ class Machine:
             if len(slots) >= depth:
                 push(word)
             counts[REG_WRITE] += 1
-            counter.cycles += rw
             slots.append(word)
 
         def load_local(i, n):
@@ -1090,7 +1138,6 @@ class Machine:
             bank = None if banks is None else banks.lbank
             if bank is not None and bank.frame is frame and index < bank.size:
                 counts[REG_READ] += 1
-                counter.cycles += rr
                 value = bank.words[index]
             else:
                 if frame.address is None:
@@ -1099,21 +1146,18 @@ class Machine:
                 if not 0 <= address < size:
                     raise MemoryFault(address, size)
                 counts[MEM_READ] += 1
-                counter.cycles += mr
                 name = names[regions[address]]
                 traffic[name] = traffic.get(name, 0) + 1
                 value = words[address]
             if len(slots) >= depth:
                 push(value)
             counts[REG_WRITE] += 1
-            counter.cycles += rw
             slots.append(value)
 
         def store_local(i, n):
             if not slots:
                 pop()
             counts[REG_READ] += 1
-            counter.cycles += rr
             value = slots.pop()
             index = i.op - sl0
             if index > 7:
@@ -1122,7 +1166,6 @@ class Machine:
             bank = None if banks is None else banks.lbank
             if bank is not None and bank.frame is frame and index < bank.size:
                 counts[REG_WRITE] += 1
-                counter.cycles += rw
                 bank.words[index] = value
                 bank.dirty.add(index)
                 return
@@ -1132,7 +1175,6 @@ class Machine:
             if not 0 <= address < size:
                 raise MemoryFault(address, size)
             counts[MEM_WRITE] += 1
-            counter.cycles += mw
             name = names[regions[address]]
             traffic[name] = traffic.get(name, 0) + 1
             words[address] = value
@@ -1142,32 +1184,26 @@ class Machine:
             if not 0 <= address < size:
                 raise MemoryFault(address, size)
             counts[MEM_READ] += 1
-            counter.cycles += mr
             name = names[regions[address]]
             traffic[name] = traffic.get(name, 0) + 1
             value = words[address]
             if len(slots) >= depth:
                 push(value)
             counts[REG_WRITE] += 1
-            counter.cycles += rw
             slots.append(value)
 
         def store_global(i, n):
             if not slots:
                 pop()
             counts[REG_READ] += 1
-            counter.cycles += rr
             value = slots.pop()
             address = machine.gf + GF_HEADER_WORDS + i.operand
             if not 0 <= address < size:
                 raise MemoryFault(address, size)
             counts[MEM_WRITE] += 1
-            counter.cycles += mw
             name = names[regions[address]]
             traffic[name] = traffic.get(name, 0) + 1
             words[address] = value
-
-        binary_cycles = rr + rr + rw
 
         def binary(fn, bias=0, mask=WORD_MASK):
             """Pop b, then a; push ``fn(a, b)``.  The 16-bit results of
@@ -1181,7 +1217,6 @@ class Machine:
                     pop()
                 counts[REG_READ] += 2
                 counts[REG_WRITE] += 1
-                counter.cycles += binary_cycles
                 b = slots.pop()
                 slots[-1] = fn(slots[-1] ^ bias, (b & mask) ^ bias) & WORD_MASK
 
@@ -1193,7 +1228,6 @@ class Machine:
                     pop()
                 counts[REG_READ] += 1
                 counts[REG_WRITE] += 1
-                counter.cycles += rr + rw
                 slots[-1] = fn(slots[-1]) & WORD_MASK
 
             return handler
@@ -1214,14 +1248,12 @@ class Machine:
                 return
             counts[REG_READ] += 1
             counts[REG_WRITE] += 1
-            counter.cycles += rr + rw
             slots.append(slots[-1])
 
         def drop(i, n):
             if not slots:
                 pop()
             counts[REG_READ] += 1
-            counter.cycles += rr
             slots.pop()
 
         def exch(i, n):
@@ -1230,12 +1262,10 @@ class Machine:
                 return
             counts[REG_READ] += 2
             counts[REG_WRITE] += 2
-            counter.cycles += rr + rr + rw + rw
             slots[-1], slots[-2] = slots[-2], slots[-1]
 
         def jump_to(i, n):
             counts[JUMP] += 1
-            counter.cycles += jump
             machine.pc = n + i.operand
 
         def branch(on_zero):
@@ -1243,10 +1273,8 @@ class Machine:
                 if not slots:
                     pop()
                 counts[REG_READ] += 1
-                counter.cycles += rr
                 if (slots.pop() == 0) is on_zero:
                     counts[JUMP] += 1
-                    counter.cycles += jump
                     machine.pc = n + i.operand
 
             return handler
@@ -1276,10 +1304,9 @@ class Machine:
                         cache.store(key, resolved, before)
                     else:
                         cache.hits += 1
-                        resolved, events, cycles, regions_touched = entry
+                        resolved, events, regions_touched = entry
                         for event, times in events:
                             counts[event] += times
-                        counter.cycles += cycles
                         for region, references in regions_touched:
                             traffic[region] = traffic.get(region, 0) + references
                 machine._do_call(resolved, kind, n)
@@ -1293,10 +1320,8 @@ class Machine:
         external = call_site(TransferKind.EXTERNAL_CALL, resolve_external)
         if_zero, if_nonzero = branch(True), branch(False)
 
-        table: dict[Op, Callable] = {
-            Op.NOOP: lambda i, n: None,
-            Op.HALT: lambda i, n: machine._halt(),
-            Op.BRK: lambda i, n: machine.trap(TrapKind.BREAKPOINT),
+        # The simple instructions.
+        simple: dict[Op, Callable] = {
             # Immediates.
             Op.LIN1: constant,
             Op.LIB: constant,
@@ -1304,17 +1329,10 @@ class Machine:
             # Locals.
             Op.LLB: load_local,
             Op.SLB: store_local,
-            Op.LLA: self._op_lla,
             # Globals.
             Op.LG: load_global,
             Op.SG: store_global,
-            Op.LGA: lambda i, n: push(machine.gf + GF_HEADER_WORDS + i.operand),
-            # Indirect.
-            Op.RD: lambda i, n: push(machine._deref_read(pop())),
-            Op.WR: self._op_wr,
             # Arithmetic.
-            Op.DIV: signed(self._signed_div),
-            Op.MOD: signed(self._signed_mod),
             Op.NEG: unary(operator.neg),
             Op.NOT: unary(operator.invert),
             Op.SHL: binary(operator.lshift, mask=15),
@@ -1323,6 +1341,38 @@ class Machine:
             Op.DUP: dup,
             Op.POP: drop,
             Op.EXCH: exch,
+        }
+        for op, fn in (
+            (Op.ADD, operator.add), (Op.SUB, operator.sub), (Op.MUL, operator.mul),
+            (Op.AND, operator.and_), (Op.OR, operator.or_), (Op.XOR, operator.xor),
+        ):
+            simple[op] = binary(fn)
+        # Comparisons (signed).
+        for op, fn in (
+            (Op.EQ, operator.eq), (Op.NE, operator.ne), (Op.LT, operator.lt),
+            (Op.LE, operator.le), (Op.GT, operator.gt), (Op.GE, operator.ge),
+        ):
+            simple[op] = binary(fn, bias=0x8000)
+        for index in range(8):
+            simple[Op(li0 + index)] = constant
+            simple[Op(ll0 + index)] = load_local
+            simple[Op(sl0 + index)] = store_local
+
+        table: dict[Op, Callable] = {
+            **simple,
+            Op.NOOP: lambda i, n: None,
+            Op.HALT: lambda i, n: machine._halt(),
+            Op.BRK: lambda i, n: machine.trap(TrapKind.BREAKPOINT),
+            # Locals.
+            Op.LLA: self._op_lla,
+            # Globals.
+            Op.LGA: lambda i, n: push(machine.gf + GF_HEADER_WORDS + i.operand),
+            # Indirect.
+            Op.RD: lambda i, n: push(machine._deref_read(pop())),
+            Op.WR: self._op_wr,
+            # Arithmetic.
+            Op.DIV: signed(self._signed_div),
+            Op.MOD: signed(self._signed_mod),
             # Jumps.
             Op.JB: jump_to,
             Op.JW: jump_to,
@@ -1354,23 +1404,9 @@ class Machine:
             Op.ALOC: lambda i, n: push(machine._allocate_record(pop())),
             Op.FREE: lambda i, n: machine._op_free(pop()),
         }
-        for op, fn in (
-            (Op.ADD, operator.add), (Op.SUB, operator.sub), (Op.MUL, operator.mul),
-            (Op.AND, operator.and_), (Op.OR, operator.or_), (Op.XOR, operator.xor),
-        ):
-            table[op] = binary(fn)
-        # Comparisons (signed).
-        for op, fn in (
-            (Op.EQ, operator.eq), (Op.NE, operator.ne), (Op.LT, operator.lt),
-            (Op.LE, operator.le), (Op.GT, operator.gt), (Op.GE, operator.ge),
-        ):
-            table[op] = binary(fn, bias=0x8000)
         for index in range(8):
-            table[Op(li0 + index)] = constant
-            table[Op(ll0 + index)] = load_local
-            table[Op(sl0 + index)] = store_local
             table[Op(efc0 + index)] = external
-        return table
+        return table, frozenset(simple.values())
 
     # -- small handlers -------------------------------------------------------
 

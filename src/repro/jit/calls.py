@@ -1371,7 +1371,7 @@ def make_cells(machine, ctx, ns: dict, stats):
         entry = entries_map.get((site.next_pc, gf))
         if entry is None:
             return -1
-        resolved, pairs, _walk_cycles, regions = entry
+        resolved, pairs, regions = entry
         meta = procs_by_entry.get(resolved.entry_address)
         if meta is None or (banked and meta.local_words > bank_words):
             site.generic = True

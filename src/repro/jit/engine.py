@@ -20,10 +20,10 @@ it.  Each block whose plan read a block that changed is planned again,
 so callees splice into their callers bottom-up.
 
 Compiled code counts its exits rather than charging them: each
-distinct static charge vector (events, cycles, region traffic) has one
-slot in the engine's exit table, and an exit bumps its slot's hit
-count.  :meth:`JitEngine.charge` turns the hits into meter charges, at
-every exit from :meth:`JitEngine.run_until` and before
+distinct static charge vector (events and region traffic) has one slot
+in the engine's exit table, and an exit bumps its slot's hit count.
+:meth:`JitEngine.charge` turns the hits into meter charges, at every
+exit from :meth:`JitEngine.run_until` and before
 ``Machine.attach_tracer`` binds an observer or a host trap handler
 runs, so no charge is ever pending where anything can read it.
 """
@@ -113,7 +113,7 @@ class JitEngine:
             module_gfs.setdefault(name, []).append(linked.gf_address)
 
         #: The exit table: static charge vector -> slot, each slot's
-        #: ``(events, cycles, traffic)``, and each slot's pending hits
+        #: ``(events, traffic)``, and each slot's pending hits
         #: (``_H`` in compiled code; zero outside :meth:`run_until`).
         self._slots: dict = {}
         self._vectors: list = []
@@ -281,37 +281,32 @@ class JitEngine:
         key = (events, traffic)
         slot = self._slots.get(key)
         if slot is None:
-            charges = self.machine.counter.charges
-            cycles = sum(charges[event] * times for event, times in events)
             slot = self._slots[key] = len(self._vectors)
-            self._vectors.append((events, cycles, traffic))
+            self._vectors.append(key)
             self._hits.append(0)
         return slot
 
     def charge(self) -> None:
         """Charge every pending exit hit to the meters and zero it.
 
-        Hits × vector go to ``counter.counts``, ``counter.cycles`` and
-        ``memory.traffic``.  Charges are additive, so charging late
-        leaves the meters exactly where charging at each exit would.
+        Hits × vector go to ``counter.counts`` and ``memory.traffic``
+        (the counter derives the cycles).  Charges are additive, so
+        charging late leaves the meters exactly where charging at each
+        exit would.
         """
         hits = self._hits
         vectors = self._vectors
         machine = self.machine
-        counter = machine.counter
-        counts = counter.counts
+        counts = machine.counter.counts
         traffic = machine.memory.traffic
-        cycles = 0
         for slot in compress(range(len(hits)), hits):
             times = hits[slot]
             hits[slot] = 0
-            events, slot_cycles, regions = vectors[slot]
+            events, regions = vectors[slot]
             for event, n in events:
                 counts[event] += n * times
-            cycles += slot_cycles * times
             for region, n in regions:
                 traffic[region] = traffic.get(region, 0) + n * times
-        counter.cycles += cycles
 
     # -- execution ------------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter, mul
 
 
 class Event(enum.Enum):
@@ -50,6 +51,9 @@ class Event(enum.Enum):
     # lookup keyed by a member.
     __hash__ = object.__hash__
 
+
+#: A counts dict's values in Event order, whatever order its keys are in.
+_in_event_order = itemgetter(*Event)
 
 #: Default cycle charge per event, following the ratios of section 7.3.
 DEFAULT_CHARGES: dict[Event, int] = {
@@ -95,29 +99,34 @@ class CostModel:
 
 
 class CycleCounter:
-    """Accumulates event counts and modelled cycles for one run.
+    """Accumulates event counts for one run; the cycle total derives from them.
 
     The counter is deliberately dumb — ``record`` an event, read back
     ``counts`` and ``cycles`` — so that every component (memory, bank file,
     IFU, interpreter) can share one instance and the total is exact.
 
     ``charges`` is the model's charge table, bound once: a model is fixed
-    for the counter's life.  The hot components (memory, evaluation
-    stack, bank file, IFU, linkage cache, JIT) bump ``counts`` and
-    ``cycles`` through it inline, exactly as ``record`` does, instead of
-    paying a call per counted event.
+    for the counter's life.  Only ``counts`` is ever written.  The hot
+    components (memory, evaluation stack, bank file, IFU, linkage cache,
+    JIT) bump it inline, exactly as ``record`` does, instead of paying a
+    call per counted event; ``cycles`` is each count times its charge,
+    summed when read.
     """
 
     def __init__(self, model: CostModel | None = None) -> None:
         self.model = model or CostModel()
-        self.charges: dict[Event, int] = dict(self.model.charges)
+        # In Event order, as ``cycles`` reads the counts.
+        self.charges: dict[Event, int] = {event: self.model.charges[event] for event in Event}
         self.counts: dict[Event, int] = {event: 0 for event in Event}
-        self.cycles: int = 0
+
+    @property
+    def cycles(self) -> int:
+        """The modelled cycle total: Σ ``counts[e] × charges[e]``."""
+        return sum(map(mul, _in_event_order(self.counts), self.charges.values()))
 
     def record(self, event: Event, times: int = 1) -> None:
-        """Record *times* occurrences of *event* and charge their cycles."""
+        """Record *times* occurrences of *event*."""
         self.counts[event] += times
-        self.cycles += self.charges[event] * times
 
     def count(self, event: Event) -> int:
         """Return how many times *event* has been recorded."""
@@ -129,10 +138,9 @@ class CycleCounter:
         return self.counts[Event.MEMORY_READ] + self.counts[Event.MEMORY_WRITE]
 
     def reset(self) -> None:
-        """Zero all counts and the cycle total."""
+        """Zero all counts, and so the cycle total."""
         for event in Event:
             self.counts[event] = 0
-        self.cycles = 0
 
     def snapshot(self) -> dict[str, int]:
         """Return a plain-dict copy of the counts plus the cycle total."""

@@ -32,7 +32,7 @@ class EvalStack:
     Each push and pop records a register write / read on the shared
     counter: the stack lives in registers in every implementation, and in
     I4 it shares the register banks (see :mod:`repro.banks.renaming`).
-    The charge is applied inline through the counter's bound ``charges``.
+    The count is bumped inline; the counter derives its cycles.
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH, counter: CycleCounter | None = None) -> None:
@@ -47,9 +47,7 @@ class EvalStack:
         slots = self._slots
         if len(slots) >= self.depth:
             raise EvalStackOverflow(f"push onto full stack of depth {self.depth}")
-        counter = self.counter
-        counter.counts[_WRITE] += 1
-        counter.cycles += counter.charges[_WRITE]
+        self.counter.counts[_WRITE] += 1
         slots.append(value & WORD_MASK)
 
     def pop(self) -> int:
@@ -57,9 +55,7 @@ class EvalStack:
         slots = self._slots
         if not slots:
             raise EvalStackUnderflow("pop from empty evaluation stack")
-        counter = self.counter
-        counter.counts[_READ] += 1
-        counter.cycles += counter.charges[_READ]
+        self.counter.counts[_READ] += 1
         return slots.pop()
 
     def top(self) -> int:
@@ -67,9 +63,7 @@ class EvalStack:
         slots = self._slots
         if not slots:
             raise EvalStackUnderflow("top of empty evaluation stack")
-        counter = self.counter
-        counter.counts[_READ] += 1
-        counter.cycles += counter.charges[_READ]
+        self.counter.counts[_READ] += 1
         return slots[-1]
 
     def dup(self) -> None:

@@ -89,10 +89,10 @@ class Memory:
         ``MEMORY_READ`` / ``MEMORY_WRITE`` event on it.  If omitted a
         private counter is created (handy in unit tests).
 
-    A counted access is the machine's commonest event, so it is charged
-    inline: the bounds check, the count, the cycles (through the
-    counter's bound ``charges``) and the traffic bump take no call.  The
-    region of an address is one byte of a per-word region index.
+    A counted access is the machine's commonest event, so it is counted
+    inline: the bounds check, the count and the traffic bump take no
+    call, and the counter derives the cycles from the count.  The region
+    of an address is one byte of a per-word region index.
     """
 
     def __init__(self, size: int = MDS_WORDS, counter: CycleCounter | None = None) -> None:
@@ -155,9 +155,7 @@ class Memory:
         """Read one word, recording a MEMORY_READ event."""
         if not 0 <= address < self.size:
             raise MemoryFault(address, self.size)
-        counter = self.counter
-        counter.counts[_READ] += 1
-        counter.cycles += counter.charges[_READ]
+        self.counter.counts[_READ] += 1
         name = self._names[self._index[address]]
         traffic = self.traffic
         traffic[name] = traffic.get(name, 0) + 1
@@ -167,9 +165,7 @@ class Memory:
         """Write one word, recording a MEMORY_WRITE event."""
         if not 0 <= address < self.size:
             raise MemoryFault(address, self.size)
-        counter = self.counter
-        counter.counts[_WRITE] += 1
-        counter.cycles += counter.charges[_WRITE]
+        self.counter.counts[_WRITE] += 1
         name = self._names[self._index[address]]
         traffic = self.traffic
         traffic[name] = traffic.get(name, 0) + 1
@@ -186,9 +182,7 @@ class Memory:
         Words before a faulting address are counted, as if read one by one.
         """
         size = self.size
-        counter = self.counter
-        counts = counter.counts
-        cycles = counter.charges[_READ]
+        counts = self.counter.counts
         index = self._index
         names = self._names
         traffic = self.traffic
@@ -196,7 +190,6 @@ class Memory:
             if not 0 <= target < size:
                 raise MemoryFault(target, size)
             counts[_READ] += 1
-            counter.cycles += cycles
             name = names[index[target]]
             traffic[name] = traffic.get(name, 0) + 1
         return self._words[address : address + count]
@@ -208,9 +201,7 @@ class Memory:
         written one by one.
         """
         size = self.size
-        counter = self.counter
-        counts = counter.counts
-        cycles = counter.charges[_WRITE]
+        counts = self.counter.counts
         index = self._index
         names = self._names
         traffic = self.traffic
@@ -219,7 +210,6 @@ class Memory:
             if not 0 <= target < size:
                 raise MemoryFault(target, size)
             counts[_WRITE] += 1
-            counter.cycles += cycles
             name = names[index[target]]
             traffic[name] = traffic.get(name, 0) + 1
             words[target] = value & WORD_MASK

@@ -169,14 +169,13 @@ class LinkageCache:
         self.counter = counter
         #: The memory's per-region reference counts (``Memory.traffic``).
         self.traffic = traffic
-        #: key -> (target, the walk's (event, times) pairs, their cycles,
-        #: its (region, references) pairs).
+        #: key -> (target, the walk's (event, times) pairs, its
+        #: (region, references) pairs).
         self._entries: dict[
             tuple[int, int],
             tuple[
                 ResolvedTarget,
                 tuple[tuple[Event, int], ...],
-                int,
                 tuple[tuple[str, int], ...],
             ],
         ] = {}
@@ -195,12 +194,10 @@ class LinkageCache:
             self.misses += 1
             return None
         self.hits += 1
-        resolved, charges, cycles, regions = entry
-        counter = self.counter
-        counts = counter.counts
+        resolved, charges, regions = entry
+        counts = self.counter.counts
         for event, times in charges:
             counts[event] += times
-        counter.cycles += cycles
         traffic = self.traffic
         for region, references in regions:
             traffic[region] = traffic.get(region, 0) + references
@@ -217,24 +214,22 @@ class LinkageCache:
         resolved: ResolvedTarget,
         before: tuple[dict[Event, int], dict[str, int]],
     ) -> None:
-        """Memoize *resolved* along with the events the walk charged,
-        their cycles and the walk's region traffic, computed once here
-        rather than on every hit."""
-        counter = self.counter
-        counts = counter.counts
+        """Memoize *resolved* along with the events the walk charged and
+        the walk's region traffic, computed once here rather than on
+        every hit."""
+        counts = self.counter.counts
         seen_counts, seen_traffic = before
         charges = tuple(
             (event, counts[event] - seen)
             for event, seen in seen_counts.items()
             if counts[event] != seen
         )
-        cycles = sum(counter.charges[event] * times for event, times in charges)
         regions = tuple(
             (region, references - seen_traffic.get(region, 0))
             for region, references in self.traffic.items()
             if references != seen_traffic.get(region, 0)
         )
-        self._entries[key] = (resolved, charges, cycles, regions)
+        self._entries[key] = (resolved, charges, regions)
 
     def invalidate(self) -> None:
         """Drop everything (code epoch bump or an explicit service)."""

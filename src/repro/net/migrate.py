@@ -417,7 +417,6 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
     # cluster aggregate matches the unmigrated run exactly.
     counter = machine.counter
     saved_counts = dict(counter.counts)
-    saved_cycles = counter.cycles
     saved_steps = machine.steps
     saved_output = list(machine.output)
     saved_traffic = dict(machine.memory.traffic)
@@ -428,7 +427,6 @@ def _adopt_exclusive(shard: Shard, slice_: dict) -> Process:
 
     counter.counts.clear()
     counter.counts.update(saved_counts)
-    counter.cycles = saved_cycles
     machine.steps = saved_steps
     machine.output = saved_output
     machine.memory.traffic.clear()

@@ -722,6 +722,12 @@ class ProcessServer:
             except asyncio.TimeoutError:
                 pass
             if errors:
+                # Stop serving: cancel every admitted request still in
+                # flight, and let each finish, before the error leaves.
+                live = [task for task, _, _ in engine.live.values()]
+                for task in live:
+                    task.cancel()
+                await asyncio.gather(*live, return_exceptions=True)
                 raise errors[0]
 
         report = engine.report

@@ -216,6 +216,8 @@ REFUSALS = {
     "memory-size": lambda state: state["memory"].update(size=state["memory"]["size"] + 1),
     "memory-words": lambda state: state["memory"]["words"].append([0, 1]),
     "frame-entry": lambda state: state["frames"][0].update(entry_address=-1),
+    "cycles": lambda state: state["counter"].update(cycles=state["counter"]["cycles"] + 1),
+    "counter-event": lambda state: state["counter"]["counts"].update(warp_drive=0),
     **{
         section: (lambda name: lambda state: state.pop(name))(section)
         for section in SECTIONS
@@ -226,8 +228,10 @@ REFUSALS = {
 @pytest.mark.parametrize("preset", ALL_PRESETS)
 def test_a_refused_restore_writes_nothing(preset):
     """Restore checks the whole snapshot before its first write: after
-    each refusal the machine captures exactly as before, although the
-    planted snapshot is from an earlier step with another code epoch."""
+    each refusal the machine captures exactly as before, its meters
+    included, although the planted snapshot is from an earlier step
+    with another code epoch.  A snapshot's cycles must be its counts
+    times the machine's charges, since the machine derives them."""
     machine = build([FIB], preset=preset)
     machine.start()
     while machine.steps < 50:

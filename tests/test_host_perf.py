@@ -13,19 +13,25 @@ per-call budget, so a resumed machine got a shrunken budget or an
 instant StepLimitExceeded.
 """
 
+import random
+
 import pytest
 
 from repro.banks.bankfile import BankRole
-from repro.errors import StepLimitExceeded
+from repro.check.fuzz import build_image, inject_stack_underflow, mutate_random_byte
+from repro.errors import ReproError, StepLimitExceeded
 from repro.ifu.ifu import TransferKind
 from repro.ifu.returnstack import OverflowPolicy, ReturnStack, ReturnStackEntry
+from repro.interp.machine import Machine
 from repro.interp.services import relocate_module, replace_procedure
+from repro.interp.traps import TrapKind
 from repro.isa.assembler import Assembler
 from repro.isa.opcodes import Op
 from repro.jit import install_jit
 from repro.workloads.programs import CORPUS
 from tests.conftest import ALL_PRESETS, build
 from tests.test_jit_host_calls import CALL_DENSE
+from tests.test_limits import DEEP_EXPRESSION
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +111,135 @@ def test_cache_disabled_when_configured_off():
     assert machine.linkage_cache is None
     machine.start()
     assert machine.run() == list(entry.expect_results)
+
+
+# ---------------------------------------------------------------------------
+# Batched runs leave exactly what single steps leave
+# ---------------------------------------------------------------------------
+
+
+def _state(machine) -> tuple:
+    """Everything a run leaves that a reader can see."""
+    return (
+        machine.results(),
+        machine.halted,
+        machine.steps,
+        machine.pc,
+        machine.counter.snapshot(),
+        list(machine.memory.traffic.items()),
+        dict(machine.fetch.fast),
+        dict(machine.fetch.slow),
+        machine.output,
+        machine.trap_count,
+        machine.memory._words,
+    )
+
+
+def _single_steps(machine, limit: int | None = None) -> None:
+    """``step()`` until the machine stops where ``run()`` stops: at a
+    halt or a yield, or past *limit* steps as ``run(max_steps=limit)``."""
+    while not (machine.halted or machine.yield_requested):
+        if limit is not None and machine.steps >= limit:
+            raise StepLimitExceeded(limit)
+        machine.step()
+
+
+def _outcome(machine, drive) -> tuple:
+    """*drive* the machine; its fault (or None) and then its state."""
+    try:
+        drive(machine)
+        fault = None
+    except ReproError as error:
+        fault = (type(error).__name__, str(error))
+    return fault, _state(machine)
+
+
+@pytest.mark.parametrize("name, preset", LINKED_CORPUS)
+def test_a_run_leaves_what_single_steps_leave(name, preset):
+    """``run()`` executes each straight line of simple instructions as
+    one batch; a ``step()`` loop executes them one at a time, as a
+    tracer sees them."""
+    entry = CORPUS[name]
+    outcomes = []
+    for drive in (Machine.run, _single_steps):
+        machine = build(entry.sources, preset=preset, entry=entry.entry)
+        machine.start(entry.entry[0], entry.entry[1], *entry.args)
+        outcomes.append(_outcome(machine, drive))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is None
+
+
+@pytest.mark.parametrize("preset", ALL_PRESETS)
+def test_every_step_budget_stops_where_single_steps_do(preset):
+    """A budget of *k* steps runs a batch only when it fits, so slices
+    of ``run(max_steps=k)`` stop exactly *k* steps apart, for every *k*
+    across calldense's runs and their ends."""
+    for k in range(1, 41):
+        machine = build([CALL_DENSE], preset=preset)
+        machine.start("Main", "main", 3)
+        stepped = build([CALL_DENSE], preset=preset)
+        stepped.start("Main", "main", 3)
+        while not machine.halted:
+            try:
+                machine.run(max_steps=k)
+            except StepLimitExceeded:
+                assert machine.steps % k == 0
+            while stepped.steps < machine.steps:
+                stepped.step()
+            assert _state(machine) == _state(stepped), (k, machine.steps)
+    assert machine.results() == [sum(5 * i + 2 for i in range(3))]
+
+
+def test_a_fault_inside_a_run_leaves_single_step_meters():
+    """The deep expression pushes past the stack inside a run of simple
+    instructions.  The host handler reads the meters at each overflow,
+    and sees what it sees under single steps: the run's instructions
+    after the faulting one were taken back before the trap surfaced."""
+    outcomes = []
+    for drive in (Machine.run, _single_steps):
+        machine = build([DEEP_EXPRESSION], eval_stack_depth=8)
+        seen = []
+        machine.trap_handlers[TrapKind.STACK_OVERFLOW] = lambda m, kind, detail: seen.append(
+            (m.steps, m.pc, m.counter.snapshot())
+        )
+        machine.start()
+        outcomes.append((_outcome(machine, drive), seen))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1]  # the stack did overflow
+
+
+def _mutants():
+    """Seeded ``check.fuzz`` mutants of three corpus programs: random
+    byte flips, and each program's planted stack underflow."""
+    for name in ("calls", "mathlib", "sort"):
+        for preset in ALL_PRESETS:
+            for seed in range(12):
+                yield name, preset, seed
+            yield name, preset, None
+
+
+@pytest.mark.parametrize("name, preset, seed", list(_mutants()))
+def test_a_mutant_runs_as_it_single_steps(name, preset, seed):
+    """A mutant may fault anywhere: inside a run, at its end, or on a
+    byte that does not decode, which a run decodes no further than.
+    Either way ``run()`` and a ``step()`` loop leave the same fault,
+    steps, meters, traffic and memory."""
+    entry = CORPUS[name]
+    outcomes = []
+    for drive in (lambda m: m.run(max_steps=5_000), lambda m: _single_steps(m, 5_000)):
+        image = build_image(entry.sources, entry.entry, preset)
+        if seed is None:
+            assert inject_stack_underflow(image)
+        else:
+            mutate_random_byte(image, random.Random(seed))
+        machine = Machine(image)
+        try:
+            machine.start(entry.entry[0], entry.entry[1], *entry.args)
+        except ReproError as error:
+            outcomes.append(((type(error).__name__, str(error)), None))
+            continue
+        outcomes.append(_outcome(machine, drive))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,56 @@ def test_the_interpreter_makes_at_most_three_calls_per_step(preset):
     assert _calls_per_step(build([CALL_DENSE], preset=preset)) <= 3.0
 
 
+def _bytecodes(machine, n: int) -> tuple[int, int]:
+    """(bytecodes, steps) of one ``Main.main(n)`` run, counted as
+    tests/test_obs_opcode_budget.py counts them."""
+    count = [0]
+
+    def opcode(frame, event, arg):
+        if event == "opcode" and frame.f_lineno is not None:
+            count[0] += 1
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcode
+
+    machine.stack.clear()
+    machine.start("Main", "main", n)
+    steps = machine.steps
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        machine.run()
+    finally:
+        sys.settrace(previous)
+    assert machine.results() == [sum(5 * i + 2 for i in range(n))]
+    return count[0], machine.steps - steps
+
+
+#: Bytecodes per step of the warm interpreted calldense loop on i1-i4
+#: (Python 3.11) while every instruction took the fetch loop and every
+#: counted event charged its cycles as well as its count.
+_FETCH_LOOP_BYTECODES = {"i1": 287.6, "i2": 283.7, "i3": 243.0, "i4": 227.8}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bytecode differs by version")
+@pytest.mark.parametrize("preset", ["i1", "i2", "i3", "i4"])
+def test_the_interpreter_runs_at_most_085_of_the_fetch_loops_bytecodes(preset):
+    """221.5, 217.6, 184.0 and 173.2 bytecodes per step on i1-i4: each
+    straight line of simple instructions counts its DECODEs and steps
+    once, and the cycles derive from the counts (docs/architecture.md,
+    "One call per simple instruction").  Like the call count, the
+    difference of ``Main.main(13)`` and ``Main.main(3)`` after a warm
+    run, so starting and ending a run cancel."""
+    machine = build([CALL_DENSE], preset=preset)
+    _bytecodes(machine, 4)
+    short, short_steps = _bytecodes(machine, 3)
+    long, long_steps = _bytecodes(machine, 13)
+    per_step = (long - short) / (long_steps - short_steps)
+    assert per_step <= 0.85 * _FETCH_LOOP_BYTECODES[preset], per_step
+
+
 @pytest.mark.parametrize("preset", ["i1", "i2", "i3", "i4"])
 def test_the_jit_makes_a_third_of_the_interpreters_calls_per_step(preset):
     """2.38, 2.38, 1.89 and 2.69 calls per step interpreted on i1-i4,

@@ -9,28 +9,27 @@ from repro.lang.linker import LinkOptions, link
 from tests.conftest import run_source
 
 
+def _right_leaning(depth: int) -> str:
+    deep = "1"
+    for _ in range(depth):
+        deep = f"1 + ({deep})"
+    return f"MODULE Main;\nPROCEDURE main(): INT;\nBEGIN\n  RETURN {deep};\nEND;\nEND."
+
+
+#: A program whose one expression needs 21 stack words.
+DEEP_EXPRESSION = _right_leaning(20)
+
+
 def test_eval_stack_overflow_traps():
     """A right-leaning expression deeper than the eval stack: the
     hardware's register stack is finite, so this traps."""
-    deep = "1"
-    for _ in range(20):
-        deep = f"1 + ({deep})"
-    source = [
-        f"MODULE Main;\nPROCEDURE main(): INT;\nBEGIN\n  RETURN {deep};\nEND;\nEND."
-    ]
     with pytest.raises(TrapError) as excinfo:
-        run_source(source, eval_stack_depth=8)
+        run_source([DEEP_EXPRESSION], eval_stack_depth=8)
     assert excinfo.value.trap == "stack_overflow"
 
 
 def test_expression_fits_default_stack():
-    deep = "1"
-    for _ in range(12):
-        deep = f"1 + ({deep})"
-    source = [
-        f"MODULE Main;\nPROCEDURE main(): INT;\nBEGIN\n  RETURN {deep};\nEND;\nEND."
-    ]
-    results, _ = run_source(source)
+    results, _ = run_source([_right_leaning(12)])
     assert results == [13]
 
 

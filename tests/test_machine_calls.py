@@ -6,7 +6,9 @@ from repro.ifu.ifu import TransferKind
 from repro.ifu.returnstack import OverflowPolicy
 from repro.jit import install_jit
 from repro.machine.costs import Event
+from repro.workloads.programs import CORPUS
 from tests.conftest import ALL_PRESETS, build, run_source
+from tests.test_host_perf import LINKED_CORPUS
 
 RECURSIVE = [
     """
@@ -164,5 +166,16 @@ def test_jump_speed_95_percent_claim():
 
 
 def test_decode_counts_match_steps():
+    """One DECODE per step on every linked corpus program, interpreted
+    (whose runs count their DECODEs in one update) and compiled."""
     _, machine = run_source(CROSS_MODULE, preset="i2")
     assert machine.counter.count(Event.DECODE) == machine.steps
+    for name, preset in LINKED_CORPUS:
+        entry = CORPUS[name]
+        for engine in ("interp", "jit"):
+            machine = build(entry.sources, preset=preset, entry=entry.entry)
+            if engine == "jit":
+                install_jit(machine)
+            machine.start(entry.entry[0], entry.entry[1], *entry.args)
+            machine.run()
+            assert machine.counter.count(Event.DECODE) == machine.steps, (name, preset, engine)

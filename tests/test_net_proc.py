@@ -13,6 +13,7 @@ cooperative in-process pump to real processes over real sockets changes
 * dedup still answers duplicates with byte-identical cached replies.
 """
 
+import asyncio
 import json
 import os
 import socket
@@ -144,6 +145,42 @@ def test_process_server_publishes_the_net_metrics():
     assert counters["net.backpressure_stalls"] == report.backpressure_stalls >= 2
     assert snapshot["gauges"]["net.admission_queue_depth"] == 0
     assert snapshot["histograms"]["net.latency_ms"]["count"] == report.completed
+
+
+def test_a_serve_stopped_by_an_error_leaves_no_request_running(monkeypatch):
+    """A failure that is not a request's own (here the third submission
+    raises) stops ``serve``; the requests admitted beside it are
+    cancelled and awaited first, so no ``run_one`` task is left pending
+    on the front door's loop, and the cluster answers a fresh call."""
+    cluster = ProcessCluster(
+        list(SERVICE_SOURCES), shards=2, config="i2", self_homed=True
+    )
+    try:
+        call_async = ProcessCluster.call_async
+        submitted = []
+
+        async def failing(self, shard, module, proc, args):
+            submitted.append(None)
+            if len(submitted) == 3:
+                raise RuntimeError("front door fault")
+            return await call_async(self, shard, module, proc, args)
+
+        monkeypatch.setattr(ProcessCluster, "call_async", failing)
+        with pytest.raises(RuntimeError, match="front door fault"):
+            ProcessServer(cluster).serve(generate_workload(7, 40))
+        monkeypatch.setattr(ProcessCluster, "call_async", call_async)
+
+        async def pending() -> list[str]:
+            return [
+                task.get_coro().__qualname__
+                for task in asyncio.all_tasks()
+                if not task.done()
+            ]
+
+        assert not [name for name in cluster._run(pending()) if "run_one" in name]
+        assert cluster.call_on(0, "Gcd", "gcd", 12, 18) == [6]
+    finally:
+        cluster.close()
 
 
 @pytest.mark.parametrize("preset", ALL_PRESETS)
